@@ -156,10 +156,8 @@ let kind_names = List.map (fun (k, _, _) -> k) kinds
 let ns_requests : (string * string) list =
   [
     ("Register", "R_registered");
-    ("Lookup", "R_addr");
     ("Lookup_v", "R_addr_v");
     ("Lookup_attrs", "R_entries");
-    ("Resolve", "R_entry");
     ("Resolve_v", "R_entry_v");
     ("Forward", "R_forward");
     ("Deregister", "R_ok");
@@ -171,8 +169,8 @@ let ns_requests : (string * string) list =
 (* Ns_proto.response constructors, in declaration order. *)
 let ns_responses =
   [
-    "R_registered"; "R_addr"; "R_addr_v"; "R_entry"; "R_entry_v"; "R_entries";
-    "R_forward"; "R_ok"; "R_sync"; "R_error";
+    "R_registered"; "R_addr_v"; "R_entry_v"; "R_entries"; "R_forward"; "R_ok"; "R_sync";
+    "R_error";
   ]
 
 (* Modules that implement the naming-service server side: they must handle

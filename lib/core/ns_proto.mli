@@ -3,7 +3,12 @@
     These messages ride the ordinary Nucleus primitives as packed-mode
     payloads with a reserved application tag — "for all practical purposes,
     the naming service is nothing more than an application built on the
-    Nucleus" (§2.4). *)
+    Nucleus" (§2.4).
+
+    One protocol serves every deployment: lookups and resolves are always
+    versioned (DESIGN.md §15). An unsharded server is a one-shard plane
+    that answers them with shard 0, generation 0, so a client's cache
+    floors never move. *)
 
 open Ntcs_wire
 
@@ -28,15 +33,13 @@ type request =
       r_order : int;
       r_attrs : (string * string) list;
     }
-  | Lookup of string  (** logical name → UAdd *)
   | Lookup_v of string * int
-      (** versioned, shard-routed lookup: [name, hops]. A non-owner shard
+      (** logical name → UAdd, shard-routed: [name, hops]. A non-owner shard
           forwards it name-to-name to the owner with [hops+1] (Internames
           style, DESIGN.md §15); [hops >= 1] forces a local answer so the
           resolution chain is at most one hop. Answered with {!R_addr_v}. *)
   | Lookup_attrs of (string * string) list
-  | Resolve of Addr.t  (** UAdd → full entry *)
-  | Resolve_v of Addr.t  (** versioned resolve, answered with {!R_entry_v} *)
+  | Resolve_v of Addr.t  (** UAdd → full entry, answered with {!R_entry_v} *)
   | Forward of Addr.t  (** address fault: find a replacement (§3.5) *)
   | Deregister of Addr.t
   | List_gateways  (** the centralized topology (§4.2) *)
@@ -45,14 +48,12 @@ type request =
 
 type response =
   | R_registered of Addr.t
-  | R_addr of Addr.t
   | R_addr_v of Addr.t * int * int
       (** [addr, shard, gen]: answer plus the answering authority's shard
           index and invalidation generation. [gen = 0] marks an
-          unversioned answer (a replica's backup copy while the owner is
-          down): cacheable, but never raises the client's generation
-          floor. *)
-  | R_entry of entry
+          unversioned answer (an unsharded server, or a replica's backup
+          copy while the owner is down): cacheable, but never raises the
+          client's generation floor. *)
   | R_entry_v of entry * int * int  (** [entry, shard, gen] — as {!R_addr_v} *)
   | R_entries of entry list
   | R_forward of Addr.t option  (** [Some] replacement / [None] still alive *)

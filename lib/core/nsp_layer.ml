@@ -11,14 +11,16 @@
    the candidate list. Results are cached; the caches are what let the
    system keep running with the name server removed (§3.3, E1).
 
-   Under a sharded naming plane (DESIGN.md §15) the caches become the
-   versioned [Ntcs_naming.Ns_cache]: every entry remembers which shard
-   answered and at which invalidation generation, requests for a name are
-   routed owner-first through the pinned shard map, and generation
-   observations piggybacked on versioned answers retire stale entries. A
-   stale cache hit resolves to a miss plus a fresh lookup — never a
-   delivery on the old circuit; §3.5 relocation events (forward queries,
-   the LCM relocation hook) splice-repair cached names in place. *)
+   Lookups and resolves speak the one versioned naming protocol (DESIGN.md
+   §15), and the caches are the versioned [Ntcs_naming.Ns_cache]: every
+   entry remembers which shard answered and at which invalidation
+   generation, and generation observations piggybacked on answers retire
+   stale entries. A stale cache hit resolves to a miss plus a fresh lookup
+   — never a delivery on the old circuit; §3.5 relocation events (forward
+   queries, the LCM relocation hook) splice-repair cached names in place.
+   Under a sharded plane, requests for a name are routed owner-first
+   through the pinned shard map; an unsharded server answers every lookup
+   with generation 0, so its clients' floors never move. *)
 
 open Ntcs_wire
 module Ns_cache = Ntcs_naming.Ns_cache
@@ -69,13 +71,11 @@ let metrics t = Node.metrics t.node
 
 let ttl t = t.node.Node.config.Node.ns_cache_ttl_us
 
-let sharded t = t.shard_map <> None
-
 (* The cache-coherence trace (Check_naming): hit / stale / store / invalidate
    events, emitted only under a sharded naming plane so classic single-NS
    traces are unchanged. *)
 let cache_event t cat detail =
-  if sharded t then Node.record t.node ~cat ~actor:t.owner detail
+  if t.shard_map <> None then Node.record t.node ~cat ~actor:t.owner detail
 
 let kv_detail kind key ~shard ~gen =
   Printf.sprintf "%s:%s shard %d gen %d" kind key shard gen
@@ -121,7 +121,7 @@ let error_of_string = function
    answers ([R_error ...]) are never retried: they are responses, not
    transport failures. [?prefer] puts one replica (the owning shard of the
    name being asked about) at the head of the pass, ahead of [last_good]. *)
-let request_prefer ?prefer t (req : Ns_proto.request) =
+let request ?prefer t (req : Ns_proto.request) =
   let payload = Convert.payload_raw (Ns_proto.pack_request req) in
   let started = Node.now t.node in
   let one_pass ~attempt =
@@ -169,9 +169,10 @@ let request_prefer ?prefer t (req : Ns_proto.request) =
   Ntcs_obs.Registry.observe (metrics t) "nsp.request_us" (Node.now t.node - started);
   result
 
-let request t req = request_prefer t req
-
 let protocol_error = Errors.Bad_message "unexpected name-server response"
+
+(* The shard owner to ask first about [name]; none on an unsharded plane. *)
+let owner_of_name t name = Option.map (fun m -> Shard_map.owner_of_name m name) t.shard_map
 
 (* --- the services the rest of the ComMod consumes --- *)
 
@@ -186,8 +187,7 @@ let register t ~name ~phys ~nets ~order ~attrs =
         r_attrs = attrs;
       }
   in
-  let prefer = Option.map (fun m -> Shard_map.owner_of_name m name) t.shard_map in
-  match request_prefer ?prefer t req with
+  match request ?prefer:(owner_of_name t name) t req with
   | Ok (Ns_proto.R_registered addr) -> Ok addr
   | Ok _ -> Error protocol_error
   | Error _ as e -> e
@@ -206,24 +206,12 @@ let lookup t name =
        Ntcs_util.Metrics.incr (metrics t) "nsp.cache_stale";
        cache_event t "ns.cache.stale" (kv_detail "name" name ~shard ~gen)
      | _ -> Ntcs_util.Metrics.incr (metrics t) "nsp.cache_misses");
-    match t.shard_map with
-    | Some m -> (
-      match
-        request_prefer ~prefer:(Shard_map.owner_of_name m name) t
-          (Ns_proto.Lookup_v (name, 0))
-      with
-      | Ok (Ns_proto.R_addr_v (addr, shard, gen)) ->
-        store t t.name_cache name name ~value:addr ~kind:"name" ~shard ~gen;
-        Ok addr
-      | Ok _ -> Error protocol_error
-      | Error _ as e -> e)
-    | None -> (
-      match request t (Ns_proto.Lookup name) with
-      | Ok (Ns_proto.R_addr addr) ->
-        store t t.name_cache name name ~value:addr ~kind:"name" ~shard:0 ~gen:0;
-        Ok addr
-      | Ok _ -> Error protocol_error
-      | Error _ as e -> e))
+    match request ?prefer:(owner_of_name t name) t (Ns_proto.Lookup_v (name, 0)) with
+    | Ok (Ns_proto.R_addr_v (addr, shard, gen)) ->
+      store t t.name_cache name name ~value:addr ~kind:"name" ~shard ~gen;
+      Ok addr
+    | Ok _ -> Error protocol_error
+    | Error _ as e -> e)
 
 let lookup_attrs t attrs =
   match request t (Ns_proto.Lookup_attrs attrs) with
@@ -244,22 +232,12 @@ let resolve t addr =
        Ntcs_util.Metrics.incr (metrics t) "nsp.cache_stale";
        cache_event t "ns.cache.stale" (kv_detail "addr" key ~shard ~gen)
      | _ -> Ntcs_util.Metrics.incr (metrics t) "nsp.cache_misses");
-    if sharded t then begin
-      match request t (Ns_proto.Resolve_v addr) with
-      | Ok (Ns_proto.R_entry_v (e, shard, gen)) ->
-        store t t.entry_cache key addr ~value:e ~kind:"addr" ~shard ~gen;
-        Ok e
-      | Ok _ -> Error protocol_error
-      | Error _ as err -> err
-    end
-    else begin
-      match request t (Ns_proto.Resolve addr) with
-      | Ok (Ns_proto.R_entry e) ->
-        store t t.entry_cache key addr ~value:e ~kind:"addr" ~shard:0 ~gen:0;
-        Ok e
-      | Ok _ -> Error protocol_error
-      | Error _ as err -> err
-    end)
+    match request t (Ns_proto.Resolve_v addr) with
+    | Ok (Ns_proto.R_entry_v (e, shard, gen)) ->
+      store t t.entry_cache key addr ~value:e ~kind:"addr" ~shard ~gen;
+      Ok e
+    | Ok _ -> Error protocol_error
+    | Error _ as err -> err)
 
 (* §3.5 splice repair: [old_addr] was just proved stale (an address fault,
    or a relocation the LCM learned). Drop its cached entry and re-point

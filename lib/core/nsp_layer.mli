@@ -9,22 +9,21 @@
     TTL: the caches are what let the system run with the name server removed
     (§3.3, experiment E1).
 
-    Under a sharded naming plane (DESIGN.md §15) — [Node.config.ns_shards]
-    non-trivial — the caches are the versioned {!Ntcs_naming.Ns_cache}:
-    entries carry the answering shard and its invalidation generation,
-    lookups route owner-first through the pinned shard map, and generation
-    observations piggybacked on versioned answers retire stale entries. A
+    Lookups and resolves speak the one versioned naming protocol (DESIGN.md
+    §15), and the caches are the versioned {!Ntcs_naming.Ns_cache}: entries
+    carry the answering shard and its invalidation generation, and
+    generation observations piggybacked on answers retire stale entries. A
     stale hit resolves to a miss plus a fresh lookup, never a delivery on
-    the old circuit; relocation events splice-repair cached names. *)
+    the old circuit; relocation events splice-repair cached names. Under a
+    sharded plane ([Node.config.ns_shards] non-trivial) requests about a
+    name go owner-first through the pinned shard map. An unsharded server
+    always answers generation 0, so there the floors never move. *)
 
 type t
 
 val create : ?owner:string -> Node.t -> Lcm_layer.t -> t
 (** [owner] is the actor stamped on [ns.cache.*] trace events (the binding
     ComMod's name; defaults to ["nsp"]). *)
-
-val request : t -> Ns_proto.request -> (Ns_proto.response, Errors.t) result
-(** One name-server round trip with replica failover. *)
 
 val register :
   t ->

@@ -45,13 +45,12 @@ let monitor_record_codec =
 type monitor_query = Q_stats | Q_recent of int
 
 let monitor_query_codec =
-  Packed.tagged
-    [
-      ("sta", (function Q_stats -> Some (fun _ -> ()) | _ -> None), fun _ -> Q_stats);
-      ( "rec",
-        (function Q_recent n -> Some (fun buf -> Packed.int.Packed.pack buf n) | _ -> None),
-        fun cur -> Q_recent (Packed.int.Packed.unpack cur) );
-    ]
+  Packed.(
+    tagged
+      [
+        case "sta" unit (fun () -> Q_stats) (function Q_stats -> Some () | _ -> None);
+        case "rec" int (fun n -> Q_recent n) (function Q_recent n -> Some n | _ -> None);
+      ])
 
 type monitor_stats = {
   ms_total : int;
@@ -105,14 +104,11 @@ let log_record_codec =
 type log_query = L_count of int (* min severity *) | L_recent of int
 
 let log_query_codec =
-  Packed.tagged
-    [
-      ( "cnt",
-        (function L_count s -> Some (fun buf -> Packed.int.Packed.pack buf s) | _ -> None),
-        fun cur -> L_count (Packed.int.Packed.unpack cur) );
-      ( "rec",
-        (function L_recent n -> Some (fun buf -> Packed.int.Packed.pack buf n) | _ -> None),
-        fun cur -> L_recent (Packed.int.Packed.unpack cur) );
-    ]
+  Packed.(
+    tagged
+      [
+        case "cnt" int (fun s -> L_count s) (function L_count s -> Some s | _ -> None);
+        case "rec" int (fun n -> L_recent n) (function L_recent n -> Some n | _ -> None);
+      ])
 
 let log_recent_codec = Packed.list log_record_codec

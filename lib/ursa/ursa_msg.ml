@@ -49,22 +49,14 @@ type doc_reply =
   | Doc_missing
 
 let doc_reply_codec =
-  Packed.tagged
-    [
-      ( "doc",
-        (function
-          | Doc_found { df_title; df_body } ->
-            Some
-              (fun buf ->
-                (Packed.pair Packed.string Packed.string).Packed.pack buf (df_title, df_body))
-          | Doc_missing -> None),
-        fun cur ->
-          let t, b = (Packed.pair Packed.string Packed.string).Packed.unpack cur in
-          Doc_found { df_title = t; df_body = b } );
-      ( "mis",
-        (function Doc_missing -> Some (fun _ -> ()) | Doc_found _ -> None),
-        fun _ -> Doc_missing );
-    ]
+  Packed.(
+    tagged
+      [
+        case "doc" (pair string string)
+          (fun (df_title, df_body) -> Doc_found { df_title; df_body })
+          (function Doc_found { df_title; df_body } -> Some (df_title, df_body) | _ -> None);
+        case "mis" unit (fun () -> Doc_missing) (function Doc_missing -> Some () | _ -> None);
+      ])
 
 (* --- search coordinator --- *)
 

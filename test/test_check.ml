@@ -21,8 +21,8 @@ let test_automaton_tables_cover_protocol () =
   (* Every kind the table declares maps to some handler list; the dynamic
      checker's vocabulary (inputs_of) round-trips through the table. *)
   Alcotest.(check int) "eleven kinds" 11 (List.length Check_auto.kinds);
-  Alcotest.(check int) "eleven requests" 11 (List.length Check_auto.ns_requests);
-  Alcotest.(check int) "ten responses" 10 (List.length Check_auto.ns_responses)
+  Alcotest.(check int) "nine requests" 9 (List.length Check_auto.ns_requests);
+  Alcotest.(check int) "eight responses" 8 (List.length Check_auto.ns_responses)
 
 (* --- seeded handler gap (static) --- *)
 
@@ -70,12 +70,13 @@ let test_decl_conformance () =
     (contains d.Lint_diag.msg "Evil")
 
 let test_ns_response_discipline () =
-  (* Issuing Lookup without dispatching on R_addr (or R_error) is flagged. *)
-  let text = "let q c = ask c Ns_proto.Lookup\n" in
+  (* Issuing Lookup_v without dispatching on R_addr_v (or R_error) is
+     flagged. *)
+  let text = "let q c = ask c Ns_proto.Lookup_v\n" in
   let ds = Check_proto.check [ src "lib/core/some_client.ml" text ] in
-  Alcotest.(check int) "R_addr and R_error both missing" 2 (List.length ds);
-  let clean = "let q c = match ask c Ns_proto.Lookup with\n\
-               | Ns_proto.R_addr _ -> ()\n\
+  Alcotest.(check int) "R_addr_v and R_error both missing" 2 (List.length ds);
+  let clean = "let q c = match ask c Ns_proto.Lookup_v with\n\
+               | Ns_proto.R_addr_v _ -> ()\n\
                | Ns_proto.R_error _ -> ()\n" in
   Alcotest.(check (list string)) "handled pair is clean" []
     (diag_strings (Check_proto.check [ src "lib/core/some_client.ml" clean ]))

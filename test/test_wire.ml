@@ -123,7 +123,10 @@ let test_packed_unpack_errors () =
   expect_err "notanint\n" Packed.int;
   expect_err "5\nab\n" Packed.string (* truncated raw block *);
   expect_err "X\n" Packed.bool;
-  expect_err "1\n2\n" Packed.int (* trailing bytes *)
+  expect_err "1\n2\n" Packed.int (* trailing bytes *);
+  (* A length near max_int must not overflow the bounds check. *)
+  expect_err "4611686018427387903\nabc\n" Packed.string;
+  expect_err "1\n4611686018427387903\nabc\n" (Packed.list Packed.string)
 
 let test_packed_of_layout_matches_image_semantics () =
   let codec = Packed.of_layout sample_layout in
@@ -145,20 +148,19 @@ let test_packed_is_order_independent () =
 
 let test_packed_tagged () =
   let codec =
-    Packed.tagged
-      [
-        ( "i",
-          (function `I v -> Some (fun buf -> Packed.int.Packed.pack buf v) | `S _ -> None),
-          fun cur -> `I (Packed.int.Packed.unpack cur) );
-        ( "s",
-          (function `S v -> Some (fun buf -> Packed.string.Packed.pack buf v) | `I _ -> None),
-          fun cur -> `S (Packed.string.Packed.unpack cur) );
-      ]
+    Packed.(
+      tagged
+        [
+          case "i" int (fun v -> `I v) (function `I v -> Some v | _ -> None);
+          case "s" string (fun v -> `S v) (function `S v -> Some v | _ -> None);
+          case "n" unit (fun () -> `N) (function `N -> Some () | _ -> None);
+        ])
   in
-  Alcotest.(check bool) "int case" true
-    (Packed.run_unpack codec (Packed.run_pack codec (`I 5)) = `I 5);
-  Alcotest.(check bool) "string case" true
-    (Packed.run_unpack codec (Packed.run_pack codec (`S "v")) = `S "v");
+  List.iter
+    (fun (v, wire) ->
+      Alcotest.(check string) "bytes" wire (Bytes.to_string (Packed.run_pack codec v));
+      Alcotest.(check bool) "roundtrip" true (Packed.run_unpack codec (Bytes.of_string wire) = v))
+    [ (`I 5, "1\ni\n5\n"); (`S "v", "1\ns\n1\nv\n"); (`N, "1\nn\n") ];
   match Packed.run_unpack_result codec (Packed.run_pack Packed.string "zz") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown tag must fail"
