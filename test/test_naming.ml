@@ -458,6 +458,59 @@ let cache_props =
           ops);
   ]
 
+(* The unsharded contract: a classic single server speaks the versioned
+   protocol but always stamps shard 0, gen 0 — even after a §3.5
+   re-registration moved its own generation — so clients' cache floors
+   never move. *)
+let test_unsharded_answers_gen_zero () =
+  let c = lan_cluster () in
+  Cluster.settle c;
+  let ns = Cluster.primary_ns c in
+  let old_pid =
+    Cluster.spawn c ~machine:"sun1" ~name:"svc-old" (fun node ->
+        ignore (bind_exn node ~name:"svc");
+        Ntcs_sim.Sched.sleep (Node.sched node) 120_000_000)
+  in
+  Cluster.settle c;
+  let stamps () =
+    match Name_server.handle_request ns (Ns_proto.Lookup_v ("svc", 0)) with
+    | Ns_proto.R_addr_v (addr, shard, gen) -> (
+      match Name_server.handle_request ns (Ns_proto.Resolve_v addr) with
+      | Ns_proto.R_entry_v (_, eshard, egen) -> (addr, (shard, gen), (eshard, egen))
+      | _ -> Alcotest.fail "no R_entry_v for Resolve_v")
+    | _ -> Alcotest.fail "no R_addr_v for Lookup_v"
+  in
+  let old_addr, lk, rs = stamps () in
+  Alcotest.(check (pair int int)) "lookup stamp" (0, 0) lk;
+  Alcotest.(check (pair int int)) "resolve stamp" (0, 0) rs;
+  let client =
+    in_process c ~machine:"vax1" ~name:"client" (fun node ->
+        let commod = bind_exn node ~name:"client" in
+        ignore (check_ok "cold locate" (Ali_layer.locate commod "svc"));
+        ignore (check_ok "resolve" (Ali_layer.locate_entry commod old_addr));
+        Ntcs_sim.Sched.sleep (Node.sched node) 6_000_000;
+        let nsp = Commod.nsp_exn commod in
+        let fresh = check_ok "forward" (Nsp_layer.forward_query nsp old_addr) in
+        let fresh = Option.get fresh in
+        ignore (check_ok "resolve fresh" (Ali_layer.locate_entry commod fresh));
+        (fresh, check_ok "re-locate" (Ali_layer.locate commod "svc")))
+  in
+  Cluster.settle c;
+  (* §3.5 relocation: the old instance dies, a newer one registers. *)
+  Ntcs_sim.Sched.kill (Cluster.sched c) old_pid;
+  let gen_before = Name_server.generation ns in
+  spawn_echo c ~machine:"sun2" ~name:"svc";
+  Cluster.settle ~dt:10_000_000 c;
+  Alcotest.(check bool) "the server's own generation moved" true
+    (Name_server.generation ns > gen_before);
+  let fresh, relocated = client () in
+  Alcotest.(check bool) "client follows the relocation" true (Addr.equal fresh relocated);
+  let _, lk, rs = stamps () in
+  Alcotest.(check (pair int int)) "lookup stamp after relocation" (0, 0) lk;
+  Alcotest.(check (pair int int)) "resolve stamp after relocation" (0, 0) rs;
+  Alcotest.(check int) "no floor ever raised" 0
+    (Ntcs_util.Metrics.get (Cluster.metrics c) "nsp.cache_invalidations")
+
 (* Four shard servers round-robin over three NS hosts (vax1 gets shards 0
    and 3), pinned 4-way FNV shard map — the same plane the @naming
    scenarios and the naming bench run. *)
@@ -571,6 +624,7 @@ let () =
       ( "service",
         [
           Alcotest.test_case "newest wins" `Quick test_newest_wins_on_duplicate_name;
+          Alcotest.test_case "unsharded answers gen 0" `Quick test_unsharded_answers_gen_zero;
           Alcotest.test_case "attribute lookup" `Quick test_attribute_lookup;
           Alcotest.test_case "entry details" `Quick test_locate_entry_details;
         ] );
