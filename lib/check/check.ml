@@ -23,47 +23,24 @@ type exploration = {
   x_outcome : Ntcs_sim.Explore.outcome;
 }
 
-let mode ~sanitize ~races = { Ntcs_sim.Sched.Mode.sanitize; races }
-
-let explore_all ?max_schedules ?(sanitize = false) ?(races = false) () =
-  let mode = mode ~sanitize ~races in
+(* One explorer for every scenario list: the bounded scenarios (exhaustive,
+   `ntcs_check`), the fault soaks and the sharded naming soaks. *)
+let explore ?max_schedules ?(sanitize = false) ?(races = false) scenarios =
+  let mode = { Ntcs_sim.Sched.Mode.sanitize; races } in
   List.map
     (fun sc ->
       { x_scenario = sc.Check_scenarios.sc_name;
         x_outcome = Check_scenarios.explore ?max_schedules ~mode sc })
-    Check_scenarios.all
+    scenarios
 
 let exploration_failed x =
   x.x_outcome.Ntcs_sim.Explore.truncated || x.x_outcome.Ntcs_sim.Explore.failures <> []
 
-(* --- fault-plane soaks ---
-
-   Same explorer, different contract: the fault scenarios' schedule trees
-   are effectively unbounded (retry timers keep breeding same-time ties),
-   so truncation is expected. What the soak demands is volume and silence:
-   at least [min_schedules] schedules ran, and none of them produced a
+(* The soak contract. The fault and naming scenarios' schedule trees are
+   effectively unbounded (retry timers keep breeding same-time ties), so
+   truncation is expected. What a soak demands is volume and silence: at
+   least [min_schedules] schedules ran, and none of them produced a
    violation. *)
-
-let explore_faults ?max_schedules ?(sanitize = false) ?(races = false) () =
-  let mode = mode ~sanitize ~races in
-  List.map
-    (fun sc ->
-      { x_scenario = sc.Check_scenarios.sc_name;
-        x_outcome = Check_scenarios.explore ?max_schedules ~mode sc })
-    Check_scenarios.faults
-
-(* Naming-plane soaks (`ntcs_check --naming` / `@naming`): the sharded
-   scenarios under the same volume-and-silence contract as the fault
-   soaks — their worlds run four name servers plus the fault plane, so
-   the trees are unbounded too. *)
-let explore_naming ?max_schedules ?(sanitize = false) ?(races = false) () =
-  let mode = mode ~sanitize ~races in
-  List.map
-    (fun sc ->
-      { x_scenario = sc.Check_scenarios.sc_name;
-        x_outcome = Check_scenarios.explore ?max_schedules ~mode sc })
-    Check_scenarios.naming
-
 let fault_exploration_failed ?(min_schedules = 100) x =
   let o = x.x_outcome in
   o.Ntcs_sim.Explore.failures <> []

@@ -14,28 +14,26 @@ type exploration = {
   x_outcome : Ntcs_sim.Explore.outcome;
 }
 
-val explore_all :
-  ?max_schedules:int -> ?sanitize:bool -> ?races:bool -> unit -> exploration list
-(** Run every bounded scenario under exhaustive exploration. [sanitize]
-    arms the pool sanitizer, [races] the happens-before race checker, on
-    every scenario world (see {!Check_scenarios.Mode}); both default off. *)
+val explore :
+  ?max_schedules:int ->
+  ?sanitize:bool ->
+  ?races:bool ->
+  Check_scenarios.scenario list ->
+  exploration list
+(** Explore every scenario of the list ({!Check_scenarios.all},
+    {!Check_scenarios.faults} or {!Check_scenarios.naming}) under a
+    schedule budget. [sanitize] arms the pool sanitizer, [races] the
+    happens-before race checker, on every scenario world (see
+    {!Check_scenarios.Mode}); both default off. *)
 
 val exploration_failed : exploration -> bool
-(** Truncated (budget exhausted) or any schedule violated an invariant. *)
-
-val explore_faults :
-  ?max_schedules:int -> ?sanitize:bool -> ?races:bool -> unit -> exploration list
-(** Run the {!Check_scenarios.faults} soaks under a schedule budget,
-    optionally with the pool sanitizer and/or race checker armed. *)
-
-val explore_naming :
-  ?max_schedules:int -> ?sanitize:bool -> ?races:bool -> unit -> exploration list
-(** Run the {!Check_scenarios.naming} sharded-naming scenarios under a
-    schedule budget — same soak contract as {!explore_faults}. *)
+(** Truncated (budget exhausted) or any schedule violated an invariant:
+    the contract for the bounded scenarios, which must be exhaustive. *)
 
 val fault_exploration_failed : ?min_schedules:int -> exploration -> bool
-(** The soak contract: any violation fails; truncation is acceptable but
-    only past [min_schedules] (default 100) failure-free schedules. *)
+(** The soak contract of the fault and naming scenarios: any violation
+    fails; truncation is acceptable but only past [min_schedules] (default
+    100) failure-free schedules. *)
 
 val report_exploration : Format.formatter -> exploration -> unit
 
