@@ -12,14 +12,17 @@
     peers as datagrams (eventual consistency), and a starting replica pulls
     a full sync from its first reachable peer.
 
-    Sharding (DESIGN.md §15): under a pinned {!Ntcs_naming.Shard_map} the
-    server with id [i] is the authority for every name hashing to shard
-    [i]. Versioned requests ({!Ns_proto.request.Lookup_v}, routed
-    registrations) arriving at a non-owner are forwarded name-to-name to
+    Every server speaks the one versioned naming protocol (DESIGN.md §15):
+    lookups and resolves are answered with a [(shard, gen)] stamp. Under a
+    pinned {!Ntcs_naming.Shard_map} the server with id [i] is the
+    authority for every name hashing to shard [i]. Lookups and
+    registrations arriving at a non-owner are forwarded name-to-name to
     the owner over the NTCS itself — one hop at most — and the owner's
     invalidation generation rides back on the answer for the NSP-side
     caches. If the owner is unreachable, the non-owner answers from its
-    replicated backup copy, marked unversioned (generation 0). *)
+    replicated backup copy, marked unversioned (generation 0). Without a
+    shard map the server is a one-shard plane that always stamps shard 0,
+    generation 0, so its clients' cache floors never move. *)
 
 type t
 
@@ -32,9 +35,9 @@ val create :
 (** [wk_addr] is the pre-assigned well-known address every ComMod's tables
     point at (§3.4); [peers] are the other replicas' well-known addresses.
     [shard_map] turns on the sharded naming plane: this server owns shard
-    [server_id] and forwards versioned requests for other shards to their
-    owners. Without it the server behaves exactly as the classic single (or
-    fully replicated) name server. *)
+    [server_id] and forwards requests for other shards to their owners.
+    Without it the server behaves exactly as the classic single (or fully
+    replicated) name server, answering every stamp with generation 0. *)
 
 val serve : ?fixed:Ntcs_ipcs.Phys_addr.t list -> t -> unit -> unit
 (** The server process body: bind (at the [fixed] resources), adopt the
@@ -62,7 +65,8 @@ val preload : t -> (string * (string * string) list) list -> unit
 
 val generation : t -> int
 (** Current invalidation generation of the shard this server owns (starts
-    at 1; 0 is reserved on the wire for unversioned answers). *)
+    at 1; 0 is reserved on the wire for unversioned answers). Only a
+    sharded server puts it on the wire. *)
 
 val my_shard : t -> int
 (** The shard this server owns (= its server id under a shard map, else 0). *)

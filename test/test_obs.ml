@@ -1,8 +1,8 @@
 (* The observability plane (DESIGN.md §10): span contexts round-trip the
    wire, the registry sees every layer, the span log of a healthy run obeys
    the causal invariants, and the exporters are byte-deterministic — two
-   equal-seed worlds serialize to identical JSON, which is what makes
-   BENCH_obs.json and the Chrome trace usable as golden artifacts. *)
+   equal-seed worlds serialize to identical stats JSON, span JSONL and
+   Chrome trace, which is what makes those exports usable as goldens. *)
 
 open Ntcs
 module Span = Ntcs_obs.Span
