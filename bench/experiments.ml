@@ -136,8 +136,8 @@ let e2_resolution () =
     ];
   Printf.printf "\n  speedup: %s   nsp cache hits: %d   ns lookups served: %d\n"
     (Bench_util.ratio (Ntcs_util.Stats.mean cold) (Ntcs_util.Stats.mean cached))
-    (Ntcs_util.Metrics.get m "nsp.cache_hits")
-    (Ntcs_util.Metrics.get m "ns.lookups");
+    (Ntcs_obs.Registry.get m "nsp.cache_hits")
+    (Ntcs_obs.Registry.get m "ns.lookups");
   Printf.printf "  paper-shape check: %s\n"
     (if Ntcs_util.Stats.mean cached < Ntcs_util.Stats.mean cold /. 10. then
        "HOLDS — cached resolution is local (orders of magnitude cheaper)"
@@ -155,7 +155,7 @@ let e3_tadd_purge () =
     let c = cluster () in
     Cluster.settle c;
     let m = Cluster.metrics c in
-    let purged_before = Ntcs_util.Metrics.get m "tadd.purged" in
+    let purged_before = Ntcs_obs.Registry.get m "tadd.purged" in
     let ns_msgs = ref 0 in
     ignore
       (Cluster.spawn c ~machine ~name:"module" (fun node ->
@@ -167,7 +167,7 @@ let e3_tadd_purge () =
              (match Ali_layer.locate commod "fresh-module" with Ok _ | Error _ -> ());
              incr ns_msgs));
     Cluster.settle ~dt:30_000_000 c;
-    let purged = Ntcs_util.Metrics.get m "tadd.purged" - purged_before in
+    let purged = Ntcs_obs.Registry.get m "tadd.purged" - purged_before in
     [ label; string_of_int !ns_msgs; string_of_int purged;
       (if purged >= 1 then "yes (<= 2 exchanges)" else "NO") ]
   in
@@ -256,7 +256,7 @@ let e4_reconfig () =
     Cluster.settle ~dt:60_000_000 c;
     let m = Cluster.metrics c in
     ( !sent, !received, !sync_ok, !sync_err, !downtime,
-      Ntcs_util.Metrics.get m "lcm.relocations" )
+      Ntcs_obs.Registry.get m "lcm.relocations" )
   in
   let s_sent, s_recv, s_ok, s_err, _, _ = run ~relocate:false in
   let r_sent, r_recv, r_ok, r_err, r_down, r_reloc = run ~relocate:true in
@@ -382,8 +382,8 @@ let e6_adaptive () =
   let managed = Ntcs_drts.Process_ctl.start pctl spec ~machine:"sun1" in
   Cluster.settle c;
   let snap () =
-    ( Ntcs_util.Metrics.get m "conv.image_msgs.client",
-      Ntcs_util.Metrics.get m "conv.packed_msgs.client" )
+    ( Ntcs_obs.Registry.get m "conv.image_msgs.client",
+      Ntcs_obs.Registry.get m "conv.packed_msgs.client" )
   in
   let before = ref (0, 0) and middle = ref (0, 0) and final = ref (0, 0) in
   ignore
@@ -492,7 +492,7 @@ let e7_internet () =
          [ string_of_int i; Bench_util.us setup; Bench_util.us mean; Bench_util.us p95 ]));
   let _, rtt0, _ = results.(0) and _, rtt3, _ = results.(hops_max) in
   Printf.printf "\n  gw.forwards total: %d\n"
-    (Ntcs_util.Metrics.get (Cluster.metrics c) "gw.forwards");
+    (Ntcs_obs.Registry.get (Cluster.metrics c) "gw.forwards");
   Printf.printf "  paper-shape check: %s\n"
     (if rtt0 > 0. && rtt3 > rtt0 && rtt3 < rtt0 *. 16. then
        "HOLDS — latency grows roughly linearly with hops; chains stay usable"
@@ -583,8 +583,8 @@ let e9_ns_bug () =
       Ntcs_sim.Trace.matching (Ntcs_sim.World.trace (Cluster.world c)) ~cat:"sim.proc_crash"
     in
     ( !outcome,
-      Ntcs_util.Metrics.get m "lcm.fault_queries",
-      Ntcs_util.Metrics.get m "lcm.ns_guard_hits",
+      Ntcs_obs.Registry.get m "lcm.fault_queries",
+      Ntcs_obs.Registry.get m "lcm.ns_guard_hits",
       List.length crashes )
   in
   let on_out, on_q, on_g, on_c = run ~guard:true in
@@ -786,7 +786,7 @@ let a1_always_packed () =
              | Ok addr ->
                (* Warm the circuit, then measure. *)
                ignore (Ali_layer.send_sync commod ~dst:addr ~timeout_us:10_000_000 payload);
-               bytes_before := Ntcs_util.Metrics.get m "net.bytes";
+               bytes_before := Ntcs_obs.Registry.get m "net.bytes";
                for _ = 1 to 20 do
                  let t0 = Node.now node in
                  (match
@@ -796,7 +796,7 @@ let a1_always_packed () =
                  Ntcs_util.Stats.add lat (float_of_int (Node.now node - t0))
                done)));
     Cluster.settle ~dt:120_000_000 c;
-    let bytes = Ntcs_util.Metrics.get m "net.bytes" - !bytes_before in
+    let bytes = Ntcs_obs.Registry.get m "net.bytes" - !bytes_before in
     (Ntcs_util.Stats.mean lat, bytes / 20)
   in
   let size = 4096 in
@@ -849,7 +849,7 @@ let a2_no_cache () =
                done
              done));
     Cluster.settle ~dt:120_000_000 c;
-    (Ntcs_util.Stats.mean lat, Ntcs_util.Metrics.get m "ns.lookups")
+    (Ntcs_util.Stats.mean lat, Ntcs_obs.Registry.get m "ns.lookups")
   in
   let cached_lat, cached_load = run ~ttl:60_000_000 in
   let raw_lat, raw_load = run ~ttl:0 in
@@ -1094,12 +1094,12 @@ let hot_chain ~hops ~msgs ~force_packed () =
   {
     hc_hops = hops;
     hc_ok = !ok;
-    hc_frames_sent = Ntcs_util.Metrics.get r "nd.frames_sent";
-    hc_forwards = Ntcs_util.Metrics.get r "gw.forwards";
+    hc_frames_sent = Ntcs_obs.Registry.get r "nd.frames_sent";
+    hc_forwards = Ntcs_obs.Registry.get r "gw.forwards";
     hc_copied_count = Ntcs_obs.Histo.count copied;
     hc_copied_sum = Ntcs_obs.Histo.sum copied;
-    hc_pool_hits = Ntcs_util.Metrics.get r "pool.hits";
-    hc_pool_misses = Ntcs_util.Metrics.get r "pool.misses";
+    hc_pool_hits = Ntcs_obs.Registry.get r "pool.hits";
+    hc_pool_misses = Ntcs_obs.Registry.get r "pool.misses";
     hc_wall_s = wall;
     hc_minor_words_per_msg = (if !ok > 0 then minor /. float_of_int !ok else minor);
   }
@@ -1171,8 +1171,9 @@ let hot_path ~smoke () =
   let sanitized_words = minor_words_per ~n sanitized_send in
 
   (* --- micro: the pooled send again with a race-checker access hook on
-     the path, monitor disarmed (the default everywhere outside @race).
-     The guard row: unarmed hooks must cost the same as no hooks. --- *)
+     the path, monitor disarmed (the default everywhere outside the
+     ntcs_check pass). The guard row: unarmed hooks must cost the same as
+     no hooks. --- *)
   let gsched = Ntcs_sim.Sched.create () in
   let gcell =
     Ntcs_sim.Sched.register_cell gsched ~name:"bench.cell"
@@ -1397,7 +1398,7 @@ let par_run ~domains ~msgs () =
   let wall = Unix.gettimeofday () -. t0 in
   let frames =
     Array.fold_left
-      (fun acc w -> acc + Ntcs_util.Metrics.get (Ntcs_sim.World.metrics w) "nd.frames_sent")
+      (fun acc w -> acc + Ntcs_obs.Registry.get (Ntcs_sim.World.obs w) "nd.frames_sent")
       0 (Par.shards p)
   in
   let per_shard = Par.events_per_shard p in
@@ -1653,10 +1654,10 @@ let naming_storm_run ~label ~ttl =
   {
     st_label = label;
     st_recovery_us = (if !recovered < 0 then -1 else !recovered - last_relocation);
-    st_ns_lookups = Ntcs_util.Metrics.get m "ns.lookups";
-    st_hits = Ntcs_util.Metrics.get m "nsp.cache_hits";
-    st_stale = Ntcs_util.Metrics.get m "nsp.cache_stale";
-    st_floor_raises = Ntcs_util.Metrics.get m "nsp.cache_invalidations";
+    st_ns_lookups = Ntcs_obs.Registry.get m "ns.lookups";
+    st_hits = Ntcs_obs.Registry.get m "nsp.cache_hits";
+    st_stale = Ntcs_obs.Registry.get m "nsp.cache_stale";
+    st_floor_raises = Ntcs_obs.Registry.get m "nsp.cache_invalidations";
   }
 
 let naming_bench ~smoke () =
@@ -1688,9 +1689,9 @@ let naming_bench ~smoke () =
   let rounds = if smoke then 10 else 50 in
   let working_set = 6 in
   let m = naming_cache_run ~rounds ~working_set in
-  let hits = Ntcs_util.Metrics.get m "nsp.cache_hits" in
-  let stale = Ntcs_util.Metrics.get m "nsp.cache_stale" in
-  let misses = Ntcs_util.Metrics.get m "nsp.cache_misses" in
+  let hits = Ntcs_obs.Registry.get m "nsp.cache_hits" in
+  let stale = Ntcs_obs.Registry.get m "nsp.cache_stale" in
+  let misses = Ntcs_obs.Registry.get m "nsp.cache_misses" in
   let hit_rate =
     if hits + stale + misses = 0 then 0.
     else 100. *. float_of_int hits /. float_of_int (hits + stale + misses)

@@ -106,11 +106,11 @@ let scenario ~trace ~filter ~seed ~faults =
   let m = Cluster.metrics cluster in
   Printf.printf
     "\nsummary: frames=%d gw-forwards=%d faults=%d relocations=%d tadds purged=%d\n"
-    (Ntcs_util.Metrics.get m "nd.frames_sent")
-    (Ntcs_util.Metrics.get m "gw.forwards")
-    (Ntcs_util.Metrics.get m "lcm.addr_faults")
-    (Ntcs_util.Metrics.get m "lcm.relocations")
-    (Ntcs_util.Metrics.get m "tadd.purged");
+    (Ntcs_obs.Registry.get m "nd.frames_sent")
+    (Ntcs_obs.Registry.get m "gw.forwards")
+    (Ntcs_obs.Registry.get m "lcm.addr_faults")
+    (Ntcs_obs.Registry.get m "lcm.relocations")
+    (Ntcs_obs.Registry.get m "tadd.purged");
   (* The driver's own recovery counters from [Ali_layer.stats]: how hard the
      LCM retry policy had to work on its behalf. *)
   (match !driver_stats with

@@ -131,9 +131,9 @@ let layer_table r =
    record 0, send-side materialisation records the payload size. *)
 let pool_report ~sanitize r =
   let b = Buffer.create 512 in
-  let hits = Ntcs_util.Metrics.get r "pool.hits" in
-  let misses = Ntcs_util.Metrics.get r "pool.misses" in
-  let unpooled = Ntcs_util.Metrics.get r "pool.unpooled" in
+  let hits = Ntcs_obs.Registry.get r "pool.hits" in
+  let misses = Ntcs_obs.Registry.get r "pool.misses" in
+  let unpooled = Ntcs_obs.Registry.get r "pool.unpooled" in
   Buffer.add_string b "-- buffer pool and copy discipline --\n";
   Buffer.add_string b
     (Printf.sprintf "pool allocations: %d hits, %d misses, %d unpooled (hit rate %s)\n"
@@ -144,19 +144,19 @@ let pool_report ~sanitize r =
             (100. *. float_of_int hits /. float_of_int (hits + misses))));
   Buffer.add_string b
     (Printf.sprintf "buffers out now: %.0f   high water: %.0f\n"
-       (Ntcs_util.Metrics.gauge r "pool.in_use")
-       (Ntcs_util.Metrics.gauge r "pool.high_water"));
-  (let bad = Ntcs_util.Metrics.get r "pool.bad_release" in
+       (Ntcs_obs.Registry.gauge r "pool.in_use")
+       (Ntcs_obs.Registry.gauge r "pool.high_water"));
+  (let bad = Ntcs_obs.Registry.get r "pool.bad_release" in
    if bad > 0 then
      Buffer.add_string b (Printf.sprintf "releases rejected: %d\n" bad));
   if sanitize then
     Buffer.add_string b
       (Printf.sprintf
          "sanitizer: poison %d  double release %d  foreign release %d  leaked %d\n"
-         (Ntcs_util.Metrics.get r "pool.sanitizer.poison")
-         (Ntcs_util.Metrics.get r "pool.sanitizer.double_release")
-         (Ntcs_util.Metrics.get r "pool.sanitizer.foreign_release")
-         (Ntcs_util.Metrics.get r "pool.sanitizer.leak"));
+         (Ntcs_obs.Registry.get r "pool.sanitizer.poison")
+         (Ntcs_obs.Registry.get r "pool.sanitizer.double_release")
+         (Ntcs_obs.Registry.get r "pool.sanitizer.foreign_release")
+         (Ntcs_obs.Registry.get r "pool.sanitizer.leak"));
   (match Registry.find_histo r "frame.bytes_copied" with
    | None -> Buffer.add_string b "frame.bytes_copied: no observations\n"
    | Some h ->
@@ -175,7 +175,7 @@ let pool_report ~sanitize r =
    and how the lookup load spread over the shards. *)
 let naming_report r =
   let b = Buffer.create 512 in
-  let get = Ntcs_util.Metrics.get r in
+  let get = Ntcs_obs.Registry.get r in
   let hits = get "nsp.cache_hits" in
   let stale = get "nsp.cache_stale" in
   let misses = get "nsp.cache_misses" in

@@ -92,5 +92,5 @@ let () =
   Queue.iter print_endline readings;
   let m = Cluster.metrics cluster in
   Printf.printf "\nconversions by the sensor: image=%d packed=%d — no needless work\n"
-    (Ntcs_util.Metrics.get m "conv.image_msgs.sensor")
-    (Ntcs_util.Metrics.get m "conv.packed_msgs.sensor")
+    (Ntcs_obs.Registry.get m "conv.image_msgs.sensor")
+    (Ntcs_obs.Registry.get m "conv.packed_msgs.sensor")

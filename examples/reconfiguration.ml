@@ -81,5 +81,5 @@ let () =
 
   Cluster.settle ~dt:30_000_000 cluster;
   Printf.printf "[operator] address faults: %d, relocations: %d — ticker never noticed\n"
-    (Ntcs_util.Metrics.get (Cluster.metrics cluster) "lcm.addr_faults")
-    (Ntcs_util.Metrics.get (Cluster.metrics cluster) "lcm.relocations")
+    (Ntcs_obs.Registry.get (Cluster.metrics cluster) "lcm.addr_faults")
+    (Ntcs_obs.Registry.get (Cluster.metrics cluster) "lcm.relocations")

@@ -63,6 +63,6 @@ let () =
   let m = Cluster.metrics cluster in
   Printf.printf
     "\nNTCS work underneath: %d frames sent, %d gateway forwards, %d name lookups\n"
-    (Ntcs_util.Metrics.get m "nd.frames_sent")
-    (Ntcs_util.Metrics.get m "gw.forwards")
-    (Ntcs_util.Metrics.get m "ns.lookups")
+    (Ntcs_obs.Registry.get m "nd.frames_sent")
+    (Ntcs_obs.Registry.get m "gw.forwards")
+    (Ntcs_obs.Registry.get m "ns.lookups")

@@ -18,36 +18,61 @@ let static_check paths =
 let report ppf diags =
   List.iter (fun d -> Format.fprintf ppf "%a@." Lint_diag.pp d) (Lint_diag.sort diags)
 
+(* The two exploration contracts. Exhaustive: the whole tree must drain
+   within the cap. Soak: the fault and naming trees are effectively
+   unbounded (retry timers keep breeding same-time ties), so truncation at
+   the cap is expected and volume is demanded instead. Under both, a
+   scenario must branch at least once — one schedule proves nothing about
+   interleavings. *)
+type contract = {
+  c_name : string;
+  c_cap : int;
+  c_floor : int;
+  c_may_truncate : bool;
+}
+
+let exhaustive = { c_name = "exhaustive"; c_cap = 4000; c_floor = 2; c_may_truncate = false }
+let soak = { c_name = "soak"; c_cap = 150; c_floor = 100; c_may_truncate = true }
+
 type exploration = {
   x_scenario : string;
+  x_contract : contract;
   x_outcome : Ntcs_sim.Explore.outcome;
 }
 
-(* One explorer for every scenario list: the bounded scenarios (exhaustive,
-   `ntcs_check`), the fault soaks and the sharded naming soaks. *)
-let explore ?max_schedules ?(sanitize = false) ?(races = false) scenarios =
-  let mode = { Ntcs_sim.Sched.Mode.sanitize; races } in
+(* Every explored world runs with the pool sanitizer and the race checker
+   armed: arming either leaves the schedule tree unchanged, so one armed
+   pass checks a superset of what separate passes would. *)
+let armed = { Ntcs_sim.Sched.Mode.sanitize = true; races = true }
+
+let explore contract scenarios =
   List.map
     (fun sc ->
       { x_scenario = sc.Check_scenarios.sc_name;
-        x_outcome = Check_scenarios.explore ?max_schedules ~mode sc })
+        x_contract = contract;
+        x_outcome = Check_scenarios.explore ~max_schedules:contract.c_cap ~mode:armed sc })
     scenarios
 
-let exploration_failed x =
-  x.x_outcome.Ntcs_sim.Explore.truncated || x.x_outcome.Ntcs_sim.Explore.failures <> []
+let explore_all () =
+  explore exhaustive Check_scenarios.exhaustive @ explore soak Check_scenarios.soaks
 
-(* The soak contract. The fault and naming scenarios' schedule trees are
-   effectively unbounded (retry timers keep breeding same-time ties), so
-   truncation is expected. What a soak demands is volume and silence: at
-   least [min_schedules] schedules ran, and none of them produced a
-   violation. *)
-let fault_exploration_failed ?(min_schedules = 100) x =
-  let o = x.x_outcome in
-  o.Ntcs_sim.Explore.failures <> []
-  || (o.Ntcs_sim.Explore.truncated && o.Ntcs_sim.Explore.schedules < min_schedules)
+(* How the outcome breaks its contract, apart from the schedules' own
+   violations. *)
+let shortfall x =
+  let c = x.x_contract and o = x.x_outcome in
+  if o.Ntcs_sim.Explore.truncated && not c.c_may_truncate then
+    Some (Printf.sprintf "%s contract: hit the %d-schedule cap" c.c_name c.c_cap)
+  else if o.Ntcs_sim.Explore.schedules < c.c_floor then
+    Some
+      (Printf.sprintf "%s contract: %d schedule(s), at least %d required" c.c_name
+         o.Ntcs_sim.Explore.schedules c.c_floor)
+  else None
+
+let exploration_failed x = x.x_outcome.Ntcs_sim.Explore.failures <> [] || shortfall x <> None
 
 let report_exploration ppf x =
   Format.fprintf ppf "%s: %a@." x.x_scenario Ntcs_sim.Explore.pp_outcome x.x_outcome;
+  Option.iter (Format.fprintf ppf "%s: %s@." x.x_scenario) (shortfall x);
   List.iter
     (fun (path, msg) ->
       Format.fprintf ppf "%s: schedule [%s]: %s@." x.x_scenario
@@ -64,11 +89,13 @@ let exploration_to_json xs =
       let o = x.x_outcome in
       Buffer.add_string b
         (Printf.sprintf
-           "{\"scenario\":\"%s\",\"schedules\":%d,\"choice_points\":%d,\"max_branch\":%d,\
-            \"truncated\":%b,\"failures\":%d}"
-           x.x_scenario o.Ntcs_sim.Explore.schedules o.Ntcs_sim.Explore.choice_points
-           o.Ntcs_sim.Explore.max_branch o.Ntcs_sim.Explore.truncated
-           (List.length o.Ntcs_sim.Explore.failures)))
+           "{\"scenario\":\"%s\",\"contract\":\"%s\",\"schedules\":%d,\"choice_points\":%d,\
+            \"max_branch\":%d,\"truncated\":%b,\"failures\":%d,\"failed\":%b}"
+           x.x_scenario x.x_contract.c_name o.Ntcs_sim.Explore.schedules
+           o.Ntcs_sim.Explore.choice_points o.Ntcs_sim.Explore.max_branch
+           o.Ntcs_sim.Explore.truncated
+           (List.length o.Ntcs_sim.Explore.failures)
+           (exploration_failed x)))
     xs;
   Buffer.add_char b ']';
   Buffer.contents b

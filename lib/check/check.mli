@@ -9,31 +9,38 @@ val static_check : string list -> Lint_diag.t list
 
 val report : Format.formatter -> Lint_diag.t list -> unit
 
+(** {1 Schedule exploration} *)
+
+type contract
+(** What an exploration must show besides zero violations: a schedule
+    cap, whether hitting it is allowed, and a floor on the schedules run. *)
+
+val exhaustive : contract
+(** Cap 4000, hitting it fails: the whole tree must drain. At least 2
+    schedules (the scenario must branch). *)
+
+val soak : contract
+(** Cap 150, truncation allowed; at least 100 schedules must run. *)
+
 type exploration = {
   x_scenario : string;
+  x_contract : contract;
   x_outcome : Ntcs_sim.Explore.outcome;
 }
 
-val explore :
-  ?max_schedules:int ->
-  ?sanitize:bool ->
-  ?races:bool ->
-  Check_scenarios.scenario list ->
-  exploration list
-(** Explore every scenario of the list ({!Check_scenarios.all},
-    {!Check_scenarios.faults} or {!Check_scenarios.naming}) under a
-    schedule budget. [sanitize] arms the pool sanitizer, [races] the
-    happens-before race checker, on every scenario world (see
-    {!Check_scenarios.Mode}); both default off. *)
+val explore : contract -> Check_scenarios.scenario list -> exploration list
+(** Explore every scenario of the list under [contract], with the pool
+    sanitizer and the race checker armed on every world
+    ([{!Check_scenarios.Mode} {sanitize = true; races = true}]). *)
+
+val explore_all : unit -> exploration list
+(** {!Check_scenarios.exhaustive} under {!exhaustive}, then
+    {!Check_scenarios.soaks} under {!soak}: the dynamic half of
+    [ntcs_check]. *)
 
 val exploration_failed : exploration -> bool
-(** Truncated (budget exhausted) or any schedule violated an invariant:
-    the contract for the bounded scenarios, which must be exhaustive. *)
-
-val fault_exploration_failed : ?min_schedules:int -> exploration -> bool
-(** The soak contract of the fault and naming scenarios: any violation
-    fails; truncation is acceptable but only past [min_schedules] (default
-    100) failure-free schedules. *)
+(** Any schedule violated an invariant, or the outcome breaks its
+    contract (cap hit where forbidden, too few schedules). *)
 
 val report_exploration : Format.formatter -> exploration -> unit
 

@@ -91,22 +91,3 @@ let check (entries : Ntcs_sim.Trace.entry list) : Lint_trace.violation list =
         (inputs_of e))
     entries;
   List.rev !violations
-
-(* Final states, for tests and post-mortems: [(key, state)] sorted. *)
-let final_states entries =
-  let states : (string, Check_auto.state) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun e ->
-      List.iter
-        (fun (key, input) ->
-          let cur =
-            match Hashtbl.find_opt states key with Some s -> s | None -> Check_auto.Idle
-          in
-          match Check_auto.transition cur input with
-          | Check_auto.Goto s' -> Hashtbl.replace states key s'
-          | Check_auto.Stay | Check_auto.Violation _ ->
-            if not (Hashtbl.mem states key) then Hashtbl.replace states key cur)
-        (inputs_of e))
-    entries;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) states []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)

@@ -11,7 +11,3 @@ val inputs_of : Ntcs_sim.Trace.entry -> (string * Check_auto.input) list
     [[]] for categories outside the lifecycle vocabulary. *)
 
 val check : Ntcs_sim.Trace.entry list -> Lint_trace.violation list
-
-val final_states : Ntcs_sim.Trace.entry list -> (string * Check_auto.state) list
-(** Per-endpoint state after the whole trace, sorted by key — for tests
-    and post-mortems. *)

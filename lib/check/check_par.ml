@@ -1,9 +1,9 @@
 (* Domain-parallel validation: the dynamic evidence behind DESIGN.md §14.
 
-   Two harnesses, both consumed by `ntcs_check --par N`, the `@par` dune
-   alias and test/test_par.ml:
+   Two harnesses, both consumed by `ntcs_check` (at 1, 2 and 4 domains)
+   and test/test_par.ml:
 
-   - [replicate]: run each bounded scenario once solo, then again on N
+   - [replicate]: run each scenario once solo, then again on N
      real OCaml domains at once — every replica builds its own world from
      the same seed, so every replica's trace must be byte-identical to the
      solo run and violation-free. This is the shard-isolation claim (a

@@ -1,8 +1,8 @@
 (** Domain-parallel validation (DESIGN.md §14): scenario replication on
     real OCaml domains, and a coupled multi-shard barrier soak whose
     merged trace, span log and blocked-process report must stay
-    byte-identical for every worker count. Driven by [ntcs_check --par N],
-    the [@par] dune alias and [test/test_par.ml]. *)
+    byte-identical for every worker count. Driven by [ntcs_check] (at 1, 2
+    and 4 domains, after the exploration pass) and [test/test_par.ml]. *)
 
 module Mode = Ntcs_sim.Sched.Mode
 

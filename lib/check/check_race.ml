@@ -124,10 +124,10 @@ let record_conflict t cell (prev : access) (cur : access) =
     match cell.Ntcs_sim.Sched.c_policy with
     | Ntcs_sim.Sched.Waived _ ->
       t.waived <- t.waived + 1;
-      Ntcs_util.Metrics.incr (Ntcs_sim.World.metrics t.world) "race.waived"
+      Ntcs_obs.Registry.incr (Ntcs_sim.World.obs t.world) "race.waived"
     | Ntcs_sim.Sched.Exclusive ->
       t.conflicts <- c :: t.conflicts;
-      Ntcs_util.Metrics.incr (Ntcs_sim.World.metrics t.world) "race.conflicts";
+      Ntcs_obs.Registry.incr (Ntcs_sim.World.obs t.world) "race.conflicts";
       Ntcs_sim.World.record t.world ~cat:"race.conflict" ~actor:"race"
         (Printf.sprintf "%s: %s by %s unordered with %s by %s" c.r_cell
            (kind prev.a_write) (owner_label t prev.a_owner)
@@ -209,14 +209,3 @@ let arm world =
 let disarm t = Ntcs_sim.Sched.set_monitor (Ntcs_sim.World.sched t.world) None
 let conflicts t = List.rev t.conflicts
 let waived t = t.waived
-
-let pp_conflict ppf c =
-  Fmt.pf ppf "race on %s @@t=%d: %s by owner %d unordered with %s by owner %d"
-    c.r_cell c.r_time (kind c.r_first.a_write) c.r_first.a_owner
-    (kind c.r_second.a_write) c.r_second.a_owner
-
-let conflict_to_json c =
-  Printf.sprintf
-    {|{"cell":%S,"time":%d,"first":{"owner":%d,"kind":%S},"second":{"owner":%d,"kind":%S}}|}
-    c.r_cell c.r_time c.r_first.a_owner (kind c.r_first.a_write)
-    c.r_second.a_owner (kind c.r_second.a_write)

@@ -67,6 +67,3 @@ val conflicts : t -> conflict list
 val waived : t -> int
 (** Count of conflict patterns on [Waived] cells (sanctioned shared
     state — counted, not reported). *)
-
-val pp_conflict : Format.formatter -> conflict -> unit
-val conflict_to_json : conflict -> string

@@ -82,7 +82,7 @@ let built (mode : Mode.t) c =
   if mode.Mode.races then ignore (Check_race.arm (Cluster.world c));
   c
 
-(* Pool-sanitizer soak mode (`ntcs_check --sanitize` / `@sanitize`): fail
+(* Pool sanitizer armed (as `ntcs_check` arms it on every world): fail
    the schedule on any aliasing violation (poison, double release, foreign
    release, rejected release). Leaks are *reported* (as
    pool.sanitizer.leak trace events) but are not failures: when virtual
@@ -94,7 +94,7 @@ let sanitizer_violations (mode : Mode.t) c =
     ignore (Ntcs_sim.World.pool_leak_check (Cluster.world c));
     List.concat_map
       (fun (name, what) ->
-        let n = Ntcs_util.Metrics.get (Cluster.metrics c) name in
+        let n = Ntcs_obs.Registry.get (Cluster.metrics c) name in
         if n > 0 then [ Printf.sprintf "pool sanitizer: %d %s" n what ] else [])
       [
         ("pool.sanitizer.poison", "buffer(s) written through a stale view");
@@ -104,11 +104,11 @@ let sanitizer_violations (mode : Mode.t) c =
       ]
   end
 
-(* Race soak mode (`ntcs_check --races` / `@race`): any conflicting access
-   pair the happens-before checker could not order fails the schedule. The
-   checker already deduplicates (one finding per cell/owner/kind pattern)
-   and emits each as a race.conflict trace event, so the trace is the
-   report. *)
+(* Race checker armed (as `ntcs_check` arms it on every world): any
+   conflicting access pair the happens-before checker could not order
+   fails the schedule. The checker already deduplicates (one finding per
+   cell/owner/kind pattern) and emits each as a race.conflict trace event,
+   so the trace is the report. *)
 let race_violations (mode : Mode.t) c =
   if not mode.Mode.races then []
   else
@@ -244,7 +244,7 @@ let break_ns =
         | `Not_run -> [ "app never finished (recursion hang?)" ]
       in
       let guard_errs =
-        if Ntcs_util.Metrics.get (Cluster.metrics c) "lcm.ns_guard_hits" > 0 then []
+        if Ntcs_obs.Registry.get (Cluster.metrics c) "lcm.ns_guard_hits" > 0 then []
         else [ "guard never engaged" ]
       in
       !errs @ outcome_errs @ guard_errs @ trace_violations ~recursion_limit:40 mode c
@@ -261,9 +261,9 @@ let break_ns =
    violation-free — but the world now runs under an armed {!Ntcs_sim.Faults}
    plane, so the exchanges being checked are the *recovery* paths: LCM
    retry/backoff, the §3.5 oracle, and the §6.3 guard. Their trees are
-   effectively unbounded (retry timers breed ties forever), so unlike [all]
-   these are run with truncation allowed: the soak contract is "at least N
-   schedules, zero failures", not exhaustiveness. *)
+   effectively unbounded (retry timers breed ties forever), so unlike
+   [exhaustive] these are run with truncation allowed: the soak contract is
+   "at least N schedules, zero failures", not exhaustiveness. *)
 
 (* Trace checks for runs where divergence — and with it a simulated process
    crash — is the *expected* outcome: R3 minus the recursion bound, plus
@@ -333,7 +333,7 @@ let chaser_errs ~text outcome =
   | `Not_run -> [ "app never completed" ]
 
 let metric_at_least c name n msg =
-  if Ntcs_util.Metrics.get (Cluster.metrics c) name >= n then [] else [ msg ]
+  if Ntcs_obs.Registry.get (Cluster.metrics c) name >= n then [] else [ msg ]
 
 (* Partition-heal: sever the service's machine from the rest of the LAN for
    4s (with lossy/duplicating/delaying links around the window for good
@@ -493,7 +493,7 @@ let fault_ns_partition_noguard =
           (Ntcs_sim.Trace.matching (Ntcs_sim.World.trace (Cluster.world c))
              ~cat:"sim.proc_crash")
       in
-      let deep = Ntcs_util.Metrics.get (Cluster.metrics c) "lcm.fault_queries" in
+      let deep = Ntcs_obs.Registry.get (Cluster.metrics c) "lcm.fault_queries" in
       (* The divergence must be observed: either the app died of the
          simulated stack overflow, or the depth bound cut a recursion that
          had already gone deep. A clean bounded failure here would mean the
@@ -508,7 +508,7 @@ let fault_ns_partition_noguard =
           else [ Printf.sprintf "fault recursion never went deep (fault_queries=%d)" deep ]
       in
       let guard_errs =
-        if Ntcs_util.Metrics.get (Cluster.metrics c) "lcm.ns_guard_hits" = 0 then []
+        if Ntcs_obs.Registry.get (Cluster.metrics c) "lcm.ns_guard_hits" = 0 then []
         else [ "guard engaged with ns_fault_guard=false" ]
       in
       !errs @ divergence_errs @ guard_errs @ trace_violations_crashes_expected mode c
@@ -753,11 +753,9 @@ let naming_shard_loss =
   in
   { sc_name = "naming-shard-loss"; sc_from = 5_000_000; sc_until = 30_000_000; sc_make = make }
 
-let all = [ first_send; break_ns ]
+let exhaustive = [ first_send; break_ns ]
 
-let naming = [ naming_shard_route; naming_stale_splice; naming_shard_loss ]
-
-let faults =
+let soaks =
   [
     fault_partition_heal;
     fault_crash_restart;
@@ -765,6 +763,7 @@ let faults =
     fault_ns_partition_noguard;
     naming_stale_splice;
     naming_shard_loss;
+    naming_shard_route;
   ]
 
 let explore ?max_schedules ?(mode = Mode.default) sc =

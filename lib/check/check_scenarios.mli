@@ -1,7 +1,9 @@
-(** Bounded scenarios for exhaustive schedule exploration: each builds a
-    small cluster, drives one protocol exchange, and reports R3 trace
-    invariants, lifecycle-automaton conformance, process crashes and the
-    exchange's own outcome as that schedule's violations. *)
+(** Bounded scenarios for schedule exploration: each builds a small
+    cluster, drives one protocol exchange, and reports R3 trace invariants,
+    lifecycle-automaton conformance, process crashes and the exchange's own
+    outcome as that schedule's violations. [ntcs_check] explores
+    {!exhaustive} and {!soaks} once each, with both checkers of {!Mode}
+    armed. *)
 
 (** The instrumentation mode is the scheduler's canonical
     {!Ntcs_sim.Sched.Mode} record (PR 8); this harness used to carry its
@@ -20,8 +22,8 @@
     library on any world whose config asks for it; any [race.conflict] it
     reports fails the schedule.
 
-    Both off in [Mode.default], keeping soak traces byte-identical with
-    the seed. *)
+    Both off in [Mode.default] (the replication and benchmark runs),
+    keeping those traces byte-identical with the seed. *)
 module Mode = Ntcs_sim.Sched.Mode
 
 type scenario = {
@@ -51,8 +53,8 @@ val first_send : scenario
 val break_ns : scenario
 (** §6.3 name-server partition under the LCM guard. *)
 
-val all : scenario list
-(** The exhaustive scenarios: exploration must drain the whole tree. *)
+val exhaustive : scenario list
+(** [first_send] and [break_ns]: exploration must drain the whole tree. *)
 
 (** {1 Fault-plane soak scenarios}
 
@@ -81,9 +83,6 @@ val fault_ns_partition_noguard : scenario
     recursion or simulated stack overflow) must reproduce on every
     schedule. *)
 
-val faults : scenario list
-(** The recovery soaks, the two naming soaks included. *)
-
 (** {1 Sharded naming plane (DESIGN.md §15)}
 
     Four shards round-robin over the LAN's name-server machines; every
@@ -99,15 +98,15 @@ val naming_stale_splice : scenario
 (** §3.5 relocation racing a cached lookup: crash/restart of the service's
     machine plus re-registration; the owner's generation bump must retire
     cached copies, the chaser's stale address heals by splice repair, and
-    no stale hit ever resolves as fresh. Also part of {!faults}. *)
+    no stale hit ever resolves as fresh. *)
 
 val naming_shard_loss : scenario
 (** The machine owning the probe name's shard crashes for good; resolution
-    must survive through replica failover and unversioned backup answers.
-    Also part of {!faults}. *)
+    must survive through replica failover and unversioned backup answers. *)
 
-val naming : scenario list
-(** The naming-plane scenarios, for [ntcs_check --naming] / [@naming]. *)
+val soaks : scenario list
+(** Every soak scenario, each once: the four recovery soaks, then
+    [naming_stale_splice], [naming_shard_loss] and [naming_shard_route]. *)
 
 val explore : ?max_schedules:int -> ?mode:Mode.t -> scenario -> Ntcs_sim.Explore.outcome
 (** Explore the scenario's schedule tree (see {!Ntcs_sim.Explore.run});

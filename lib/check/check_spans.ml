@@ -117,14 +117,3 @@ let check (spans : Ntcs_obs.Span.event list) =
                     (Printf.sprintf "span c%d#%d %s never ended (circuit closed: %s)"
                        c seq name st.c_reason)));
   List.rev !violations
-
-(* Circuits whose close marked the owner's death — the crash-restart soak
-   asserts the dispatcher exit hook actually ran. *)
-let crashed_circuits (spans : Ntcs_obs.Span.event list) =
-  let open Ntcs_obs.Span in
-  List.length
-    (List.filter
-       (fun e ->
-         e.ev_ctx.sp_seq = 0 && e.ev_phase = E && e.ev_name = "lcm.circuit"
-         && e.ev_detail = "crashed")
-       spans)

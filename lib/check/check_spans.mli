@@ -12,7 +12,3 @@ type violation = Lint_trace.violation = {
 val check : Ntcs_obs.Span.event list -> violation list
 (** Violations in event order, for a span log in oldest-first order
     ({!Ntcs_obs.Registry.spans}). *)
-
-val crashed_circuits : Ntcs_obs.Span.event list -> int
-(** How many circuit spans were closed as [crashed] — the dispatcher exit
-    hook's mark for an owner that died with circuits open. *)

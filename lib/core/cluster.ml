@@ -22,7 +22,7 @@ type t = {
 
 let world t = t.world
 let config t = t.config
-let metrics t = World.metrics t.world
+let metrics t = World.obs t.world
 let sched t = World.sched t.world
 
 let net t name =

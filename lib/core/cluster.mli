@@ -42,7 +42,7 @@ val build :
 
 val world : t -> World.t
 val config : t -> Node.config
-val metrics : t -> Ntcs_util.Metrics.t
+val metrics : t -> Ntcs_obs.Registry.t
 val sched : t -> Sched.t
 val net : t -> string -> Net.t
 val machine : t -> string -> Machine.t

@@ -42,8 +42,6 @@ let nsp_exn t =
 
 let my_addr t = Nd_layer.my_addr t.nd
 
-let is_registered t = t.registered <> None
-
 let resolver_of_nsp nsp =
   {
     Router.rv_resolve = (fun addr -> Nsp_layer.resolve nsp addr);

@@ -60,6 +60,4 @@ val nsp_exn : t -> Nsp_layer.t
 val my_addr : t -> Addr.t
 (** Current self-address: a TAdd before registration, the UAdd after. *)
 
-val is_registered : t -> bool
-
 val resolver_of_nsp : Nsp_layer.t -> Router.resolver

@@ -82,7 +82,7 @@ let handle_open t (in_net : Net.id) (in_commod : Commod.t) in_circuit (h : Proto
        splice already exists and the original open already answered —
        splice repair must be idempotent, so drop the replay instead of
        opening a second outbound leg over the live one. *)
-    Ntcs_util.Metrics.incr (metrics t) "gw.duplicate_opens";
+    Ntcs_obs.Registry.incr (metrics t) "gw.duplicate_opens";
     trace t ~cat:"gw.dup_open"
       (Printf.sprintf "net%d label %d dst=%s" in_net h.Proto.ivc
          (Addr.to_string req.Proto.final_dst))
@@ -91,7 +91,7 @@ let handle_open t (in_net : Net.id) (in_commod : Commod.t) in_circuit (h : Proto
   if h.Proto.hops >= 255 then begin
     (* The 8-bit hop field is full: a route this deep is a loop (E7), and
        encoding hops+1 would be rejected rather than silently wrapped. *)
-    Ntcs_util.Metrics.incr (metrics t) "gw.hop_overflow";
+    Ntcs_obs.Registry.incr (metrics t) "gw.hop_overflow";
     send_reject in_commod in_circuit ~h "hop limit exceeded"
   end
   else begin
@@ -101,7 +101,7 @@ let handle_open t (in_net : Net.id) (in_commod : Commod.t) in_circuit (h : Proto
   let resolver = Commod.resolver in_commod in
   match Router.locate t.node resolver target with
   | Error e ->
-    Ntcs_util.Metrics.incr (metrics t) "gw.open_failures";
+    Ntcs_obs.Registry.incr (metrics t) "gw.open_failures";
     send_reject in_commod in_circuit ~h (Errors.to_string e)
   | Ok (phys_candidates, target_nets) -> (
     (* Pick the outbound ComMod: one of ours attached to a network the
@@ -111,7 +111,7 @@ let handle_open t (in_net : Net.id) (in_commod : Commod.t) in_circuit (h : Proto
     in
     match out with
     | None ->
-      Ntcs_util.Metrics.incr (metrics t) "gw.open_failures";
+      Ntcs_obs.Registry.incr (metrics t) "gw.open_failures";
       send_reject in_commod in_circuit ~h "no outbound network"
     | Some (out_net, out_commod) -> (
       let out_nd = Commod.nd out_commod in
@@ -131,13 +131,13 @@ let handle_open t (in_net : Net.id) (in_commod : Commod.t) in_circuit (h : Proto
       in
       match circuit_result with
       | Error e ->
-        Ntcs_util.Metrics.incr (metrics t) "gw.open_failures";
+        Ntcs_obs.Registry.incr (metrics t) "gw.open_failures";
         send_reject in_commod in_circuit ~h (Errors.to_string e)
       | Ok out_circuit ->
         if Hashtbl.mem t.splices in_key then begin
           (* A worker for a replayed copy of this open won the race while we
              were blocked on naming / channel setup: same answer as above. *)
-          Ntcs_util.Metrics.incr (metrics t) "gw.duplicate_opens";
+          Ntcs_obs.Registry.incr (metrics t) "gw.duplicate_opens";
           trace t ~cat:"gw.dup_open"
             (Printf.sprintf "net%d label %d dst=%s (lost race)" in_net h.Proto.ivc
                (Addr.to_string req.Proto.final_dst))
@@ -158,7 +158,7 @@ let handle_open t (in_net : Net.id) (in_commod : Commod.t) in_circuit (h : Proto
           let fwd =
             { h with Proto.dst = target; ivc = out_label; hops = h.Proto.hops + 1 }
           in
-          Ntcs_util.Metrics.incr (metrics t) "gw.opens";
+          Ntcs_obs.Registry.incr (metrics t) "gw.opens";
           trace t ~cat:"gw.splice"
             (Printf.sprintf "net%d label %d <-> net%d label %d dst=%s" in_net h.Proto.ivc
                out_net out_label (Addr.to_string req.Proto.final_dst));
@@ -203,13 +203,13 @@ let handle_frame t (net : Net.id) (_commod : Commod.t) circuit (view : Proto.Fra
   let h = Proto.Frame.header view in
   let key = leg_key net circuit h.Proto.ivc in
   match Hashtbl.find_opt t.splices key with
-  | None -> Ntcs_util.Metrics.incr (metrics t) "gw.orphan_frames"
+  | None -> Ntcs_obs.Registry.incr (metrics t) "gw.orphan_frames"
   | Some out ->
     if h.Proto.hops >= 255 then begin
       (* Hop field full: this frame is looping (E7). Dropping it here is
          the loop protection the 8-bit counter exists for — wrapping to a
          small value would let it circulate forever. *)
-      Ntcs_util.Metrics.incr (metrics t) "gw.hop_overflow";
+      Ntcs_obs.Registry.incr (metrics t) "gw.hop_overflow";
       trace t ~cat:"gw.hop_overflow"
         (Printf.sprintf "net%d label %d kind=%s dst=%s" net h.Proto.ivc
            (Proto.kind_to_string h.Proto.kind)
@@ -218,7 +218,7 @@ let handle_frame t (net : Net.id) (_commod : Commod.t) circuit (view : Proto.Fra
     else begin
       Proto.Frame.patch_ivc view out.lg_label;
       Proto.Frame.patch_hops view (h.Proto.hops + 1);
-      Ntcs_util.Metrics.incr (metrics t) "gw.forwards";
+      Ntcs_obs.Registry.incr (metrics t) "gw.forwards";
       (* Every forwarding decision is traced so the §4.2 invariant — gateways
          never talk to each other — is checkable from event logs (lint R3)
          instead of assumed. *)
@@ -269,7 +269,7 @@ let handle_down t (net : Net.id) circuit =
       ignore
         (Nd_layer.send_frame out.lg_circuit close
            (Ntcs_wire.Packed.run_pack Proto.reason_codec "upstream circuit failed"));
-      Ntcs_util.Metrics.incr (metrics t) "gw.cascade_closes";
+      Ntcs_obs.Registry.incr (metrics t) "gw.cascade_closes";
       remove_splice_pair t key out)
     affected
 

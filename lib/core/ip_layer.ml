@@ -186,7 +186,7 @@ let open_chained t ~dst ~hops ~first_phys =
          Proto.make_header ~kind:Proto.Ivc_open ~src:(Nd_layer.my_addr t.nd) ~dst:first_gw
            ~src_order:(Node.my_order t.node) ~ivc:label ~payload_len:0 ()
        in
-       Ntcs_util.Metrics.incr (metrics t) "ip.ivc_open_sent";
+       Ntcs_obs.Registry.incr (metrics t) "ip.ivc_open_sent";
        trace t ~cat:"ip.ivc_open_sent"
          (Printf.sprintf "label %d to %s" label (Addr.to_string dst));
        (match Nd_layer.send_frame circuit header body with
@@ -295,13 +295,13 @@ let send t ivc ~kind ?(seq = 0) ?(conv = 0) ?(app_tag = 0) ?(span = Ntcs_obs.Spa
     end;
     (match mode with
      | Convert.Image ->
-       Ntcs_util.Metrics.incr (metrics t) "conv.image_msgs";
+       Ntcs_obs.Registry.incr (metrics t) "conv.image_msgs";
        if application_traffic then
-         Ntcs_util.Metrics.incr (metrics t) ("conv.image_msgs." ^ t.nd.Nd_layer.owner)
+         Ntcs_obs.Registry.incr (metrics t) ("conv.image_msgs." ^ t.nd.Nd_layer.owner)
      | Convert.Packed ->
-       Ntcs_util.Metrics.incr (metrics t) "conv.packed_msgs";
+       Ntcs_obs.Registry.incr (metrics t) "conv.packed_msgs";
        if application_traffic then
-         Ntcs_util.Metrics.incr (metrics t) ("conv.packed_msgs." ^ t.nd.Nd_layer.owner));
+         Ntcs_obs.Registry.incr (metrics t) ("conv.packed_msgs." ^ t.nd.Nd_layer.owner));
     let data = Convert.force mode payload in
     let dst =
       if ivc.label = 0 then ivc.circuit.Nd_layer.peer_announced else ivc.wire_dst
@@ -359,7 +359,7 @@ let accept_chained_fresh t circuit (h : Proto.header) (req : Proto.ivc_open) =
     }
   in
   register_ivc t ivc;
-  Ntcs_util.Metrics.incr (metrics t) "ip.ivc_accepted";
+  Ntcs_obs.Registry.incr (metrics t) "ip.ivc_accepted";
   trace t ~cat:"ip.ivc_accept" (Printf.sprintf "from %s label %d" (Addr.to_string peer_key)
                                   h.Proto.ivc);
   let reply =
@@ -377,7 +377,7 @@ let accept_chained t circuit (h : Proto.header) (req : Proto.ivc_open) =
        label — drop it instead. The origin never retries an open under the
        same label (a timed-out open goes out again under a fresh one), so
        no re-ack is owed. *)
-    Ntcs_util.Metrics.incr (metrics t) "ip.duplicate_opens";
+    Ntcs_obs.Registry.incr (metrics t) "ip.duplicate_opens";
     trace t ~cat:"ip.dup_open" (Printf.sprintf "label %d" h.Proto.ivc)
   end
   else accept_chained_fresh t circuit h req
@@ -449,7 +449,7 @@ let handle_event t (ev : Nd_layer.event) =
       | Some ivc ->
         ivc.i_open <- false;
         unregister_ivc t ivc;
-        Ntcs_util.Metrics.incr (metrics t) "ip.ivc_closed_remote";
+        Ntcs_obs.Registry.incr (metrics t) "ip.ivc_closed_remote";
         trace t ~cat:"ip.ivc_close"
           (Printf.sprintf "label %d peer %s remote" ivc.label (Addr.to_string ivc.peer));
         Down [ ivc.peer ]
@@ -507,7 +507,7 @@ let handle_event t (ev : Nd_layer.event) =
         | Some ivc ->
           ivc.i_open <- false;
           unregister_ivc t ivc;
-          Ntcs_util.Metrics.incr (metrics t) "ip.ivc_closed_remote";
+          Ntcs_obs.Registry.incr (metrics t) "ip.ivc_closed_remote";
           trace t ~cat:"ip.ivc_close"
             (Printf.sprintf "label %d peer %s remote" ivc.label (Addr.to_string ivc.peer));
           Down [ ivc.peer ])
@@ -525,7 +525,7 @@ let handle_event t (ev : Nd_layer.event) =
         handler (Gw_frame (circuit, view));
         Consumed
       | None ->
-        Ntcs_util.Metrics.incr (metrics t) "ip.misaddressed";
+        Ntcs_obs.Registry.incr (metrics t) "ip.misaddressed";
         Consumed
     end
 
@@ -535,5 +535,3 @@ let forget_peer t peer =
   match Hashtbl.find_opt t.by_peer peer with
   | None -> ()
   | Some ivc -> close_ivc t ivc ~reason:"forget"
-
-let open_ivc_count t = Hashtbl.length t.by_peer

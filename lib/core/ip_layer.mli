@@ -101,5 +101,3 @@ val handle_event : t -> Nd_layer.event -> action
 
 val forget_peer : t -> Addr.t -> unit
 (** Drop connection state so the next send reopens (relocation, §3.5). *)
-
-val open_ivc_count : t -> int

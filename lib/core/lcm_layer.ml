@@ -217,7 +217,7 @@ let is_ns t addr = match t.ns_addr with Some a -> Addr.equal a addr | None -> fa
    error if the destination is gone for good. *)
 let address_fault t ~dst =
   t.counters.c_faults <- t.counters.c_faults + 1;
-  Ntcs_util.Metrics.incr (metrics t) "lcm.addr_faults";
+  Ntcs_obs.Registry.incr (metrics t) "lcm.addr_faults";
   trace t ~cat:"lcm.fault" (Addr.to_string dst);
   (* The channel just failed, so the local tables were already consulted to
      no avail (§3.5). Next stop: the fault handler proper. *)
@@ -230,7 +230,7 @@ let address_fault t ~dst =
          Server". Reconnect through the well-known address instead of asking
          the NSP (which would have to reach the name server over the very
          circuit that just died). *)
-      Ntcs_util.Metrics.incr (metrics t) "lcm.ns_guard_hits";
+      Ntcs_obs.Registry.incr (metrics t) "lcm.ns_guard_hits";
       Ip_layer.forget_peer t.ip dst;
       Ok dst
     end
@@ -238,12 +238,12 @@ let address_fault t ~dst =
       match t.fault_oracle with
       | None -> Error Errors.Destination_dead
       | Some oracle -> (
-        Ntcs_util.Metrics.incr (metrics t) "lcm.fault_queries";
+        Ntcs_obs.Registry.incr (metrics t) "lcm.fault_queries";
         match oracle dst with
         | Error e -> Error e
         | Ok (Some replacement) ->
           Hashtbl.replace t.forwarding dst replacement;
-          Ntcs_util.Metrics.incr (metrics t) "lcm.relocations";
+          Ntcs_obs.Registry.incr (metrics t) "lcm.relocations";
           trace t ~cat:"lcm.relocate"
             (Printf.sprintf "%s -> %s" (Addr.to_string dst) (Addr.to_string replacement));
           (match t.on_relocate with
@@ -318,7 +318,7 @@ let send_frame ?deadline_us ?(span = Ntcs_obs.Span.none) t ~dst ~kind ~conv ~app
         incr retries;
         t.counters.c_retries <- t.counters.c_retries + 1;
         t.counters.c_backoff_us <- t.counters.c_backoff_us + delay_us;
-        Ntcs_util.Metrics.incr (metrics t) "lcm.retries";
+        Ntcs_obs.Registry.incr (metrics t) "lcm.retries";
         Ntcs_obs.Registry.observe (metrics t) "lcm.retry_backoff_us" delay_us;
         trace t ~cat:"lcm.retry"
           (Printf.sprintf "%s attempt=%d backoff=%dus err=%s" (Addr.to_string !cur) attempt
@@ -339,8 +339,8 @@ let send t ~dst ?(app_tag = 0) ?timeout_us payload =
           (match r with
            | Ok () ->
              t.counters.c_sent <- t.counters.c_sent + 1;
-             Ntcs_util.Metrics.incr (metrics t) "lcm.sends"
-           | Error _ -> Ntcs_util.Metrics.incr (metrics t) "lcm.send_errors");
+             Ntcs_obs.Registry.incr (metrics t) "lcm.sends"
+           | Error _ -> Ntcs_obs.Registry.incr (metrics t) "lcm.send_errors");
           r))
 
 (* Connectionless protocol: single attempt, no relocation, no recovery. *)
@@ -352,8 +352,8 @@ let send_dgram t ~dst ?(app_tag = 0) ?timeout_us payload =
             send_frame ~deadline_us ~span t ~dst ~kind:Proto.Dgram ~conv:0 ~app_tag payload
           in
           (match r with
-           | Ok () -> Ntcs_util.Metrics.incr (metrics t) "lcm.dgrams"
-           | Error _ -> Ntcs_util.Metrics.incr (metrics t) "lcm.dgram_errors");
+           | Ok () -> Ntcs_obs.Registry.incr (metrics t) "lcm.dgrams"
+           | Error _ -> Ntcs_obs.Registry.incr (metrics t) "lcm.dgram_errors");
           r))
 
 let await_reply t ~dst ~conv ~timeout_us =
@@ -385,7 +385,7 @@ let send_sync t ~dst ?(app_tag = 0) ?timeout_us payload =
           | Ok () ->
             t.counters.c_sent <- t.counters.c_sent + 1;
             t.counters.c_sync_calls <- t.counters.c_sync_calls + 1;
-            Ntcs_util.Metrics.incr (metrics t) "lcm.sync_sends";
+            Ntcs_obs.Registry.incr (metrics t) "lcm.sync_sends";
             await_reply t ~dst ~conv ~timeout_us:(max 0 (deadline_us - Node.now t.node))))
 
 let reply t (env : envelope) ?(app_tag = 0) ?timeout_us payload =
@@ -460,11 +460,6 @@ let recv ?timeout_us ?app_tag t =
        | Error _ -> ());
       result)
 
-let try_recv t =
-  match take_stashed t (fun _ -> true) with
-  | Some env -> Some env
-  | None -> Sched.Mailbox.recv_opt t.app_inbox
-
 (* --- the dispatcher --- *)
 
 let envelope_of t (d : Ip_layer.delivery) kind =
@@ -487,9 +482,9 @@ let envelope_of t (d : Ip_layer.delivery) kind =
 let note_seq t src seq =
   match Hashtbl.find_opt t.last_seq src with
   | Some last when seq <= last ->
-    Ntcs_util.Metrics.incr (metrics t) "lcm.seq_regressions"
+    Ntcs_obs.Registry.incr (metrics t) "lcm.seq_regressions"
   | Some last ->
-    if seq > last + 1 then Ntcs_util.Metrics.incr (metrics t) "lcm.seq_gaps";
+    if seq > last + 1 then Ntcs_obs.Registry.incr (metrics t) "lcm.seq_gaps";
     Hashtbl.replace t.last_seq src seq
   | None -> Hashtbl.replace t.last_seq src seq
 
@@ -522,7 +517,7 @@ let handle_delivery t (d : Ip_layer.delivery) =
     deliver_span ();
     match Hashtbl.find_opt t.waiting h.Proto.conv with
     | Some slot -> ignore (Sched.Ivar.try_fill slot.rs_ivar (Ok (envelope_of t d `Data)))
-    | None -> Ntcs_util.Metrics.incr (metrics t) "lcm.orphan_replies")
+    | None -> Ntcs_obs.Registry.incr (metrics t) "lcm.orphan_replies")
   | Proto.Ping ->
     (* Answer from the dispatcher itself: liveness must not depend on the
        application draining its inbox. *)
@@ -645,7 +640,6 @@ let without_monitoring t f =
   Fun.protect ~finally:(fun () -> t.monitor_suppress <- saved) f
 
 let recursion_tracker t = t.track
-let forwarding_entries t = Hashtbl.length t.forwarding
 
 type stats = {
   st_sent : int;  (* successful sends, sync included *)

@@ -107,8 +107,6 @@ val recv : ?timeout_us:int -> ?app_tag:int -> t -> (envelope, Errors.t) result
     mismatches are set aside for later receives, so multiplexed services on
     one ComMod never steal each other's traffic. *)
 
-val try_recv : t -> envelope option
-
 (** {1 DRTS coupling (§6.1)} *)
 
 val without_monitoring : t -> (unit -> 'a) -> 'a
@@ -116,7 +114,6 @@ val without_monitoring : t -> (unit -> 'a) -> 'a
     own traffic without "the obvious infinite recursion". *)
 
 val recursion_tracker : t -> Recursion.t
-val forwarding_entries : t -> int
 
 type stats = {
   st_sent : int;

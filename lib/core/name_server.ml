@@ -152,7 +152,7 @@ let stamp t shard =
    per-shard floor and turn stale hits into misses. *)
 let bump_gen t what =
   t.inval_gen <- t.inval_gen + 1;
-  Ntcs_util.Metrics.incr (metrics t) "ns.invalidations";
+  Ntcs_obs.Registry.incr (metrics t) "ns.invalidations";
   Node.record t.node ~cat:"ns.shard.gen" ~actor:"name-server"
     (Printf.sprintf "shard %d gen %d: %s" (my_shard t) t.inval_gen what)
 
@@ -365,13 +365,13 @@ let route t ?commod ~name ~hop_note req local =
   | None, _ | _, None -> local ()
   | Some _, Some commod ->
     let shard = shard_of_name t name in
-    Ntcs_util.Metrics.incr (metrics t) "ns.shard.forwards";
+    Ntcs_obs.Registry.incr (metrics t) "ns.shard.forwards";
     Node.record t.node ~cat:"ns.shard.forward" ~actor:"name-server"
       (Printf.sprintf "%s: shard %d -> %d hop %d" name (my_shard t) shard hop_note);
     (match forward_to_shard t commod ~shard req with
      | Some resp -> resp
      | None ->
-       Ntcs_util.Metrics.incr (metrics t) "ns.shard.fallbacks";
+       Ntcs_obs.Registry.incr (metrics t) "ns.shard.fallbacks";
        Node.record t.node ~cat:"ns.shard.fallback" ~actor:"name-server"
          (Printf.sprintf "%s: shard %d answering for %d" name (my_shard t) shard);
        local ())
@@ -401,7 +401,7 @@ let handle_request t ?commod (req : Ns_proto.request) =
          bump_gen t ("re-register " ^ r_name)
        | _ -> ());
       db_insert t record;
-      Ntcs_util.Metrics.incr (metrics t) "ns.registrations";
+      Ntcs_obs.Registry.incr (metrics t) "ns.registrations";
       Node.record t.node ~cat:"ns.register" ~actor:"name-server"
         (Printf.sprintf "%s -> %s" r_name (Addr.to_string addr));
       push_to_peers t [ record ];
@@ -410,8 +410,8 @@ let handle_request t ?commod (req : Ns_proto.request) =
     if owns t r_name then do_register ()
     else route t ?commod ~name:r_name ~hop_note:1 req do_register
   | Ns_proto.Lookup_v (name, hops) ->
-    Ntcs_util.Metrics.incr (metrics t) "ns.lookups";
-    Ntcs_util.Metrics.incr (metrics t)
+    Ntcs_obs.Registry.incr (metrics t) "ns.lookups";
+    Ntcs_obs.Registry.incr (metrics t)
       (Printf.sprintf "ns.shard%d.lookups" (my_shard t));
     let local () =
       match find_by_name t name with
@@ -423,17 +423,17 @@ let handle_request t ?commod (req : Ns_proto.request) =
     if owns t name || hops >= 1 then local ()
     else route t ?commod ~name ~hop_note:(hops + 1) (Ns_proto.Lookup_v (name, hops + 1)) local
   | Ns_proto.Lookup_attrs attrs ->
-    Ntcs_util.Metrics.incr (metrics t) "ns.attr_lookups";
+    Ntcs_obs.Registry.incr (metrics t) "ns.attr_lookups";
     Ns_proto.R_entries (List.map entry_of_record (find_by_attrs t attrs))
   | Ns_proto.Resolve_v addr -> (
-    Ntcs_util.Metrics.incr (metrics t) "ns.resolves";
+    Ntcs_obs.Registry.incr (metrics t) "ns.resolves";
     match Hashtbl.find_opt t.db addr with
     | Some r ->
       let shard, gen = stamp t (shard_of_addr t addr) in
       Ns_proto.R_entry_v (entry_of_record r, shard, gen)
     | None -> Ns_proto.R_error "unknown-address")
   | Ns_proto.Forward old_addr -> (
-    Ntcs_util.Metrics.incr (metrics t) "ns.forward_queries";
+    Ntcs_obs.Registry.incr (metrics t) "ns.forward_queries";
     match Hashtbl.find_opt t.db old_addr with
     | None -> Ns_proto.R_error "unknown-address"
     | Some old ->

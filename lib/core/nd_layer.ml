@@ -79,12 +79,12 @@ let is_me t addr =
    alias TAdd-sourced origins arriving over chained circuits, exactly as the
    ND-layer does for direct ones. *)
 let fresh_alias t =
-  Ntcs_util.Metrics.incr (Node.metrics t.node) "tadd.assigned";
+  Ntcs_obs.Registry.incr (Node.metrics t.node) "tadd.assigned";
   Addr.Tadd_gen.fresh t.tadds
 
 let note_alias_purged t alias real =
   Hashtbl.replace t.alias_fwd alias real;
-  Ntcs_util.Metrics.incr (Node.metrics t.node) "tadd.purged"
+  Ntcs_obs.Registry.incr (Node.metrics t.node) "tadd.purged"
 
 let my_listen_addrs t = List.map (fun a -> a.Std_if.acc_addr) t.acceptors
 
@@ -92,8 +92,6 @@ let lookup_phys t addr = Hashtbl.find_opt t.phys_cache addr
 
 let cache_phys t addr phys =
   if phys <> [] && Addr.is_unique addr then Hashtbl.replace t.phys_cache addr phys
-
-let drop_cached_phys t addr = Hashtbl.remove t.phys_cache addr
 
 let find_circuit t addr =
   match Hashtbl.find_opt t.circuits addr with
@@ -122,7 +120,7 @@ let hello_payload t =
 (* Common tail of the two send paths: metrics, span, hand the frame's byte
    range to the STD-IF, surface failure as a broken circuit. *)
 let send_view (c : circuit) (h : Proto.header) buf ~off ~len =
-  Ntcs_util.Metrics.incr (metrics c.nd) "nd.frames_sent";
+  Ntcs_obs.Registry.incr (metrics c.nd) "nd.frames_sent";
   Ntcs_obs.Registry.observe (metrics c.nd) "nd.tx_bytes" len;
   (* A span-carrying frame leaving this machine is one hop of its logical
      send: an instant event, attributable via the header's ctx. *)
@@ -191,7 +189,7 @@ let upgrade_peer (c : circuit) (real : Addr.t) =
     c.peer_addr <- real;
     c.peer_announced <- real;
     register_circuit t real c;
-    Ntcs_util.Metrics.incr (metrics t) "tadd.purged";
+    Ntcs_obs.Registry.incr (metrics t) "tadd.purged";
     trace t ~cat:"nd.tadd_purge"
       (Printf.sprintf "%s -> %s" (Addr.to_string alias) (Addr.to_string real))
   end
@@ -216,10 +214,10 @@ let handle_incoming (c : circuit) raw =
     (v, Proto.Frame.header v)
   with
   | exception (Proto.Bad_header m | Shift.Shift_error m) ->
-    Ntcs_util.Metrics.incr (metrics t) "nd.bad_frames";
+    Ntcs_obs.Registry.incr (metrics t) "nd.bad_frames";
     trace t ~cat:"nd.bad_frame" m
   | v, h ->
-    Ntcs_util.Metrics.incr (metrics t) "nd.frames_recv";
+    Ntcs_obs.Registry.incr (metrics t) "nd.frames_recv";
     Ntcs_obs.Registry.observe (metrics t) "nd.rx_bytes" (Bytes.length raw);
     if not (Ntcs_obs.Span.is_none h.Proto.span) then
       World.span (Node.world t.node) ~ctx:h.Proto.span ~phase:Ntcs_obs.Span.I ~name:"nd.rx"
@@ -302,7 +300,7 @@ let inbound_handshake t (lvc : Std_if.lvc) =
               (* §3.4: assign our own TAdd to an incoming connection from a
                  TAdd source — theirs is not unique to us. *)
               let alias = Addr.Tadd_gen.fresh t.tadds in
-              Ntcs_util.Metrics.incr (metrics t) "tadd.assigned";
+              Ntcs_obs.Registry.incr (metrics t) "tadd.assigned";
               alias
             end
             else peer_real
@@ -408,7 +406,7 @@ let open_circuit t ~(phys : Phys_addr.t) =
                 let key =
                   if Addr.is_temporary peer_real then begin
                     let alias = Addr.Tadd_gen.fresh t.tadds in
-                    Ntcs_util.Metrics.incr (metrics t) "tadd.assigned";
+                    Ntcs_obs.Registry.incr (metrics t) "tadd.assigned";
                     alias
                   end
                   else peer_real
@@ -460,7 +458,7 @@ let create node ~owner ?allowed_nets ?(fixed = []) () =
     }
   in
   t.my_addr <- Addr.Tadd_gen.fresh t.tadds;
-  Ntcs_util.Metrics.incr (metrics t) "tadd.assigned";
+  Ntcs_obs.Registry.incr (metrics t) "tadd.assigned";
   let machine = Node.machine node in
   let nets =
     match allowed_nets with Some nets -> nets | None -> Node.my_nets node
@@ -524,5 +522,3 @@ let shutdown t =
   end
 
 let next_event ?timeout_us t = Sched.Mailbox.recv ?timeout:timeout_us t.inbox
-
-let circuit_count t = Hashtbl.length t.circuits

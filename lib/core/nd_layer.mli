@@ -96,7 +96,6 @@ val note_alias_purged : t -> Addr.t -> Addr.t -> unit
 
 val lookup_phys : t -> Addr.t -> Phys_addr.t list option
 val cache_phys : t -> Addr.t -> Phys_addr.t list -> unit
-val drop_cached_phys : t -> Addr.t -> unit
 
 (** {1 Circuits} *)
 
@@ -123,5 +122,3 @@ val forward_view : circuit -> Proto.Frame.t -> (unit, Errors.t) result
 
 val next_event : ?timeout_us:int -> t -> event option
 (** Pull the next demultiplexed event (the LCM dispatcher's loop). *)
-
-val circuit_count : t -> int

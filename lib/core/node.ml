@@ -99,7 +99,7 @@ let make ?(config = default_config) ~world ~ipcs ~machine () =
 
 let world t = t.world
 let sched t = World.sched t.world
-let metrics t = World.metrics t.world
+let metrics t = World.obs t.world
 let machine t = t.machine
 let now t = World.now t.world
 
@@ -108,10 +108,6 @@ let record t ~cat ~actor detail = World.record t.world ~cat ~actor detail
 let my_order t = match Machine.byte_order t.machine.Machine.mtype with
   | Machine.Little_endian -> Ntcs_wire.Endian.Le
   | Machine.Big_endian -> Ntcs_wire.Endian.Be
-
-let name_server_wk t = List.find_opt (fun wk -> wk.wk_is_name_server) t.config.well_known
-
-let prime_gateways t = List.filter (fun wk -> wk.wk_is_gateway) t.config.well_known
 
 (* Networks this machine is attached to. *)
 let my_nets t = World.nets_of_machine t.world t.machine.Machine.id

@@ -70,7 +70,7 @@ val make :
 
 val world : t -> World.t
 val sched : t -> Sched.t
-val metrics : t -> Ntcs_util.Metrics.t
+val metrics : t -> Ntcs_obs.Registry.t
 val machine : t -> Machine.t
 val now : t -> int
 val record : t -> cat:string -> actor:string -> string -> unit
@@ -78,6 +78,4 @@ val record : t -> cat:string -> actor:string -> string -> unit
 val my_order : t -> Ntcs_wire.Endian.order
 (** This machine's native byte order. *)
 
-val name_server_wk : t -> well_known option
-val prime_gateways : t -> well_known list
 val my_nets : t -> Net.id list

@@ -91,7 +91,7 @@ let note_generation t ~shard ~gen =
       Ns_cache.note_generation t.name_cache ~shard ~gen
       + Ns_cache.note_generation t.entry_cache ~shard ~gen
     in
-    Ntcs_util.Metrics.incr (metrics t) "nsp.cache_invalidations";
+    Ntcs_obs.Registry.incr (metrics t) "nsp.cache_invalidations";
     cache_event t "ns.cache.invalidate"
       (Printf.sprintf "shard %d floor %d dropped %d" shard gen dropped)
   end
@@ -125,7 +125,7 @@ let request ?prefer t (req : Ns_proto.request) =
   let payload = Convert.payload_raw (Ns_proto.pack_request req) in
   let started = Node.now t.node in
   let one_pass ~attempt =
-    if attempt > 1 then Ntcs_util.Metrics.incr (metrics t) "nsp.retry_cycles";
+    if attempt > 1 then Ntcs_obs.Registry.incr (metrics t) "nsp.retry_cycles";
     let front =
       match (prefer, t.last_good) with
       | Some p, Some g when not (Addr.equal p g) -> [ p; g ]
@@ -142,13 +142,13 @@ let request ?prefer t (req : Ns_proto.request) =
     let rec failover = function
       | [] -> Error Errors.Name_service_unavailable
       | ns :: rest -> (
-        Ntcs_util.Metrics.incr (metrics t) "nsp.requests";
+        Ntcs_obs.Registry.incr (metrics t) "nsp.requests";
         match
           Lcm_layer.send_sync t.lcm ~dst:ns ~app_tag:Ns_proto.app_tag
             ~timeout_us:t.node.Node.config.Node.default_timeout_us payload
         with
         | Error _ when rest <> [] ->
-          Ntcs_util.Metrics.incr (metrics t) "nsp.failovers";
+          Ntcs_obs.Registry.incr (metrics t) "nsp.failovers";
           failover rest
         | Error _ -> Error Errors.Name_service_unavailable
         | Ok env -> (
@@ -195,7 +195,7 @@ let register t ~name ~phys ~nets ~order ~attrs =
 let lookup t name =
   match Ns_cache.find t.name_cache ~now:(Node.now t.node) name with
   | Ns_cache.Hit (addr, shard, gen) ->
-    Ntcs_util.Metrics.incr (metrics t) "nsp.cache_hits";
+    Ntcs_obs.Registry.incr (metrics t) "nsp.cache_hits";
     cache_event t "ns.cache.hit" (kv_detail "name" name ~shard ~gen);
     Ok addr
   | (Ns_cache.Stale _ | Ns_cache.Miss) as outcome -> (
@@ -203,9 +203,9 @@ let lookup t name =
      | Ns_cache.Stale (_, shard, gen) ->
        (* The shard invalidated this generation: a miss plus a fresh
           lookup, never a delivery on the old circuit. *)
-       Ntcs_util.Metrics.incr (metrics t) "nsp.cache_stale";
+       Ntcs_obs.Registry.incr (metrics t) "nsp.cache_stale";
        cache_event t "ns.cache.stale" (kv_detail "name" name ~shard ~gen)
-     | _ -> Ntcs_util.Metrics.incr (metrics t) "nsp.cache_misses");
+     | _ -> Ntcs_obs.Registry.incr (metrics t) "nsp.cache_misses");
     match request ?prefer:(owner_of_name t name) t (Ns_proto.Lookup_v (name, 0)) with
     | Ok (Ns_proto.R_addr_v (addr, shard, gen)) ->
       store t t.name_cache name name ~value:addr ~kind:"name" ~shard ~gen;
@@ -223,15 +223,15 @@ let resolve t addr =
   let key = Addr.to_string addr in
   match Ns_cache.find t.entry_cache ~now:(Node.now t.node) addr with
   | Ns_cache.Hit (entry, shard, gen) ->
-    Ntcs_util.Metrics.incr (metrics t) "nsp.cache_hits";
+    Ntcs_obs.Registry.incr (metrics t) "nsp.cache_hits";
     cache_event t "ns.cache.hit" (kv_detail "addr" key ~shard ~gen);
     Ok entry
   | (Ns_cache.Stale _ | Ns_cache.Miss) as outcome -> (
     (match outcome with
      | Ns_cache.Stale (_, shard, gen) ->
-       Ntcs_util.Metrics.incr (metrics t) "nsp.cache_stale";
+       Ntcs_obs.Registry.incr (metrics t) "nsp.cache_stale";
        cache_event t "ns.cache.stale" (kv_detail "addr" key ~shard ~gen)
-     | _ -> Ntcs_util.Metrics.incr (metrics t) "nsp.cache_misses");
+     | _ -> Ntcs_obs.Registry.incr (metrics t) "nsp.cache_misses");
     match request t (Ns_proto.Resolve_v addr) with
     | Ok (Ns_proto.R_entry_v (e, shard, gen)) ->
       store t t.entry_cache key addr ~value:e ~kind:"addr" ~shard ~gen;
@@ -288,7 +288,7 @@ let note_relocated t ~old_addr ~fresh = splice t ~old_addr ~fresh:(Some fresh)
 let gateways t =
   match t.gw_cache with
   | Some (entries, stamp) when ttl t > 0 && Node.now t.node <= stamp ->
-    Ntcs_util.Metrics.incr (metrics t) "nsp.cache_hits";
+    Ntcs_obs.Registry.incr (metrics t) "nsp.cache_hits";
     Ok entries
   | Some _ | None -> (
     match request t Ns_proto.List_gateways with

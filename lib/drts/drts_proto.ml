@@ -7,7 +7,6 @@ open Ntcs_wire
 let time_tag = 8101
 let monitor_tag = 8102
 let error_log_tag = 8103
-let process_ctl_tag = 8104
 
 (* --- time service --- *)
 

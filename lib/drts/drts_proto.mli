@@ -6,7 +6,6 @@ open Ntcs_wire
 val time_tag : int
 val monitor_tag : int
 val error_log_tag : int
-val process_ctl_tag : int
 
 (** {1 Time service} *)
 

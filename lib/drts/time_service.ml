@@ -116,7 +116,7 @@ let sync c =
             c.offset_us <- estimate - t_arrive;
             c.last_sync_us <- Node.now node;
             c.syncs <- c.syncs + 1;
-            Ntcs_util.Metrics.incr (Node.metrics node) "time.syncs";
+            Ntcs_obs.Registry.incr (Node.metrics node) "time.syncs";
             Ok c.offset_us)))
 
 (* Corrected timestamp; resynchronises first when the estimate is stale —

@@ -239,4 +239,3 @@ let abort (c : chan) =
          Sched.Mailbox.send c.c_far.ce_signal ()))
 
 let chan_id (c : chan) = c.chan_id
-let chan_path (c : chan) = c.c_path

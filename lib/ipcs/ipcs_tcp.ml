@@ -305,6 +305,5 @@ let abort (c : conn) =
          c.far.broken <- true;
          Sched.Mailbox.send c.far.signal ()))
 
-let remote_addr (c : conn) = c.remote
 let conn_id (c : conn) = c.conn_id
 let conn_world (c : conn) = c.stack.world

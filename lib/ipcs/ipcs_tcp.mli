@@ -58,7 +58,6 @@ val abort : conn -> unit
 (** Abrupt teardown (process death). *)
 
 val is_open : conn -> bool
-val remote_addr : conn -> Phys_addr.t
 val conn_id : conn -> int
 
 val conn_world : conn -> World.t

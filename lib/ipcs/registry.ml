@@ -38,13 +38,3 @@ let fresh_mbx_path t ~(machine : Ntcs_sim.Machine.t) ~hint =
 let world t = t.world
 let tcp t = t.tcp
 let mbx t = t.mbx
-
-(* Which address kinds can this machine speak at all? It must be attached to
-   a network of the matching kind. *)
-let kinds_of_machine t (m : Ntcs_sim.Machine.t) =
-  Ntcs_sim.World.nets_of_machine t.world m.id
-  |> List.map (fun nid -> (Ntcs_sim.World.net t.world nid).Ntcs_sim.Net.kind)
-  |> List.map (function
-       | Ntcs_sim.Net.Tcp_lan | Ntcs_sim.Net.Tcp_longhaul -> Phys_addr.K_tcp
-       | Ntcs_sim.Net.Mbx_ring -> Phys_addr.K_mbx)
-  |> List.sort_uniq compare

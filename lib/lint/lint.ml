@@ -27,8 +27,6 @@ let check_source ?(summaries = []) src =
     @ Lint_copies.check src @ Lint_categories.check src
     @ Lint_ownership.check ~summaries src)
 
-let lint_file file = check_source (Lint_lex.load file)
-
 (* Tree-level pass: load everything once, give R6/R7 the cross-file
    function summaries (one interprocedural level) and run R8 over the
    whole set (it needs the module-reference graph), then check each file.

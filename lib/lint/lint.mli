@@ -12,8 +12,6 @@ val check_source : ?summaries:Lint_ownership.summary list -> Lint_lex.source -> 
     supplies R6/R7 cross-file function summaries; same-file helpers are
     summarized automatically. *)
 
-val lint_file : string -> Lint_diag.t list
-
 val lint_paths : ?graph:(string * string) list -> string list -> Lint_diag.t list
 (** Tree-level run: computes ownership summaries over the whole tree
     first, so R6/R7 classify cross-file helper calls, runs R8 over the

@@ -1,6 +1,6 @@
-(* Per-world observability registry: the named counters and gauges that
-   [Ntcs_util.Metrics] has always exposed, plus histograms and the causal
-   span log, plus the seeded-deterministic circuit-id allocator. One
+(* Per-world observability registry: named counters and gauges, plus
+   histograms and the causal span log, plus the seeded-deterministic
+   circuit-id allocator. One
    registry per simulated world, so parallel experiments never share state
    and equal seeds replay identical allocations. *)
 
@@ -106,10 +106,9 @@ let span t ev =
 let spans t = List.rev t.spans
 let span_count t = t.span_count
 
-(* Printing. [pp_stats] is the historical Metrics.pp surface (now with
-   gauges, per the long-standing bug); [pp] adds histogram summaries and the
-   span-log size for a full snapshot. Both orderings are sorted, so two
-   same-seed runs print byte-identical text. *)
+(* Printing. [pp_stats] lists counters and gauges; [pp] adds histogram
+   summaries and the span-log size for a full snapshot. Both orderings are
+   sorted, so two same-seed runs print byte-identical text. *)
 
 let pp_gauge_value ppf v = Fmt.pf ppf "%.3f" v
 

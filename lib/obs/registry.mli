@@ -1,6 +1,5 @@
 (** Per-world observability registry: counters, gauges, histograms, the
-    causal span log, and the deterministic circuit-id allocator. Subsumes
-    [Ntcs_util.Metrics], which is a thin shim over this module. *)
+    causal span log, and the deterministic circuit-id allocator. *)
 
 type stat = [ `Counter of int | `Gauge of float ]
 
@@ -59,7 +58,7 @@ val span_count : t -> int
 (** {1 Printing} *)
 
 val pp_stats : Format.formatter -> t -> unit
-(** Counters then gauges, sorted — the [Metrics.pp] surface. *)
+(** Counters then gauges, sorted. *)
 
 val pp : Format.formatter -> t -> unit
 (** [pp_stats] plus histogram summaries and the span-log size. *)

@@ -20,12 +20,6 @@ let mtype_to_string = function
   | Sun3 -> "sun3"
   | Apollo -> "apollo"
 
-let mtype_of_string = function
-  | "vax" -> Some Vax
-  | "sun3" -> Some Sun3
-  | "apollo" -> Some Apollo
-  | _ -> None
-
 (* Identical native data representation: image-mode (byte-copy) messages are
    safe exactly between such machines. Byte order is the representative
    difference we model; the paper also had structure-padding differences. *)

@@ -205,8 +205,6 @@ let current_exn t =
 
 let self t = (current_exn t).pid
 
-let self_name t = (current_exn t).proc_name
-
 (* Run [f] as the body of [proc] under the effect handler. Called from the
    scheduler loop, never from inside another process. *)
 let finish proc status =

@@ -163,8 +163,6 @@ val on_exit : t -> pid -> (exit_status -> unit) -> unit
 val self : t -> pid
 (** Pid of the currently running process. Fails outside a process. *)
 
-val self_name : t -> string
-
 (** {1 Blocking (inside a process only)} *)
 
 val suspend : (waker -> unit) -> unit

@@ -64,7 +64,7 @@ end
 
 type t = {
   sched : Sched.t;
-  metrics : Ntcs_util.Metrics.t;
+  obs : Ntcs_obs.Registry.t;
   trace : Trace.t;
   rng : Ntcs_util.Rng.t;
   pool : Ntcs_util.Pool.t; (* frame-buffer freelist shared by the world's stacks *)
@@ -91,14 +91,14 @@ type t = {
    arms) applies the config. *)
 let make (config : Config.t) =
   let seed = config.Config.seed in
-  let metrics = Ntcs_util.Metrics.create () in
+  let obs = Ntcs_obs.Registry.create () in
   let sched = Sched.create () in
   {
     sched;
-    metrics;
+    obs;
     trace = Trace.create ();
     rng = Ntcs_util.Rng.create seed;
-    pool = Ntcs_util.Pool.create ~registry:metrics ();
+    pool = Ntcs_util.Pool.create ~registry:obs ();
     machines = Hashtbl.create 16;
     nets = Hashtbl.create 8;
     attachments = Hashtbl.create 32;
@@ -134,25 +134,18 @@ let mode t = Config.mode t.config
 let choice_log t = List.rev t.choices
 let set_label t l = Sched.set_label t.sched l
 let label t = Sched.label t.sched
-let metrics t = t.metrics
-let cell_topology t = t.c_topology
-let cell_procs t = t.c_procs
-let cell_faults t = t.c_faults
+let obs t = t.obs
 let trace t = t.trace
 let rng t = t.rng
 let pool t = t.pool
 let now t = Sched.now t.sched
 
-(* The metrics registry *is* the observability registry (the Metrics type
-   equality is public); [obs] just names the wider surface. *)
-let obs t = t.metrics
-
 let record t ~cat ~actor detail = Trace.record t.trace ~at_us:(now t) ~cat ~actor detail
 
-let observe t name v = Ntcs_obs.Registry.observe t.metrics name v
+let observe t name v = Ntcs_obs.Registry.observe t.obs name v
 
 let span t ~ctx ~phase ~name ~actor detail =
-  Ntcs_obs.Registry.span t.metrics
+  Ntcs_obs.Registry.span t.obs
     (Ntcs_obs.Span.event ~at_us:(now t) ~ctx ~phase ~name ~actor detail)
 
 let add_machine t ~name mtype ?(drift_ppm = 0.) ?(offset_us = 0) () =
@@ -175,17 +168,9 @@ let machine t id =
   Sched.access t.sched t.c_topology ~write:false;
   Hashtbl.find t.machines id
 
-let machine_opt t id =
-  Sched.access t.sched t.c_topology ~write:false;
-  Hashtbl.find_opt t.machines id
-
 let net t id =
   Sched.access t.sched t.c_topology ~write:false;
   Hashtbl.find t.nets id
-
-let net_opt t id =
-  Sched.access t.sched t.c_topology ~write:false;
-  Hashtbl.find_opt t.nets id
 
 let attach t (m : Machine.t) (n : Net.t) =
   Sched.access t.sched t.c_topology ~write:true;
@@ -199,12 +184,6 @@ let nets_of_machine t mid =
   Sched.access t.sched t.c_topology ~write:false;
   Ntcs_util.sorted_bindings t.attachments
   |> List.filter_map (fun ((m, n), ()) -> if m = mid then Some n else None)
-  |> List.sort_uniq compare
-
-let machines_on t nid =
-  Sched.access t.sched t.c_topology ~write:false;
-  Ntcs_util.sorted_bindings t.attachments
-  |> List.filter_map (fun ((m, n), ()) -> if n = nid then Some m else None)
   |> List.sort_uniq compare
 
 let common_nets t m1 m2 =
@@ -231,10 +210,6 @@ let spawn t ~machine:(m : Machine.t) ~name f =
           (Printexc.to_string e)
       | Sched.Exited | Sched.Was_killed -> ());
   pid
-
-let machine_of_proc t pid =
-  Sched.access t.sched t.c_procs ~write:false;
-  Hashtbl.find_opt t.proc_machine pid
 
 let procs_on_machine t mid =
   Sched.access t.sched t.c_procs ~write:false;
@@ -412,7 +387,7 @@ let transmit ?fifo ?(droppable = false) t ~net:(n : Net.t) ~src:(src : Machine.t
     match t.faults with
     | Some f when Faults.blocked f src.id dst.id ->
       Faults.note_blocked f;
-      Ntcs_util.Metrics.incr t.metrics "fault.blocked_frames";
+      Ntcs_obs.Registry.incr t.obs "fault.blocked_frames";
       true
     | Some _ | None -> false
   in
@@ -439,12 +414,12 @@ let transmit ?fifo ?(droppable = false) t ~net:(n : Net.t) ~src:(src : Machine.t
       | Faults.Drop ->
         (* The bytes left the source and died on the wire: the sender sees
            success, the receiver sees nothing — exactly a lost frame. *)
-        Ntcs_util.Metrics.incr t.metrics "fault.dropped_frames";
+        Ntcs_obs.Registry.incr t.obs "fault.dropped_frames";
         true
       | Faults.Deliver | Faults.Duplicate | Faults.Delay _ | Faults.Reorder _ ->
-        Ntcs_util.Metrics.incr t.metrics "net.bytes" ~by:size;
-        Ntcs_util.Metrics.incr t.metrics "net.frames";
-        Ntcs_obs.Registry.observe t.metrics "net.frame_bytes" size;
+        Ntcs_obs.Registry.incr t.obs "net.bytes" ~by:size;
+        Ntcs_obs.Registry.incr t.obs "net.frames";
+        Ntcs_obs.Registry.observe t.obs "net.frame_bytes" size;
         let natural = Sched.now t.sched + lat in
         let schedule_at arrival =
           Sched.at t.sched arrival (fun () -> if dst.up && n.up then deliver ())
@@ -465,17 +440,17 @@ let transmit ?fifo ?(droppable = false) t ~net:(n : Net.t) ~src:(src : Machine.t
            let first = fifo_arrival natural in
            schedule_at first;
            schedule_at (fifo_arrival (first + 1));
-           Ntcs_util.Metrics.incr t.metrics "fault.duplicated_frames"
+           Ntcs_obs.Registry.incr t.obs "fault.duplicated_frames"
          | Faults.Delay extra ->
            schedule_at (fifo_arrival (natural + extra));
-           Ntcs_util.Metrics.incr t.metrics "fault.delayed_frames"
+           Ntcs_obs.Registry.incr t.obs "fault.delayed_frames"
          | Faults.Reorder extra ->
            (* Late delivery that does not advance the high-water mark: this
               frame still arrives after everything already sent on the flow,
               but later frames overtake it. *)
            let base = match fifo with Some r -> max natural !r | None -> natural in
            schedule_at (base + extra);
-           Ntcs_util.Metrics.incr t.metrics "fault.reordered_frames");
+           Ntcs_obs.Registry.incr t.obs "fault.reordered_frames");
         true
   end
 
@@ -520,7 +495,7 @@ module Par = struct
           let w = create ~config:(config_of i) () in
           Sched.set_label w.sched (Printf.sprintf "s%d" i);
           if namespace_circuits && n > 1 then
-            Ntcs_obs.Registry.set_circuit_base w.metrics (i * circuit_stride);
+            Ntcs_obs.Registry.set_circuit_base w.obs (i * circuit_stride);
           w)
     in
     let barrier = Barrier.create ~quantum (Array.map (fun w -> w.sched) shards) in
@@ -555,7 +530,7 @@ module Par = struct
 
   let merged_spans p =
     Array.to_list p.p_shards
-    |> List.concat_map (fun w -> Ntcs_obs.Registry.spans w.metrics)
+    |> List.concat_map (fun w -> Ntcs_obs.Registry.spans w.obs)
     |> List.stable_sort (fun (a : Ntcs_obs.Span.event) b ->
            compare a.Ntcs_obs.Span.ev_at_us b.Ntcs_obs.Span.ev_at_us)
 

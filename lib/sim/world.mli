@@ -91,19 +91,17 @@ val set_label : t -> string -> unit
     {!Sched.set_label}). *)
 
 val label : t -> string
-val metrics : t -> Ntcs_util.Metrics.t
 val trace : t -> Trace.t
 val rng : t -> Ntcs_util.Rng.t
 val now : t -> int
 
 val pool : t -> Ntcs_util.Pool.t
 (** The world's frame-buffer freelist. Shared by every stack in the world;
-    hit/miss/in-use statistics land in {!metrics} under [pool.*]. *)
+    hit/miss/in-use statistics land in {!obs} under [pool.*]. *)
 
 val obs : t -> Ntcs_obs.Registry.t
-(** The world's observability registry — the same value as {!metrics}
-    ([Metrics.t = Ntcs_obs.Registry.t]), under its full interface:
-    histograms, causal spans and the circuit-id allocator. *)
+(** The world's observability registry: counters, gauges, histograms,
+    causal spans and the circuit-id allocator. *)
 
 val record : t -> cat:string -> actor:string -> string -> unit
 (** Trace an event at the current virtual time. *)
@@ -128,13 +126,10 @@ val add_machine :
 
 val add_net : t -> name:string -> Net.kind -> ?latency:int * int * int -> unit -> Net.t
 val machine : t -> Machine.id -> Machine.t
-val machine_opt : t -> Machine.id -> Machine.t option
 val net : t -> Net.id -> Net.t
-val net_opt : t -> Net.id -> Net.t option
 val attach : t -> Machine.t -> Net.t -> unit
 val attached : t -> Machine.id -> Net.id -> bool
 val nets_of_machine : t -> Machine.id -> Net.id list
-val machines_on : t -> Net.id -> Machine.id list
 val common_nets : t -> Machine.id -> Machine.id -> Net.id list
 val all_machines : t -> Machine.t list
 val all_nets : t -> Net.t list
@@ -145,7 +140,6 @@ val spawn : t -> machine:Machine.t -> name:string -> (unit -> unit) -> Sched.pid
 (** Spawn a process on a machine; crashes are recorded in the trace
     (category ["sim.proc_crash"]). *)
 
-val machine_of_proc : t -> Sched.pid -> Machine.id option
 val procs_on_machine : t -> Machine.id -> Sched.pid list
 
 val crash_machine : t -> Machine.t -> unit
@@ -160,15 +154,11 @@ val faults : t -> Faults.t option
 
 (** {1 Shared cells}
 
-    The world's own mutable state, declared as {!Sched.cell}s for the
+    The world's own mutable state is declared as {!Sched.cell}s for the
     domain-safety monitor (see [Ntcs_check.Check_race]): the topology
     tables ([world.topology], exclusive), the pid→machine map
     ([world.procs], waived) and the fault plane's partition set + rng
     ([world.faults], waived). Enumerate them with [Sched.cells (sched t)]. *)
-
-val cell_topology : t -> Sched.cell
-val cell_procs : t -> Sched.cell
-val cell_faults : t -> Sched.cell
 
 (** {1 Pool sanitizer}
 

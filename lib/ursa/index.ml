@@ -39,8 +39,6 @@ let document_frequency t term = List.length (postings t term)
 
 let doc_count t = t.doc_count
 
-let term_count t = Hashtbl.length t.postings
-
 (* tf-idf contribution of one posting given corpus-wide statistics. *)
 let tf_idf ~tf ~df ~n_docs =
   if df = 0 || n_docs = 0 then 0.

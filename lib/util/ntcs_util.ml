@@ -5,7 +5,6 @@
 module Bqueue = Bqueue
 module Heap = Heap
 module Lru = Lru
-module Metrics = Metrics
 module Pool = Pool
 module Rng = Rng
 module Stats = Stats

@@ -10,7 +10,6 @@
 module Bqueue = Bqueue
 module Heap = Heap
 module Lru = Lru
-module Metrics = Metrics
 module Pool = Pool
 module Rng = Rng
 module Stats = Stats

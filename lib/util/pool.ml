@@ -128,7 +128,6 @@ let set_sanitize t on =
     Array.iter (fun cls -> List.iter (fun b -> Bytes.fill b 0 (Bytes.length b) poison) !cls) t.classes
   else t.outstanding <- []
 
-let sanitizing t = t.sanitize
 let set_emit t f = t.emit <- Some f
 let violations t = t.violations
 

@@ -101,10 +101,6 @@ let decode ~order layout data =
   in
   List.map take layout
 
-let pp_value ppf = function
-  | V_int v -> Fmt.int ppf v
-  | V_str s -> Fmt.pf ppf "%S" s
-
 let value_equal a b =
   match (a, b) with
   | V_int x, V_int y -> x = y

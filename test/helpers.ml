@@ -95,3 +95,19 @@ let in_process cluster ~machine ~name f =
 
 (* Bind a ComMod or fail the test. *)
 let bind_exn node ~name = check_ok ("bind " ^ name) (Commod.bind node ~name)
+
+(* The injected race: a registered exclusive cell that a writer and a
+   reader, spawned on [m] at the same instant with nothing ordering them,
+   each touch twice. Arm the race checker on [w] first; it reports the
+   pattern as exactly one conflict. *)
+let inject_race w m =
+  let sched = Ntcs_sim.World.sched w in
+  let cell =
+    Ntcs_sim.Sched.register_cell sched ~name:"test.cell" ~policy:Ntcs_sim.Sched.Exclusive
+  in
+  let touch ~write () =
+    Ntcs_sim.Sched.access sched cell ~write;
+    Ntcs_sim.Sched.access sched cell ~write
+  in
+  ignore (Ntcs_sim.World.spawn w ~machine:m ~name:"writer" (touch ~write:true));
+  ignore (Ntcs_sim.World.spawn w ~machine:m ~name:"reader" (touch ~write:false))

@@ -1,8 +1,10 @@
 (* Self-tests for ntcs_check: the lifecycle automaton's structural
    soundness, one seeded violation per analysis (handler gap, unguarded
    NSP→LCM cycle, illegal trace) asserting the checker fires with the right
-   file:line, the schedule explorer's enumeration, and exhaustive
-   exploration of the bounded scenarios. *)
+   file:line, the schedule explorer's enumeration, exhaustive exploration
+   of the bounded scenarios, and the ntcs_check pass itself: its contracts
+   reject a scenario that never branches, and planted pool and race
+   violations fail it. *)
 
 let src file text = Lint_lex.of_string ~file text
 let diag_strings ds = List.map Lint_diag.to_string ds
@@ -245,6 +247,84 @@ let explore_clean sc =
 let test_first_send_all_schedules () = explore_clean Check_scenarios.first_send
 let test_break_ns_all_schedules () = explore_clean Check_scenarios.break_ns
 
+(* --- the ntcs_check pass: contracts and armed checkers --- *)
+
+(* A window with no tie in it: the scenario runs one schedule, clean and
+   untruncated, and proves nothing about interleavings. Both contracts
+   must reject it. *)
+let test_never_branching_fails () =
+  let sc = Check_scenarios.first_send in
+  let sc = { sc with Check_scenarios.sc_from = sc.Check_scenarios.sc_until } in
+  List.iter
+    (fun (name, contract) ->
+      match Check.explore contract [ sc ] with
+      | [ x ] ->
+        let o = x.Check.x_outcome in
+        Alcotest.(check int) (name ^ ": one schedule") 1 o.Ntcs_sim.Explore.schedules;
+        Alcotest.(check bool) (name ^ ": not truncated") false o.Ntcs_sim.Explore.truncated;
+        Alcotest.(check int) (name ^ ": schedule itself clean") 0
+          (List.length o.Ntcs_sim.Explore.failures);
+        Alcotest.(check bool) (name ^ ": fails its contract") true (Check.exploration_failed x)
+      | xs -> Alcotest.failf "expected one exploration, got %d" (List.length xs))
+    [ ("exhaustive", Check.exhaustive); ("soak", Check.soak) ]
+
+(* A one-machine scenario: [plant] spawns two processes at t=0, so the
+   explorer branches once, and [violations] reads the world after each
+   schedule. The world is built from the mode [Check.explore] hands in,
+   arming the race checker the way the real scenarios do. *)
+let planted ~name ~plant ~violations =
+  let make mode =
+    let w = Ntcs_sim.World.create ~config:(Check_scenarios.config_of_mode mode) () in
+    if mode.Check_scenarios.Mode.races then ignore (Check_race.arm w);
+    let m = Ntcs_sim.World.add_machine w ~name:"m1" Ntcs_sim.Machine.Vax () in
+    plant w m;
+    let body () =
+      Ntcs_sim.World.run w;
+      violations w
+    in
+    (w, body)
+  in
+  { Check_scenarios.sc_name = name; sc_from = 0; sc_until = 1; sc_make = make }
+
+let expect_caught sc needle =
+  match Check.explore Check.exhaustive [ sc ] with
+  | [ x ] ->
+    let o = x.Check.x_outcome in
+    Alcotest.(check int) "branched" 2 o.Ntcs_sim.Explore.schedules;
+    Alcotest.(check bool) "failed" true (Check.exploration_failed x);
+    Alcotest.(check bool)
+      ("every schedule reports " ^ needle) true
+      (List.length o.Ntcs_sim.Explore.failures = 2
+      && List.for_all (fun (_, msg) -> contains msg needle) o.Ntcs_sim.Explore.failures)
+  | xs -> Alcotest.failf "expected one exploration, got %d" (List.length xs)
+
+let test_pass_arms_sanitizer () =
+  let plant w m =
+    let pool = Ntcs_sim.World.pool w in
+    ignore
+      (Ntcs_sim.World.spawn w ~machine:m ~name:"twice" (fun () ->
+           let b = Ntcs_util.Pool.alloc pool 64 in
+           Ntcs_util.Pool.release pool b;
+           Ntcs_util.Pool.release pool b));
+    ignore (Ntcs_sim.World.spawn w ~machine:m ~name:"idle" (fun () -> ()))
+  in
+  let violations w =
+    match Ntcs_obs.Registry.get (Ntcs_sim.World.obs w) "pool.sanitizer.double_release" with
+    | 0 -> []
+    | n -> [ Printf.sprintf "pool.sanitizer.double_release=%d" n ]
+  in
+  expect_caught (planted ~name:"planted-double-release" ~plant ~violations)
+    "pool.sanitizer.double_release"
+
+let test_pass_arms_race_checker () =
+  let violations w =
+    List.map
+      (fun (e : Ntcs_sim.Trace.entry) -> "race.conflict: " ^ e.detail)
+      (Ntcs_sim.Trace.matching (Ntcs_sim.World.trace w) ~cat:"race.conflict")
+  in
+  expect_caught (planted ~name:"planted-race" ~plant:Helpers.inject_race ~violations)
+    "race.conflict"
+
 (* --- the repo itself conforms --- *)
 
 let test_repo_conformant () =
@@ -309,6 +389,12 @@ let () =
         [
           Alcotest.test_case "first send, all schedules" `Slow test_first_send_all_schedules;
           Alcotest.test_case "ns break, all schedules" `Slow test_break_ns_all_schedules;
+        ] );
+      ( "pass",
+        [
+          Alcotest.test_case "never-branching scenario fails" `Quick test_never_branching_fails;
+          Alcotest.test_case "sanitizer armed" `Quick test_pass_arms_sanitizer;
+          Alcotest.test_case "race checker armed" `Quick test_pass_arms_race_checker;
         ] );
       ("repo", [ Alcotest.test_case "lib/ conformant" `Quick test_repo_conformant ]);
     ]

@@ -88,7 +88,7 @@ let test_seed_determinism_end_to_end () =
              ignore (Ali_layer.send_sync commod ~dst:addr (raw "x"))
            done));
     Cluster.settle ~dt:30_000_000 c;
-    ( Ntcs_util.Metrics.to_alist (Cluster.metrics c),
+    ( Ntcs_obs.Registry.stats_alist (Cluster.metrics c),
       Ntcs_sim.World.now (Cluster.world c) )
   in
   let a = run () and b = run () in

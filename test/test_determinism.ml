@@ -29,7 +29,7 @@ let run_once seed =
    | Some _ -> ()
    | None -> Alcotest.fail "no fetch reply");
   let trace_txt = Fmt.str "%a" Ntcs_sim.Trace.dump (Ntcs_sim.World.trace (Cluster.world c)) in
-  let metrics_txt = Fmt.str "%a" Ntcs_util.Metrics.pp (Cluster.metrics c) in
+  let metrics_txt = Fmt.str "%a" Ntcs_obs.Registry.pp_stats (Cluster.metrics c) in
   let entries = Ntcs_sim.Trace.entries (Ntcs_sim.World.trace (Cluster.world c)) in
   let recursion_limit = (Cluster.config c).Node.recursion_limit in
   (trace_txt, metrics_txt, entries, recursion_limit)
@@ -99,7 +99,7 @@ let run_once_faulty seed =
    | Some env -> Alcotest.(check string) "echo under faults" "echo:f" (body env)
    | None -> Alcotest.fail "no faulty echo");
   let trace_txt = Fmt.str "%a" Ntcs_sim.Trace.dump (Ntcs_sim.World.trace (Cluster.world c)) in
-  let metrics_txt = Fmt.str "%a" Ntcs_util.Metrics.pp (Cluster.metrics c) in
+  let metrics_txt = Fmt.str "%a" Ntcs_obs.Registry.pp_stats (Cluster.metrics c) in
   let entries = Ntcs_sim.Trace.entries (Ntcs_sim.World.trace (Cluster.world c)) in
   (trace_txt, metrics_txt, entries)
 

@@ -138,7 +138,7 @@ let test_sequence_audit_clean_in_static_run () =
   let m = Cluster.metrics c in
   Alcotest.(check int) "everything arrived" 60 !hits;
   Alcotest.(check int) "no regressions/duplicates" 0
-    (Ntcs_util.Metrics.get m "lcm.seq_regressions")
+    (Ntcs_obs.Registry.get m "lcm.seq_regressions")
 
 let test_gateway_queue_pressure () =
   (* Saturate a gateway with large messages both ways; everything must still

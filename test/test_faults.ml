@@ -70,7 +70,7 @@ let faulty_run ?(fault_seed = 7) () =
   Cluster.settle ~dt:40_000_000 c;
   Alcotest.(check bool) "app recovered after heal" true !recovered;
   let trace_txt = Fmt.str "%a" Ntcs_sim.Trace.dump (Ntcs_sim.World.trace (Cluster.world c)) in
-  let metrics_txt = Fmt.str "%a" Ntcs_util.Metrics.pp (Cluster.metrics c) in
+  let metrics_txt = Fmt.str "%a" Ntcs_obs.Registry.pp_stats (Cluster.metrics c) in
   (trace_txt, metrics_txt, c, !stats)
 
 let check_same label a b =
@@ -154,7 +154,7 @@ let test_gateway_duplicate_open_idempotent () =
   Cluster.settle ~dt:30_000_000 c;
   Alcotest.(check string) "echo across gateway under dup=1.0" "echo:dup" (body (get ()));
   Alcotest.(check bool) "duplicate opens were seen and dropped" true
-    (Ntcs_util.Metrics.get (Cluster.metrics c) "gw.duplicate_opens" > 0);
+    (Ntcs_obs.Registry.get (Cluster.metrics c) "gw.duplicate_opens" > 0);
   let entries = Ntcs_sim.Trace.entries (Ntcs_sim.World.trace (Cluster.world c)) in
   (match Check_lifecycle.check entries with
    | [] -> ()

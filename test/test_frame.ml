@@ -196,11 +196,11 @@ let test_pool_recycles () =
   Alcotest.(check int) "oversize allocations are exact" 200_000 (Bytes.length big);
   Ntcs_util.Pool.release pool big;
   Alcotest.(check int) "one miss then a hit" 1
-    (Ntcs_util.Metrics.get r "pool.misses");
-  Alcotest.(check int) "hit counted" 1 (Ntcs_util.Metrics.get r "pool.hits");
-  Alcotest.(check int) "oversize counted" 1 (Ntcs_util.Metrics.get r "pool.unpooled");
+    (Ntcs_obs.Registry.get r "pool.misses");
+  Alcotest.(check int) "hit counted" 1 (Ntcs_obs.Registry.get r "pool.hits");
+  Alcotest.(check int) "oversize counted" 1 (Ntcs_obs.Registry.get r "pool.unpooled");
   Alcotest.(check int) "high water" 1
-    (int_of_float (Ntcs_util.Metrics.gauge r "pool.high_water"))
+    (int_of_float (Ntcs_obs.Registry.gauge r "pool.high_water"))
 
 let test_pool_size_classes () =
   let pool = Ntcs_util.Pool.create () in
@@ -233,7 +233,7 @@ let test_pool_boundary_accounting () =
   Alcotest.(check int) "both returned" 0 (Ntcs_util.Pool.in_use pool);
   Ntcs_util.Pool.release pool at;
   Alcotest.(check int) "double release rejected" 1
-    (Ntcs_util.Metrics.get r "pool.bad_release");
+    (Ntcs_obs.Registry.get r "pool.bad_release");
   Alcotest.(check int) "gauge not driven negative" 0 (Ntcs_util.Pool.in_use pool)
 
 let () =

@@ -24,8 +24,8 @@ let test_cross_net_conversation () =
   Alcotest.(check string) "reply crossed back" "echo:x-net" (result ());
   let m = Cluster.metrics c in
   Alcotest.(check bool) "gateway forwarded traffic" true
-    (Ntcs_util.Metrics.get m "gw.forwards" > 0);
-  Alcotest.(check bool) "chain was spliced" true (Ntcs_util.Metrics.get m "gw.opens" > 0)
+    (Ntcs_obs.Registry.get m "gw.forwards" > 0);
+  Alcotest.(check bool) "chain was spliced" true (Ntcs_obs.Registry.get m "gw.opens" > 0)
 
 let test_two_hop_chain () =
   let c = three_net_cluster () in
@@ -54,7 +54,7 @@ let test_direct_traffic_skips_gateway () =
   spawn_echo c ~machine:"ap1" ~name:"ring-svc";
   Cluster.settle ~dt:5_000_000 c;
   let m = Cluster.metrics c in
-  let forwards_before = Ntcs_util.Metrics.get m "gw.forwards" in
+  let forwards_before = Ntcs_obs.Registry.get m "gw.forwards" in
   let result =
     in_process c ~machine:"ap2" ~name:"ring-client" (fun node ->
         let commod = bind_exn node ~name:"ring-client" in
@@ -68,7 +68,7 @@ let test_direct_traffic_skips_gateway () =
      data forwarding beyond the client's own NS conversation. The server
      conversation itself must not traverse the gateway: assert that the
      direct circuit exists by checking the metric stayed close. *)
-  let forwards_after = Ntcs_util.Metrics.get m "gw.forwards" in
+  let forwards_after = Ntcs_obs.Registry.get m "gw.forwards" in
   (* The client still registers via the gateway (NS is on the LAN); allow
      that but require the echo exchange itself to add no data forwards:
      registration+locate account for <= 8 forwarded frames. *)
@@ -228,7 +228,7 @@ let test_hops_recorded () =
   Cluster.settle ~dt:30_000_000 c;
   (* Two gateways each forwarded the request and the reply at least once. *)
   Alcotest.(check bool) "gateway forwards counted" true
-    (Ntcs_util.Metrics.get m "gw.forwards" >= 4)
+    (Ntcs_obs.Registry.get m "gw.forwards" >= 4)
 
 let () =
   Alcotest.run "internet"

@@ -28,7 +28,7 @@ let test_nested_comment () =
   Alcotest.(check (list (pair int string))) "only the real ref" [ (2, "Lcm_layer") ] refs
 
 let test_module_refs () =
-  let text = "open Nsp_layer\nlet x = Ntcs_util.Metrics.incr\nlet y = Some 1\n" in
+  let text = "open Nsp_layer\nlet x = Ntcs_util.Pool.alloc\nlet y = Some 1\n" in
   let refs = Lint_lex.module_refs (src "x.ml" text) in
   Alcotest.(check (list (pair int string)))
     "open + head of path, constructors skipped"

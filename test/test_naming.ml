@@ -509,10 +509,10 @@ let test_unsharded_answers_gen_zero () =
   Alcotest.(check (pair int int)) "lookup stamp after relocation" (0, 0) lk;
   Alcotest.(check (pair int int)) "resolve stamp after relocation" (0, 0) rs;
   Alcotest.(check int) "no floor ever raised" 0
-    (Ntcs_util.Metrics.get (Cluster.metrics c) "nsp.cache_invalidations")
+    (Ntcs_obs.Registry.get (Cluster.metrics c) "nsp.cache_invalidations")
 
 (* Four shard servers round-robin over three NS hosts (vax1 gets shards 0
-   and 3), pinned 4-way FNV shard map — the same plane the @naming
+   and 3), pinned 4-way FNV shard map — the same plane the naming soak
    scenarios and the naming bench run. *)
 let sharded_cluster ?seed () =
   Cluster.build ?seed

@@ -257,7 +257,7 @@ let test_tadd_purge_within_two_ns_exchanges () =
         let commod = bind_exn node ~name:"purge-test" in
         (* Second NS communication: any lookup. *)
         ignore (Ali_layer.locate commod "purge-test");
-        Ntcs_util.Metrics.get m "tadd.purged")
+        Ntcs_obs.Registry.get m "tadd.purged")
   in
   Cluster.settle c;
   let purged = result () in

@@ -6,9 +6,9 @@
 open Ntcs_sim
 module Config = World.Config
 
-let scenarios = Check_scenarios.all @ Check_scenarios.faults
+let scenarios = Check_scenarios.exhaustive @ Check_scenarios.soaks
 
-(* --- replication: every @check scenario, replicated on 2 domains ----- *)
+(* --- replication: every checker scenario, replicated on 2 domains ---- *)
 
 let test_replication_all () =
   List.iter

@@ -80,19 +80,12 @@ let conflict_events w =
    (writer, reader) pattern — not one per repeated access. *)
 let test_unsynchronized_detected_once () =
   let w, m = world () in
-  let sched = World.sched w in
-  let cell = Sched.register_cell sched ~name:"test.cell" ~policy:Sched.Exclusive in
   let rc = Check_race.arm w in
-  let touch ~write () =
-    Sched.access sched cell ~write;
-    Sched.access sched cell ~write
-  in
-  ignore (World.spawn w ~machine:m ~name:"writer" (touch ~write:true));
-  ignore (World.spawn w ~machine:m ~name:"reader" (touch ~write:false));
+  Helpers.inject_race w m;
   World.run w;
   Alcotest.(check int) "exactly one conflict" 1 (List.length (Check_race.conflicts rc));
   Alcotest.(check int) "counted once" 1
-    (Ntcs_util.Metrics.get (World.metrics w) "race.conflicts");
+    (Ntcs_obs.Registry.get (World.obs w) "race.conflicts");
   Alcotest.(check int) "one trace event" 1 (List.length (conflict_events w));
   match Check_race.conflicts rc with
   | [ c ] ->
@@ -128,7 +121,7 @@ let test_waived_counted_not_raced () =
   Alcotest.(check int) "no races" 0 (List.length (Check_race.conflicts rc));
   Alcotest.(check int) "one waived pattern" 1 (Check_race.waived rc);
   Alcotest.(check int) "race.waived counted" 1
-    (Ntcs_util.Metrics.get (World.metrics w) "race.waived");
+    (Ntcs_obs.Registry.get (World.obs w) "race.waived");
   Alcotest.(check int) "no trace events" 0 (List.length (conflict_events w))
 
 (* A mailbox hand-off is a happens-before edge: the consumer blocks, the

@@ -60,7 +60,7 @@ let test_transparent_relocation () =
   Alcotest.(check bool) "old generation served some" true (List.length gen0 > 0);
   Alcotest.(check bool) "new generation served some" true (List.length gen1 > 0);
   Alcotest.(check int) "exactly one relocation observed" 1
-    (Ntcs_util.Metrics.get (Cluster.metrics c) "lcm.relocations")
+    (Ntcs_obs.Registry.get (Cluster.metrics c) "lcm.relocations")
 
 let test_forwarding_table_reused () =
   (* After the first fault, subsequent sends use the local forwarding table
@@ -82,7 +82,7 @@ let test_forwarding_table_reused () =
          for _ = 1 to 5 do
            ignore (Ali_layer.send_sync commod ~dst:addr ~timeout_us:2_000_000 (raw "t"))
          done;
-         fault_queries := Ntcs_util.Metrics.get (Cluster.metrics c) "lcm.fault_queries"));
+         fault_queries := Ntcs_obs.Registry.get (Cluster.metrics c) "lcm.fault_queries"));
   Ntcs_sim.Sched.after (Cluster.sched c) 2_000_000
     (fun () ->
       ignore

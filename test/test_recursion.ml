@@ -144,7 +144,7 @@ let test_ns_break_with_guard () =
    | `Ok -> Alcotest.fail "lookup cannot succeed while partitioned"
    | `Not_run -> Alcotest.fail "app never finished (recursion hang?)");
   Alcotest.(check bool) "guard engaged" true
-    (Ntcs_util.Metrics.get (Cluster.metrics c) "lcm.ns_guard_hits" > 0);
+    (Ntcs_obs.Registry.get (Cluster.metrics c) "lcm.ns_guard_hits" > 0);
   (* No process died of simulated stack overflow. *)
   let crashes =
     Ntcs_sim.Trace.matching (Ntcs_sim.World.trace (Cluster.world c)) ~cat:"sim.proc_crash"
@@ -160,14 +160,14 @@ let test_ns_break_without_guard_overflows () =
      recursion was cut by the depth bound and surfaced as an error — both
      demonstrate the §6.3 bug; what must NOT happen is a clean bounded
      name-service-unavailable with zero guard hits and no deep recursion. *)
-  let deep = Ntcs_util.Metrics.get (Cluster.metrics c) "lcm.fault_queries" in
+  let deep = Ntcs_obs.Registry.get (Cluster.metrics c) "lcm.fault_queries" in
   (match outcome with
    | `Not_run ->
      Alcotest.(check bool) "app died in the recursion" true (List.length crashes > 0)
    | `Error _ | `Ok ->
      Alcotest.(check bool) "unbounded fault recursion observed" true (deep >= 5));
   Alcotest.(check int) "guard never engaged" 0
-    (Ntcs_util.Metrics.get (Cluster.metrics c) "lcm.ns_guard_hits")
+    (Ntcs_obs.Registry.get (Cluster.metrics c) "lcm.ns_guard_hits")
 
 let test_without_monitoring_suppression () =
   (* Suppression is what prevents the "obvious infinite recursion" (§6.1):

@@ -61,7 +61,7 @@ let test_garbage_bytes_on_raw_circuit () =
        (Ntcs_sim.Trace.matching (Ntcs_sim.World.trace (Cluster.world c))
           ~cat:"nd.handshake_fail")
      >= 1
-    || Ntcs_util.Metrics.get (Cluster.metrics c) "nd.bad_frames" >= 1)
+    || Ntcs_obs.Registry.get (Cluster.metrics c) "nd.bad_frames" >= 1)
 
 let test_malformed_ns_request () =
   (* Speak the nucleus protocol correctly but send unparseable request bytes
@@ -127,7 +127,7 @@ let test_orphan_ivc_label_at_gateway () =
               (Ali_layer.send_sync commod ~dst:addr ~timeout_us:10_000_000 (raw "two")))));
   Cluster.settle ~dt:40_000_000 c;
   Alcotest.(check bool) "orphan counted" true
-    (Ntcs_util.Metrics.get (Cluster.metrics c) "gw.orphan_frames" >= 1);
+    (Ntcs_obs.Registry.get (Cluster.metrics c) "gw.orphan_frames" >= 1);
   Alcotest.(check int) "no crashes" 0 (List.length (no_crashes c))
 
 let test_gateway_circuit_key_stable_under_chained_traffic () =
@@ -196,7 +196,7 @@ let test_reply_to_dead_conversation () =
    | Some (Error e) -> Alcotest.failf "second call: %s" (Errors.to_string e)
    | None -> Alcotest.fail "no second call");
   Alcotest.(check bool) "orphan reply counted" true
-    (Ntcs_util.Metrics.get (Cluster.metrics c) "lcm.orphan_replies" >= 1)
+    (Ntcs_obs.Registry.get (Cluster.metrics c) "lcm.orphan_replies" >= 1)
 
 let () =
   Alcotest.run "robustness"

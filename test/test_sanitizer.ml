@@ -9,7 +9,6 @@
    the same seed yields a byte-identical violation trace. *)
 
 module Pool = Ntcs_util.Pool
-module Metrics = Ntcs_util.Metrics
 module Registry = Ntcs_obs.Registry
 
 let qtest ?(count = 100) name gen prop =
@@ -34,8 +33,8 @@ let test_double_release () =
   Pool.release pool b;
   Pool.release pool b;
   Alcotest.(check int) "double_release counted" 1
-    (Metrics.get r "pool.sanitizer.double_release");
-  Alcotest.(check int) "also a bad_release" 1 (Metrics.get r "pool.bad_release");
+    (Registry.get r "pool.sanitizer.double_release");
+  Alcotest.(check int) "also a bad_release" 1 (Registry.get r "pool.bad_release");
   Alcotest.(check int) "one violation" 1 (Pool.violations pool);
   Alcotest.(check int) "gauge not double-decremented" 0 (Pool.in_use pool);
   Alcotest.(check string) "event names size and class"
@@ -54,8 +53,8 @@ let test_foreign_release () =
   Pool.release pool (Bytes.create 100);
   Pool.release pool (Bytes.create (Pool.max_pooled + 1));
   Alcotest.(check int) "all three foreign" 3
-    (Metrics.get r "pool.sanitizer.foreign_release");
-  Alcotest.(check int) "all three bad" 3 (Metrics.get r "pool.bad_release");
+    (Registry.get r "pool.sanitizer.foreign_release");
+  Alcotest.(check int) "all three bad" 3 (Registry.get r "pool.bad_release");
   Alcotest.(check int) "gauge untouched" 0 (Pool.in_use pool)
 
 let test_stale_write_poison () =
@@ -68,7 +67,7 @@ let test_stale_write_poison () =
   (* ...and the canary check on the next hand-out catches it. *)
   let b2 = Pool.alloc pool 128 in
   Alcotest.(check bool) "same buffer re-issued" true (b == b2);
-  Alcotest.(check int) "poison tripped" 1 (Metrics.get r "pool.sanitizer.poison");
+  Alcotest.(check int) "poison tripped" 1 (Registry.get r "pool.sanitizer.poison");
   Alcotest.(check string) "event names the first stale byte"
     "pool.sanitizer.poison size=128 first_stale_byte=5\n" (Buffer.contents events);
   (* Once re-issued and released again, the buffer is re-poisoned: a
@@ -77,7 +76,7 @@ let test_stale_write_poison () =
   let b3 = Pool.alloc pool 128 in
   ignore b3;
   Alcotest.(check int) "clean cycle stays clean" 1
-    (Metrics.get r "pool.sanitizer.poison")
+    (Registry.get r "pool.sanitizer.poison")
 
 let test_leak_report () =
   let pool, r, events = armed_pool () in
@@ -86,7 +85,7 @@ let test_leak_report () =
   ignore b1;
   ignore b2;
   Alcotest.(check int) "two leaked" 2 (Pool.leak_check pool);
-  Alcotest.(check int) "leak counter" 2 (Metrics.get r "pool.sanitizer.leak");
+  Alcotest.(check int) "leak counter" 2 (Registry.get r "pool.sanitizer.leak");
   Alcotest.(check string) "hand-out order, generation-tagged"
     "pool.sanitizer.leak gen=1 size=64\npool.sanitizer.leak gen=2 size=70000\n"
     (Buffer.contents events);
@@ -105,7 +104,7 @@ let test_arming_poisons_resting_buffers () =
   Pool.set_sanitize pool true;
   ignore (Pool.alloc pool 128);
   Alcotest.(check int) "no false poison hit" 0
-    (Metrics.get r "pool.sanitizer.poison")
+    (Registry.get r "pool.sanitizer.poison")
 
 (* --- the guards that hold with the sanitizer off --- *)
 
@@ -116,7 +115,7 @@ let test_guards_without_sanitizer () =
   Pool.release pool b;
   Pool.release pool b;
   Pool.release pool (Bytes.create 100);
-  Alcotest.(check int) "both rejections counted" 2 (Metrics.get r "pool.bad_release");
+  Alcotest.(check int) "both rejections counted" 2 (Registry.get r "pool.bad_release");
   Alcotest.(check int) "no sanitizer violations" 0 (Pool.violations pool);
   Alcotest.(check int) "gauge still sane" 0 (Pool.in_use pool);
   let b1 = Pool.alloc pool 100 and b2 = Pool.alloc pool 100 in
@@ -132,23 +131,23 @@ let test_pooling_boundary () =
   let at = Pool.alloc pool Pool.max_pooled in
   Alcotest.(check int) "boundary is pooled: class-sized" Pool.max_pooled
     (Bytes.length at);
-  Alcotest.(check int) "boundary is a miss" 1 (Metrics.get r "pool.misses");
-  Alcotest.(check int) "not unpooled" 0 (Metrics.get r "pool.unpooled");
+  Alcotest.(check int) "boundary is a miss" 1 (Registry.get r "pool.misses");
+  Alcotest.(check int) "not unpooled" 0 (Registry.get r "pool.unpooled");
   let over = Pool.alloc pool (Pool.max_pooled + 1) in
   Alcotest.(check int) "over the boundary: exact size" (Pool.max_pooled + 1)
     (Bytes.length over);
-  Alcotest.(check int) "counted unpooled" 1 (Metrics.get r "pool.unpooled");
+  Alcotest.(check int) "counted unpooled" 1 (Registry.get r "pool.unpooled");
   Alcotest.(check int) "both hand-outs owed back" 2 (Pool.in_use pool);
   Alcotest.(check int) "high water saw both" 2
-    (int_of_float (Metrics.gauge r "pool.high_water"));
+    (int_of_float (Registry.gauge r "pool.high_water"));
   Pool.release pool over;
   Pool.release pool at;
   Alcotest.(check int) "gauge returns to zero" 0 (Pool.in_use pool);
   Alcotest.(check int) "gauge exported" 0
-    (int_of_float (Metrics.gauge r "pool.in_use"));
+    (int_of_float (Registry.gauge r "pool.in_use"));
   let at2 = Pool.alloc pool Pool.max_pooled in
   Alcotest.(check bool) "boundary buffer recycled" true (at == at2);
-  Alcotest.(check int) "recycle is a hit" 1 (Metrics.get r "pool.hits")
+  Alcotest.(check int) "recycle is a hit" 1 (Registry.get r "pool.hits")
 
 (* --- seeded interleavings against a reference model ---
 
@@ -266,10 +265,10 @@ let interpret ops =
 let prop_detects_exactly =
   qtest "sanitizer detects exactly the injected violations" ops_arb (fun ops ->
       let pool, r, _, (poison, double, foreign, exp_leaks, leaks) = interpret ops in
-      Metrics.get r "pool.sanitizer.poison" = poison
-      && Metrics.get r "pool.sanitizer.double_release" = double
-      && Metrics.get r "pool.sanitizer.foreign_release" = foreign
-      && Metrics.get r "pool.sanitizer.leak" = exp_leaks
+      Registry.get r "pool.sanitizer.poison" = poison
+      && Registry.get r "pool.sanitizer.double_release" = double
+      && Registry.get r "pool.sanitizer.foreign_release" = foreign
+      && Registry.get r "pool.sanitizer.leak" = exp_leaks
       && leaks = exp_leaks
       && Pool.violations pool = poison + double + foreign + exp_leaks)
 

@@ -115,10 +115,10 @@ let test_soak () =
   in
   Alcotest.(check int) "no unexpected crashes" 0 (List.length crashes);
   Alcotest.(check int) "no sequence regressions" 0
-    (Ntcs_util.Metrics.get m "lcm.seq_regressions");
+    (Ntcs_obs.Registry.get m "lcm.seq_regressions");
   Alcotest.(check bool) "real traffic volume" true (!calls_ok > 100);
   Alcotest.(check bool) "chaos actually disrupted" true
-    (Ntcs_util.Metrics.get m "lcm.relocations" >= 2);
+    (Ntcs_obs.Registry.get m "lcm.relocations" >= 2);
   (* Convergence probe: after the dust settles every service answers. *)
   let final = ref [] in
   ignore

@@ -185,13 +185,13 @@ let test_stats_empty () =
   Alcotest.(check (float 1e-9)) "median of empty" 0. (Stats.median s)
 
 let test_metrics () =
-  let m = Metrics.create () in
-  Metrics.incr m "x";
-  Metrics.incr m "x" ~by:4;
-  Metrics.incr m "y";
-  Alcotest.(check int) "x" 5 (Metrics.get m "x");
-  Alcotest.(check int) "y" 1 (Metrics.get m "y");
-  Alcotest.(check int) "absent" 0 (Metrics.get m "z");
+  let m = Ntcs_obs.Registry.create () in
+  Ntcs_obs.Registry.incr m "x";
+  Ntcs_obs.Registry.incr m "x" ~by:4;
+  Ntcs_obs.Registry.incr m "y";
+  Alcotest.(check int) "x" 5 (Ntcs_obs.Registry.get m "x");
+  Alcotest.(check int) "y" 1 (Ntcs_obs.Registry.get m "y");
+  Alcotest.(check int) "absent" 0 (Ntcs_obs.Registry.get m "z");
   let stat = Alcotest.testable (fun ppf -> function
     | `Counter n -> Fmt.pf ppf "counter %d" n
     | `Gauge g -> Fmt.pf ppf "gauge %g" g)
@@ -202,19 +202,19 @@ let test_metrics () =
   in
   Alcotest.(check (list (pair string stat))) "alist sorted"
     [ ("x", `Counter 5); ("y", `Counter 1) ]
-    (Metrics.to_alist m);
-  Metrics.set_gauge m "g" 2.5;
-  Alcotest.(check (float 1e-9)) "gauge" 2.5 (Metrics.gauge m "g");
+    (Ntcs_obs.Registry.stats_alist m);
+  Ntcs_obs.Registry.set_gauge m "g" 2.5;
+  Alcotest.(check (float 1e-9)) "gauge" 2.5 (Ntcs_obs.Registry.gauge m "g");
   (* The long-standing to_alist/pp gap: gauges now show up alongside
      counters, merged into one name-sorted listing. *)
   Alcotest.(check (list (pair string stat))) "alist includes gauges"
     [ ("g", `Gauge 2.5); ("x", `Counter 5); ("y", `Counter 1) ]
-    (Metrics.to_alist m);
-  let printed = Fmt.str "%a" Metrics.pp m in
+    (Ntcs_obs.Registry.stats_alist m);
+  let printed = Fmt.str "%a" Ntcs_obs.Registry.pp_stats m in
   Alcotest.(check bool) "pp includes gauges" true
     (List.exists (fun l -> String.length l > 0 && l.[0] = 'g') (String.split_on_char '\n' printed));
-  Metrics.reset m;
-  Alcotest.(check int) "reset" 0 (Metrics.get m "x")
+  Ntcs_obs.Registry.reset m;
+  Alcotest.(check int) "reset" 0 (Ntcs_obs.Registry.get m "x")
 
 let () =
   Alcotest.run "ntcs_util"
