@@ -101,13 +101,25 @@ let run_once_faulty seed =
   let trace_txt = Fmt.str "%a" Ntcs_sim.Trace.dump (Ntcs_sim.World.trace (Cluster.world c)) in
   let metrics_txt = Fmt.str "%a" Ntcs_obs.Registry.pp_stats (Cluster.metrics c) in
   let entries = Ntcs_sim.Trace.entries (Ntcs_sim.World.trace (Cluster.world c)) in
-  (trace_txt, metrics_txt, entries)
+  (trace_txt, metrics_txt, entries, Cluster.metrics c)
+
+let md5 s = Digest.to_hex (Digest.string s)
 
 let test_faulty_trace_identical () =
-  let t1, m1, entries = run_once_faulty 42 in
-  let t2, m2, _ = run_once_faulty 42 in
+  let t1, m1, entries, r1 = run_once_faulty 42 in
+  let t2, m2, _, _ = run_once_faulty 42 in
   check_same "faulty trace" t1 t2;
   check_same "faulty metrics" m1 m2;
+  (* Pinned across code changes, not only across runs. *)
+  Alcotest.(check (list string)) "faulty trace, metrics, spans_jsonl, chrome_trace digests"
+    [
+      "80a01f3b80f2643aacfe42279a1bf63e";
+      "9acd0b59452e588271d05b0813c20f0a";
+      "f8445f7b04fbfa8038af65be3a5031a6";
+      "5e5cc9082058469e30b71ba300372f20";
+    ]
+    (List.map md5
+       [ t1; m1; Ntcs_obs.Export.spans_jsonl r1; Ntcs_obs.Export.chrome_trace r1 ]);
   let injected cat = List.exists (fun e -> e.Ntcs_sim.Trace.cat = cat) entries in
   Alcotest.(check bool) "crash fired" true (injected "fault.crash");
   Alcotest.(check bool) "restart fired" true (injected "fault.restart");

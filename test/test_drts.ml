@@ -172,6 +172,45 @@ let test_monitor_per_module_attribution () =
        | Some n -> n >= 3
        | None -> false)
 
+(* The exact kind and detail ("t=<ts> <addr>") a monitoring module hands
+   its [on_event] hook for each primitive: send and send-sync on the
+   client, recv and reply on the server. *)
+let test_monitor_event_details () =
+  let c = lan_cluster () in
+  Cluster.settle c;
+  let monitored = { (Cluster.config c) with Node.monitoring = true } in
+  let events = ref [] in
+  let capture node =
+    node.Node.hooks.Node.on_event <-
+      Some (fun kind detail -> events := (kind ^ " " ^ detail) :: !events)
+  in
+  ignore
+    (Cluster.spawn c ~config:monitored ~machine:"sun1" ~name:"mon-svc" (fun node ->
+         let commod = bind_exn node ~name:"mon-svc" in
+         capture node;
+         ignore (check_ok "recv" (Ali_layer.receive commod));
+         let env = check_ok "recv sync" (Ali_layer.receive commod) in
+         ignore (check_ok "reply" (Ali_layer.reply commod env (raw "r")))));
+  Cluster.settle c;
+  ignore
+    (Cluster.spawn c ~config:monitored ~machine:"vax1" ~name:"mon-client" (fun node ->
+         let commod = bind_exn node ~name:"mon-client" in
+         let addr = check_ok "locate" (Ali_layer.locate commod "mon-svc") in
+         capture node;
+         ignore (check_ok "send" (Ali_layer.send commod ~dst:addr (raw "a")));
+         ignore (check_ok "send_sync" (Ali_layer.send_sync commod ~dst:addr (raw "b")))));
+  Cluster.settle ~dt:20_000_000 c;
+  Alcotest.(check (list string)) "on_event kinds and details"
+    [
+      "send t=4002642 U0.1";
+      "send-sync t=4002642 U0.0";
+      "send-sync t=4004658 U0.1";
+      "recv t=4005019 U0.2";
+      "recv t=4005019 U0.2";
+      "reply t=4005019 U0.2";
+    ]
+    (List.rev !events)
+
 let test_process_ctl_lifecycle () =
   let c = lan_cluster () in
   Cluster.settle c;
@@ -219,6 +258,7 @@ let () =
         [
           Alcotest.test_case "error log roundtrip" `Quick test_error_log_roundtrip;
           Alcotest.test_case "monitor attribution" `Quick test_monitor_per_module_attribution;
+          Alcotest.test_case "monitor event details" `Quick test_monitor_event_details;
         ] );
       ("process", [ Alcotest.test_case "lifecycle" `Quick test_process_ctl_lifecycle ]);
     ]
