@@ -39,13 +39,12 @@ let pp ppf t = Fmt.string ppf (to_string t)
 (* Two shift-mode words: word0 = temp flag (1 bit) | space tag (31 bits),
    word1 = value. UAdds must therefore keep their counters within 32 bits,
    which a simulation never exhausts. *)
-let to_words t =
-  let w0 =
-    match t.space with
-    | Unique sid -> sid land 0x7FFFFFFF
-    | Temporary a -> 0x80000000 lor (a land 0x7FFFFFFF)
-  in
-  [| w0; t.value land 0xFFFFFFFF |]
+let space_word t =
+  match t.space with
+  | Unique sid -> sid land 0x7FFFFFFF
+  | Temporary a -> 0x80000000 lor (a land 0x7FFFFFFF)
+
+let value_word t = t.value land 0xFFFFFFFF
 
 let of_words w0 w1 =
   let space =

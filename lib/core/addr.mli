@@ -30,10 +30,14 @@ val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit
 
-val to_words : t -> int array
-(** Two shift-mode words: flag/space and value. *)
+val space_word : t -> int
+(** First shift-mode word: the temporary flag (top bit) and the space tag. *)
+
+val value_word : t -> int
+(** Second shift-mode word: the value, kept to 32 bits. *)
 
 val of_words : int -> int -> t
+(** Inverse of {!space_word} and {!value_word}. *)
 
 (** Per-module generator of TAdds: a module assigns itself one at start, and
     each Nucleus layer assigns its own TAdd to each incoming connection from

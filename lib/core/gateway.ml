@@ -26,6 +26,7 @@ type leg = {
   lg_commod : Commod.t;
   lg_circuit : Nd_layer.circuit;
   lg_label : int;
+  lg_span_detail : string; (* "net<from>-><to>": the gw.forward span detail, built once *)
 }
 
 type t = {
@@ -146,11 +147,13 @@ let handle_open t (in_net : Net.id) (in_commod : Commod.t) in_circuit (h : Proto
           let out_label = Registry.fresh_label t.node.Node.ipcs in
           Hashtbl.replace t.splices in_key
             { lg_net = out_net; lg_commod = out_commod; lg_circuit = out_circuit;
-              lg_label = out_label };
+              lg_label = out_label;
+              lg_span_detail = Printf.sprintf "net%d->net%d" in_net out_net };
           Hashtbl.replace t.splices
             (leg_key out_net out_circuit out_label)
             { lg_net = in_net; lg_commod = in_commod; lg_circuit = in_circuit;
-              lg_label = h.Proto.ivc };
+              lg_label = h.Proto.ivc;
+              lg_span_detail = Printf.sprintf "net%d->net%d" out_net in_net };
           let body =
             Ntcs_wire.Packed.run_pack Proto.ivc_open_codec
               { req with Proto.route = (match req.Proto.route with [] -> [] | _ :: r -> r) }
@@ -230,8 +233,7 @@ let handle_frame t (net : Net.id) (_commod : Commod.t) circuit (view : Proto.Fra
            (Ntcs_obs.Span.to_string h.Proto.span));
       if not (Ntcs_obs.Span.is_none h.Proto.span) then
         World.span (Node.world t.node) ~ctx:h.Proto.span ~phase:Ntcs_obs.Span.I
-          ~name:"gw.forward" ~actor:t.gw_name
-          (Printf.sprintf "net%d->net%d" net out.lg_net);
+          ~name:"gw.forward" ~actor:t.gw_name out.lg_span_detail;
       (match Nd_layer.forward_view out.lg_circuit view with
        | Ok () -> ()
        | Error _ ->

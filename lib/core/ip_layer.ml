@@ -66,12 +66,16 @@ type t = {
   pending : (int, (Proto.hello, Errors.t) result Sched.Ivar.ivar) Hashtbl.t; (* by label *)
   mutable plan_oracle : (Addr.t -> (target list, Errors.t) result) option;
   mutable gw_handler : (gw_event -> unit) option;
+  image_msgs : string; (* per-owner conversion counters, named once *)
+  packed_msgs : string;
 }
 
 let create node nd =
   {
     nd;
     node;
+    image_msgs = "conv.image_msgs." ^ nd.Nd_layer.owner;
+    packed_msgs = "conv.packed_msgs." ^ nd.Nd_layer.owner;
     by_peer = Hashtbl.create 16;
     by_leg = Hashtbl.create 16;
     pending = Hashtbl.create 8;
@@ -296,12 +300,10 @@ let send t ivc ~kind ?(seq = 0) ?(conv = 0) ?(app_tag = 0) ?(span = Ntcs_obs.Spa
     (match mode with
      | Convert.Image ->
        Ntcs_obs.Registry.incr (metrics t) "conv.image_msgs";
-       if application_traffic then
-         Ntcs_obs.Registry.incr (metrics t) ("conv.image_msgs." ^ t.nd.Nd_layer.owner)
+       if application_traffic then Ntcs_obs.Registry.incr (metrics t) t.image_msgs
      | Convert.Packed ->
        Ntcs_obs.Registry.incr (metrics t) "conv.packed_msgs";
-       if application_traffic then
-         Ntcs_obs.Registry.incr (metrics t) ("conv.packed_msgs." ^ t.nd.Nd_layer.owner));
+       if application_traffic then Ntcs_obs.Registry.incr (metrics t) t.packed_msgs);
     let data = Convert.force mode payload in
     let dst =
       if ivc.label = 0 then ivc.circuit.Nd_layer.peer_announced else ivc.wire_dst

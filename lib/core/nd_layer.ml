@@ -23,6 +23,30 @@ open Ntcs_sim
 open Ntcs_ipcs
 open Ntcs_wire
 
+(* The last span detail one direction of a circuit rendered, and the kind
+   and address it was rendered from. A circuit carries the same kind to the
+   same peer frame after frame, so the string is built once and shared by
+   every nd.tx (or nd.rx) event that repeats it. [sm_detail = ""]: nothing
+   rendered yet. *)
+type span_memo = {
+  mutable sm_kind : Proto.kind;
+  mutable sm_addr : Addr.t;
+  mutable sm_detail : string;
+}
+
+let empty_memo () =
+  { sm_kind = Proto.Data; sm_addr = Addr.temporary ~assigner:0 ~value:0; sm_detail = "" }
+
+(* "kind=<kind> <role>=<addr>", rebuilt only when kind or address moved. *)
+let memo_detail m ~role kind addr =
+  if m.sm_detail = "" || m.sm_kind <> kind || not (Addr.equal m.sm_addr addr) then begin
+    m.sm_kind <- kind;
+    m.sm_addr <- addr;
+    m.sm_detail <-
+      Printf.sprintf "kind=%s %s=%s" (Proto.kind_to_string kind) role (Addr.to_string addr)
+  end;
+  m.sm_detail
+
 type circuit = {
   cid : int;
   lvc : Std_if.lvc;
@@ -33,6 +57,8 @@ type circuit = {
   mutable peer_listen : Phys_addr.t list;
   mutable c_open : bool;
   outbound : bool;
+  tx_memo : span_memo; (* nd.tx details *)
+  rx_memo : span_memo; (* nd.rx details *)
 }
 
 and event =
@@ -127,8 +153,7 @@ let send_view (c : circuit) (h : Proto.header) buf ~off ~len =
   if not (Ntcs_obs.Span.is_none h.Proto.span) then
     World.span (Node.world c.nd.node) ~ctx:h.Proto.span ~phase:Ntcs_obs.Span.I ~name:"nd.tx"
       ~actor:c.nd.owner
-      (Printf.sprintf "kind=%s dst=%s" (Proto.kind_to_string h.Proto.kind)
-         (Addr.to_string h.Proto.dst));
+      (memo_detail c.tx_memo ~role:"dst" h.Proto.kind h.Proto.dst);
   match c.lvc.Std_if.send_sub buf ~off ~len with
   | Ok () -> Ok ()
   | Error e ->
@@ -222,8 +247,7 @@ let handle_incoming (c : circuit) raw =
     if not (Ntcs_obs.Span.is_none h.Proto.span) then
       World.span (Node.world t.node) ~ctx:h.Proto.span ~phase:Ntcs_obs.Span.I ~name:"nd.rx"
         ~actor:t.owner
-        (Printf.sprintf "kind=%s src=%s" (Proto.kind_to_string h.Proto.kind)
-           (Addr.to_string h.Proto.src));
+        (memo_detail c.rx_memo ~role:"src" h.Proto.kind h.Proto.src);
     (* Only non-chained frames identify the circuit peer: a chained frame's
        source is the remote origin, not the gateway this circuit goes to —
        re-keying on it would steal the gateway's table entry. *)
@@ -316,6 +340,8 @@ let inbound_handshake t (lvc : Std_if.lvc) =
               peer_listen = List.filter_map Phys_addr.of_string hello.Proto.h_listen;
               c_open = true;
               outbound = false;
+              tx_memo = empty_memo ();
+              rx_memo = empty_memo ();
             }
           in
           register_circuit t key c;
@@ -422,6 +448,8 @@ let open_circuit t ~(phys : Phys_addr.t) =
                     peer_listen = List.filter_map Phys_addr.of_string hello.Proto.h_listen;
                     c_open = true;
                     outbound = true;
+                    tx_memo = empty_memo ();
+                    rx_memo = empty_memo ();
                   }
                 in
                 register_circuit t key c;

@@ -20,6 +20,10 @@ open Ntcs_sim
 open Ntcs_ipcs
 open Ntcs_wire
 
+type span_memo
+(** The last [nd.tx] or [nd.rx] span detail a circuit rendered, reused
+    while the kind and address stay the same. *)
+
 type circuit = {
   cid : int;
   lvc : Std_if.lvc;
@@ -32,6 +36,8 @@ type circuit = {
   mutable peer_listen : Phys_addr.t list;
   mutable c_open : bool;
   outbound : bool;
+  tx_memo : span_memo;  (** [nd.tx] details of frames sent on this circuit *)
+  rx_memo : span_memo;  (** [nd.rx] details of frames received on it *)
 }
 
 and event =

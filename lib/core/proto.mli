@@ -36,6 +36,10 @@ val kind_of_int : int -> kind
 (** Raises {!Bad_header} on an unknown tag. *)
 
 val kind_to_string : kind -> string
+
+val kind_detail : kind -> string
+(** ["kind=" ^ kind_to_string k], as a constant shared by every call. *)
+
 val order_to_int : Endian.order -> int
 val order_of_int : int -> Endian.order
 

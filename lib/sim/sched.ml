@@ -361,7 +361,14 @@ let exec_event t ev =
    | Some m -> m.m_exec ~tag:ev.tag ~owner:ev.owner ~time:ev.time);
   let saved = t.exec_owner in
   t.exec_owner <- ev.owner;
-  Fun.protect ~finally:(fun () -> t.exec_owner <- saved) ev.thunk
+  (* Restore the owner on both exits, keeping the thunk's backtrace. Not
+     Fun.protect: its closure would be allocated on every event. *)
+  match ev.thunk () with
+  | () -> t.exec_owner <- saved
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    t.exec_owner <- saved;
+    Printexc.raise_with_backtrace e bt
 
 let step t =
   match t.chooser with

@@ -39,48 +39,8 @@ let poke_word data off v =
   Bytes.set data (off + 3) (Char.chr (v land 0xFF))
 
 let get_word data off =
-  if off + 4 > Bytes.length data then raise (Shift_error "truncated word");
-  let b i = Char.code (Bytes.get data (off + i)) in
-  (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
-
-let encode_words words =
-  let buf = Buffer.create (4 * Array.length words) in
-  Array.iter (put_word buf) words;
-  Buffer.to_bytes buf
-
-let decode_words data ~off ~count =
-  if off + (4 * count) > Bytes.length data then
-    raise (Shift_error (Printf.sprintf "need %d words at offset %d, have %d bytes" count off
-                          (Bytes.length data)));
-  Array.init count (fun i -> get_word data (off + (4 * i)))
-
-(* --- bit fields ---
-
-   Headers divide words into bit fields as required. Fields are given as
-   (value, width) pairs, most significant first; total width must be 32. *)
-
-let pack_bits fields =
-  let total = List.fold_left (fun acc (_, w) -> acc + w) 0 fields in
-  if total <> 32 then
-    raise (Shift_error (Printf.sprintf "bit fields sum to %d, want 32" total));
-  List.fold_left
-    (fun acc (v, w) ->
-      if w <= 0 || w > 32 then raise (Shift_error "bad field width");
-      let limit = if w = 32 then word_mask else (1 lsl w) - 1 in
-      if v < 0 || v > limit then
-        raise (Shift_error (Printf.sprintf "value %d does not fit %d bits" v w));
-      (acc lsl w) lor v)
-    0 fields
-
-let unpack_bits word widths =
-  let total = List.fold_left ( + ) 0 widths in
-  if total <> 32 then
-    raise (Shift_error (Printf.sprintf "bit fields sum to %d, want 32" total));
-  let rec go remaining = function
-    | [] -> []
-    | w :: ws ->
-      let shift = remaining - w in
-      let mask = if w = 32 then word_mask else (1 lsl w) - 1 in
-      ((word lsr shift) land mask) :: go shift ws
-  in
-  go 32 widths
+  if off < 0 || off + 4 > Bytes.length data then raise (Shift_error "truncated word");
+  (Char.code (Bytes.get data off) lsl 24)
+  lor (Char.code (Bytes.get data (off + 1)) lsl 16)
+  lor (Char.code (Bytes.get data (off + 2)) lsl 8)
+  lor Char.code (Bytes.get data (off + 3))

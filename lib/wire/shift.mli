@@ -13,7 +13,8 @@ val put_word : Buffer.t -> int -> unit
     the value does not fit 32 unsigned bits. *)
 
 val get_word : Bytes.t -> int -> int
-(** Read one word at a byte offset. Raises {!Shift_error} when truncated. *)
+(** Read one word at a byte offset. Raises {!Shift_error} when the four
+    bytes at [off] are not all inside the buffer. *)
 
 val poke_word : Bytes.t -> int -> int -> unit
 (** [poke_word data off v] overwrites the word at byte offset [off] in
@@ -21,14 +22,3 @@ val poke_word : Bytes.t -> int -> int -> unit
     machine-independent (§5.2), patching a word of a received frame is
     byte-identical to re-encoding it. Raises {!Shift_error} when the value
     does not fit 32 bits or the offset is out of range. *)
-
-val encode_words : int array -> Bytes.t
-val decode_words : Bytes.t -> off:int -> count:int -> int array
-
-val pack_bits : (int * int) list -> int
-(** [pack_bits [(v1, w1); ...]] packs bit fields, most significant first,
-    into one word. Widths must sum to 32 and every value must fit its
-    width; {!Shift_error} otherwise. *)
-
-val unpack_bits : int -> int list -> int list
-(** Inverse of {!pack_bits} given the widths. *)

@@ -2,7 +2,8 @@
    observationally identical to the legacy encode/decode path, in-place
    header patches produce the exact bytes a decode-modify-re-encode would
    have produced (the invariant that makes gateway patching sound, §5.2),
-   fuzzed truncation/corruption can only surface as Bad_header, and the
+   random, truncated and corrupted bytes can only surface as Bad_header or
+   Shift_error, and the
    buffer pool really recycles. *)
 
 open Ntcs
@@ -135,33 +136,46 @@ let test_hops_never_wrap () =
   (* The failed patches must not have corrupted the frame. *)
   Alcotest.(check int) "hops intact" 255 (Proto.Frame.header v).Proto.hops
 
-(* --- fuzz: truncation and corruption surface only as Bad_header --- *)
+(* --- fuzz: random, truncated and corrupted bytes surface only as codec errors --- *)
 
-let only_bad_header f =
-  match f () with _ -> true | exception Proto.Bad_header _ -> true
+let only_codec_errors f =
+  match f () with
+  | _ -> true
+  | exception (Proto.Bad_header _ | Shift.Shift_error _) -> true
+
+let prop_random_safe =
+  qtest "random bytes: view construction raises only Bad_header/Shift_error"
+    (QCheck.make
+       QCheck.Gen.(pair (string_size (int_range 0 120)) (int_range 0 60)))
+    (fun (junk, off) ->
+      let buf = Bytes.of_string junk in
+      only_codec_errors (fun () ->
+          let v = Proto.Frame.of_bytes ~off buf in
+          ignore (Proto.Frame.header v);
+          ignore (Proto.Frame.payload_bytes v)))
 
 let fuzz_arb =
   QCheck.pair frame_arb
     (QCheck.make QCheck.Gen.(triple small_nat small_nat (int_range 0 7)))
 
 let prop_truncation_safe =
-  qtest "truncated frames: view construction raises only Bad_header" fuzz_arb
+  qtest "truncated frames: view construction raises only Bad_header/Shift_error" fuzz_arb
     (fun ((h, payload), (cut, _, _)) ->
       let frame = Proto.encode_frame h payload in
       let t = Bytes.sub frame 0 (cut mod Bytes.length frame) in
-      only_bad_header (fun () ->
+      only_codec_errors (fun () ->
           let v = Proto.Frame.of_bytes t in
           ignore (Proto.Frame.header v);
           ignore (Proto.Frame.payload_bytes v)))
 
 let prop_corruption_safe =
-  qtest "bit-flipped frames: decode raises only Bad_header" fuzz_arb
+  qtest "bit-flipped frames: decode raises only Bad_header/Shift_error" fuzz_arb
     (fun ((h, payload), (pos, bit, _)) ->
       let frame = Proto.encode_frame h payload in
       let pos = pos mod Bytes.length frame in
       Bytes.set frame pos
         (Char.chr (Char.code (Bytes.get frame pos) lxor (1 lsl (bit mod 8))));
-      only_bad_header (fun () ->
+      only_codec_errors (fun () ->
           let v = Proto.Frame.of_bytes frame in
           ignore (Proto.Frame.header v);
           ignore (Proto.Frame.payload_bytes v)))
@@ -248,7 +262,7 @@ let () =
           Alcotest.test_case "hops never wrap" `Quick test_hops_never_wrap;
         ] );
       ( "fuzz",
-        [ prop_truncation_safe; prop_corruption_safe; prop_bad_view_bounds ] );
+        [ prop_random_safe; prop_truncation_safe; prop_corruption_safe; prop_bad_view_bounds ] );
       ( "pool",
         [
           Alcotest.test_case "recycles buffers" `Quick test_pool_recycles;

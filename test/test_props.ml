@@ -103,18 +103,33 @@ let prop_packed_garbage_never_crashes =
 
 let word_gen = QCheck.(map (fun n -> n land 0xFFFFFFFF) (int_bound max_int))
 
+let words_header seq conv app_tag ivc =
+  Ntcs.Proto.make_header ~kind:Ntcs.Proto.Data
+    ~src:(Ntcs.Addr.unique ~server_id:1 ~value:2)
+    ~dst:(Ntcs.Addr.unique ~server_id:1 ~value:3)
+    ~seq ~conv ~app_tag ~ivc ~payload_len:0 ()
+
 let prop_shift_roundtrip =
-  qtest "shift words roundtrip" QCheck.(array_of_size (QCheck.Gen.int_range 0 32) word_gen)
-    (fun words ->
-      let b = Shift.encode_words words in
-      Shift.decode_words b ~off:0 ~count:(Array.length words) = words)
+  qtest "shift words roundtrip" QCheck.(quad word_gen word_gen word_gen word_gen)
+    (fun (seq, conv, app_tag, ivc) ->
+      let h = words_header seq conv app_tag ivc in
+      let b = Ntcs.Proto.encode_header h in
+      Ntcs.Proto.decode_header b = h
+      && Shift.get_word b 24 = seq && Shift.get_word b 28 = conv
+      && Shift.get_word b 32 = app_tag && Shift.get_word b 36 = ivc)
 
 let prop_bitfields_roundtrip =
   qtest "bit fields roundtrip"
-    QCheck.(quad (int_bound 255) (int_bound 15) (int_bound 4095) (int_bound 255))
-    (fun (a, b, c, d) ->
-      let word = Shift.pack_bits [ (a, 8); (b, 4); (c, 12); (d, 8) ] in
-      Shift.unpack_bits word [ 8; 4; 12; 8 ] = [ a; b; c; d ])
+    QCheck.(triple (make order_gen) (make (Gen.oneofl [ Convert.Image; Convert.Packed ]))
+              (pair (int_bound 255) (int_bound 255)))
+    (fun (src_order, mode, (hops, hops')) ->
+      let h = { (words_header 0 0 0 0) with Ntcs.Proto.src_order; mode; hops } in
+      let v = Ntcs.Proto.Frame.of_bytes (Ntcs.Proto.encode_header h) in
+      let ok = Ntcs.Proto.Frame.header v = h in
+      Ntcs.Proto.Frame.patch_hops v hops';
+      ok
+      && Ntcs.Proto.decode_header (Ntcs.Proto.Frame.to_bytes v)
+         = { h with Ntcs.Proto.hops = hops' })
 
 (* --- addressing + header --- *)
 
@@ -130,8 +145,8 @@ let addr_gen =
 
 let prop_addr_roundtrip =
   qtest "address words roundtrip" (QCheck.make addr_gen) (fun a ->
-      let w = Ntcs.Addr.to_words a in
-      Ntcs.Addr.equal a (Ntcs.Addr.of_words w.(0) w.(1)))
+      Ntcs.Addr.equal a
+        (Ntcs.Addr.of_words (Ntcs.Addr.space_word a) (Ntcs.Addr.value_word a)))
 
 let header_gen =
   QCheck.Gen.(
