@@ -10,7 +10,8 @@ type t = {
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, float ref) Hashtbl.t;
   histos : (string, Histo.t) Hashtbl.t;
-  mutable spans : Span.event list;  (** newest first *)
+  mutable full_chunks : Span.event array list;  (** full span chunks, newest first *)
+  mutable chunk : Span.event array;  (** the chunk being filled *)
   mutable span_count : int;
   mutable next_circuit : int;  (** count allocated, not the last id *)
   mutable circuit_base : int;  (** shard namespace offset (parallel worlds) *)
@@ -18,13 +19,14 @@ type t = {
 
 let create () =
   { counters = Hashtbl.create 32; gauges = Hashtbl.create 8; histos = Hashtbl.create 16;
-    spans = []; span_count = 0; next_circuit = 0; circuit_base = 0 }
+    full_chunks = []; chunk = [||]; span_count = 0; next_circuit = 0; circuit_base = 0 }
 
 let reset t =
   Hashtbl.reset t.counters;
   Hashtbl.reset t.gauges;
   Hashtbl.reset t.histos;
-  t.spans <- [];
+  t.full_chunks <- [];
+  t.chunk <- [||];
   t.span_count <- 0;
   t.next_circuit <- 0;
   t.circuit_base <- 0
@@ -99,11 +101,26 @@ let set_circuit_base t base =
 let circuit_base t = t.circuit_base
 let circuits_allocated t = t.next_circuit
 
+(* The span log lives in fixed-size chunks rather than a list: an event
+   costs one array slot instead of a three-word cons cell. Every event is
+   kept for the life of the world, so each minor collection promotes the
+   events logged since the last one; the slimmer log keeps that promotion,
+   and with it the pause, short. *)
+let span_chunk = 1024
+
 let span t ev =
-  t.spans <- ev :: t.spans;
+  let i = t.span_count mod span_chunk in
+  if i = 0 then begin
+    if t.span_count > 0 then t.full_chunks <- t.chunk :: t.full_chunks;
+    t.chunk <- Array.make span_chunk ev
+  end
+  else t.chunk.(i) <- ev;
   t.span_count <- t.span_count + 1
 
-let spans t = List.rev t.spans
+let spans t =
+  let filled = t.span_count - (span_chunk * List.length t.full_chunks) in
+  List.concat_map Array.to_list (List.rev t.full_chunks)
+  @ Array.to_list (Array.sub t.chunk 0 filled)
 let span_count t = t.span_count
 
 (* Printing. [pp_stats] lists counters and gauges; [pp] adds histogram
