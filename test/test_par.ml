@@ -8,17 +8,7 @@ module Config = World.Config
 
 let scenarios = Check_scenarios.exhaustive @ Check_scenarios.soaks
 
-(* --- replication: every checker scenario, replicated on 2 domains ---- *)
-
-let test_replication_all () =
-  List.iter
-    (fun sc ->
-      let r = Check_par.replicate ~replicas:2 sc in
-      Alcotest.(check (list string))
-        (sc.Check_scenarios.sc_name ^ " solo violations") [] r.Check_par.rp_violations;
-      Alcotest.(check (list int))
-        (sc.Check_scenarios.sc_name ^ " divergent replicas") [] r.Check_par.rp_divergent)
-    scenarios
+(* --- replication (every scenario on 1/2/4 domains is ntcs_check's) --- *)
 
 (* qcheck: whatever (scenario, replica count) is drawn, replicas stay
    byte-identical to the solo run. *)
@@ -160,7 +150,6 @@ let () =
     [
       ( "replication",
         [
-          Alcotest.test_case "all scenarios x2 domains" `Slow test_replication_all;
           QCheck_alcotest.to_alcotest prop_replication;
         ] );
       ( "soak",
