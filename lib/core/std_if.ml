@@ -122,9 +122,17 @@ let of_tcp (conn : Ipcs_tcp.conn) =
 let mbx_frag_header = 12
 let mbx_frag_payload = Ipcs_mbx.max_message_size - mbx_frag_header
 
+(* The largest frame the MBX adaptation carries. Reassembly trusts no
+   header: a count of zero, beyond what this frame needs, or disagreeing
+   with the frame's earlier fragments, and an index outside the count, are
+   a broken circuit ([Closed], as a short fragment is), never an
+   allocation or a delivery with a hole. A repeated index is ignored. *)
+let mbx_max_frame = 1 lsl 24
+let mbx_max_frags = (mbx_max_frame + mbx_frag_payload - 1) / mbx_frag_payload
+
 let of_mbx (chan : Ipcs_mbx.chan) =
   let next_frame = ref 1 in
-  (* frame id -> (count, received so far, fragments in order) *)
+  (* frame id -> (distinct fragments received, fragments in order) *)
   let partial : (int, int * Bytes.t option array) Hashtbl.t = Hashtbl.create 4 in
   let send_sub data ~off:base ~len:total =
     let count = max 1 ((total + mbx_frag_payload - 1) / mbx_frag_payload) in
@@ -152,43 +160,49 @@ let of_mbx (chan : Ipcs_mbx.chan) =
         | Error _ as e -> e
       end
     in
-    go 0
+    if total > mbx_max_frame then Error Ipcs_error.Too_big else go 0
   in
   let send_msg data = send_sub data ~off:0 ~len:(Bytes.length data) in
   let rec recv_msg ?timeout_us () =
     match Ipcs_mbx.recv ?timeout_us chan with
     | Error _ as e -> e
-    | Ok frag ->
-      if Bytes.length frag < mbx_frag_header then Error (Ipcs_error.Closed)
-      else begin
-        let frame_id = Ntcs_wire.Shift.get_word frag 0 in
-        let idx = Ntcs_wire.Shift.get_word frag 4 in
-        let count = Ntcs_wire.Shift.get_word frag 8 in
+    | Ok frag when Bytes.length frag < mbx_frag_header -> Error Ipcs_error.Closed
+    | Ok frag -> (
+      let frame_id = Ntcs_wire.Shift.get_word frag 0 in
+      let idx = Ntcs_wire.Shift.get_word frag 4 in
+      let count = Ntcs_wire.Shift.get_word frag 8 in
+      let got, frags =
+        match Hashtbl.find_opt partial frame_id with
+        | Some s -> s
+        | None -> (0, [||])
+      in
+      if count < 1 || count > mbx_max_frags || idx < 0 || idx >= count
+         || (got > 0 && Array.length frags <> count)
+      then begin
+        Hashtbl.remove partial frame_id;
+        Error Ipcs_error.Closed
+      end
+      else
         (* lint: allow copies(Bytes.sub) — strip the fragment header off the MBX message *)
         let body = Bytes.sub frag mbx_frag_header (Bytes.length frag - mbx_frag_header) in
         if count = 1 then Ok body
-        else begin
-          let got, frags =
-            match Hashtbl.find_opt partial frame_id with
-            | Some s -> s
-            | None -> (0, Array.make count None)
-          in
-          if idx < Array.length frags then frags.(idx) <- Some body;
-          let got = got + 1 in
-          if got = count then begin
-            Hashtbl.remove partial frame_id;
-            let buf = Buffer.create (count * mbx_frag_payload) in
-            Array.iter
-              (function Some b -> Buffer.add_bytes buf b | None -> ())
-              frags;
-            Ok (Buffer.to_bytes buf)
-          end
-          else begin
-            Hashtbl.replace partial frame_id (got, frags);
-            recv_msg ?timeout_us ()
-          end
-        end
-      end
+        else
+          let frags = if got = 0 then Array.make count None else frags in
+          match frags.(idx) with
+          | Some _ -> recv_msg ?timeout_us ()
+          | None ->
+            frags.(idx) <- Some body;
+            let got = got + 1 in
+            if got = count then begin
+              Hashtbl.remove partial frame_id;
+              let buf = Buffer.create (count * mbx_frag_payload) in
+              Array.iter (function Some b -> Buffer.add_bytes buf b | None -> ()) frags;
+              Ok (Buffer.to_bytes buf)
+            end
+            else begin
+              Hashtbl.replace partial frame_id (got, frags);
+              recv_msg ?timeout_us ()
+            end)
   in
   {
     lvc_id = Ipcs_mbx.chan_id chan;

@@ -105,6 +105,63 @@ let test_mbx_fragment_arithmetic () =
     (Std_if.mbx_frag_payload + Std_if.mbx_frag_header);
   Alcotest.(check bool) "payload positive" true (Std_if.mbx_frag_payload > 0)
 
+(* Raw fragments [(frame id, index, count, body)] sent straight onto the
+   MBX channel a listening LVC reads: what reassembly makes of a peer whose
+   fragment headers it cannot trust, as the reader's first result. *)
+let raw_fragments frags =
+  let rig = make_rig () in
+  let got = ref None in
+  ignore
+    (World.spawn rig.world ~machine:rig.a1 ~name:"server" (fun () ->
+         match Std_if.listen_mbx ~path:"//a1/mbx/t" rig.reg ~machine:rig.a1 ~hint:"t" with
+         | Error _ -> Alcotest.fail "listen"
+         | Ok acceptor -> (
+           match acceptor.Std_if.accept () with
+           | Error _ -> Alcotest.fail "accept"
+           | Ok lvc -> got := Some (lvc.Std_if.recv_msg ~timeout_us:2_000_000 ()))));
+  ignore
+    (World.spawn rig.world ~machine:rig.a2 ~name:"client" (fun () ->
+         Sched.sleep (World.sched rig.world) 1000;
+         match
+           Ipcs_mbx.open_chan (Registry.mbx rig.reg) ~machine:rig.a2
+             ~dst:(Phys_addr.mbx ~path:"//a1/mbx/t")
+         with
+         | Error _ -> Alcotest.fail "open"
+         | Ok chan ->
+           List.iter
+             (fun (id, idx, count, body) ->
+               let buf = Buffer.create 16 in
+               List.iter (Ntcs_wire.Shift.put_word buf) [ id; idx; count ];
+               Buffer.add_string buf body;
+               ignore (Ipcs_mbx.send chan (Buffer.to_bytes buf)))
+             frags));
+  World.run rig.world;
+  match !got with
+  | Some (Ok m) -> Printf.sprintf "delivered %S" (Bytes.to_string m)
+  | Some (Error e) -> "error " ^ Ipcs_error.to_string e
+  | None -> "reader never returned"
+
+let closed = "error " ^ Ipcs_error.to_string Ipcs_error.Closed
+
+let test_mbx_repeated_index () =
+  Alcotest.(check string) "repeat ignored, frame whole" "delivered \"abcd\""
+    (raw_fragments [ (1, 0, 2, "ab"); (1, 0, 2, "ab"); (1, 1, 2, "cd") ])
+
+let test_mbx_index_beyond_count () =
+  Alcotest.(check string) "rejected" closed
+    (raw_fragments [ (1, 0, 2, "ab"); (1, 5, 2, "cd"); (1, 1, 2, "cd") ])
+
+let test_mbx_zero_count () =
+  Alcotest.(check string) "rejected" closed (raw_fragments [ (1, 0, 0, "ab") ])
+
+let test_mbx_huge_count () =
+  Alcotest.(check string) "rejected, nothing allocated" closed
+    (raw_fragments [ (1, 0, 1 lsl 31, "ab") ])
+
+let test_mbx_count_disagrees () =
+  Alcotest.(check string) "rejected" closed
+    (raw_fragments [ (1, 0, 3, "ab"); (1, 1, 2, "cd") ])
+
 let test_close_surfaces_uniformly () =
   (* Both backends: close on one side -> recv on the other returns Closed. *)
   let check_backend make_pair =
@@ -164,6 +221,14 @@ let () =
           Alcotest.test_case "mbx roundtrip" `Quick test_mbx_roundtrip;
           Alcotest.test_case "mbx large (fragmentation)" `Quick test_mbx_large;
           Alcotest.test_case "fragment arithmetic" `Quick test_mbx_fragment_arithmetic;
+        ] );
+      ( "hostile fragments",
+        [
+          Alcotest.test_case "repeated index" `Quick test_mbx_repeated_index;
+          Alcotest.test_case "index beyond count" `Quick test_mbx_index_beyond_count;
+          Alcotest.test_case "zero count" `Quick test_mbx_zero_count;
+          Alcotest.test_case "huge count" `Quick test_mbx_huge_count;
+          Alcotest.test_case "count disagrees" `Quick test_mbx_count_disagrees;
         ] );
       ( "semantics",
         [
