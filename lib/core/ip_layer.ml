@@ -198,8 +198,7 @@ let open_chained t ~dst ~hops ~first_phys =
           Hashtbl.remove t.pending label;
           e
         | Ok () -> (
-          let timeout = t.node.Node.config.Node.default_timeout_us in
-          match Sched.Ivar.read ~timeout ivar with
+          match Sched.Ivar.read ~timeout:Node.default_timeout_us ivar with
           | None ->
             Hashtbl.remove t.pending label;
             Error Errors.Timeout

@@ -282,7 +282,7 @@ let deadline_of t timeout_us =
   let budget =
     match timeout_us with
     | Some v -> v
-    | None -> t.node.Node.config.Node.default_timeout_us
+    | None -> Node.default_timeout_us
   in
   Node.now t.node + budget
 
@@ -290,16 +290,20 @@ let note_reestablish t dst =
   let n = Option.value ~default:0 (Hashtbl.find_opt t.reestablish dst) in
   Hashtbl.replace t.reestablish dst (n + 1)
 
-(* One send under the configured retry policy (§3.5): the first attempt goes
+(* LCM send recovery (§3.5): three attempts through the address-fault
+   handler, backoff from 50 ms doubling to an 800 ms ceiling, 20 ms of
+   seeded jitter. *)
+let send_retry =
+  Retry.policy ~max_attempts:3 ~base_delay_us:50_000 ~max_delay_us:800_000 ~jitter_us:20_000 ()
+
+(* One send under [send_retry] (§3.5): the first attempt goes
    to [dst] (after following any forwarding chain); every later attempt runs
    the address-fault handler first — forwarding table, §6.3 guard, fault
    oracle — and reopens the circuit to whatever address it yields, with
    exponential seeded backoff between attempts. *)
 let send_frame ?deadline_us ?(span = Ntcs_obs.Span.none) t ~dst ~kind ~conv ~app_tag payload =
   let recoverable = recoverable_kind kind in
-  let policy =
-    if recoverable then t.node.Node.config.Node.send_retry else Retry.no_retry
-  in
+  let policy = if recoverable then send_retry else Retry.no_retry in
   let cur = ref (if recoverable then follow_forwarding t dst 4 else dst) in
   let retries = ref 0 in
   let attempt_once ~attempt =

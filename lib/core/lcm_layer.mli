@@ -56,12 +56,12 @@ val set_on_relocate : t -> (old:Addr.t -> fresh:Addr.t -> unit) -> unit
 
 (** Every primitive takes the same two optional parameters: [?app_tag]
     (default 0) typing the message for tag-filtered receives, and
-    [?timeout_us] (default [Node.config.default_timeout_us]) bounding the
+    [?timeout_us] (default [Node.default_timeout_us]) bounding the
     {e whole} operation — connection attempts, retry backoff and, for
     synchronous calls, the reply wait all draw on the one budget.
-    Recoverable sends run under [Node.config.send_retry]: each attempt
-    after the first passes through the §3.5 address-fault handler, with
-    exponential seeded backoff between attempts. *)
+    Recoverable sends get three attempts: each after the first passes
+    through the §3.5 address-fault handler, with exponential seeded
+    backoff between attempts. *)
 
 val send :
   t ->

@@ -289,6 +289,13 @@ let start_reader t c =
     (spawn_helper t ~name:(Printf.sprintf "%s/nd-reader-%d" t.owner c.cid) (fun () ->
          reader_loop c))
 
+(* Retry-on-open (§2.2): two retries at a fixed 50 ms, expressed as a
+   capped policy so the one retry mechanism serves here too: ceiling = base
+   disables the exponential growth, jitter 0 keeps the historical
+   cadence. *)
+let open_retry =
+  Retry.policy ~max_attempts:3 ~base_delay_us:50_000 ~max_delay_us:50_000 ~jitter_us:0 ()
+
 let fresh_cid t =
   let cid = t.next_cid in
   t.next_cid <- cid + 1;
@@ -297,8 +304,7 @@ let fresh_cid t =
 (* Inbound handshake: expect HELLO, answer HELLO-ACK, then become the
    circuit's reader. *)
 let inbound_handshake t (lvc : Std_if.lvc) =
-  let timeout = t.node.Node.config.Node.default_timeout_us in
-  match lvc.Std_if.recv_msg ~timeout_us:timeout () with
+  match lvc.Std_if.recv_msg ~timeout_us:Node.default_timeout_us () with
   | Error e ->
     lvc.Std_if.abort ();
     trace t ~cat:"nd.handshake_fail" (Ipcs_error.to_string e)
@@ -376,16 +382,6 @@ let accept_loop t (acceptor : Std_if.acceptor) =
 let open_circuit t ~(phys : Phys_addr.t) =
   if t.closed then Error Errors.Circuit_failed
   else begin
-    let cfg = t.node.Node.config in
-    (* Fixed-interval open-retry (§2.2), expressed as a capped policy so the
-       one retry mechanism serves here too: ceiling = base disables the
-       exponential growth, jitter 0 keeps the historical cadence. *)
-    let policy =
-      Retry.policy
-        ~max_attempts:(cfg.Node.lvc_open_retries + 1)
-        ~base_delay_us:cfg.Node.lvc_retry_delay_us
-        ~max_delay_us:cfg.Node.lvc_retry_delay_us ~jitter_us:0 ()
-    in
     let connect ~attempt:_ =
       match
         Std_if.connect ?allowed:t.allowed_nets t.node.Node.ipcs
@@ -394,7 +390,7 @@ let open_circuit t ~(phys : Phys_addr.t) =
       | Ok lvc -> Ok lvc
       | Error e -> Error (Errors.of_ipcs e)
     in
-    match Retry.run (sched t) policy ~retryable:Errors.retryable connect with
+    match Retry.run (sched t) open_retry ~retryable:Errors.retryable connect with
     | Error _ as e -> e
     | Ok lvc -> (
       let hello_header =
@@ -408,7 +404,7 @@ let open_circuit t ~(phys : Phys_addr.t) =
         lvc.Std_if.abort ();
         Error (Errors.of_ipcs e)
       | Ok () -> (
-        match lvc.Std_if.recv_msg ~timeout_us:cfg.Node.default_timeout_us () with
+        match lvc.Std_if.recv_msg ~timeout_us:Node.default_timeout_us () with
         | Error e ->
           lvc.Std_if.abort ();
           Error (Errors.of_ipcs e)

@@ -28,19 +28,7 @@ type config = {
   force_packed : bool;
   (* Ablation switch: disable adaptive mode selection and convert every
      message (what a system without the §5 machinery would do). *)
-  lvc_open_retries : int; (* ND retry-on-open (§2.2) *)
-  lvc_retry_delay_us : int;
-  send_retry : Retry.policy;
-  (* LCM send recovery (§3.5): attempts through the address-fault handler,
-     with exponential backoff between them. *)
-  ns_retry : Retry.policy;
-  (* NSP request recovery: full failover cycles over the replica list. *)
-  default_timeout_us : int;
-  (* The single default deadline for every ALI/LCM primitive and NSP
-     request: a synchronous call's reply wait, an asynchronous send's
-     retry/backoff budget. Explicit [?timeout_us] overrides per call. *)
   ns_cache_ttl_us : int; (* NSP-layer cache lifetime; 0 = no caching *)
-  ns_cache_capacity : int; (* NSP-layer lookup-cache entries per ComMod *)
   ns_shards : Addr.t array;
   (* The pinned shard map of the naming plane (DESIGN.md §15):
      [ns_shards.(k)] is the well-known address of the name server owning
@@ -50,6 +38,11 @@ type config = {
   well_known : well_known list;
 }
 
+(* The single default deadline for every ALI/LCM primitive and NSP
+   request: a synchronous call's reply wait, an asynchronous send's
+   retry/backoff budget. Explicit [?timeout_us] overrides per call. *)
+let default_timeout_us = 3_000_000
+
 let default_config =
   {
     ns_fault_guard = true;
@@ -57,17 +50,7 @@ let default_config =
     monitoring = false;
     timestamps = false;
     force_packed = false;
-    lvc_open_retries = 2;
-    lvc_retry_delay_us = 50_000;
-    send_retry =
-      Retry.policy ~max_attempts:3 ~base_delay_us:50_000 ~max_delay_us:800_000
-        ~jitter_us:20_000 ();
-    ns_retry =
-      Retry.policy ~max_attempts:2 ~base_delay_us:100_000 ~max_delay_us:1_000_000
-        ~jitter_us:50_000 ();
-    default_timeout_us = 3_000_000;
     ns_cache_ttl_us = 60_000_000;
-    ns_cache_capacity = 512;
     ns_shards = [||];
     well_known = [];
   }

@@ -25,21 +25,7 @@ type config = {
   timestamps : bool;  (** monitor records use the (DRTS) time hook *)
   force_packed : bool;
       (** Ablation switch: always convert, never byte-copy (A1). *)
-  lvc_open_retries : int;  (** ND retry-on-open (§2.2) *)
-  lvc_retry_delay_us : int;
-  send_retry : Retry.policy;
-      (** LCM send recovery (§3.5): attempts through the address-fault
-          handler, exponential backoff between them. *)
-  ns_retry : Retry.policy;
-      (** NSP request recovery: full failover cycles over the replica
-          list. *)
-  default_timeout_us : int;
-      (** The single default deadline for every ALI/LCM primitive and NSP
-          request — a synchronous call's reply wait, an asynchronous send's
-          retry/backoff budget. Explicit [?timeout_us] overrides per
-          call. *)
   ns_cache_ttl_us : int;  (** NSP-layer cache lifetime; 0 = no caching *)
-  ns_cache_capacity : int;  (** NSP-layer lookup-cache entries per ComMod *)
   ns_shards : Addr.t array;
       (** pinned shard map of the naming plane: [ns_shards.(k)] is the
           well-known address of the name server owning shard [k]; empty =
@@ -48,6 +34,11 @@ type config = {
 }
 
 val default_config : config
+
+val default_timeout_us : int
+(** 3 s: the single default deadline for every ALI/LCM primitive and NSP
+    request — a synchronous call's reply wait, an asynchronous send's
+    retry/backoff budget. Explicit [?timeout_us] overrides per call. *)
 
 (** DRTS hooks. Defaults are self-contained; the DRTS services replace them,
     at which point the NTCS uses services built on the NTCS — §6.1. *)

@@ -53,7 +53,10 @@ let create ?(owner = "nsp") node lcm =
     if Array.length shards > 1 then Some (Shard_map.make ~version:1 shards) else None
   in
   let nshards = max 1 (Array.length shards) in
-  let capacity = node.Node.config.Node.ns_cache_capacity in
+  let capacity =
+    (Ntcs_sim.World.config (Node.world node)).Ntcs_sim.World.Config.naming
+      .Ntcs_sim.World.Config.cache_capacity
+  in
   {
     node;
     lcm;
@@ -114,8 +117,13 @@ let error_of_string = function
   | "destination-dead" -> Errors.Destination_dead
   | s -> Errors.Internal ("name server: " ^ s)
 
+(* NSP request recovery: two full failover cycles over the replica list,
+   100 ms backoff (1 s ceiling), 50 ms of seeded jitter. *)
+let ns_retry =
+  Retry.policy ~max_attempts:2 ~base_delay_us:100_000 ~max_delay_us:1_000_000 ~jitter_us:50_000 ()
+
 (* One NS round trip, failing over through the replica list. One failover
-   pass is one attempt of [Node.config.ns_retry]: when the whole list fails
+   pass is one attempt of [ns_retry]: when the whole list fails
    with a transient error, the policy backs off and cycles again — an NS
    briefly unreachable mid-reconfiguration is not yet "unavailable". Server
    answers ([R_error ...]) are never retried: they are responses, not
@@ -145,7 +153,7 @@ let request ?prefer t (req : Ns_proto.request) =
         Ntcs_obs.Registry.incr (metrics t) "nsp.requests";
         match
           Lcm_layer.send_sync t.lcm ~dst:ns ~app_tag:Ns_proto.app_tag
-            ~timeout_us:t.node.Node.config.Node.default_timeout_us payload
+            ~timeout_us:Node.default_timeout_us payload
         with
         | Error _ when rest <> [] ->
           Ntcs_obs.Registry.incr (metrics t) "nsp.failovers";
@@ -163,7 +171,7 @@ let request ?prefer t (req : Ns_proto.request) =
     failover order
   in
   let result =
-    Retry.run (Node.sched t.node) ~rng:t.rng t.node.Node.config.Node.ns_retry
+    Retry.run (Node.sched t.node) ~rng:t.rng ns_retry
       ~retryable:Errors.retryable one_pass
   in
   Ntcs_obs.Registry.observe (metrics t) "nsp.request_us" (Node.now t.node - started);

@@ -14,7 +14,6 @@ type entry = {
 type t = {
   mutable entries : entry list; (* newest first *)
   mutable count : int;
-  mutable enabled : bool;
   mutable cats : string list; (* empty = record everything *)
   interned : (string, string * int ref) Hashtbl.t;
       (* category -> (the one shared copy, recorded-entry count). Call sites
@@ -24,9 +23,7 @@ type t = {
 }
 
 let create () =
-  { entries = []; count = 0; enabled = true; cats = []; interned = Hashtbl.create 32 }
-
-let set_enabled t b = t.enabled <- b
+  { entries = []; count = 0; cats = []; interned = Hashtbl.create 32 }
 
 let set_filter t cats = t.cats <- cats
 
@@ -39,7 +36,7 @@ let intern t cat =
     v
 
 let record t ~at_us ~cat ~actor detail =
-  if t.enabled && (t.cats = [] || List.exists (fun p -> p = cat) t.cats) then begin
+  if t.cats = [] || List.exists (fun p -> p = cat) t.cats then begin
     let cat, seen = intern t cat in
     incr seen;
     t.entries <- { at_us; cat; actor; detail } :: t.entries;

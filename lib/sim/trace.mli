@@ -15,7 +15,6 @@ type entry = {
 type t
 
 val create : unit -> t
-val set_enabled : t -> bool -> unit
 
 val set_filter : t -> string list -> unit
 (** Record only these categories ([[]] = everything) — the "adequate
