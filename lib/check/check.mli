@@ -1,9 +1,6 @@
 (** ntcs_check driver: protocol-conformance static analyses plus the
     schedule-exploration harness. *)
 
-val check_sources : Lint_lex.source list -> Lint_diag.t list
-(** Automaton self-check + {!Check_proto} + {!Check_graph}, sorted. *)
-
 val static_check : string list -> Lint_diag.t list
 (** [check_sources] over every [.ml]/[.mli] under the given paths. *)
 

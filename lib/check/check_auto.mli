@@ -15,8 +15,6 @@ type input =
   | Close  (** orderly teardown: IVC_CLOSE, cascades included (§4.3) *)
   | Break  (** the circuit underneath failed *)
 
-val all_states : state list
-val all_inputs : input list
 val state_to_string : state -> string
 val input_to_string : input -> string
 

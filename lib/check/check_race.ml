@@ -206,6 +206,5 @@ let arm world =
   ;
   t
 
-let disarm t = Ntcs_sim.Sched.set_monitor (Ntcs_sim.World.sched t.world) None
 let conflicts t = List.rev t.conflicts
 let waived t = t.waived

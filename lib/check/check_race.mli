@@ -58,9 +58,6 @@ val arm : Ntcs_sim.World.t -> t
 (** Install the monitor on the world's scheduler. Arm before traffic
     runs; accesses made while disarmed are invisible. *)
 
-val disarm : t -> unit
-(** Remove the monitor; accumulated results remain readable. *)
-
 val conflicts : t -> conflict list
 (** Races on [Exclusive] cells, in detection order. *)
 

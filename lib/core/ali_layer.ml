@@ -94,11 +94,6 @@ let reply commod (env : envelope) ?(app_tag = 0) ?timeout_us payload =
 
 (* --- utilities --- *)
 
-(* The error classification applications should consult before retrying a
-   failed primitive themselves — the same one the LCM/NSP recovery uses. *)
-let retryable = Errors.retryable
-let severity = Errors.severity
-
 let my_address commod =
   match Commod.my_addr commod with
   | addr when Addr.is_unique addr -> Ok addr

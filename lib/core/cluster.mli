@@ -53,16 +53,11 @@ val gateway_list : t -> Gateway.t list
 
 (** {1 Application modules} *)
 
-val node_on : ?config:Node.config -> t -> string -> Node.t
-(** Fresh per-process NTCS context on the named machine. *)
-
 val spawn :
   ?config:Node.config -> t -> machine:string -> name:string -> (Node.t -> unit) -> Sched.pid
 (** Spawn an application process; the body receives a fresh Node. *)
 
 (** {1 Running and failure injection} *)
-
-val run : ?until:int -> t -> unit
 
 val settle : ?dt:int -> t -> unit
 (** Advance virtual time by [dt] µs (default 2 s), executing everything

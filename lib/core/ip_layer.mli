@@ -71,13 +71,10 @@ val find_ivc : t -> Addr.t -> ivc option
 (** Live IVC to this peer, adopting an existing inbound ND circuit if one
     exists (circuits are bidirectional). *)
 
-val open_ivc : t -> dst:Addr.t -> (ivc, Errors.t) result
-(** Plan and establish, trying route alternatives in oracle order.
-    Blocking. *)
-
 val get_or_open : t -> dst:Addr.t -> (ivc, Errors.t) result
-(** Like {!open_ivc} but reusing a live IVC; a cold open is timed into the
-    ["ip.open_us"] histogram. *)
+(** A live IVC to [dst], or a new one planned and established by trying
+    route alternatives in oracle order (blocking); a cold open is timed
+    into the ["ip.open_us"] histogram. *)
 
 val send :
   t ->
@@ -92,9 +89,6 @@ val send :
 (** Choose the conversion mode from the machine representations (§5), force
     the payload once, frame and transmit. [span] (default [Span.none]) is
     the causal identity stamped into the header. *)
-
-val close_ivc : t -> ivc -> reason:string -> unit
-(** Close; a chained circuit sends IVC_CLOSE down the chain (§4.3). *)
 
 val handle_event : t -> Nd_layer.event -> action
 (** The dispatcher feeds every ND event through here. *)

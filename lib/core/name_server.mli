@@ -26,9 +26,6 @@
 
 type t
 
-val service_attr : string
-(** The attribute key used for "similar name" matching (["service"]). *)
-
 val create :
   Node.t -> server_id:int -> wk_addr:Addr.t -> ?peers:Addr.t list ->
   ?shard_map:Addr.t Ntcs_naming.Shard_map.t -> unit -> t
@@ -45,10 +42,6 @@ val serve : ?fixed:Ntcs_ipcs.Phys_addr.t list -> t -> unit -> unit
     forever. Spawn with [World.spawn]. *)
 
 val stop : t -> unit
-
-val local_resolver : t -> Router.resolver
-(** The server's own ComMod resolves from this database directly — the one
-    place the naming recursion bottoms out. *)
 
 val handle_request : t -> ?commod:Commod.t -> Ns_proto.request -> Ns_proto.response
 (** Exposed for tests and benches; normal traffic arrives through {!serve}.
@@ -67,9 +60,6 @@ val generation : t -> int
 (** Current invalidation generation of the shard this server owns (starts
     at 1; 0 is reserved on the wire for unversioned answers). Only a
     sharded server puts it on the wire. *)
-
-val my_shard : t -> int
-(** The shard this server owns (= its server id under a shard map, else 0). *)
 
 val owns : t -> string -> bool
 (** Whether this server is the authority for [name] under its shard map

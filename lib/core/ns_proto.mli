@@ -10,8 +10,6 @@
     that answers them with shard 0, generation 0, so a client's cache
     floors never move. *)
 
-open Ntcs_wire
-
 val app_tag : int
 (** Reserved application tag for naming-service traffic. *)
 
@@ -60,10 +58,6 @@ type response =
   | R_ok
   | R_sync of (int * entry) list
   | R_error of string  (** [Errors.to_string] form *)
-
-val entry_codec : entry Packed.t
-val request_codec : request Packed.t
-val response_codec : response Packed.t
 
 val pack_request : request -> Bytes.t
 val unpack_request : Bytes.t -> (request, string) result

@@ -11,9 +11,6 @@ open Ntcs_wire
 
 exception Bad_header of string
 
-val magic : int
-val version : int
-
 val header_words : int
 val header_bytes : int
 
@@ -30,18 +27,12 @@ type kind =
   | Ping  (** liveness probe (used by the naming service, §3.5) *)
   | Pong
 
-val kind_to_int : kind -> int
-
-val kind_of_int : int -> kind
-(** Raises {!Bad_header} on an unknown tag. *)
-
 val kind_to_string : kind -> string
 
 val kind_detail : kind -> string
 (** ["kind=" ^ kind_to_string k], as a constant shared by every call. *)
 
 val order_to_int : Endian.order -> int
-val order_of_int : int -> Endian.order
 
 type header = {
   kind : kind;
@@ -115,11 +106,6 @@ module Frame : sig
   val buf : t -> Bytes.t
   val off : t -> int
   val len : t -> int
-
-  val payload_off : t -> int
-  val payload_len : t -> int
-  (** Offset/length of the payload within [buf t] — for consumers that can
-      read in place instead of copying. *)
 
   val payload_bytes : t -> Bytes.t
   (** Materialise the payload (one copy). Call sites account for it in the

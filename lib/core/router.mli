@@ -31,7 +31,6 @@ type gw_edge = {
   ge_spans : Net.id list;
 }
 
-val edge_of_wk : Node.well_known -> gw_edge option
 val edge_of_entry : Ns_proto.entry -> gw_edge option
 
 val routes :
@@ -44,8 +43,6 @@ val locate :
   Node.t -> resolver -> Addr.t -> (Phys_addr.t list * Net.id list, Errors.t) result
 (** Destination information: well-known table first (§3.4 bootstrap),
     resolver otherwise. *)
-
-val is_well_known : Node.t -> Addr.t -> bool
 
 val plan :
   Node.t -> Nd_layer.t -> resolver -> dst:Addr.t -> (Ip_layer.target list, Errors.t) result

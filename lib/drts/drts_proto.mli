@@ -44,7 +44,6 @@ val monitor_recent_codec : monitor_record list Packed.t
 type severity = Info | Warning | Error | Fatal
 
 val severity_to_int : severity -> int
-val severity_of_int : int -> severity
 val severity_to_string : severity -> string
 
 type log_record = {

@@ -5,7 +5,6 @@
 open Ntcs
 
 val log_name : string
-val history_capacity : int
 
 val serve : Node.t -> unit -> unit
 (** Log-server process body. *)

@@ -132,7 +132,6 @@ let install c =
   let node = Commod.node c.commod in
   node.Node.hooks.Node.timestamp <- (fun () -> now c)
 
-let offset_us c = c.offset_us
 let sync_count c = c.syncs
 let failure_count c = c.failures
 

@@ -12,8 +12,6 @@
 
 open Ntcs
 
-val server_name : string
-
 val serve : Node.t -> unit -> unit
 (** Time-server process body: answers every request with its machine's
     local time. Spawn on the reference machine. *)
@@ -35,7 +33,6 @@ val install : corrector -> unit
 (** Become the node's timestamp hook: LCM monitor records now use corrected
     time. *)
 
-val offset_us : corrector -> int
 val sync_count : corrector -> int
 val failure_count : corrector -> int
 

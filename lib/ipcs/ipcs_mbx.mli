@@ -11,8 +11,6 @@ open Ntcs_sim
 val max_message_size : int
 (** Hard per-message limit in bytes; larger sends return [Too_big]. *)
 
-val default_queue_capacity : int
-
 type t
 (** One MBX subsystem per simulated world. *)
 

@@ -11,9 +11,6 @@
 
 open Ntcs_sim
 
-val mss : int
-(** Maximum segment size in bytes (1460). *)
-
 type t
 (** One TCP stack per simulated world. *)
 

@@ -35,6 +35,5 @@ let fresh_mbx_path t ~(machine : Ntcs_sim.Machine.t) ~hint =
   t.next_mbx_id <- id + 1;
   Printf.sprintf "//%s/node_data/mbx/%s.%d" machine.name hint id
 
-let world t = t.world
 let tcp t = t.tcp
 let mbx t = t.mbx

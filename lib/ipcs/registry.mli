@@ -6,7 +6,6 @@
 type t
 
 val create : Ntcs_sim.World.t -> t
-val world : t -> Ntcs_sim.World.t
 val tcp : t -> Ipcs_tcp.t
 val mbx : t -> Ipcs_mbx.t
 

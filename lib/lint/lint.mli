@@ -7,11 +7,6 @@ val source_files : string list -> string list
 (** Every [.ml]/[.mli] under the given files/directories, walked in sorted
     order; hidden and [_build]-style directories are skipped. *)
 
-val check_source : ?summaries:Lint_ownership.summary list -> Lint_lex.source -> Lint_diag.t list
-(** All static rules on one (possibly in-memory) source. [summaries]
-    supplies R6/R7 cross-file function summaries; same-file helpers are
-    summarized automatically. *)
-
 val lint_paths : ?graph:(string * string) list -> string list -> Lint_diag.t list
 (** Tree-level run: computes ownership summaries over the whole tree
     first, so R6/R7 classify cross-file helper calls, runs R8 over the

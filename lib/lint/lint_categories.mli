@@ -1,10 +1,4 @@
 (** R4: every literal [~cat:"..."] trace category must appear in the
     registered manifest ([Ntcs_obs.Manifest]). *)
 
-val rule : string
-
-val literal_sites : Lint_lex.source -> (int * string) list
-(** [(line, category)] for every literal [~cat:"..."] site, in file order —
-    exposed for the linter's tests. *)
-
 val check : Lint_lex.source -> Lint_diag.t list

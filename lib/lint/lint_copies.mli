@@ -3,6 +3,4 @@
     {!Proto.Frame} views and pooled buffers. Suppress with
     [lint: allow copies(<call>) — reason]. *)
 
-val rule : string
-
 val check : Lint_lex.source -> Lint_diag.t list

@@ -2,6 +2,4 @@
     hash-order iteration in protocol paths. Suppress with
     [lint: allow determinism(<pattern>) — reason]. *)
 
-val rule : string
-
 val check : Lint_lex.source -> Lint_diag.t list

@@ -23,10 +23,6 @@ val to_string : t -> string
 val json_escape : string -> string
 (** Escape a string for embedding in a JSON string literal. *)
 
-val to_json : t -> string
-(** One diagnostic as a JSON object:
-    [{"file":..,"line":..,"rule":..,"msg":..}]. *)
-
 val list_to_json : t list -> string
 (** A report as a JSON array, sorted and deduplicated ({!sort}), so CI can
     diff outputs byte-for-byte. *)

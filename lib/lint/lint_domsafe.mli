@@ -32,7 +32,6 @@ type entry = {
   d_waived : string option;  (** covering pragma's reason, if any *)
 }
 
-val scope_name : scope -> string
 val class_name : cls -> string
 
 val inventory : ?graph:(string * string) list -> Lint_lex.source list -> entry list

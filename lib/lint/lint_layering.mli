@@ -2,6 +2,4 @@
     only below the ND boundary, conversion modes selected only by the IP
     layer. Suppress with [lint: allow layering(<module>) — reason]. *)
 
-val rule : string
-
 val check : Lint_lex.source -> Lint_diag.t list

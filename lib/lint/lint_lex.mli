@@ -24,10 +24,6 @@ val line_has_token : string -> string -> bool
     identifier character nor a dot may precede it; no identifier character
     may follow it. *)
 
-val comments : string -> (int * string) list
-(** Top-level comments with the line each opens on, delimiters stripped,
-    nested comments kept inline. String literals never read as comments. *)
-
 (** An allow pragma: a comment whose text {e begins} with [lint:]:
 
     {v (* lint: allow <rule>[(<arg>)] — <reason> *) v}

@@ -1,8 +1,6 @@
 (** Deterministic snapshot exporters: equal-seed runs serialize registries
     to byte-identical strings. *)
 
-val json_escape : string -> string
-
 val stats_json : Registry.t -> string
 (** Flat JSON object: counters, gauges, histogram summaries, circuit and
     span-event totals. *)

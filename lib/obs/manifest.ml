@@ -105,8 +105,6 @@ let known =
   let tbl = lazy (List.map fst all) in
   fun cat -> List.mem cat (Lazy.force tbl)
 
-let categories = List.map fst all
-
 (* Chrome-trace track for a category: the prefix up to the first '.', which
    groups events by layer in the viewer. *)
 let track_of cat =

@@ -2,12 +2,6 @@
     every [Trace.record ~cat] literal in the library tree appears here, so
     exporters never meet an unknown category. *)
 
-val all : (string * string) list
-(** Every registered category with a one-line description. *)
-
-val categories : string list
-(** Just the names, in manifest order. *)
-
 val known : string -> bool
 
 val track_of : string -> string

@@ -98,7 +98,6 @@ let set_circuit_base t base =
     invalid_arg "Registry.set_circuit_base: circuits already allocated";
   t.circuit_base <- base
 
-let circuit_base t = t.circuit_base
 let circuits_allocated t = t.next_circuit
 
 (* The span log lives in fixed-size chunks rather than a list: an event

@@ -44,8 +44,6 @@ val set_circuit_base : t -> int -> unit
     [i * 1_000_000]) so circuit ids stay unique in merged span logs.
     Raises [Invalid_argument] once any circuit has been allocated. *)
 
-val circuit_base : t -> int
-
 val circuits_allocated : t -> int
 (** Count of circuits allocated (excludes the base). *)
 

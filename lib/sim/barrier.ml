@@ -68,7 +68,6 @@ let create ~quantum scheds =
   }
 
 let quantum t = t.quantum
-let shard_count t = Array.length t.shards
 let epochs t = t.epochs
 let messages_exchanged t = t.exchanged
 
@@ -192,8 +191,6 @@ module Chan = struct
     ch_dst : int;
     ch_latency : int;
     mutable ch_handler : ('a -> unit) option;
-    mutable ch_sent : int;
-    mutable ch_dropped : int; (* delivered with no handler installed *)
   }
 
   let create barrier ~src ~dst ~latency =
@@ -212,8 +209,6 @@ module Chan = struct
       ch_dst = dst;
       ch_latency = latency;
       ch_handler = None;
-      ch_sent = 0;
-      ch_dropped = 0;
     }
 
   let set_handler c h = c.ch_handler <- Some h
@@ -221,15 +216,6 @@ module Chan = struct
   let send c v =
     let sched = c.ch_barrier.shards.(c.ch_src).sh_sched in
     let arrival = Sched.now sched + c.ch_latency in
-    c.ch_sent <- c.ch_sent + 1;
     post c.ch_barrier ~src:c.ch_src ~dst:c.ch_dst ~arrival (fun () ->
-        match c.ch_handler with
-        | Some h -> h v
-        | None -> c.ch_dropped <- c.ch_dropped + 1)
-
-  let src c = c.ch_src
-  let dst c = c.ch_dst
-  let latency c = c.ch_latency
-  let sent c = c.ch_sent
-  let dropped c = c.ch_dropped
+        match c.ch_handler with Some h -> h v | None -> ())
 end

@@ -31,7 +31,6 @@ val create : quantum:int -> Sched.t array -> t
     non-positive quantum or an empty shard array. *)
 
 val quantum : t -> int
-val shard_count : t -> int
 
 val post : t -> src:int -> dst:int -> arrival:int -> (unit -> unit) -> unit
 (** Low-level cross-shard send, called from inside shard [src]'s running
@@ -73,10 +72,4 @@ module Chan : sig
   val send : 'a t -> 'a -> unit
   (** Send from inside the source shard's epoch; arrival is the source
       clock plus the channel latency. *)
-
-  val src : 'a t -> int
-  val dst : 'a t -> int
-  val latency : 'a t -> int
-  val sent : 'a t -> int
-  val dropped : 'a t -> int
 end

@@ -25,9 +25,6 @@ type t = {
   rng : Ntcs_util.Rng.t;
 }
 
-val default_latency : kind -> int * int * int
-(** [(base_us, per_kb_us, jitter_us)]. *)
-
 val make :
   id:id -> name:string -> kind:kind -> ?latency:int * int * int -> ?seed:int -> unit -> t
 

@@ -121,11 +121,7 @@ val register_cell : t -> name:string -> policy:cell_policy -> cell
     inventory, not instrumentation: the declaring module must also route
     its reads/writes through {!access}. *)
 
-val cells : t -> cell list
-(** Every registered cell, sorted by name. *)
-
 val set_monitor : t -> monitor option -> unit
-val monitoring : t -> bool
 
 val access : t -> cell -> write:bool -> unit
 (** Report a read or write of [cell], attributed to the owner of the
@@ -165,16 +161,8 @@ val self : t -> pid
 
 (** {1 Blocking (inside a process only)} *)
 
-val suspend : (waker -> unit) -> unit
-(** Suspend the current process; [register] receives the waker. *)
-
-val wake : waker -> unit
-(** Schedule the suspended process to resume now. Idempotent. *)
-
 val sleep : t -> int -> unit
 (** Suspend for a virtual duration. [sleep t 0] is a yield point. *)
-
-val yield : t -> unit
 
 (** {1 Running} *)
 
@@ -209,8 +197,6 @@ module Ivar : sig
   (** Raises [Invalid_argument] when already filled. *)
 
   val try_fill : 'a ivar -> 'a -> bool
-  val is_filled : 'a ivar -> bool
-  val peek : 'a ivar -> 'a option
 
   val read : ?timeout:int -> 'a ivar -> 'a option
   (** Block until filled; [None] on timeout (virtual µs). *)
@@ -231,6 +217,4 @@ module Mailbox : sig
 
   val recv_opt : 'a mb -> 'a option
   (** Non-blocking. *)
-
-  val clear : 'a mb -> unit
 end

@@ -1,9 +1,6 @@
 (** Tokenization for the URSA retrieval pipeline: lowercase alphanumeric
     terms, minus a small stopword list. *)
 
-val stopwords : string list
-val is_stopword : string -> bool
-
 val tokens : string -> string list
 (** In document order, stopwords removed. *)
 

@@ -16,8 +16,6 @@ type term_postings = {
   tp_postings : (int * int) list;  (** (doc id, tf) *)
 }
 
-val term_postings_codec : term_postings Packed.t
-
 type index_reply = { ir_doc_count : int; ir_results : term_postings list }
 
 val index_reply_codec : index_reply Packed.t
@@ -37,8 +35,6 @@ type search_request = { sq_query : string; sq_k : int }
 val search_request_codec : search_request Packed.t
 
 type hit = { h_doc : int; h_score_milli : int; h_title : string }
-
-val hit_codec : hit Packed.t
 
 type search_reply = { sr_hits : hit list; sr_partitions : int }
 

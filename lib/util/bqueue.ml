@@ -13,9 +13,7 @@ let create capacity =
   { capacity; items = Queue.create (); dropped = 0 }
 
 let length t = Queue.length t.items
-let is_empty t = Queue.is_empty t.items
 let is_full t = Queue.length t.items >= t.capacity
-let capacity t = t.capacity
 
 let push t x =
   if is_full t then begin
@@ -29,6 +27,5 @@ let push t x =
 let pop t = Queue.take_opt t.items
 let peek t = Queue.peek_opt t.items
 let dropped t = t.dropped
-let clear t = Queue.clear t.items
 
 let iter t f = Queue.iter f t.items

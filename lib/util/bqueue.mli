@@ -6,9 +6,7 @@ val create : int -> 'a t
 (** Raises [Invalid_argument] on a non-positive capacity. *)
 
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 val is_full : 'a t -> bool
-val capacity : 'a t -> int
 
 val push : 'a t -> 'a -> bool
 (** [push t x] enqueues [x] and returns [true]; returns [false] (and counts a
@@ -20,5 +18,4 @@ val peek : 'a t -> 'a option
 val dropped : 'a t -> int
 (** Number of refused pushes since creation. *)
 
-val clear : 'a t -> unit
 val iter : 'a t -> ('a -> unit) -> unit

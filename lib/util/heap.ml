@@ -66,8 +66,6 @@ let pop t =
     Some top
   end
 
-let clear t = t.size <- 0
-
 let to_list t =
   let rec drain acc = match pop t with
     | None -> List.rev acc

@@ -17,7 +17,5 @@ val peek : 'a t -> 'a option
 val pop : 'a t -> 'a option
 (** Remove and return the smallest element. *)
 
-val clear : 'a t -> unit
-
 val to_list : 'a t -> 'a list
 (** Drain the heap into a sorted list (destructive). *)

@@ -11,4 +11,3 @@ module Stats = Stats
 module Tbl = Tbl
 
 let sorted_bindings = Tbl.sorted_bindings
-let sorted_keys = Tbl.sorted_keys

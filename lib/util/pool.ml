@@ -219,4 +219,3 @@ let release t b =
   end
 
 let in_use t = t.in_use
-let high_water t = t.high_water

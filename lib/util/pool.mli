@@ -40,7 +40,6 @@ val release : t -> Bytes.t -> unit
     violation. *)
 
 val in_use : t -> int
-val high_water : t -> int
 
 (** {1 Sanitizer}
 

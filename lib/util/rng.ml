@@ -6,8 +6,6 @@ type t = { mutable state : int64 }
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 let next_int64 t =
@@ -27,8 +25,6 @@ let int t bound =
 let float t bound =
   let u = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   bound *. u /. 9007199254740992.0 (* 2^53 *)
-
-let bool t = Int64.logand (next_int64 t) 1L = 1L
 
 (* Range [lo, hi) *)
 let between t lo hi =

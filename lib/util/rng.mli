@@ -8,14 +8,8 @@ type t
 val create : int -> t
 (** [create seed] is a fresh generator. Equal seeds yield equal streams. *)
 
-val copy : t -> t
-(** Independent copy with the same current state. *)
-
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
-
-val next_int : t -> int
-(** Next non-negative int (62 bits). *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Raises [Invalid_argument] if
@@ -23,8 +17,6 @@ val int : t -> int -> int
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
-
-val bool : t -> bool
 
 val between : t -> int -> int -> int
 (** [between t lo hi] is uniform in [\[lo, hi)]; returns [lo] if [hi <= lo]. *)

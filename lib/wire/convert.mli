@@ -20,8 +20,6 @@ type machine_repr = { repr_name : string; order : Endian.order }
 (** A machine's native data representation (byte order is the modelled
     difference). *)
 
-val repr_compatible : machine_repr -> machine_repr -> bool
-
 val choose : src:machine_repr -> dst:machine_repr -> mode
 (** Image when representations agree, packed otherwise. *)
 

@@ -27,8 +27,6 @@ type value =
   | V_int of int
   | V_str of string
 
-val field_size : field -> int
-
 val size : t -> int
 (** Total image size in bytes. *)
 
