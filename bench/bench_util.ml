@@ -5,8 +5,6 @@ let header title paper_ref =
   Printf.printf "\n=== %s ===\n" title;
   Printf.printf "    paper: %s\n\n" paper_ref
 
-let row fmt = Printf.printf fmt
-
 let table ~columns rows =
   let widths =
     List.mapi

@@ -18,21 +18,6 @@ let experiments =
     ("e11", "E11: URSA end-to-end", Experiments.e11_ursa);
     ("a1", "A1: always-packed ablation", Experiments.a1_always_packed);
     ("a2", "A2: naming-cache ablation", Experiments.a2_no_cache);
-    ("s1", "S1: substrate throughput", Experiments.s1_sim_throughput);
-    ("obs", "OBS: observability-plane snapshot (writes BENCH_obs.json)",
-     Experiments.obs_snapshot);
-    ("hot", "HOT: zero-copy hot-path baseline (writes BENCH_hotpath.json)",
-     Experiments.hot_full);
-    ("hot-smoke", "HOT (smoke): 1-second slice of the hot-path bench",
-     Experiments.hot_smoke);
-    ("par", "PAR: domain-parallel frames/sec vs domain count (writes BENCH_parallel.json)",
-     Experiments.par_full);
-    ("par-smoke", "PAR (smoke): 1/2-domain slice of the parallel-world bench",
-     Experiments.par_smoke);
-    ("naming", "NAMING: sharded naming plane (writes BENCH_naming.json)",
-     Experiments.naming_full);
-    ("naming-smoke", "NAMING (smoke): sharded naming-plane slice",
-     Experiments.naming_smoke);
   ]
 
 let () =

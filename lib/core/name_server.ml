@@ -48,8 +48,8 @@ type t = {
   db : (Addr.t, record) Hashtbl.t;
   by_name : (string, record list) Hashtbl.t;
   (* name -> every record ever registered under it (small buckets). The
-     index is what keeps lookups O(bucket) instead of a full database scan
-     — the difference between 10^3 and 10^6 names (BENCH_naming.json). *)
+     index is what keeps lookups O(bucket) instead of a full database scan,
+     so lookup cost does not grow with the number of names. *)
   peers : Addr.t list; (* other replicas' well-known addresses *)
   shard_map : Addr.t Ntcs_naming.Shard_map.t option;
   (* None = classic single/replicated server; Some = sharded naming plane,

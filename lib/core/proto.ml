@@ -301,7 +301,10 @@ type hello = {
 
 let hello_codec =
   Packed.iso
-    ~fwd:(fun (a, (o, l)) -> { h_addr = a; h_order = order_of_int o; h_listen = l })
+    ~fwd:(fun (a, (o, l)) ->
+      (* The tag comes from a peer: an unknown one is malformed data. *)
+      let h_order = try order_of_int o with Bad_header m -> raise (Packed.Unpack_error m) in
+      { h_addr = a; h_order; h_listen = l })
     ~bwd:(fun h -> (h.h_addr, (order_to_int h.h_order, h.h_listen)))
     (Packed.pair addr_codec (Packed.pair Packed.int (Packed.list Packed.string)))
 

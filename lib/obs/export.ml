@@ -1,7 +1,7 @@
 (* Snapshot exporters. All three formats are rendered through a single
    Buffer with fully sorted iteration and fixed number formatting, so two
-   registries built by equal-seed runs serialize to byte-identical strings —
-   the acceptance bar for BENCH_obs.json and the golden Chrome trace. *)
+   registries built by equal-seed runs serialize to byte-identical strings,
+   as test_obs's determinism tests and the golden Chrome trace require. *)
 
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in

@@ -26,9 +26,6 @@ val stats_alist : t -> (string * stat) list
 val observe : t -> string -> int -> unit
 (** Record a sample in histogram [name], creating it on first use. *)
 
-val histo : t -> string -> Histo.t
-(** The histogram named [name], created empty on first use. *)
-
 val find_histo : t -> string -> Histo.t option
 val histos_alist : t -> (string * Histo.t) list
 

@@ -500,7 +500,6 @@ module Par = struct
   let run ?until ?workers p = Barrier.run ?until ?workers p.p_barrier
   let epochs p = Barrier.epochs p.p_barrier
   let messages_exchanged p = Barrier.messages_exchanged p.p_barrier
-  let events_per_shard p = Array.map (fun w -> Sched.events_executed w.sched) p.p_shards
 
   (* Merged logs. A stable sort on virtual time alone keeps, within one
      instant, shard order and then each shard's own program order — the

@@ -229,7 +229,6 @@ module Par : sig
 
   val epochs : t -> int
   val messages_exchanged : t -> int
-  val events_per_shard : t -> int array
 
   val merged_trace_lines : t -> string list
   (** All shards' trace entries, stable-sorted on virtual time (within one

@@ -40,26 +40,42 @@ let field_to_string = function
   | F_i64 -> "i64"
   | F_char_array n -> Printf.sprintf "char[%d]" n
 
+(* The values [decode] can return for [field]: integers in the field's
+   signed range (an i64 field holds any OCaml int), strings of at most [n]
+   bytes with no NUL. Both conversion modes accept exactly these, so a
+   receiver decodes the same list whichever mode the NTCS picked. *)
+let check field value =
+  let half = 1 lsl ((8 * field_size field) - 1) in
+  match (field, value) with
+  | (F_i8 | F_i16 | F_i32), V_int v when v < -half || v >= half ->
+    Some (Printf.sprintf "%d outside %s" v (field_to_string field))
+  | (F_i8 | F_i16 | F_i32 | F_i64), V_int _ -> None
+  | F_char_array n, V_str s when String.length s > n ->
+    Some (Printf.sprintf "string of %d exceeds char[%d]" (String.length s) n)
+  | F_char_array _, V_str s when String.contains s '\000' -> Some "NUL inside a char array"
+  | F_char_array _, V_str _ -> None
+  | (F_i8 | F_i16 | F_i32 | F_i64), V_str _ -> Some "expected integer value"
+  | F_char_array _, V_int _ -> Some "expected string value"
+
 (* Render values into the native memory image for a machine with byte order
-   [order]. Raises [Layout_error] on shape mismatch. *)
+   [order]. Raises [Layout_error] on shape mismatch or a value [check]
+   refuses. *)
 let encode ~order layout values =
   let buf = Buffer.create (size layout) in
   let put field value =
+    (match check field value with Some msg -> raise (Layout_error msg) | None -> ());
     match (field, value) with
     | F_i8, V_int v -> Buffer.add_char buf (Char.chr (v land 0xFF))
     | F_i16, V_int v -> Endian.put_u16 ~order buf v
     | F_i32, V_int v -> Endian.put_u32 ~order buf v
     | F_i64, V_int v -> Endian.put_u64 ~order buf v
     | F_char_array n, V_str s ->
-      if String.length s > n then
-        raise (Layout_error (Printf.sprintf "string of %d exceeds char[%d]" (String.length s) n));
       Buffer.add_string buf s;
       for _ = String.length s + 1 to n do
         Buffer.add_char buf '\000'
       done
-    | (F_i8 | F_i16 | F_i32 | F_i64), V_str _ ->
-      raise (Layout_error "expected integer value")
-    | F_char_array _, V_int _ -> raise (Layout_error "expected string value")
+    | (F_i8 | F_i16 | F_i32 | F_i64), V_str _ | F_char_array _, V_int _ ->
+      assert false (* refused by [check] *)
   in
   let rec go fields values =
     match (fields, values) with

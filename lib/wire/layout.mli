@@ -10,8 +10,8 @@
     is deliberately reproducible here. *)
 
 exception Layout_error of string
-(** Shape errors only (wrong value count/type, size mismatch) — never
-    representation errors. *)
+(** Shape errors (wrong value count/type, size mismatch) and values
+    {!check} refuses — never representation errors. *)
 
 type field =
   | F_i8
@@ -32,9 +32,16 @@ val size : t -> int
 
 val field_to_string : field -> string
 
+val check : field -> value -> string option
+(** [None] when [decode] can return [value] for [field]: an integer in the
+    field's signed range (any int for [F_i64]), or for [F_char_array n] a
+    string of at most [n] bytes with no NUL. Otherwise why not. {!encode}
+    and [Packed.of_layout] accept exactly these values, so both conversion
+    modes deliver the same list. *)
+
 val encode : order:Endian.order -> t -> value list -> Bytes.t
 (** Render values into the native memory image. Raises {!Layout_error} on a
-    shape mismatch. *)
+    shape mismatch or a value {!check} refuses. *)
 
 val decode : order:Endian.order -> t -> Bytes.t -> value list
 (** Reinterpret a memory image. Raises {!Layout_error} only when the byte

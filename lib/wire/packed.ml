@@ -219,23 +219,25 @@ let bytes =
    codec for its value list. Applications that describe their messages once
    get both modes for free. *)
 
+(* Both directions accept only what [Layout.check] does, the values image
+   mode can carry, so the mode the NTCS picks never changes what arrives. *)
 let value_codec field =
-  match field with
-  | Layout.F_i8 | Layout.F_i16 | Layout.F_i32 | Layout.F_i64 ->
-    iso
-      ~fwd:(fun v -> Layout.V_int v)
-      ~bwd:(function
-        | Layout.V_int v -> v
-        | Layout.V_str _ -> invalid_arg "packed: layout expects integer")
-      int
-  | Layout.F_char_array n ->
-    iso
-      ~fwd:(fun s -> Layout.V_str s)
-      ~bwd:(function
-        | Layout.V_str s when String.length s <= n -> s
-        | Layout.V_str _ -> invalid_arg "packed: string exceeds char array"
-        | Layout.V_int _ -> invalid_arg "packed: layout expects string")
-      string
+  let read =
+    match field with
+    | Layout.F_i8 | Layout.F_i16 | Layout.F_i32 | Layout.F_i64 ->
+      fun cur -> Layout.V_int (int.unpack cur)
+    | Layout.F_char_array _ -> fun cur -> Layout.V_str (string.unpack cur)
+  in
+  {
+    pack =
+      (fun buf v ->
+        (match Layout.check field v with Some msg -> invalid_arg ("packed: " ^ msg) | None -> ());
+        match v with Layout.V_int n -> int.pack buf n | Layout.V_str s -> string.pack buf s);
+    unpack =
+      (fun cur ->
+        let v = read cur in
+        match Layout.check field v with None -> v | Some msg -> raise (Unpack_error msg));
+  }
 
 let of_layout (layout : Layout.t) : Layout.value list t =
   let codecs = List.map value_codec layout in

@@ -67,4 +67,6 @@ val tagged : 'a case list -> 'a t
 
 val of_layout : Layout.t -> Layout.value list t
 (** Generate the packed codec from a message structure definition, so one
-    description yields both conversion modes. *)
+    description yields both conversion modes. It carries exactly the values
+    {!Layout.check} accepts: packing any other raises [Invalid_argument],
+    unpacking one raises {!Unpack_error}. *)

@@ -75,6 +75,43 @@ let prop_packed_roundtrip =
       let back = Packed.run_unpack codec (Packed.run_pack codec values) in
       List.for_all2 Layout.value_equal values back)
 
+(* Any value of the field's type, in its range or not: what an application
+   might hand to either conversion mode. *)
+let any_value_for_field rng field =
+  let open QCheck.Gen in
+  generate1 ~rand:rng
+    (match field with
+     | Layout.F_char_array n ->
+       let char = frequency [ (9, char_range 'a' 'z'); (1, return '\000') ] in
+       map (fun s -> Layout.V_str s) (string_size ~gen:char (int_range 0 (n + 2)))
+     | Layout.F_i8 | Layout.F_i16 | Layout.F_i32 | Layout.F_i64 ->
+       map (fun i -> Layout.V_int i)
+         (oneof [ int; int_range (-0x1_0000_0000) 0x1_0000_0000; int_range (-300) 300 ]))
+
+let prop_image_packed_agree =
+  qtest ~count:500 "image and packed decode the same list or both refuse"
+    (QCheck.pair
+       (QCheck.make
+          QCheck.Gen.(
+            layout_gen >>= fun layout rng -> (layout, List.map (any_value_for_field rng) layout)))
+       (QCheck.make order_gen))
+    (fun ((layout, values), order) ->
+      let image =
+        match Layout.decode ~order layout (Layout.encode ~order layout values) with
+        | back -> Some back
+        | exception Layout.Layout_error _ -> None
+      in
+      let codec = Packed.of_layout layout in
+      let packed =
+        match Packed.run_unpack_result codec (Packed.run_pack codec values) with
+        | Ok back -> Some back
+        | Error _ | (exception Invalid_argument _) -> None
+      in
+      match (image, packed) with
+      | None, None -> true
+      | Some a, Some b -> List.for_all2 Layout.value_equal a b
+      | Some _, None | None, Some _ -> false)
+
 let prop_packed_primitive_roundtrips =
   qtest "packed primitive combinators roundtrip"
     QCheck.(triple (list small_int) (pair string bool) (option (pair int string)))
@@ -435,6 +472,7 @@ let () =
           prop_packed_primitive_roundtrips;
           prop_packed_float_exact;
           prop_packed_garbage_never_crashes;
+          prop_image_packed_agree;
         ] );
       ("shift", [ prop_shift_roundtrip; prop_bitfields_roundtrip ]);
       ("protocol", [ prop_addr_roundtrip; prop_header_roundtrip ]);

@@ -118,33 +118,42 @@ let test_header_rejects_garbage () =
      | exception Proto.Bad_header _ -> true
      | _ -> false)
 
+let hello =
+  {
+    Proto.h_addr = Addr.temporary ~assigner:12 ~value:1;
+    h_order = Endian.Be;
+    h_listen = [ "tcp://vax1:4000"; "mbx://x/y" ];
+  }
+
 let test_hello_codec () =
-  let hello =
-    {
-      Proto.h_addr = Addr.temporary ~assigner:12 ~value:1;
-      h_order = Endian.Be;
-      h_listen = [ "tcp://vax1:4000"; "mbx://x/y" ];
-    }
-  in
   let b = Packed.run_pack Proto.hello_codec hello in
   let back = Packed.run_unpack Proto.hello_codec b in
   Alcotest.check addr "addr" hello.Proto.h_addr back.Proto.h_addr;
   Alcotest.(check bool) "order" true (back.Proto.h_order = Endian.Be);
-  Alcotest.(check (list string)) "listen" hello.Proto.h_listen back.Proto.h_listen
+  Alcotest.(check (list string)) "listen" hello.Proto.h_listen back.Proto.h_listen;
+  (* A peer's unknown byte-order tag is malformed data: [Error], alone or
+     carried inside an IVC_OPEN, never an exception. *)
+  let refused codec wire = Result.is_error (Packed.run_unpack_result codec (Bytes.of_string wire)) in
+  let bad_hello = "0\n0\n2\n0\n" in
+  Alcotest.(check bool) "unknown order tag" true (refused Proto.hello_codec bad_hello);
+  Alcotest.(check bool) "inside ivc open" true
+    (refused Proto.ivc_open_codec ("0\n0\n9\n" ^ bad_hello))
+
+let ivc_open =
+  {
+    Proto.route = [ Addr.unique ~server_id:900 ~value:2; Addr.unique ~server_id:901 ~value:3 ];
+    final_dst = Addr.unique ~server_id:0 ~value:9;
+    origin_hello =
+      { Proto.h_addr = Addr.unique ~server_id:0 ~value:4; h_order = Endian.Le; h_listen = [] };
+  }
 
 let test_ivc_open_codec () =
-  let v =
-    {
-      Proto.route = [ Addr.unique ~server_id:900 ~value:2; Addr.unique ~server_id:901 ~value:3 ];
-      final_dst = Addr.unique ~server_id:0 ~value:9;
-      origin_hello =
-        { Proto.h_addr = Addr.unique ~server_id:0 ~value:4; h_order = Endian.Le; h_listen = [] };
-    }
+  let back =
+    Packed.run_unpack Proto.ivc_open_codec (Packed.run_pack Proto.ivc_open_codec ivc_open)
   in
-  let back = Packed.run_unpack Proto.ivc_open_codec (Packed.run_pack Proto.ivc_open_codec v) in
   Alcotest.(check int) "route length" 2 (List.length back.Proto.route);
-  Alcotest.check addr "final" v.Proto.final_dst back.Proto.final_dst;
-  Alcotest.check addr "origin" v.Proto.origin_hello.Proto.h_addr
+  Alcotest.check addr "final" ivc_open.Proto.final_dst back.Proto.final_dst;
+  Alcotest.check addr "origin" ivc_open.Proto.origin_hello.Proto.h_addr
     back.Proto.origin_hello.Proto.h_addr
 
 (* Every naming-protocol constructor, each with its exact packed bytes. The
@@ -207,8 +216,9 @@ let test_ns_proto_roundtrips () =
   check_pinned "response" Ns_proto.pack_response Ns_proto.unpack_response ns_responses
 
 (* Hostile bytes: truncated, bit-flipped and length-inflated encodings of
-   valid naming messages must decode to [Ok] or [Error], never raise. A
-   name server's receive loop has no exception arm to fall back on. *)
+   valid messages must decode to [Ok] or [Error], never raise. A name
+   server's receive loop, the IP layer's dispatcher and every service loop
+   have no exception arm to fall back on. *)
 let decimal_tokens wire =
   let n = String.length wire in
   let rec scan i acc =
@@ -239,21 +249,62 @@ let mutate wire (kind, at, bit) =
       let huge = [| max_int; max_int - 1; max_int / 2; 1 lsl 40 |].(bit mod 4) in
       String.sub wire 0 off ^ string_of_int huge ^ String.sub wire (off + len) (n - off - len))
 
-let prop_hostile_bytes_never_raise =
-  let wires =
-    Array.of_list
-      (List.map (fun (r, _) -> Ns_proto.pack_request r) ns_requests
-      @ List.map (fun (r, _) -> Ns_proto.pack_response r) ns_responses)
+(* Each decoder with the pinned encodings of some of its messages. *)
+let hostile_families =
+  let packed codec samples =
+    ( (fun w -> match Packed.run_unpack_result codec w with Ok _ | Error _ -> ()),
+      List.map (Packed.run_pack codec) samples )
   in
+  let module D = Ntcs_drts.Drts_proto in
+  let module U = Ursa.Ursa_msg in
+  let monitor = { D.mr_module = "m"; mr_kind = "send"; mr_detail = "d"; mr_time = 3 } in
+  let log = { D.lr_module = "m"; lr_severity = D.Warning; lr_message = "x"; lr_time = 4 } in
+  let layout = Layout.[ F_i8; F_i32; F_char_array 8; F_i64 ] in
+  [
+    ( (fun w ->
+        (match Ns_proto.unpack_request w with Ok _ | Error _ -> ());
+        match Ns_proto.unpack_response w with Ok _ | Error _ -> ()),
+      List.map (fun (r, _) -> Ns_proto.pack_request r) ns_requests
+      @ List.map (fun (r, _) -> Ns_proto.pack_response r) ns_responses );
+    packed Proto.hello_codec [ hello ];
+    packed Proto.ivc_open_codec [ ivc_open ];
+    packed Proto.reason_codec [ ""; "no route" ];
+    packed D.time_request_codec [ { D.tq_client_time = 5 } ];
+    packed D.time_reply_codec [ { D.tr_server_time = 7 } ];
+    packed D.monitor_record_codec [ monitor ];
+    packed D.monitor_query_codec [ D.Q_stats; D.Q_recent 5 ];
+    packed D.monitor_stats_codec
+      [ { D.ms_total = 2; ms_by_kind = [ ("send", 2) ]; ms_by_module = [ ("m", 2) ] } ];
+    packed D.monitor_recent_codec [ [ monitor ] ];
+    packed D.log_record_codec [ log ];
+    packed D.log_query_codec [ D.L_count 2; D.L_recent 4 ];
+    packed D.log_recent_codec [ [ log ] ];
+    packed U.term_query_codec [ { U.tq_terms = [ "a"; "b" ] } ];
+    packed U.index_reply_codec
+      [ { U.ir_doc_count = 3;
+          ir_results = [ { U.tp_term = "a"; tp_df = 1; tp_postings = [ (1, 2) ] } ] } ];
+    packed U.doc_request_codec [ { U.dr_doc = 17 } ];
+    packed U.doc_reply_codec [ U.Doc_found { df_title = "t"; df_body = "b" }; U.Doc_missing ];
+    packed U.search_request_codec [ { U.sq_query = "q"; sq_k = 3 } ];
+    packed U.search_reply_codec
+      [ { U.sr_hits = [ { U.h_doc = 1; h_score_milli = 500; h_title = "t" } ];
+          sr_partitions = 2 } ];
+    packed (Packed.of_layout layout)
+      [ Layout.[ V_int (-3); V_int 305419896; V_str "ursa"; V_int 1 ] ];
+  ]
+
+let prop_hostile_bytes_never_raise =
+  let decoders = List.map fst hostile_families in
+  let wires = Array.of_list (List.concat_map snd hostile_families) in
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:2000 ~name:"ns decoders answer hostile bytes with Error"
+    (QCheck.Test.make ~count:2000 ~name:"decoders answer hostile bytes with Error"
        QCheck.(
          pair (int_bound (Array.length wires - 1))
            (triple (int_bound 2) (int_bound 10_000) (int_bound 7)))
        (fun (which, m) ->
          let wire = Bytes.of_string (mutate (Bytes.to_string wires.(which)) m) in
-         let no_raise f = match f wire with Ok _ | Error _ -> true in
-         no_raise Ns_proto.unpack_request && no_raise Ns_proto.unpack_response))
+         List.iter (fun decode -> decode wire) decoders;
+         true))
 
 let test_app_union_bytes () =
   let check what codec cases =

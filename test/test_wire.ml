@@ -126,7 +126,11 @@ let test_packed_unpack_errors () =
   expect_err "1\n2\n" Packed.int (* trailing bytes *);
   (* A length near max_int must not overflow the bounds check. *)
   expect_err "4611686018427387903\nabc\n" Packed.string;
-  expect_err "1\n4611686018427387903\nabc\n" (Packed.list Packed.string)
+  expect_err "1\n4611686018427387903\nabc\n" (Packed.list Packed.string);
+  (* Values image mode could not carry for the field. *)
+  expect_err "5\nhello\n" (Packed.of_layout [ Layout.F_char_array 2 ]);
+  expect_err "3\na\000b\n" (Packed.of_layout [ Layout.F_char_array 4 ]);
+  expect_err "200\n" (Packed.of_layout [ Layout.F_i8 ])
 
 let test_packed_of_layout_matches_image_semantics () =
   let codec = Packed.of_layout sample_layout in
