@@ -27,7 +27,16 @@ type leg = {
   lg_circuit : Nd_layer.circuit;
   lg_label : int;
   lg_span_detail : string; (* "net<from>-><to>": the gw.forward span detail, built once *)
+  lg_trace : Nd_layer.span_memo; (* gw.forward trace detail up to "span=" *)
 }
+
+let make_leg ~in_net ~in_label ~net ~commod ~circuit ~label =
+  { lg_net = net; lg_commod = commod; lg_circuit = circuit; lg_label = label;
+    lg_span_detail = Printf.sprintf "net%d->net%d" in_net net;
+    lg_trace =
+      Nd_layer.empty_memo
+        ~prefix:(Printf.sprintf "net%d label %d -> net%d label %d " in_net in_label net label)
+        ~suffix:" span=" () }
 
 type t = {
   node : Node.t;
@@ -144,14 +153,12 @@ let handle_open t (in_net : Net.id) (in_commod : Commod.t) in_circuit (h : Proto
         else begin
           let out_label = Registry.fresh_label t.node.Node.ipcs in
           Hashtbl.replace t.splices in_key
-            { lg_net = out_net; lg_commod = out_commod; lg_circuit = out_circuit;
-              lg_label = out_label;
-              lg_span_detail = Printf.sprintf "net%d->net%d" in_net out_net };
+            (make_leg ~in_net ~in_label:h.Proto.ivc ~net:out_net ~commod:out_commod
+               ~circuit:out_circuit ~label:out_label);
           Hashtbl.replace t.splices
             (leg_key out_net out_circuit out_label)
-            { lg_net = in_net; lg_commod = in_commod; lg_circuit = in_circuit;
-              lg_label = h.Proto.ivc;
-              lg_span_detail = Printf.sprintf "net%d->net%d" out_net in_net };
+            (make_leg ~in_net:out_net ~in_label:out_label ~net:in_net ~commod:in_commod
+               ~circuit:in_circuit ~label:h.Proto.ivc);
           let body =
             Ntcs_wire.Packed.run_pack Proto.ivc_open_codec
               { req with Proto.route = (match req.Proto.route with [] -> [] | _ :: r -> r) }
@@ -224,11 +231,8 @@ let handle_frame t (net : Net.id) (_commod : Commod.t) circuit (view : Proto.Fra
          never talk to each other — is checkable from event logs (lint R3)
          instead of assumed. *)
       trace t ~cat:"gw.forward"
-        (Printf.sprintf "net%d label %d -> net%d label %d kind=%s dst=%s span=%s" net
-           h.Proto.ivc out.lg_net out.lg_label
-           (Proto.kind_to_string h.Proto.kind)
-           (Addr.to_string h.Proto.dst)
-           (Ntcs_obs.Span.to_string h.Proto.span));
+        (Nd_layer.memo_detail out.lg_trace ~role:"dst" h.Proto.kind h.Proto.dst
+         ^ Ntcs_obs.Span.to_string h.Proto.span);
       if not (Ntcs_obs.Span.is_none h.Proto.span) then
         World.span (Node.world t.node) ~ctx:h.Proto.span ~phase:Ntcs_obs.Span.I
           ~name:"gw.forward" ~actor:t.gw_name out.lg_span_detail;

@@ -27,23 +27,29 @@ open Ntcs_wire
    and address it was rendered from. A circuit carries the same kind to the
    same peer frame after frame, so the string is built once and shared by
    every nd.tx (or nd.rx) event that repeats it. [sm_detail = ""]: nothing
-   rendered yet. *)
+   rendered yet. A gateway leg keeps one too, with its fixed text around
+   the kind and address (DESIGN §11). *)
 type span_memo = {
+  sm_prefix : string;
+  sm_suffix : string;
   mutable sm_kind : Proto.kind;
   mutable sm_addr : Addr.t;
   mutable sm_detail : string;
 }
 
-let empty_memo () =
-  { sm_kind = Proto.Data; sm_addr = Addr.temporary ~assigner:0 ~value:0; sm_detail = "" }
+let empty_memo ?(prefix = "") ?(suffix = "") () =
+  { sm_prefix = prefix; sm_suffix = suffix; sm_kind = Proto.Data;
+    sm_addr = Addr.temporary ~assigner:0 ~value:0; sm_detail = "" }
 
-(* "kind=<kind> <role>=<addr>", rebuilt only when kind or address moved. *)
+(* "<prefix>kind=<kind> <role>=<addr><suffix>", rebuilt only when kind or
+   address moved. *)
 let memo_detail m ~role kind addr =
   if m.sm_detail = "" || m.sm_kind <> kind || not (Addr.equal m.sm_addr addr) then begin
     m.sm_kind <- kind;
     m.sm_addr <- addr;
     m.sm_detail <-
-      Printf.sprintf "kind=%s %s=%s" (Proto.kind_to_string kind) role (Addr.to_string addr)
+      Printf.sprintf "%skind=%s %s=%s%s" m.sm_prefix (Proto.kind_to_string kind) role
+        (Addr.to_string addr) m.sm_suffix
   end;
   m.sm_detail
 
@@ -230,12 +236,12 @@ let upgrade_peer (c : circuit) (real : Addr.t) =
     register_circuit t real c
   end
 
-let handle_incoming (c : circuit) raw =
+let handle_incoming (c : circuit) (s : Std_if.slice) =
   let t = c.nd in
   (* The received buffer becomes the view's backing store — no payload copy
      here; the header decodes once and is memoised in the view. *)
   match
-    let v = Proto.Frame.of_bytes raw in
+    let v = Proto.Frame.of_bytes ~off:s.Std_if.off ~len:s.Std_if.len s.Std_if.buf in
     (v, Proto.Frame.header v)
   with
   | exception (Proto.Bad_header m | Shift.Shift_error m) ->
@@ -243,7 +249,7 @@ let handle_incoming (c : circuit) raw =
     trace t ~cat:"nd.bad_frame" m
   | v, h ->
     Ntcs_obs.Registry.incr (metrics t) "nd.frames_recv";
-    Ntcs_obs.Registry.observe (metrics t) "nd.rx_bytes" (Bytes.length raw);
+    Ntcs_obs.Registry.observe (metrics t) "nd.rx_bytes" s.Std_if.len;
     if not (Ntcs_obs.Span.is_none h.Proto.span) then
       World.span (Node.world t.node) ~ctx:h.Proto.span ~phase:Ntcs_obs.Span.I ~name:"nd.rx"
         ~actor:t.owner
@@ -263,8 +269,8 @@ let reader_loop (c : circuit) =
   let t = c.nd in
   let rec loop () =
     match c.lvc.Std_if.recv_msg () with
-    | Ok raw ->
-      handle_incoming c raw;
+    | Ok s ->
+      handle_incoming c s;
       loop ()
     | Error e ->
       if c.c_open then begin
@@ -301,6 +307,11 @@ let fresh_cid t =
   t.next_cid <- cid + 1;
   cid
 
+(* A handshake frame's header and (materialised) payload. *)
+let decode_slice (s : Std_if.slice) =
+  let v = Proto.Frame.of_bytes ~off:s.Std_if.off ~len:s.Std_if.len s.Std_if.buf in
+  (Proto.Frame.header v, Proto.Frame.payload_bytes v)
+
 (* Inbound handshake: expect HELLO, answer HELLO-ACK, then become the
    circuit's reader. *)
 let inbound_handshake t (lvc : Std_if.lvc) =
@@ -308,8 +319,8 @@ let inbound_handshake t (lvc : Std_if.lvc) =
   | Error e ->
     lvc.Std_if.abort ();
     trace t ~cat:"nd.handshake_fail" (Ipcs_error.to_string e)
-  | Ok raw -> (
-    match Proto.decode_frame raw with
+  | Ok s -> (
+    match decode_slice s with
     | exception (Proto.Bad_header m | Shift.Shift_error m) ->
       lvc.Std_if.abort ();
       trace t ~cat:"nd.handshake_fail" m
@@ -408,8 +419,8 @@ let open_circuit t ~(phys : Phys_addr.t) =
         | Error e ->
           lvc.Std_if.abort ();
           Error (Errors.of_ipcs e)
-        | Ok raw -> (
-          match Proto.decode_frame raw with
+        | Ok s -> (
+          match decode_slice s with
           | exception (Proto.Bad_header m | Shift.Shift_error m) ->
             lvc.Std_if.abort ();
             Error (Errors.Bad_message m)

@@ -184,15 +184,6 @@ let encode_frame h payload =
   let hdr = encode_header { h with payload_len = Bytes.length payload } in
   if Bytes.length payload = 0 then hdr else Bytes.cat hdr payload
 
-let decode_frame data =
-  let h = decode_header data in
-  if Bytes.length data <> header_bytes + h.payload_len then
-    raise
-      (Bad_header
-         (Printf.sprintf "frame length %d does not match header payload_len %d"
-            (Bytes.length data) h.payload_len));
-  (h, Bytes.sub data header_bytes h.payload_len)
-
 (* --- zero-copy frame views ---
 
    A [view] is a window onto an existing buffer holding one complete frame.

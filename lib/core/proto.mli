@@ -79,9 +79,6 @@ val decode_header : Bytes.t -> header
 val encode_frame : header -> Bytes.t -> Bytes.t
 (** Header (with [payload_len] fixed up) followed by the payload bytes. *)
 
-val decode_frame : Bytes.t -> header * Bytes.t
-(** Raises {!Bad_header} when the byte count disagrees with the header. *)
-
 (** {1 Zero-copy frame views}
 
     A {!Frame.t} is a window onto an existing buffer holding one complete

@@ -17,12 +17,15 @@
 open Ntcs_sim
 open Ntcs_ipcs
 
+(* A received message, owned by the receiver (std_if.mli). *)
+type slice = { buf : Bytes.t; off : int; len : int }
+
 type lvc = {
   lvc_id : int;
   kind : Phys_addr.kind;
   send_msg : Bytes.t -> (unit, Ipcs_error.t) result;
   send_sub : Bytes.t -> off:int -> len:int -> (unit, Ipcs_error.t) result;
-  recv_msg : ?timeout_us:int -> unit -> (Bytes.t, Ipcs_error.t) result;
+  recv_msg : ?timeout_us:int -> unit -> (slice, Ipcs_error.t) result;
   close : unit -> unit;
   abort : unit -> unit;
   is_open : unit -> bool;
@@ -81,8 +84,8 @@ let of_tcp (conn : Ipcs_tcp.conn) =
     if have >= frame_word_bytes then begin
       let need = Ntcs_wire.Shift.get_word !rbuf !head in
       if have >= frame_word_bytes + need then begin
-        (* The one copy on the receive path: the message leaves the cursor
-           buffer and becomes the frame view's backing store upstairs. *)
+        (* The message leaves the cursor buffer and becomes the frame
+           view's backing store upstairs. *)
         (* lint: allow copies(Bytes.sub) — ownership hand-off out of the reused reassembly buffer *)
         let msg = Bytes.sub !rbuf (!head + frame_word_bytes) need in
         head := !head + frame_word_bytes + need;
@@ -90,13 +93,20 @@ let of_tcp (conn : Ipcs_tcp.conn) =
           head := 0;
           tail := 0
         end;
-        Ok msg
+        Ok { buf = msg; off = 0; len = need }
       end
       else fill ?timeout_us ()
     end
     else fill ?timeout_us ()
   and fill ?timeout_us () =
     match Ipcs_tcp.recv ?timeout_us conn with
+    | Ok chunk
+      when !head = !tail
+           && Bytes.length chunk >= frame_word_bytes
+           && Ntcs_wire.Shift.get_word chunk 0 = Bytes.length chunk - frame_word_bytes ->
+      (* Nothing pending and the chunk is exactly one framed message (the
+         usual case: one write, one segment): it is the message buffer. *)
+      Ok { buf = chunk; off = frame_word_bytes; len = Bytes.length chunk - frame_word_bytes }
     | Ok chunk ->
       append chunk;
       recv_msg ?timeout_us ()
@@ -116,8 +126,8 @@ let of_tcp (conn : Ipcs_tcp.conn) =
 (* --- MBX adaptation: fragmentation over bounded messages ---
 
    Fragment header: three shift-mode words (frame id, index, count). A
-   message that fits in one MBX message still carries the header so the
-   receiver needs no special case. *)
+   message that fits in one MBX message still carries the header, so the
+   receiver validates every message the same way. *)
 
 let mbx_frag_header = 12
 let mbx_frag_payload = Ipcs_mbx.max_message_size - mbx_frag_header
@@ -143,15 +153,16 @@ let of_mbx (chan : Ipcs_mbx.chan) =
       else begin
         let off = idx * mbx_frag_payload in
         let len = min mbx_frag_payload (total - off) in
-        let buf = Buffer.create (len + mbx_frag_header) in
-        Ntcs_wire.Shift.put_word buf frame_id;
-        Ntcs_wire.Shift.put_word buf idx;
-        Ntcs_wire.Shift.put_word buf count;
-        Buffer.add_subbytes buf data (base + off) len;
+        (* Each fragment is written once, into the buffer the ring delivers. *)
+        let frag = Bytes.create (len + mbx_frag_header) in
+        Ntcs_wire.Shift.poke_word frag 0 frame_id;
+        Ntcs_wire.Shift.poke_word frag 4 idx;
+        Ntcs_wire.Shift.poke_word frag 8 count;
+        Bytes.blit data (base + off) frag mbx_frag_header len;
         (* A single-fragment message is one whole ND frame on the ring: the
            fault plane may drop/duplicate/reorder it. Fragments of a larger
            frame must arrive whole and in order, so they are never marked. *)
-        match Ipcs_mbx.send ~droppable:(count = 1) chan (Buffer.to_bytes buf) with
+        match Ipcs_mbx.send ~droppable:(count = 1) chan frag with
         | Ok () -> go (idx + 1)
         | Error Ipcs_error.Queue_full ->
           (* Bounded mailbox: surface to the ND-layer, which backs off and
@@ -182,27 +193,28 @@ let of_mbx (chan : Ipcs_mbx.chan) =
         Hashtbl.remove partial frame_id;
         Error Ipcs_error.Closed
       end
+      else if count = 1 then
+        Ok { buf = frag; off = mbx_frag_header; len = Bytes.length frag - mbx_frag_header }
       else
-        (* lint: allow copies(Bytes.sub) — strip the fragment header off the MBX message *)
-        let body = Bytes.sub frag mbx_frag_header (Bytes.length frag - mbx_frag_header) in
-        if count = 1 then Ok body
-        else
-          let frags = if got = 0 then Array.make count None else frags in
-          match frags.(idx) with
-          | Some _ -> recv_msg ?timeout_us ()
-          | None ->
-            frags.(idx) <- Some body;
-            let got = got + 1 in
-            if got = count then begin
-              Hashtbl.remove partial frame_id;
-              let buf = Buffer.create (count * mbx_frag_payload) in
-              Array.iter (function Some b -> Buffer.add_bytes buf b | None -> ()) frags;
-              Ok (Buffer.to_bytes buf)
-            end
-            else begin
-              Hashtbl.replace partial frame_id (got, frags);
-              recv_msg ?timeout_us ()
-            end)
+        let frags = if got = 0 then Array.make count None else frags in
+        match frags.(idx) with
+        | Some _ -> recv_msg ?timeout_us ()
+        | None ->
+          frags.(idx) <- Some frag;
+          let got = got + 1 in
+          if got = count then begin
+            Hashtbl.remove partial frame_id;
+            let buf = Buffer.create (count * mbx_frag_payload) in
+            let add f = Buffer.add_subbytes buf f mbx_frag_header (Bytes.length f - mbx_frag_header) in
+            Array.iter (Option.iter add) frags;
+            (* lint: allow copies(Buffer.to_bytes) — multi-fragment reassembly *)
+            let msg = Buffer.to_bytes buf in
+            Ok { buf = msg; off = 0; len = Bytes.length msg }
+          end
+          else begin
+            Hashtbl.replace partial frame_id (got, frags);
+            recv_msg ?timeout_us ()
+          end)
   in
   {
     lvc_id = Ipcs_mbx.chan_id chan;

@@ -17,6 +17,14 @@
 open Ntcs_sim
 open Ntcs_ipcs
 
+type slice = { buf : Bytes.t; off : int; len : int }
+(** One received message: [len] bytes at [off] in [buf]. The receiver owns
+    [buf] for as long as it likes and may patch it in place: no other
+    delivery shares it, and the STD-IF never touches it again. A
+    single-segment TCP (single-fragment MBX) message lies in the arrived
+    buffer itself, past the length word (fragment header); anything
+    reassembled is a fresh, never pooled copy at [off = 0]. *)
+
 type lvc = {
   lvc_id : int;
   kind : Phys_addr.kind;
@@ -25,7 +33,7 @@ type lvc = {
       (** Send [data[off, off+len)] as one message without the caller
           first materialising the slice — the zero-copy path for pooled
           frame buffers. The slice is consumed before the call returns. *)
-  recv_msg : ?timeout_us:int -> unit -> (Bytes.t, Ipcs_error.t) result;
+  recv_msg : ?timeout_us:int -> unit -> (slice, Ipcs_error.t) result;
   close : unit -> unit;
   abort : unit -> unit;
   is_open : unit -> bool;

@@ -74,11 +74,13 @@ type severity = Info | Warning | Error | Fatal
 
 let severity_to_int = function Info -> 0 | Warning -> 1 | Error -> 2 | Fatal -> 3
 
+(* A severity outside 0–3 is malformed data, not a Fatal record. *)
 let severity_of_int = function
   | 0 -> Info
   | 1 -> Warning
   | 2 -> Error
-  | _ -> Fatal
+  | 3 -> Fatal
+  | s -> raise (Packed.Unpack_error (Printf.sprintf "unknown severity %d" s))
 
 let severity_to_string = function
   | Info -> "info"

@@ -175,11 +175,15 @@ let send ?(droppable = false) (c : chan) (data : Bytes.t) =
        counts as a drop — both ends of the race are modelled). *)
     if Ntcs_util.Bqueue.is_full c.c_far.inbox then Error Ipcs_error.Queue_full
     else begin
+      (* As in Ipcs_tcp.send: a replayable delivery hands over its own copy. *)
+      let replayable = droppable && World.faults c.c_stack.world <> None in
       let sent =
         World.transmit ~fifo:c.c_far.ce_fifo ~droppable c.c_stack.world ~net:c.c_net
           ~src:c.c_near.ce_machine ~dst:c.c_far.ce_machine ~size:(Bytes.length data + 24)
           (fun () ->
             if c.c_far.ce_open then begin
+              (* lint: allow copies(Bytes.copy) — a replayable delivery hands over its own buffer *)
+              let data = if replayable then Bytes.copy data else data in
               if Ntcs_util.Bqueue.push c.c_far.inbox data then
                 Sched.Mailbox.send c.c_far.ce_signal ()
             end)

@@ -35,7 +35,9 @@ val open_chan :
 val accept : ?timeout_us:int -> mailbox -> (chan, Ipcs_error.t) result
 
 val send : ?droppable:bool -> chan -> Bytes.t -> (unit, Ipcs_error.t) result
-(** Whole-message send. [Queue_full] when the peer's bounded inbox is full;
+(** Whole-message send. The buffer itself is delivered, and the receiver
+    owns it from then on: the caller must not touch it again.
+    [Queue_full] when the peer's bounded inbox is full;
     [Too_big] above {!max_message_size}. [droppable] (default [false]) marks
     a message carrying one whole ND frame — only those are subject to the
     fault plane's drop/duplicate/reorder rules; fragments of a larger frame

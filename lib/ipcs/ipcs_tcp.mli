@@ -11,6 +11,9 @@
 
 open Ntcs_sim
 
+val mss : int
+(** Maximum segment size in bytes: larger writes are segmented. *)
+
 type t
 (** One TCP stack per simulated world. *)
 
@@ -46,7 +49,9 @@ val send : ?off:int -> ?len:int -> conn -> Bytes.t -> (unit, Ipcs_error.t) resul
 
 val recv : ?timeout_us:int -> conn -> (Bytes.t, Ipcs_error.t) result
 (** [read(2)] semantics: everything available, coalesced; blocks when
-    nothing has arrived. [Error Closed] after FIN or breakage. *)
+    nothing has arrived. [Error Closed] after FIN or breakage. The caller
+    owns the returned buffer: a lone segment arrives as the sender's
+    in-flight copy itself, several are coalesced into one fresh buffer. *)
 
 val close : conn -> unit
 (** Graceful close; the peer sees [Closed] after draining. *)

@@ -1,10 +1,11 @@
 (* R5: copy discipline. The frame pipeline is zero-copy by construction —
-   received frames travel as Proto.Frame views, gateways patch header words
-   in place, sends blit once into a pooled buffer. A bare Bytes.cat /
-   Bytes.sub / Bytes.copy in lib/core is a payload copy sneaking back onto
-   the hot path; Proto (which owns the sanctioned materialisation points)
-   is exempt. Grep-grade, word-bounded, on blanked text; suppress with
-   `lint: allow copies(<call>) — reason`. *)
+   the IPCS hands received messages up as they arrived, they travel as
+   Proto.Frame views, gateways patch header words in place, sends blit once
+   into a pooled buffer. A bare Bytes.cat / Bytes.sub / Bytes.copy /
+   Buffer.to_bytes in lib/core or lib/ipcs is a payload copy sneaking back
+   onto the hot path; Proto (which owns the sanctioned materialisation
+   points) is exempt. Grep-grade, word-bounded, on blanked text; suppress
+   with `lint: allow copies(<call>) — reason`. *)
 
 let rule = "copies"
 

@@ -100,16 +100,18 @@ let may_sleep path =
 let sleep_calls = [ "Sched.sleep" ]
 
 (* R5: copy discipline. The zero-copy frame pipeline keeps payload bytes in
-   place from receive through forward to send; a stray Bytes.cat/sub/copy in
-   lib/core is a hot-path copy creeping back in. Proto owns the sanctioned
-   materialisation points (Frame.payload_bytes, to_bytes, the legacy
-   encode/decode pair) and the pool lives outside lib/core; everything else
-   must either stay on views or carry a pragma naming its reason. *)
-let copy_calls = [ "Bytes.cat"; "Bytes.sub"; "Bytes.copy" ]
+   place from the IPCS through receive, forward and send; a stray
+   Bytes.cat/sub/copy or Buffer.to_bytes in lib/core or lib/ipcs is a
+   hot-path copy creeping back in. Proto owns the sanctioned
+   materialisation points (Frame.payload_bytes, to_bytes, encode_frame);
+   everything else must either stay on views or carry a pragma naming its
+   reason. *)
+let copy_calls = [ "Bytes.cat"; "Bytes.sub"; "Bytes.copy"; "Buffer.to_bytes" ]
 
 let may_copy_frames path =
   let p = norm path in
-  (not (has_sub ~sub:"lib/core/" p)) || String.equal (module_of_file p) "Proto"
+  not (has_sub ~sub:"lib/core/" p || has_sub ~sub:"lib/ipcs/" p)
+  || String.equal (module_of_file p) "Proto"
 
 (* R6/R7: frame-ownership discipline. The zero-copy pipeline (PR 5) rests
    on lifetime rules that live in comments — Pool.alloc transfers, release

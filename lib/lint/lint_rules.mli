@@ -34,8 +34,8 @@ val may_sleep : string -> bool
 val sleep_calls : string list
 
 val may_copy_frames : string -> bool
-(** May this file call [Bytes.cat]/[Bytes.sub]/[Bytes.copy]? False inside
-    lib/core — the frame pipeline is zero-copy — except for [Proto], which
+(** May this file call a {!copy_calls} function? False inside lib/core and
+    lib/ipcs — the frame pipeline is zero-copy — except for [Proto], which
     owns the sanctioned materialisation points. *)
 
 val copy_calls : string list

@@ -15,19 +15,11 @@ let check_word v =
   if v < 0 || v > word_mask then
     raise (Shift_error (Printf.sprintf "value %d does not fit an unsigned 32-bit word" v))
 
-(* One word, most significant byte first, via shift/mask only. *)
-let put_word buf v =
-  check_word v;
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char buf (Char.chr (v land 0xFF))
-
-(* In-place variant: overwrite one word inside an existing frame buffer.
-   This is what makes shift-mode headers patchable without re-encoding —
-   the byte layout is machine-independent, so rewriting word [i] of a
-   received frame is exactly the write the original sender would have
-   produced. *)
+(* Write one word in place, most significant byte first, via shift/mask
+   only. This is also what makes shift-mode headers patchable without
+   re-encoding — the byte layout is machine-independent, so rewriting word
+   [i] of a received frame is exactly the write the original sender would
+   have produced. *)
 let poke_word data off v =
   check_word v;
   if off < 0 || off + 4 > Bytes.length data then

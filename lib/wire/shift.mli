@@ -8,10 +8,6 @@
 
 exception Shift_error of string
 
-val put_word : Buffer.t -> int -> unit
-(** Append one word, most significant byte first. Raises {!Shift_error} if
-    the value does not fit 32 unsigned bits. *)
-
 val get_word : Bytes.t -> int -> int
 (** Read one word at a byte offset. Raises {!Shift_error} when the four
     bytes at [off] are not all inside the buffer. *)

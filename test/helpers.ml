@@ -11,6 +11,11 @@ let check_err label expected = function
   | Error e ->
     Alcotest.(check string) label (Errors.to_string expected) (Errors.to_string e)
 
+(* A whole frame's header and payload, read through a view. *)
+let decode_frame b =
+  let v = Proto.Frame.of_bytes b in
+  (Proto.Frame.header v, Proto.Frame.payload_bytes v)
+
 let raw s = Ntcs_wire.Convert.payload_raw (Bytes.of_string s)
 let raw_bytes b = Ntcs_wire.Convert.payload_raw b
 let body env = Bytes.to_string env.Ali_layer.data

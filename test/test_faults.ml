@@ -170,6 +170,76 @@ let test_gateway_duplicate_open_idempotent () =
     (List.length (List.sort_uniq compare closes))
     (List.length closes)
 
+(* Redelivery ownership: a received frame's buffer belongs to one reader,
+   and the gateway patches it in place. With every droppable frame
+   duplicated on both nets, an echo each way across the LAN-ring gateway
+   must succeed, and every duplicate must reach the gateway as it was sent:
+   one sharing the first delivery's (patched) bytes would arrive carrying
+   the outbound label and find no splice. Each caller first makes a call
+   before the fault window and stays bound after it, so circuits and
+   splices are set up and never torn down under duplication — no HELLO or
+   IVC_CLOSE duplicate is an orphan for other reasons. *)
+let test_redelivery_owns_its_buffer () =
+  let config =
+    {
+      Ntcs_sim.World.Config.default with
+      Ntcs_sim.World.Config.seed = 5;
+      faults =
+        Some
+          {
+            Ntcs_sim.Faults.seed = 11;
+            rules = [ Ntcs_sim.Faults.rule ~from_us:5_000_000 ~dup:1.0 () ];
+            schedule = [];
+          };
+    }
+  in
+  let c = two_net_cluster ~config () in
+  Cluster.settle c;
+  spawn_echo c ~machine:"ap1" ~name:"ring-svc";
+  spawn_echo c ~machine:"vax1" ~name:"lan-svc";
+  Cluster.settle c;
+  let call ~machine ~name ~svc msg =
+    let reply = ref None in
+    ignore
+      (Cluster.spawn c ~machine ~name (fun node ->
+           let commod = bind_exn node ~name in
+           let addr = check_ok "locate" (Ali_layer.locate commod svc) in
+           let echo m = check_ok (name ^ " echo") (Ali_layer.send_sync commod ~dst:addr (raw m)) in
+           ignore (echo "warm-up");
+           Ntcs_sim.Sched.sleep (Node.sched node) 2_000_000;
+           reply := Some (echo msg);
+           Ntcs_sim.Sched.sleep (Node.sched node) 60_000_000));
+    fun () -> match !reply with Some env -> env | None -> Alcotest.failf "%s: no reply" name
+  in
+  let lan_to_ring = call ~machine:"vax1" ~name:"lan-app" ~svc:"ring-svc" "to-ring" in
+  let ring_to_lan = call ~machine:"ap2" ~name:"ring-app" ~svc:"lan-svc" "to-lan" in
+  Cluster.settle ~dt:30_000_000 c;
+  Alcotest.(check string) "LAN -> ring echo" "echo:to-ring" (body (lan_to_ring ()));
+  Alcotest.(check string) "ring -> LAN echo" "echo:to-lan" (body (ring_to_lan ()));
+  let metric k = Ntcs_obs.Registry.get (Cluster.metrics c) k in
+  Alcotest.(check bool) "frames were duplicated" true (metric "fault.duplicated_frames" > 0);
+  Alcotest.(check int) "no orphan frames" 0 (metric "gw.orphan_frames");
+  let trace = Ntcs_sim.World.trace (Cluster.world c) in
+  let details cat =
+    List.map (fun (e : Ntcs_sim.Trace.entry) -> e.detail) (Ntcs_sim.Trace.matching trace ~cat)
+  in
+  let splices =
+    List.concat_map
+      (fun d ->
+        Scanf.sscanf d "net%d label %d <-> net%d label %d" (fun a la b lb ->
+            [ ((a, la), (b, lb)); ((b, lb), (a, la)) ]))
+      (details "gw.splice")
+  in
+  let forwards = details "gw.forward" in
+  Alcotest.(check bool) "frames were forwarded" true (forwards <> []);
+  List.iter
+    (fun d ->
+      let leg =
+        Scanf.sscanf d "net%d label %d -> net%d label %d" (fun a la b lb -> ((a, la), (b, lb)))
+      in
+      if not (List.mem leg splices) then Alcotest.failf "gw.forward names no splice: %s" d)
+    forwards
+
 (* --- the Retry policy itself --- *)
 
 let test_backoff_deterministic () =
@@ -252,6 +322,7 @@ let () =
         [
           Alcotest.test_case "duplicated opens are idempotent" `Quick
             test_gateway_duplicate_open_idempotent;
+          Alcotest.test_case "redelivery owns its buffer" `Quick test_redelivery_owns_its_buffer;
         ] );
       ( "retry",
         [

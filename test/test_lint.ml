@@ -175,6 +175,28 @@ let test_r2_scope_and_pragma () =
   Alcotest.(check int) "no false positives" 0
     (List.length (Lint_determinism.check (src "lib/sim/sched.ml" text)))
 
+(* --- R5: copies --- *)
+
+let test_r5_ipcs_copies () =
+  let text = "let seg data n = Bytes.sub data 0 n\nlet out b = Buffer.to_bytes b\n" in
+  Alcotest.(check (list string))
+    "unwaived copies in lib/ipcs reported"
+    [
+      "lib/ipcs/ipcs_tcp.ml:1: [copies] Bytes.sub: byte copy on a frame path \u{2014} use \
+       Proto.Frame views (or the pool) and keep payloads in place";
+      "lib/ipcs/ipcs_tcp.ml:2: [copies] Buffer.to_bytes: byte copy on a frame path \u{2014} use \
+       Proto.Frame views (or the pool) and keep payloads in place";
+    ]
+    (diag_strings (Lint_copies.check (src "lib/ipcs/ipcs_tcp.ml" text)));
+  let waived =
+    "(* lint: allow copies(Bytes.sub) \xe2\x80\x94 the in-flight segment *)\n\
+     let seg data n = Bytes.sub data 0 n\n"
+  in
+  Alcotest.(check int) "pragma waives" 0
+    (List.length (Lint_copies.check (src "lib/ipcs/ipcs_tcp.ml" waived)));
+  Alcotest.(check int) "outside the frame path" 0
+    (List.length (Lint_copies.check (src "lib/util/pool.ml" text)))
+
 (* --- R3: trace invariants --- *)
 
 let e ?(at = 0) cat actor detail =
@@ -555,6 +577,7 @@ let () =
           Alcotest.test_case "recursion depth" `Quick test_r3_recursion_depth;
           Alcotest.test_case "identity conversion" `Quick test_r3_identity_conversion;
         ] );
+      ("r5-copies", [ Alcotest.test_case "lib/ipcs copies" `Quick test_r5_ipcs_copies ]);
       ( "r6-ownership",
         [
           Alcotest.test_case "use after release" `Quick test_r6_use_after_release;

@@ -33,12 +33,12 @@ let test_span_header_roundtrip () =
   let h =
     Proto.make_header ~kind:Proto.Data ~src ~dst ~seq:9 ~conv:3 ~span ~payload_len:4 ()
   in
-  let h', payload = Proto.decode_frame (Proto.encode_frame h (Bytes.of_string "abcd")) in
+  let h', payload = Helpers.decode_frame (Proto.encode_frame h (Bytes.of_string "abcd")) in
   Alcotest.(check bool) "span survives the wire" true (h'.Proto.span = span);
   Alcotest.(check string) "payload intact" "abcd" (Bytes.to_string payload);
   (* The default header carries the null context. *)
   let plain = Proto.make_header ~kind:Proto.Ping ~src ~dst ~payload_len:0 () in
-  let plain', _ = Proto.decode_frame (Proto.encode_frame plain Bytes.empty) in
+  let plain', _ = Helpers.decode_frame (Proto.encode_frame plain Bytes.empty) in
   Alcotest.(check bool) "default is none" true (Span.is_none plain'.Proto.span)
 
 (* --- histograms --- *)

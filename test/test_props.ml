@@ -208,7 +208,7 @@ let prop_header_roundtrip =
     (QCheck.pair (QCheck.make header_gen) QCheck.string)
     (fun (h, payload) ->
       let payload = Bytes.of_string payload in
-      let h', payload' = Ntcs.Proto.decode_frame (Ntcs.Proto.encode_frame h payload) in
+      let h', payload' = Helpers.decode_frame (Ntcs.Proto.encode_frame h payload) in
       Ntcs.Addr.equal h.Ntcs.Proto.src h'.Ntcs.Proto.src
       && Ntcs.Addr.equal h.Ntcs.Proto.dst h'.Ntcs.Proto.dst
       && h.Ntcs.Proto.kind = h'.Ntcs.Proto.kind

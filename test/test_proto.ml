@@ -49,7 +49,7 @@ let test_header_roundtrip () =
   in
   let payload = Bytes.of_string "abcdef" in
   let frame = Proto.encode_frame h payload in
-  let h', payload' = Proto.decode_frame frame in
+  let h', payload' = Helpers.decode_frame frame in
   Alcotest.(check string) "payload" "abcdef" (Bytes.to_string payload');
   Alcotest.check addr "src" h.Proto.src h'.Proto.src;
   Alcotest.check addr "dst" h.Proto.dst h'.Proto.dst;
@@ -72,7 +72,7 @@ let test_all_kinds_roundtrip () =
           ~dst:(Addr.unique ~server_id:0 ~value:2)
           ~payload_len:0 ()
       in
-      let h', _ = Proto.decode_frame (Proto.encode_frame h Bytes.empty) in
+      let h', _ = Helpers.decode_frame (Proto.encode_frame h Bytes.empty) in
       Alcotest.(check string) "kind" (Proto.kind_to_string kind)
         (Proto.kind_to_string h'.Proto.kind))
     [ Proto.Data; Proto.Dgram; Proto.Reply; Proto.Hello; Proto.Hello_ack; Proto.Ivc_open;
@@ -93,7 +93,7 @@ let test_header_rejects_garbage () =
   (* Corrupt the magic. *)
   Bytes.set frame 0 '\xFF';
   Alcotest.(check bool) "bad magic" true
-    (match Proto.decode_frame frame with exception Proto.Bad_header _ -> true | _ -> false);
+    (match Helpers.decode_frame frame with exception Proto.Bad_header _ -> true | _ -> false);
   (* Each header check names what it rejected. *)
   let corrupt pos byte =
     let b = Proto.encode_header h in
@@ -114,7 +114,7 @@ let test_header_rejects_garbage () =
   (* Length mismatch. *)
   let frame = Proto.encode_frame h (Bytes.of_string "xy") in
   Alcotest.(check bool) "length mismatch" true
-    (match Proto.decode_frame (Bytes.sub frame 0 (Bytes.length frame - 1)) with
+    (match Helpers.decode_frame (Bytes.sub frame 0 (Bytes.length frame - 1)) with
      | exception Proto.Bad_header _ -> true
      | _ -> false)
 
@@ -306,6 +306,24 @@ let prop_hostile_bytes_never_raise =
          List.iter (fun decode -> decode wire) decoders;
          true))
 
+(* A log record whose severity is outside 0–3 is refused, not read as
+   Fatal. *)
+let test_log_severity_range () =
+  let module D = Ntcs_drts.Drts_proto in
+  let wire sev =
+    Packed.run_pack
+      Packed.(pair (pair string int) (pair string int))
+      (("m", sev), ("x", 4))
+  in
+  let decoded sev =
+    match Packed.run_unpack_result D.log_record_codec (wire sev) with
+    | Ok r -> Some r.D.lr_severity
+    | Error _ -> None
+  in
+  Alcotest.(check bool) "severity 3 is Fatal" true (decoded 3 = Some D.Fatal);
+  Alcotest.(check bool) "severity 4 refused" true (decoded 4 = None);
+  Alcotest.(check bool) "severity -1 refused" true (decoded (-1) = None)
+
 let test_app_union_bytes () =
   let check what codec cases =
     check_pinned what (Packed.run_pack codec) (Packed.run_unpack_result codec) cases
@@ -340,6 +358,7 @@ let () =
           Alcotest.test_case "ivc open codec" `Quick test_ivc_open_codec;
           Alcotest.test_case "ns proto roundtrips" `Quick test_ns_proto_roundtrips;
           Alcotest.test_case "app union bytes" `Quick test_app_union_bytes;
+          Alcotest.test_case "log severity range" `Quick test_log_severity_range;
           prop_hostile_bytes_never_raise;
         ] );
     ]

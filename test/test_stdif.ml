@@ -65,6 +65,14 @@ let mbx_pair rig k =
          | Error _ -> Alcotest.fail "connect"
          | Ok client_lvc -> k `Client client_lvc))
 
+(* A received slice's bytes, after checking the slice lies inside its
+   buffer. *)
+let slice_string (m : Std_if.slice) =
+  if m.Std_if.off < 0 || m.Std_if.len < 0 || m.Std_if.off + m.Std_if.len > Bytes.length m.Std_if.buf
+  then Alcotest.failf "slice [%d,+%d) outside %d-byte buffer" m.Std_if.off m.Std_if.len
+         (Bytes.length m.Std_if.buf);
+  Bytes.sub_string m.Std_if.buf m.Std_if.off m.Std_if.len
+
 (* Send a list of messages one way; expect them back intact and in order. *)
 let roundtrip_case make_pair messages () =
   let rig = make_rig () in
@@ -81,7 +89,7 @@ let roundtrip_case make_pair messages () =
     | `Server ->
       for _ = 1 to List.length messages do
         match lvc.Std_if.recv_msg ~timeout_us:20_000_000 () with
-        | Ok m -> received := Bytes.to_string m :: !received
+        | Ok m -> received := slice_string m :: !received
         | Error e -> Alcotest.failf "recv: %s" (Ipcs_error.to_string e)
       done
   in
@@ -99,6 +107,69 @@ let test_tcp_roundtrip = roundtrip_case tcp_pair mixed_messages
 let test_tcp_large = roundtrip_case tcp_pair big_messages
 let test_mbx_roundtrip = roundtrip_case mbx_pair mixed_messages
 let test_mbx_large = roundtrip_case mbx_pair big_messages
+
+(* Any sequence of messages, over either backend, arrives byte-equal and in
+   order, each as a slice inside its buffer. Sizes mix the edges — empty,
+   one byte, the last single-segment TCP message (mss - 4) and the first
+   two-segment one, one MBX fragment's payload +/- 1 — with anything up to
+   3 x mss. Sent back to back to a receiver that starts late, the TCP
+   segments coalesce and take the reassembly path; spaced out, every
+   single-segment (single-fragment) message must arrive as a slice of the
+   IPCS's own buffer, just past the length word (fragment header). *)
+let prop_messages_arrive_in_order =
+  let mss = Ipcs_tcp.mss and payload = Std_if.mbx_frag_payload in
+  let edges = [ 0; 1; mss - 4; mss - 3; payload - 1; payload; payload + 1 ] in
+  let size = QCheck.Gen.(oneof [ oneofl edges; int_bound (3 * mss) ]) in
+  let case =
+    QCheck.make
+      ~print:(fun (mbx, spaced, sizes) ->
+        Printf.sprintf "%s %s [%s]" (if mbx then "mbx" else "tcp")
+          (if spaced then "spaced" else "back-to-back")
+          (String.concat "; " (List.map string_of_int sizes)))
+      QCheck.Gen.(triple bool bool (list_size (int_range 1 6) size))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:120 ~name:"messages arrive whole, in order, as slices" case
+       (fun (mbx, spaced, sizes) ->
+         let rig = make_rig () in
+         let sched = World.sched rig.world in
+         let messages =
+           List.mapi (fun i n -> String.init n (fun j -> Char.chr ((i * 7 + j * 13) land 0xFF)))
+             sizes
+         in
+         let received = ref [] in
+         let header = if mbx then Std_if.mbx_frag_header else 4 in
+         let single n = if mbx then n <= payload else n + 4 <= mss in
+         let dispatch role lvc =
+           match role with
+           | `Client ->
+             List.iter
+               (fun m ->
+                 if spaced then Sched.sleep sched 50_000;
+                 match lvc.Std_if.send_msg (Bytes.of_string m) with
+                 | Ok () -> ()
+                 | Error e -> Alcotest.failf "send: %s" (Ipcs_error.to_string e))
+               messages
+           | `Server ->
+             if not spaced then Sched.sleep sched 1_000_000;
+             List.iter
+               (fun m ->
+                 match lvc.Std_if.recv_msg ~timeout_us:20_000_000 () with
+                 | Ok s ->
+                   let n = String.length m in
+                   let got = slice_string s in
+                   let own_buffer =
+                     s.Std_if.off = header && Bytes.length s.Std_if.buf = n + header
+                   in
+                   if spaced && single n && not own_buffer then
+                     Alcotest.failf "%d-byte message not a slice of its own buffer" n;
+                   received := got :: !received
+                 | Error e -> Alcotest.failf "recv: %s" (Ipcs_error.to_string e))
+               messages
+         in
+         (if mbx then mbx_pair else tcp_pair) rig dispatch;
+         World.run rig.world;
+         List.rev !received = messages))
 
 let test_mbx_fragment_arithmetic () =
   Alcotest.(check int) "header accounted" Ipcs_mbx.max_message_size
@@ -130,14 +201,13 @@ let raw_fragments frags =
          | Ok chan ->
            List.iter
              (fun (id, idx, count, body) ->
-               let buf = Buffer.create 16 in
-               List.iter (Ntcs_wire.Shift.put_word buf) [ id; idx; count ];
-               Buffer.add_string buf body;
-               ignore (Ipcs_mbx.send chan (Buffer.to_bytes buf)))
+               let buf = Bytes.of_string ("hdr-id-count" ^ body) in
+               List.iteri (fun i w -> Ntcs_wire.Shift.poke_word buf (4 * i) w) [ id; idx; count ];
+               ignore (Ipcs_mbx.send chan buf))
              frags));
   World.run rig.world;
   match !got with
-  | Some (Ok m) -> Printf.sprintf "delivered %S" (Bytes.to_string m)
+  | Some (Ok m) -> Printf.sprintf "delivered %S" (slice_string m)
   | Some (Error e) -> "error " ^ Ipcs_error.to_string e
   | None -> "reader never returned"
 
@@ -193,14 +263,14 @@ let test_interleaved_bidirectional () =
       for i = 1 to 5 do
         ignore (lvc.Std_if.send_msg (Bytes.of_string (Printf.sprintf "c%d" i)));
         match lvc.Std_if.recv_msg ~timeout_us:10_000_000 () with
-        | Ok m -> got_at_client := Bytes.to_string m :: !got_at_client
+        | Ok m -> got_at_client := slice_string m :: !got_at_client
         | Error _ -> ()
       done
     | `Server ->
       for i = 1 to 5 do
         ignore (lvc.Std_if.send_msg (Bytes.of_string (Printf.sprintf "s%d" i)));
         match lvc.Std_if.recv_msg ~timeout_us:10_000_000 () with
-        | Ok m -> got_at_server := Bytes.to_string m :: !got_at_server
+        | Ok m -> got_at_server := slice_string m :: !got_at_server
         | Error _ -> ()
       done
   in
@@ -221,6 +291,7 @@ let () =
           Alcotest.test_case "mbx roundtrip" `Quick test_mbx_roundtrip;
           Alcotest.test_case "mbx large (fragmentation)" `Quick test_mbx_large;
           Alcotest.test_case "fragment arithmetic" `Quick test_mbx_fragment_arithmetic;
+          prop_messages_arrive_in_order;
         ] );
       ( "hostile fragments",
         [

@@ -199,9 +199,9 @@ let test_shift_is_order_free () =
      involved, by construction. *)
   let b = Ntcs.Proto.encode_header (header_with ~seq:0x01020304 ()) in
   Alcotest.(check string) "canonical bytes" "\x01\x02\x03\x04" (Bytes.sub_string b 24 4);
-  let buf = Buffer.create 4 in
-  Shift.put_word buf 0x01020304;
-  Alcotest.(check string) "put_word agrees" "\x01\x02\x03\x04" (Buffer.contents buf)
+  let buf = Bytes.create 4 in
+  Shift.poke_word buf 0 0x01020304;
+  Alcotest.(check string) "poke_word agrees" "\x01\x02\x03\x04" (Bytes.to_string buf)
 
 let test_shift_errors () =
   let shift_error f = match f () with exception Shift.Shift_error _ -> true | _ -> false in
