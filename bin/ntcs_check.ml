@@ -5,11 +5,11 @@
    One pass, three parts. Static: the lifecycle automaton's
    handler-exhaustiveness check against proto.ml/ns_proto.ml, and the
    cross-module recursion-cycle analysis (§6.3). Dynamic: every scenario
-   explored once with the pool sanitizer and the race checker armed — the
-   bounded scenarios exhaustively (cap 4000, hitting it fails), the fault
-   and naming soaks under the soak contract (cap 150, at least 100
-   schedules) — asserting the automaton, the R3 trace invariants and each
-   scenario's own outcome on every interleaving. Parallel: every scenario
+   explored once with the race checker armed — the bounded scenarios
+   exhaustively (cap 4000, hitting it fails), the fault and naming soaks
+   under the soak contract (cap 150, at least 100 schedules) — asserting
+   the automaton, the R3 trace invariants and each scenario's own outcome
+   on every interleaving. Parallel: every scenario
    replicated on 1, 2 and 4 domains (byte-identical to the solo run) plus
    the coupled barrier soak at each width. [--static-only] skips the last
    two. Exit 0 when clean, 1 on any finding, 2 on a missing path. Wired
@@ -81,8 +81,8 @@ let run static_only json paths =
           (if static_only then ""
            else
              Printf.sprintf
-               ", %d scenario(s) explored with sanitizer and race checker armed, all \
-                schedules clean, parallel validation clean at 1/2/4 domain(s)"
+               ", %d scenario(s) explored with race checker armed, all schedules \
+                clean, parallel validation clean at 1/2/4 domain(s)"
                (List.length explorations))
       else
         Format.printf "ntcs_check: %d static finding(s)%s%s@." (List.length diags)
@@ -115,11 +115,11 @@ let cmd =
          every protocol constructor it is responsible for, and that no \
          cross-module recursion cycle re-enters the LCM without the \
          Recursion guard. Then explores every scenario once, with the \
-         buffer-pool sanitizer and the happens-before race checker armed on \
-         every world: the bounded scenarios exhaustively (at most 4000 \
-         schedules each), the fault and naming soaks for 150 schedules each \
-         (at least 100 required). Every schedule must satisfy the automaton, \
-         the R3 trace invariants and the scenario's own outcome. Finally \
+         happens-before race checker armed on every world: the bounded \
+         scenarios exhaustively (at most 4000 schedules each), the fault and \
+         naming soaks for 150 schedules each (at least 100 required). Every \
+         schedule must satisfy the automaton, the R3 trace invariants and \
+         the scenario's own outcome. Finally \
          every scenario is replicated on 1, 2 and 4 domains, and the coupled \
          barrier soak runs at each width; all output must be byte-identical.";
     ]

@@ -3,8 +3,8 @@
    per-circuit hop timelines reconstructed from the causal span log.
 
    Usage: dune exec bin/ntcs_stat.exe -- [--seed N] [--faults] [--json]
-                                         [--pool] [--sanitize] [--naming]
-                                         [--chrome FILE] [--spans FILE]
+                                         [--naming] [--chrome FILE]
+                                         [--spans FILE]
 
    Everything is deterministic: the same --seed prints the same report and
    writes byte-identical export files. *)
@@ -24,18 +24,16 @@ let raw s = Ntcs_wire.Convert.payload_raw (Bytes.of_string s)
    and pings across the gateway. Small but it exercises every span source:
    circuit opens, all five LCM primitives, gateway forwards, and (with
    --faults) the retry path. *)
-let run_workload ~seed ~faults ~sanitize ~naming =
-  (* One declarative World.Config: the sanitizer is armed at creation
-     (hand-outs predating the tracker would read as foreign on release)
-     and the fault plane's seeded rules ride in the same record. With
-     --naming the name space is served by the four-shard plane (DESIGN.md
-     §15) and the driver re-resolves the worker before every call, so the
-     report shows the NSP lookup cache and the shard router at work. *)
+let run_workload ~seed ~faults ~naming =
+  (* One declarative World.Config carries the seed and, with --faults,
+     the fault plane's seeded rules. With --naming the name space is
+     served by the four-shard plane (DESIGN.md §15) and the driver
+     re-resolves the worker before every call, so the report shows the
+     NSP lookup cache and the shard router at work. *)
   let config =
     {
       Ntcs_sim.World.Config.default with
       Ntcs_sim.World.Config.seed;
-      sanitize;
       naming =
         (if naming then { Ntcs_sim.World.Config.shards = 4; cache_capacity = 512 }
          else Ntcs_sim.World.Config.default_naming);
@@ -104,7 +102,6 @@ let run_workload ~seed ~faults ~sanitize ~naming =
              done;
              ignore (Ali_layer.send commod ~dst:addr (raw "fire-and-forget")))));
   Cluster.settle ~dt:40_000_000 cluster;
-  if sanitize then ignore (Ntcs_sim.World.pool_leak_check (Cluster.world cluster));
   Cluster.metrics cluster
 
 (* --- per-layer latency table --- *)
@@ -121,50 +118,6 @@ let layer_table r =
         (Printf.sprintf "%-26s %7d %8d %8d %8d %8d %8.1f\n" name (Histo.count h)
            (Histo.p50 h) (Histo.p95 h) (Histo.p99 h) (Histo.max_value h) (Histo.mean h)))
     (Registry.histos_alist r);
-  Buffer.contents b
-
-(* --- buffer-pool report (--pool) --- *)
-
-(* What the zero-copy pipeline cost: pool hit rate (how often a send reused
-   a buffer instead of allocating), buffers still out, and the distribution
-   of bytes actually copied per frame-path observation — forwarded frames
-   record 0, send-side materialisation records the payload size. *)
-let pool_report ~sanitize r =
-  let b = Buffer.create 512 in
-  let hits = Ntcs_obs.Registry.get r "pool.hits" in
-  let misses = Ntcs_obs.Registry.get r "pool.misses" in
-  let unpooled = Ntcs_obs.Registry.get r "pool.unpooled" in
-  Buffer.add_string b "-- buffer pool and copy discipline --\n";
-  Buffer.add_string b
-    (Printf.sprintf "pool allocations: %d hits, %d misses, %d unpooled (hit rate %s)\n"
-       hits misses unpooled
-       (if hits + misses = 0 then "n/a"
-        else
-          Printf.sprintf "%.1f%%"
-            (100. *. float_of_int hits /. float_of_int (hits + misses))));
-  Buffer.add_string b
-    (Printf.sprintf "buffers out now: %.0f   high water: %.0f\n"
-       (Ntcs_obs.Registry.gauge r "pool.in_use")
-       (Ntcs_obs.Registry.gauge r "pool.high_water"));
-  (let bad = Ntcs_obs.Registry.get r "pool.bad_release" in
-   if bad > 0 then
-     Buffer.add_string b (Printf.sprintf "releases rejected: %d\n" bad));
-  if sanitize then
-    Buffer.add_string b
-      (Printf.sprintf
-         "sanitizer: poison %d  double release %d  foreign release %d  leaked %d\n"
-         (Ntcs_obs.Registry.get r "pool.sanitizer.poison")
-         (Ntcs_obs.Registry.get r "pool.sanitizer.double_release")
-         (Ntcs_obs.Registry.get r "pool.sanitizer.foreign_release")
-         (Ntcs_obs.Registry.get r "pool.sanitizer.leak"));
-  (match Registry.find_histo r "frame.bytes_copied" with
-   | None -> Buffer.add_string b "frame.bytes_copied: no observations\n"
-   | Some h ->
-     Buffer.add_string b
-       (Printf.sprintf
-          "frame.bytes_copied: count %d  sum %d  p50 %d  p95 %d  p99 %d  max %d\n"
-          (Histo.count h) (Histo.sum h) (Histo.p50 h) (Histo.p95 h) (Histo.p99 h)
-          (Histo.max_value h)));
   Buffer.contents b
 
 (* --- naming-plane report (--naming) --- *)
@@ -304,8 +257,8 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
-let report ~seed ~faults ~json ~pool ~sanitize ~naming ~chrome ~spans_out =
-  let r = run_workload ~seed ~faults ~sanitize ~naming in
+let report ~seed ~faults ~json ~naming ~chrome ~spans_out =
+  let r = run_workload ~seed ~faults ~naming in
   (match chrome with
    | Some path ->
      write_file path (Export.chrome_trace r);
@@ -318,16 +271,11 @@ let report ~seed ~faults ~json ~pool ~sanitize ~naming ~chrome ~spans_out =
    | None -> ());
   if json then print_string (json_report r)
   else begin
-    Printf.printf "== NTCS observability report (seed %d%s%s%s) ==\n\n" seed
+    Printf.printf "== NTCS observability report (seed %d%s%s) ==\n\n" seed
       (if faults then ", fault plane armed" else "")
-      (if sanitize then ", pool sanitizer armed" else "")
       (if naming then ", 4-shard naming plane" else "");
     print_string (layer_table r);
     print_newline ();
-    if pool || sanitize then begin
-      print_string (pool_report ~sanitize r);
-      print_newline ()
-    end;
     if naming then begin
       print_string (naming_report r);
       print_newline ()
@@ -345,20 +293,6 @@ let () =
   in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as one JSON object.")
-  in
-  let pool =
-    Arg.(value & flag
-         & info [ "pool" ]
-             ~doc:"Print the buffer-pool section: hit rate, buffers in flight, \
-                   and the bytes-copied-per-frame distribution.")
-  in
-  let sanitize =
-    Arg.(value & flag
-         & info [ "sanitize" ]
-             ~doc:"Arm the buffer-pool sanitizer on the workload's world and \
-                   report its violation counters (implies the pool section): \
-                   poison canary hits, double/foreign releases, and buffers \
-                   still outstanding at teardown.")
   in
   let naming =
     Arg.(value & flag
@@ -378,9 +312,9 @@ let () =
          & info [ "spans" ] ~docv:"FILE" ~doc:"Write span events as JSONL.")
   in
   let term =
-    Term.(const (fun seed faults json pool sanitize naming chrome spans_out ->
-              report ~seed ~faults ~json ~pool ~sanitize ~naming ~chrome ~spans_out)
-          $ seed $ faults $ json $ pool $ sanitize $ naming $ chrome $ spans_out)
+    Term.(const (fun seed faults json naming chrome spans_out ->
+              report ~seed ~faults ~json ~naming ~chrome ~spans_out)
+          $ seed $ faults $ json $ naming $ chrome $ spans_out)
   in
   exit
     (Cmd.eval'

@@ -26,9 +26,8 @@ type exploration = {
 }
 
 val explore : contract -> Check_scenarios.scenario list -> exploration list
-(** Explore every scenario of the list under [contract], with the pool
-    sanitizer and the race checker armed on every world
-    ([{!Check_scenarios.Mode} {sanitize = true; races = true}]). *)
+(** Explore every scenario of the list under [contract], with the race
+    checker armed on every world ([{!Check_scenarios.Mode} {races = true}]). *)
 
 val explore_all : unit -> exploration list
 (** {!Check_scenarios.exhaustive} under {!exhaustive}, then

@@ -20,10 +20,10 @@
    different owners, at least one a write, neither happens-before the
    other. On an [Exclusive] cell that is a race (trace event
    [race.conflict] + [race.conflicts] counter); on a [Waived] cell it is
-   sanctioned shared state and only counted ([race.waived]). Arming is
-   the pool-sanitizer pattern: install on a world before traffic runs,
-   read the report at the end; with no checker armed every hook in
-   [Sched] is a no-op, so same-seed traces stay byte-identical. *)
+   sanctioned shared state and only counted ([race.waived]). Arm it on
+   a world before traffic runs and read the report at the end; with no
+   checker armed every hook in [Sched] is a no-op, so same-seed traces
+   stay byte-identical. *)
 
 (* Vector clocks, exposed for the qcheck law tests. Represented as a
    dense int array indexed by owner id (pids are small and dense, owner

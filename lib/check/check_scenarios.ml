@@ -19,11 +19,9 @@
 open Ntcs
 open Ntcs_sim
 
-(* The instrumentation mode is the scheduler's own canonical record now
-   (PR 8) — this harness used to carry its own {m_sanitize; m_races}
-   copy. Still threaded explicitly through every scenario build: a
-   module-level flag here would itself be ambient shared state, exactly
-   what R8 forbids. *)
+(* The instrumentation mode is the scheduler's own canonical record,
+   threaded explicitly through every scenario build: a module-level flag
+   here would itself be ambient shared state, exactly what R8 forbids. *)
 module Mode = Sched.Mode
 
 type scenario = {
@@ -40,15 +38,14 @@ type scenario = {
   sc_make : Mode.t -> World.t * (unit -> string list);
 }
 
-(* The world configuration a mode asks for: sanitizer armed declaratively
-   at creation (before any hand-out), fault plane likewise. [races] rides
-   in the config too, but arming the checker is this library's job (the
-   sim layer sits below Check_race) — see [cluster]. *)
+(* The world configuration a mode asks for: fault plane armed
+   declaratively at creation. [races] rides in the config too, but arming
+   the checker is this library's job (the sim layer sits below
+   Check_race) — see [cluster]. *)
 let config_of_mode ?faults ?(naming = World.Config.default_naming) (mode : Mode.t) =
   {
     World.Config.default with
-    World.Config.sanitize = mode.Mode.sanitize;
-    races = mode.Mode.races;
+    World.Config.races = mode.Mode.races;
     faults;
     naming;
   }
@@ -64,8 +61,7 @@ let lan3 =
 
 (* Build the cluster (name server on vax1) and arm the race checker right
    after — before any event executes, so it sees every push from the first
-   one on. (The sanitizer needs no step here: [config_of_mode] arms it
-   inside [World.create].) *)
+   one on. *)
 let cluster ?tweak ?faults ?naming ?(nets = [ ("ether", Net.Tcp_lan) ]) ?gateways ?ns_replicas
     machines mode =
   let c =
@@ -92,28 +88,6 @@ let plane ?(rules = []) seed schedule = { Faults.seed; rules; schedule }
 let metric c name = Ntcs_obs.Registry.get (Cluster.metrics c) name
 let metric_at_least c name n msg = if metric c name >= n then [] else [ msg ]
 
-(* Pool sanitizer armed (as `ntcs_check` arms it on every world): fail
-   the schedule on any aliasing violation (poison, double release, foreign
-   release, rejected release). Leaks are *reported* (as
-   pool.sanitizer.leak trace events) but are not failures: when virtual
-   time stops, crashed machines and undrained in-flight segments
-   legitimately still hold buffers. *)
-let sanitizer_violations (mode : Mode.t) c =
-  if not mode.Mode.sanitize then []
-  else begin
-    ignore (World.pool_leak_check (Cluster.world c));
-    List.concat_map
-      (fun (name, what) ->
-        let n = metric c name in
-        if n > 0 then [ Printf.sprintf "pool sanitizer: %d %s" n what ] else [])
-      [
-        ("pool.sanitizer.poison", "buffer(s) written through a stale view");
-        ("pool.sanitizer.double_release", "double release(s)");
-        ("pool.sanitizer.foreign_release", "foreign release(s)");
-        ("pool.bad_release", "rejected release(s)");
-      ]
-  end
-
 let details cat fmt entries =
   List.filter_map
     (fun (e : Trace.entry) -> if e.cat = cat then Some (Printf.sprintf fmt e.detail) else None)
@@ -130,7 +104,7 @@ let violations ?recursion_limit ?(crashes_expected = false) (mode : Mode.t) c en
   pp (Lint_trace.check_all ?recursion_limit entries @ Check_lifecycle.check entries)
   @ (if crashes_expected then [] else details "sim.proc_crash" "process crashed: %s" entries)
   @ pp (Check_spans.check (Ntcs_obs.Registry.spans (Cluster.metrics c)))
-  @ Check_naming.check entries @ sanitizer_violations mode c
+  @ Check_naming.check entries
   @ if mode.Mode.races then details "race.conflict" "race: %s" entries else []
 
 (* ----- one scenario shape ----- *)

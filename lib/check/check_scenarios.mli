@@ -2,28 +2,18 @@
     cluster, drives one protocol exchange, and reports R3 trace invariants,
     lifecycle-automaton conformance, process crashes and the exchange's own
     outcome as that schedule's violations. [ntcs_check] explores
-    {!exhaustive} and {!soaks} once each, with both checkers of {!Mode}
-    armed. *)
+    {!exhaustive} and {!soaks} once each, with the race checker of
+    {!Mode} armed. *)
 
 (** The instrumentation mode is the scheduler's canonical
-    {!Ntcs_sim.Sched.Mode} record (PR 8); this harness used to carry its
-    own [{m_sanitize; m_races}] copy. Still threaded explicitly through
-    every build — a module-level flag would itself be the ambient shared
-    state rule R8 forbids.
-
-    [sanitize]: the buffer-pool sanitizer, armed declaratively via
-    {!Ntcs_sim.World.Config}; aliasing violations — poison hits, double
-    and foreign releases, rejected releases — fail the schedule, leaks at
-    teardown are reported as [pool.sanitizer.leak] trace events but not
-    failed on (stopped virtual time legitimately strands in-flight
-    buffers).
+    {!Ntcs_sim.Sched.Mode} record, threaded explicitly through every build
+    — a module-level flag would itself be the ambient shared state rule R8
+    forbids.
 
     [races]: the happens-before checker ({!Check_race}), armed by this
     library on any world whose config asks for it; any [race.conflict] it
-    reports fails the schedule.
-
-    Both off in [Mode.default] (the replication and benchmark runs),
-    keeping those traces byte-identical with the seed. *)
+    reports fails the schedule. Off in [Mode.default] (the replication and
+    benchmark runs), keeping those traces byte-identical with the seed. *)
 module Mode = Ntcs_sim.Sched.Mode
 
 type scenario = {
@@ -43,7 +33,7 @@ val config_of_mode :
   ?naming:Ntcs_sim.World.Config.naming ->
   Mode.t ->
   Ntcs_sim.World.Config.t
-(** The world configuration a mode asks for (sanitizer + fault plane armed
+(** The world configuration a mode asks for (fault plane armed
     declaratively at creation; [naming] shapes the naming plane, default
     unsharded). *)
 

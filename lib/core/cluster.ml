@@ -75,21 +75,11 @@ type gateway_spec = {
   gw_nets : string list;
 }
 
-let build ?world ?seed ?config ?(tweak = fun c -> c) ~nets ~machines ?(clocks = [])
-    ?(gateways = []) ~ns ?(ns_replicas = []) () =
+let build ?world ?(config = World.Config.default) ?(tweak = fun c -> c) ~nets ~machines
+    ?(clocks = []) ?(gateways = []) ~ns ?(ns_replicas = []) () =
   (* [world] hosts the cluster on an existing world — a [World.Par] shard,
-     typically — and then [config]/[seed] are ignored. Otherwise [config]
-     is the full world configuration and wins; bare [?seed] is the
-     shorthand for a default-mode world on that seed. *)
-  let wconfig =
-    match (config, seed) with
-    | Some c, _ -> c
-    | None, Some seed -> { World.Config.default with World.Config.seed }
-    | None, None -> World.Config.default
-  in
-  let world =
-    match world with Some w -> w | None -> World.create ~config:wconfig ()
-  in
+     typically — and then [config] is ignored. *)
+  let world = match world with Some w -> w | None -> World.create ~config () in
   let ipcs = Registry.create world in
   let t =
     {

@@ -11,7 +11,6 @@ type t
 
 val build :
   ?world:World.t ->
-  ?seed:int ->
   ?config:World.Config.t ->
   ?tweak:(Node.config -> Node.config) ->
   nets:(string * Net.kind) list ->
@@ -30,11 +29,10 @@ val build :
       all prime (well-known);
     - [ns] / [ns_replicas]: machines hosting the name server(s);
     - [tweak] adjusts the node configuration (guards, timeouts, ablations);
-    - [config] is the full {!World.Config} (fault plane, sanitizer, chooser,
-      …) and wins over [seed], which remains as shorthand for a
-      default-mode world on that seed;
+    - [config] is the full {!World.Config} (seed, fault plane, chooser,
+      …), default {!World.Config.default};
     - [world] hosts the cluster on an existing world — a {!World.Par}
-      shard, typically — and then [config]/[seed] are ignored entirely.
+      shard, typically — and then [config] is ignored.
 
     Call {!settle} afterwards to let the infrastructure boot. *)
 

@@ -149,18 +149,30 @@ let hello_payload t =
       h_listen = List.map Phys_addr.to_string (my_listen_addrs t);
     }
 
-(* Common tail of the two send paths: metrics, span, hand the frame's byte
-   range to the STD-IF, surface failure as a broken circuit. *)
-let send_view (c : circuit) (h : Proto.header) buf ~off ~len =
+(* Encode a frame once, into the buffer the wire carries: the LVC's
+   headroom is left in front for the STD-IF's framing. *)
+let encode_for (lvc : Std_if.lvc) h payload =
+  let headroom = lvc.Std_if.headroom in
+  let buf = Bytes.create (headroom + Proto.header_bytes + Bytes.length payload) in
+  Proto.Frame.encode_into h ~payload buf ~off:headroom
+
+(* Hand a frame's buffer to the STD-IF, which owns it from here on. *)
+let lvc_send (lvc : Std_if.lvc) v =
+  lvc.Std_if.send (Proto.Frame.buf v) ~off:(Proto.Frame.off v) ~len:(Proto.Frame.len v)
+
+(* Common tail of the two send paths: metrics, span, hand the frame to the
+   STD-IF, surface failure as a broken circuit. *)
+let send_view (c : circuit) v =
+  let h = Proto.Frame.header v in
   Ntcs_obs.Registry.incr (metrics c.nd) "nd.frames_sent";
-  Ntcs_obs.Registry.observe (metrics c.nd) "nd.tx_bytes" len;
+  Ntcs_obs.Registry.observe (metrics c.nd) "nd.tx_bytes" (Proto.Frame.len v);
   (* A span-carrying frame leaving this machine is one hop of its logical
      send: an instant event, attributable via the header's ctx. *)
   if not (Ntcs_obs.Span.is_none h.Proto.span) then
     World.span (Node.world c.nd.node) ~ctx:h.Proto.span ~phase:Ntcs_obs.Span.I ~name:"nd.tx"
       ~actor:c.nd.owner
       (memo_detail c.tx_memo ~role:"dst" h.Proto.kind h.Proto.dst);
-  match c.lvc.Std_if.send_sub buf ~off ~len with
+  match lvc_send c.lvc v with
   | Ok () -> Ok ()
   | Error e ->
     c.c_open <- false;
@@ -171,27 +183,21 @@ let send_view (c : circuit) (h : Proto.header) buf ~off ~len =
 let send_frame (c : circuit) (h : Proto.header) payload =
   if not c.c_open then Error Errors.Circuit_failed
   else begin
-    (* Encode into a pooled buffer: one header blit + one payload blit is
-       the entire copy cost of a send; the buffer goes back as soon as the
-       STD-IF has consumed the range. *)
-    let pool = World.pool (Node.world c.nd.node) in
-    let flen = Proto.header_bytes + Bytes.length payload in
-    let buf = Ntcs_util.Pool.alloc pool flen in
-    let v = Proto.Frame.encode_into h ~payload buf ~off:0 in
+    (* One header blit + one payload blit is the entire copy cost of a
+       send. *)
+    let v = encode_for c.lvc h payload in
     Ntcs_obs.Registry.observe (metrics c.nd) "frame.bytes_copied" (Bytes.length payload);
-    let r = send_view c (Proto.Frame.header v) buf ~off:0 ~len:flen in
-    Ntcs_util.Pool.release pool buf;
-    r
+    send_view c v
   end
 
 (* Forward a received frame as-is (headers already patched in place): no
-   encode, no copy — the view's byte range goes straight to the STD-IF. *)
+   encode — the received buffer itself goes to the STD-IF, which copies it
+   only when the next leg's backend frames differently. *)
 let forward_view (c : circuit) (v : Proto.Frame.t) =
   if not c.c_open then Error Errors.Circuit_failed
   else begin
     Ntcs_obs.Registry.observe (metrics c.nd) "frame.bytes_copied" 0;
-    send_view c (Proto.Frame.header v) (Proto.Frame.buf v) ~off:(Proto.Frame.off v)
-      ~len:(Proto.Frame.len v)
+    send_view c v
   end
 
 (* Close locally without notifying upper layers (they asked for it). *)
@@ -258,11 +264,11 @@ let handle_incoming (c : circuit) (s : Std_if.slice) =
        source is the remote origin, not the gateway this circuit goes to —
        re-keying on it would steal the gateway's table entry. *)
     if h.Proto.ivc = 0 && Addr.is_unique h.Proto.src then upgrade_peer c h.Proto.src;
-    (* The view's backing store is this frame's own receive buffer — STD-IF
-       hands each message fresh bytes, never pooled — so queueing it in the
-       inbox is the designed ownership hand-off: the consumer holds the only
-       reference and no release can recycle it under them. *)
-    (* lint: allow escape(v) — inbox hand-off of an unpooled per-message receive buffer *)
+    (* The view's backing store is this frame's own receive buffer — the
+       STD-IF hands each message to exactly one owner — so queueing it in
+       the inbox is the designed ownership hand-off: the consumer holds the
+       only reference. *)
+    (* lint: allow escape(v) — inbox hand-off of a per-message receive buffer *)
     Sched.Mailbox.send t.inbox (Frame (c, v))
 
 let reader_loop (c : circuit) =
@@ -312,68 +318,65 @@ let decode_slice (s : Std_if.slice) =
   let v = Proto.Frame.of_bytes ~off:s.Std_if.off ~len:s.Std_if.len s.Std_if.buf in
   (Proto.Frame.header v, Proto.Frame.payload_bytes v)
 
+(* The half both handshakes share: read the peer's HELLO (HELLO-ACK when
+   [outbound]), check its kind, unpack it and register the circuit, keyed
+   by a fresh alias when the peer announced a TAdd — theirs is not unique
+   to us (§3.4). On failure the LVC is aborted and the error comes back as
+   the trace text and the error the caller surfaces. *)
+let handshake_circuit t (lvc : Std_if.lvc) ~expect ~outbound =
+  let fail m e =
+    lvc.Std_if.abort ();
+    Error (m, e)
+  in
+  match lvc.Std_if.recv_msg ~timeout_us:Node.default_timeout_us () with
+  | Error e -> fail (Ipcs_error.to_string e) (Errors.of_ipcs e)
+  | Ok s -> (
+    match decode_slice s with
+    | exception (Proto.Bad_header m | Shift.Shift_error m) -> fail m (Errors.Bad_message m)
+    | h, _ when h.Proto.kind <> expect ->
+      let m = if outbound then "expected HELLO-ACK" else "first frame was not HELLO" in
+      fail m (Errors.Bad_message m)
+    | _, payload -> (
+      match Packed.run_unpack_result Proto.hello_codec payload with
+      | Error m -> fail m (Errors.Bad_message m)
+      | Ok hello ->
+        let peer_real = hello.Proto.h_addr in
+        let key = if Addr.is_temporary peer_real then fresh_alias t else peer_real in
+        let c =
+          {
+            cid = fresh_cid t;
+            lvc;
+            nd = t;
+            peer_addr = key;
+            peer_announced = peer_real;
+            peer_order = hello.Proto.h_order;
+            peer_listen = List.filter_map Phys_addr.of_string hello.Proto.h_listen;
+            c_open = true;
+            outbound;
+            tx_memo = empty_memo ();
+            rx_memo = empty_memo ();
+          }
+        in
+        register_circuit t key c;
+        cache_phys t peer_real c.peer_listen;
+        Ok c))
+
 (* Inbound handshake: expect HELLO, answer HELLO-ACK, then become the
    circuit's reader. *)
 let inbound_handshake t (lvc : Std_if.lvc) =
-  match lvc.Std_if.recv_msg ~timeout_us:Node.default_timeout_us () with
-  | Error e ->
-    lvc.Std_if.abort ();
-    trace t ~cat:"nd.handshake_fail" (Ipcs_error.to_string e)
-  | Ok s -> (
-    match decode_slice s with
-    | exception (Proto.Bad_header m | Shift.Shift_error m) ->
-      lvc.Std_if.abort ();
-      trace t ~cat:"nd.handshake_fail" m
-    | h, payload ->
-      if h.Proto.kind <> Proto.Hello then begin
-        lvc.Std_if.abort ();
-        trace t ~cat:"nd.handshake_fail" "first frame was not HELLO"
-      end
-      else begin
-        match Packed.run_unpack_result Proto.hello_codec payload with
-        | Error m ->
-          lvc.Std_if.abort ();
-          trace t ~cat:"nd.handshake_fail" m
-        | Ok hello ->
-          let peer_real = hello.Proto.h_addr in
-          let key =
-            if Addr.is_temporary peer_real then begin
-              (* §3.4: assign our own TAdd to an incoming connection from a
-                 TAdd source — theirs is not unique to us. *)
-              let alias = Addr.Tadd_gen.fresh t.tadds in
-              Ntcs_obs.Registry.incr (metrics t) "tadd.assigned";
-              alias
-            end
-            else peer_real
-          in
-          let c =
-            {
-              cid = fresh_cid t;
-              lvc;
-              nd = t;
-              peer_addr = key;
-              peer_announced = peer_real;
-              peer_order = hello.Proto.h_order;
-              peer_listen = List.filter_map Phys_addr.of_string hello.Proto.h_listen;
-              c_open = true;
-              outbound = false;
-              tx_memo = empty_memo ();
-              rx_memo = empty_memo ();
-            }
-          in
-          register_circuit t key c;
-          cache_phys t peer_real c.peer_listen;
-          let ack_header =
-            Proto.make_header ~kind:Proto.Hello_ack ~src:t.my_addr ~dst:peer_real
-              ~src_order:(Node.my_order t.node) ~payload_len:0 ()
-          in
-          (match send_frame c ack_header (hello_payload t) with
-           | Ok () ->
-             trace t ~cat:"nd.accept" (Addr.to_string key);
-             Sched.Mailbox.send t.inbox (Circuit_up c);
-             reader_loop c
-           | Error _ -> close_circuit c)
-      end)
+  match handshake_circuit t lvc ~expect:Proto.Hello ~outbound:false with
+  | Error (m, _) -> trace t ~cat:"nd.handshake_fail" m
+  | Ok c -> (
+    let ack_header =
+      Proto.make_header ~kind:Proto.Hello_ack ~src:t.my_addr ~dst:c.peer_announced
+        ~src_order:(Node.my_order t.node) ~payload_len:0 ()
+    in
+    match send_frame c ack_header (hello_payload t) with
+    | Ok () ->
+      trace t ~cat:"nd.accept" (Addr.to_string c.peer_addr);
+      Sched.Mailbox.send t.inbox (Circuit_up c);
+      reader_loop c
+    | Error _ -> close_circuit c)
 
 let accept_loop t (acceptor : Std_if.acceptor) =
   let rec loop () =
@@ -409,63 +412,18 @@ let open_circuit t ~(phys : Phys_addr.t) =
           ~dst:(Addr.temporary ~assigner:0 ~value:0) ~src_order:(Node.my_order t.node)
           ~payload_len:0 ()
       in
-      let frame = Proto.encode_frame hello_header (hello_payload t) in
-      match lvc.Std_if.send_msg frame with
+      match lvc_send lvc (encode_for lvc hello_header (hello_payload t)) with
       | Error e ->
         lvc.Std_if.abort ();
         Error (Errors.of_ipcs e)
       | Ok () -> (
-        match lvc.Std_if.recv_msg ~timeout_us:Node.default_timeout_us () with
-        | Error e ->
-          lvc.Std_if.abort ();
-          Error (Errors.of_ipcs e)
-        | Ok s -> (
-          match decode_slice s with
-          | exception (Proto.Bad_header m | Shift.Shift_error m) ->
-            lvc.Std_if.abort ();
-            Error (Errors.Bad_message m)
-          | h, payload ->
-            if h.Proto.kind <> Proto.Hello_ack then begin
-              lvc.Std_if.abort ();
-              Error (Errors.Bad_message "expected HELLO-ACK")
-            end
-            else begin
-              match Packed.run_unpack_result Proto.hello_codec payload with
-              | Error m ->
-                lvc.Std_if.abort ();
-                Error (Errors.Bad_message m)
-              | Ok hello ->
-                let peer_real = hello.Proto.h_addr in
-                let key =
-                  if Addr.is_temporary peer_real then begin
-                    let alias = Addr.Tadd_gen.fresh t.tadds in
-                    Ntcs_obs.Registry.incr (metrics t) "tadd.assigned";
-                    alias
-                  end
-                  else peer_real
-                in
-                let c =
-                  {
-                    cid = fresh_cid t;
-                    lvc;
-                    nd = t;
-                    peer_addr = key;
-                    peer_announced = peer_real;
-                    peer_order = hello.Proto.h_order;
-                    peer_listen = List.filter_map Phys_addr.of_string hello.Proto.h_listen;
-                    c_open = true;
-                    outbound = true;
-                    tx_memo = empty_memo ();
-                    rx_memo = empty_memo ();
-                  }
-                in
-                register_circuit t key c;
-                cache_phys t peer_real c.peer_listen;
-                start_reader t c;
-                trace t ~cat:"nd.open" (Printf.sprintf "%s at %s" (Addr.to_string key)
-                                          (Phys_addr.to_string phys));
-                Ok c
-            end)))
+        match handshake_circuit t lvc ~expect:Proto.Hello_ack ~outbound:true with
+        | Error (_, e) -> Error e
+        | Ok c ->
+          start_reader t c;
+          trace t ~cat:"nd.open"
+            (Printf.sprintf "%s at %s" (Addr.to_string c.peer_addr) (Phys_addr.to_string phys));
+          Ok c))
   end
 
 (* Create the ND-layer for a module: allocate one communication resource per

@@ -124,13 +124,15 @@ val close_circuit : circuit -> unit
 (** Local close, no upward notification (the caller asked for it). *)
 
 val send_frame : circuit -> Proto.header -> Bytes.t -> (unit, Errors.t) result
-(** Frame and transmit: one header blit + one payload blit into a pooled
-    buffer, released once the STD-IF has consumed it. A failure marks the
-    circuit broken. *)
+(** Frame and transmit: one header blit + one payload blit into a fresh
+    buffer with the LVC's headroom in front, which the STD-IF hands to the
+    wire as it is. A failure marks the circuit broken. *)
 
 val forward_view : circuit -> Proto.Frame.t -> (unit, Errors.t) result
 (** Transmit a received frame as-is (headers already patched in place):
-    no re-encode, no payload copy. A failure marks the circuit broken. *)
+    no re-encode. The STD-IF takes the received buffer over, copying it
+    once only when the outbound backend's headroom differs from the
+    inbound one's. A failure marks the circuit broken. *)
 
 val next_event : ?timeout_us:int -> t -> event option
 (** Pull the next demultiplexed event (the LCM dispatcher's loop). *)

@@ -236,7 +236,7 @@ module Frame = struct
   let to_bytes v =
     if v.off = 0 && v.len = Bytes.length v.buf then v.buf else Bytes.sub v.buf v.off v.len
 
-  (* Build a frame into a caller-supplied (typically pooled) buffer: one
+  (* Build a frame into a caller-supplied buffer at [off]: one
      header blit plus one payload blit — the only copy on the send path. *)
   let encode_into h ~payload buf ~off =
     let plen = Bytes.length payload in

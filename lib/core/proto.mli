@@ -113,7 +113,7 @@ module Frame : sig
       the view spans it exactly. *)
 
   val encode_into : header -> payload:Bytes.t -> Bytes.t -> off:int -> t
-  (** Encode a frame into a caller-supplied (typically pooled) buffer: one
+  (** Encode a frame into a caller-supplied buffer at [off]: one
       header blit plus one payload blit. [payload_len] is fixed up. Raises
       {!Bad_header} when the frame does not fit. *)
 

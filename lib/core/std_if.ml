@@ -23,32 +23,45 @@ type slice = { buf : Bytes.t; off : int; len : int }
 type lvc = {
   lvc_id : int;
   kind : Phys_addr.kind;
-  send_msg : Bytes.t -> (unit, Ipcs_error.t) result;
-  send_sub : Bytes.t -> off:int -> len:int -> (unit, Ipcs_error.t) result;
+  headroom : int;
+  send : Bytes.t -> off:int -> len:int -> (unit, Ipcs_error.t) result;
   recv_msg : ?timeout_us:int -> unit -> (slice, Ipcs_error.t) result;
   close : unit -> unit;
   abort : unit -> unit;
   is_open : unit -> bool;
 }
 
+(* The largest message either backend carries. Neither reassembly trusts
+   a header from the wire: a TCP length word or an MBX fragment count
+   beyond it is a broken circuit ([Closed]), never an allocation or a wait
+   for bytes that will not come; a send beyond it is [Too_big]. *)
+let max_frame = 1 lsl 24
+
+(* The buffer the wire carries for [data[off, off+len)]: [data] itself
+   when the message already sits [headroom] bytes in and ends the buffer
+   (the backend writes its framing into the room in front), otherwise one
+   copy into a fresh buffer with that room. *)
+let wire_buffer ~headroom data ~off ~len =
+  if off = headroom && off + len = Bytes.length data then data
+  else begin
+    let buf = Bytes.create (headroom + len) in
+    Bytes.blit data off buf headroom len;
+    buf
+  end
+
 (* --- TCP adaptation: length-prefix framing over a byte stream --- *)
 
 let frame_word_bytes = 4
 
 let of_tcp (conn : Ipcs_tcp.conn) =
-  let pool = Ntcs_sim.World.pool (Ipcs_tcp.conn_world conn) in
-  (* Framing borrows a pooled buffer for the length word + body; the TCP
-     stack copies before [send] returns, so it goes straight back. *)
-  let send_sub data ~off ~len =
-    let framed = len + frame_word_bytes in
-    let fb = Ntcs_util.Pool.alloc pool framed in
-    Ntcs_wire.Shift.poke_word fb 0 len;
-    Bytes.blit data off fb frame_word_bytes len;
-    let r = Ipcs_tcp.send ~off:0 ~len:framed conn fb in
-    Ntcs_util.Pool.release pool fb;
-    r
+  let send data ~off ~len =
+    if len > max_frame then Error Ipcs_error.Too_big
+    else begin
+      let buf = wire_buffer ~headroom:frame_word_bytes data ~off ~len in
+      Ntcs_wire.Shift.poke_word buf 0 len;
+      Ipcs_tcp.send conn buf
+    end
   in
-  let send_msg data = send_sub data ~off:0 ~len:(Bytes.length data) in
   (* Reassembly state persists across recv_msg calls: a flat buffer with
      head/tail cursors, so extracting a message consumes the prefix without
      re-copying everything still pending (the old Buffer-based reassembly
@@ -83,7 +96,8 @@ let of_tcp (conn : Ipcs_tcp.conn) =
     let have = !tail - !head in
     if have >= frame_word_bytes then begin
       let need = Ntcs_wire.Shift.get_word !rbuf !head in
-      if have >= frame_word_bytes + need then begin
+      if need > max_frame then Error Ipcs_error.Closed
+      else if have >= frame_word_bytes + need then begin
         (* The message leaves the cursor buffer and becomes the frame
            view's backing store upstairs. *)
         (* lint: allow copies(Bytes.sub) — ownership hand-off out of the reused reassembly buffer *)
@@ -115,8 +129,8 @@ let of_tcp (conn : Ipcs_tcp.conn) =
   {
     lvc_id = Ipcs_tcp.conn_id conn;
     kind = Phys_addr.K_tcp;
-    send_msg;
-    send_sub;
+    headroom = frame_word_bytes;
+    send;
     recv_msg;
     close = (fun () -> Ipcs_tcp.close conn);
     abort = (fun () -> Ipcs_tcp.abort conn);
@@ -132,22 +146,32 @@ let of_tcp (conn : Ipcs_tcp.conn) =
 let mbx_frag_header = 12
 let mbx_frag_payload = Ipcs_mbx.max_message_size - mbx_frag_header
 
-(* The largest frame the MBX adaptation carries. Reassembly trusts no
-   header: a count of zero, beyond what this frame needs, or disagreeing
-   with the frame's earlier fragments, and an index outside the count, are
-   a broken circuit ([Closed], as a short fragment is), never an
-   allocation or a delivery with a hole. A repeated index is ignored. *)
-let mbx_max_frame = 1 lsl 24
-let mbx_max_frags = (mbx_max_frame + mbx_frag_payload - 1) / mbx_frag_payload
+let mbx_max_frags = (max_frame + mbx_frag_payload - 1) / mbx_frag_payload
 
+(* Reassembly trusts no fragment header: a count of zero, beyond what
+   [max_frame] needs, or disagreeing with the frame's earlier fragments,
+   and an index outside the count, are a broken circuit ([Closed], as a
+   short fragment is), never an allocation or a delivery with a hole. A
+   repeated index is ignored. *)
 let of_mbx (chan : Ipcs_mbx.chan) =
   let next_frame = ref 1 in
   (* frame id -> (distinct fragments received, fragments in order) *)
   let partial : (int, int * Bytes.t option array) Hashtbl.t = Hashtbl.create 4 in
-  let send_sub data ~off:base ~len:total =
+  let send data ~off:base ~len:total =
     let count = max 1 ((total + mbx_frag_payload - 1) / mbx_frag_payload) in
     let frame_id = !next_frame in
     next_frame := frame_id + 1;
+    (* A single-fragment message is one whole ND frame on the ring: the
+       fault plane may drop/duplicate/reorder it. Fragments of a larger
+       frame must arrive whole and in order, so they are never marked. A
+       full mailbox ([Queue_full]) surfaces to the ND-layer, which backs
+       off and retries — MBX flow control is the caller's problem. *)
+    let put frag idx =
+      Ntcs_wire.Shift.poke_word frag 0 frame_id;
+      Ntcs_wire.Shift.poke_word frag 4 idx;
+      Ntcs_wire.Shift.poke_word frag 8 count;
+      Ipcs_mbx.send ~droppable:(count = 1) chan frag
+    in
     let rec go idx =
       if idx >= count then Ok ()
       else begin
@@ -155,25 +179,14 @@ let of_mbx (chan : Ipcs_mbx.chan) =
         let len = min mbx_frag_payload (total - off) in
         (* Each fragment is written once, into the buffer the ring delivers. *)
         let frag = Bytes.create (len + mbx_frag_header) in
-        Ntcs_wire.Shift.poke_word frag 0 frame_id;
-        Ntcs_wire.Shift.poke_word frag 4 idx;
-        Ntcs_wire.Shift.poke_word frag 8 count;
         Bytes.blit data (base + off) frag mbx_frag_header len;
-        (* A single-fragment message is one whole ND frame on the ring: the
-           fault plane may drop/duplicate/reorder it. Fragments of a larger
-           frame must arrive whole and in order, so they are never marked. *)
-        match Ipcs_mbx.send ~droppable:(count = 1) chan frag with
-        | Ok () -> go (idx + 1)
-        | Error Ipcs_error.Queue_full ->
-          (* Bounded mailbox: surface to the ND-layer, which backs off and
-             retries — MBX flow control is the caller's problem. *)
-          Error Ipcs_error.Queue_full
-        | Error _ as e -> e
+        match put frag idx with Ok () -> go (idx + 1) | Error _ as e -> e
       end
     in
-    if total > mbx_max_frame then Error Ipcs_error.Too_big else go 0
+    if total > max_frame then Error Ipcs_error.Too_big
+    else if count > 1 then go 0
+    else put (wire_buffer ~headroom:mbx_frag_header data ~off:base ~len:total) 0
   in
-  let send_msg data = send_sub data ~off:0 ~len:(Bytes.length data) in
   let rec recv_msg ?timeout_us () =
     match Ipcs_mbx.recv ?timeout_us chan with
     | Error _ as e -> e
@@ -219,8 +232,8 @@ let of_mbx (chan : Ipcs_mbx.chan) =
   {
     lvc_id = Ipcs_mbx.chan_id chan;
     kind = Phys_addr.K_mbx;
-    send_msg;
-    send_sub;
+    headroom = mbx_frag_header;
+    send;
     recv_msg;
     close = (fun () -> Ipcs_mbx.close chan);
     abort = (fun () -> Ipcs_mbx.abort chan);

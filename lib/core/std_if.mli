@@ -7,12 +7,14 @@
     Everything above sees message-oriented local virtual circuits; below it
     is genuinely network dependent: over TCP, messages are framed onto the
     byte stream with a shift-mode length word; over MBX, messages larger
-    than the mailbox limit are fragmented and reassembled, frames up to
-    16 MiB. A fragment header reassembly cannot trust (count zero or beyond
-    that bound, index outside the count, count disagreeing with the frame's
-    earlier fragments) fails [recv_msg] with [Closed]; a repeated index is
-    ignored. No relocation or recovery here — failures surface as [Error]
-    and pass upward. *)
+    than the mailbox limit are fragmented and reassembled. Either backend
+    carries messages up to {!max_frame} bytes. Reassembly trusts no header
+    from the wire: a TCP length word above {!max_frame}, or an MBX fragment
+    header it cannot trust (count zero or beyond that bound, index outside
+    the count, count disagreeing with the frame's earlier fragments), fails
+    [recv_msg] with [Closed]; a repeated fragment index is ignored. No
+    relocation or recovery here — failures surface as [Error] and pass
+    upward. *)
 
 open Ntcs_sim
 open Ntcs_ipcs
@@ -23,16 +25,23 @@ type slice = { buf : Bytes.t; off : int; len : int }
     delivery shares it, and the STD-IF never touches it again. A
     single-segment TCP (single-fragment MBX) message lies in the arrived
     buffer itself, past the length word (fragment header); anything
-    reassembled is a fresh, never pooled copy at [off = 0]. *)
+    reassembled is a fresh copy at [off = 0]. *)
 
 type lvc = {
   lvc_id : int;
   kind : Phys_addr.kind;
-  send_msg : Bytes.t -> (unit, Ipcs_error.t) result;
-  send_sub : Bytes.t -> off:int -> len:int -> (unit, Ipcs_error.t) result;
-      (** Send [data[off, off+len)] as one message without the caller
-          first materialising the slice — the zero-copy path for pooled
-          frame buffers. The slice is consumed before the call returns. *)
+  headroom : int;
+      (** Bytes the backend's framing takes in front of a message: 4 over
+          TCP (the length word), {!mbx_frag_header} over MBX (the fragment
+          header). *)
+  send : Bytes.t -> off:int -> len:int -> (unit, Ipcs_error.t) result;
+      (** Send [buf[off, off+len)] as one message. [send] takes ownership
+          of [buf]: the caller must not touch it again. When the message
+          sits exactly [headroom] bytes in and ends the buffer, the backend
+          writes its framing into [[0, headroom)] and the buffer itself is
+          what the wire carries; any other shape is copied once into a
+          fresh buffer of [headroom + len] bytes. [Too_big] above
+          {!max_frame}. *)
   recv_msg : ?timeout_us:int -> unit -> (slice, Ipcs_error.t) result;
   close : unit -> unit;
   abort : unit -> unit;
@@ -40,6 +49,9 @@ type lvc = {
 }
 (** One local virtual circuit: whole messages in, whole messages out,
     whichever backend carries them. *)
+
+val max_frame : int
+(** The largest message either backend carries (16 MiB). *)
 
 val mbx_frag_header : int
 val mbx_frag_payload : int

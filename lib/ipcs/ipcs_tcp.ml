@@ -32,10 +32,7 @@ and listener = {
 
 and endpoint = {
   ep_machine : Machine.t;
-  (* In-flight bytes that have arrived: (buffer, valid length, pooled).
-     Pooled buffers are class-sized — larger than their payload — and go
-     back to the world's pool when the receiver drains them. *)
-  chunks : (Bytes.t * int * bool) Queue.t;
+  chunks : Bytes.t Queue.t; (* in-flight segments that have arrived *)
   signal : unit Sched.Mailbox.mb; (* pulsed on arrival / close *)
   arrival_fifo : int ref; (* enforces in-order delivery toward this end *)
   mutable ep_open : bool; (* our side still open *)
@@ -183,16 +180,16 @@ let accept ?timeout_us (l : listener) =
 
 let is_open (c : conn) = c.near.ep_open && not c.near.broken
 
-(* Deliver one segment's payload into [ep]. *)
-let deliver_segment ep payload len pooled =
-  Queue.push (payload, len, pooled) ep.chunks;
+(* Deliver one segment into [ep]. *)
+let deliver_segment ep seg =
+  Queue.push seg ep.chunks;
   Sched.Mailbox.send ep.signal ()
 
-let send ?(off = 0) ?len (c : conn) (data : Bytes.t) =
+let send (c : conn) (data : Bytes.t) =
   if not c.near.ep_open then Error Ipcs_error.Closed
   else if c.near.broken then Error Ipcs_error.Closed
   else begin
-    let total = match len with Some l -> l | None -> Bytes.length data - off in
+    let total = Bytes.length data in
     (* A write that fits one segment is one whole framed ND message on the
        wire (the STD-IF sends exactly one message per write): the fault
        plane may drop/duplicate/reorder it without desynchronising the
@@ -204,36 +201,24 @@ let send ?(off = 0) ?len (c : conn) (data : Bytes.t) =
        gateway patches in place; an armed fault plane may run a droppable
        delivery again after that, so each run hands over its own copy. *)
     let replayable = droppable && World.faults c.stack.world <> None in
-    let pool = World.pool c.stack.world in
     let rec push_segments pos ok =
       if (not ok) || pos >= total then ok
       else begin
         let len = min mss (total - pos) in
-        (* The in-flight copy decouples the caller's buffer (released and
-           reused as soon as [send] returns) from delivery. Non-droppable
-           segments are delivered at most once, so they can borrow from the
-           pool and go back when drained. Droppable segments cannot: the
-           fault plane's duplicate rule schedules the same delivery twice,
-           so the buffer's lifetime is unbounded — they stay plain
-           exact-size allocations. *)
-        let pooled = not droppable in
+        (* The caller handed [data] over: a write that fits one segment
+           travels as it is, a larger one is cut into segments. *)
         let seg =
-          if pooled then begin
-            let b = Ntcs_util.Pool.alloc pool len in
-            Bytes.blit data (off + pos) b 0 len;
-            b
-          end
+          if droppable then data
           else
-            (* lint: allow copies(Bytes.sub) — the in-flight segment outlives the caller's buffer *)
-            Bytes.sub data (off + pos) len
+            (* lint: allow copies(Bytes.sub) — one segment of a write larger than the MSS *)
+            Bytes.sub data pos len
         in
         let sent =
           World.transmit ~fifo:c.far.arrival_fifo ~droppable c.stack.world ~net:c.net
             ~src:c.near.ep_machine ~dst:c.far.ep_machine ~size:(len + 40) (fun () ->
               if c.far.ep_open then
                 (* lint: allow copies(Bytes.copy) — a replayable delivery hands over its own buffer *)
-                deliver_segment c.far (if replayable then Bytes.copy seg else seg) len pooled
-              else if pooled then Ntcs_util.Pool.release pool seg)
+                deliver_segment c.far (if replayable then Bytes.copy seg else seg))
         in
         push_segments (pos + len) sent
       end
@@ -250,23 +235,19 @@ let send ?(off = 0) ?len (c : conn) (data : Bytes.t) =
   end
 
 (* Drain everything that has arrived, coalescing chunks — read(2) semantics.
-   A lone unpooled exact-size chunk is handed over as it is; anything else
-   is coalesced into one buffer of the pending size. Pooled in-flight
-   buffers go back to the freelist here, once their bytes are out. *)
-let take_available pool ep =
-  match Queue.peek_opt ep.chunks with
-  | None -> None
-  | Some (b, len, false) when Queue.length ep.chunks = 1 && len = Bytes.length b ->
-    ignore (Queue.pop ep.chunks);
-    Some b
-  | Some _ ->
-    let out = Bytes.create (Queue.fold (fun n (_, len, _) -> n + len) 0 ep.chunks) in
+   A lone chunk is handed over as it is; several are coalesced into one
+   buffer of the pending size. *)
+let take_available ep =
+  match Queue.length ep.chunks with
+  | 0 -> None
+  | 1 -> Some (Queue.pop ep.chunks)
+  | _ ->
+    let out = Bytes.create (Queue.fold (fun n b -> n + Bytes.length b) 0 ep.chunks) in
     let pos = ref 0 in
     while not (Queue.is_empty ep.chunks) do
-      let b, len, pooled = Queue.pop ep.chunks in
-      Bytes.blit b 0 out !pos len;
-      pos := !pos + len;
-      if pooled then Ntcs_util.Pool.release pool b
+      let b = Queue.pop ep.chunks in
+      Bytes.blit b 0 out !pos (Bytes.length b);
+      pos := !pos + Bytes.length b
     done;
     Some out
 
@@ -274,7 +255,7 @@ let recv ?timeout_us (c : conn) =
   let sched = World.sched c.stack.world in
   let deadline = Option.map (fun d -> Sched.now sched + d) timeout_us in
   let rec loop () =
-    match take_available (World.pool c.stack.world) c.near with
+    match take_available c.near with
     | Some data -> Ok data
     | None ->
       if c.near.broken then Error Ipcs_error.Closed
@@ -320,4 +301,3 @@ let abort (c : conn) =
          Sched.Mailbox.send c.far.signal ()))
 
 let conn_id (c : conn) = c.conn_id
-let conn_world (c : conn) = c.stack.world

@@ -40,18 +40,18 @@ val connect :
 
 val accept : ?timeout_us:int -> listener -> (conn, Ipcs_error.t) result
 
-val send : ?off:int -> ?len:int -> conn -> Bytes.t -> (unit, Ipcs_error.t) result
-(** Stream write of [data[off, off+len)] (default: the whole buffer):
-    segmented at {!mss}; in-order delivery per direction. The bytes are
-    copied before [send] returns, so the caller may reuse (or release) the
-    buffer immediately. A refused wire (partition / peer machine down)
-    breaks the connection. *)
+val send : conn -> Bytes.t -> (unit, Ipcs_error.t) result
+(** Stream write of the whole buffer, segmented at {!mss}; in-order
+    delivery per direction. [send] takes ownership of the buffer: a write
+    that fits one segment is delivered as it is, so the caller must not
+    touch it again. A refused wire (partition / peer machine down) breaks
+    the connection. *)
 
 val recv : ?timeout_us:int -> conn -> (Bytes.t, Ipcs_error.t) result
 (** [read(2)] semantics: everything available, coalesced; blocks when
     nothing has arrived. [Error Closed] after FIN or breakage. The caller
     owns the returned buffer: a lone segment arrives as the sender's
-    in-flight copy itself, several are coalesced into one fresh buffer. *)
+    buffer itself, several are coalesced into one fresh buffer. *)
 
 val close : conn -> unit
 (** Graceful close; the peer sees [Closed] after draining. *)
@@ -61,7 +61,3 @@ val abort : conn -> unit
 
 val is_open : conn -> bool
 val conn_id : conn -> int
-
-val conn_world : conn -> World.t
-(** The world this connection lives in — the STD-IF borrows its buffer
-    pool for framing. *)

@@ -82,7 +82,7 @@ let all =
     ("fault.net_down", "fault plane took a net down");
     ("fault.net_up", "fault plane brought a net up");
     ("fault.error", "fault plane schedule referenced an unknown target");
-    (* Pool sanitizer: buffer-lifetime violations on the zero-copy path. *)
+    (* Pool sanitizer: buffer-lifetime violations in a buffer pool. *)
     ("pool.sanitizer.poison", "sanitizer: a released buffer was written through a stale view");
     ("pool.sanitizer.double_release", "sanitizer: a buffer was released twice");
     ("pool.sanitizer.foreign_release", "sanitizer: a released buffer was never handed out");

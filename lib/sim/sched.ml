@@ -37,23 +37,16 @@ type cell_policy =
 
 type cell = { c_name : string; c_policy : cell_policy }
 
-(* The one scheduler-instrumentation mode record. Before this module
-   existed the same two booleans were re-declared ad hoc by the scenario
-   harness ({m_sanitize; m_races}), the check driver and the CLI; the R8
-   ownership map, Check_race and the barrier coordinator now all name this
-   single type. Everything defaults to off so default-mode traces stay
+(* The one scheduler-instrumentation mode record, named by the scenario
+   harness, the check driver, the R8 ownership map, Check_race and the
+   barrier coordinator. Off by default so default-mode traces stay
    byte-identical with the seed. *)
 module Mode = struct
-  type t = {
-    sanitize : bool; (* arm the pool sanitizer (PR 6) on the world *)
-    races : bool; (* arm the happens-before race checker (PR 7) *)
-  }
+  type t = { races : bool (* arm the happens-before race checker *) }
 
-  let default = { sanitize = false; races = false }
-  let armed m = m.sanitize || m.races
-
-  let pp ppf m =
-    Fmt.pf ppf "{sanitize=%b; races=%b}" m.sanitize m.races
+  let default = { races = false }
+  let armed m = m.races
+  let pp ppf m = Fmt.pf ppf "{races=%b}" m.races
 end
 
 (* The domain-safety monitor (see Check_race): armed, it receives every

@@ -31,24 +31,18 @@ type waker
     already-resumed process is a no-op. *)
 
 (** The scheduler-instrumentation mode: which always-available dynamic
-    checkers are armed on a world. This is the one canonical copy of the
-    record that used to be re-declared ad hoc by the scenario harness
-    ([{m_sanitize; m_races}]), the check driver and the CLI; lint R8's
-    ownership map, [Check_race] and the barrier coordinator all name this
-    type. Carried by {!World.Config}; both flags default to off so
+    checker is armed on a world. The one record the scenario harness, the
+    check driver, lint R8's ownership map, [Check_race] and the barrier
+    coordinator all name. Carried by {!World.Config}; off by default so
     default-mode traces stay byte-identical with the seed. *)
 module Mode : sig
-  type t = {
-    sanitize : bool;  (** arm the pool sanitizer (generation tags, poison
-                          canary, leak report) on the world *)
-    races : bool;  (** arm the vector-clock happens-before race checker *)
-  }
+  type t = { races : bool  (** arm the vector-clock happens-before race checker *) }
 
   val default : t
-  (** Both off — the plain deterministic world. *)
+  (** Off — the plain deterministic world. *)
 
   val armed : t -> bool
-  (** Is any checker on? *)
+  (** Is the checker on? *)
 
   val pp : Format.formatter -> t -> unit
 end

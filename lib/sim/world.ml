@@ -3,13 +3,12 @@
    sketch; experiments build one, spawn NTCS modules on its machines and run
    virtual time forward. *)
 
-(* The one world-construction surface. Until PR 8 every instrumentation
-   feature grew its own toggle (World.install_faults, arm_pool_sanitizer,
-   the {m_sanitize; m_races} record threaded through the check harness,
-   chooser/monitor setters, Sched.set_event_limit): seven entry points a
-   caller had to sequence correctly by hand. A Config is declarative data
-   — in particular it can be stamped out per shard (Config.shard) so the
-   parallel world gives every domain an identical-but-decorrelated copy. *)
+(* The one world-construction surface. A Config is declarative data
+   naming every instrumentation feature (fault plane, race-checker
+   request, chooser, naming plane), applied at creation in one fixed order
+   instead of per-feature setters a caller would have to sequence by hand.
+   It can be stamped out per shard (Config.shard) so the parallel world
+   gives every domain an identical-but-decorrelated copy. *)
 module Config = struct
   type chooser =
     | Default  (* deterministic (time, seq) order *)
@@ -35,7 +34,6 @@ module Config = struct
     seed : int;
     domains : int; (* shard count for Par worlds; 1 = plain sequential *)
     faults : Faults.spec option; (* declarative plane, armed at creation *)
-    sanitize : bool; (* arm the pool sanitizer (PR 6) *)
     races : bool; (* request the race checker; armed by Ntcs_check *)
     chooser : chooser;
     naming : naming; (* naming-plane shape, consumed by Cluster.build *)
@@ -46,13 +44,12 @@ module Config = struct
       seed = 42;
       domains = 1;
       faults = None;
-      sanitize = false;
       races = false;
       chooser = Default;
       naming = default_naming;
     }
 
-  let mode c = { Sched.Mode.sanitize = c.sanitize; races = c.races }
+  let mode c = { Sched.Mode.races = c.races }
 
   (* Per-shard copy: decorrelated seed (prime stride), sequential inside
      the shard. Shard 0 keeps the base seed so a 1-domain Par world is
@@ -65,7 +62,6 @@ type t = {
   obs : Ntcs_obs.Registry.t;
   trace : Trace.t;
   rng : Ntcs_util.Rng.t;
-  pool : Ntcs_util.Pool.t; (* frame-buffer freelist shared by the world's stacks *)
   machines : (Machine.id, Machine.t) Hashtbl.t;
   nets : (Net.id, Net.t) Hashtbl.t;
   attachments : (Machine.id * Net.id, unit) Hashtbl.t;
@@ -96,7 +92,6 @@ let make (config : Config.t) =
     obs;
     trace = Trace.create ();
     rng = Ntcs_util.Rng.create seed;
-    pool = Ntcs_util.Pool.create ~registry:obs ();
     machines = Hashtbl.create 16;
     nets = Hashtbl.create 8;
     attachments = Hashtbl.create 32;
@@ -135,7 +130,6 @@ let label t = Sched.label t.sched
 let obs t = t.obs
 let trace t = t.trace
 let rng t = t.rng
-let pool t = t.pool
 let now t = Sched.now t.sched
 
 let record t ~cat ~actor detail = Trace.record t.trace ~at_us:(now t) ~cat ~actor detail
@@ -289,20 +283,6 @@ let install_faults t (f : Faults.t) =
     (fun (at_us, ev) -> Sched.at t.sched at_us (fun () -> apply_fault_event t f ev))
     (Faults.schedule f)
 
-(* Arm the buffer-pool sanitizer on this world: violations become
-   deterministic trace events stamped with virtual time, alongside the
-   [pool.sanitizer.*] registry counters the pool keeps on its own. Arm
-   before traffic runs — hand-outs alive at arming time would read as
-   foreign on release. *)
-let arm_pool_sanitizer t =
-  Ntcs_util.Pool.set_emit t.pool (fun ~cat ~detail -> record t ~cat ~actor:"pool" detail);
-  Ntcs_util.Pool.set_sanitize t.pool true
-
-(* Teardown leak report: one [pool.sanitizer.leak] event per buffer still
-   outstanding; returns the count. A report, not a failure — crashed
-   machines legitimately strand their in-flight buffers. *)
-let pool_leak_check t = Ntcs_util.Pool.leak_check t.pool
-
 (* Wire the configured chooser into the scheduler, recording every
    consulted choice as (index, arity) in the world's choice log. Replay
    consumes a previously recorded log (choice indices only); exhausted or
@@ -338,14 +318,12 @@ let apply_chooser t =
            i))
 
 (* The single construction entrypoint: build the record, then apply every
-   configured feature in one fixed order (chooser, sanitizer, faults) so callers can no longer sequence the old per-feature arms
-   wrongly. [races] is carried, not armed, here — the race checker lives
-   in Ntcs_check (above this library); it arms itself on any world whose
-   [mode] asks for it. *)
+   configured feature in one fixed order (chooser, faults). [races] is
+   carried, not armed, here — the race checker lives in Ntcs_check (above
+   this library); it arms itself on any world whose [mode] asks for it. *)
 let create ?(config = Config.default) () =
   let t = make config in
   apply_chooser t;
-  if config.Config.sanitize then arm_pool_sanitizer t;
   (match config.Config.faults with
    | Some (spec : Faults.spec) ->
      install_faults t
@@ -448,7 +426,7 @@ let run ?until t = Sched.run ?until t.sched
 (* --- domain-parallel worlds ----------------------------------------- *)
 
 (* A parallel world is N completely isolated sequential worlds (one per
-   shard, each its own scheduler/trace/registry/rng/pool — the R8
+   shard, each its own scheduler/trace/registry/rng — the R8
    ownership map proves lib/ has no ambient shared state) coupled only
    through the Barrier coordinator's typed channels. Everything
    deterministic about one world stays deterministic here: the barrier's

@@ -7,10 +7,9 @@
 type t
 
 (** Declarative world construction: one record naming every
-    instrumentation feature, replacing the accreted per-feature arms
-    ([install_faults], [arm_pool_sanitizer], the [{m_sanitize; m_races}]
-    record, chooser setters) that callers
-    previously had to sequence by hand. All defaults are off, so
+    instrumentation feature, applied at creation in one fixed order
+    instead of per-feature setters callers would have to sequence by
+    hand. All defaults are off, so
     [create ()] is the plain deterministic seed-42 world and default-mode
     traces stay byte-identical with earlier PRs. *)
 module Config : sig
@@ -44,7 +43,6 @@ module Config : sig
         (** declarative fault plane, armed at creation: scheduled events
             registered on the scheduler, frame rules consulted by
             {!transmit}, every injection a [fault.*] trace event *)
-    sanitize : bool;  (** arm the buffer-pool sanitizer on the world *)
     races : bool;
         (** request the happens-before race checker. Carried, not armed,
             by this library — [Ntcs_check.Check_race.arm] lives above it
@@ -54,8 +52,8 @@ module Config : sig
   }
 
   val default : t
-  (** [{seed = 42; domains = 1; faults = None; sanitize = false;
-      races = false; chooser = Default; naming = default_naming}] *)
+  (** [{seed = 42; domains = 1; faults = None; races = false;
+      chooser = Default; naming = default_naming}] *)
 
   val mode : t -> Sched.Mode.t
   (** The scheduler-instrumentation view of this config. *)
@@ -68,7 +66,7 @@ end
 
 val create : ?config:Config.t -> unit -> t
 (** The single construction entrypoint. Applies the config in one fixed
-    order: chooser, sanitizer, fault plane. *)
+    order: chooser, fault plane. *)
 
 (** {1 Accessors} *)
 
@@ -92,10 +90,6 @@ val label : t -> string
 val trace : t -> Trace.t
 val rng : t -> Ntcs_util.Rng.t
 val now : t -> int
-
-val pool : t -> Ntcs_util.Pool.t
-(** The world's frame-buffer freelist. Shared by every stack in the world;
-    hit/miss/in-use statistics land in {!obs} under [pool.*]. *)
 
 val obs : t -> Ntcs_obs.Registry.t
 (** The world's observability registry: counters, gauges, histograms,
@@ -148,18 +142,6 @@ val faults : t -> Faults.t option
     ([world.procs], waived) and the fault plane's partition set + rng
     ([world.faults], waived). Enumerate them with [Sched.cells (sched t)]. *)
 
-(** {1 Pool sanitizer}
-
-    Armed declaratively via [Config.sanitize]; violations become
-    deterministic [pool.sanitizer.*] trace events stamped with virtual
-    time. *)
-
-val pool_leak_check : t -> int
-(** Emit the teardown leak report (one [pool.sanitizer.leak] event per
-    buffer still outstanding) and return the count. A report, not a
-    failure — crashed machines legitimately strand their in-flight
-    buffers. *)
-
 (** {1 Transmission} *)
 
 val transmit :
@@ -190,7 +172,7 @@ val run : ?until:int -> t -> unit
 
     A parallel world is [Config.domains] completely isolated sequential
     worlds — one per shard, each with its own scheduler, trace, registry,
-    rng and pool (lint R8's ownership map proves [lib/] has no ambient
+    and rng (lint R8's ownership map proves [lib/] has no ambient
     shared state) — coupled only through the {!Barrier} coordinator's
     typed channels. Shard [i] runs under [Config.shard config ~shard:i]
     and carries the label ["s<i>"]. Runs are bit-identical for any

@@ -1,8 +1,8 @@
-(* Size-classed buffer pool for the frame hot path.
+(* Size-classed buffer pool (no frame path allocates from it; pool.mli
+   says why it stays).
 
-   The pipeline's steady state allocates one buffer per send (header blit +
-   payload blit) and frees it as soon as the transport has taken its copy —
-   an allocation profile a freelist amortises perfectly. Buffers come in
+   A freelist amortises a steady state that allocates one buffer per
+   operation and frees it as soon as the consumer is done. Buffers come in
    power-of-two size classes; a request is served from the smallest class
    that fits (callers carry an explicit length, so an oversized buffer is
    harmless). Requests beyond the largest class are plain allocations —

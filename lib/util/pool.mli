@@ -1,4 +1,9 @@
-(** Size-classed buffer pool (freelist) for the frame hot path.
+(** Size-classed buffer pool (freelist).
+
+    Nothing in [lib/] allocates from a pool: a frame is encoded once, into
+    the buffer the wire carries, and never comes back. The module stays for
+    the [pool.alloc_release] micro-benchmark row, which links it, and for
+    its sanitizer's own tests; it leaves with a benchmark change.
 
     Buffers come in power-of-two classes from 64 B to 64 KiB; a request is
     served from the smallest class that fits, so callers must carry an
@@ -61,8 +66,8 @@ val set_sanitize : t -> bool -> unit
     outstanding-buffer tracking. *)
 
 val set_emit : t -> (cat:string -> detail:string -> unit) -> unit
-(** Install the violation emitter — typically the world's trace, so each
-    violation becomes a deterministic [pool.sanitizer.*] trace event. *)
+(** Install the violation emitter — typically a trace, so each violation
+    becomes a deterministic [pool.sanitizer.*] trace event. *)
 
 val leak_check : t -> int
 (** Report every buffer still outstanding (one [pool.sanitizer.leak]

@@ -16,13 +16,21 @@ let decode_frame b =
   let v = Proto.Frame.of_bytes b in
   (Proto.Frame.header v, Proto.Frame.payload_bytes v)
 
+(* The world configuration a builder runs on: [config] (default
+   {!World.Config.default}) on [seed] when one is given. *)
+let world_config ?(config = Ntcs_sim.World.Config.default) ?seed () =
+  match seed with Some seed -> { config with Ntcs_sim.World.Config.seed } | None -> config
+
+(* Send a whole buffer as one message through an LVC's one send. *)
+let lvc_send (lvc : Std_if.lvc) b = lvc.Std_if.send b ~off:0 ~len:(Bytes.length b)
+
 let raw s = Ntcs_wire.Convert.payload_raw (Bytes.of_string s)
 let raw_bytes b = Ntcs_wire.Convert.payload_raw b
 let body env = Bytes.to_string env.Ali_layer.data
 
 (* One TCP LAN: a VAX (NS host), a Sun and a second Sun. *)
 let lan_cluster ?seed ?config ?tweak () =
-  Cluster.build ?seed ?config ?tweak
+  Cluster.build ~config:(world_config ?seed ?config ()) ?tweak
     ~nets:[ ("ether", Ntcs_sim.Net.Tcp_lan) ]
     ~machines:
       [
@@ -34,7 +42,7 @@ let lan_cluster ?seed ?config ?tweak () =
 
 (* TCP LAN + Apollo ring bridged by one prime gateway. *)
 let two_net_cluster ?seed ?config ?tweak () =
-  Cluster.build ?seed ?config ?tweak
+  Cluster.build ~config:(world_config ?seed ?config ()) ?tweak
     ~nets:[ ("ether", Ntcs_sim.Net.Tcp_lan); ("ring", Ntcs_sim.Net.Mbx_ring) ]
     ~machines:
       [
@@ -48,7 +56,7 @@ let two_net_cluster ?seed ?config ?tweak () =
 
 (* Three networks in a line, two gateways: lan1 -(gwA)- lan2 -(gwB)- ring. *)
 let three_net_cluster ?seed ?config ?tweak () =
-  Cluster.build ?seed ?config ?tweak
+  Cluster.build ~config:(world_config ?seed ?config ()) ?tweak
     ~nets:
       [
         ("lan1", Ntcs_sim.Net.Tcp_lan);

@@ -3,9 +3,9 @@
    NSP→LCM cycle, illegal trace) asserting the checker fires with the right
    file:line, the schedule explorer's enumeration, every scenario's
    default-schedule trace pinned, and the ntcs_check pass itself: its
-   contracts reject a scenario that never branches, and planted pool and
-   race violations fail it. (Exhaustive exploration of the scenarios is
-   the @check run of ntcs_check.) *)
+   contracts reject a scenario that never branches, and a planted race
+   fails it. (Exhaustive exploration of the scenarios is the @check run of
+   ntcs_check.) *)
 
 let src file text = Lint_lex.of_string ~file text
 let diag_strings ds = List.map Lint_diag.to_string ds
@@ -315,24 +315,6 @@ let expect_caught sc needle =
       && List.for_all (fun (_, msg) -> contains msg needle) o.Ntcs_sim.Explore.failures)
   | xs -> Alcotest.failf "expected one exploration, got %d" (List.length xs)
 
-let test_pass_arms_sanitizer () =
-  let plant w m =
-    let pool = Ntcs_sim.World.pool w in
-    ignore
-      (Ntcs_sim.World.spawn w ~machine:m ~name:"twice" (fun () ->
-           let b = Ntcs_util.Pool.alloc pool 64 in
-           Ntcs_util.Pool.release pool b;
-           Ntcs_util.Pool.release pool b));
-    ignore (Ntcs_sim.World.spawn w ~machine:m ~name:"idle" (fun () -> ()))
-  in
-  let violations w =
-    match Ntcs_obs.Registry.get (Ntcs_sim.World.obs w) "pool.sanitizer.double_release" with
-    | 0 -> []
-    | n -> [ Printf.sprintf "pool.sanitizer.double_release=%d" n ]
-  in
-  expect_caught (planted ~name:"planted-double-release" ~plant ~violations)
-    "pool.sanitizer.double_release"
-
 let test_pass_arms_race_checker () =
   let violations w =
     List.map
@@ -407,7 +389,6 @@ let () =
       ( "pass",
         [
           Alcotest.test_case "never-branching scenario fails" `Quick test_never_branching_fails;
-          Alcotest.test_case "sanitizer armed" `Quick test_pass_arms_sanitizer;
           Alcotest.test_case "race checker armed" `Quick test_pass_arms_race_checker;
         ] );
       ("repo", [ Alcotest.test_case "lib/ conformant" `Quick test_repo_conformant ]);

@@ -114,7 +114,7 @@ let test_faulty_trace_identical () =
   Alcotest.(check (list string)) "faulty trace, metrics, spans_jsonl, chrome_trace digests"
     [
       "80a01f3b80f2643aacfe42279a1bf63e";
-      "9acd0b59452e588271d05b0813c20f0a";
+      "3114fbdc26364126463e09ce5ff4d801";
       "f8445f7b04fbfa8038af65be3a5031a6";
       "5e5cc9082058469e30b71ba300372f20";
     ]

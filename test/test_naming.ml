@@ -515,10 +515,10 @@ let test_unsharded_answers_gen_zero () =
    and 3), pinned 4-way FNV shard map — the same plane the naming soak
    scenarios and the naming bench run. *)
 let sharded_cluster ?seed () =
-  Cluster.build ?seed
+  Cluster.build
     ~config:
       {
-        Ntcs_sim.World.Config.default with
+        (Helpers.world_config ?seed ()) with
         Ntcs_sim.World.Config.naming =
           { Ntcs_sim.World.Config.shards = 4; cache_capacity = 64 };
       }

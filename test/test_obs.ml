@@ -195,7 +195,7 @@ let test_exports_pinned () =
   let md5 s = Digest.to_hex (Digest.string s) in
   Alcotest.(check (list string)) "stats_json, spans_jsonl, chrome_trace digests"
     [
-      "e79069f7e9348c148ec9e2d899c47615";
+      "97cbeb26e8827328f485fcf535f58c71";
       "e60be2c411cf1585c689b7b19efb5942";
       "95473c218a2bb37192e01d9d902f6d97";
     ]

@@ -137,13 +137,11 @@ let test_blocked_labels () =
 
 let test_mode () =
   Alcotest.(check bool) "default disarmed" false (Sched.Mode.armed Sched.Mode.default);
-  Alcotest.(check bool) "any flag arms" true
-    (Sched.Mode.armed { Sched.Mode.sanitize = true; races = false });
-  Alcotest.(check string) "pp" "{sanitize=false; races=true}"
-    (Format.asprintf "%a" Sched.Mode.pp { Sched.Mode.sanitize = false; races = true });
-  let c = { Config.default with Config.sanitize = true } in
-  Alcotest.(check bool) "Config.mode mirrors the record" true
-    (Config.mode c).Sched.Mode.sanitize
+  Alcotest.(check bool) "races arms" true (Sched.Mode.armed { Sched.Mode.races = true });
+  Alcotest.(check string) "pp" "{races=true}"
+    (Format.asprintf "%a" Sched.Mode.pp { Sched.Mode.races = true });
+  let c = { Config.default with Config.races = true } in
+  Alcotest.(check bool) "Config.mode mirrors the record" true (Config.mode c).Sched.Mode.races
 
 let () =
   Alcotest.run "par"

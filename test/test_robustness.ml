@@ -37,8 +37,8 @@ let test_garbage_bytes_on_raw_circuit () =
            with
            | Error _ -> Alcotest.fail "attacker connect failed"
            | Ok lvc ->
-             ignore (lvc.Std_if.send_msg (Bytes.of_string "not a frame at all"));
-             ignore (lvc.Std_if.send_msg (Bytes.make 3 '\255'));
+             ignore (Helpers.lvc_send lvc (Bytes.of_string "not a frame at all"));
+             ignore (Helpers.lvc_send lvc (Bytes.make 3 '\255'));
              attacker_done := true)));
   Cluster.settle c;
   (* Service still answers a legitimate client. *)

@@ -82,7 +82,7 @@ let roundtrip_case make_pair messages () =
     | `Client ->
       List.iter
         (fun m ->
-          match lvc.Std_if.send_msg (Bytes.of_string m) with
+          match Helpers.lvc_send lvc (Bytes.of_string m) with
           | Ok () -> ()
           | Error e -> Alcotest.failf "send: %s" (Ipcs_error.to_string e))
         messages
@@ -108,34 +108,68 @@ let test_tcp_large = roundtrip_case tcp_pair big_messages
 let test_mbx_roundtrip = roundtrip_case mbx_pair mixed_messages
 let test_mbx_large = roundtrip_case mbx_pair big_messages
 
-(* Any sequence of messages, over either backend, arrives byte-equal and in
-   order, each as a slice inside its buffer. Sizes mix the edges — empty,
-   one byte, the last single-segment TCP message (mss - 4) and the first
-   two-segment one, one MBX fragment's payload +/- 1 — with anything up to
-   3 x mss. Sent back to back to a receiver that starts late, the TCP
-   segments coalesce and take the reassembly path; spaced out, every
-   single-segment (single-fragment) message must arrive as a slice of the
-   IPCS's own buffer, just past the length word (fragment header). *)
+(* Where a message sits in the buffer handed to [lvc.send]: exactly the
+   LVC's headroom in (the shape ND encodes into), [k] bytes more than
+   that, or at offset 0 — each with [trailing] bytes after it. Only the
+   first shape with nothing after the message may travel as it is. *)
+type shape = { front : [ `Headroom | `More of int | `Zero ]; trailing : int }
+
+let shape_to_string { front; trailing } =
+  (match front with `Headroom -> "h" | `More k -> Printf.sprintf "h+%d" k | `Zero -> "0")
+  ^ if trailing > 0 then Printf.sprintf "+%dt" trailing else ""
+
+(* Send [m] from a buffer of the given shape, filled around it with bytes
+   a receiver must never see. *)
+let send_shaped (lvc : Std_if.lvc) shape m =
+  let off =
+    match shape.front with
+    | `Headroom -> lvc.Std_if.headroom
+    | `More k -> lvc.Std_if.headroom + k
+    | `Zero -> 0
+  in
+  let len = String.length m in
+  let buf = Bytes.make (off + len + shape.trailing) '\xEE' in
+  Bytes.blit_string m 0 buf off len;
+  lvc.Std_if.send buf ~off ~len
+
+(* Any sequence of messages, over either backend and in any buffer shape,
+   arrives byte-equal and in order, each as a slice inside its buffer.
+   Sizes mix the edges — empty, one byte, the last single-segment TCP
+   message (mss - 4) and the first two-segment one, one MBX fragment's
+   payload +/- 1 — with anything up to 3 x mss. Sent back to back to a
+   receiver that starts late, the TCP segments coalesce and take the
+   reassembly path; spaced out, every single-segment (single-fragment)
+   message must arrive as a slice of the IPCS's own buffer, just past the
+   length word (fragment header). *)
 let prop_messages_arrive_in_order =
   let mss = Ipcs_tcp.mss and payload = Std_if.mbx_frag_payload in
   let edges = [ 0; 1; mss - 4; mss - 3; payload - 1; payload; payload + 1 ] in
   let size = QCheck.Gen.(oneof [ oneofl edges; int_bound (3 * mss) ]) in
+  let shape =
+    QCheck.Gen.(
+      map2
+        (fun front trailing -> { front; trailing })
+        (oneof [ return `Headroom; map (fun k -> `More k) (int_range 1 16); return `Zero ])
+        (oneof [ return 0; int_range 1 16 ]))
+  in
   let case =
     QCheck.make
-      ~print:(fun (mbx, spaced, sizes) ->
+      ~print:(fun (mbx, spaced, msgs) ->
         Printf.sprintf "%s %s [%s]" (if mbx then "mbx" else "tcp")
           (if spaced then "spaced" else "back-to-back")
-          (String.concat "; " (List.map string_of_int sizes)))
-      QCheck.Gen.(triple bool bool (list_size (int_range 1 6) size))
+          (String.concat "; "
+             (List.map (fun (n, sh) -> Printf.sprintf "%d@%s" n (shape_to_string sh)) msgs)))
+      QCheck.Gen.(triple bool bool (list_size (int_range 1 6) (pair size shape)))
   in
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:120 ~name:"messages arrive whole, in order, as slices" case
-       (fun (mbx, spaced, sizes) ->
+       (fun (mbx, spaced, msgs) ->
          let rig = make_rig () in
          let sched = World.sched rig.world in
          let messages =
-           List.mapi (fun i n -> String.init n (fun j -> Char.chr ((i * 7 + j * 13) land 0xFF)))
-             sizes
+           List.mapi
+             (fun i (n, _) -> String.init n (fun j -> Char.chr ((i * 7 + j * 13) land 0xFF)))
+             msgs
          in
          let received = ref [] in
          let header = if mbx then Std_if.mbx_frag_header else 4 in
@@ -143,13 +177,13 @@ let prop_messages_arrive_in_order =
          let dispatch role lvc =
            match role with
            | `Client ->
-             List.iter
-               (fun m ->
+             List.iter2
+               (fun m (_, sh) ->
                  if spaced then Sched.sleep sched 50_000;
-                 match lvc.Std_if.send_msg (Bytes.of_string m) with
+                 match send_shaped lvc sh m with
                  | Ok () -> ()
                  | Error e -> Alcotest.failf "send: %s" (Ipcs_error.to_string e))
-               messages
+               messages msgs
            | `Server ->
              if not spaced then Sched.sleep sched 1_000_000;
              List.iter
@@ -170,6 +204,59 @@ let prop_messages_arrive_in_order =
          (if mbx then mbx_pair else tcp_pair) rig dispatch;
          World.run rig.world;
          List.rev !received = messages))
+
+(* Either backend refuses a message longer than [max_frame] at send. *)
+let test_send_beyond_max_frame () =
+  let check_backend name make_pair =
+    let rig = make_rig () in
+    let result = ref None in
+    let dispatch role lvc =
+      match role with
+      | `Client -> result := Some (Helpers.lvc_send lvc (Bytes.create (Std_if.max_frame + 1)))
+      | `Server -> ()
+    in
+    make_pair rig dispatch;
+    World.run rig.world;
+    match !result with
+    | Some (Error Ipcs_error.Too_big) -> ()
+    | Some (Error e) -> Alcotest.failf "%s: wrong error %s" name (Ipcs_error.to_string e)
+    | Some (Ok ()) -> Alcotest.failf "%s: sent a message beyond max_frame" name
+    | None -> Alcotest.failf "%s: client never ran" name
+  in
+  check_backend "tcp" tcp_pair;
+  check_backend "mbx" mbx_pair
+
+(* A raw TCP peer whose length word claims more than [max_frame]: the
+   reader fails with [Closed] at once instead of waiting for bytes that
+   will never come. *)
+let test_tcp_length_word_beyond_max_frame () =
+  let rig = make_rig () in
+  let got = ref None in
+  ignore
+    (World.spawn rig.world ~machine:rig.m1 ~name:"server" (fun () ->
+         match Std_if.listen_tcp ~port:7000 rig.reg ~machine:rig.m1 with
+         | Error _ -> Alcotest.fail "listen"
+         | Ok acceptor -> (
+           match acceptor.Std_if.accept () with
+           | Error _ -> Alcotest.fail "accept"
+           | Ok lvc -> got := Some (lvc.Std_if.recv_msg ~timeout_us:5_000_000 ()))));
+  ignore
+    (World.spawn rig.world ~machine:rig.m2 ~name:"client" (fun () ->
+         match
+           Ipcs_tcp.connect (Registry.tcp rig.reg) ~machine:rig.m2
+             ~dst:(Phys_addr.tcp ~host:"m1" ~port:7000)
+         with
+         | Error _ -> Alcotest.fail "connect"
+         | Ok conn ->
+           let buf = Bytes.make 16 'x' in
+           Ntcs_wire.Shift.poke_word buf 0 0xFFFFFFF0;
+           ignore (Ipcs_tcp.send conn buf)));
+  World.run rig.world;
+  match !got with
+  | Some (Error Ipcs_error.Closed) -> ()
+  | Some (Error e) -> Alcotest.failf "wrong error: %s" (Ipcs_error.to_string e)
+  | Some (Ok _) -> Alcotest.fail "delivered a message from a hostile length word"
+  | None -> Alcotest.fail "reader never returned"
 
 let test_mbx_fragment_arithmetic () =
   Alcotest.(check int) "header accounted" Ipcs_mbx.max_message_size
@@ -261,14 +348,14 @@ let test_interleaved_bidirectional () =
     match role with
     | `Client ->
       for i = 1 to 5 do
-        ignore (lvc.Std_if.send_msg (Bytes.of_string (Printf.sprintf "c%d" i)));
+        ignore (Helpers.lvc_send lvc (Bytes.of_string (Printf.sprintf "c%d" i)));
         match lvc.Std_if.recv_msg ~timeout_us:10_000_000 () with
         | Ok m -> got_at_client := slice_string m :: !got_at_client
         | Error _ -> ()
       done
     | `Server ->
       for i = 1 to 5 do
-        ignore (lvc.Std_if.send_msg (Bytes.of_string (Printf.sprintf "s%d" i)));
+        ignore (Helpers.lvc_send lvc (Bytes.of_string (Printf.sprintf "s%d" i)));
         match lvc.Std_if.recv_msg ~timeout_us:10_000_000 () with
         | Ok m -> got_at_server := slice_string m :: !got_at_server
         | Error _ -> ()
@@ -301,9 +388,14 @@ let () =
           Alcotest.test_case "huge count" `Quick test_mbx_huge_count;
           Alcotest.test_case "count disagrees" `Quick test_mbx_count_disagrees;
         ] );
+      ( "hostile length word",
+        [
+          Alcotest.test_case "beyond max_frame" `Quick test_tcp_length_word_beyond_max_frame;
+        ] );
       ( "semantics",
         [
           Alcotest.test_case "close surfaces uniformly" `Quick test_close_surfaces_uniformly;
           Alcotest.test_case "bidirectional" `Quick test_interleaved_bidirectional;
+          Alcotest.test_case "send beyond max_frame" `Quick test_send_beyond_max_frame;
         ] );
     ]
