@@ -37,7 +37,8 @@ let leg_key actor net label = Printf.sprintf "%s net%d label %d" actor net label
 
 (* The automaton inputs an entry drives, as (key, input) pairs. Entries of
    other categories (and unparseable details, which cannot happen unless the
-   trace formats drift) drive nothing. *)
+   trace formats drift) drive nothing; only the eight categories above have
+   their detail split. *)
 let inputs_of (e : Ntcs_sim.Trace.entry) : (string * Check_auto.input) list =
   let ep label input =
     match label with Some l -> [ (ep_key e.actor l, input) ] | None -> []
@@ -48,19 +49,23 @@ let inputs_of (e : Ntcs_sim.Trace.entry) : (string * Check_auto.input) list =
       [ (leg_key e.actor na la, input); (leg_key e.actor nb lb, input) ]
     | _ -> []
   in
-  match (e.cat, words e.detail) with
-  | "ip.ivc_open_sent", "label" :: l :: _ -> ep (int_of l) Check_auto.Open_sent
-  | "ip.ivc_open", "to" :: _ :: "via" :: _ :: _ :: "label" :: l :: _ ->
-    ep (int_of l) Check_auto.Accept
-  | "ip.ivc_reject", "label" :: l :: _ -> ep (int_of l) Check_auto.Reject
-  | "ip.ivc_accept", "from" :: _ :: "label" :: l :: _ -> ep (int_of l) Check_auto.Open_rcvd
-  | "ip.ivc_close", "label" :: l :: _ -> ep (int_of l) Check_auto.Close
-  | "gw.splice", na :: "label" :: la :: "<->" :: nb :: "label" :: lb :: _ ->
-    both_legs (net_of na) (int_of la) (net_of nb) (int_of lb) Check_auto.Open_rcvd
-  | "gw.forward", na :: "label" :: la :: "->" :: nb :: "label" :: lb :: _ ->
-    both_legs (net_of na) (int_of la) (net_of nb) (int_of lb) Check_auto.Traffic
-  | "gw.close", na :: "label" :: la :: "<->" :: nb :: "label" :: lb :: _ ->
-    both_legs (net_of na) (int_of la) (net_of nb) (int_of lb) Check_auto.Close
+  match e.cat with
+  | "ip.ivc_open_sent" | "ip.ivc_open" | "ip.ivc_reject" | "ip.ivc_accept" | "ip.ivc_close"
+  | "gw.splice" | "gw.forward" | "gw.close" -> (
+    match (e.cat, words e.detail) with
+    | "ip.ivc_open_sent", "label" :: l :: _ -> ep (int_of l) Check_auto.Open_sent
+    | "ip.ivc_open", "to" :: _ :: "via" :: _ :: _ :: "label" :: l :: _ ->
+      ep (int_of l) Check_auto.Accept
+    | "ip.ivc_reject", "label" :: l :: _ -> ep (int_of l) Check_auto.Reject
+    | "ip.ivc_accept", "from" :: _ :: "label" :: l :: _ -> ep (int_of l) Check_auto.Open_rcvd
+    | "ip.ivc_close", "label" :: l :: _ -> ep (int_of l) Check_auto.Close
+    | "gw.splice", na :: "label" :: la :: "<->" :: nb :: "label" :: lb :: _ ->
+      both_legs (net_of na) (int_of la) (net_of nb) (int_of lb) Check_auto.Open_rcvd
+    | "gw.forward", na :: "label" :: la :: "->" :: nb :: "label" :: lb :: _ ->
+      both_legs (net_of na) (int_of la) (net_of nb) (int_of lb) Check_auto.Traffic
+    | "gw.close", na :: "label" :: la :: "<->" :: nb :: "label" :: lb :: _ ->
+      both_legs (net_of na) (int_of la) (net_of nb) (int_of lb) Check_auto.Close
+    | _ -> [])
   | _ -> []
 
 let check (entries : Ntcs_sim.Trace.entry list) : Lint_trace.violation list =

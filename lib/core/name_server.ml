@@ -14,8 +14,10 @@
    attribute counts as similar).
 
    Replication (§7): any number of peer name servers with distinct server
-   ids; writes are pushed to peers as datagrams (eventual consistency), and
-   a starting replica pulls a full sync from its first reachable peer.
+   ids; writes are pushed to peers as datagrams (eventual consistency).
+   No server pulls at boot: replicas start together, each holding only its
+   self-entry, so a pull could only reach a peer that is not serving yet.
+   A [Sync_pull] that does arrive is still answered.
 
    Sharding (DESIGN.md §15): with a pinned [Shard_map], server [i] is the
    authority for every name hashing to shard [i]. Lookups and
@@ -63,6 +65,7 @@ type t = {
   ping_timeout_us : int;
   forward_timeout_us : int; (* shard-forward deadline: short, so a dead
                                owner degrades to a fallback answer fast *)
+  shard_lookups : string; (* per-shard lookup counter, named once *)
 }
 
 let create node ~server_id ~wk_addr ?(peers = []) ?shard_map () =
@@ -80,6 +83,9 @@ let create node ~server_id ~wk_addr ?(peers = []) ?shard_map () =
     running = false;
     ping_timeout_us = 400_000;
     forward_timeout_us = 600_000;
+    shard_lookups =
+      Printf.sprintf "ns.shard%d.lookups"
+        (match shard_map with Some _ -> server_id | None -> 0);
   }
 
 let metrics t = Node.metrics t.node
@@ -287,37 +293,6 @@ let merge_entry t (stamp, entry) =
     then bump_gen t ("merge " ^ r.r_name);
     db_insert t r
 
-(* Anti-entropy catch-up at boot. The pull is bounded by the (short)
-   forward timeout, not the default deadline: when every replica boots at
-   once they are all in here and none is serving yet, so a long timeout
-   would serialize the whole plane's boot behind 3s-per-peer failures
-   (with four sharded servers that kept the name space unreachable for
-   the first nine simulated seconds). A replica joining a live plane
-   still syncs on the first try; fresh simultaneous boots fail fast and
-   converge through push replication instead. *)
-let pull_sync t =
-  match t.commod with
-  | None -> ()
-  | Some commod ->
-    let rec try_peers = function
-      | [] -> ()
-      | peer :: rest ->
-        if Addr.equal peer t.wk_addr then try_peers rest
-        else begin
-          match
-            Lcm_layer.send_sync (Commod.lcm commod) ~dst:peer ~app_tag:Ns_proto.app_tag
-              ~timeout_us:t.forward_timeout_us
-              (Ntcs_wire.Convert.payload_raw (Ns_proto.pack_request (Ns_proto.Sync_pull 0)))
-          with
-          | Ok env -> (
-            match Ns_proto.unpack_response env.Lcm_layer.data with
-            | Ok (Ns_proto.R_sync entries) -> List.iter (merge_entry t) entries
-            | Ok _ | Error _ -> try_peers rest)
-          | Error _ -> try_peers rest
-        end
-    in
-    try_peers t.peers
-
 (* --- request handling --- *)
 
 let is_alive t ?commod (r : record) =
@@ -411,8 +386,7 @@ let handle_request t ?commod (req : Ns_proto.request) =
     else route t ?commod ~name:r_name ~hop_note:1 req do_register
   | Ns_proto.Lookup_v (name, hops) ->
     Ntcs_obs.Registry.incr (metrics t) "ns.lookups";
-    Ntcs_obs.Registry.incr (metrics t)
-      (Printf.sprintf "ns.shard%d.lookups" (my_shard t));
+    Ntcs_obs.Registry.incr (metrics t) t.shard_lookups;
     let local () =
       match find_by_name t name with
       | Some r ->
@@ -518,7 +492,6 @@ let serve ?fixed t () =
       r_stamp = Node.now t.node;
     };
   t.running <- true;
-  if t.peers <> [] then pull_sync t;
   let lcm = Commod.lcm commod in
   while t.running do
     match Lcm_layer.recv lcm with

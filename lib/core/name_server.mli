@@ -9,8 +9,9 @@
     paper announces as its successor (equal ["service"] attributes count).
 
     Replication (§7): peers with distinct server ids; writes are pushed to
-    peers as datagrams (eventual consistency), and a starting replica pulls
-    a full sync from its first reachable peer.
+    peers as datagrams (eventual consistency). No server sends a
+    [Sync_pull] at boot — replicas start together, so every peer it could
+    ask would still be booting — but each answers one with [R_sync].
 
     Every server speaks the one versioned naming protocol (DESIGN.md §15):
     lookups and resolves are answered with a [(shard, gen)] stamp. Under a
@@ -38,8 +39,8 @@ val create :
 
 val serve : ?fixed:Ntcs_ipcs.Phys_addr.t list -> t -> unit -> unit
 (** The server process body: bind (at the [fixed] resources), adopt the
-    well-known address, optionally sync from peers, then answer requests
-    forever. Spawn with [World.spawn]. *)
+    well-known address, then answer requests forever. Spawn with
+    [World.spawn]. *)
 
 val stop : t -> unit
 

@@ -351,50 +351,58 @@ let exec_event t ev =
     t.exec_owner <- saved;
     Printexc.raise_with_backtrace e bt
 
+(* Pop every further event due at [time], in heap order. *)
+let rec gather t time =
+  match Ntcs_util.Heap.peek t.events with
+  | Some ev when ev.time = time ->
+    ignore (Ntcs_util.Heap.pop t.events);
+    ev :: gather t time
+  | _ -> []
+
+(* Distinct owners of a batch, in reverse order of first appearance. *)
+let rec owners acc = function
+  | [] -> acc
+  | ev :: rest -> owners (if List.mem ev.owner acc then acc else ev.owner :: acc) rest
+
+(* Exploration mode picks the event to run after [first] left the heap.
+   When the next event is due later, nothing ties with [first] and it runs
+   directly — most steps. Otherwise every event due at the same time is
+   popped, their owners are grouped in order of first appearance, and the
+   chooser is consulted exactly when two or more owners share the time.
+   Only the chosen owner's first event runs; the rest go back on the heap
+   under their original keys, so per-owner order is untouched and a
+   chooser that always answers 0 runs the default schedule. *)
+let choose_event t choose first =
+  match gather t first.time with
+  | [] -> first
+  | later ->
+    let batch = first :: later in
+    let chosen =
+      match owners [] batch with
+      | [ o ] -> o
+      | rev ->
+        let arr = Array.of_list (List.rev rev) in
+        let i = choose ~time:first.time ~owners:arr in
+        arr.(if i < 0 || i >= Array.length arr then 0 else i)
+    in
+    let rec split = function
+      | [] -> assert false
+      | ev :: rest when ev.owner = chosen ->
+        List.iter (Ntcs_util.Heap.push t.events) rest;
+        ev
+      | ev :: rest ->
+        Ntcs_util.Heap.push t.events ev;
+        split rest
+    in
+    split batch
+
 let step t =
-  match t.chooser with
-  | None -> (
-    match Ntcs_util.Heap.pop t.events with
-    | None -> false
-    | Some ev ->
-      exec_event t ev;
-      true)
-  | Some choose -> (
-    (* Exploration mode: collect every event due at the minimum time, group
-       them by owner (heap order keeps each owner's events in seq order), and
-       let the chooser pick which owner makes progress. Only the chosen
-       owner's *first* event runs; everything else goes back on the heap with
-       its original key, so per-owner order is untouched. With a chooser that
-       always answers 0 this is byte-for-byte the default schedule. *)
-    match Ntcs_util.Heap.pop t.events with
-    | None -> false
-    | Some first ->
-      let rec gather acc =
-        match Ntcs_util.Heap.peek t.events with
-        | Some ev when ev.time = first.time ->
-          ignore (Ntcs_util.Heap.pop t.events);
-          gather (ev :: acc)
-        | _ -> List.rev acc
-      in
-      let batch = first :: gather [] in
-      let owners =
-        List.fold_left
-          (fun acc ev -> if List.mem ev.owner acc then acc else acc @ [ ev.owner ])
-          [] batch
-      in
-      let chosen_owner =
-        match owners with
-        | [ o ] -> o
-        | os ->
-          let arr = Array.of_list os in
-          let i = choose ~time:first.time ~owners:arr in
-          let i = if i < 0 || i >= Array.length arr then 0 else i in
-          arr.(i)
-      in
-      let ev = List.find (fun e -> e.owner = chosen_owner) batch in
-      List.iter (fun e -> if e != ev then Ntcs_util.Heap.push t.events e) batch;
-      exec_event t ev;
-      true)
+  match Ntcs_util.Heap.pop t.events with
+  | None -> false
+  | Some first ->
+    exec_event t
+      (match t.chooser with None -> first | Some choose -> choose_event t choose first);
+    true
 
 let run ?until t =
   let continue_ () =

@@ -68,13 +68,14 @@ val set_event_limit : t -> int -> unit
     (0 = unlimited). A backstop for runaway-recursion experiments. *)
 
 val set_chooser : t -> (time:int -> owners:int array -> int) option -> unit
-(** Schedule-exploration hook (see {!Explore}). When set, every scheduler
-    step collects all events due at the minimum virtual time, groups them by
-    owning process, and asks the chooser which owner runs next (it returns
-    an index into [owners]; out-of-range answers clamp to 0). The chooser is
-    only consulted when more than one owner is runnable; per-owner event
-    order is always preserved, so program order and per-flow FIFO delivery
-    hold on every explored schedule. [None] (the default) restores the plain
+(** Schedule-exploration hook (see {!Explore}). When set, a step whose
+    earliest event shares its virtual time with no other runs it directly;
+    otherwise the step groups every event due at that time by owning
+    process and, when two or more owners share it, asks the chooser which
+    owner runs next ([owners] in order of first event; it returns an index,
+    out-of-range answers clamp to 0). Per-owner event order is always
+    preserved, so program order and per-flow FIFO delivery hold on every
+    explored schedule. [None] (the default) restores the plain
     deterministic (time, seq) order. *)
 
 (** {1 Domain-safety monitor (see [Ntcs_check.Check_race])}

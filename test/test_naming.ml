@@ -566,6 +566,35 @@ let test_sharded_owner_stamps_generation () =
     Alcotest.failf "backup answered shard %d gen %d (want shard 2 gen 0)" s g
   | _ -> Alcotest.fail "backup did not answer locally at the hop bound"
 
+(* The four shard servers boot together, so a boot-time pull could only
+   reach a peer that is itself still booting: it would time out at the
+   600 ms forward deadline and its late reply would arrive orphaned. The
+   plane boots without one, and a write still reaches every replica by
+   push. *)
+let test_sharded_boot_wastes_no_request () =
+  let c = sharded_cluster () in
+  Cluster.settle c;
+  let m = Cluster.metrics c in
+  Alcotest.(check int) "no orphaned replies" 0 (Ntcs_obs.Registry.get m "lcm.orphan_replies");
+  (match Ntcs_obs.Registry.find_histo m "lcm.send_sync_us" with
+   | Some h when not (Ntcs_obs.Histo.is_empty h) ->
+     Alcotest.(check bool) "no send_sync reaches the forward timeout" true
+       (Ntcs_obs.Histo.max_value h < 600_000)
+   | Some _ | None -> ());
+  spawn_echo c ~machine:"ap1" ~name:"svc";
+  Cluster.settle c;
+  let bindings ns =
+    List.filter_map
+      (fun (e : Ns_proto.entry) ->
+        if e.Ns_proto.e_name = "svc" then Some (Addr.to_string e.Ns_proto.e_addr) else None)
+      (Name_server.dump ns)
+  in
+  match List.map bindings (Cluster.name_servers c) with
+  | [ owner_view ] :: rest ->
+    Alcotest.(check int) "three replicas" 3 (List.length rest);
+    List.iter (Alcotest.(check (list string)) "replica holds the binding" [ owner_view ]) rest
+  | _ -> Alcotest.fail "server 0 does not hold exactly one svc binding"
+
 let test_sharded_lookup_caches () =
   let c = sharded_cluster () in
   Cluster.settle ~dt:12_000_000 c;
@@ -662,6 +691,8 @@ let () =
         :: List.map QCheck_alcotest.to_alcotest cache_props );
       ( "sharded plane (§15)",
         [
+          Alcotest.test_case "boot wastes no request" `Quick
+            test_sharded_boot_wastes_no_request;
           Alcotest.test_case "owner stamps its generation" `Quick
             test_sharded_owner_stamps_generation;
           Alcotest.test_case "repeated lookups hit the cache" `Quick

@@ -295,6 +295,91 @@ let test_trace_filter () =
   Alcotest.(check int) "matching" 2 (List.length (Trace.matching t ~cat:"a.x"));
   Alcotest.(check int) "prefix" 2 (List.length (Trace.matching_prefix t ~prefix:"a."))
 
+(* --- exploration steps --- *)
+
+let rec remove_one x = function
+  | [] -> []
+  | y :: rest -> if y = x then rest else y :: remove_one x rest
+
+(* Processes that sleep through short lists of small delays, so their
+   wake-ups collide; some steps also leave a no-op timer of the process's
+   own behind, so one owner can have several events due at once. A live
+   process has one pending wake-up (its start, its timer, or the resume
+   that timer queued) due at [wake_at], plus its timers in [timers_at]. A
+   monitor reads both before each event runs and counts the steps where
+   two or more owners share the earliest time. *)
+let run_sleepers ?choose procs =
+  let s = Sched.create () in
+  let n = List.length procs in
+  let wake_at = Array.make n (Some 0) and timers_at = Array.make n [] in
+  let pids = Array.make n 0 in
+  let order = ref [] and ties = ref 0 and calls = ref 0 and owners_ok = ref true in
+  let tied () =
+    let due i t = wake_at.(i) = Some t || List.mem t timers_at.(i) in
+    let earliest m i =
+      List.fold_left min (match wake_at.(i) with Some t -> min m t | None -> m) timers_at.(i)
+    in
+    let tmin = List.fold_left earliest max_int (List.init n Fun.id) in
+    (tmin, List.filter_map (fun i -> if due i tmin then Some pids.(i) else None) (List.init n Fun.id))
+  in
+  Sched.set_monitor s
+    (Some
+       {
+         Sched.m_push = (fun ~pusher:_ ~owner:_ -> 0);
+         m_exec = (fun ~tag:_ ~owner:_ ~time:_ -> if List.length (snd (tied ())) >= 2 then incr ties);
+         m_access = (fun _ ~owner:_ ~write:_ ~time:_ -> ());
+       });
+  Sched.set_chooser s
+    (Option.map
+       (fun choose ~time ~owners ->
+         incr calls;
+         if tied () <> (time, List.sort compare (Array.to_list owners)) then owners_ok := false;
+         choose !calls (Array.length owners))
+       choose);
+  List.iteri
+    (fun i steps ->
+      pids.(i) <-
+        Sched.spawn s (fun () ->
+            List.iter
+              (fun (d, timer) ->
+                (match timer with
+                 | Some e ->
+                   let at = Sched.now s + e in
+                   timers_at.(i) <- at :: timers_at.(i);
+                   Sched.at s at (fun () ->
+                       timers_at.(i) <- remove_one at timers_at.(i);
+                       order := (i, at, `Timer) :: !order)
+                 | None -> ());
+                wake_at.(i) <- Some (Sched.now s + d);
+                Sched.sleep s d;
+                order := (i, Sched.now s, `Wake) :: !order)
+              steps;
+            wake_at.(i) <- None))
+    procs;
+  Sched.run s;
+  (List.rev !order, Sched.events_executed s, !ties, !calls, !owners_ok)
+
+let sleepers_gen =
+  QCheck.(
+    list_of_size Gen.(2 -- 4)
+      (list_of_size Gen.(1 -- 4) (pair (int_range 0 3) (option (int_range 0 3)))))
+
+let step_props =
+  [
+    QCheck.Test.make ~count:300 ~name:"a chooser answering 0 runs the default schedule"
+      sleepers_gen (fun procs ->
+        let order, events, _, _, _ = run_sleepers procs in
+        let order', events', _, _, _ = run_sleepers ~choose:(fun _ _ -> 0) procs in
+        order = order' && events = events');
+    QCheck.Test.make ~count:300 ~name:"the chooser is asked exactly at multi-owner ties"
+      sleepers_gen (fun procs ->
+        List.for_all
+          (fun choose ->
+            let _, _, ties, calls, owners_ok = run_sleepers ~choose procs in
+            ties > 0 && calls = ties && owners_ok)
+          [ (fun _ _ -> 0); (fun call n -> call mod n) ]);
+  ]
+
 let () =
   Alcotest.run "ntcs_sim"
     [
@@ -312,6 +397,7 @@ let () =
           Alcotest.test_case "blocked processes diagnostic" `Quick
             test_blocked_processes_diagnostic;
         ] );
+      ("explore step", List.map QCheck_alcotest.to_alcotest step_props);
       ( "blocking",
         [
           Alcotest.test_case "mailbox order and timeout" `Quick test_mailbox_order_and_timeout;
