@@ -102,7 +102,7 @@ let ownership_map_arg =
            refactor consumes as its work list.")
 
 let cmd =
-  let doc = "check NTCS layer, determinism and frame-ownership rules" in
+  let doc = "check NTCS layer, determinism, copy and domain-safety rules" in
   let man =
     [
       `S Manpage.s_description;
@@ -110,17 +110,17 @@ let cmd =
         "Scans OCaml sources and enforces downward-only layer references, \
          IPCS-backend and conversion-mode allowlists, the ban on wall \
          clocks, unseeded randomness and hash-order iteration in protocol \
-         paths, and the zero-copy frame-ownership discipline: R6 \
-         ($(b,ownership)) tracks pooled buffers from Pool.alloc to \
-         Pool.release per function and flags use-after-release, double \
-         release, exception-path leaks and buffers that never reach a \
-         release or hand-off; R7 ($(b,escape)) flags live buffers and views \
-         stored into long-lived structures; R8 ($(b,domsafe)) flags \
+         paths, registered trace categories, and the zero-copy frame \
+         pipeline (R5, $(b,copies)): no byte copies in lib/core or \
+         lib/ipcs outside Proto. R8 ($(b,domsafe)) flags \
          module-level mutable state reachable from per-machine code — \
          ambient globals the domain-parallel world refactor cannot shard \
          ($(b,--ownership-map) emits the full classification). Suppress a \
          finding with a \
-         comment: (* lint: allow <rule>(<arg>) \xe2\x80\x94 <reason> *). \
+         comment: (* lint: allow <rule>(<arg>) \xe2\x80\x94 <reason> *), \
+         where <rule> is one of $(b,layering), $(b,determinism), \
+         $(b,copies), $(b,category), $(b,domsafe) or $(b,lifecycle); any \
+         other rule name is a malformed pragma. \
          $(b,--pragmas) lists every active suppression.";
     ]
   in

@@ -268,7 +268,6 @@ let handle_incoming (c : circuit) (s : Std_if.slice) =
        STD-IF hands each message to exactly one owner — so queueing it in
        the inbox is the designed ownership hand-off: the consumer holds the
        only reference. *)
-    (* lint: allow escape(v) — inbox hand-off of a per-message receive buffer *)
     Sched.Mailbox.send t.inbox (Frame (c, v))
 
 let reader_loop (c : circuit) =

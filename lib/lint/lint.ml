@@ -20,23 +20,19 @@ let rec walk path acc =
 
 let source_files paths = List.rev (List.fold_left (fun acc p -> walk p acc) [] paths)
 
-let check_source ?(summaries = []) src =
+let check_source src =
   let _, malformed = Lint_lex.pragmas src in
   Lint_diag.sort
     (malformed @ Lint_layering.check src @ Lint_determinism.check src
-    @ Lint_copies.check src @ Lint_categories.check src
-    @ Lint_ownership.check ~summaries src)
+    @ Lint_copies.check src @ Lint_categories.check src)
 
-(* Tree-level pass: load everything once, give R6/R7 the cross-file
-   function summaries (one interprocedural level) and run R8 over the
-   whole set (it needs the module-reference graph), then check each file.
-   [graph] lets the caller substitute resolved reference edges — the
-   ntcs_lint driver passes Check_graph's hook-aware graph. *)
+(* Tree-level pass: load everything once, check each file, and run R8 over
+   the whole set (it needs the module-reference graph). [graph] lets the
+   caller substitute resolved reference edges — the ntcs_lint driver
+   passes Check_graph's hook-aware graph. *)
 let lint_paths ?graph paths =
   let sources = List.map Lint_lex.load (source_files paths) in
-  let summaries = List.concat_map Lint_ownership.summarize sources in
-  Lint_diag.sort
-    (List.concat_map (check_source ~summaries) sources @ Lint_domsafe.check ?graph sources)
+  Lint_diag.sort (List.concat_map check_source sources @ Lint_domsafe.check ?graph sources)
 
 (* The R8 shared-state inventory (`ntcs_lint --ownership-map`). *)
 let ownership_map ?graph paths =

@@ -1,11 +1,11 @@
 (* R5: copy discipline. The frame pipeline is zero-copy by construction —
    the IPCS hands received messages up as they arrived, they travel as
-   Proto.Frame views, gateways patch header words in place, sends blit once
-   into a pooled buffer. A bare Bytes.cat / Bytes.sub / Bytes.copy /
-   Buffer.to_bytes in lib/core or lib/ipcs is a payload copy sneaking back
-   onto the hot path; Proto (which owns the sanctioned materialisation
-   points) is exempt. Grep-grade, word-bounded, on blanked text; suppress
-   with `lint: allow copies(<call>) — reason`. *)
+   Proto.Frame views, gateways patch header words in place, sends encode
+   once into the buffer the wire carries. A bare Bytes.cat / Bytes.sub /
+   Bytes.copy / Buffer.to_bytes in lib/core or lib/ipcs is a payload copy
+   sneaking back onto the hot path; Proto (which owns the sanctioned
+   materialisation points) is exempt. Grep-grade, word-bounded, on blanked
+   text; suppress with `lint: allow copies(<call>) — reason`. *)
 
 let rule = "copies"
 
@@ -26,8 +26,8 @@ let check (src : Lint_lex.source) =
               diags :=
                 Lint_diag.make ~file ~line:lineno ~rule
                   (Printf.sprintf
-                     "%s: byte copy on a frame path — use Proto.Frame views (or the pool) \
-                      and keep payloads in place"
+                     "%s: byte copy on a frame path — use Proto.Frame views and keep \
+                      payloads in place"
                      call)
                 :: !diags)
           Lint_rules.copy_calls)

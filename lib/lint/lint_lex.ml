@@ -237,6 +237,12 @@ let parse_tail ~file_scope ~line ~file rest =
   let rule = String.sub rest rule_start (!pos - rule_start) in
   if rule = "" then
     Error (Lint_diag.make ~file ~line ~rule:"pragma" "malformed pragma: missing rule name")
+  else if not (List.mem rule Lint_rules.pragma_rules) then
+    Error
+      (Lint_diag.make ~file ~line ~rule:"pragma"
+         (Printf.sprintf "malformed pragma: no rule `%s' reads pragmas (expected one of: %s)"
+            rule
+            (String.concat ", " Lint_rules.pragma_rules)))
   else begin
     let arg =
       if !pos < n && rest.[!pos] = '(' then begin

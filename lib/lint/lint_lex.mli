@@ -28,22 +28,23 @@ val line_has_token : string -> string -> bool
 
     {v (* lint: allow <rule>[(<arg>)] — <reason> *) v}
 
-    or [allow-file] for whole-file scope. The separator may be an em dash,
-    [--] or [-]; the reason is mandatory (a pragma without one is reported
-    as malformed). A line-scoped pragma covers the line its comment opens
+    or [allow-file] for whole-file scope. [<rule>] must be one of
+    {!Lint_rules.pragma_rules}. The separator may be an em dash, [--] or
+    [-]; the reason is mandatory (a pragma without one is reported as
+    malformed). A line-scoped pragma covers the line its comment opens
     on and the next one. Mentions of the syntax mid-comment or in strings
     are ignored. *)
 type pragma = {
   p_line : int;
   p_file_scope : bool;
-  p_rule : string;  (** ["layering"] or ["determinism"] *)
+  p_rule : string;  (** one of {!Lint_rules.pragma_rules} *)
   p_arg : string option;  (** restricts the pragma to one module/pattern *)
   p_reason : string;  (** mandatory justification, for the audit listing *)
 }
 
 val pragmas : source -> pragma list * Lint_diag.t list
 (** Well-formed pragmas, plus a diagnostic for each malformed one (missing
-    separator or reason). *)
+    separator or reason, or a rule outside {!Lint_rules.pragma_rules}). *)
 
 val pragma_allows : pragma list -> rule:string -> arg:string -> line:int -> bool
 (** Is a violation of [rule] on [arg] at [line] suppressed? An argless

@@ -113,28 +113,11 @@ let may_copy_frames path =
   not (has_sub ~sub:"lib/core/" p || has_sub ~sub:"lib/ipcs/" p)
   || String.equal (module_of_file p) "Proto"
 
-(* R6/R7: frame-ownership discipline. The zero-copy pipeline (PR 5) rests
-   on lifetime rules that live in comments — Pool.alloc transfers, release
-   revokes, no view outlives its buffer. Lint_ownership tracks identifiers
-   bound from these calls through each function; the tables below are the
-   policy: what allocates, what releases, what creates a view over a
-   buffer, and which stores hand a tracked value to something that
-   outlives the binding. *)
-let alloc_calls = [ "Pool.alloc" ]
-let release_calls = [ "Pool.release" ]
-let view_calls = [ "Frame.of_bytes"; "Frame.of_parts"; "Frame.encode_into" ]
-
-(* Long-lived sinks (R7): storing a tracked buffer or view through one of
-   these gives it a lifetime the function no longer controls, which is
-   exactly when a later [release] turns the stored view stale. Matched as
-   substrings of the blanked line — the dotted heads ("Sched.Mailbox.send")
-   defeat head-anchored token matching. *)
-let escape_sinks =
-  [ "Hashtbl.replace"; "Hashtbl.add"; "Queue.push"; "Queue.add"; "Mailbox.send"; ":="; "<-" ]
-
-(* Only the pool implementation manipulates raw freelist buffers; every
-   other file is subject to the ownership dataflow. *)
-let may_manage_buffers path = String.equal (module_of_file (norm path)) "Pool"
+(* The rule IDs a [lint: allow] pragma may name: exactly the rules that
+   read pragmas, Check_proto's [lifecycle] included. A pragma naming
+   anything else — a retired rule, a typo — would suppress nothing without
+   saying so, so Lint_lex reports it as malformed. *)
+let pragma_rules = [ "layering"; "determinism"; "copies"; "category"; "domsafe"; "lifecycle" ]
 
 (* R8: domain safety. A module-level [let] whose right-hand side allocates
    one of these is ambient mutable state: every domain in the planned

@@ -40,21 +40,9 @@ val may_copy_frames : string -> bool
 
 val copy_calls : string list
 
-val alloc_calls : string list
-(** Calls that transfer ownership of a buffer to the binder (R6). *)
-
-val release_calls : string list
-(** Calls that revoke ownership — after one, the buffer is untouchable. *)
-
-val view_calls : string list
-(** Frame-view constructors: the bound view aliases its backing buffer. *)
-
-val escape_sinks : string list
-(** Stores that hand a tracked buffer/view a longer lifetime than the
-    binding (R7); matched as substrings of the blanked line. *)
-
-val may_manage_buffers : string -> bool
-(** Is this file the pool implementation itself (exempt from R6/R7)? *)
+val pragma_rules : string list
+(** Rule IDs a [lint: allow] pragma may name: the rules that read
+    pragmas. Any other name makes the pragma malformed. *)
 
 val mutable_ctors : string list
 (** Constructors whose result, bound by a module-level [let], is ambient

@@ -195,60 +195,194 @@ let prop_bad_view_bounds =
 
 (* --- the buffer pool recycles --- *)
 
+module Pool = Ntcs_util.Pool
+
 let test_pool_recycles () =
-  let r = Ntcs_obs.Registry.create () in
-  let pool = Ntcs_util.Pool.create ~registry:r () in
-  let b1 = Ntcs_util.Pool.alloc pool 300 in
-  Alcotest.(check bool) "rounded to a size class" true (Bytes.length b1 = 512);
-  Alcotest.(check int) "one out" 1 (Ntcs_util.Pool.in_use pool);
-  Ntcs_util.Pool.release pool b1;
-  Alcotest.(check int) "none out" 0 (Ntcs_util.Pool.in_use pool);
-  let b2 = Ntcs_util.Pool.alloc pool 400 in
+  let pool = Pool.create () in
+  let b1 = Pool.alloc pool 300 in
+  Alcotest.(check int) "rounded to a size class" 512 (Bytes.length b1);
+  Pool.release pool b1;
+  let b2 = Pool.alloc pool 400 in
   Alcotest.(check bool) "same class buffer reused" true (b1 == b2);
-  Ntcs_util.Pool.release pool b2;
-  let big = Ntcs_util.Pool.alloc pool 200_000 in
+  Pool.release pool b2;
+  let big = Pool.alloc pool 200_000 in
   Alcotest.(check int) "oversize allocations are exact" 200_000 (Bytes.length big);
-  Ntcs_util.Pool.release pool big;
-  Alcotest.(check int) "one miss then a hit" 1
-    (Ntcs_obs.Registry.get r "pool.misses");
-  Alcotest.(check int) "hit counted" 1 (Ntcs_obs.Registry.get r "pool.hits");
-  Alcotest.(check int) "oversize counted" 1 (Ntcs_obs.Registry.get r "pool.unpooled");
-  Alcotest.(check int) "high water" 1
-    (int_of_float (Ntcs_obs.Registry.gauge r "pool.high_water"))
+  Pool.release pool big;
+  Alcotest.(check bool) "oversize buffers are not recycled" false
+    (Pool.alloc pool 200_000 == big)
 
 let test_pool_size_classes () =
-  let pool = Ntcs_util.Pool.create () in
+  let pool = Pool.create () in
   List.iter
-    (fun n ->
-      let b = Ntcs_util.Pool.alloc pool n in
-      Alcotest.(check bool)
-        (Printf.sprintf "alloc %d fits" n)
-        true
-        (Bytes.length b >= n);
-      Ntcs_util.Pool.release pool b)
-    [ 1; 63; 64; 65; 511; 512; 513; 4096; 65536; 65537 ];
-  Alcotest.(check int) "all returned" 0 (Ntcs_util.Pool.in_use pool)
+    (fun (n, size) ->
+      let b = Pool.alloc pool n in
+      Alcotest.(check int) (Printf.sprintf "alloc %d" n) size (Bytes.length b);
+      Pool.release pool b)
+    [
+      (1, 64); (63, 64); (64, 64); (65, 128); (511, 512); (512, 512); (513, 1024);
+      (4096, 4096); (Pool.max_pooled, Pool.max_pooled);
+      (Pool.max_pooled + 1, Pool.max_pooled + 1);
+    ]
 
-let test_pool_boundary_accounting () =
-  (* Unpooled hand-outs are owed back like pooled ones: the in_use gauge
-     must rise and fall across the max_pooled boundary, and a bogus
-     release must be rejected and counted instead of corrupting it. *)
-  let r = Ntcs_obs.Registry.create () in
-  let pool = Ntcs_util.Pool.create ~registry:r () in
-  let at = Ntcs_util.Pool.alloc pool Ntcs_util.Pool.max_pooled in
-  let over = Ntcs_util.Pool.alloc pool (Ntcs_util.Pool.max_pooled + 1) in
-  Alcotest.(check int) "boundary pooled to class size" Ntcs_util.Pool.max_pooled
-    (Bytes.length at);
-  Alcotest.(check int) "past the boundary allocated exactly"
-    (Ntcs_util.Pool.max_pooled + 1) (Bytes.length over);
-  Alcotest.(check int) "both owed back" 2 (Ntcs_util.Pool.in_use pool);
-  Ntcs_util.Pool.release pool at;
-  Ntcs_util.Pool.release pool over;
-  Alcotest.(check int) "both returned" 0 (Ntcs_util.Pool.in_use pool);
-  Ntcs_util.Pool.release pool at;
-  Alcotest.(check int) "double release rejected" 1
-    (Ntcs_obs.Registry.get r "pool.bad_release");
-  Alcotest.(check int) "gauge not driven negative" 0 (Ntcs_util.Pool.in_use pool)
+let test_pool_double_release () =
+  (* A second release of the same buffer, or bytes of a size no [alloc]
+     produces, must never reach a freelist: either would hand one buffer
+     to two later [alloc]s. *)
+  let pool = Pool.create () in
+  let b = Pool.alloc pool 100 in
+  Pool.release pool b;
+  Pool.release pool b;
+  Pool.release pool (Bytes.create 100);
+  let b1 = Pool.alloc pool 100 and b2 = Pool.alloc pool 100 in
+  Alcotest.(check bool) "the released buffer comes back once" true (b1 == b);
+  Alcotest.(check bool) "two allocs never alias" false (b1 == b2);
+  Alcotest.(check int) "a fresh class-sized buffer" 128 (Bytes.length b2)
+
+let test_pool_foreign_release () =
+  (* Bytes the pool never handed out: one of a size no [alloc] produces
+     and one above [max_pooled] are dropped; one of an exact class size
+     is indistinguishable from a pooled buffer and is recycled once. *)
+  let pool = Pool.create () in
+  let odd = Bytes.create 100 and over = Bytes.create (Pool.max_pooled + 1) in
+  let classed = Bytes.create 256 in
+  Pool.release pool odd;
+  Pool.release pool over;
+  Pool.release pool classed;
+  let b = Pool.alloc pool 100 in
+  Alcotest.(check bool) "odd size never handed out" false (b == odd);
+  Alcotest.(check int) "class 128 served fresh" 128 (Bytes.length b);
+  Alcotest.(check bool) "oversize never handed out" false
+    (Pool.alloc pool (Pool.max_pooled + 1) == over);
+  let c1 = Pool.alloc pool 256 and c2 = Pool.alloc pool 256 in
+  Alcotest.(check bool) "class-sized bytes recycled" true (c1 == classed);
+  Alcotest.(check bool) "and only once" false (c2 == classed)
+
+let test_pool_boundary () =
+  (* [max_pooled] is the largest pooled request: recycled by identity.
+     One byte more is a plain allocation that is never recycled. *)
+  let pool = Pool.create () in
+  let at = Pool.alloc pool Pool.max_pooled in
+  let over = Pool.alloc pool (Pool.max_pooled + 1) in
+  Pool.release pool at;
+  Pool.release pool over;
+  Alcotest.(check bool) "boundary buffer recycled" true
+    (Pool.alloc pool Pool.max_pooled == at);
+  Alcotest.(check bool) "past the boundary not recycled" false
+    (Pool.alloc pool (Pool.max_pooled + 1) == over)
+
+let test_pool_classes_separate () =
+  (* Each class is its own LIFO freelist: a released 64 B buffer never
+     serves a 65 B request, and the last buffer released comes back first. *)
+  let pool = Pool.create () in
+  let s1 = Pool.alloc pool 64 and s2 = Pool.alloc pool 64 in
+  Pool.release pool s1;
+  Pool.release pool s2;
+  let m = Pool.alloc pool 65 in
+  Alcotest.(check bool) "another class is not served" true (m != s1 && m != s2);
+  Alcotest.(check bool) "last released first" true (Pool.alloc pool 64 == s2);
+  Alcotest.(check bool) "then the one before" true (Pool.alloc pool 64 == s1)
+
+(* Seeded alloc/release interleavings, with double releases and foreign
+   bytes mixed in, against a model of the freelists: per-class LIFO
+   stacks that a double release or a non-class size never enters. *)
+type pool_op =
+  | Alloc of int  (* request size seed *)
+  | Release of int  (* index into the live buffers *)
+  | Release_again of int  (* class seed: release a resting buffer again *)
+  | Foreign of int  (* size seed: release bytes the pool never issued *)
+
+let pool_ops_arb =
+  let op =
+    QCheck.Gen.(
+      map
+        (fun (tag, k) ->
+          match tag with
+          | 0 | 1 -> Alloc k
+          | 2 | 3 -> Release k
+          | 4 -> Release_again k
+          | _ -> Foreign k)
+        (pair (int_range 0 5) (int_range 0 99_999)))
+  in
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat ";"
+        (List.map
+           (function
+             | Alloc k -> Printf.sprintf "A%d" k
+             | Release k -> Printf.sprintf "R%d" k
+             | Release_again k -> Printf.sprintf "D%d" k
+             | Foreign k -> Printf.sprintf "F%d" k)
+           ops))
+    QCheck.Gen.(list_size (int_range 1 60) op)
+
+(* Class size a request of [n] bytes is served at. *)
+let model_class_size n =
+  let rec go s = if s >= n then s else go (2 * s) in
+  go 64
+
+(* Run [ops] on a fresh pool. [on_alloc ~n ~predicted b ~live] sees each
+   hand-out [b] for a request of [n] bytes, the buffer the model says must
+   come back ([None]: a fresh one) and the buffers still out before it. *)
+let run_pool_ops ops ~on_alloc =
+  let pool = Pool.create () in
+  let free = Hashtbl.create 11 in (* class size -> resting buffers, LIFO *)
+  let resting c = Option.value ~default:[] (Hashtbl.find_opt free c) in
+  let live = ref [] in
+  List.iter
+    (function
+      | Alloc k ->
+        let n = 1 + (k mod Pool.max_pooled) in
+        let c = model_class_size n in
+        let predicted =
+          match resting c with
+          | b :: rest ->
+            Hashtbl.replace free c rest;
+            Some b
+          | [] -> None
+        in
+        let b = Pool.alloc pool n in
+        on_alloc ~n ~predicted b ~live:!live;
+        live := b :: !live
+      | Release k ->
+        if !live <> [] then begin
+          let i = k mod List.length !live in
+          let b = List.nth !live i in
+          live := List.filteri (fun j _ -> j <> i) !live;
+          Pool.release pool b;
+          let c = Bytes.length b in
+          Hashtbl.replace free c (b :: resting c)
+        end
+      | Release_again k -> (
+        let classes = List.sort compare (List.of_seq (Hashtbl.to_seq_keys free)) in
+        match List.filter (fun c -> resting c <> []) classes with
+        | [] -> ()
+        | cs -> Pool.release pool (List.hd (resting (List.nth cs (k mod List.length cs)))))
+      | Foreign k ->
+        (* A size no alloc produces, or one past the largest class. *)
+        let n =
+          if k mod 2 = 0 then 65 + (k mod 1000) else Pool.max_pooled + 1 + (k mod 64)
+        in
+        let n = if n land (n - 1) = 0 then n + 1 else n in
+        Pool.release pool (Bytes.create n))
+    ops
+
+let prop_pool_matches_model =
+  qtest ~count:200 "every alloc hands out what the freelist model predicts" pool_ops_arb
+    (fun ops ->
+      run_pool_ops ops ~on_alloc:(fun ~n ~predicted b ~live:_ ->
+          match predicted with
+          | Some p -> if b != p then Alcotest.fail "pool did not reissue the model's buffer"
+          | None ->
+            if Bytes.length b <> model_class_size n then
+              Alcotest.failf "%d-byte request served %d bytes" n (Bytes.length b));
+      true)
+
+let prop_pool_never_aliases =
+  qtest ~count:200 "no hand-out aliases a buffer still out" pool_ops_arb (fun ops ->
+      run_pool_ops ops ~on_alloc:(fun ~n:_ ~predicted:_ b ~live ->
+          if List.exists (fun l -> l == b) live then
+            Alcotest.fail "one buffer handed to two owners");
+      true)
 
 let () =
   Alcotest.run "frame"
@@ -267,7 +401,11 @@ let () =
         [
           Alcotest.test_case "recycles buffers" `Quick test_pool_recycles;
           Alcotest.test_case "size classes" `Quick test_pool_size_classes;
-          Alcotest.test_case "boundary accounting" `Quick
-            test_pool_boundary_accounting;
+          Alcotest.test_case "double release" `Quick test_pool_double_release;
+          Alcotest.test_case "foreign release" `Quick test_pool_foreign_release;
+          Alcotest.test_case "pooling boundary" `Quick test_pool_boundary;
+          Alcotest.test_case "classes are separate" `Quick test_pool_classes_separate;
+          prop_pool_matches_model;
+          prop_pool_never_aliases;
         ] );
     ]

@@ -1,7 +1,7 @@
 (* Self-tests for the ntcs_lint static-analysis pass: the lexer, one
    seeded violation per rule family (R1 layering, R2 determinism, R3 trace
-   invariants) asserting the linter fires with the right file:line, and the
-   allow-pragma escape hatch. *)
+   invariants, R5 copies, R8 domain safety) asserting the linter fires with
+   the right file:line, and the allow-pragma escape hatch. *)
 
 let src file text = Lint_lex.of_string ~file text
 
@@ -77,6 +77,135 @@ let test_pragma_malformed () =
   let doc = "(* write e.g. lint: allow layering(Foo) to suppress *)\n" in
   let ps, bad = Lint_lex.pragmas (src "x.ml" doc) in
   Alcotest.(check int) "mid-comment mention ignored" 0 (List.length ps + List.length bad)
+
+(* A pragma must name a rule that reads pragmas: a retired rule or a typo
+   would otherwise suppress nothing without saying so. *)
+let unknown_rule ~line rule =
+  Printf.sprintf
+    "x.ml:%d: [pragma] malformed pragma: no rule `%s' reads pragmas (expected one of: \
+     layering, determinism, copies, category, domsafe, lifecycle)"
+    line rule
+
+let test_pragma_retired_rule () =
+  let text = "(* lint: allow escape(v) \xe2\x80\x94 inbox hand-off *)\nlet x = 1\n" in
+  let ps, bad = Lint_lex.pragmas (src "x.ml" text) in
+  Alcotest.(check int) "does not parse" 0 (List.length ps);
+  Alcotest.(check (list string)) "reported with file:line" [ unknown_rule ~line:1 "escape" ]
+    (diag_strings bad)
+
+let test_pragma_misspelt_rule () =
+  let text =
+    "(* lint: allow copeis(Bytes.sub) \xe2\x80\x94 the in-flight segment *)\n\
+     let seg data n = Bytes.sub data 0 n\n"
+  in
+  let ps, bad = Lint_lex.pragmas (src "x.ml" text) in
+  Alcotest.(check int) "does not parse" 0 (List.length ps);
+  Alcotest.(check (list string)) "reported with file:line" [ unknown_rule ~line:1 "copeis" ]
+    (diag_strings bad);
+  Alcotest.(check int) "waives nothing" 1
+    (List.length (Lint_copies.check (src "lib/ipcs/ipcs_tcp.ml" text)))
+
+let test_pragma_retired_rule_file_scope () =
+  let text = "(* lint: allow-file ownership \xe2\x80\x94 buffers handed off below *)\n" in
+  let ps, bad = Lint_lex.pragmas (src "x.ml" text) in
+  Alcotest.(check int) "does not parse" 0 (List.length ps);
+  Alcotest.(check (list string)) "reported with file:line" [ unknown_rule ~line:1 "ownership" ]
+    (diag_strings bad)
+
+(* --- every rule that reads pragmas honours one --- *)
+
+(* One seeded violation per rule in [Lint_rules.pragma_rules], and the same
+   source with a line pragma in front of the violating line. [waived r]
+   writes the pragma for rule [r], so the fixture also shows that a
+   pragma naming another live rule waives nothing. *)
+type waiver = {
+  w_rule : string;
+  w_check : string -> Lint_diag.t list;
+  w_bad : string;
+  w_waived : string -> string;
+}
+
+let line_pragma rule arg =
+  Printf.sprintf "(* lint: allow %s(%s) \xe2\x80\x94 fixture *)\n" rule arg
+
+let in_front ~arg bad rule = line_pragma rule arg ^ bad
+
+(* A Lcm_layer dispatch with an arm for every kind it handles but Pong. *)
+let lcm_arms =
+  List.filter_map
+    (fun (k, _, handlers) ->
+      if List.mem "Lcm_layer" handlers && k <> "Pong" then Some ("  | Proto." ^ k ^ " -> ()\n")
+      else None)
+    Check_auto.kinds
+  |> String.concat ""
+
+let waivers =
+  [
+    {
+      w_rule = "layering";
+      w_check = (fun t -> Lint_layering.check (src "lib/core/nd_layer.ml" t));
+      w_bad = "let b = Lcm_layer.create\n";
+      w_waived = in_front ~arg:"Lcm_layer" "let b = Lcm_layer.create\n";
+    };
+    {
+      w_rule = "determinism";
+      w_check = (fun t -> Lint_determinism.check (src "lib/sim/sched.ml" t));
+      w_bad = "let a tbl = Hashtbl.fold f tbl []\n";
+      w_waived = in_front ~arg:"Hashtbl.fold" "let a tbl = Hashtbl.fold f tbl []\n";
+    };
+    {
+      w_rule = "copies";
+      w_check = (fun t -> Lint_copies.check (src "lib/ipcs/ipcs_tcp.ml" t));
+      w_bad = "let seg data n = Bytes.sub data 0 n\n";
+      w_waived = in_front ~arg:"Bytes.sub" "let seg data n = Bytes.sub data 0 n\n";
+    };
+    {
+      w_rule = "category";
+      w_check = (fun t -> Lint_categories.check (src "lib/core/lcm_layer.ml" t));
+      w_bad = "let () = Trace.record t ~cat:\"fixture.unknown\" \"x\"\n";
+      w_waived =
+        in_front ~arg:"fixture.unknown" "let () = Trace.record t ~cat:\"fixture.unknown\" \"x\"\n";
+    };
+    {
+      w_rule = "domsafe";
+      w_check =
+        (fun t ->
+          Lint_domsafe.check
+            [
+              src "lib/sim/counter_store.ml" t;
+              src "lib/core/some_layer.ml" "let bump () = incr Counter_store.counter\n";
+            ]);
+      w_bad = "let counter = ref 0\n";
+      w_waived = in_front ~arg:"counter" "let counter = ref 0\n";
+    };
+    {
+      w_rule = "lifecycle";
+      w_check = (fun t -> Check_proto.check [ src "lib/core/lcm_layer.ml" t ]);
+      w_bad = "let handle = function\n" ^ lcm_arms ^ "  | _ -> ()\n";
+      (* Gaps are anchored at the first dispatch arm: the pragma sits
+         just above it. *)
+      w_waived =
+        (fun rule -> "let handle = function\n" ^ line_pragma rule "Pong" ^ lcm_arms ^ "  | _ -> ()\n");
+    };
+  ]
+
+let waiver_case w =
+  let rules ds = List.sort_uniq compare (List.map (fun d -> d.Lint_diag.rule) ds) in
+  let other = List.find (fun r -> r <> w.w_rule) Lint_rules.pragma_rules in
+  Alcotest.test_case (w.w_rule ^ " honours its pragma") `Quick (fun () ->
+      let bad = w.w_check w.w_bad in
+      Alcotest.(check (list string)) "the seeded violation fires" [ w.w_rule ] (rules bad);
+      Alcotest.(check (list string)) "its pragma waives it" []
+        (diag_strings (w.w_check (w.w_waived w.w_rule)));
+      Alcotest.(check int)
+        (Printf.sprintf "a %s pragma waives nothing" other)
+        (List.length bad)
+        (List.length (w.w_check (w.w_waived other))))
+
+let test_every_pragma_rule_has_a_waiver () =
+  Alcotest.(check (list string)) "one fixture per rule that reads pragmas"
+    Lint_rules.pragma_rules
+    (List.map (fun w -> w.w_rule) waivers)
 
 (* --- R1: layering --- *)
 
@@ -183,9 +312,9 @@ let test_r5_ipcs_copies () =
     "unwaived copies in lib/ipcs reported"
     [
       "lib/ipcs/ipcs_tcp.ml:1: [copies] Bytes.sub: byte copy on a frame path \u{2014} use \
-       Proto.Frame views (or the pool) and keep payloads in place";
+       Proto.Frame views and keep payloads in place";
       "lib/ipcs/ipcs_tcp.ml:2: [copies] Buffer.to_bytes: byte copy on a frame path \u{2014} use \
-       Proto.Frame views (or the pool) and keep payloads in place";
+       Proto.Frame views and keep payloads in place";
     ]
     (diag_strings (Lint_copies.check (src "lib/ipcs/ipcs_tcp.ml" text)));
   let waived =
@@ -277,156 +406,6 @@ let test_r3_identity_conversion () =
     (List.length (Lint_trace.no_identity_conversion bad));
   Alcotest.(check int) "check_all aggregates" 2
     (List.length (Lint_trace.check_all ~recursion_limit:64 bad))
-
-(* --- R6: frame ownership --- *)
-
-let test_r6_use_after_release () =
-  let text =
-    "let send pool =\n\
-    \  let b = Pool.alloc pool 64 in\n\
-    \  Pool.release pool b;\n\
-    \  Bytes.set b 0 'x'\n"
-  in
-  Alcotest.(check (list string))
-    "use after release flagged at the use site"
-    [
-      "lib/core/own.ml:4: [ownership] b: used after release (line 3) \xe2\x80\x94 the buffer \
-       may already be recycled";
-    ]
-    (diag_strings (Lint_ownership.check (src "lib/core/own.ml" text)))
-
-let test_r6_double_release () =
-  let text =
-    "let f pool =\n\
-    \  let b = Pool.alloc pool 64 in\n\
-    \  Pool.release pool b;\n\
-    \  Pool.release pool b\n"
-  in
-  Alcotest.(check (list string))
-    "second release flagged"
-    [ "lib/core/own.ml:4: [ownership] b: released again (first released at line 3)" ]
-    (diag_strings (Lint_ownership.check (src "lib/core/own.ml" text)))
-
-let test_r6_leak () =
-  let text = "let f pool =\n  let b = Pool.alloc pool 64 in\n  ignore b\n" in
-  Alcotest.(check (list string))
-    "missing release flagged at the alloc"
-    [
-      "lib/core/own.ml:2: [ownership] b: pooled buffer is never released, returned or \
-       handed off";
-    ]
-    (diag_strings (Lint_ownership.check (src "lib/core/own.ml" text)))
-
-let test_r6_exception_path () =
-  let text =
-    "let f pool n =\n\
-    \  let b = Pool.alloc pool 64 in\n\
-    \  if n > 9 then failwith \"bad\";\n\
-    \  Pool.release pool b\n"
-  in
-  Alcotest.(check (list string))
-    "raise between alloc and release flagged"
-    [
-      "lib/core/own.ml:3: [ownership] b: raise between alloc (line 2) and release (line 4) \
-       \xe2\x80\x94 the exception path leaks the buffer";
-    ]
-    (diag_strings (Lint_ownership.check (src "lib/core/own.ml" text)))
-
-let test_r6_view_after_release () =
-  let text =
-    "let f pool h payload =\n\
-    \  let b = Pool.alloc pool 64 in\n\
-    \  let v = Proto.Frame.encode_into h ~payload b ~off:0 in\n\
-    \  Pool.release pool b;\n\
-    \  ignore (Proto.Frame.header v)\n"
-  in
-  Alcotest.(check (list string))
-    "stale view flagged"
-    [
-      "lib/core/own.ml:5: [ownership] v: view used after its buffer b was released (line 4)";
-    ]
-    (diag_strings (Lint_ownership.check (src "lib/core/own.ml" text)))
-
-let test_r6_summaries () =
-  (* One interprocedural level: a helper that tail-returns its allocation
-     transfers ownership to the caller; a helper that releases a parameter
-     consumes at the call site. *)
-  let text =
-    "let make pool =\n\
-    \  let b = Pool.alloc pool 64 in\n\
-    \  b\n\
-     \n\
-     let use pool =\n\
-    \  let q = make pool in\n\
-    \  ignore q\n\
-     \n\
-     let free pool b = Pool.release pool b\n\
-     \n\
-     let ok pool =\n\
-    \  let b = Pool.alloc pool 64 in\n\
-    \  free pool b\n"
-  in
-  Alcotest.(check (list string))
-    "returns-ownership leaks at the caller; consuming helper releases"
-    [
-      "lib/core/own.ml:6: [ownership] q: pooled buffer is never released, returned or \
-       handed off";
-    ]
-    (diag_strings (Lint_ownership.check (src "lib/core/own.ml" text)))
-
-let test_r6_clean_hot_path () =
-  (* The canonical send shape must stay diagnostic-free: alloc, encode a
-     view over it, send, release, return the result. *)
-  let text =
-    "let send_frame c h payload pool =\n\
-    \  let buf = Pool.alloc pool 128 in\n\
-    \  let v = Proto.Frame.encode_into h ~payload buf ~off:0 in\n\
-    \  let r = send_view c v buf in\n\
-    \  Pool.release pool buf;\n\
-    \  r\n"
-  in
-  Alcotest.(check (list string)) "clean" []
-    (diag_strings (Lint_ownership.check (src "lib/core/own.ml" text)))
-
-(* --- R7: escapes --- *)
-
-let test_r7_escape () =
-  let text =
-    "let f pool tbl k =\n\
-    \  let b = Pool.alloc pool 64 in\n\
-    \  Hashtbl.replace tbl k b\n"
-  in
-  Alcotest.(check (list string))
-    "store into a Hashtbl flagged"
-    [
-      "lib/core/own.ml:3: [escape] b: stored into a long-lived structure (Hashtbl.replace) \
-       without an ownership pragma";
-    ]
-    (diag_strings (Lint_ownership.check (src "lib/core/own.ml" text)));
-  (* The sanctioned form: a pragma with a reason. The escape also counts as
-     a hand-off, so no leak diagnostic either. *)
-  let text =
-    "let f pool tbl k =\n\
-    \  let b = Pool.alloc pool 64 in\n\
-    \  (* lint: allow escape(b) \xe2\x80\x94 retained until the table entry is evicted *)\n\
-    \  Hashtbl.replace tbl k b\n"
-  in
-  Alcotest.(check (list string)) "pragma sanctions the escape" []
-    (diag_strings (Lint_ownership.check (src "lib/core/own.ml" text)))
-
-let test_r7_mailbox_send () =
-  let text =
-    "let f pool inbox =\n\
-    \  let v = Proto.Frame.of_bytes raw in\n\
-    \  Sched.Mailbox.send inbox v\n"
-  in
-  Alcotest.(check (list string))
-    "view queued into a mailbox flagged"
-    [
-      "lib/core/own.ml:3: [escape] v: stored into a long-lived structure (Mailbox.send) \
-       without an ownership pragma";
-    ]
-    (diag_strings (Lint_ownership.check (src "lib/core/own.ml" text)))
 
 (* --- R8: domain safety (shared-state ownership map) --- *)
 
@@ -558,7 +537,17 @@ let () =
           Alcotest.test_case "module refs" `Quick test_module_refs;
           Alcotest.test_case "pragma parse" `Quick test_pragma_parse;
           Alcotest.test_case "pragma malformed" `Quick test_pragma_malformed;
+          Alcotest.test_case "pragma retired rule" `Quick test_pragma_retired_rule;
+          Alcotest.test_case "pragma misspelt rule" `Quick test_pragma_misspelt_rule;
+          Alcotest.test_case "pragma retired rule, file scope" `Quick
+            test_pragma_retired_rule_file_scope;
         ] );
+      ( "pragma-rules",
+        List.map waiver_case waivers
+        @ [
+            Alcotest.test_case "every rule has a fixture" `Quick
+              test_every_pragma_rule_has_a_waiver;
+          ] );
       ( "r1-layering",
         [
           Alcotest.test_case "upward reference" `Quick test_r1_upward_reference;
@@ -578,21 +567,6 @@ let () =
           Alcotest.test_case "identity conversion" `Quick test_r3_identity_conversion;
         ] );
       ("r5-copies", [ Alcotest.test_case "lib/ipcs copies" `Quick test_r5_ipcs_copies ]);
-      ( "r6-ownership",
-        [
-          Alcotest.test_case "use after release" `Quick test_r6_use_after_release;
-          Alcotest.test_case "double release" `Quick test_r6_double_release;
-          Alcotest.test_case "leak" `Quick test_r6_leak;
-          Alcotest.test_case "exception path" `Quick test_r6_exception_path;
-          Alcotest.test_case "view after release" `Quick test_r6_view_after_release;
-          Alcotest.test_case "function summaries" `Quick test_r6_summaries;
-          Alcotest.test_case "clean hot path" `Quick test_r6_clean_hot_path;
-        ] );
-      ( "r7-escape",
-        [
-          Alcotest.test_case "hashtbl store + pragma" `Quick test_r7_escape;
-          Alcotest.test_case "mailbox send" `Quick test_r7_mailbox_send;
-        ] );
       ( "r8-domsafe",
         [
           Alcotest.test_case "ambient + reachable" `Quick test_r8_ambient_reachable;

@@ -108,6 +108,67 @@ let test_tcp_large = roundtrip_case tcp_pair big_messages
 let test_mbx_roundtrip = roundtrip_case mbx_pair mixed_messages
 let test_mbx_large = roundtrip_case mbx_pair big_messages
 
+(* The receiver owns every slice it is handed: keep them all and read
+   them only after the last receive, so a receive that reuses an earlier
+   slice's bytes shows. [spaced] paces the sender so each message travels
+   alone; otherwise the receiver starts late and the messages queue up
+   together. *)
+let slices_case make_pair ~spaced messages () =
+  let rig = make_rig () in
+  let sched = World.sched rig.world in
+  let received = ref [] in
+  let dispatch role lvc =
+    match role with
+    | `Client ->
+      List.iter
+        (fun m ->
+          if spaced then Sched.sleep sched 50_000;
+          match Helpers.lvc_send lvc (Bytes.of_string m) with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "send: %s" (Ipcs_error.to_string e))
+        messages
+    | `Server ->
+      if not spaced then Sched.sleep sched 1_000_000;
+      List.iter
+        (fun _ ->
+          match lvc.Std_if.recv_msg ~timeout_us:20_000_000 () with
+          | Ok s -> received := s :: !received
+          | Error e -> Alcotest.failf "recv: %s" (Ipcs_error.to_string e))
+        messages
+  in
+  make_pair rig dispatch;
+  World.run rig.world;
+  Alcotest.(check (list string)) "every slice intact after the last receive" messages
+    (List.rev_map slice_string !received)
+
+(* Distinct bytes per message, so a slice overwritten by a later receive
+   cannot compare equal by accident. *)
+let distinct_messages sizes =
+  List.mapi (fun i n -> String.init n (fun j -> Char.chr ((i * 31 + j * 7 + 1) land 0xFF))) sizes
+
+let test_tcp_slices_one_segment =
+  slices_case tcp_pair ~spaced:true (distinct_messages [ 40; 40; Ipcs_tcp.mss - 4; 1; 40 ])
+
+(* Long messages outrun the first read and are reassembled one at a
+   time, the reassembly buffer emptied between them. *)
+let test_tcp_slices_reassembled =
+  slices_case tcp_pair ~spaced:true (distinct_messages [ 20_000; 30_000; 40; 25_000; 2 * Ipcs_tcp.mss ])
+
+(* Queued messages coalesce into one chunk, and several are cut from the
+   reassembly buffer, which outgrows its first size. *)
+let test_tcp_slices_coalesced =
+  slices_case tcp_pair ~spaced:false
+    (distinct_messages [ 40; 40; Ipcs_tcp.mss - 3; 7; 9000; 40; 2 * Ipcs_tcp.mss ])
+
+let test_mbx_slices_one_fragment =
+  slices_case mbx_pair ~spaced:true
+    (distinct_messages [ 40; Std_if.mbx_frag_payload; 1; 40 ])
+
+let test_mbx_slices_fragmented =
+  slices_case mbx_pair ~spaced:false
+    (distinct_messages
+       [ Std_if.mbx_frag_payload + 1; 40; 3 * Std_if.mbx_frag_payload; Std_if.mbx_frag_payload + 7 ])
+
 (* Where a message sits in the buffer handed to [lvc.send]: exactly the
    LVC's headroom in (the shape ND encodes into), [k] bytes more than
    that, or at offset 0 — each with [trailing] bytes after it. Only the
@@ -133,7 +194,10 @@ let send_shaped (lvc : Std_if.lvc) shape m =
   lvc.Std_if.send buf ~off ~len
 
 (* Any sequence of messages, over either backend and in any buffer shape,
-   arrives byte-equal and in order, each as a slice inside its buffer.
+   arrives byte-equal and in order, each as a slice inside its buffer —
+   and stays byte-equal until the last message is in: the slices are
+   compared only then, so a receive that reuses an earlier slice's buffer
+   fails.
    Sizes mix the edges — empty, one byte, the last single-segment TCP
    message (mss - 4) and the first two-segment one, one MBX fragment's
    payload +/- 1 — with anything up to 3 x mss. Sent back to back to a
@@ -191,19 +255,20 @@ let prop_messages_arrive_in_order =
                  match lvc.Std_if.recv_msg ~timeout_us:20_000_000 () with
                  | Ok s ->
                    let n = String.length m in
-                   let got = slice_string s in
                    let own_buffer =
                      s.Std_if.off = header && Bytes.length s.Std_if.buf = n + header
                    in
                    if spaced && single n && not own_buffer then
                      Alcotest.failf "%d-byte message not a slice of its own buffer" n;
-                   received := got :: !received
+                   received := s :: !received
                  | Error e -> Alcotest.failf "recv: %s" (Ipcs_error.to_string e))
                messages
          in
          (if mbx then mbx_pair else tcp_pair) rig dispatch;
          World.run rig.world;
-         List.rev !received = messages))
+         (* Read only after the last receive: the receiver owns every
+            slice, so no later receive may have reused its bytes. *)
+         List.rev_map slice_string !received = messages))
 
 (* Either backend refuses a message longer than [max_frame] at send. *)
 let test_send_beyond_max_frame () =
@@ -379,6 +444,14 @@ let () =
           Alcotest.test_case "mbx large (fragmentation)" `Quick test_mbx_large;
           Alcotest.test_case "fragment arithmetic" `Quick test_mbx_fragment_arithmetic;
           prop_messages_arrive_in_order;
+        ] );
+      ( "slice ownership",
+        [
+          Alcotest.test_case "tcp one segment each" `Quick test_tcp_slices_one_segment;
+          Alcotest.test_case "tcp reassembled" `Quick test_tcp_slices_reassembled;
+          Alcotest.test_case "tcp coalesced" `Quick test_tcp_slices_coalesced;
+          Alcotest.test_case "mbx one fragment each" `Quick test_mbx_slices_one_fragment;
+          Alcotest.test_case "mbx fragmented" `Quick test_mbx_slices_fragmented;
         ] );
       ( "hostile fragments",
         [
