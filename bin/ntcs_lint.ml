@@ -20,23 +20,21 @@ let check_paths paths =
   | [] -> Ok paths
 
 (* R8 reachability runs on the resolved reference graph from the check
-   library (hook/callback edges included), not just the lexical one the
-   lint library can build for itself — the lint library cannot depend on
+   library (hook/callback edges included), not just the one the lint
+   library can build for itself — the lint library cannot depend on
    ntcs_check (the dependency points the other way), but this driver
    links both. *)
-let resolved_graph paths =
-  List.map
-    (fun (e : Check_graph.edge) -> (e.e_src, e.e_dst))
-    (Check_graph.graph (List.map Lint_lex.load (Lint.source_files paths)))
+let resolved_graph srcs =
+  List.map (fun (e : Check_graph.edge) -> (e.e_src, e.e_dst)) (Check_graph.graph srcs)
 
-let run_lint json paths =
-  let diags = Lint.lint_paths ~graph:(resolved_graph paths) paths in
+let run_lint json srcs =
+  let diags = Lint.lint ~graph:(resolved_graph srcs) srcs in
   if json then begin
     print_endline (Lint_diag.list_to_json diags);
     if diags = [] then 0 else 1
   end
   else if diags = [] then begin
-    Format.printf "ntcs_lint: %d file(s) clean@." (List.length (Lint.source_files paths));
+    Format.printf "ntcs_lint: %d file(s) clean@." (List.length srcs);
     0
   end
   else begin
@@ -45,8 +43,8 @@ let run_lint json paths =
     1
   end
 
-let run_pragmas json paths =
-  let entries = Lint.pragmas_in_paths paths in
+let run_pragmas json srcs =
+  let entries = Lint.pragmas srcs in
   if json then print_endline (Lint.pragmas_to_json entries)
   else begin
     Lint.report_pragmas Format.std_formatter entries;
@@ -54,8 +52,8 @@ let run_pragmas json paths =
   end;
   0
 
-let run_ownership_map json paths =
-  let entries = Lint.ownership_map ~graph:(resolved_graph paths) paths in
+let run_ownership_map json srcs =
+  let entries = Lint_domsafe.inventory ~graph:(resolved_graph srcs) srcs in
   if json then print_endline (Lint_domsafe.map_to_json entries)
   else begin
     List.iter
@@ -70,9 +68,10 @@ let run pragmas ownership_map json paths =
   match check_paths paths with
   | Error c -> c
   | Ok paths ->
-    if pragmas then run_pragmas json paths
-    else if ownership_map then run_ownership_map json paths
-    else run_lint json paths
+    let srcs = Lint.load paths in
+    if pragmas then run_pragmas json srcs
+    else if ownership_map then run_ownership_map json srcs
+    else run_lint json srcs
 
 let paths_arg =
   Arg.(value & pos_all string [] & info [] ~docv:"PATH" ~doc:"Files or directories to lint.")

@@ -8,12 +8,15 @@ let automaton_diags () =
     (fun p -> Lint_diag.make ~file:"lib/check/check_auto.ml" ~line:1 ~rule:"automaton" p)
     (Check_auto.check_automaton ())
 
+(* A file that does not parse is a finding here too: the analyses would
+   otherwise see it as empty. *)
 let check_sources srcs =
-  Lint_diag.sort (automaton_diags () @ Check_proto.check srcs @ Check_graph.check srcs)
+  Lint_diag.sort
+    (automaton_diags ()
+    @ List.concat_map (fun (s : Lint_lex.source) -> s.src_syntax) srcs
+    @ Check_proto.check srcs @ Check_graph.check srcs)
 
-let static_check paths =
-  let srcs = List.map Lint_lex.load (Lint.source_files paths) in
-  check_sources srcs
+let static_check paths = check_sources (Lint.load paths)
 
 let report ppf diags =
   List.iter (fun d -> Format.fprintf ppf "%a@." Lint_diag.pp d) (Lint_diag.sort diags)

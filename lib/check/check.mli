@@ -2,7 +2,9 @@
     schedule-exploration harness. *)
 
 val static_check : string list -> Lint_diag.t list
-(** [check_sources] over every [.ml]/[.mli] under the given paths. *)
+(** The automaton's soundness, handler exhaustiveness ({!Check_proto})
+    and recursion cycles ({!Check_graph}) over every [.ml]/[.mli] under
+    the given paths; a file that does not parse is a [parse] finding. *)
 
 val report : Format.formatter -> Lint_diag.t list -> unit
 

@@ -8,7 +8,8 @@
    callback* (a closure stored in a hook field), so in addition to
    head-of-path references we add edges for the known hook installers:
    installing a callback into module S gives S an edge to the installing
-   module and to everything the installed closure references.
+   module and to everything the installed closure — the installer's
+   argument expression — references.
 
    A strongly connected component that (a) contains Lcm_layer, (b) reaches
    rank ≥ 5 (NSP or above), and (c) nowhere references the Recursion guard
@@ -25,11 +26,10 @@ type edge = {
   e_via : string;  (** "reference" or the installer pattern *)
 }
 
-(* Hook installers: calling [pattern] stores a closure inside the module on
-   the right, giving that module edges back into the caller's world. The
-   token-matched ones are dotted calls; the substring-matched ones are
-   mutable-field assignments (dotted on the left, so [line_has_token] would
-   reject them). *)
+(* Hook installers: calling one of these functions, filling one of these
+   record fields or assigning one of these mutable fields stores a closure
+   inside the module on the right, giving that module edges back into the
+   caller's world. *)
 let hook_installers =
   [
     ("Lcm_layer.set_fault_oracle", "Lcm_layer");
@@ -39,102 +39,61 @@ let hook_installers =
     ("rv_resolve", "Router");
     ("rv_forward", "Router");
     ("rv_gateways", "Router");
+    ("on_event <-", "Lcm_layer");
+    ("timestamp <-", "Lcm_layer");
   ]
-
-let assign_installers = [ ("on_event <-", "Lcm_layer"); ("timestamp <-", "Lcm_layer") ]
-
-let contains_sub line sub =
-  let n = String.length line and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub line i m = sub || go (i + 1)) in
-  m > 0 && go 0
-
-let depth_delta line =
-  let d = ref 0 in
-  String.iter
-    (fun c ->
-      match c with
-      | '{' | '(' | '[' -> incr d
-      | '}' | ')' | ']' -> decr d
-      | _ -> ())
-    line;
-  !d
 
 let is_ml src = Filename.check_suffix src.Lint_lex.src_file ".ml"
 let module_of src = Lint_rules.module_of_file src.Lint_lex.src_file
 
-(* The closure installed at [lineno] spans the bracket-balanced region that
-   opens there (capped — hooks in this codebase are small). *)
-let region_end lines lineno =
-  let cap = 30 in
-  let rec go depth n = function
-    | [] -> n
-    | _ when depth <= 0 || n - lineno >= cap -> n
-    | l :: rest -> go (depth + depth_delta l) (n + 1) rest
+(* [(line, installer, target, closures)] for every hook installed in
+   [src]: the arguments of an installer call, or the value given to an
+   installer field. *)
+let installs src =
+  let out = ref [] in
+  let hook pat loc closures =
+    match List.assoc_opt pat hook_installers with
+    | Some target -> out := (Lint_lex.line loc, pat, target, closures) :: !out
+    | None -> ()
   in
-  let rec drop n = function
-    | rest when n = 0 -> rest
-    | _ :: rest -> drop (n - 1) rest
-    | [] -> []
+  let super = Ast_iterator.default_iterator in
+  let expr it (e : Parsetree.expression) =
+    (match e.pexp_desc with
+     | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, args) ->
+       hook (Lint_lex.name txt) loc (List.map snd args)
+     | Pexp_record (fields, _) ->
+       List.iter (fun ({ Location.txt; loc }, v) -> hook (Longident.last txt) loc [ v ]) fields
+     | Pexp_setfield (_, { txt; loc }, v) -> hook (Longident.last txt ^ " <-") loc [ v ]
+     | _ -> ());
+    super.expr it e
   in
-  match drop (lineno - 1) lines with
-  | [] -> lineno
-  | first :: rest ->
-    let d = depth_delta first in
-    if d <= 0 then lineno else go d (lineno + 1) rest
+  Lint_lex.walk src { super with expr };
+  List.rev !out
 
 let edges_of_source known src =
   if not (is_ml src) then []
   else begin
     let m = module_of src in
-    let refs = Lint_lex.module_refs src in
+    let edge ~line ~via e_src e_dst =
+      { e_src; e_dst; e_file = src.Lint_lex.src_file; e_line = line; e_via = via }
+    in
     let direct =
       List.filter_map
         (fun (line, r) ->
-          if r <> m && List.mem r known then
-            Some { e_src = m; e_dst = r; e_file = src.Lint_lex.src_file; e_line = line; e_via = "reference" }
-          else None)
-        refs
+          if r <> m && List.mem r known then Some (edge ~line ~via:"reference" m r) else None)
+        src.Lint_lex.src_refs
     in
-    let lines = Lint_lex.lines src.Lint_lex.src_blank in
     let hook_edges =
-      List.concat
-        (List.mapi
-           (fun i l ->
-             let lineno = i + 1 in
-             let hits =
-               List.filter (fun (pat, _) -> Lint_lex.line_has_token l pat) hook_installers
-               @ List.filter (fun (pat, _) -> contains_sub l pat) assign_installers
-             in
-             List.concat_map
-               (fun (pat, target) ->
-                 if not (List.mem target known) then []
-                 else begin
-                   let stop = region_end lines lineno in
-                   let body_refs =
-                     List.filter_map
-                       (fun (rl, r) ->
-                         if rl >= lineno && rl <= stop && r <> target && List.mem r known
-                         then Some r
-                         else None)
-                       refs
-                   in
-                   let callees = List.sort_uniq compare (m :: body_refs) in
-                   List.filter_map
-                     (fun callee ->
-                       if callee = target then None
-                       else
-                         Some
-                           {
-                             e_src = target;
-                             e_dst = callee;
-                             e_file = src.Lint_lex.src_file;
-                             e_line = lineno;
-                             e_via = pat;
-                           })
-                     callees
-                 end)
-               hits)
-           lines)
+      List.concat_map
+        (fun (line, pat, target, closures) ->
+          if not (List.mem target known) then []
+          else
+            List.concat_map (fun e -> List.map snd (Lint_lex.refs_of_expr e)) closures
+            |> List.filter (fun r -> List.mem r known)
+            |> List.cons m |> List.sort_uniq compare
+            |> List.filter_map (fun callee ->
+                   if callee = target then None else Some (edge ~line ~via:pat target callee)))
+        (installs src)
     in
     direct @ hook_edges
   end
@@ -194,9 +153,7 @@ let references_recursion srcs scc =
   List.exists
     (fun src ->
       List.mem (module_of src) scc
-      && List.exists
-           (fun l -> Lint_lex.line_has_token l "Recursion")
-           (Lint_lex.lines src.Lint_lex.src_blank))
+      && List.exists (fun (_, r) -> r = "Recursion") src.Lint_lex.src_refs)
     srcs
 
 let crosses_boundary scc =

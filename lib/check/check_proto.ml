@@ -2,17 +2,16 @@
 
    Two directions, both anchored in Check_auto's single declaration:
 
-   1. Declaration conformance — the constructor lists parsed (lexically)
-      out of proto.ml / ns_proto.ml must match the automaton's tables, in
-      order. Adding a message kind without teaching the automaton about it
-      is a diagnostic on the new constructor's own line.
+   1. Declaration conformance — the variant constructors of proto.ml /
+      ns_proto.ml, as the parser sees them, must match the automaton's
+      tables, in order. Adding a message kind without teaching the
+      automaton about it is a diagnostic on the new constructor's own line.
 
    2. Dispatch exhaustiveness — every module the table names must mention
-      every constructor it is responsible for (OCaml match arms are
-      `Proto.Data`-style tokens, so a word-bounded token search on blanked
-      text is exactly "there is an arm for it"). A module may opt out of
-      one (state, kind) pair only with an explicit, reasoned pragma:
-      (* lint: allow lifecycle(Kind) — reason *). Requests follow the
+      every constructor it is responsible for (a match arm names
+      `Proto.Data`, so an occurrence of that path is "there is an arm for
+      it"). A module may opt out of one (state, kind) pair only with an
+      explicit, reasoned pragma: (* lint: allow lifecycle(Kind) — reason *). Requests follow the
       request/response discipline instead: whoever issues Ns_proto.X must
       dispatch on its response and on R_error. *)
 
@@ -20,79 +19,26 @@ let rule = "lifecycle"
 
 (* --- constructor extraction --- *)
 
-let trimmed line = String.trim line
-
-let starts_with_bar line =
-  let l = trimmed line in
-  String.length l > 0 && l.[0] = '|'
-
-(* Net depth change of brackets on a blanked line. *)
-let depth_delta line =
-  let d = ref 0 in
-  String.iter
-    (fun c ->
-      match c with
-      | '{' | '(' | '[' -> incr d
-      | '}' | ')' | ']' -> decr d
-      | _ -> ())
-    line;
-  !d
-
-let ident_at line i =
-  let n = String.length line in
-  let j = ref i in
-  while !j < n && Lint_lex.is_ident_char line.[!j] do
-    incr j
-  done;
-  String.sub line i (!j - i)
-
-(* First capitalised identifier after the leading '|'. *)
-let arm_constructor line =
-  let l = trimmed line in
-  let n = String.length l in
-  let rec find i =
-    if i >= n then None
-    else if l.[i] >= 'A' && l.[i] <= 'Z' then Some (ident_at l i)
-    else if l.[i] = '|' || l.[i] = ' ' || l.[i] = '\t' then find (i + 1)
-    else None
+(* The first declaration of variant type [ty]: its line and its
+   [(line, constructor)] list. *)
+let declaration (src : Lint_lex.source) ~ty =
+  let found = ref None in
+  let super = Ast_iterator.default_iterator in
+  let type_declaration it (td : Parsetree.type_declaration) =
+    (match td.ptype_kind with
+     | Ptype_variant cds when td.ptype_name.txt = ty && !found = None ->
+       found :=
+         Some
+           ( Lint_lex.line td.ptype_loc,
+             List.map
+               (fun (cd : Parsetree.constructor_declaration) ->
+                 (Lint_lex.line cd.pcd_name.loc, cd.pcd_name.txt))
+               cds )
+     | _ -> ());
+    super.type_declaration it td
   in
-  find 0
-
-(* [(line, name)] for the constructors of `type [ty] = | A | B of ... | C`,
-   parsed from the blanked text. Inline-record and multi-line arms are
-   handled by tracking bracket depth; the declaration ends at the first
-   depth-0 line that is neither blank nor an arm. *)
-let constructors (src : Lint_lex.source) ~ty =
-  let ls = Lint_lex.lines src.Lint_lex.src_blank in
-  let decl_line =
-    List.find_index
-      (fun l ->
-        Lint_lex.line_has_token l "type"
-        && Lint_lex.line_has_token l ty
-        && String.contains l '=')
-      ls
-  in
-  match decl_line with
-  | None -> []
-  | Some idx ->
-    let rec collect acc depth lineno = function
-      | [] -> List.rev acc
-      | line :: rest ->
-        if depth > 0 then collect acc (depth + depth_delta line) (lineno + 1) rest
-        else if starts_with_bar line then begin
-          let acc =
-            match arm_constructor line with
-            | Some c -> (lineno, c) :: acc
-            | None -> acc
-          in
-          collect acc (depth + depth_delta line) (lineno + 1) rest
-        end
-        else if trimmed line = "" then collect acc depth (lineno + 1) rest
-        else List.rev acc
-    in
-    let rest = List.filteri (fun i _ -> i > idx) ls in
-    let first = List.nth ls idx in
-    collect [] (depth_delta first) (idx + 2) rest
+  Lint_lex.walk src { super with type_declaration };
+  match !found with Some d -> d | None -> (1, [])
 
 (* --- declaration conformance --- *)
 
@@ -101,20 +47,8 @@ let diag ~src ~line fmt =
     (fun msg -> Lint_diag.make ~file:src.Lint_lex.src_file ~line ~rule msg)
     fmt
 
-let decl_line_of src ty =
-  let ls = Lint_lex.lines src.Lint_lex.src_blank in
-  match
-    List.find_index
-      (fun l ->
-        Lint_lex.line_has_token l "type" && Lint_lex.line_has_token l ty
-        && String.contains l '=')
-      ls
-  with
-  | Some i -> i + 1
-  | None -> 1
-
 let check_decl src ~ty ~declared =
-  let parsed = constructors src ~ty in
+  let decl_line, parsed = declaration src ~ty in
   let parsed_names = List.map snd parsed in
   let missing = List.filter (fun d -> not (List.mem d parsed_names)) declared in
   let extra = List.filter (fun (_, p) -> not (List.mem p declared)) parsed in
@@ -123,7 +57,7 @@ let check_decl src ~ty ~declared =
   in
   List.map
     (fun d ->
-      diag ~src ~line:(decl_line_of src ty)
+      diag ~src ~line:decl_line
         "lifecycle automaton declares constructor %s, but type %s does not define it" d ty)
     missing
   @ List.map
@@ -136,7 +70,7 @@ let check_decl src ~ty ~declared =
   @
   if order_drift then
     [
-      diag ~src ~line:(decl_line_of src ty)
+      diag ~src ~line:decl_line
         "type %s declares its constructors in a different order than the lifecycle \
          automaton (wire tags are positional: keep them aligned)"
         ty;
@@ -145,21 +79,16 @@ let check_decl src ~ty ~declared =
 
 (* --- dispatch exhaustiveness --- *)
 
-let has_token src tok =
-  List.exists (fun l -> Lint_lex.line_has_token l tok) (Lint_lex.lines src.Lint_lex.src_blank)
+let has_token (src : Lint_lex.source) tok =
+  List.exists (fun (_, p) -> String.equal p tok) src.src_paths
 
-(* The line where a family is dispatched: the first line mentioning any of
-   its tokens — gap diagnostics point at the match that is missing the arm,
-   not at the top of the file. *)
-let anchor src tokens =
-  let ls = Lint_lex.lines src.Lint_lex.src_blank in
-  let rec go lineno = function
-    | [] -> 1
-    | l :: rest ->
-      if List.exists (fun t -> Lint_lex.line_has_token l t) tokens then lineno
-      else go (lineno + 1) rest
-  in
-  go 1 ls
+(* The line where a family is dispatched: the first line naming any of its
+   constructors — gap diagnostics point at the match that is missing the
+   arm, not at the top of the file. *)
+let anchor (src : Lint_lex.source) tokens =
+  match List.find_opt (fun (_, p) -> List.mem p tokens) src.src_paths with
+  | Some (line, _) -> line
+  | None -> 1
 
 let is_ml src = Filename.check_suffix src.Lint_lex.src_file ".ml"
 
@@ -176,13 +105,12 @@ let check_kind_dispatch src =
   in
   if required = [] || not (is_ml src) then []
   else begin
-    let pragmas, _ = Lint_lex.pragmas src in
     let all_tokens = List.map (fun (k, _) -> "Proto." ^ k) required in
     let anchor_line = anchor src all_tokens in
     List.filter_map
       (fun (k, input) ->
         if has_token src ("Proto." ^ k) then None
-        else if Lint_lex.pragma_allows pragmas ~rule ~arg:k ~line:anchor_line then None
+        else if Lint_lex.pragma_allows src.src_pragmas ~rule ~arg:k ~line:anchor_line then None
         else
           Some
             (diag ~src ~line:anchor_line

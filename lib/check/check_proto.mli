@@ -1,9 +1,9 @@
 (** Handler exhaustiveness against the protocol constructors.
 
     Two directions, both anchored in {!Check_auto}'s single declaration:
-    the constructor lists parsed (lexically) out of proto.ml/ns_proto.ml
-    must match the automaton's tables in order, and every module the
-    table names must mention every constructor it is responsible for.
+    the variant constructors declared in proto.ml/ns_proto.ml must match
+    the automaton's tables in order, and every module the table names
+    must mention every constructor it is responsible for.
     Opt a module out of one (state, kind) pair only with a reasoned
     pragma: [lint: allow lifecycle(Kind) — reason]. *)
 

@@ -20,23 +20,20 @@ let rec walk path acc =
 
 let source_files paths = List.rev (List.fold_left (fun acc p -> walk p acc) [] paths)
 
-let check_source src =
-  let _, malformed = Lint_lex.pragmas src in
-  Lint_diag.sort
-    (malformed @ Lint_layering.check src @ Lint_determinism.check src
-    @ Lint_copies.check src @ Lint_categories.check src)
+(* Every source under the paths, each parsed once: the rules, R8's graph
+   and the pragma audit all read these. *)
+let load paths = List.map Lint_lex.load (source_files paths)
 
-(* Tree-level pass: load everything once, check each file, and run R8 over
-   the whole set (it needs the module-reference graph). [graph] lets the
-   caller substitute resolved reference edges — the ntcs_lint driver
-   passes Check_graph's hook-aware graph. *)
-let lint_paths ?graph paths =
-  let sources = List.map Lint_lex.load (source_files paths) in
-  Lint_diag.sort (List.concat_map check_source sources @ Lint_domsafe.check ?graph sources)
+let check_source (src : Lint_lex.source) =
+  src.src_syntax @ src.src_malformed @ Lint_layering.check src @ Lint_forbidden.check src
+  @ Lint_categories.check src
 
-(* The R8 shared-state inventory (`ntcs_lint --ownership-map`). *)
-let ownership_map ?graph paths =
-  Lint_domsafe.inventory ?graph (List.map Lint_lex.load (source_files paths))
+(* Tree-level pass: check each file, and run R8 over the whole set (it
+   needs the module-reference graph). [graph] lets the caller substitute
+   resolved reference edges — ntcs_lint passes Check_graph's hook-aware
+   graph. *)
+let lint ?graph srcs =
+  Lint_diag.sort (List.concat_map check_source srcs @ Lint_domsafe.check ?graph srcs)
 
 let report ppf diags =
   List.iter (fun d -> Format.fprintf ppf "%a@." Lint_diag.pp d) diags
@@ -45,12 +42,10 @@ let report ppf diags =
 
 (* Every active escape hatch, in (file, line) order: suppressions must stay
    auditable, or the allowlist quietly becomes the rule. *)
-let pragmas_in_paths paths =
+let pragmas srcs =
   List.concat_map
-    (fun file ->
-      let ps, _ = Lint_lex.pragmas (Lint_lex.load file) in
-      List.map (fun (p : Lint_lex.pragma) -> (file, p)) ps)
-    (source_files paths)
+    (fun (src : Lint_lex.source) -> List.map (fun p -> (src.src_file, p)) src.src_pragmas)
+    srcs
 
 let pp_pragma ppf (file, (p : Lint_lex.pragma)) =
   Format.fprintf ppf "%s:%d: allow%s %s%s \xe2\x80\x94 %s" file p.Lint_lex.p_line

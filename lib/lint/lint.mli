@@ -1,28 +1,30 @@
-(** Static-analysis driver: walks source trees and runs, on every
-    [.ml]/[.mli], pragma well-formedness, layering (R1), determinism (R2),
-    categories (R4) and copies (R5), then domain safety (R8) over the whole
-    tree; aggregates sorted diagnostics. Trace-based invariants (R3) live
-    in {!Lint_trace} and run from tests. *)
+(** Static-analysis entry points: walk source trees, parse every
+    [.ml]/[.mli] once ({!Lint_lex}), run pragma well-formedness, layering
+    (R1), the forbidden paths of R1, R2 and R5 and categories (R4) on
+    each file, then domain safety (R8) over the whole tree, and aggregate
+    sorted diagnostics. Trace-based invariants (R3) live in {!Lint_trace}
+    and run from tests. *)
 
 val source_files : string list -> string list
 (** Every [.ml]/[.mli] under the given files/directories, walked in sorted
     order; hidden and [_build]-style directories are skipped. *)
 
-val lint_paths : ?graph:(string * string) list -> string list -> Lint_diag.t list
-(** Tree-level run: checks every file, then runs R8 over the whole set.
-    [graph] substitutes resolved (referrer, referee) module edges for R8
-    reachability (the ntcs_lint driver passes the hook-aware
-    [Check_graph] edges); default is the lexical module-reference graph. *)
+val load : string list -> Lint_lex.source list
+(** Every source under the given paths ({!source_files}), parsed once. *)
 
-val ownership_map : ?graph:(string * string) list -> string list -> Lint_domsafe.entry list
-(** The R8 shared-state inventory over the given paths
-    ([ntcs_lint --ownership-map]). *)
+val lint : ?graph:(string * string) list -> Lint_lex.source list -> Lint_diag.t list
+(** Tree-level run: checks every file, then runs R8 over the whole set.
+    A file that does not parse is one [parse] diagnostic. [graph]
+    substitutes resolved (referrer, referee) module edges for R8
+    reachability (ntcs_lint passes the hook-aware
+    [Check_graph] edges); default is the module-reference graph of the
+    sources themselves. *)
 
 val report : Format.formatter -> Lint_diag.t list -> unit
 (** One [file:line: [rule] message] per line. *)
 
-val pragmas_in_paths : string list -> (string * Lint_lex.pragma) list
-(** Every well-formed [lint: allow] pragma under the given paths, in
+val pragmas : Lint_lex.source list -> (string * Lint_lex.pragma) list
+(** Every well-formed [lint: allow] pragma in the given sources, in
     deterministic (file, line) order — the audit feed for
     [ntcs_lint --pragmas]. *)
 

@@ -8,50 +8,32 @@
 
 let rule = "category"
 
-(* Find the literal at a [~cat:] quoted site. Offsets are shared between
-   [src_text] and [src_blank] (blanking is byte-preserving), so we locate
-   the pattern on the blanked text — comments and strings cannot fake a
-   site, because blanking erases the quotes inside comments and the pattern
-   itself inside strings — and read the literal's characters from the raw
-   text between the real quotes. *)
-let pattern = "~cat:\""
-
-let line_of_offset text off =
-  let n = ref 1 in
-  String.iteri (fun i c -> if i < off && c = '\n' then incr n) text;
-  !n
-
-let literal_sites (src : Lint_lex.source) =
-  let blank = src.Lint_lex.src_blank in
-  let raw = src.Lint_lex.src_text in
-  let plen = String.length pattern in
-  let n = String.length blank in
+(* [(line, category)] for every string constant passed as [~cat]. *)
+let literal_sites src =
   let sites = ref [] in
-  let i = ref 0 in
-  while !i + plen <= n do
-    if String.sub blank !i plen = pattern then begin
-      let start = !i + plen in
-      (* The literal's contents are blanked; the closing quote survives. *)
-      let close = ref start in
-      while !close < n && blank.[!close] <> '"' do
-        incr close
-      done;
-      if !close < n then
-        sites :=
-          (line_of_offset blank !i, String.sub raw start (!close - start)) :: !sites;
-      i := !close + 1
-    end
-    else incr i
-  done;
-  List.rev !sites
+  let super = Ast_iterator.default_iterator in
+  let expr it (e : Parsetree.expression) =
+    (match e.pexp_desc with
+     | Pexp_apply (_, args) ->
+       List.iter
+         (fun (label, (arg : Parsetree.expression)) ->
+           match (label, arg.pexp_desc) with
+           | Asttypes.Labelled "cat", Pexp_constant (Pconst_string (cat, _, _)) ->
+             sites := (Lint_lex.line arg.pexp_loc, cat) :: !sites
+           | _ -> ())
+         args
+     | _ -> ());
+    super.expr it e
+  in
+  Lint_lex.walk src { super with expr };
+  !sites
 
 let check (src : Lint_lex.source) =
-  let file = src.Lint_lex.src_file in
-  let pragmas, _ = Lint_lex.pragmas src in
+  let file = src.src_file in
   List.filter_map
     (fun (line, cat) ->
       if Ntcs_obs.Manifest.known cat
-         || Lint_lex.pragma_allows pragmas ~rule ~arg:cat ~line
+         || Lint_lex.pragma_allows src.src_pragmas ~rule ~arg:cat ~line
       then None
       else
         Some

@@ -23,9 +23,8 @@
      domains, and `ntcs_lint --ownership-map` emits them all as the
      refactor's work list.
 
-   Like every rule here this is lexical, over blanked text: module level
-   means column zero, and a [let] with parameters is a function (its
-   allocations are per-call, not ambient). *)
+   Module level means a top-level [let] of the file. What a function or a
+   nested [let] allocates is per-call, not ambient, so neither counts. *)
 
 type scope = Binding | Field
 type cls = World_local | Machine_local | Ambient_global
@@ -49,84 +48,6 @@ let class_name = function
   | Machine_local -> "machine-local"
   | Ambient_global -> "ambient-global"
 
-let is_ident_start c = (c >= 'a' && c <= 'z') || c = '_'
-
-(* Word-bounded occurrences of [tok] in [line] (same bounds as
-   {!Lint_lex.line_has_token}), as start offsets. *)
-let token_positions line tok =
-  let n = String.length line and m = String.length tok in
-  let ok_before i =
-    i = 0 || (let c = line.[i - 1] in (not (Lint_lex.is_ident_char c)) && c <> '.')
-  in
-  let ok_after i = i + m >= n || not (Lint_lex.is_ident_char line.[i + m]) in
-  let rec go i acc =
-    if i + m > n then List.rev acc
-    else if String.sub line i m = tok && ok_before i && ok_after i then
-      go (i + m) (i :: acc)
-    else go (i + 1) acc
-  in
-  go 0 []
-
-(* First identifier starting at or after [i]. *)
-let ident_after line i =
-  let n = String.length line in
-  let rec start i = if i >= n then None else if is_ident_start line.[i] then Some i else start (i + 1) in
-  match start i with
-  | None -> None
-  | Some s ->
-    let rec stop j = if j < n && Lint_lex.is_ident_char line.[j] then stop (j + 1) else j in
-    Some (String.sub line s (stop s - s))
-
-(* ----- toplevel items ----- *)
-
-(* Split the blanked text into toplevel items: an item starts on a line
-   whose first character is non-blank (comments are already spaces). *)
-let toplevel_items blank =
-  let lines = Array.of_list (Lint_lex.lines blank) in
-  let items = ref [] and cur = ref [] and cur_start = ref 0 in
-  let flush () =
-    if !cur <> [] then items := (!cur_start, List.rev !cur) :: !items;
-    cur := []
-  in
-  Array.iteri
-    (fun i line ->
-      let starts = line <> "" && line.[0] <> ' ' && line.[0] <> '\t' in
-      if starts then begin
-        flush ();
-        cur_start := i + 1
-      end;
-      if !cur <> [] || starts then cur := line :: !cur)
-    lines;
-  flush ();
-  List.rev !items
-
-(* A module-level value binding: [let x =], [let rec x =], [let x : t =].
-   Anything between the name and the [=] other than a type annotation
-   means parameters — a function, out of scope for R8. *)
-let binding_head item_text =
-  let strip_prefix p s =
-    let lp = String.length p in
-    if String.length s >= lp && String.sub s 0 lp = p then Some (String.sub s lp (String.length s - lp))
-    else None
-  in
-  let rest =
-    match strip_prefix "let rec " item_text with
-    | Some r -> Some r
-    | None -> strip_prefix "let " item_text
-  in
-  match rest with
-  | None -> None
-  | Some r -> (
-    let r = String.trim r in
-    match ident_after r 0 with
-    | Some name when r <> "" && is_ident_start r.[0] -> (
-      match String.index_opt r '=' with
-      | None -> None
-      | Some eq ->
-        let between = String.trim (String.sub r (String.length name) (eq - String.length name)) in
-        if between = "" || between.[0] = ':' then Some (name, eq) else None)
-    | _ -> None)
-
 (* ----- reachability over the module-reference graph ----- *)
 
 let reachable_modules ~graph ~roots =
@@ -148,97 +69,67 @@ let reachable_modules ~graph ~roots =
 
 (* ----- the inventory ----- *)
 
-let find_waiver pragmas ~name ~line =
-  List.find_map
-    (fun (p : Lint_lex.pragma) ->
-      if
-        p.p_rule = "domsafe"
-        && (match p.p_arg with None -> true | Some a -> a = name)
-        && (p.p_file_scope || line = p.p_line || line = p.p_line + 1)
-      then Some p.p_reason
-      else None)
-    pragmas
+(* The earliest mutable constructor a right-hand side names outside any
+   closure or nested binding, with its line. *)
+let first_ctor rhs =
+  let hits = ref [] in
+  let super = Ast_iterator.default_iterator in
+  let expr it (e : Parsetree.expression) =
+    match e.pexp_desc with
+    | Pexp_let _ | Pexp_fun _ | Pexp_function _ | Pexp_letmodule _ | Pexp_letop _ -> ()
+    | Pexp_ident { txt; loc } when List.mem (Lint_lex.name txt) Lint_rules.mutable_ctors ->
+      hits := (loc.loc_start.pos_cnum, Lint_lex.line loc, Lint_lex.name txt) :: !hits
+    | _ -> super.expr it e
+  in
+  expr { super with expr } rhs;
+  match List.sort compare !hits with [] -> None | (_, line, ctor) :: _ -> Some (line, ctor)
 
 let bindings_of_source (src : Lint_lex.source) =
-  let pragmas, _ = Lint_lex.pragmas src in
-  List.concat_map
-    (fun (start_line, lines) ->
-      let text = String.concat " " lines in
-      match binding_head text with
-      | None -> []
-      | Some (name, _) ->
-        (* Find the first mutable-constructor token in the binding's head
-           expression — past the [=], before any nested [let]/[fun] (what
-           a closure allocates is per-call, not ambient). The ctor's line
-           is the diagnostic anchor. [text] joins the item's lines with
-           single spaces in order, so line i starts at the sum of the
-           earlier lines' lengths plus i separators. *)
-        let eq_global =
-          match String.index_opt text '=' with Some i -> i | None -> 0
-        in
-        let stop_global =
-          List.fold_left
-            (fun acc tok ->
-              List.fold_left
-                (fun acc pos -> if pos > eq_global then min acc pos else acc)
-                acc (token_positions text tok))
-            max_int [ "let"; "fun"; "function" ]
-        in
-        let hit = ref None in
-        let offset = ref 0 in
-        List.iteri
-          (fun i line ->
-            List.iter
-              (fun ctor ->
-                List.iter
-                  (fun pos ->
-                    let global = !offset + pos in
-                    if global > eq_global && global < stop_global && !hit = None
-                    then hit := Some (start_line + i, ctor))
-                  (token_positions line ctor))
-              Lint_rules.mutable_ctors;
-            offset := !offset + String.length line + 1)
-          lines;
-        (match !hit with
-         | None -> []
-         | Some (line, ctor) ->
-           [ (name, line, ctor, find_waiver pragmas ~name ~line) ]))
-    (toplevel_items src.src_blank)
+  let binding (vb : Parsetree.value_binding) =
+    match (vb.pvb_pat.ppat_desc, first_ctor vb.pvb_expr) with
+    | ( ( Ppat_var { txt = name; _ }
+        | Ppat_constraint ({ ppat_desc = Ppat_var { txt = name; _ }; _ }, _) ),
+        Some (line, ctor) ) ->
+      let waiver = Lint_lex.covering src.src_pragmas ~rule:"domsafe" ~arg:name ~line in
+      Some (name, line, ctor, Option.map (fun (p : Lint_lex.pragma) -> p.p_reason) waiver)
+    | _ -> None
+  in
+  match src.src_ast with
+  | Intf _ -> []
+  | Impl items ->
+    List.concat_map
+      (fun (item : Parsetree.structure_item) ->
+        match item.pstr_desc with Pstr_value (_, vbs) -> List.filter_map binding vbs | _ -> [])
+      items
 
-let fields_of_source (src : Lint_lex.source) =
-  let current_type = ref "t" in
-  List.concat
-    (List.mapi
-       (fun i line ->
-         (match token_positions line "type" with
-          | pos :: _ -> (
-            (* [type 'a mb = …]: skip parameters, take the constructor. *)
-            let rec skip_params j =
-              let n = String.length line in
-              let rec sp j = if j < n && line.[j] = ' ' then sp (j + 1) else j in
-              let j = sp j in
-              if j < n && (line.[j] = '\'' || line.[j] = '(') then
-                let rec tok j = if j < n && line.[j] <> ' ' then tok (j + 1) else j in
-                skip_params (tok j)
-              else j
-            in
-            match ident_after line (skip_params (pos + 4)) with
-            | Some "nonrec" | None -> ()
-            | Some name -> current_type := name)
-          | [] -> ());
-         List.filter_map
-           (fun pos ->
-             match ident_after line (pos + 7) with
-             | Some field -> Some (i + 1, Printf.sprintf "%s.%s" !current_type field)
-             | None -> None)
-           (token_positions line "mutable"))
-       (Lint_lex.lines src.src_blank))
+(* Every mutable record field, inline records included, named
+   [type.field]. *)
+let fields_of_source src =
+  let fields = ref [] in
+  let super = Ast_iterator.default_iterator in
+  let type_declaration it (td : Parsetree.type_declaration) =
+    let field (ld : Parsetree.label_declaration) =
+      if ld.pld_mutable = Mutable then
+        fields := (Lint_lex.line ld.pld_loc, td.ptype_name.txt ^ "." ^ ld.pld_name.txt) :: !fields
+    in
+    (match td.ptype_kind with
+     | Ptype_record lds -> List.iter field lds
+     | Ptype_variant cds ->
+       List.iter
+         (fun (cd : Parsetree.constructor_declaration) ->
+           match cd.pcd_args with Pcstr_record lds -> List.iter field lds | _ -> ())
+         cds
+     | _ -> ());
+    super.type_declaration it td
+  in
+  Lint_lex.walk src { super with type_declaration };
+  List.rev !fields
 
 let default_graph srcs =
   List.concat_map
     (fun (src : Lint_lex.source) ->
       let m = Lint_rules.module_of_file src.src_file in
-      List.map (fun (_, dst) -> (m, dst)) (Lint_lex.module_refs src))
+      List.map (fun (_, dst) -> (m, dst)) src.src_refs)
     srcs
 
 let inventory ?graph srcs =

@@ -38,7 +38,7 @@ val inventory : ?graph:(string * string) list -> Lint_lex.source list -> entry l
 (** The full ownership map over the given sources ([.mli]s are skipped —
     interfaces restate the implementation's fields). [graph] supplies
     resolved (referrer, referee) module edges — the caller may pass the
-    hook-aware graph from [Check_graph]; the default is the lexical
+    hook-aware graph from [Check_graph]; the default is the
     module-reference graph of the sources themselves. *)
 
 val check : ?graph:(string * string) list -> Lint_lex.source list -> Lint_diag.t list

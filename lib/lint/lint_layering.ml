@@ -1,76 +1,35 @@
-(* R1: layer discipline. Four lexical checks per file:
+(* R1: layer discipline, over the head-of-path module references:
 
    - references must point downward (or sideways) in the layer ranking;
-   - only the ND layer, STD-IF and lib/ipcs may name an IPCS backend;
-   - only the IP layer (and lib/wire itself) may select a conversion mode;
-   - only the Retry policy module sleeps inside lib/core (ad-hoc backoff
-     loops drift from the one bounded, jittered policy).
+   - only the ND layer, STD-IF and lib/ipcs may name an IPCS backend.
 
-   All on blanked text, so comments and strings can't trip it; all
-   suppressible with `lint: allow layering(<module>) — reason`. *)
+   Both suppressible with `lint: allow layering(<module>) — reason`. *)
 
 let rule = "layering"
 
 let check (src : Lint_lex.source) =
-  let file = src.Lint_lex.src_file in
-  let pragmas, _ = Lint_lex.pragmas src in
-  let allowed ~arg ~line = Lint_lex.pragma_allows pragmas ~rule ~arg ~line in
+  let file = src.src_file in
   let self = Lint_rules.module_of_file file in
-  let self_rank = Lint_rules.rank_of self in
-  let diags = ref [] in
-  let add ~line msg = diags := Lint_diag.make ~file ~line ~rule msg :: !diags in
-  (* Upward references. *)
-  List.iter
+  let may_name_backend = Lint_rules.may_name_ipcs_backend file in
+  List.filter_map
     (fun (line, m) ->
-      if not (String.equal m self) then begin
-        match (self_rank, Lint_rules.rank_of m) with
-        | Some r_self, Some r_ref when r_ref > r_self ->
-          if not (allowed ~arg:m ~line) then
-            add ~line
-              (Printf.sprintf "%s (%s, rank %d) references %s (%s, rank %d): layers only call downward"
-                 self
-                 (Lint_rules.layer_name r_self)
-                 r_self m
-                 (Lint_rules.layer_name r_ref)
-                 r_ref)
-        | _ -> ()
-      end)
-    (Lint_lex.module_refs src);
-  (* Backend naming. *)
-  if not (Lint_rules.may_name_ipcs_backend file) then
-    List.iter
-      (fun (line, m) ->
-        if List.mem m Lint_rules.ipcs_backends && not (allowed ~arg:m ~line) then
-          add ~line
+      let msg =
+        match (Lint_rules.rank_of self, Lint_rules.rank_of m) with
+        | Some r_self, Some r_ref when r_ref > r_self && not (String.equal m self) ->
+          Some
+            (Printf.sprintf
+               "%s (%s, rank %d) references %s (%s, rank %d): layers only call downward" self
+               (Lint_rules.layer_name r_self) r_self m (Lint_rules.layer_name r_ref) r_ref)
+        | _ when List.mem m Lint_rules.ipcs_backends && not may_name_backend ->
+          Some
             (Printf.sprintf
                "%s names IPCS backend %s: only lib/ipcs, Std_if and Nd_layer may (portability, §2.1)"
-               self m))
-      (Lint_lex.module_refs src);
-  (* Conversion-mode selection. *)
-  if not (Lint_rules.may_select_conversion file) then
-    List.iteri
-      (fun idx line ->
-        let lineno = idx + 1 in
-        List.iter
-          (fun pat ->
-            if Lint_lex.line_has_token line pat && not (allowed ~arg:pat ~line:lineno) then
-              add ~line:lineno
-                (Printf.sprintf
-                   "%s calls %s: only Ip_layer selects a conversion mode (\xc2\xa75)" self pat))
-          Lint_rules.conversion_selectors)
-      (Lint_lex.lines src.Lint_lex.src_blank);
-  (* Retry discipline. *)
-  if not (Lint_rules.may_sleep file) then
-    List.iteri
-      (fun idx line ->
-        let lineno = idx + 1 in
-        List.iter
-          (fun pat ->
-            if Lint_lex.line_has_token line pat && not (allowed ~arg:pat ~line:lineno) then
-              add ~line:lineno
-                (Printf.sprintf
-                   "%s calls %s: lib/core recovers through Retry.run, not ad-hoc sleeps" self
-                   pat))
-          Lint_rules.sleep_calls)
-      (Lint_lex.lines src.Lint_lex.src_blank);
-  Lint_diag.sort !diags
+               self m)
+        | _ -> None
+      in
+      match msg with
+      | Some msg when not (Lint_lex.pragma_allows src.src_pragmas ~rule ~arg:m ~line) ->
+        Some (Lint_diag.make ~file ~line ~rule msg)
+      | _ -> None)
+    src.src_refs
+  |> Lint_diag.sort

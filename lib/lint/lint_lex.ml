@@ -1,135 +1,9 @@
-(* A deliberately small lexical front end: enough OCaml lexing to blank out
-   comments, strings and character literals (preserving newlines, so every
-   byte keeps its line number), to harvest `lint:` pragmas from comments,
-   and to extract head-of-path module references. It is not a parser — the
-   rules it feeds are lexical by design, like ocamldep's approximation. *)
+(* The one front end of the static analyses. Each file is parsed once by
+   the compiler's own parser; the compiler lexer keeps the comments, which
+   carry the `lint:` pragmas; and one AST walk collects every path the
+   rules look up. Nothing here scans OCaml text by hand. *)
 
-type source = { src_file : string; src_text : string; src_blank : string }
-
-let is_ident_char c =
-  (c >= 'a' && c <= 'z')
-  || (c >= 'A' && c <= 'Z')
-  || (c >= '0' && c <= '9')
-  || c = '_' || c = '\''
-
-(* Replace the contents of comments (including delimiters), string literals
-   (keeping the quotes) and character literals with spaces. Newlines inside
-   them survive. Nested comments nest; strings inside comments do not close
-   the comment (same quirk as the real lexer). *)
-let blank text =
-  let n = String.length text in
-  let out = Bytes.of_string text in
-  let blank_at i = if Bytes.get out i <> '\n' then Bytes.set out i ' ' in
-  let i = ref 0 in
-  let blank_string_body ~blank_quotes () =
-    (* !i is just past the opening quote, already blanked or kept. *)
-    let fin = ref false in
-    while (not !fin) && !i < n do
-      match text.[!i] with
-      | '\\' when !i + 1 < n ->
-        blank_at !i;
-        blank_at (!i + 1);
-        i := !i + 2
-      | '"' ->
-        if blank_quotes then blank_at !i;
-        incr i;
-        fin := true
-      | _ ->
-        blank_at !i;
-        incr i
-    done
-  in
-  while !i < n do
-    let c = text.[!i] in
-    if c = '(' && !i + 1 < n && text.[!i + 1] = '*' then begin
-      let depth = ref 1 in
-      blank_at !i;
-      blank_at (!i + 1);
-      i := !i + 2;
-      while !depth > 0 && !i < n do
-        if text.[!i] = '(' && !i + 1 < n && text.[!i + 1] = '*' then begin
-          incr depth;
-          blank_at !i;
-          blank_at (!i + 1);
-          i := !i + 2
-        end
-        else if text.[!i] = '*' && !i + 1 < n && text.[!i + 1] = ')' then begin
-          decr depth;
-          blank_at !i;
-          blank_at (!i + 1);
-          i := !i + 2
-        end
-        else if text.[!i] = '"' then begin
-          blank_at !i;
-          incr i;
-          blank_string_body ~blank_quotes:true ()
-        end
-        else begin
-          blank_at !i;
-          incr i
-        end
-      done
-    end
-    else if c = '"' then begin
-      incr i;
-      blank_string_body ~blank_quotes:false ()
-    end
-    else if c = '\'' then begin
-      if !i + 2 < n && text.[!i + 2] = '\'' && text.[!i + 1] <> '\\' && text.[!i + 1] <> '\''
-      then begin
-        (* plain char literal 'x' *)
-        blank_at (!i + 1);
-        i := !i + 3
-      end
-      else if !i + 1 < n && text.[!i + 1] = '\\' then begin
-        (* escaped char literal: '\n' '\\' '\'' '\123' '\x41' — the char
-           right after the backslash is always part of the escape. *)
-        let j = ref (!i + 3) in
-        while !j < n && text.[!j] <> '\'' && text.[!j] <> '\n' do
-          incr j
-        done;
-        if !j < n && text.[!j] = '\'' then begin
-          for k = !i + 1 to !j - 1 do
-            blank_at k
-          done;
-          i := !j + 1
-        end
-        else incr i
-      end
-      else incr i (* type variable 'a, or part of an identifier *)
-    end
-    else incr i
-  done;
-  Bytes.to_string out
-
-let of_string ~file text = { src_file = file; src_text = text; src_blank = blank text }
-
-let load file =
-  let ic = open_in_bin file in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  of_string ~file text
-
-let lines s = String.split_on_char '\n' s
-
-(* Word-bounded occurrence of a dotted pattern (e.g. "Hashtbl.fold") in one
-   line: the character before must not extend an identifier or path, the
-   character after must not extend an identifier. *)
-let line_has_token line pat =
-  let n = String.length line and m = String.length pat in
-  let rec go i =
-    if i > n - m then false
-    else if
-      String.sub line i m = pat
-      && (i = 0 || not (is_ident_char line.[i - 1] || line.[i - 1] = '.'))
-      && (i + m >= n || not (is_ident_char line.[i + m]))
-    then true
-    else go (i + 1)
-  in
-  m > 0 && go 0
-
-(* --- pragmas --- *)
+type ast = Impl of Parsetree.structure | Intf of Parsetree.signature
 
 type pragma = {
   p_line : int;
@@ -139,85 +13,32 @@ type pragma = {
   p_reason : string;
 }
 
+type source = {
+  src_file : string;
+  src_ast : ast;
+  src_syntax : Lint_diag.t list;
+  src_pragmas : pragma list;
+  src_malformed : Lint_diag.t list;
+  src_paths : (int * string) list;
+  src_refs : (int * string) list;
+}
+
+let rec name = function
+  | Longident.Lident s -> s
+  | Ldot (p, s) -> name p ^ "." ^ s
+  | Lapply (p, _) -> name p
+
+let rec head = function Longident.Lident s -> s | Ldot (p, _) | Lapply (p, _) -> head p
+
+let line (loc : Location.t) = loc.loc_start.pos_lnum
+
+(* --- pragmas --- *)
+
 let em_dash = "\xe2\x80\x94"
 
 let starts_with ~prefix s pos =
   let pl = String.length prefix in
   pos + pl <= String.length s && String.sub s pos pl = prefix
-
-(* Top-level comments with the line each one opens on. Same scanner shape
-   as [blank]; strings (inside and outside comments) are handled so their
-   contents can never look like a comment. *)
-let comments text =
-  let n = String.length text in
-  let line = ref 1 in
-  let out = ref [] in
-  let i = ref 0 in
-  let bump c = if c = '\n' then incr line in
-  let skip_string () =
-    (* !i just past the opening quote *)
-    let fin = ref false in
-    while (not !fin) && !i < n do
-      (match text.[!i] with
-       | '\\' when !i + 1 < n ->
-         bump text.[!i + 1];
-         i := !i + 2
-       | '"' ->
-         incr i;
-         fin := true
-       | c ->
-         bump c;
-         incr i)
-    done
-  in
-  while !i < n do
-    let c = text.[!i] in
-    if c = '(' && !i + 1 < n && text.[!i + 1] = '*' then begin
-      let open_line = !line in
-      let buf = Buffer.create 64 in
-      let depth = ref 1 in
-      i := !i + 2;
-      while !depth > 0 && !i < n do
-        if text.[!i] = '(' && !i + 1 < n && text.[!i + 1] = '*' then begin
-          incr depth;
-          Buffer.add_string buf "(*";
-          i := !i + 2
-        end
-        else if text.[!i] = '*' && !i + 1 < n && text.[!i + 1] = ')' then begin
-          decr depth;
-          if !depth > 0 then Buffer.add_string buf "*)";
-          i := !i + 2
-        end
-        else if text.[!i] = '"' then begin
-          Buffer.add_char buf '"';
-          incr i;
-          let start = !i in
-          skip_string ();
-          Buffer.add_string buf (String.sub text start (!i - start))
-        end
-        else begin
-          bump text.[!i];
-          Buffer.add_char buf text.[!i];
-          incr i
-        end
-      done;
-      out := (open_line, Buffer.contents buf) :: !out
-    end
-    else if c = '"' then begin
-      incr i;
-      skip_string ()
-    end
-    else if c = '\'' && !i + 2 < n && text.[!i + 2] = '\'' && text.[!i + 1] <> '\\'
-            && text.[!i + 1] <> '\'' then begin
-      bump text.[!i + 1];
-      i := !i + 3
-    end
-    else begin
-      bump c;
-      incr i
-    end
-  done;
-  List.rev !out
 
 (* Parse one pragma starting right after "lint: allow[-file]". Returns
    either the pragma or a malformed-pragma message. *)
@@ -305,10 +126,11 @@ let parse_tail ~file_scope ~line ~file rest =
 (* A pragma is a comment whose text BEGINS with "lint:". Mentions of the
    syntax mid-comment (documentation) or in string literals are not
    pragmas and are never flagged as malformed. *)
-let pragmas src =
+let parse_pragmas ~file comments =
   let ps = ref [] and bad = ref [] in
   List.iter
-    (fun (lineno, body) ->
+    (fun (body, loc) ->
+      let lineno = line loc in
       let body = String.trim body in
       if starts_with ~prefix:"lint:" body 0 then begin
         let after_tag = String.sub body 5 (String.length body - 5) in
@@ -320,68 +142,129 @@ let pragmas src =
           let rest = String.sub after_tag after (String.length after_tag - after) in
           (* Only the first line of the comment is parsed; the reason may
              spill onto following lines. *)
-          let rest = List.hd (lines rest) in
-          match parse_tail ~file_scope ~line:lineno ~file:src.src_file rest with
+          let rest = List.hd (String.split_on_char '\n' rest) in
+          match parse_tail ~file_scope ~line:lineno ~file rest with
           | Ok p -> ps := p :: !ps
           | Error d -> bad := d :: !bad
         end
         else
           bad :=
-            Lint_diag.make ~file:src.src_file ~line:lineno ~rule:"pragma"
+            Lint_diag.make ~file ~line:lineno ~rule:"pragma"
               "malformed pragma: expected `lint: allow' or `lint: allow-file'"
             :: !bad
       end)
-    (comments src.src_text);
+    comments;
   (List.rev !ps, List.rev !bad)
 
-let pragma_allows pragmas ~rule ~arg ~line =
-  List.exists
+let pragmas src = (src.src_pragmas, src.src_malformed)
+
+let covering pragmas ~rule ~arg ~line =
+  List.find_opt
     (fun p ->
       String.equal p.p_rule rule
       && (match p.p_arg with None -> true | Some a -> String.equal a arg)
       && (p.p_file_scope || p.p_line = line || p.p_line = line - 1))
     pragmas
 
-(* --- module references --- *)
+let pragma_allows pragmas ~rule ~arg ~line = Option.is_some (covering pragmas ~rule ~arg ~line)
 
-(* Head-of-path module references: an uppercase identifier not preceded by
-   an identifier character or a dot, and either immediately followed by a
-   dot ([Foo.bar]) or preceded by the [open]/[include] keyword. Works on
-   the blanked text so comments and strings cannot fake references. *)
-let module_refs src =
-  let refs = ref [] in
-  List.iteri
-    (fun idx line ->
-      let lineno = idx + 1 in
-      let n = String.length line in
-      let preceded_by_keyword pos =
-        (* scan back over spaces, then over the previous word *)
-        let j = ref (pos - 1) in
-        while !j >= 0 && (line.[!j] = ' ' || line.[!j] = '\t') do
-          decr j
-        done;
-        let word_end = !j in
-        while !j >= 0 && is_ident_char line.[!j] do
-          decr j
-        done;
-        let w = String.sub line (!j + 1) (word_end - !j) in
-        String.equal w "open" || String.equal w "include"
-      in
-      let i = ref 0 in
-      while !i < n do
-        let c = line.[!i] in
-        if c >= 'A' && c <= 'Z' && (!i = 0 || (not (is_ident_char line.[!i - 1]) && line.[!i - 1] <> '.'))
-        then begin
-          let j = ref (!i + 1) in
-          while !j < n && is_ident_char line.[!j] do
-            incr j
-          done;
-          let name = String.sub line !i (!j - !i) in
-          let is_ref = (!j < n && line.[!j] = '.') || preceded_by_keyword !i in
-          if is_ref && not (List.mem (lineno, name) !refs) then refs := (lineno, name) :: !refs;
-          i := !j
-        end
-        else incr i
-      done)
-    (lines src.src_blank);
-  List.rev !refs
+(* --- path occurrences --- *)
+
+(* One walk over whatever [run] hands the iterator. A qualified path of any
+   kind references its head module; a module path references its head even
+   unqualified ([open Foo]). Ghost locations are the parser's own
+   desugaring ([a.(i)] is [Array.get]), not source text. *)
+let occurrences run =
+  let paths = ref [] and refs = ref [] in
+  let path { Location.txt; loc } =
+    if not loc.Location.loc_ghost then begin
+      paths := (line loc, name txt) :: !paths;
+      match txt with Longident.Lident _ -> () | _ -> refs := (line loc, head txt) :: !refs
+    end
+  in
+  let modpath { Location.txt; loc } =
+    if not loc.Location.loc_ghost then refs := (line loc, head txt) :: !refs
+  in
+  let open Parsetree in
+  let super = Ast_iterator.default_iterator in
+  let it =
+    {
+      super with
+      expr =
+        (fun it e ->
+          (match e.pexp_desc with
+           | Pexp_ident p | Pexp_construct (p, _) | Pexp_field (_, p) | Pexp_setfield (_, p, _)
+           | Pexp_new p ->
+             path p
+           | Pexp_record (fields, _) -> List.iter (fun (p, _) -> path p) fields
+           | _ -> ());
+          super.expr it e);
+      pat =
+        (fun it p ->
+          (match p.ppat_desc with
+           | Ppat_construct (c, _) | Ppat_type c -> path c
+           | Ppat_record (fields, _) -> List.iter (fun (f, _) -> path f) fields
+           | _ -> ());
+          super.pat it p);
+      typ =
+        (fun it t ->
+          (match t.ptyp_desc with
+           | Ptyp_constr (p, _) | Ptyp_class (p, _) | Ptyp_package (p, _) -> path p
+           | _ -> ());
+          super.typ it t);
+      module_expr =
+        (fun it m ->
+          (match m.pmod_desc with Pmod_ident p -> modpath p | _ -> ());
+          super.module_expr it m);
+      module_type =
+        (fun it m ->
+          (match m.pmty_desc with
+           | Pmty_ident p -> path p
+           | Pmty_alias p -> modpath p
+           | _ -> ());
+          super.module_type it m);
+      open_description =
+        (fun it o ->
+          modpath o.popen_expr;
+          super.open_description it o);
+    }
+  in
+  run it;
+  (List.sort_uniq compare !paths, List.sort_uniq compare !refs)
+
+let walk_ast ast (it : Ast_iterator.iterator) =
+  match ast with Impl s -> it.structure it s | Intf s -> it.signature it s
+
+let walk src it = walk_ast src.src_ast it
+
+let refs_of_expr e = snd (occurrences (fun it -> it.expr it e))
+
+(* --- loading --- *)
+
+(* A file the compiler cannot parse is a diagnostic, not a crash: it has no
+   AST, and the rules see an empty file. *)
+let parse ~file text =
+  let lexbuf = Lexing.from_string text in
+  Location.init lexbuf file;
+  let intf = Filename.check_suffix file ".mli" in
+  try ((if intf then Intf (Parse.interface lexbuf) else Impl (Parse.implementation lexbuf)), [])
+  with exn -> (
+    match Location.error_of_exn exn with
+    | Some (`Ok { main; _ }) ->
+      let msg = Format.asprintf "%t" main.txt in
+      let empty = if intf then Intf [] else Impl [] in
+      (empty, [ Lint_diag.make ~file ~line:(line main.loc) ~rule:"parse" msg ])
+    | _ -> raise exn)
+
+let of_string ~file text =
+  let ast, syntax = parse ~file text in
+  let src_pragmas, src_malformed = parse_pragmas ~file (Lexer.comments ()) in
+  let src_paths, src_refs = occurrences (walk_ast ast) in
+  { src_file = file; src_ast = ast; src_syntax = syntax; src_pragmas; src_malformed;
+    src_paths; src_refs }
+
+let load file =
+  let ic = open_in_bin file in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  of_string ~file text

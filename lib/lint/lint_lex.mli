@@ -1,28 +1,11 @@
-(** Lexical front end for the linter: comment/string blanking, [lint:]
-    pragma harvesting, and head-of-path module-reference extraction. *)
+(** The front end of every static analysis: each file is parsed once with
+    the compiler's own parser ([compiler-libs.common]), its [lint:] pragmas
+    are read from the compiler lexer's comments, and its path occurrences
+    are collected in one walk over the AST. Comments, strings and quoted
+    strings are the lexer's business, so none of them can fake a path. *)
 
-type source = {
-  src_file : string;  (** path as given (used in diagnostics) *)
-  src_text : string;  (** raw contents *)
-  src_blank : string;  (** comments/strings/chars blanked, newlines kept *)
-}
-
-val blank : string -> string
-(** Replace comment bodies (and delimiters), string-literal contents and
-    character literals with spaces. Line structure is preserved exactly, so
-    byte [i] is on the same line in both texts. *)
-
-val of_string : file:string -> string -> source
-val load : string -> source
-
-val lines : string -> string list
-
-val is_ident_char : char -> bool
-
-val line_has_token : string -> string -> bool
-(** [line_has_token line "Hashtbl.fold"]: word-bounded match — neither an
-    identifier character nor a dot may precede it; no identifier character
-    may follow it. *)
+(** A parsed file: an implementation or an interface. *)
+type ast = Impl of Parsetree.structure | Intf of Parsetree.signature
 
 (** An allow pragma: a comment whose text {e begins} with [lint:]:
 
@@ -42,16 +25,45 @@ type pragma = {
   p_reason : string;  (** mandatory justification, for the audit listing *)
 }
 
+type source = {
+  src_file : string;  (** path as given (used in diagnostics) *)
+  src_ast : ast;  (** empty when the file does not parse *)
+  src_syntax : Lint_diag.t list;  (** the [parse] diagnostic, if it does not *)
+  src_pragmas : pragma list;  (** well-formed pragmas *)
+  src_malformed : Lint_diag.t list;  (** one [pragma] diagnostic per malformed one *)
+  src_paths : (int * string) list;
+      (** [(line, path)] for every non-ghost value, constructor, record-field
+          and type path, dotted ([Hashtbl.iter], [Proto.Data]); sorted,
+          deduplicated *)
+  src_refs : (int * string) list;
+      (** [(line, module)] for every head-of-path module reference: a
+          qualified path [Foo.bar] or [c.Foo.f] yields [Foo]; a module path
+          ([open Foo], [include Foo], [module M = Foo]) yields its head.
+          Unqualified constructors are not references. Sorted,
+          deduplicated. *)
+}
+
+val of_string : file:string -> string -> source
+val load : string -> source
+
+val walk : source -> Ast_iterator.iterator -> unit
+(** Run an iterator over the whole parsed file. *)
+
+val refs_of_expr : Parsetree.expression -> (int * string) list
+(** {!source.src_refs} restricted to one expression. *)
+
+val name : Longident.t -> string
+(** Dotted form of a path: [Ldot (Lident "Hashtbl", "iter")] is
+    ["Hashtbl.iter"]. *)
+
+val line : Location.t -> int
+
 val pragmas : source -> pragma list * Lint_diag.t list
 (** Well-formed pragmas, plus a diagnostic for each malformed one (missing
     separator or reason, or a rule outside {!Lint_rules.pragma_rules}). *)
 
-val pragma_allows : pragma list -> rule:string -> arg:string -> line:int -> bool
-(** Is a violation of [rule] on [arg] at [line] suppressed? An argless
-    pragma matches any [arg]. *)
+val covering : pragma list -> rule:string -> arg:string -> line:int -> pragma option
+(** The pragma suppressing a violation of [rule] on [arg] at [line], if
+    any. An argless pragma matches any [arg]. *)
 
-val module_refs : source -> (int * string) list
-(** [(line, module)] for every head-of-path module reference: [Foo.bar]
-    yields [Foo] (not [bar]); [open Foo] and [include Foo] count. Computed
-    on the blanked text, so comments and strings cannot fake references.
-    Deduplicated per line. *)
+val pragma_allows : pragma list -> rule:string -> arg:string -> line:int -> bool

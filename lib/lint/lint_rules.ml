@@ -80,39 +80,6 @@ let may_name_ipcs_backend path =
 
 let ipcs_backends = [ "Ipcs_tcp"; "Ipcs_mbx" ]
 
-(* Only the IP layer selects a conversion mode for traffic (§5): lib/wire
-   owns the mechanism, ip_layer.ml the policy. *)
-let may_select_conversion path =
-  let p = norm path in
-  has_sub ~sub:"lib/wire/" p || String.equal (module_of_file p) "Ip_layer"
-
-let conversion_selectors = [ "Convert.choose"; "Convert.force" ]
-
-(* Retry discipline: the ComMod layers (lib/core) recover through the one
-   [Retry] policy module. A bare [Sched.sleep] anywhere else in lib/core is
-   a hand-rolled backoff loop waiting to drift from the policy — bounded
-   differently, jittered differently, or not at all. Applications, services
-   and the sim itself may sleep freely. *)
-let may_sleep path =
-  let p = norm path in
-  (not (has_sub ~sub:"lib/core/" p)) || String.equal (module_of_file p) "Retry"
-
-let sleep_calls = [ "Sched.sleep" ]
-
-(* R5: copy discipline. The zero-copy frame pipeline keeps payload bytes in
-   place from the IPCS through receive, forward and send; a stray
-   Bytes.cat/sub/copy or Buffer.to_bytes in lib/core or lib/ipcs is a
-   hot-path copy creeping back in. Proto owns the sanctioned
-   materialisation points (Frame.payload_bytes, to_bytes, encode_frame);
-   everything else must either stay on views or carry a pragma naming its
-   reason. *)
-let copy_calls = [ "Bytes.cat"; "Bytes.sub"; "Bytes.copy"; "Buffer.to_bytes" ]
-
-let may_copy_frames path =
-  let p = norm path in
-  not (has_sub ~sub:"lib/core/" p || has_sub ~sub:"lib/ipcs/" p)
-  || String.equal (module_of_file p) "Proto"
-
 (* The rule IDs a [lint: allow] pragma may name: exactly the rules that
    read pragmas, Check_proto's [lifecycle] included. A pragma naming
    anything else — a retired rule, a typo — would suppress nothing without
@@ -147,32 +114,69 @@ let machine_path path =
    world — or the tool — that created the instance. *)
 let field_scope path = if machine_path path then `Machine_local else `World_local
 
-type det_rule = {
-  d_pat : string;  (** dotted path to match, word-bounded *)
-  d_why : string;
-  d_everywhere : bool;  (** false: only in [protocol_path] files *)
+(* Forbidden paths: naming [f_path] in a file where [f_applies] holds
+   violates [f_rule]. Four policies share the one table:
+
+   - R1, conversion: only the IP layer selects a conversion mode for
+     traffic (§5); lib/wire owns the mechanism, ip_layer.ml the policy.
+   - R1, retry discipline: the ComMod layers (lib/core) recover through the
+     one [Retry] policy module. A bare [Sched.sleep] anywhere else in
+     lib/core is a hand-rolled backoff loop waiting to drift from the
+     policy. Applications, services and the sim itself may sleep freely.
+   - R2, determinism: the simulation's repeatability rests on nothing
+     consulting wall clocks, unseeded randomness or, on a protocol path,
+     hash-table layout.
+   - R5, copies: the zero-copy frame pipeline keeps payload bytes in place
+     from the IPCS through receive, forward and send; a stray
+     Bytes.cat/sub/copy or Buffer.to_bytes in lib/core or lib/ipcs is a
+     hot-path copy creeping back in. Proto owns the sanctioned
+     materialisation points (Frame.payload_bytes, to_bytes,
+     encode_frame). *)
+type forbidden = {
+  f_rule : string;
+  f_path : string;
+  f_applies : string -> bool;
+  f_msg : string -> string;
 }
 
-let det_rules =
-  [
-    { d_pat = "Random.self_init"; d_why = "nondeterministic seed; use the world's seeded Rng";
-      d_everywhere = true };
-    { d_pat = "Unix.gettimeofday"; d_why = "wall-clock time; use virtual time (Node.now)";
-      d_everywhere = true };
-    { d_pat = "Sys.time"; d_why = "process time; use virtual time (Node.now)";
-      d_everywhere = true };
-    { d_pat = "Obj.magic"; d_why = "defeats the type system; never on a protocol path";
-      d_everywhere = true };
-    { d_pat = "Unix.sleep";
-      d_why = "blocks the host thread outside virtual time; use Retry.run or Sched.sleep";
-      d_everywhere = true };
-    { d_pat = "Unix.sleepf";
-      d_why = "blocks the host thread outside virtual time; use Retry.run or Sched.sleep";
-      d_everywhere = true };
-    { d_pat = "Hashtbl.iter";
-      d_why = "hash-order iteration is nondeterministic; use Ntcs_util.sorted_bindings";
-      d_everywhere = false };
-    { d_pat = "Hashtbl.fold";
-      d_why = "hash-order iteration is nondeterministic; use Ntcs_util.sorted_bindings";
-      d_everywhere = false };
-  ]
+let forbidden =
+  let in_file m path = String.equal (module_of_file path) m in
+  let layering applies why path =
+    { f_rule = "layering"; f_path = path; f_applies = applies;
+      f_msg = (fun self -> Printf.sprintf "%s calls %s: %s" self path why) }
+  in
+  let selects_conversion path =
+    not (has_sub ~sub:"lib/wire/" (norm path) || in_file "Ip_layer" path)
+  in
+  let core_sleeps path = has_sub ~sub:"lib/core/" (norm path) && not (in_file "Retry" path) in
+  let det ?(applies = fun _ -> true) path why =
+    { f_rule = "determinism"; f_path = path; f_applies = applies;
+      f_msg = (fun _ -> path ^ ": " ^ why) }
+  in
+  let frame_path path =
+    let p = norm path in
+    (has_sub ~sub:"lib/core/" p || has_sub ~sub:"lib/ipcs/" p) && not (in_file "Proto" path)
+  in
+  let copy path =
+    { f_rule = "copies"; f_path = path; f_applies = frame_path;
+      f_msg =
+        (fun _ ->
+          path ^ ": byte copy on a frame path \xe2\x80\x94 use Proto.Frame views and keep \
+                  payloads in place") }
+  in
+  let wall = "blocks the host thread outside virtual time; use Retry.run or Sched.sleep" in
+  let hash_order = "hash-order iteration is nondeterministic; use Ntcs_util.sorted_bindings" in
+  List.map (layering selects_conversion "only Ip_layer selects a conversion mode (\xc2\xa75)")
+    [ "Convert.choose"; "Convert.force" ]
+  @ [
+      layering core_sleeps "lib/core recovers through Retry.run, not ad-hoc sleeps" "Sched.sleep";
+      det "Random.self_init" "nondeterministic seed; use the world's seeded Rng";
+      det "Unix.gettimeofday" "wall-clock time; use virtual time (Node.now)";
+      det "Sys.time" "process time; use virtual time (Node.now)";
+      det "Obj.magic" "defeats the type system; never on a protocol path";
+      det "Unix.sleep" wall;
+      det "Unix.sleepf" wall;
+      det ~applies:protocol_path "Hashtbl.iter" hash_order;
+      det ~applies:protocol_path "Hashtbl.fold" hash_order;
+    ]
+  @ List.map copy [ "Bytes.cat"; "Bytes.sub"; "Bytes.copy"; "Buffer.to_bytes" ]

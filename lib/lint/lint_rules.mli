@@ -11,34 +11,11 @@ val layer_name : int -> string
 val module_of_file : string -> string
 (** ["lib/core/lcm_layer.ml"] -> ["Lcm_layer"]. *)
 
-val protocol_path : string -> bool
-(** Is this file on the message path (lib/core, lib/ipcs, lib/sim,
-    lib/drts, lib/ursa)? Hash-order iteration is forbidden there. *)
-
 val may_name_ipcs_backend : string -> bool
 (** May this file name [Ipcs_tcp]/[Ipcs_mbx]? True for lib/ipcs itself,
     [Std_if] and [Nd_layer]. *)
 
 val ipcs_backends : string list
-
-val may_select_conversion : string -> bool
-(** May this file call [Convert.choose]/[Convert.force]? True for lib/wire
-    (mechanism) and [Ip_layer] (policy, §5). *)
-
-val conversion_selectors : string list
-
-val may_sleep : string -> bool
-(** May this file call [Sched.sleep] directly? False only inside lib/core,
-    where all backoff belongs to the [Retry] policy module. *)
-
-val sleep_calls : string list
-
-val may_copy_frames : string -> bool
-(** May this file call a {!copy_calls} function? False inside lib/core and
-    lib/ipcs — the frame pipeline is zero-copy — except for [Proto], which
-    owns the sanctioned materialisation points. *)
-
-val copy_calls : string list
 
 val pragma_rules : string list
 (** Rule IDs a [lint: allow] pragma may name: the rules that read
@@ -58,6 +35,16 @@ val field_scope : string -> [ `Machine_local | `World_local ]
     instances of per-machine records belong to a machine's stack,
     everything else to the world (or tool) holding the instance. *)
 
-type det_rule = { d_pat : string; d_why : string; d_everywhere : bool }
+type forbidden = {
+  f_rule : string;  (** ["layering"], ["determinism"] or ["copies"] *)
+  f_path : string;  (** dotted path, matched exactly, e.g. [Hashtbl.iter] *)
+  f_applies : string -> bool;  (** is the path forbidden in this file? *)
+  f_msg : string -> string;  (** the message, given the file's module *)
+}
 
-val det_rules : det_rule list
+val forbidden : forbidden list
+(** Paths a file may not name outside their scope: conversion-mode
+    selection outside [Ip_layer] and lib/wire and [Sched.sleep] in lib/core
+    outside [Retry] (R1); wall clocks, unseeded randomness, [Obj.magic]
+    and, on protocol paths, hash-order iteration (R2); byte copies in
+    lib/core and lib/ipcs outside [Proto] (R5). *)

@@ -1,4 +1,4 @@
-(* Self-tests for the ntcs_lint static-analysis pass: the lexer, one
+(* Self-tests for the ntcs_lint static-analysis pass: the front end, one
    seeded violation per rule family (R1 layering, R2 determinism, R3 trace
    invariants, R5 copies, R8 domain safety) asserting the linter fires with
    the right file:line, and the allow-pragma escape hatch. *)
@@ -7,33 +7,53 @@ let src file text = Lint_lex.of_string ~file text
 
 let diag_strings ds = List.map Lint_diag.to_string ds
 
-(* --- lexer --- *)
+(* --- front end --- *)
 
-let test_blank () =
-  let text = "let a = 1 (* note\n   Foo.bar *)\nlet s = \"Baz.qux\"\nlet c = '\"'\n" in
-  let b = Lint_lex.blank text in
-  Alcotest.(check int) "same length" (String.length text) (String.length b);
-  Alcotest.(check int)
-    "same line count"
-    (List.length (Lint_lex.lines text))
-    (List.length (Lint_lex.lines b));
-  Alcotest.(check bool) "comment gone" false
-    (List.exists (fun (_, m) -> m = "Foo") (Lint_lex.module_refs (src "x.ml" text)));
-  Alcotest.(check bool) "string gone" false
-    (List.exists (fun (_, m) -> m = "Baz") (Lint_lex.module_refs (src "x.ml" text)))
+let refs text = (src "x.ml" text).Lint_lex.src_refs
+
+(* Comments, strings and character literals cannot fake a reference, and
+   every real one keeps its line. *)
+let test_comments_and_strings () =
+  let text =
+    "let a = 1 (* note\n   Foo.bar *)\nlet s = \"Baz.qux\"\nlet c = '\"'\nlet r = Real.x\n"
+  in
+  Alcotest.(check (list (pair int string))) "only the real ref, on its line" [ (5, "Real") ]
+    (refs text)
 
 let test_nested_comment () =
   let text = "(* a (* nested *) still comment Foo.bar *)\nlet x = Lcm_layer.create\n" in
-  let refs = Lint_lex.module_refs (src "x.ml" text) in
-  Alcotest.(check (list (pair int string))) "only the real ref" [ (2, "Lcm_layer") ] refs
+  Alcotest.(check (list (pair int string))) "only the real ref" [ (2, "Lcm_layer") ] (refs text)
 
 let test_module_refs () =
   let text = "open Nsp_layer\nlet x = Ntcs_util.Pool.alloc\nlet y = Some 1\n" in
-  let refs = Lint_lex.module_refs (src "x.ml" text) in
   Alcotest.(check (list (pair int string)))
     "open + head of path, constructors skipped"
     [ (1, "Nsp_layer"); (2, "Ntcs_util") ]
-    refs
+    (refs text)
+
+(* Quoted strings are strings: neither a rule nor the reference graph sees
+   their contents. *)
+let test_quoted_strings () =
+  Alcotest.(check (list string)) "no R1/R2 diagnostics" []
+    (diag_strings
+       (Lint.lint
+          [
+            src "lib/sim/sched.ml" "let s = {|Hashtbl.iter|}\n";
+            src "lib/core/nd_layer.ml" "let s = {|see Lcm_layer.create|}\n";
+          ]));
+  Alcotest.(check (list (pair int string))) "no phantom reference" []
+    (refs "let fig () =\n  print_string\n    {|\nFigure 2-4: (modules: Ali_layer, Nsp_layer)|}\n")
+
+(* A file the compiler cannot parse is one diagnostic from both tools'
+   entry points, not an exception. *)
+let test_parse_error () =
+  let file = Filename.temp_file "bad" ".ml" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc "let x = (\n");
+  let expected = [ file ^ ":2: [parse] Syntax error: operator expected." ] in
+  Alcotest.(check (list string)) "ntcs_lint" expected
+    (diag_strings (Lint.lint (Lint.load [ file ])));
+  Alcotest.(check (list string)) "ntcs_check" expected (diag_strings (Check.static_check [ file ]));
+  Sys.remove file
 
 let test_pragma_parse () =
   let text =
@@ -103,7 +123,7 @@ let test_pragma_misspelt_rule () =
   Alcotest.(check (list string)) "reported with file:line" [ unknown_rule ~line:1 "copeis" ]
     (diag_strings bad);
   Alcotest.(check int) "waives nothing" 1
-    (List.length (Lint_copies.check (src "lib/ipcs/ipcs_tcp.ml" text)))
+    (List.length (Lint_forbidden.check (src "lib/ipcs/ipcs_tcp.ml" text)))
 
 let test_pragma_retired_rule_file_scope () =
   let text = "(* lint: allow-file ownership \xe2\x80\x94 buffers handed off below *)\n" in
@@ -149,13 +169,13 @@ let waivers =
     };
     {
       w_rule = "determinism";
-      w_check = (fun t -> Lint_determinism.check (src "lib/sim/sched.ml" t));
+      w_check = (fun t -> Lint_forbidden.check (src "lib/sim/sched.ml" t));
       w_bad = "let a tbl = Hashtbl.fold f tbl []\n";
       w_waived = in_front ~arg:"Hashtbl.fold" "let a tbl = Hashtbl.fold f tbl []\n";
     };
     {
       w_rule = "copies";
-      w_check = (fun t -> Lint_copies.check (src "lib/ipcs/ipcs_tcp.ml" t));
+      w_check = (fun t -> Lint_forbidden.check (src "lib/ipcs/ipcs_tcp.ml" t));
       w_bad = "let seg data n = Bytes.sub data 0 n\n";
       w_waived = in_front ~arg:"Bytes.sub" "let seg data n = Bytes.sub data 0 n\n";
     };
@@ -227,6 +247,16 @@ let test_r1_upward_reference () =
   let ds = Lint_layering.check (src "lib/core/nd_layer.ml" text) in
   Alcotest.(check int) "pragma suppresses" 0 (List.length ds)
 
+(* A path qualified through a record field is a reference like any other. *)
+let test_r1_field_qualified () =
+  Alcotest.(check (list string))
+    "c.Lcm_layer.cid reported"
+    [
+      "lib/core/nd_layer.ml:1: [layering] Nd_layer (ND, rank 2) references Lcm_layer (LCM, \
+       rank 4): layers only call downward";
+    ]
+    (diag_strings (Lint_layering.check (src "lib/core/nd_layer.ml" "let f c = c.Lcm_layer.cid\n")))
+
 let test_r1_backend_naming () =
   let ds = Lint_layering.check (src "lib/core/lcm_layer.ml" "let x = Ipcs_tcp.connect\n") in
   Alcotest.(check int) "LCM may not name a backend" 1 (List.length ds);
@@ -237,7 +267,7 @@ let test_r1_backend_naming () =
   Alcotest.(check int) "lib/ipcs may" 0 (List.length ds)
 
 let test_r1_conversion_selection () =
-  let ds = Lint_layering.check (src "lib/core/lcm_layer.ml" "let m = Convert.choose a b\n") in
+  let ds = Lint_forbidden.check (src "lib/core/lcm_layer.ml" "let m = Convert.choose a b\n") in
   Alcotest.(check (list string))
     "conversion selected above IP"
     [
@@ -245,12 +275,12 @@ let test_r1_conversion_selection () =
        selects a conversion mode (\xc2\xa75)";
     ]
     (diag_strings ds);
-  let ds = Lint_layering.check (src "lib/core/ip_layer.ml" "let m = Convert.choose a b\n") in
+  let ds = Lint_forbidden.check (src "lib/core/ip_layer.ml" "let m = Convert.choose a b\n") in
   Alcotest.(check int) "Ip_layer may" 0 (List.length ds)
 
 let test_r1_retry_discipline () =
   let text = "let backoff sched = Sched.sleep sched 50_000\n" in
-  let ds = Lint_layering.check (src "lib/core/lcm_layer.ml" text) in
+  let ds = Lint_forbidden.check (src "lib/core/lcm_layer.ml" text) in
   Alcotest.(check (list string))
     "ad-hoc sleep in lib/core flagged"
     [
@@ -259,18 +289,18 @@ let test_r1_retry_discipline () =
     ]
     (diag_strings ds);
   Alcotest.(check int) "Retry itself may sleep" 0
-    (List.length (Lint_layering.check (src "lib/core/retry.ml" text)));
+    (List.length (Lint_forbidden.check (src "lib/core/retry.ml" text)));
   Alcotest.(check int) "applications may sleep" 0
-    (List.length (Lint_layering.check (src "lib/drts/time_service.ml" text)));
+    (List.length (Lint_forbidden.check (src "lib/drts/time_service.ml" text)));
   (* Unix.sleep is a determinism violation everywhere. *)
   Alcotest.(check int) "Unix.sleep everywhere" 1
-    (List.length (Lint_determinism.check (src "lib/util/x.ml" "let () = Unix.sleep 1\n")))
+    (List.length (Lint_forbidden.check (src "lib/util/x.ml" "let () = Unix.sleep 1\n")))
 
 (* --- R2: determinism --- *)
 
 let test_r2_forbidden_calls () =
   let text = "let a tbl = Hashtbl.iter f tbl\nlet b () = Obj.magic 0\n" in
-  let ds = Lint_determinism.check (src "lib/core/lcm_layer.ml" text) in
+  let ds = Lint_forbidden.check (src "lib/core/lcm_layer.ml" text) in
   Alcotest.(check (list string))
     "both reported with file:line"
     [
@@ -285,24 +315,24 @@ let test_r2_scope_and_pragma () =
   (* Hashtbl rules apply only on protocol paths... *)
   let text = "let a tbl = Hashtbl.fold f tbl []\n" in
   Alcotest.(check int) "lib/util exempt" 0
-    (List.length (Lint_determinism.check (src "lib/util/tbl.ml" text)));
+    (List.length (Lint_forbidden.check (src "lib/util/tbl.ml" text)));
   Alcotest.(check int) "protocol path flagged" 1
-    (List.length (Lint_determinism.check (src "lib/sim/sched.ml" text)));
+    (List.length (Lint_forbidden.check (src "lib/sim/sched.ml" text)));
   (* ...but the wall-clock/unsafe rules apply everywhere. *)
   Alcotest.(check int) "Unix.gettimeofday everywhere" 1
     (List.length
-       (Lint_determinism.check (src "lib/util/x.ml" "let t = Unix.gettimeofday ()\n")));
+       (Lint_forbidden.check (src "lib/util/x.ml" "let t = Unix.gettimeofday ()\n")));
   (* Escape hatch. *)
   let text =
     "(* lint: allow determinism(Hashtbl.fold) \xe2\x80\x94 snapshot, order irrelevant *)\n\
      let a tbl = Hashtbl.fold f tbl []\n"
   in
   Alcotest.(check int) "pragma suppresses" 0
-    (List.length (Lint_determinism.check (src "lib/sim/sched.ml" text)));
+    (List.length (Lint_forbidden.check (src "lib/sim/sched.ml" text)));
   (* Word boundaries: prefixes and strings don't fire. *)
   let text = "let a = My_hashtbl.iter\nlet b = \"Hashtbl.iter\"\n" in
   Alcotest.(check int) "no false positives" 0
-    (List.length (Lint_determinism.check (src "lib/sim/sched.ml" text)))
+    (List.length (Lint_forbidden.check (src "lib/sim/sched.ml" text)))
 
 (* --- R5: copies --- *)
 
@@ -316,15 +346,15 @@ let test_r5_ipcs_copies () =
       "lib/ipcs/ipcs_tcp.ml:2: [copies] Buffer.to_bytes: byte copy on a frame path \u{2014} use \
        Proto.Frame views and keep payloads in place";
     ]
-    (diag_strings (Lint_copies.check (src "lib/ipcs/ipcs_tcp.ml" text)));
+    (diag_strings (Lint_forbidden.check (src "lib/ipcs/ipcs_tcp.ml" text)));
   let waived =
     "(* lint: allow copies(Bytes.sub) \xe2\x80\x94 the in-flight segment *)\n\
      let seg data n = Bytes.sub data 0 n\n"
   in
   Alcotest.(check int) "pragma waives" 0
-    (List.length (Lint_copies.check (src "lib/ipcs/ipcs_tcp.ml" waived)));
+    (List.length (Lint_forbidden.check (src "lib/ipcs/ipcs_tcp.ml" waived)));
   Alcotest.(check int) "outside the frame path" 0
-    (List.length (Lint_copies.check (src "lib/util/pool.ml" text)))
+    (List.length (Lint_forbidden.check (src "lib/util/pool.ml" text)))
 
 (* --- R3: trace invariants --- *)
 
@@ -426,6 +456,20 @@ let test_r8_ambient_reachable () =
     ]
     (diag_strings (Lint_domsafe.check [ holder; user ]))
 
+(* A library root's [module Rng = Rng] alias is an edge: lib/core reaching
+   Ntcs_util.Rng reaches rng.ml's globals. *)
+let test_r8_through_alias () =
+  let ds =
+    Lint_domsafe.check
+      [
+        src "lib/util/rng.ml" "let draws = ref 0\n";
+        src "lib/util/ntcs_util.ml" "module Rng = Rng\n";
+        src "lib/core/some_layer.ml" "let seed r = Ntcs_util.Rng.split r\n";
+      ]
+  in
+  Alcotest.(check (list string)) "one domsafe diagnostic" [ "domsafe" ]
+    (List.map (fun d -> d.Lint_diag.rule) ds)
+
 (* Functions and closure-captured state are per-call / per-value, not
    module-level: none of these are bindings. *)
 let test_r8_functions_skipped () =
@@ -461,7 +505,7 @@ let test_r8_unreachable_inventoried () =
 
 (* The resolved call graph is injected by the driver (ntcs_lint passes
    Check_graph's hook-aware edges): an edge from a ranked module makes
-   the holder reachable even with no lexical reference in the sources. *)
+   the holder reachable even with no reference in the sources. *)
 let test_r8_resolved_graph_override () =
   let holder = src "lib/sim/counter_store.ml" "let counter = ref 0\n" in
   Alcotest.(check int) "edge from Lcm_layer makes it a violation" 1
@@ -525,16 +569,18 @@ let test_repo_sources_clean () =
      the real tree when run from the repo root). *)
   if Sys.file_exists "lib" && Sys.is_directory "lib" then
     Alcotest.(check (list string)) "no violations in lib/" []
-      (diag_strings (Lint.lint_paths [ "lib" ]))
+      (diag_strings (Lint.lint (Lint.load [ "lib" ])))
 
 let () =
   Alcotest.run "lint"
     [
       ( "lexer",
         [
-          Alcotest.test_case "blanking" `Quick test_blank;
+          Alcotest.test_case "blanking" `Quick test_comments_and_strings;
           Alcotest.test_case "nested comments" `Quick test_nested_comment;
           Alcotest.test_case "module refs" `Quick test_module_refs;
+          Alcotest.test_case "quoted strings" `Quick test_quoted_strings;
+          Alcotest.test_case "parse error" `Quick test_parse_error;
           Alcotest.test_case "pragma parse" `Quick test_pragma_parse;
           Alcotest.test_case "pragma malformed" `Quick test_pragma_malformed;
           Alcotest.test_case "pragma retired rule" `Quick test_pragma_retired_rule;
@@ -551,6 +597,7 @@ let () =
       ( "r1-layering",
         [
           Alcotest.test_case "upward reference" `Quick test_r1_upward_reference;
+          Alcotest.test_case "field-qualified reference" `Quick test_r1_field_qualified;
           Alcotest.test_case "backend naming" `Quick test_r1_backend_naming;
           Alcotest.test_case "conversion selection" `Quick test_r1_conversion_selection;
           Alcotest.test_case "retry discipline" `Quick test_r1_retry_discipline;
@@ -570,6 +617,7 @@ let () =
       ( "r8-domsafe",
         [
           Alcotest.test_case "ambient + reachable" `Quick test_r8_ambient_reachable;
+          Alcotest.test_case "reachable through an alias" `Quick test_r8_through_alias;
           Alcotest.test_case "functions skipped" `Quick test_r8_functions_skipped;
           Alcotest.test_case "unreachable inventoried" `Quick
             test_r8_unreachable_inventoried;
