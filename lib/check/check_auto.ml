@@ -162,15 +162,13 @@ let ns_requests : (string * string) list =
     ("Forward", "R_forward");
     ("Deregister", "R_ok");
     ("List_gateways", "R_entries");
-    ("Sync_pull", "R_sync");
     ("Sync_push", "R_ok");
   ]
 
 (* Ns_proto.response constructors, in declaration order. *)
 let ns_responses =
   [
-    "R_registered"; "R_addr_v"; "R_entry_v"; "R_entries"; "R_forward"; "R_ok"; "R_sync";
-    "R_error";
+    "R_registered"; "R_addr_v"; "R_entry_v"; "R_entries"; "R_forward"; "R_ok"; "R_error";
   ]
 
 (* Modules that implement the naming-service server side: they must handle

@@ -7,8 +7,8 @@
      real OCaml domains at once — every replica builds its own world from
      the same seed, so every replica's trace must be byte-identical to the
      solo run and violation-free. This is the shard-isolation claim (a
-     world owns all of its state; R8's ownership map proves lib/ has no
-     ambient globals) exercised with actual preemptive parallelism.
+     world owns all of its state; lint R8 flags any module-level mutable
+     binding in lib/) exercised with actual preemptive parallelism.
 
    - [par_soak]: a coupled multi-shard world — ring of barrier channels,
      causal spans stitched across shards, a seeded per-shard crash/restart

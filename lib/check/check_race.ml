@@ -1,7 +1,8 @@
-(* Dynamic half of the domain-safety pass (the static half is
-   [Lint_domsafe]): a vector-clock happens-before checker over the
-   scheduler's owner-tagged events and the shared cells registered on a
-   world ([world.topology], [world.procs], [world.faults], …).
+(* Dynamic half of the domain-safety pass (the static half,
+   [Lint_domsafe], flags module-level mutable state): a vector-clock
+   happens-before checker over the scheduler's owner-tagged events and the
+   shared cells registered on a world ([world.topology], [world.procs],
+   [world.faults], …).
 
    The model anticipates the ROADMAP-2 parallel-world refactor, where
    processes become domain work items and virtual time advances through

@@ -1,5 +1,5 @@
 (** Happens-before race checker — the dynamic half of the domain-safety
-    pass (static half: {!Lint_domsafe}).
+    pass (static half: {!Lint_domsafe}, no module-level mutable state).
 
     Arms a {!Ntcs_sim.Sched.monitor} on a world and tracks a vector
     clock per event owner: pushing an event snapshots the pusher's

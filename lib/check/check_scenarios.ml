@@ -38,18 +38,6 @@ type scenario = {
   sc_make : Mode.t -> World.t * (unit -> string list);
 }
 
-(* The world configuration a mode asks for: fault plane armed
-   declaratively at creation. [races] rides in the config too, but arming
-   the checker is this library's job (the sim layer sits below
-   Check_race) — see [cluster]. *)
-let config_of_mode ?faults ?(naming = World.Config.default_naming) (mode : Mode.t) =
-  {
-    World.Config.default with
-    World.Config.races = mode.Mode.races;
-    faults;
-    naming;
-  }
-
 (* ----- worlds ----- *)
 
 let lan3 =
@@ -59,14 +47,16 @@ let lan3 =
     ("sun2", Machine.Sun3, [ "ether" ]);
   ]
 
-(* Build the cluster (name server on vax1) and arm the race checker right
-   after — before any event executes, so it sees every push from the first
-   one on. *)
-let cluster ?tweak ?faults ?naming ?(nets = [ ("ether", Net.Tcp_lan) ]) ?gateways ?ns_replicas
-    machines mode =
+(* Build the cluster (name server on vax1, fault plane armed
+   declaratively at creation) and, if the mode asks for it, arm the race
+   checker right after — before any event executes, so it sees every push
+   from the first one on. Arming is this library's job: the sim layer sits
+   below Check_race. *)
+let cluster ?tweak ?faults ?(naming = World.Config.default_naming)
+    ?(nets = [ ("ether", Net.Tcp_lan) ]) ?gateways ?ns_replicas machines mode =
   let c =
-    Cluster.build ~config:(config_of_mode ?faults ?naming mode) ?tweak ~nets ~machines ?gateways
-      ~ns:"vax1" ?ns_replicas ()
+    Cluster.build ~config:{ World.Config.default with faults; naming } ?tweak ~nets ~machines
+      ?gateways ~ns:"vax1" ?ns_replicas ()
   in
   if mode.Mode.races then ignore (Check_race.arm (Cluster.world c));
   c

@@ -11,8 +11,8 @@
     forbids.
 
     [races]: the happens-before checker ({!Check_race}), armed by this
-    library on any world whose config asks for it; any [race.conflict] it
-    reports fails the schedule. Off in [Mode.default] (the replication and
+    library on every world built under a mode that asks for it; any
+    [race.conflict] it reports fails the schedule. Off in [Mode.default] (the replication and
     benchmark runs), keeping those traces byte-identical with the seed. *)
 module Mode = Ntcs_sim.Sched.Mode
 
@@ -27,15 +27,6 @@ type scenario = {
       (** build a fresh world for this mode and return it with the body
           that drives the exchange and reports that run's violations *)
 }
-
-val config_of_mode :
-  ?faults:Ntcs_sim.Faults.spec ->
-  ?naming:Ntcs_sim.World.Config.naming ->
-  Mode.t ->
-  Ntcs_sim.World.Config.t
-(** The world configuration a mode asks for (fault plane armed
-    declaratively at creation; [naming] shapes the naming plane, default
-    unsharded). *)
 
 val first_send : scenario
 (** §6.1 first send across a prime gateway (chained open + splice). *)

@@ -15,9 +15,9 @@
 
    Replication (§7): any number of peer name servers with distinct server
    ids; writes are pushed to peers as datagrams (eventual consistency).
-   No server pulls at boot: replicas start together, each holding only its
-   self-entry, so a pull could only reach a peer that is not serving yet.
-   A [Sync_pull] that does arrive is still answered.
+   Replicas converge through these pushes alone: they start together,
+   each holding only its self-entry, so a pull at boot could only reach a
+   peer that is not serving yet.
 
    Sharding (DESIGN.md §15): with a pinned [Shard_map], server [i] is the
    authority for every name hashing to shard [i]. Lookups and
@@ -436,13 +436,6 @@ let handle_request t ?commod (req : Ns_proto.request) =
       push_to_peers t [ r ];
       Ns_proto.R_ok)
   | Ns_proto.List_gateways -> Ns_proto.R_entries (List.map entry_of_record (gateway_records t))
-  | Ns_proto.Sync_pull since ->
-    let fresh =
-      Ntcs_util.sorted_bindings ~compare:Addr.compare t.db
-      |> List.filter_map (fun (_, r) ->
-             if r.r_stamp > since then Some (r.r_stamp, entry_of_record r) else None)
-    in
-    Ns_proto.R_sync fresh
   | Ns_proto.Sync_push entries ->
     List.iter (merge_entry t) entries;
     Ns_proto.R_ok

@@ -9,9 +9,9 @@
     paper announces as its successor (equal ["service"] attributes count).
 
     Replication (§7): peers with distinct server ids; writes are pushed to
-    peers as datagrams (eventual consistency). No server sends a
-    [Sync_pull] at boot — replicas start together, so every peer it could
-    ask would still be booting — but each answers one with [R_sync].
+    peers as datagrams (eventual consistency), and replicas converge
+    through those pushes alone: they start together, so a pull at boot
+    could only reach a peer still booting.
 
     Every server speaks the one versioned naming protocol (DESIGN.md §15):
     lookups and resolves are answered with a [(shard, gen)] stamp. Under a

@@ -44,7 +44,6 @@ type request =
   | Forward of Addr.t (* address fault: find replacement (§3.5) *)
   | Deregister of Addr.t
   | List_gateways (* topology: all registered gateway ComMods *)
-  | Sync_pull of int (* replication: entries stamped after n *)
   | Sync_push of (int * entry) list (* replication: peer pushes fresh entries *)
 
 type response =
@@ -59,7 +58,6 @@ type response =
   | R_entries of entry list
   | R_forward of Addr.t option (* Some = replacement; None = original still alive *)
   | R_ok
-  | R_sync of (int * entry) list (* serial-stamped entries *)
   | R_error of string (* Errors.to_string form *)
 
 (* --- codecs --- *)
@@ -98,7 +96,6 @@ let request_codec : request Packed.t =
       case "fwd" addr_codec (fun a -> Forward a) (function Forward a -> Some a | _ -> None);
       case "der" addr_codec (fun a -> Deregister a) (function Deregister a -> Some a | _ -> None);
       case "gws" unit (fun () -> List_gateways) (function List_gateways -> Some () | _ -> None);
-      case "syn" int (fun n -> Sync_pull n) (function Sync_pull n -> Some n | _ -> None);
       case "syp" (list (pair int entry_codec))
         (fun es -> Sync_push es)
         (function Sync_push es -> Some es | _ -> None);
@@ -124,9 +121,6 @@ let response_codec : response Packed.t =
         (fun a -> R_forward a)
         (function R_forward a -> Some a | _ -> None);
       case "ok_" unit (fun () -> R_ok) (function R_ok -> Some () | _ -> None);
-      case "snc" (list (pair int entry_codec))
-        (fun es -> R_sync es)
-        (function R_sync es -> Some es | _ -> None);
       case "err" string (fun m -> R_error m) (function R_error m -> Some m | _ -> None);
     ]
 

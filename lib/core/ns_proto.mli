@@ -41,7 +41,6 @@ type request =
   | Forward of Addr.t  (** address fault: find a replacement (§3.5) *)
   | Deregister of Addr.t
   | List_gateways  (** the centralized topology (§4.2) *)
-  | Sync_pull of int  (** replication: entries stamped after n *)
   | Sync_push of (int * entry) list  (** replication: push fresh entries *)
 
 type response =
@@ -56,7 +55,6 @@ type response =
   | R_entries of entry list
   | R_forward of Addr.t option  (** [Some] replacement / [None] still alive *)
   | R_ok
-  | R_sync of (int * entry) list
   | R_error of string  (** [Errors.to_string] form *)
 
 val pack_request : request -> Bytes.t

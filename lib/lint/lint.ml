@@ -20,20 +20,15 @@ let rec walk path acc =
 
 let source_files paths = List.rev (List.fold_left (fun acc p -> walk p acc) [] paths)
 
-(* Every source under the paths, each parsed once: the rules, R8's graph
-   and the pragma audit all read these. *)
+(* Every source under the paths, each parsed once: the rules and the
+   pragma audit both read these. *)
 let load paths = List.map Lint_lex.load (source_files paths)
 
 let check_source (src : Lint_lex.source) =
   src.src_syntax @ src.src_malformed @ Lint_layering.check src @ Lint_forbidden.check src
-  @ Lint_categories.check src
+  @ Lint_categories.check src @ Lint_domsafe.check src
 
-(* Tree-level pass: check each file, and run R8 over the whole set (it
-   needs the module-reference graph). [graph] lets the caller substitute
-   resolved reference edges — ntcs_lint passes Check_graph's hook-aware
-   graph. *)
-let lint ?graph srcs =
-  Lint_diag.sort (List.concat_map check_source srcs @ Lint_domsafe.check ?graph srcs)
+let lint srcs = Lint_diag.sort (List.concat_map check_source srcs)
 
 let report ppf diags =
   List.iter (fun d -> Format.fprintf ppf "%a@." Lint_diag.pp d) diags

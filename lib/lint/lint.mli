@@ -1,9 +1,9 @@
 (** Static-analysis entry points: walk source trees, parse every
     [.ml]/[.mli] once ({!Lint_lex}), run pragma well-formedness, layering
-    (R1), the forbidden paths of R1, R2 and R5 and categories (R4) on
-    each file, then domain safety (R8) over the whole tree, and aggregate
-    sorted diagnostics. Trace-based invariants (R3) live in {!Lint_trace}
-    and run from tests. *)
+    (R1), the forbidden paths of R1, R2 and R5, categories (R4) and
+    domain safety (R8) on each file, and aggregate sorted diagnostics.
+    Trace-based invariants (R3) live in {!Lint_trace} and run from
+    tests. *)
 
 val source_files : string list -> string list
 (** Every [.ml]/[.mli] under the given files/directories, walked in sorted
@@ -12,13 +12,9 @@ val source_files : string list -> string list
 val load : string list -> Lint_lex.source list
 (** Every source under the given paths ({!source_files}), parsed once. *)
 
-val lint : ?graph:(string * string) list -> Lint_lex.source list -> Lint_diag.t list
-(** Tree-level run: checks every file, then runs R8 over the whole set.
-    A file that does not parse is one [parse] diagnostic. [graph]
-    substitutes resolved (referrer, referee) module edges for R8
-    reachability (ntcs_lint passes the hook-aware
-    [Check_graph] edges); default is the module-reference graph of the
-    sources themselves. *)
+val lint : Lint_lex.source list -> Lint_diag.t list
+(** Checks every file. A file that does not parse is one [parse]
+    diagnostic. *)
 
 val report : Format.formatter -> Lint_diag.t list -> unit
 (** One [file:line: [rule] message] per line. *)

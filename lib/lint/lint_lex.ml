@@ -158,15 +158,13 @@ let parse_pragmas ~file comments =
 
 let pragmas src = (src.src_pragmas, src.src_malformed)
 
-let covering pragmas ~rule ~arg ~line =
-  List.find_opt
+let pragma_allows pragmas ~rule ~arg ~line =
+  List.exists
     (fun p ->
       String.equal p.p_rule rule
       && (match p.p_arg with None -> true | Some a -> String.equal a arg)
       && (p.p_file_scope || p.p_line = line || p.p_line = line - 1))
     pragmas
-
-let pragma_allows pragmas ~rule ~arg ~line = Option.is_some (covering pragmas ~rule ~arg ~line)
 
 (* --- path occurrences --- *)
 

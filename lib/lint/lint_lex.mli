@@ -62,8 +62,6 @@ val pragmas : source -> pragma list * Lint_diag.t list
 (** Well-formed pragmas, plus a diagnostic for each malformed one (missing
     separator or reason, or a rule outside {!Lint_rules.pragma_rules}). *)
 
-val covering : pragma list -> rule:string -> arg:string -> line:int -> pragma option
-(** The pragma suppressing a violation of [rule] on [arg] at [line], if
-    any. An argless pragma matches any [arg]. *)
-
 val pragma_allows : pragma list -> rule:string -> arg:string -> line:int -> bool
+(** Does a pragma suppress a violation of [rule] on [arg] at [line]? An
+    argless pragma matches any [arg]. *)

@@ -87,32 +87,16 @@ let ipcs_backends = [ "Ipcs_tcp"; "Ipcs_mbx" ]
 let pragma_rules = [ "layering"; "determinism"; "copies"; "category"; "domsafe"; "lifecycle" ]
 
 (* R8: domain safety. A module-level [let] whose right-hand side allocates
-   one of these is ambient mutable state: every domain in the planned
-   parallel-world execution (ROADMAP 2) would share the one instance. The
-   same constructors inside a function or stored in a record field are
-   fine — that state hangs off whoever holds the value. *)
+   one of these is ambient mutable state: every domain running a world
+   (World.Par, Check_par) would share the one instance. The same
+   constructors inside a function or stored in a record field are fine —
+   that state hangs off whoever holds the value. *)
 let mutable_ctors =
   [
     "ref"; "Hashtbl.create"; "Tbl.create"; "Lru.create"; "Pool.create";
     "Queue.create"; "Stack.create"; "Buffer.create"; "Bytes.create";
     "Array.make"; "Atomic.make";
   ]
-
-(* Per-machine code: what becomes a domain work item when worlds go
-   parallel. An ambient global is a violation exactly when code here can
-   reach it — directly or through anything it calls (the sim substrate
-   included: the protocol stack runs on [Sched]). *)
-let machine_path path =
-  let p = norm path in
-  List.exists
-    (fun d -> has_sub ~sub:d p)
-    [ "lib/core"; "lib/ipcs"; "lib/drts"; "lib/ursa"; "lib/naming" ]
-
-(* Inventory scope for mutable record fields: instances of records declared
-   in per-machine directories are owned by a machine's stack; everything
-   else (sim, util, obs, wire, the analysis tooling itself) is owned by the
-   world — or the tool — that created the instance. *)
-let field_scope path = if machine_path path then `Machine_local else `World_local
 
 (* Forbidden paths: naming [f_path] in a file where [f_applies] holds
    violates [f_rule]. Four policies share the one table:

@@ -25,16 +25,6 @@ val mutable_ctors : string list
 (** Constructors whose result, bound by a module-level [let], is ambient
     mutable state (R8): [ref], the table/pool/queue makers, … *)
 
-val machine_path : string -> bool
-(** Is this file per-machine code (lib/core, lib/ipcs, lib/drts,
-    lib/ursa) — a domain work item under parallel-world execution? An
-    ambient global is an R8 violation exactly when reachable from here. *)
-
-val field_scope : string -> [ `Machine_local | `World_local ]
-(** Ownership class of a mutable record field declared in this file:
-    instances of per-machine records belong to a machine's stack,
-    everything else to the world (or tool) holding the instance. *)
-
 type forbidden = {
   f_rule : string;  (** ["layering"], ["determinism"] or ["copies"] *)
   f_path : string;  (** dotted path, matched exactly, e.g. [Hashtbl.iter] *)

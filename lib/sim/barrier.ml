@@ -1,8 +1,8 @@
 (* Conservative virtual-time barrier coordinator over shard schedulers.
 
    The parallel-world model (ROADMAP 2): each shard is a complete,
-   self-contained scheduler (no shared mutable state between shards — the
-   R8 ownership map machine-checks this for lib/), and shards exchange
+   self-contained scheduler (no shared mutable state between shards — lint
+   R8 flags any module-level mutable binding in lib/), and shards exchange
    messages only through typed channels owned by this coordinator. Time
    advances in epochs:
 

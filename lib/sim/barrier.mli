@@ -2,8 +2,9 @@
     the synchronization kernel of domain-parallel world execution
     (ROADMAP 2).
 
-    Each shard is a complete, self-contained {!Sched.t} (the R8 ownership
-    map machine-checks that shards share no ambient mutable state); shards
+    Each shard is a complete, self-contained {!Sched.t} (lint R8 flags any
+    module-level mutable binding in [lib/], so shards share no ambient
+    mutable state); shards
     couple only through typed {!Chan}s owned by this coordinator. Time
     advances in {e epochs}: at each barrier the coordinator flushes every
     cross-shard message posted during the previous epoch into the

@@ -18,8 +18,6 @@
 exception Killed
 (* Raised inside a process when it is killed; lets Fun.protect finalizers run. *)
 
-exception Event_limit_exceeded
-
 type pid = int
 
 type exit_status =
@@ -37,16 +35,13 @@ type cell_policy =
 
 type cell = { c_name : string; c_policy : cell_policy }
 
-(* The one scheduler-instrumentation mode record, named by the scenario
-   harness, the check driver, the R8 ownership map, Check_race and the
-   barrier coordinator. Off by default so default-mode traces stay
-   byte-identical with the seed. *)
+(* The one scheduler-instrumentation mode record, threaded by the scenario
+   harness and the check driver through every scenario build. Off by
+   default so default-mode traces stay byte-identical with the seed. *)
 module Mode = struct
   type t = { races : bool (* arm the happens-before race checker *) }
 
   let default = { races = false }
-  let armed m = m.races
-  let pp ppf m = Fmt.pf ppf "{races=%b}" m.races
 end
 
 (* The domain-safety monitor (see Check_race): armed, it receives every
@@ -71,7 +66,6 @@ type t = {
   mutable current : proc option;
   mutable live_count : int;
   mutable event_count : int;
-  mutable max_events : int; (* 0 = unlimited *)
   mutable exec_owner : int; (* owner of the event whose thunk is running *)
   mutable chooser : (time:int -> owners:int array -> int) option;
   mutable monitor : monitor option;
@@ -116,7 +110,6 @@ let create () =
     current = None;
     live_count = 0;
     event_count = 0;
-    max_events = 0;
     exec_owner = 0;
     chooser = None;
     monitor = None;
@@ -133,8 +126,6 @@ let next_event_time t =
   match Ntcs_util.Heap.peek t.events with
   | Some ev -> Some ev.time
   | None -> None
-
-let set_event_limit t n = t.max_events <- n
 
 let set_chooser t f = t.chooser <- f
 
@@ -336,7 +327,6 @@ let exec_event t ev =
   assert (ev.time >= t.now);
   t.now <- ev.time;
   t.event_count <- t.event_count + 1;
-  if t.max_events > 0 && t.event_count > t.max_events then raise Event_limit_exceeded;
   (match t.monitor with
    | None -> ()
    | Some m -> m.m_exec ~tag:ev.tag ~owner:ev.owner ~time:ev.time);
@@ -418,8 +408,6 @@ let run ?until t =
   match until with
   | Some u when t.now < u -> t.now <- u
   | _ -> ()
-
-let run_until_quiescent t = run t
 
 let live_processes t = t.live_count
 let events_executed t = t.event_count

@@ -14,8 +14,6 @@ exception Killed
 (** Raised inside a process when it is killed, so [Fun.protect] finalizers
     run before it dies. *)
 
-exception Event_limit_exceeded
-
 type t
 (** A scheduler instance (one per simulated world). *)
 
@@ -31,20 +29,14 @@ type waker
     already-resumed process is a no-op. *)
 
 (** The scheduler-instrumentation mode: which always-available dynamic
-    checker is armed on a world. The one record the scenario harness, the
-    check driver, lint R8's ownership map, [Check_race] and the barrier
-    coordinator all name. Carried by {!World.Config}; off by default so
-    default-mode traces stay byte-identical with the seed. *)
+    checker is armed on a world. The one record the scenario harness and
+    the check driver thread through every scenario build; off by default
+    so default-mode traces stay byte-identical with the seed. *)
 module Mode : sig
   type t = { races : bool  (** arm the vector-clock happens-before race checker *) }
 
   val default : t
   (** Off — the plain deterministic world. *)
-
-  val armed : t -> bool
-  (** Is the checker on? *)
-
-  val pp : Format.formatter -> t -> unit
 end
 
 val create : unit -> t
@@ -62,10 +54,6 @@ val label : t -> string
 val next_event_time : t -> int option
 (** Virtual time of the earliest pending event, without disturbing the
     heap — the barrier coordinator's horizon input. [None] when idle. *)
-
-val set_event_limit : t -> int -> unit
-(** Abort the run with {!Event_limit_exceeded} after this many events
-    (0 = unlimited). A backstop for runaway-recursion experiments. *)
 
 val set_chooser : t -> (time:int -> owners:int array -> int) option -> unit
 (** Schedule-exploration hook (see {!Explore}). When set, a step whose
@@ -168,7 +156,6 @@ val run : ?until:int -> t -> unit
 (** Run until quiescence, or until virtual time [until] (the clock then
     advances to exactly [until]). *)
 
-val run_until_quiescent : t -> unit
 val live_processes : t -> int
 val events_executed : t -> int
 

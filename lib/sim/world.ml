@@ -34,7 +34,6 @@ module Config = struct
     seed : int;
     domains : int; (* shard count for Par worlds; 1 = plain sequential *)
     faults : Faults.spec option; (* declarative plane, armed at creation *)
-    races : bool; (* request the race checker; armed by Ntcs_check *)
     chooser : chooser;
     naming : naming; (* naming-plane shape, consumed by Cluster.build *)
   }
@@ -44,12 +43,9 @@ module Config = struct
       seed = 42;
       domains = 1;
       faults = None;
-      races = false;
       chooser = Default;
       naming = default_naming;
     }
-
-  let mode c = { Sched.Mode.races = c.races }
 
   (* Per-shard copy: decorrelated seed (prime stride), sequential inside
      the shard. Shard 0 keeps the base seed so a 1-domain Par world is
@@ -123,7 +119,6 @@ let make (config : Config.t) =
 
 let sched t = t.sched
 let config t = t.config
-let mode t = Config.mode t.config
 let choice_log t = List.rev t.choices
 let set_label t l = Sched.set_label t.sched l
 let label t = Sched.label t.sched
@@ -318,9 +313,9 @@ let apply_chooser t =
            i))
 
 (* The single construction entrypoint: build the record, then apply every
-   configured feature in one fixed order (chooser, faults). [races] is
-   carried, not armed, here — the race checker lives in Ntcs_check (above
-   this library); it arms itself on any world whose [mode] asks for it. *)
+   configured feature in one fixed order (chooser, faults). The race
+   checker is not among them: it lives in Ntcs_check, above this library,
+   and is armed on a built world by whoever wants it. *)
 let create ?(config = Config.default) () =
   let t = make config in
   apply_chooser t;
@@ -426,8 +421,8 @@ let run ?until t = Sched.run ?until t.sched
 (* --- domain-parallel worlds ----------------------------------------- *)
 
 (* A parallel world is N completely isolated sequential worlds (one per
-   shard, each its own scheduler/trace/registry/rng — the R8
-   ownership map proves lib/ has no ambient shared state) coupled only
+   shard, each its own scheduler/trace/registry/rng — lint R8 flags any
+   module-level mutable binding in lib/) coupled only
    through the Barrier coordinator's typed channels. Everything
    deterministic about one world stays deterministic here: the barrier's
    flush order is a pure function of virtual time and program order, so a

@@ -43,20 +43,13 @@ module Config : sig
         (** declarative fault plane, armed at creation: scheduled events
             registered on the scheduler, frame rules consulted by
             {!transmit}, every injection a [fault.*] trace event *)
-    races : bool;
-        (** request the happens-before race checker. Carried, not armed,
-            by this library — [Ntcs_check.Check_race.arm] lives above it
-            and arms itself on any world whose {!val-mode} asks for it *)
     chooser : chooser;
     naming : naming;  (** naming-plane shape (see {!type-naming}) *)
   }
 
   val default : t
-  (** [{seed = 42; domains = 1; faults = None; races = false;
-      chooser = Default; naming = default_naming}] *)
-
-  val mode : t -> Sched.Mode.t
-  (** The scheduler-instrumentation view of this config. *)
+  (** [{seed = 42; domains = 1; faults = None; chooser = Default;
+      naming = default_naming}] *)
 
   val shard : t -> shard:int -> t
   (** Per-shard copy: decorrelated seed (prime stride), [domains = 1].
@@ -73,9 +66,6 @@ val create : ?config:Config.t -> unit -> t
 val sched : t -> Sched.t
 
 val config : t -> Config.t
-
-val mode : t -> Sched.Mode.t
-(** [Config.mode (config t)]. *)
 
 val choice_log : t -> (int * int) list
 (** Every chooser consultation so far, oldest first, as [(choice index,
@@ -172,8 +162,8 @@ val run : ?until:int -> t -> unit
 
     A parallel world is [Config.domains] completely isolated sequential
     worlds — one per shard, each with its own scheduler, trace, registry,
-    and rng (lint R8's ownership map proves [lib/] has no ambient
-    shared state) — coupled only through the {!Barrier} coordinator's
+    and rng (lint R8 flags any module-level mutable binding in [lib/])
+    — coupled only through the {!Barrier} coordinator's
     typed channels. Shard [i] runs under [Config.shard config ~shard:i]
     and carries the label ["s<i>"]. Runs are bit-identical for any
     [workers] value; see {!Barrier} for the determinism argument. *)

@@ -24,8 +24,8 @@ let test_automaton_tables_cover_protocol () =
   (* Every kind the table declares maps to some handler list; the dynamic
      checker's vocabulary (inputs_of) round-trips through the table. *)
   Alcotest.(check int) "eleven kinds" 11 (List.length Check_auto.kinds);
-  Alcotest.(check int) "nine requests" 9 (List.length Check_auto.ns_requests);
-  Alcotest.(check int) "eight responses" 8 (List.length Check_auto.ns_responses)
+  Alcotest.(check int) "eight requests" 8 (List.length Check_auto.ns_requests);
+  Alcotest.(check int) "seven responses" 7 (List.length Check_auto.ns_responses)
 
 (* --- seeded handler gap (static) --- *)
 
@@ -187,7 +187,7 @@ let test_explorer_enumerates_all_orders () =
         ignore (Ntcs_sim.Sched.spawn ~name s (fun () -> Buffer.add_string order name)))
       [ "a"; "b"; "c" ];
     let body () =
-      Ntcs_sim.Sched.run_until_quiescent s;
+      Ntcs_sim.Sched.run s;
       Hashtbl.replace seen (Buffer.contents order) ();
       []
     in
@@ -205,7 +205,7 @@ let test_explorer_budget_truncates () =
     List.iter
       (fun name -> ignore (Ntcs_sim.Sched.spawn ~name s (fun () -> ())))
       [ "a"; "b"; "c"; "d" ];
-    (s, fun () -> Ntcs_sim.Sched.run_until_quiescent s; [])
+    (s, fun () -> Ntcs_sim.Sched.run s; [])
   in
   let o = Ntcs_sim.Explore.run ~max_schedules:5 ~make () in
   Alcotest.(check bool) "truncated at the budget" true o.Ntcs_sim.Explore.truncated;
@@ -220,7 +220,7 @@ let test_explorer_reports_failures () =
         ignore (Ntcs_sim.Sched.spawn ~name s (fun () -> Buffer.add_string order name)))
       [ "a"; "b" ];
     let body () =
-      Ntcs_sim.Sched.run_until_quiescent s;
+      Ntcs_sim.Sched.run s;
       if Buffer.contents order = "ba" then [ "b must not beat a" ] else []
     in
     (s, body)
@@ -287,11 +287,11 @@ let test_never_branching_fails () =
 
 (* A one-machine scenario: [plant] spawns two processes at t=0, so the
    explorer branches once, and [violations] reads the world after each
-   schedule. The world is built from the mode [Check.explore] hands in,
-   arming the race checker the way the real scenarios do. *)
+   schedule. The mode [Check.explore] hands in arms the race checker the
+   way the real scenarios do. *)
 let planted ~name ~plant ~violations =
   let make mode =
-    let w = Ntcs_sim.World.create ~config:(Check_scenarios.config_of_mode mode) () in
+    let w = Ntcs_sim.World.create () in
     if mode.Check_scenarios.Mode.races then ignore (Check_race.arm w);
     let m = Ntcs_sim.World.add_machine w ~name:"m1" Ntcs_sim.Machine.Vax () in
     plant w m;

@@ -133,16 +133,6 @@ let test_blocked_labels () =
     (Sched.blocked_processes s);
   Alcotest.(check string) "label readable" "s7" (World.label w)
 
-(* --- Sched.Mode is the one mode record ------------------------------- *)
-
-let test_mode () =
-  Alcotest.(check bool) "default disarmed" false (Sched.Mode.armed Sched.Mode.default);
-  Alcotest.(check bool) "races arms" true (Sched.Mode.armed { Sched.Mode.races = true });
-  Alcotest.(check string) "pp" "{races=true}"
-    (Format.asprintf "%a" Sched.Mode.pp { Sched.Mode.races = true });
-  let c = { Config.default with Config.races = true } in
-  Alcotest.(check bool) "Config.mode mirrors the record" true (Config.mode c).Sched.Mode.races
-
 let () =
   Alcotest.run "par"
     [
@@ -158,7 +148,6 @@ let () =
       ( "config",
         [
           Alcotest.test_case "choice log record/replay" `Quick test_choice_replay;
-          Alcotest.test_case "mode record" `Quick test_mode;
         ] );
       ( "shards",
         [
