@@ -63,9 +63,10 @@ let test_garbage_bytes_on_raw_circuit () =
      >= 1
     || Ntcs_obs.Registry.get (Cluster.metrics c) "nd.bad_frames" >= 1)
 
-let test_malformed_ns_request () =
-  (* Speak the nucleus protocol correctly but send unparseable request bytes
-     to the name server under its own app tag. *)
+(* Speak the nucleus protocol correctly but send request bytes the name
+   server cannot decode, under its own app tag: it drops them, traces
+   [ns.bad_request], and keeps answering real requests. *)
+let ns_ignores payload =
   let c = lan_cluster () in
   Cluster.settle c;
   let outcome = ref None and after = ref None in
@@ -77,21 +78,28 @@ let test_malformed_ns_request () =
          outcome :=
            Some
              (Lcm_layer.send_sync lcm ~dst:ns ~app_tag:Ns_proto.app_tag
-                ~timeout_us:1_000_000
-                (raw "definitely-not-a-packed-request"));
+                ~timeout_us:1_000_000 (raw payload));
          (* The server must still answer real requests afterwards. *)
          after := Some (Ali_layer.locate commod "fuzzer")));
   Cluster.settle ~dt:20_000_000 c;
   (match !outcome with
-   | Some (Error Errors.Timeout) -> () (* server ignored the garbage *)
+   | Some (Error Errors.Timeout) -> () (* server ignored the request *)
    | Some (Error e) -> Alcotest.failf "unexpected: %s" (Errors.to_string e)
-   | Some (Ok _) -> Alcotest.fail "the name server answered garbage"
+   | Some (Ok _) -> Alcotest.fail "the name server answered an undecodable request"
    | None -> Alcotest.fail "fuzzer never ran");
   (match !after with
    | Some (Ok _) -> ()
    | Some (Error e) -> Alcotest.failf "name server damaged: %s" (Errors.to_string e)
    | None -> Alcotest.fail "no follow-up");
+  Alcotest.(check int) "bad request traced" 1
+    (List.length
+       (Ntcs_sim.Trace.matching (Ntcs_sim.World.trace (Cluster.world c)) ~cat:"ns.bad_request"));
   Alcotest.(check int) "no crashes" 0 (List.length (no_crashes c))
+
+let test_malformed_ns_request () = ns_ignores "definitely-not-a-packed-request"
+
+(* The retired replication pull ([syn]) is no longer a request. *)
+let test_retired_sync_pull () = ns_ignores "3\nsyn\n17\n"
 
 let test_orphan_ivc_label_at_gateway () =
   (* Frames with labels no splice knows are dropped and counted; the
@@ -205,6 +213,7 @@ let () =
         [
           Alcotest.test_case "raw garbage on a circuit" `Quick test_garbage_bytes_on_raw_circuit;
           Alcotest.test_case "malformed NS request" `Quick test_malformed_ns_request;
+          Alcotest.test_case "retired sync pull" `Quick test_retired_sync_pull;
         ] );
       ( "protocol",
         [
