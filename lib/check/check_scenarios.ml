@@ -257,10 +257,12 @@ let break_ns = ns_break "break-ns" ~guard:true ()
    Same contract as the scenarios above — every explored schedule must be
    violation-free — but the world now runs under an armed {!Faults} plane,
    so the exchanges being checked are the *recovery* paths: LCM
-   retry/backoff, the §3.5 oracle, and the §6.3 guard. Their trees are
-   effectively unbounded (retry timers breed ties forever), so unlike
+   retry/backoff, the §3.5 oracle, and the §6.3 guard. Unlike
    [exhaustive] these are run with truncation allowed: the soak contract is
-   "at least N schedules, zero failures", not exhaustiveness. *)
+   "at least N schedules, zero failures", not exhaustiveness. Some trees
+   are small but larger than the budget (the two ns_break soaks have 288
+   schedules, partition-heal 2,304); the others are far beyond any
+   budget. *)
 
 let fault_ns_partition_guard = ns_break "fault-ns-partition-guard" ~seed:0xFA13 ~guard:true ()
 let fault_ns_partition_noguard = ns_break "fault-ns-partition-noguard" ~seed:0xFA14 ~guard:false ()
@@ -384,7 +386,7 @@ let naming_shard_route =
               | Error e -> outcome := `Err ("routed lookup: " ^ Errors.to_string e)
               | Ok renv -> (
                 match Ns_proto.unpack_response renv.Lcm_layer.data with
-                | Ok (Ns_proto.R_addr_v (raddr, rshard, rgen)) ->
+                | Ok (Ns_proto.R_addr_v (raddr, rshard, rgen, _)) ->
                   outcome := `Routed (Bytes.to_string env.Ali_layer.data, raddr, addr, rshard, rgen)
                 | Ok (Ns_proto.R_error m) -> outcome := `Err ("routed lookup refused: " ^ m)
                 | Ok _ -> outcome := `Err "routed lookup: unexpected response"

@@ -39,10 +39,14 @@ val exhaustive : scenario list
     The same contract per schedule — zero violations — but the world runs
     under an armed {!Ntcs_sim.Faults} plane (or the sharded naming plane
     of DESIGN.md §15, checked for cache coherence by {!Check_naming}), so
-    what is being explored is the recovery machinery itself. Their
-    schedule trees are effectively unbounded (retry timers breed ties
-    forever); run them with a budget and accept truncation, requiring a
-    minimum number of failure-free schedules instead of exhaustiveness. *)
+    what is being explored is the recovery machinery itself. They run
+    with a budget and accept truncation, requiring a minimum number of
+    failure-free schedules instead of exhaustiveness. Three of the trees
+    are small and finite, only larger than the budget:
+    [fault-partition-heal] has 2,304 schedules,
+    [fault-ns-partition-guard] and [fault-ns-partition-noguard] 288
+    each. The other four are far beyond any budget (random-probe
+    estimates of 1e6 to 1e12 leaves). *)
 
 val fault_crash_restart : scenario
 (** §3.5: crash and restart the machine hosting a located module; a new

@@ -27,8 +27,11 @@
    copy, marked unversioned. Each owner keeps an invalidation generation,
    bumped on every §3.5 invalidation-class mutation (relocation,
    deregistration, death detected by a Forward probe) and piggybacked on
-   its answers so NSP-side caches can tell fresh from stale. An unsharded
-   server speaks the same protocol but always stamps generation 0. *)
+   its answers so NSP-side caches can tell fresh from stale. Each bump
+   changes exactly one name, and the answer also carries the names of the
+   last [Ns_proto.change_log_length] bumps, so a client that kept up
+   retires only those names. An unsharded server speaks the same protocol
+   but always stamps generation 0 and sends no names. *)
 
 let service_attr = "service" (* attribute used for "similar name" matching *)
 
@@ -59,6 +62,9 @@ type t = {
   mutable inval_gen : int;
   (* invalidation generation of the shard this server owns; starts at 1 so
      0 stays the "unversioned answer" marker on the wire *)
+  mutable changed : string list;
+  (* the name each of the last [Ns_proto.change_log_length] bumps changed,
+     newest first: element [i] is generation [inval_gen - i] *)
   mutable next_value : int;
   mutable commod : Commod.t option;
   mutable running : bool;
@@ -78,6 +84,7 @@ let create node ~server_id ~wk_addr ?(peers = []) ?shard_map () =
     peers;
     shard_map;
     inval_gen = 1;
+    changed = [];
     next_value = 1;
     commod = None;
     running = false;
@@ -134,33 +141,37 @@ let owns t name =
 
 let generation t = t.inval_gen
 
-(* The minting server's id *is* the owning shard of a UAdd in a sharded
-   plane; well-known addresses (gateways, the servers themselves) fall
-   outside the map. *)
-let shard_of_addr t (addr : Addr.t) =
-  match (t.shard_map, addr.Addr.space) with
-  | Some m, Addr.Unique sid when sid < Ntcs_naming.Shard_map.nshards m -> Some sid
-  | _ -> None
+let shard_of_addr t addr = Option.bind t.shard_map (fun m -> Ns_proto.shard_of_addr m addr)
 
-(* The [(shard, gen)] stamp on a versioned answer about something in
-   [shard]: only the shard's owner in a sharded plane stamps its
-   invalidation generation. Backup copies, addresses outside the map and
-   unsharded servers answer gen 0 — cacheable, but never moving a
-   client's floor. *)
+(* The [(shard, gen, changed)] stamp on a versioned answer about
+   something in [shard]: only the shard's owner in a sharded plane stamps
+   its invalidation generation and its recent changes. Backup copies,
+   addresses outside the map and unsharded servers answer gen 0 with no
+   names — cacheable, but never moving a client's floor. *)
 let stamp t shard =
   match (t.shard_map, shard) with
-  | Some _, Some s -> (s, if s = t.server_id then t.inval_gen else 0)
-  | _ -> (my_shard t, 0)
+  | Some _, Some s when s = t.server_id -> (s, t.inval_gen, t.changed)
+  | Some _, Some s -> (s, 0, [])
+  | _ -> (my_shard t, 0, [])
 
-(* An invalidation-class mutation happened in the shard this server owns:
-   every cached answer issued before it is now suspect. The new generation
-   rides on subsequent versioned answers; NSP caches fold it into their
-   per-shard floor and turn stale hits into misses. *)
-let bump_gen t what =
+(* An invalidation-class mutation of [name] happened in the shard this
+   server owns: cached answers about [name] issued before it are now
+   suspect. The new generation and the name ride on subsequent versioned
+   answers; NSP caches retire that name's entries, or the whole shard
+   when they missed more than [Ns_proto.change_log_length] generations.
+   [what] is the kind of mutation and [addr] the address that died, for
+   the trace: "shard <s> gen <g>: <what> <name>[ (<addr>)]". *)
+let bump_gen t ~what ?addr name =
   t.inval_gen <- t.inval_gen + 1;
+  t.changed <-
+    name :: List.filteri (fun i _ -> i < Ns_proto.change_log_length - 1) t.changed;
   Ntcs_obs.Registry.incr (metrics t) "ns.invalidations";
   Node.record t.node ~cat:"ns.shard.gen" ~actor:"name-server"
-    (Printf.sprintf "shard %d gen %d: %s" (my_shard t) t.inval_gen what)
+    (match addr with
+     | None -> Printf.sprintf "shard %d gen %d: %s %s" (my_shard t) t.inval_gen what name
+     | Some a ->
+       Printf.sprintf "shard %d gen %d: %s %s (%s)" (my_shard t) t.inval_gen what name
+         (Addr.to_string a))
 
 (* --- the name index --- *)
 
@@ -290,7 +301,7 @@ let merge_entry t (stamp, entry) =
          match find_by_name t r.r_name with
          | Some prev -> not (Addr.equal prev.r_addr addr)
          | None -> false)
-    then bump_gen t ("merge " ^ r.r_name);
+    then bump_gen t ~what:"merge" r.r_name;
     db_insert t r
 
 (* --- request handling --- *)
@@ -373,7 +384,7 @@ let handle_request t ?commod (req : Ns_proto.request) =
          answer must die, so the generation moves. *)
       (match find_by_name t r_name with
        | Some prev when owns t r_name && not (Addr.equal prev.r_addr addr) ->
-         bump_gen t ("re-register " ^ r_name)
+         bump_gen t ~what:"re-register" r_name
        | _ -> ());
       db_insert t record;
       Ntcs_obs.Registry.incr (metrics t) "ns.registrations";
@@ -390,8 +401,8 @@ let handle_request t ?commod (req : Ns_proto.request) =
     let local () =
       match find_by_name t name with
       | Some r ->
-        let shard, gen = stamp t (Some (shard_of_name t name)) in
-        Ns_proto.R_addr_v (r.r_addr, shard, gen)
+        let shard, gen, changed = stamp t (Some (shard_of_name t name)) in
+        Ns_proto.R_addr_v (r.r_addr, shard, gen, changed)
       | None -> Ns_proto.R_error "unknown-name"
     in
     if owns t name || hops >= 1 then local ()
@@ -403,8 +414,8 @@ let handle_request t ?commod (req : Ns_proto.request) =
     Ntcs_obs.Registry.incr (metrics t) "ns.resolves";
     match Hashtbl.find_opt t.db addr with
     | Some r ->
-      let shard, gen = stamp t (shard_of_addr t addr) in
-      Ns_proto.R_entry_v (entry_of_record r, shard, gen)
+      let shard, gen, changed = stamp t (shard_of_addr t addr) in
+      Ns_proto.R_entry_v (entry_of_record r, shard, gen, changed)
     | None -> Ns_proto.R_error "unknown-address")
   | Ns_proto.Forward old_addr -> (
     Ntcs_obs.Registry.incr (metrics t) "ns.forward_queries";
@@ -415,8 +426,7 @@ let handle_request t ?commod (req : Ns_proto.request) =
       else begin
         if old.r_alive then begin
           old.r_alive <- false;
-          if owns t old.r_name then
-            bump_gen t (Printf.sprintf "dead %s (%s)" old.r_name (Addr.to_string old_addr))
+          if owns t old.r_name then bump_gen t ~what:"dead" ~addr:old_addr old.r_name
         end;
         match find_replacement t old with
         | Some fresh ->
@@ -429,8 +439,7 @@ let handle_request t ?commod (req : Ns_proto.request) =
     match Hashtbl.find_opt t.db addr with
     | None -> Ns_proto.R_ok
     | Some r ->
-      if r.r_alive && owns t r.r_name then
-        bump_gen t ("deregister " ^ r.r_name);
+      if r.r_alive && owns t r.r_name then bump_gen t ~what:"deregister" r.r_name;
       r.r_alive <- false;
       r.r_stamp <- Node.now t.node;
       push_to_peers t [ r ];

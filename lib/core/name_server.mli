@@ -20,8 +20,13 @@
     registrations arriving at a non-owner are forwarded name-to-name to
     the owner over the NTCS itself — one hop at most — and the owner's
     invalidation generation rides back on the answer for the NSP-side
-    caches. If the owner is unreachable, the non-owner answers from its
-    replicated backup copy, marked unversioned (generation 0). Without a
+    caches. Every bump of the generation changes exactly one name
+    (re-register, deregister, dead, or a replicated merge), and the
+    answer also carries the names of the last
+    {!Ns_proto.change_log_length} bumps, newest first, so a cache that
+    kept up retires only those names. If the owner is unreachable, the
+    non-owner answers from its replicated backup copy, marked
+    unversioned (generation 0). Without a
     shard map the server is a one-shard plane that always stamps shard 0,
     generation 0, so its clients' cache floors never move. *)
 

@@ -6,13 +6,20 @@
    There is one protocol for every deployment: lookups and resolves are
    always versioned (DESIGN.md §15). An unsharded server is a one-shard
    plane that answers every one of them with shard 0, generation 0, so a
-   client's cache floors never move. Each union case is declared once, as
-   a [Packed.case]. *)
+   client's cache floors never move. A versioned answer also carries the
+   names its shard's last [change_log_length] generations changed, so a
+   client retires only the cached entries for those names. Each union
+   case is declared once, as a [Packed.case]. *)
 
 open Ntcs_wire
 
 (* Application tag reserved for naming-service traffic. *)
 let app_tag = 9005
+
+(* K: how many generations of changed names a versioned answer carries.
+   A client whose last observation is further behind falls back to
+   retiring the whole shard. *)
+let change_log_length = 8
 
 type entry = {
   e_name : string;
@@ -48,17 +55,28 @@ type request =
 
 type response =
   | R_registered of Addr.t
-  | R_addr_v of Addr.t * int * int
-  (* [addr, shard, gen]: the answer plus the answering authority's shard
-     index and invalidation generation. [gen = 0] marks an unversioned
-     answer (an unsharded server, or a surviving replica's backup copy
-     while the owner is down): cacheable, but it never raises the
-     client's generation floor. *)
-  | R_entry_v of entry * int * int (* [entry, shard, gen] — as [R_addr_v] *)
+  | R_addr_v of Addr.t * int * int * string list
+  (* [addr, shard, gen, changed]: the answer plus the answering
+     authority's shard index and invalidation generation, and the names
+     that generations gen, gen - 1, ... changed, newest first, at most
+     [change_log_length] of them. [gen = 0] marks an unversioned answer
+     (an unsharded server, or a surviving replica's backup copy while the
+     owner is down): cacheable, it carries no names, and it never raises
+     the client's generation floor. *)
+  | R_entry_v of entry * int * int * string list
+  (* [entry, shard, gen, changed] — as [R_addr_v] *)
   | R_entries of entry list
   | R_forward of Addr.t option (* Some = replacement; None = original still alive *)
   | R_ok
   | R_error of string (* Errors.to_string form *)
+
+(* The minting server's id *is* the owning shard of a UAdd in a sharded
+   plane; well-known addresses (gateways, the servers themselves) fall
+   outside the map. *)
+let shard_of_addr m (addr : Addr.t) =
+  match addr.Addr.space with
+  | Addr.Unique sid when sid >= 0 && sid < Ntcs_naming.Shard_map.nshards m -> Some sid
+  | Addr.Unique _ | Addr.Temporary _ -> None
 
 (* --- codecs --- *)
 
@@ -74,6 +92,24 @@ let entry_codec =
       ~bwd:(fun e ->
         ((e.e_name, e.e_addr, e.e_phys), (e.e_nets, e.e_order, e.e_attrs), e.e_alive))
       (triple (triple string addr_codec (list string)) (triple (list int) int attrs_codec) bool))
+
+(* [shard, gen], then the change list on a versioned answer (gen > 0)
+   only: an unversioned answer carries no names, so an unsharded server's
+   answers keep the bytes they had before names rode on answers. *)
+let stamp_codec : (int * int * string list) Packed.t =
+  let names = Packed.(list ~max:change_log_length string) in
+  {
+    Packed.pack =
+      (fun buf (shard, gen, changed) ->
+        Packed.int.pack buf shard;
+        Packed.int.pack buf gen;
+        if gen > 0 then names.Packed.pack buf changed);
+    unpack =
+      (fun cur ->
+        let shard = Packed.int.unpack cur in
+        let gen = Packed.int.unpack cur in
+        (shard, gen, if gen > 0 then names.Packed.unpack cur else []));
+  }
 
 let request_codec : request Packed.t =
   let open Packed in
@@ -108,12 +144,12 @@ let response_codec : response Packed.t =
       case "rgd" addr_codec
         (fun a -> R_registered a)
         (function R_registered a -> Some a | _ -> None);
-      case "adv" (triple addr_codec int int)
-        (fun (a, shard, gen) -> R_addr_v (a, shard, gen))
-        (function R_addr_v (a, shard, gen) -> Some (a, shard, gen) | _ -> None);
-      case "env" (triple entry_codec int int)
-        (fun (e, shard, gen) -> R_entry_v (e, shard, gen))
-        (function R_entry_v (e, shard, gen) -> Some (e, shard, gen) | _ -> None);
+      case "adv" (pair addr_codec stamp_codec)
+        (fun (a, (shard, gen, ch)) -> R_addr_v (a, shard, gen, ch))
+        (function R_addr_v (a, shard, gen, ch) -> Some (a, (shard, gen, ch)) | _ -> None);
+      case "env" (pair entry_codec stamp_codec)
+        (fun (e, (shard, gen, ch)) -> R_entry_v (e, shard, gen, ch))
+        (function R_entry_v (e, shard, gen, ch) -> Some (e, (shard, gen, ch)) | _ -> None);
       case "ens" (list entry_codec)
         (fun es -> R_entries es)
         (function R_entries es -> Some es | _ -> None);

@@ -8,10 +8,17 @@
     One protocol serves every deployment: lookups and resolves are always
     versioned (DESIGN.md §15). An unsharded server is a one-shard plane
     that answers them with shard 0, generation 0, so a client's cache
-    floors never move. *)
+    floors never move. A versioned answer also carries the names that the
+    shard's last {!change_log_length} generations changed: a client that
+    has seen every generation in between retires only the cached entries
+    for those names, and one further behind retires the whole shard. *)
 
 val app_tag : int
 (** Reserved application tag for naming-service traffic. *)
+
+val change_log_length : int
+(** K = 8: the most changed names a versioned answer carries, one per
+    generation. A longer list decodes to [Error]. *)
 
 type entry = {
   e_name : string;
@@ -45,17 +52,25 @@ type request =
 
 type response =
   | R_registered of Addr.t
-  | R_addr_v of Addr.t * int * int
-      (** [addr, shard, gen]: answer plus the answering authority's shard
-          index and invalidation generation. [gen = 0] marks an
-          unversioned answer (an unsharded server, or a replica's backup
-          copy while the owner is down): cacheable, but never raises the
-          client's generation floor. *)
-  | R_entry_v of entry * int * int  (** [entry, shard, gen] — as {!R_addr_v} *)
+  | R_addr_v of Addr.t * int * int * string list
+      (** [addr, shard, gen, changed]: answer plus the answering
+          authority's shard index and invalidation generation, and the
+          names generations [gen], [gen - 1], ... changed, newest first
+          (at most {!change_log_length}). [gen = 0] marks an unversioned
+          answer (an unsharded server, or a replica's backup copy while
+          the owner is down): cacheable, never raises the client's
+          generation floor, and carries no names — its list is not on
+          the wire at all. *)
+  | R_entry_v of entry * int * int * string list
+      (** [entry, shard, gen, changed] — as {!R_addr_v} *)
   | R_entries of entry list
   | R_forward of Addr.t option  (** [Some] replacement / [None] still alive *)
   | R_ok
   | R_error of string  (** [Errors.to_string] form *)
+
+val shard_of_addr : Addr.t Ntcs_naming.Shard_map.t -> Addr.t -> int option
+(** The shard that owns a UAdd: the id of the server that minted it.
+    [None] for a well-known address outside the map or a TAdd. *)
 
 val pack_request : request -> Bytes.t
 val unpack_request : Bytes.t -> (request, string) result

@@ -13,14 +13,16 @@
 
    Lookups and resolves speak the one versioned naming protocol (DESIGN.md
    §15), and the caches are the versioned [Ntcs_naming.Ns_cache]: every
-   entry remembers which shard answered and at which invalidation
-   generation, and generation observations piggybacked on answers retire
-   stale entries. A stale cache hit resolves to a miss plus a fresh lookup
-   — never a delivery on the old circuit; §3.5 relocation events (forward
-   queries, the LCM relocation hook) splice-repair cached names in place.
-   Under a sharded plane, requests for a name are routed owner-first
-   through the pinned shard map; an unsharded server answers every lookup
-   with generation 0, so its clients' floors never move. *)
+   entry remembers which shard answered, at which invalidation generation
+   and for which name. Each answer's generation and recently changed names
+   retire exactly those names' entries, or the whole shard when the cache
+   missed more generations than the answer lists. A stale cache hit
+   resolves to a miss plus a fresh lookup — never a delivery on the old
+   circuit; §3.5 relocation events (forward queries, the LCM relocation
+   hook) splice-repair cached names in place. Under a sharded plane,
+   requests for a name are routed owner-first through the pinned shard
+   map; an unsharded server answers every lookup with generation 0, so
+   its clients' floors never move. *)
 
 open Ntcs_wire
 module Ns_cache = Ntcs_naming.Ns_cache
@@ -83,32 +85,30 @@ let cache_event t cat detail =
 let kv_detail kind key ~shard ~gen =
   Printf.sprintf "%s:%s shard %d gen %d" kind key shard gen
 
-(* Fold a generation observation from a versioned answer into both caches'
-   per-shard floors. Retired entries are invalidated lazily: they report
-   Stale on their next touch, which [lookup]/[resolve] turn into a miss
-   plus a fresh versioned lookup. The invalidate event's count is how
-   many resident entries the new floor retired. *)
-let note_generation t ~shard ~gen =
-  if gen > 0 && gen > Ns_cache.floor t.name_cache ~shard then begin
-    let dropped =
-      Ns_cache.note_generation t.name_cache ~shard ~gen
-      + Ns_cache.note_generation t.entry_cache ~shard ~gen
-    in
+(* Fold a versioned answer's stamp into both caches. Retired entries are
+   invalidated lazily: they report Stale on their next touch, which
+   [lookup]/[resolve] turn into a miss plus a fresh versioned lookup. Only
+   a whole-shard floor raise is an event: per-name retirements follow
+   from the server's own ns.shard.gen trace. Both caches see the same
+   stamps, so their floors rise together. *)
+let observe t ~shard ~gen ~changed =
+  let names_floor = Ns_cache.observe t.name_cache ~shard ~gen ~changed in
+  if Ns_cache.observe t.entry_cache ~shard ~gen ~changed || names_floor then begin
     Ntcs_obs.Registry.incr (metrics t) "nsp.cache_invalidations";
-    cache_event t "ns.cache.invalidate"
-      (Printf.sprintf "shard %d floor %d dropped %d" shard gen dropped)
+    cache_event t "ns.cache.invalidate" (Printf.sprintf "shard %d floor %d" shard gen)
   end
 
-(* Store an authoritative answer in [cache]. Observation first, then the
-   store: the new entry must not be retired by its own generation. The
-   recorded generation is the clamped one actually stored, so per-shard
-   store generations are non-decreasing in the trace (Check_naming). *)
-let store t cache key_str cache_key ~value ~kind ~shard ~gen =
+(* Store an authoritative answer about [name] in [cache]. Observation
+   first, then the store: the new entry must not be retired by its own
+   generation. The recorded generation is the clamped one actually
+   stored, so per-shard store generations are non-decreasing in the trace
+   (Check_naming). *)
+let store t cache key_str cache_key ~name ~value ~kind ~shard ~gen ~changed =
   if ttl t > 0 then begin
-    note_generation t ~shard ~gen;
-    let stored_gen = max gen (Ns_cache.floor cache ~shard) in
-    Ns_cache.store cache cache_key ~value ~shard ~gen ~expiry:(Node.now t.node + ttl t);
-    cache_event t "ns.cache.store" (kv_detail kind key_str ~shard ~gen:stored_gen)
+    observe t ~shard ~gen ~changed;
+    Ns_cache.store cache ~name cache_key ~value ~shard ~gen ~expiry:(Node.now t.node + ttl t);
+    cache_event t "ns.cache.store"
+      (kv_detail kind key_str ~shard ~gen:(max gen (Ns_cache.seen cache ~shard)))
   end
 
 let error_of_string = function
@@ -182,6 +182,12 @@ let protocol_error = Errors.Bad_message "unexpected name-server response"
 (* The shard owner to ask first about [name]; none on an unsharded plane. *)
 let owner_of_name t name = Option.map (fun m -> Shard_map.owner_of_name m name) t.shard_map
 
+(* The shard owner of a UAdd; none for a well-known address or on an
+   unsharded plane. *)
+let owner_of_addr t addr =
+  Option.bind t.shard_map (fun m ->
+      Option.map (Shard_map.owner m) (Ns_proto.shard_of_addr m addr))
+
 (* --- the services the rest of the ComMod consumes --- *)
 
 let register t ~name ~phys ~nets ~order ~attrs =
@@ -215,8 +221,8 @@ let lookup t name =
        cache_event t "ns.cache.stale" (kv_detail "name" name ~shard ~gen)
      | _ -> Ntcs_obs.Registry.incr (metrics t) "nsp.cache_misses");
     match request ?prefer:(owner_of_name t name) t (Ns_proto.Lookup_v (name, 0)) with
-    | Ok (Ns_proto.R_addr_v (addr, shard, gen)) ->
-      store t t.name_cache name name ~value:addr ~kind:"name" ~shard ~gen;
+    | Ok (Ns_proto.R_addr_v (addr, shard, gen, changed)) ->
+      store t t.name_cache name name ~name ~value:addr ~kind:"name" ~shard ~gen ~changed;
       Ok addr
     | Ok _ -> Error protocol_error
     | Error _ as e -> e)
@@ -241,8 +247,9 @@ let resolve t addr =
        cache_event t "ns.cache.stale" (kv_detail "addr" key ~shard ~gen)
      | _ -> Ntcs_obs.Registry.incr (metrics t) "nsp.cache_misses");
     match request t (Ns_proto.Resolve_v addr) with
-    | Ok (Ns_proto.R_entry_v (e, shard, gen)) ->
-      store t t.entry_cache key addr ~value:e ~kind:"addr" ~shard ~gen;
+    | Ok (Ns_proto.R_entry_v (e, shard, gen, changed)) ->
+      store t t.entry_cache key addr ~name:e.Ns_proto.e_name ~value:e ~kind:"addr" ~shard
+        ~gen ~changed;
       Ok e
     | Ok _ -> Error protocol_error
     | Error _ as err -> err)
@@ -252,7 +259,7 @@ let resolve t addr =
    every cached name that resolved to it at the replacement, on the shard
    the dead entry carried — the repaired binding is unversioned (it did not
    come from an owner's stamped answer), so its generation is just the
-   shard's current floor. *)
+   newest one the cache has seen from the shard. *)
 let splice t ~old_addr ~fresh =
   let dead_names = ref [] in
   Ns_cache.iter t.name_cache (fun name a ~shard ~gen:_ ->
@@ -271,7 +278,8 @@ let splice t ~old_addr ~fresh =
   | Some fresh ->
     List.iter
       (fun (name, shard) ->
-        store t t.name_cache name name ~value:fresh ~kind:"name" ~shard ~gen:0)
+        store t t.name_cache name name ~name ~value:fresh ~kind:"name" ~shard ~gen:0
+          ~changed:[])
       (List.rev !dead_names)
 
 (* Address-fault query (§3.5): never cached — the whole point is that the
@@ -306,8 +314,11 @@ let gateways t =
     | Ok _ -> Error protocol_error
     | Error _ as e -> e)
 
+(* Owner-first, like [register]: the owner must know of the deregistration
+   before it is acknowledged, or it would learn (and tell caches) only when
+   a replica's push arrives. *)
 let deregister t addr =
-  match request t (Ns_proto.Deregister addr) with
+  match request ?prefer:(owner_of_addr t addr) t (Ns_proto.Deregister addr) with
   | Ok Ns_proto.R_ok ->
     splice t ~old_addr:addr ~fresh:None;
     Ok ()

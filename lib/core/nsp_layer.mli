@@ -11,9 +11,11 @@
 
     Lookups and resolves speak the one versioned naming protocol (DESIGN.md
     §15), and the caches are the versioned {!Ntcs_naming.Ns_cache}: entries
-    carry the answering shard and its invalidation generation, and
-    generation observations piggybacked on answers retire stale entries. A
-    stale hit resolves to a miss plus a fresh lookup, never a delivery on
+    carry the answering shard, its invalidation generation and the name
+    they answer for. The generation and recently changed names
+    piggybacked on each answer retire exactly those names' entries, or
+    the whole shard when the cache missed more generations than the
+    answer lists. A stale hit resolves to a miss plus a fresh lookup, never a delivery on
     the old circuit; relocation events splice-repair cached names. Under a
     sharded plane ([Node.config.ns_shards] non-trivial) requests about a
     name go owner-first through the pinned shard map. An unsharded server
@@ -61,6 +63,8 @@ val gateways : t -> (Ns_proto.entry list, Errors.t) result
 (** Registered gateway ComMods — the centralized topology (§4.2). Cached. *)
 
 val deregister : t -> Addr.t -> (unit, Errors.t) result
+(** Sent first to the shard owner of the address (the server that minted
+    it), so the owner has recorded the change when this returns. *)
 
 val invalidate : t -> unit
 (** Drop every cache (test/experiment hook). *)

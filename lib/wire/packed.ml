@@ -115,7 +115,7 @@ let string =
 
 (* --- combinators --- *)
 
-let list item =
+let list ?(max = max_int) item =
   {
     pack =
       (fun buf vs ->
@@ -125,6 +125,7 @@ let list item =
       (fun cur ->
         let n = int.unpack cur in
         if n < 0 then raise (Unpack_error "negative list length");
+        if n > max then raise (Unpack_error (Printf.sprintf "list length %d above %d" n max));
         List.init n (fun _ -> item.unpack cur));
   }
 

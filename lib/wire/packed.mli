@@ -42,7 +42,11 @@ val bytes : Bytes.t t
 
 (** {1 Combinators} *)
 
-val list : 'a t -> 'a list t
+val list : ?max:int -> 'a t -> 'a list t
+(** [max] bounds the element count a decoder accepts: a longer list
+    raises {!Unpack_error} before any element is read. Unbounded by
+    default. *)
+
 val pair : 'a t -> 'b t -> ('a * 'b) t
 val triple : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
 val option : 'a t -> 'a option t

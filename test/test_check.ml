@@ -259,9 +259,9 @@ let test_default_schedules_pinned () =
       ("fault-crash-restart", "68e4dc405dc84b5b5ef2b3d9242b5e23");
       ("fault-ns-partition-guard", "609a612e14a4e2ca1375af406a0e22ce");
       ("fault-ns-partition-noguard", "c9a3f51fa3cc2c4384e44fa53df5fd53");
-      ("naming-stale-splice", "3a0130e721cd934252c887b9a750030f");
+      ("naming-stale-splice", "8f09c247f7aac82301e6c3edd6fffaa5");
       ("naming-shard-loss", "669c5da86140b6957f3227f201a3666e");
-      ("naming-shard-route", "b9f07d69d90f44e94969a624ae0875f7");
+      ("naming-shard-route", "90e320b199d9c3ef4b1c3fe8d5645e98");
     ]
 
 (* --- the ntcs_check pass: contracts and armed checkers --- *)

@@ -361,11 +361,11 @@ let test_cache_lazy_invalidation () =
   let c = Ns_cache.create ~capacity:8 ~nshards:4 in
   Ns_cache.store c "k" ~value:"old" ~shard:1 ~gen:2 ~expiry:max_int;
   Ns_cache.store c "other" ~value:"fine" ~shard:0 ~gen:1 ~expiry:max_int;
-  (* The floor raise retires shard 1's entry lazily: it stays resident and
-     surfaces as Stale on its next touch, which evicts it — the caller must
-     then re-look-up. *)
-  Alcotest.(check int) "one resident entry invalidated" 1
-    (Ns_cache.note_generation c ~shard:1 ~gen:7);
+  (* An advance that names no changes raises the floor; it retires shard
+     1's entry lazily: it stays resident and surfaces as Stale on its next
+     touch, which evicts it — the caller must then re-look-up. *)
+  Alcotest.(check bool) "an unlisted advance raises the floor" true
+    (Ns_cache.observe c ~shard:1 ~gen:7 ~changed:[]);
   Alcotest.(check int) "still resident until touched" 2 (Ns_cache.length c);
   Alcotest.(check int) "floor raised" 7 (Ns_cache.floor c ~shard:1);
   (match Ns_cache.find c ~now:0 "k" with
@@ -376,17 +376,18 @@ let test_cache_lazy_invalidation () =
   (match Ns_cache.find c ~now:0 "other" with
    | Ns_cache.Hit ("fine", 0, 1) -> ()
    | _ -> Alcotest.fail "other shard's entry must be untouched");
-  Alcotest.(check int) "non-increasing observation is a no-op" 0
-    (Ns_cache.note_generation c ~shard:1 ~gen:7);
-  Alcotest.(check int) "out-of-range shard is a no-op" 0
-    (Ns_cache.note_generation c ~shard:9 ~gen:3);
+  Alcotest.(check bool) "non-increasing observation is a no-op" false
+    (Ns_cache.observe c ~shard:1 ~gen:7 ~changed:[]);
+  Alcotest.(check int) "and leaves the floor" 7 (Ns_cache.floor c ~shard:1);
+  Alcotest.(check bool) "out-of-range shard is a no-op" false
+    (Ns_cache.observe c ~shard:9 ~gen:3 ~changed:[]);
   Alcotest.(check int) "out-of-range floor reads 0" 0 (Ns_cache.floor c ~shard:9);
   Alcotest.(check bool) "one stale counted" true
     (match Ns_cache.stats c with _, 1, _ -> true | _ -> false)
 
 let test_cache_store_clamps_to_floor () =
   let c = Ns_cache.create ~capacity:8 ~nshards:2 in
-  ignore (Ns_cache.note_generation c ~shard:0 ~gen:5);
+  ignore (Ns_cache.observe c ~shard:0 ~gen:5 ~changed:[]);
   (* A fresh authoritative answer whose server counter restarted below the
      observed floor is still fresh *now*: the stored generation is clamped
      up so the entry cannot be born stale. *)
@@ -421,6 +422,89 @@ let test_cache_create_clamps () =
   Ns_cache.store c "b" ~value:2 ~shard:0 ~gen:1 ~expiry:max_int;
   Alcotest.(check int) "capacity clamped to 1" 1 (Ns_cache.length c)
 
+(* A change list that reaches back to [seen] retires only the names it
+   lists; every other entry of the shard stays a hit. *)
+let test_cache_covered_change_retires_one_name () =
+  let c = Ns_cache.create ~capacity:8 ~nshards:2 in
+  Alcotest.(check bool) "first contact raises the floor" true
+    (Ns_cache.observe c ~shard:0 ~gen:3 ~changed:[]);
+  List.iter
+    (fun k -> Ns_cache.store c ~name:k k ~value:k ~shard:0 ~gen:3 ~expiry:max_int)
+    [ "a"; "b"; "c" ];
+  Ns_cache.store c "anon" ~value:"anon" ~shard:0 ~gen:3 ~expiry:max_int;
+  Ns_cache.store c ~name:"a" "other-shard" ~value:"a1" ~shard:1 ~gen:0 ~expiry:max_int;
+  Alcotest.(check bool) "a covered change raises no floor" false
+    (Ns_cache.observe c ~shard:0 ~gen:4 ~changed:[ "a"; "z" ]);
+  Alcotest.(check (pair int int)) "floor stays, seen moves" (3, 4)
+    (Ns_cache.floor c ~shard:0, Ns_cache.seen c ~shard:0);
+  let hit k =
+    match Ns_cache.find c ~now:0 k with Ns_cache.Hit _ -> true | _ -> false
+  and stale k =
+    match Ns_cache.find c ~now:0 k with Ns_cache.Stale _ -> true | _ -> false
+  in
+  Alcotest.(check bool) "the named entry is stale" true (stale "a");
+  Alcotest.(check bool) "b still hits" true (hit "b");
+  Alcotest.(check bool) "c still hits" true (hit "c");
+  Alcotest.(check bool) "an unnamed entry is retired by any change" true (stale "anon");
+  Alcotest.(check bool) "the same name in another shard still hits" true (hit "other-shard");
+  (* Generations 6, 5, 4: gen 4 was already seen, so "c" is not retired
+     again by it, while "b" (gen 5) is. *)
+  ignore (Ns_cache.observe c ~shard:0 ~gen:6 ~changed:[ "x"; "b"; "c" ]);
+  Alcotest.(check bool) "b changed at gen 5" true (stale "b");
+  Alcotest.(check bool) "c's listed gen 4 was already applied" true (hit "c");
+  (* A name listed twice keeps its newest generation. *)
+  Ns_cache.store c ~name:"d" "d" ~value:"d" ~shard:0 ~gen:7 ~expiry:max_int;
+  ignore (Ns_cache.observe c ~shard:0 ~gen:8 ~changed:[ "d"; "d" ]);
+  Alcotest.(check bool) "the newer of two changes counts" true (stale "d")
+
+(* More than K generations since [seen], or more pending names than the
+   cache holds, and only the whole-shard floor is safe. *)
+let test_cache_gap_falls_back_to_floor () =
+  let k = Ns_proto.change_log_length in
+  let names n = List.init n (Printf.sprintf "n%d") in
+  let c = Ns_cache.create ~capacity:8 ~nshards:1 in
+  ignore (Ns_cache.observe c ~shard:0 ~gen:4 ~changed:[]);
+  Ns_cache.store c ~name:"a" "a" ~value:() ~shard:0 ~gen:4 ~expiry:max_int;
+  Alcotest.(check bool) "exactly K generations are covered" false
+    (Ns_cache.observe c ~shard:0 ~gen:(4 + k) ~changed:(names k));
+  Alcotest.(check bool) "a survives" true
+    (match Ns_cache.find c ~now:0 "a" with Ns_cache.Hit _ -> true | _ -> false);
+  Alcotest.(check bool) "a gap of K + 1 raises the floor" true
+    (Ns_cache.observe c ~shard:0 ~gen:(5 + (2 * k)) ~changed:(names k));
+  Alcotest.(check int) "to the new generation" (5 + (2 * k)) (Ns_cache.floor c ~shard:0);
+  Alcotest.(check bool) "a is retired with its shard" true
+    (match Ns_cache.find c ~now:0 "a" with Ns_cache.Stale _ -> true | _ -> false);
+  let small = Ns_cache.create ~capacity:2 ~nshards:1 in
+  ignore (Ns_cache.observe small ~shard:0 ~gen:1 ~changed:[]);
+  Alcotest.(check bool) "two pending names fit a capacity-2 cache" false
+    (Ns_cache.observe small ~shard:0 ~gen:3 ~changed:[ "p"; "q" ]);
+  Alcotest.(check bool) "a third raises the floor instead" true
+    (Ns_cache.observe small ~shard:0 ~gen:4 ~changed:[ "r" ]);
+  Alcotest.(check int) "floor at the overflowing generation" 4 (Ns_cache.floor small ~shard:0)
+
+(* A server whose counter restarted answers below [seen]: the observation
+   is a no-op, stores still clamp up to [seen], and nothing retired comes
+   back as a hit. *)
+let test_cache_restart_never_resurrects () =
+  let c = Ns_cache.create ~capacity:8 ~nshards:1 in
+  ignore (Ns_cache.observe c ~shard:0 ~gen:9 ~changed:[]);
+  Ns_cache.store c ~name:"a" "a" ~value:"a" ~shard:0 ~gen:9 ~expiry:max_int;
+  Ns_cache.store c ~name:"b" "b" ~value:"b" ~shard:0 ~gen:9 ~expiry:max_int;
+  ignore (Ns_cache.observe c ~shard:0 ~gen:10 ~changed:[ "a" ]);
+  Alcotest.(check bool) "a restarted server's stamp is a no-op" false
+    (Ns_cache.observe c ~shard:0 ~gen:2 ~changed:[ "b" ]);
+  Alcotest.(check (pair int int)) "floor and seen unmoved" (9, 10)
+    (Ns_cache.floor c ~shard:0, Ns_cache.seen c ~shard:0);
+  Alcotest.(check bool) "a stays retired" true
+    (match Ns_cache.find c ~now:0 "a" with Ns_cache.Stale _ -> true | _ -> false);
+  Ns_cache.store c ~name:"a" "a" ~value:"a2" ~shard:0 ~gen:2 ~expiry:max_int;
+  (match Ns_cache.find c ~now:0 "a" with
+   | Ns_cache.Hit ("a2", 0, 10) -> ()
+   | _ -> Alcotest.fail "the restarted server's answer is stored at seen");
+  match Ns_cache.find c ~now:0 "b" with
+  | Ns_cache.Hit ("b", 0, 9) -> ()
+  | _ -> Alcotest.fail "b was never retired by a change the cache applied"
+
 let cache_props =
   [
     (* Whatever the interleaving of stores, floor raises and touches: a
@@ -448,12 +532,56 @@ let cache_props =
               Ns_cache.store c k ~value:k ~shard:s ~gen:g ~expiry:max_int;
               true
             | `Note (s, g) ->
-              ignore (Ns_cache.note_generation c ~shard:s ~gen:g);
+              ignore (Ns_cache.observe c ~shard:s ~gen:g ~changed:[]);
               true
             | `Find k -> (
               match Ns_cache.find c ~now:0 k with
               | Ns_cache.Hit (_, s, g) -> g >= Ns_cache.floor c ~shard:s
               | Ns_cache.Stale (_, s, g) -> g < Ns_cache.floor c ~shard:s
+              | Ns_cache.Miss -> true))
+          ops);
+    (* Per-name retirement against a model of what the cache was told:
+       a hit is never older than a change of its name the cache applied,
+       and never below the floor. A stale hit is either. *)
+    QCheck.Test.make ~name:"a hit postdates every applied change of its name" ~count:300
+      (QCheck.make
+         QCheck.Gen.(
+           list_size (0 -- 60)
+             (oneof
+                [
+                  map (fun k -> `Store k) (oneofl [ "a"; "b"; "c"; "d" ]);
+                  map2
+                    (fun step ch -> `Note (step, ch))
+                    (1 -- 4)
+                    (list_size (0 -- 4) (oneofl [ "a"; "b"; "c"; "d"; "e" ]));
+                  map (fun k -> `Find k) (oneofl [ "a"; "b"; "c"; "d" ]);
+                ])))
+      (fun ops ->
+        let c = Ns_cache.create ~capacity:3 ~nshards:1 in
+        let applied = ref [] in
+        let newest_change k =
+          List.fold_left (fun acc (n, g) -> if n = k then max acc g else acc) 0 !applied
+        in
+        List.for_all
+          (function
+            | `Store k ->
+              Ns_cache.store c ~name:k k ~value:k ~shard:0 ~gen:0 ~expiry:max_int;
+              true
+            | `Note (step, ch) ->
+              let seen = Ns_cache.seen c ~shard:0 in
+              let gen = seen + step in
+              let raised = Ns_cache.observe c ~shard:0 ~gen ~changed:ch in
+              (* listed generations the cache had not seen yet *)
+              List.iteri
+                (fun i n -> if gen - i > seen then applied := (n, gen - i) :: !applied)
+                ch;
+              (* a list that misses a generation must raise the floor *)
+              List.length ch >= step || raised
+            | `Find k -> (
+              let floor = Ns_cache.floor c ~shard:0 in
+              match Ns_cache.find c ~now:0 k with
+              | Ns_cache.Hit (_, _, g) -> g >= floor && g >= newest_change k
+              | Ns_cache.Stale (_, _, g) -> g < floor || g < newest_change k
               | Ns_cache.Miss -> true))
           ops);
   ]
@@ -474,9 +602,9 @@ let test_unsharded_answers_gen_zero () =
   Cluster.settle c;
   let stamps () =
     match Name_server.handle_request ns (Ns_proto.Lookup_v ("svc", 0)) with
-    | Ns_proto.R_addr_v (addr, shard, gen) -> (
+    | Ns_proto.R_addr_v (addr, shard, gen, []) -> (
       match Name_server.handle_request ns (Ns_proto.Resolve_v addr) with
-      | Ns_proto.R_entry_v (_, eshard, egen) -> (addr, (shard, gen), (eshard, egen))
+      | Ns_proto.R_entry_v (_, eshard, egen, []) -> (addr, (shard, gen), (eshard, egen))
       | _ -> Alcotest.fail "no R_entry_v for Resolve_v")
     | _ -> Alcotest.fail "no R_addr_v for Lookup_v"
   in
@@ -514,13 +642,12 @@ let test_unsharded_answers_gen_zero () =
 (* Four shard servers round-robin over three NS hosts (vax1 gets shards 0
    and 3), pinned 4-way FNV shard map — the same plane the naming soak
    scenarios and the naming bench run. *)
-let sharded_cluster ?seed () =
+let sharded_cluster ?seed ?(cache_capacity = 64) () =
   Cluster.build
     ~config:
       {
         (Helpers.world_config ?seed ()) with
-        Ntcs_sim.World.Config.naming =
-          { Ntcs_sim.World.Config.shards = 4; cache_capacity = 64 };
+        Ntcs_sim.World.Config.naming = { Ntcs_sim.World.Config.shards = 4; cache_capacity };
       }
     ~nets:[ ("ether", Ntcs_sim.Net.Tcp_lan) ]
     ~machines:
@@ -532,13 +659,18 @@ let sharded_cluster ?seed () =
       ]
     ~ns:"vax1" ~ns_replicas:[ "sun1"; "sun2" ] ()
 
-(* First name owned by [shard] from a deterministic candidate stream. *)
-let name_on_shard shard =
-  let rec pick i =
-    let n = Printf.sprintf "svc%d" i in
-    if Shard_map.hash_name n mod 4 = shard then n else pick (i + 1)
+(* The first [n] names owned by [shard] from a deterministic candidate
+   stream. *)
+let names_on_shard shard n =
+  let rec pick i acc =
+    if List.length acc = n then List.rev acc
+    else
+      let name = Printf.sprintf "svc%d" i in
+      pick (i + 1) (if Shard_map.hash_name name mod 4 = shard then name :: acc else acc)
   in
-  pick 0
+  pick 0 []
+
+let name_on_shard shard = List.hd (names_on_shard shard 1)
 
 let test_sharded_owner_stamps_generation () =
   let c = sharded_cluster () in
@@ -555,14 +687,14 @@ let test_sharded_owner_stamps_generation () =
      answer; a non-owner asked with hops >= 1 must answer locally from its
      replicated copy, unversioned (gen 0) so it can never raise a floor. *)
   (match Name_server.handle_request owner (Ns_proto.Lookup_v (name, 0)) with
-   | Ns_proto.R_addr_v (addr, 2, gen) ->
+   | Ns_proto.R_addr_v (addr, 2, gen, _) ->
      Alcotest.(check bool) "owner address resolved" true (Addr.is_unique addr);
      Alcotest.(check bool) "owner gen versioned" true
        (gen >= 1 && gen = Name_server.generation owner)
    | _ -> Alcotest.fail "owner did not answer R_addr_v for its shard");
   match Name_server.handle_request backup (Ns_proto.Lookup_v (name, 1)) with
-  | Ns_proto.R_addr_v (_, 2, 0) -> ()
-  | Ns_proto.R_addr_v (_, s, g) ->
+  | Ns_proto.R_addr_v (_, 2, 0, []) -> ()
+  | Ns_proto.R_addr_v (_, s, g, _) ->
     Alcotest.failf "backup answered shard %d gen %d (want shard 2 gen 0)" s g
   | _ -> Alcotest.fail "backup did not answer locally at the hop bound"
 
@@ -647,6 +779,209 @@ let test_sharded_trace_determinism () =
   Alcotest.(check bool) "equal seeds give byte-identical traces" true
     (String.equal first second)
 
+let trace_of c = Ntcs_sim.Trace.entries (Ntcs_sim.World.trace (Cluster.world c))
+
+let coherent c =
+  Alcotest.(check (list string)) "naming coherence" [] (Check_naming.check (trace_of c))
+
+let delta (h0, s0, m0) (h1, s1, m1) = (h1 - h0, s1 - s0, m1 - m0)
+
+(* §3.5 relocation of one name: the owner's bump names it, and a client
+   that kept up retires that name alone. A server that left the name out
+   of its change list would let the client serve the old address after it
+   had acknowledged the bump — the per-name invariant of Check_naming. *)
+let test_sharded_relocation_retires_one_name () =
+  let c = sharded_cluster () in
+  Cluster.settle ~dt:12_000_000 c;
+  let moved, kept, cold =
+    match names_on_shard 2 3 with [ a; b; z ] -> (a, b, z) | _ -> assert false
+  in
+  List.iter (fun name -> spawn_echo c ~machine:"ap1" ~name) [ moved; kept; cold ];
+  Cluster.settle ~dt:6_000_000 c;
+  let result =
+    in_process c ~machine:"sun2" ~name:"client" (fun node ->
+        let commod = bind_exn node ~name:"client" in
+        let nsp = Commod.nsp_exn commod in
+        let before = check_ok "locate moved" (Ali_layer.locate commod moved) in
+        ignore (check_ok "locate kept" (Ali_layer.locate commod kept));
+        Ntcs_sim.Sched.sleep (Node.sched node) 10_000_000;
+        (* A cold lookup in the shard brings the bump and its name. *)
+        ignore (check_ok "locate cold" (Ali_layer.locate commod cold));
+        let s0 = Nsp_layer.cache_stats nsp in
+        ignore (check_ok "re-locate kept" (Ali_layer.locate commod kept));
+        let s1 = Nsp_layer.cache_stats nsp in
+        let after = check_ok "re-locate moved" (Ali_layer.locate commod moved) in
+        let s2 = Nsp_layer.cache_stats nsp in
+        (before, after, delta s0 s1, delta s1 s2))
+  in
+  Cluster.settle ~dt:3_000_000 c;
+  (* The relocation: a newer instance registers under the same name. *)
+  spawn_echo c ~machine:"sun1" ~name:moved;
+  Cluster.settle ~dt:15_000_000 c;
+  coherent c;
+  let before, after, kept_delta, moved_delta = result () in
+  Alcotest.(check (triple int int int)) "the untouched name still hits" (1, 0, 0) kept_delta;
+  Alcotest.(check (triple int int int)) "the relocated name is stale" (0, 1, 0) moved_delta;
+  Alcotest.(check bool) "and re-resolves to the new instance" false (Addr.equal before after);
+  Alcotest.(check int) "one whole-shard floor: the client's first contact" 1
+    (Ntcs_obs.Registry.get (Cluster.metrics c) "nsp.cache_invalidations")
+
+(* More than K bumps in a shard between two of a client's contacts: the
+   answer's list cannot cover them, so the whole shard is retired. *)
+let test_sharded_log_overflow_falls_back () =
+  let c = sharded_cluster () in
+  Cluster.settle ~dt:12_000_000 c;
+  let kept, cold = match names_on_shard 3 2 with [ a; b ] -> (a, b) | _ -> assert false in
+  List.iter (fun name -> spawn_echo c ~machine:"ap1" ~name) [ kept; cold ];
+  Cluster.settle ~dt:6_000_000 c;
+  let owner = List.nth (Cluster.name_servers c) 3 in
+  let result =
+    in_process c ~machine:"sun2" ~name:"client" (fun node ->
+        let commod = bind_exn node ~name:"client" in
+        let nsp = Commod.nsp_exn commod in
+        ignore (check_ok "locate kept" (Ali_layer.locate commod kept));
+        let gen0 = Name_server.generation owner in
+        Ntcs_sim.Sched.sleep (Node.sched node) 20_000_000;
+        let bumps = Name_server.generation owner - gen0 in
+        ignore (check_ok "locate cold" (Ali_layer.locate commod cold));
+        let s0 = Nsp_layer.cache_stats nsp in
+        ignore (check_ok "re-locate kept" (Ali_layer.locate commod kept));
+        (bumps, delta s0 (Nsp_layer.cache_stats nsp)))
+  in
+  Cluster.settle ~dt:3_000_000 c;
+  let churn =
+    List.filteri (fun i _ -> i >= 2) (names_on_shard 3 (Ns_proto.change_log_length + 3))
+  in
+  ignore
+    (Cluster.spawn c ~machine:"sun1" ~name:"churn" (fun node ->
+         let commod = bind_exn node ~name:"churn" in
+         let nsp = Commod.nsp_exn commod in
+         let phys = Nd_layer.my_listen_addrs (Commod.nd commod) in
+         List.iter
+           (fun name ->
+             let a =
+               check_ok "register"
+                 (Nsp_layer.register nsp ~name ~phys ~nets:(Node.my_nets node)
+                    ~order:(Node.my_order node) ~attrs:[])
+             in
+             check_ok "deregister" (Nsp_layer.deregister nsp a))
+           churn));
+  Cluster.settle ~dt:25_000_000 c;
+  coherent c;
+  let bumps, kept_delta = result () in
+  Alcotest.(check int) "K + 1 bumps between contacts" (Ns_proto.change_log_length + 1) bumps;
+  Alcotest.(check (triple int int int)) "the untouched name is retired with its shard"
+    (0, 1, 0) kept_delta;
+  Alcotest.(check bool) "through a floor raise" true
+    (List.exists
+       (fun (e : Ntcs_sim.Trace.entry) ->
+         e.cat = "ns.cache.invalidate" && e.actor = "client"
+         && String.starts_with ~prefix:"shard 3 floor " e.detail)
+       (trace_of c))
+
+(* Deregistration goes to the address's owner first, like registration:
+   when it returns, the owner already answers unknown-name, whichever
+   replica answered the client last. *)
+let test_deregister_reaches_owner () =
+  let c = sharded_cluster () in
+  Cluster.settle ~dt:12_000_000 c;
+  let name = name_on_shard 2 and elsewhere = name_on_shard 1 in
+  spawn_echo c ~machine:"ap1" ~name:elsewhere;
+  Cluster.settle ~dt:6_000_000 c;
+  let owner = List.nth (Cluster.name_servers c) 2 in
+  let answer =
+    in_process c ~machine:"sun2" ~name:"client" (fun node ->
+        let commod = bind_exn node ~name:"client" in
+        let nsp = Commod.nsp_exn commod in
+        let addr =
+          check_ok "register"
+            (Nsp_layer.register nsp ~name ~phys:(Nd_layer.my_listen_addrs (Commod.nd commod))
+               ~nets:(Node.my_nets node) ~order:(Node.my_order node) ~attrs:[])
+        in
+        (* Another shard answers last, so a request without a preferred
+           owner would go there. *)
+        ignore (check_ok "locate elsewhere" (Ali_layer.locate commod elsewhere));
+        check_ok "deregister" (Nsp_layer.deregister nsp addr);
+        Name_server.handle_request owner (Ns_proto.Lookup_v (name, 0)))
+  in
+  Cluster.settle ~dt:6_000_000 c;
+  match answer () with
+  | Ns_proto.R_error "unknown-name" -> ()
+  | _ -> Alcotest.fail "the owner still answers for a deregistered name"
+
+(* A seeded 4-shard Zipf mix: 2,000 ops over 512 names, every 20th a
+   register/deregister write of a name nobody looks up. Writes must not
+   cost the looked-up names their cache entries: whole-shard invalidation
+   reads a hit ratio near 0.3 here and stale hits on unwritten names. *)
+let test_zipf_mix_keeps_hits () =
+  let names = 512 and ops = 2000 and live_tmp = 8 in
+  let svc = Array.init names (Printf.sprintf "svc-%d") in
+  let rng = Random.State.make [| 1 |] in
+  let cdf = Array.make names 0. in
+  let total = ref 0. in
+  Array.iteri
+    (fun k _ ->
+      total := !total +. (1. /. float_of_int (k + 1));
+      cdf.(k) <- !total)
+    cdf;
+  let zipf () =
+    let u = Random.State.float rng !total in
+    let lo = ref 0 and hi = ref (names - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if cdf.(mid) < u then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  in
+  let mix = Array.init ops (fun i -> if i mod 20 = 19 then -1 else zipf ()) in
+  let c = sharded_cluster ~seed:1 ~cache_capacity:512 () in
+  Cluster.settle c;
+  List.iter
+    (fun ns ->
+      Name_server.preload ns
+        (List.filter_map
+           (fun name -> if Name_server.owns ns name then Some (name, []) else None)
+           (Array.to_list svc)))
+    (Cluster.name_servers c);
+  let result =
+    in_process c ~machine:"ap1" ~name:"client" (fun node ->
+        let commod = bind_exn node ~name:"client" in
+        let nsp = Commod.nsp_exn commod in
+        let phys = Nd_layer.my_listen_addrs (Commod.nd commod) in
+        let tmp = Queue.create () and writes = ref 0 and failed = ref 0 in
+        Array.iter
+          (fun k ->
+            if k >= 0 then (
+              if Result.is_error (Ali_layer.locate commod svc.(k)) then incr failed)
+            else begin
+              let name = Printf.sprintf "tmp-%d" !writes in
+              incr writes;
+              Queue.push
+                (check_ok "register"
+                   (Nsp_layer.register nsp ~name ~phys ~nets:(Node.my_nets node)
+                      ~order:(Node.my_order node) ~attrs:[]))
+                tmp;
+              if Queue.length tmp > live_tmp then
+                check_ok "deregister" (Nsp_layer.deregister nsp (Queue.pop tmp))
+            end)
+          mix;
+        (!failed, Nsp_layer.cache_stats nsp))
+  in
+  Cluster.settle ~dt:60_000_000 c;
+  coherent c;
+  let failed, (hits, stale, misses) = result () in
+  Alcotest.(check int) "every locate succeeded" 0 failed;
+  let ratio = float_of_int hits /. float_of_int (hits + stale + misses) in
+  if ratio < 0.6 then Alcotest.failf "hit ratio %.3f below 0.6 (%d/%d/%d)" ratio hits stale misses;
+  Alcotest.(check bool) "the writes bumped generations" true
+    (Ntcs_obs.Registry.get (Cluster.metrics c) "ns.invalidations" >= 50);
+  Alcotest.(check int) "no stale hit on a name never written" 0
+    (List.length
+       (List.filter
+          (fun (e : Ntcs_sim.Trace.entry) ->
+            e.cat = "ns.cache.stale" && String.starts_with ~prefix:"name:svc-" e.detail)
+          (trace_of c)))
+
 let () =
   Alcotest.run "naming"
     [
@@ -688,6 +1023,12 @@ let () =
              test_cache_recency_and_eviction
         :: Alcotest.test_case "create clamps its arguments" `Quick
              test_cache_create_clamps
+        :: Alcotest.test_case "a covered change retires one name" `Quick
+             test_cache_covered_change_retires_one_name
+        :: Alcotest.test_case "a gap beyond K raises the floor" `Quick
+             test_cache_gap_falls_back_to_floor
+        :: Alcotest.test_case "a restart never resurrects" `Quick
+             test_cache_restart_never_resurrects
         :: List.map QCheck_alcotest.to_alcotest cache_props );
       ( "sharded plane (§15)",
         [
@@ -699,5 +1040,12 @@ let () =
             test_sharded_lookup_caches;
           Alcotest.test_case "equal-seed traces are byte-identical" `Quick
             test_sharded_trace_determinism;
+          Alcotest.test_case "a relocation retires one name" `Quick
+            test_sharded_relocation_retires_one_name;
+          Alcotest.test_case "log overflow retires the shard" `Quick
+            test_sharded_log_overflow_falls_back;
+          Alcotest.test_case "deregister reaches the owner" `Quick
+            test_deregister_reaches_owner;
+          Alcotest.test_case "writes keep a Zipf mix's hits" `Quick test_zipf_mix_keeps_hits;
         ] );
     ]

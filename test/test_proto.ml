@@ -191,8 +191,9 @@ let ns_responses =
   let a = ns_entry.Ns_proto.e_addr in
   [
     (Ns_proto.R_registered a, "3\nrgd\n1\n9\n");
-    (Ns_proto.R_addr_v (a, 2, 7), "3\nadv\n1\n9\n2\n7\n");
-    (Ns_proto.R_entry_v (ns_entry, 2, 7), "3\nenv\n" ^ entry_bytes ^ "2\n7\n");
+    (Ns_proto.R_addr_v (a, 2, 7, [ "m"; "n" ]), "3\nadv\n1\n9\n2\n7\n2\n1\nm\n1\nn\n");
+    (Ns_proto.R_addr_v (a, 2, 0, []), "3\nadv\n1\n9\n2\n0\n");
+    (Ns_proto.R_entry_v (ns_entry, 2, 7, [ "m" ]), "3\nenv\n" ^ entry_bytes ^ "2\n7\n1\n1\nm\n");
     (Ns_proto.R_entries [ ns_entry; ns_entry ], "3\nens\n2\n" ^ entry_bytes ^ entry_bytes);
     (Ns_proto.R_forward (Some a), "3\nfwr\nT\n1\n9\n");
     (Ns_proto.R_forward None, "3\nfwr\nF\n");
@@ -219,6 +220,34 @@ let test_ns_proto_retired_sync () =
     (Result.is_error (Ns_proto.unpack_request (Bytes.of_string "3\nsyn\n17\n")));
   Alcotest.(check bool) "snc is unknown" true
     (Result.is_error (Ns_proto.unpack_response (Bytes.of_string "3\nsnc\n0\n")))
+
+(* A versioned answer's change list: a count that is negative, not a
+   number, larger than what follows, or above K decodes to Error. *)
+let test_ns_proto_change_list_bounds () =
+  let adv tail = Bytes.of_string ("3\nadv\n1\n9\n2\n7\n" ^ tail) in
+  let refused what tail =
+    Alcotest.(check bool) what true (Result.is_error (Ns_proto.unpack_response (adv tail)))
+  in
+  refused "negative count" "-1\n";
+  refused "non-numeric count" "x\n";
+  refused "missing count" "";
+  refused "count above the names sent" "2\n1\nm\n";
+  refused "huge count" (string_of_int max_int ^ "\n1\nm\n");
+  let k = Ns_proto.change_log_length in
+  let names n = string_of_int n ^ "\n" ^ String.concat "" (List.init n (fun _ -> "1\nm\n")) in
+  Alcotest.(check bool) "K names decode" true
+    (Result.is_ok (Ns_proto.unpack_response (adv (names k))));
+  refused "K + 1 names" (names (k + 1));
+  let a = Addr.unique ~server_id:1 ~value:9 in
+  Alcotest.(check bool) "an over-long entry answer is refused too" true
+    (Result.is_error
+       (Ns_proto.unpack_response
+          (Ns_proto.pack_response
+             (Ns_proto.R_entry_v (ns_entry, 2, 9, List.init (k + 1) (fun _ -> "m"))))));
+  Alcotest.(check bool) "as is an over-long address answer" true
+    (Result.is_error
+       (Ns_proto.unpack_response
+          (Ns_proto.pack_response (Ns_proto.R_addr_v (a, 2, 9, List.init (k + 1) (fun _ -> "m"))))))
 
 (* Hostile bytes: truncated, bit-flipped and length-inflated encodings of
    valid messages must decode to [Ok] or [Error], never raise. A name
@@ -363,6 +392,7 @@ let () =
           Alcotest.test_case "ivc open codec" `Quick test_ivc_open_codec;
           Alcotest.test_case "ns proto roundtrips" `Quick test_ns_proto_roundtrips;
           Alcotest.test_case "retired sync tags" `Quick test_ns_proto_retired_sync;
+          Alcotest.test_case "change list bounds" `Quick test_ns_proto_change_list_bounds;
           Alcotest.test_case "app union bytes" `Quick test_app_union_bytes;
           Alcotest.test_case "log severity range" `Quick test_log_severity_range;
           prop_hostile_bytes_never_raise;
