@@ -47,7 +47,8 @@ let scenario ~trace ~filter ~seed ~faults =
       ~ns:"vax1" ()
   in
   (* §6.2: "adequate selectivity in observing this information is equally
-     important" — restrict the trace to the requested categories. *)
+     important" — restrict the world's event log (trace entries and span
+     events alike) to the requested names. *)
   if filter <> [] then
     Ntcs_sim.Trace.set_filter (Ntcs_sim.World.trace (Cluster.world cluster)) filter;
   Cluster.settle cluster;
@@ -124,10 +125,10 @@ let scenario ~trace ~filter ~seed ~faults =
              s.Lcm_layer.st_reestablished)));
   if trace then begin
     let tr = Ntcs_sim.World.trace (Cluster.world cluster) in
-    (* Category listing first — per-layer totals via [matching_prefix], then
-       each interned category with its own count — so a reader can pick a
+    (* Name listing first — per-layer totals via [matching_prefix], then
+       each event name with its own count — so a reader can pick a
        --filter before wading into the full dump. *)
-    print_endline "\n-- trace categories --";
+    print_endline "\n-- event names --";
     let cats = Ntcs_sim.Trace.categories tr in
     let layers =
       List.sort_uniq compare (List.map (fun (c, _) -> Ntcs_obs.Manifest.track_of c) cats)
@@ -152,7 +153,8 @@ let () =
   let filter =
     Arg.(value & opt_all string []
          & info [ "filter" ] ~docv:"CAT"
-             ~doc:"Only record these trace categories (repeatable), e.g. lcm.fault, gw.splice.")
+             ~doc:"Only log events with these names (repeatable), trace categories and \
+                   span names alike, e.g. lcm.fault, gw.forward, nd.tx.")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"World seed.") in
   let faults =

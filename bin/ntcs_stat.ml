@@ -156,18 +156,6 @@ let naming_report r =
 
 (* --- per-circuit timelines --- *)
 
-(* Span events grouped by circuit id, preserving time order within each. *)
-let by_circuit r =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (e : Span.event) ->
-      let c = e.Span.ev_ctx.Span.sp_circuit in
-      let old = try Hashtbl.find tbl c with Not_found -> [] in
-      Hashtbl.replace tbl c (e :: old))
-    (Registry.spans r);
-  Hashtbl.fold (fun c evs acc -> (c, List.rev evs) :: acc) tbl []
-  |> List.sort compare
-
 (* The circuit-level B/E pair is the (circuit, seq=0) span. *)
 let circuit_meta evs =
   let opened =
@@ -237,14 +225,14 @@ let circuit_report r =
             | None -> ())
           (message_seqs evs)
       end)
-    (by_circuit r);
+    (Export.by_circuit r);
   Buffer.contents b
 
 (* --- JSON report: stats + circuits, both from deterministic exporters --- *)
 
 let json_report r =
   let circuits =
-    by_circuit r
+    Export.by_circuit r
     |> List.map (fun (c, evs) ->
            Printf.sprintf "{\"circuit\":%d,\"events\":[%s]}" c
              (String.concat "," (List.map Export.span_json evs)))
@@ -281,7 +269,7 @@ let report ~seed ~faults ~json ~naming ~chrome ~spans_out =
       print_newline ()
     end;
     print_string (circuit_report r);
-    Printf.printf "\ncircuits allocated: %d   span events: %d\n"
+    Printf.printf "\ncircuits allocated: %d   events logged: %d\n"
       (Registry.circuits_allocated r) (Registry.span_count r)
   end;
   0

@@ -25,8 +25,6 @@ let invariant = "lifecycle"
 
 let words s = String.split_on_char ' ' s |> List.filter (fun w -> w <> "")
 
-let int_of w = int_of_string_opt w
-
 let net_of w =
   if String.length w > 3 && String.sub w 0 3 = "net" then
     int_of_string_opt (String.sub w 3 (String.length w - 3))
@@ -35,64 +33,62 @@ let net_of w =
 let ep_key actor label = Printf.sprintf "%s label %d" actor label
 let leg_key actor net label = Printf.sprintf "%s net%d label %d" actor net label
 
+let ep actor label input =
+  match int_of_string_opt label with Some l -> [ (ep_key actor l, input) ] | None -> []
+
+let both_legs actor na la nb lb input =
+  match (net_of na, int_of_string_opt la, net_of nb, int_of_string_opt lb) with
+  | Some na, Some la, Some nb, Some lb ->
+    [ (leg_key actor na la, input); (leg_key actor nb lb, input) ]
+  | _ -> []
+
 (* The automaton inputs an entry drives, as (key, input) pairs. Entries of
    other categories (and unparseable details, which cannot happen unless the
-   trace formats drift) drive nothing; only the eight categories above have
-   their detail split. *)
+   trace formats drift) drive nothing and allocate nothing — most of the
+   log is span events; only the eight categories above have their detail
+   split. *)
 let inputs_of (e : Ntcs_sim.Trace.entry) : (string * Check_auto.input) list =
-  let ep label input =
-    match label with Some l -> [ (ep_key e.actor l, input) ] | None -> []
-  in
-  let both_legs na la nb lb input =
-    match (na, la, nb, lb) with
-    | Some na, Some la, Some nb, Some lb ->
-      [ (leg_key e.actor na la, input); (leg_key e.actor nb lb, input) ]
-    | _ -> []
-  in
-  match e.cat with
+  match e.ev_name with
   | "ip.ivc_open_sent" | "ip.ivc_open" | "ip.ivc_reject" | "ip.ivc_accept" | "ip.ivc_close"
   | "gw.splice" | "gw.forward" | "gw.close" -> (
-    match (e.cat, words e.detail) with
-    | "ip.ivc_open_sent", "label" :: l :: _ -> ep (int_of l) Check_auto.Open_sent
-    | "ip.ivc_open", "to" :: _ :: "via" :: _ :: _ :: "label" :: l :: _ ->
-      ep (int_of l) Check_auto.Accept
-    | "ip.ivc_reject", "label" :: l :: _ -> ep (int_of l) Check_auto.Reject
-    | "ip.ivc_accept", "from" :: _ :: "label" :: l :: _ -> ep (int_of l) Check_auto.Open_rcvd
-    | "ip.ivc_close", "label" :: l :: _ -> ep (int_of l) Check_auto.Close
+    let ep = ep e.ev_actor and both_legs = both_legs e.ev_actor in
+    match (e.ev_name, words e.ev_detail) with
+    | "ip.ivc_open_sent", "label" :: l :: _ -> ep l Check_auto.Open_sent
+    | "ip.ivc_open", "to" :: _ :: "via" :: _ :: _ :: "label" :: l :: _ -> ep l Check_auto.Accept
+    | "ip.ivc_reject", "label" :: l :: _ -> ep l Check_auto.Reject
+    | "ip.ivc_accept", "from" :: _ :: "label" :: l :: _ -> ep l Check_auto.Open_rcvd
+    | "ip.ivc_close", "label" :: l :: _ -> ep l Check_auto.Close
     | "gw.splice", na :: "label" :: la :: "<->" :: nb :: "label" :: lb :: _ ->
-      both_legs (net_of na) (int_of la) (net_of nb) (int_of lb) Check_auto.Open_rcvd
+      both_legs na la nb lb Check_auto.Open_rcvd
     | "gw.forward", na :: "label" :: la :: "->" :: nb :: "label" :: lb :: _ ->
-      both_legs (net_of na) (int_of la) (net_of nb) (int_of lb) Check_auto.Traffic
+      both_legs na la nb lb Check_auto.Traffic
     | "gw.close", na :: "label" :: la :: "<->" :: nb :: "label" :: lb :: _ ->
-      both_legs (net_of na) (int_of la) (net_of nb) (int_of lb) Check_auto.Close
+      both_legs na la nb lb Check_auto.Close
     | _ -> [])
   | _ -> []
 
 let check (entries : Ntcs_sim.Trace.entry list) : Lint_trace.violation list =
   let states : (string, Check_auto.state) Hashtbl.t = Hashtbl.create 64 in
   let violations = ref [] in
+  let step (e : Ntcs_sim.Trace.entry) (key, input) =
+    let cur = match Hashtbl.find_opt states key with Some s -> s | None -> Check_auto.Idle in
+    match Check_auto.transition cur input with
+    | Check_auto.Goto s' -> Hashtbl.replace states key s'
+    | Check_auto.Stay -> ()
+    | Check_auto.Violation why ->
+      violations :=
+        {
+          Lint_trace.v_at_us = e.ev_at_us;
+          v_invariant = invariant;
+          v_detail =
+            Printf.sprintf "%s: %s (%s in state %s, from %s %S)" key why
+              (Check_auto.input_to_string input)
+              (Check_auto.state_to_string cur)
+              e.ev_name e.ev_detail;
+        }
+        :: !violations
+  in
   List.iter
-    (fun (e : Ntcs_sim.Trace.entry) ->
-      List.iter
-        (fun (key, input) ->
-          let cur =
-            match Hashtbl.find_opt states key with Some s -> s | None -> Check_auto.Idle
-          in
-          match Check_auto.transition cur input with
-          | Check_auto.Goto s' -> Hashtbl.replace states key s'
-          | Check_auto.Stay -> ()
-          | Check_auto.Violation why ->
-            violations :=
-              {
-                Lint_trace.v_at_us = e.at_us;
-                v_invariant = invariant;
-                v_detail =
-                  Printf.sprintf "%s: %s (%s in state %s, from %s %S)" key why
-                    (Check_auto.input_to_string input)
-                    (Check_auto.state_to_string cur)
-                    e.cat e.detail;
-              }
-              :: !violations)
-        (inputs_of e))
+    (fun e -> match inputs_of e with [] -> () | inputs -> List.iter (step e) inputs)
     entries;
   List.rev !violations

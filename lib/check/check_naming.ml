@@ -132,67 +132,67 @@ let check (entries : Ntcs_sim.Trace.entry list) =
   in
   List.iter
     (fun (e : Ntcs_sim.Trace.entry) ->
-      let bad () = err e.at_us "%s: unparseable detail %S" e.cat e.detail in
-      match e.cat with
+      let bad () = err e.ev_at_us "%s: unparseable detail %S" e.ev_name e.ev_detail in
+      match e.ev_name with
       | "ns.cache.store" -> (
-        match parse_kv e.detail with
+        match parse_kv e.ev_detail with
         | None -> bad ()
         | Some (key, shard, gen) ->
-          (match Hashtbl.find_opt store_gen (e.actor, shard) with
+          (match Hashtbl.find_opt store_gen (e.ev_actor, shard) with
            | Some prev when gen < prev ->
-             err e.at_us "%s: store gen went backwards on shard %d (%d after %d, key %s)"
-               e.actor shard gen prev key
+             err e.ev_at_us "%s: store gen went backwards on shard %d (%d after %d, key %s)"
+               e.ev_actor shard gen prev key
            | _ -> ());
-          Hashtbl.replace store_gen (e.actor, shard) gen;
-          Hashtbl.remove awaiting_store (e.actor, key))
+          Hashtbl.replace store_gen (e.ev_actor, shard) gen;
+          Hashtbl.remove awaiting_store (e.ev_actor, key))
       | "ns.cache.stale" -> (
-        match parse_kv e.detail with
+        match parse_kv e.ev_detail with
         | None -> bad ()
-        | Some (key, _, _) -> Hashtbl.replace awaiting_store (e.actor, key) e.at_us)
+        | Some (key, _, _) -> Hashtbl.replace awaiting_store (e.ev_actor, key) e.ev_at_us)
       | "ns.cache.hit" -> (
-        match parse_kv e.detail with
+        match parse_kv e.ev_detail with
         | None -> bad ()
         | Some (key, shard, gen) ->
-          (match Hashtbl.find_opt awaiting_store (e.actor, key) with
+          (match Hashtbl.find_opt awaiting_store (e.ev_actor, key) with
            | Some since ->
-             err e.at_us
+             err e.ev_at_us
                "%s: hit on %s after a stale hit at t=%dus with no store in between"
-               e.actor key since
+               e.ev_actor key since
            | None -> ());
-          (match Hashtbl.find_opt floors (e.actor, shard) with
+          (match Hashtbl.find_opt floors (e.ev_actor, shard) with
            | Some floor when gen < floor ->
-             err e.at_us "%s: hit on %s at gen %d below shard %d's floor %d" e.actor key
+             err e.ev_at_us "%s: hit on %s at gen %d below shard %d's floor %d" e.ev_actor key
                gen shard floor
            | _ -> ());
           match Hashtbl.find changes key with
           | exception Not_found -> ()
           | cs ->
-            let acked = acked e.actor shard in
+            let acked = acked e.ev_actor shard in
             List.iter
               (fun (s, g) ->
                 if s = shard && gen < g && g <= acked then
-                  err e.at_us
+                  err e.ev_at_us
                     "%s: hit on %s at gen %d, but shard %d changed it at gen %d and the \
                      actor had acknowledged gen %d"
-                    e.actor key gen shard g acked)
+                    e.ev_actor key gen shard g acked)
               cs)
       | "ns.cache.invalidate" -> (
-        match parse_floor e.detail with
-        | Some (shard, floor) -> Hashtbl.replace floors (e.actor, shard) floor
-        | None -> if not (String.starts_with ~prefix:"splice " e.detail) then bad ())
+        match parse_floor e.ev_detail with
+        | Some (shard, floor) -> Hashtbl.replace floors (e.ev_actor, shard) floor
+        | None -> if not (String.starts_with ~prefix:"splice " e.ev_detail) then bad ())
       | "ns.shard.gen" -> (
-        match parse_change e.detail with
+        match parse_change e.ev_detail with
         | None -> bad ()
         | Some (shard, gen, key) ->
           let prev = Option.value ~default:[] (Hashtbl.find_opt changes key) in
           Hashtbl.replace changes key ((shard, gen) :: prev))
       | "ns.shard.forward" -> (
-        match parse_hop e.detail with
+        match parse_hop e.ev_detail with
         | None -> bad ()
         | Some h ->
           if h > 1 then
-            err e.at_us "%s: shard forward exceeded the one-hop bound (hop %d: %s)"
-              e.actor h e.detail)
+            err e.ev_at_us "%s: shard forward exceeded the one-hop bound (hop %d: %s)"
+              e.ev_actor h e.ev_detail)
       | _ -> ())
     entries;
   List.rev_map (fun m -> "naming coherence: " ^ m) !errs

@@ -13,10 +13,10 @@
    - [par_soak]: a coupled multi-shard world — ring of barrier channels,
      causal spans stitched across shards, a seeded per-shard crash/restart
      fault plane — run under every requested worker count, requiring the
-     merged trace, merged span log and blocked-process report to stay
-     byte-identical; then once more with the race checker armed on every
-     shard, and once more under a recording chooser whose per-shard choice
-     logs must replay to the same bytes via [World.Config.Replay]. *)
+     merged event log and blocked-process report to stay byte-identical;
+     then once more with the race checker armed on every shard, and once
+     more under a recording chooser whose per-shard choice logs must
+     replay to the same bytes via [World.Config.Replay]. *)
 
 module Mode = Ntcs_sim.Sched.Mode
 module World = Ntcs_sim.World
@@ -145,20 +145,21 @@ let build_soak ?shard_config config =
   done;
   p
 
-(* Everything the determinism contract covers, rendered to strings. *)
+(* Everything the determinism contract covers, rendered to strings: one
+   line per merged event, prefixed "s<i> " (the shard tag), and the
+   teardown report. *)
 let snapshot p =
-  let spans =
-    List.map (fun e -> Format.asprintf "%a" Span.pp_event e) (Par.merged_spans p)
+  let lines =
+    List.map (fun (i, e) -> Format.asprintf "s%d %a" i Span.pp_event e) (Par.merged_events p)
   in
-  (Par.merged_trace_lines p, spans, Par.blocked_processes p)
+  (lines, Par.blocked_processes p)
 
 type par_report = {
   pr_domains : int;
   pr_workers : int list;
   pr_epochs : int;
   pr_messages : int;
-  pr_trace_lines : int;
-  pr_span_events : int;
+  pr_events : int; (* merged event-log lines of the reference run *)
   pr_choices : int; (* chooser consultations recorded in the replay pass *)
   pr_blocked : string list;
   pr_race_conflicts : int;
@@ -179,7 +180,7 @@ let par_soak ?(domains = 2) ?(workers = [ 1; 2; 4 ]) ?(seed = 42) () =
   in
   (* Reference: the sequential (workers = 1) run. *)
   let ref_p = run_soak ~workers:1 config in
-  let ref_lines, ref_spans, ref_blocked = snapshot ref_p in
+  let ref_lines, ref_blocked = snapshot ref_p in
   let expect_messages = domains * soak_rounds in
   if Par.messages_exchanged ref_p <> expect_messages then
     diverged "reference run exchanged %d cross-shard messages, expected %d"
@@ -188,9 +189,8 @@ let par_soak ?(domains = 2) ?(workers = [ 1; 2; 4 ]) ?(seed = 42) () =
   List.iter
     (fun w ->
       let p = run_soak ~workers:w config in
-      let lines, spans, blocked = snapshot p in
-      if lines <> ref_lines then diverged "workers=%d: merged trace diverges" w;
-      if spans <> ref_spans then diverged "workers=%d: merged span log diverges" w;
+      let lines, blocked = snapshot p in
+      if lines <> ref_lines then diverged "workers=%d: merged event log diverges" w;
       if blocked <> ref_blocked then
         diverged "workers=%d: blocked-process report diverges" w;
       if Par.epochs p <> Par.epochs ref_p then
@@ -203,8 +203,7 @@ let par_soak ?(domains = 2) ?(workers = [ 1; 2; 4 ]) ?(seed = 42) () =
     let p = build_soak config in
     let checkers = Array.to_list (Array.map Check_race.arm (Par.shards p)) in
     Par.run ~until:soak_until ~workers:(List.fold_left max 1 workers) p;
-    let lines, spans, blocked = snapshot p in
-    if (lines, spans, blocked) <> (ref_lines, ref_spans, ref_blocked) then
+    if snapshot p <> (ref_lines, ref_blocked) then
       diverged "race-armed run diverges from the reference bytes";
     List.concat_map Check_race.conflicts checkers
   in
@@ -235,12 +234,11 @@ let par_soak ?(domains = 2) ?(workers = [ 1; 2; 4 ]) ?(seed = 42) () =
     pr_workers = workers;
     pr_epochs = Par.epochs ref_p;
     pr_messages = Par.messages_exchanged ref_p;
-    pr_trace_lines = List.length ref_lines;
-    pr_span_events = List.length ref_spans;
+    pr_events = List.length ref_lines;
     pr_choices = choices;
     pr_blocked = ref_blocked;
     pr_race_conflicts = List.length race_conflicts;
-    pr_span_violations = Check_spans.check (Par.merged_spans ref_p);
+    pr_span_violations = Check_spans.check (List.map snd (Par.merged_events ref_p));
     pr_divergences = List.rev !divergences;
   }
 
@@ -250,11 +248,11 @@ let par_soak_failed r =
 let report_par ppf r =
   Format.fprintf ppf
     "par soak: %d shard(s), workers {%s}: %s (%d epochs, %d cross-shard msgs, \
-     %d trace lines, %d span events, %d choices replayed)@."
+     %d events, %d choices replayed)@."
     r.pr_domains
     (String.concat "," (List.map string_of_int r.pr_workers))
     (if par_soak_failed r then "FAILED" else "bit-identical, clean")
-    r.pr_epochs r.pr_messages r.pr_trace_lines r.pr_span_events r.pr_choices;
+    r.pr_epochs r.pr_messages r.pr_events r.pr_choices;
   List.iter (fun d -> Format.fprintf ppf "par soak: %s@." d) r.pr_divergences;
   List.iter
     (fun v -> Format.fprintf ppf "par soak: span violation: %a@." Lint_trace.pp_violation v)

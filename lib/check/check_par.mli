@@ -1,6 +1,6 @@
 (** Domain-parallel validation (DESIGN.md §14): scenario replication on
     real OCaml domains, and a coupled multi-shard barrier soak whose
-    merged trace, span log and blocked-process report must stay
+    merged event log and blocked-process report must stay
     byte-identical for every worker count. Driven by [ntcs_check] (at 1, 2
     and 4 domains, after the exploration pass) and [test/test_par.ml]. *)
 
@@ -36,8 +36,7 @@ type par_report = {
   pr_workers : int list;
   pr_epochs : int;
   pr_messages : int;  (** cross-shard messages exchanged *)
-  pr_trace_lines : int;
-  pr_span_events : int;
+  pr_events : int;  (** merged event-log lines (trace entries and span events) *)
   pr_choices : int;  (** chooser consultations replayed in the replay pass *)
   pr_blocked : string list;  (** the shard-stable teardown report *)
   pr_race_conflicts : int;
@@ -50,7 +49,7 @@ val par_soak : ?domains:int -> ?workers:int list -> ?seed:int -> unit -> par_rep
     spanned tokens between [domains] (default 2) shard worlds, each under
     a seeded crash/restart fault plane — and require bit-identical output
     across [workers] (default [[1; 2; 4]]), with the race checker armed
-    (zero conflicts, zero byte perturbation), the merged span log clean
+    (zero conflicts, zero byte perturbation), the merged event log clean
     under {!Check_spans.check}, and a recording chooser whose per-shard
     choice logs replay to the same bytes via
     {!Ntcs_sim.World.Config.Replay}. *)

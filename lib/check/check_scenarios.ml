@@ -80,20 +80,22 @@ let metric_at_least c name n msg = if metric c name >= n then [] else [ msg ]
 
 let details cat fmt entries =
   List.filter_map
-    (fun (e : Trace.entry) -> if e.cat = cat then Some (Printf.sprintf fmt e.detail) else None)
+    (fun (e : Trace.entry) ->
+      if e.ev_name = cat then Some (Printf.sprintf fmt e.ev_detail) else None)
     entries
 
-(* Everything checkable after a schedule ran, over one read of the trace.
-   A simulated process crash fails the schedule unless [crashes_expected]
+(* Everything checkable after a schedule ran, over one read of the
+   world's event log: the trace checks and the span checks share it. A
+   simulated process crash fails the schedule unless [crashes_expected]
    (divergence is then the outcome under test). The race checker, when
    armed, already deduplicates (one finding per cell/owner/kind pattern)
-   and emits each as a race.conflict trace event, so the trace is its
+   and emits each as a race.conflict trace event, so the log is its
    report. *)
-let violations ?recursion_limit ?(crashes_expected = false) (mode : Mode.t) c entries =
+let violations ?recursion_limit ?(crashes_expected = false) (mode : Mode.t) entries =
   let pp = List.map (fun v -> Format.asprintf "%a" Lint_trace.pp_violation v) in
   pp (Lint_trace.check_all ?recursion_limit entries @ Check_lifecycle.check entries)
   @ (if crashes_expected then [] else details "sim.proc_crash" "process crashed: %s" entries)
-  @ pp (Check_spans.check (Ntcs_obs.Registry.spans (Cluster.metrics c)))
+  @ pp (Check_spans.check entries)
   @ Check_naming.check entries
   @ if mode.Mode.races then details "race.conflict" "race: %s" entries else []
 
@@ -139,7 +141,7 @@ let scenario name ~window:(sc_from, sc_until) ?(svc = "svc") ~echo_on ~settle_us
       Cluster.settle ~dt:settle_us c;
       let entries = Trace.entries (World.trace (Cluster.world c)) in
       let own = checks entries in
-      !errs @ own @ violations ?recursion_limit ?crashes_expected mode c entries
+      !errs @ own @ violations ?recursion_limit ?crashes_expected mode entries
     in
     (Cluster.world c, body)
   in
@@ -239,8 +241,8 @@ let ns_break name ?seed ~guard () =
              would mean the §6.3 bug no longer reproduces. *)
           let deep = metric c "lcm.fault_queries" in
           (match !outcome with
-           | `Not_run when List.exists (fun (e : Trace.entry) -> e.cat = "sim.proc_crash") entries
-             ->
+           | `Not_run
+             when List.exists (fun (e : Trace.entry) -> e.ev_name = "sim.proc_crash") entries ->
              []
            | `Not_run -> [ "app hung without crashing or diverging" ]
            | `Err e -> [ e ]

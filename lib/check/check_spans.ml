@@ -16,7 +16,8 @@
    Instant (I) events — nd.tx / nd.rx / gw.forward / lcm.deliver hops —
    only require their circuit to have been opened at some point: the fault
    plane may replay a frame after the sender already shut down, and the
-   late delivery is legal (§4.3). *)
+   late delivery is legal (§4.3). Events with the null context (trace
+   entries, control-frame forwards) belong to no circuit and are skipped. *)
 
 type violation = Lint_trace.violation = {
   v_at_us : int;
@@ -44,7 +45,7 @@ let check (spans : Ntcs_obs.Span.event list) =
     (fun e ->
       let c = e.ev_ctx.sp_circuit in
       let seq = e.ev_ctx.sp_seq in
-      if c > 0 then begin
+      if not (is_none e.ev_ctx) then begin
         let state = Hashtbl.find_opt circuits c in
         match (seq, e.ev_phase) with
         | 0, B -> (

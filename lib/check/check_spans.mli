@@ -10,5 +10,6 @@ type violation = Lint_trace.violation = {
 }
 
 val check : Ntcs_obs.Span.event list -> violation list
-(** Violations in event order, for a span log in oldest-first order
-    ({!Ntcs_obs.Registry.spans}). *)
+(** Violations in event order, for an event log in oldest-first order
+    ({!Ntcs_obs.Registry.spans}). Events with {!Ntcs_obs.Span.none} —
+    trace entries, control-frame forwards — are skipped. *)

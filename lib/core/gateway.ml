@@ -26,17 +26,14 @@ type leg = {
   lg_commod : Commod.t;
   lg_circuit : Nd_layer.circuit;
   lg_label : int;
-  lg_span_detail : string; (* "net<from>-><to>": the gw.forward span detail, built once *)
-  lg_trace : Nd_layer.span_memo; (* gw.forward trace detail up to "span=" *)
+  lg_detail : Nd_layer.span_memo; (* gw.forward detail *)
 }
 
 let make_leg ~in_net ~in_label ~net ~commod ~circuit ~label =
   { lg_net = net; lg_commod = commod; lg_circuit = circuit; lg_label = label;
-    lg_span_detail = Printf.sprintf "net%d->net%d" in_net net;
-    lg_trace =
+    lg_detail =
       Nd_layer.empty_memo
-        ~prefix:(Printf.sprintf "net%d label %d -> net%d label %d " in_net in_label net label)
-        ~suffix:" span=" () }
+        ~prefix:(Printf.sprintf "net%d label %d -> net%d label %d " in_net in_label net label) () }
 
 type t = {
   node : Node.t;
@@ -227,15 +224,14 @@ let handle_frame t (net : Net.id) (_commod : Commod.t) circuit (view : Proto.Fra
       Proto.Frame.patch_ivc view out.lg_label;
       Proto.Frame.patch_hops view (h.Proto.hops + 1);
       Ntcs_obs.Registry.incr (metrics t) "gw.forwards";
-      (* Every forwarding decision is traced so the §4.2 invariant — gateways
-         never talk to each other — is checkable from event logs (lint R3)
-         instead of assumed. *)
-      trace t ~cat:"gw.forward"
-        (Nd_layer.memo_detail out.lg_trace ~role:"dst" h.Proto.kind h.Proto.dst
-         ^ Ntcs_obs.Span.to_string h.Proto.span);
-      if not (Ntcs_obs.Span.is_none h.Proto.span) then
-        World.span (Node.world t.node) ~ctx:h.Proto.span ~phase:Ntcs_obs.Span.I
-          ~name:"gw.forward" ~actor:t.gw_name out.lg_span_detail;
+      (* Every forwarding decision is logged once, as an instant carrying
+         the frame's ctx (null for control frames): the §4.2 invariant —
+         gateways never talk to each other — is checkable from the log
+         (lint R3) instead of assumed, and the hop joins its message's
+         span. *)
+      World.span (Node.world t.node) ~ctx:h.Proto.span ~phase:Ntcs_obs.Span.I
+        ~name:"gw.forward" ~actor:t.gw_name
+        (Nd_layer.memo_detail out.lg_detail ~role:"dst" h.Proto.kind h.Proto.dst);
       (match Nd_layer.forward_view out.lg_circuit view with
        | Ok () -> ()
        | Error _ ->

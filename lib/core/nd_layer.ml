@@ -31,25 +31,24 @@ open Ntcs_wire
    the kind and address (DESIGN §11). *)
 type span_memo = {
   sm_prefix : string;
-  sm_suffix : string;
   mutable sm_kind : Proto.kind;
   mutable sm_addr : Addr.t;
   mutable sm_detail : string;
 }
 
-let empty_memo ?(prefix = "") ?(suffix = "") () =
-  { sm_prefix = prefix; sm_suffix = suffix; sm_kind = Proto.Data;
+let empty_memo ?(prefix = "") () =
+  { sm_prefix = prefix; sm_kind = Proto.Data;
     sm_addr = Addr.temporary ~assigner:0 ~value:0; sm_detail = "" }
 
-(* "<prefix>kind=<kind> <role>=<addr><suffix>", rebuilt only when kind or
-   address moved. *)
+(* "<prefix>kind=<kind> <role>=<addr>", rebuilt only when kind or address
+   moved. *)
 let memo_detail m ~role kind addr =
   if m.sm_detail = "" || m.sm_kind <> kind || not (Addr.equal m.sm_addr addr) then begin
     m.sm_kind <- kind;
     m.sm_addr <- addr;
     m.sm_detail <-
-      Printf.sprintf "%skind=%s %s=%s%s" m.sm_prefix (Proto.kind_to_string kind) role
-        (Addr.to_string addr) m.sm_suffix
+      Printf.sprintf "%skind=%s %s=%s" m.sm_prefix (Proto.kind_to_string kind) role
+        (Addr.to_string addr)
   end;
   m.sm_detail
 

@@ -21,14 +21,14 @@ open Ntcs_ipcs
 open Ntcs_wire
 
 type span_memo
-(** The last [nd.tx] or [nd.rx] span detail a circuit rendered, reused
-    while the kind and address stay the same. *)
+(** The last [nd.tx], [nd.rx] or [gw.forward] detail a circuit or splice
+    leg rendered, reused while the kind and address stay the same. *)
 
-val empty_memo : ?prefix:string -> ?suffix:string -> unit -> span_memo
+val empty_memo : ?prefix:string -> unit -> span_memo
 
 val memo_detail : span_memo -> role:string -> Proto.kind -> Addr.t -> string
-(** ["<prefix>kind=<kind> <role>=<addr><suffix>"], rendered again only when
-    [kind] or [addr] differ from the last call's. *)
+(** ["<prefix>kind=<kind> <role>=<addr>"], rendered again only when [kind]
+    or [addr] differ from the last call's. *)
 
 type circuit = {
   cid : int;

@@ -10,6 +10,8 @@
    - no conversion between identical machine types (§5) — an IVC between
      same-order machines runs in image mode unless packing was forced. *)
 
+module Span = Ntcs_obs.Span
+
 type violation = { v_at_us : int; v_invariant : string; v_detail : string }
 
 let pp_violation ppf v =
@@ -22,18 +24,13 @@ let kv_token ~key toks =
   let pl = String.length prefix in
   List.find_map
     (fun t ->
-      if String.length t >= pl && String.sub t 0 pl = prefix then
-        Some (String.sub t pl (String.length t - pl))
+      if String.starts_with ~prefix t then Some (String.sub t pl (String.length t - pl))
       else None)
     toks
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
 (* "gw/NAME@NET" -> Some "NAME" *)
 let gw_name_of_actor actor =
-  if starts_with ~prefix:"gw/" actor then begin
+  if String.starts_with ~prefix:"gw/" actor then begin
     let rest = String.sub actor 3 (String.length actor - 3) in
     match String.index_opt rest '@' with
     | Some i -> Some (String.sub rest 0 i)
@@ -45,7 +42,7 @@ let no_gateway_peering (entries : Ntcs_sim.Trace.entry list) =
   let gw_addrs =
     List.filter_map
       (fun (e : Ntcs_sim.Trace.entry) ->
-        if e.Ntcs_sim.Trace.cat = "gw.addr" then Some e.Ntcs_sim.Trace.detail else None)
+        if e.Span.ev_name = "gw.addr" then Some e.Span.ev_detail else None)
       entries
   in
   let is_gw_addr a = List.mem a gw_addrs in
@@ -55,17 +52,17 @@ let no_gateway_peering (entries : Ntcs_sim.Trace.entry list) =
   let chained_gws =
     List.filter_map
       (fun (e : Ntcs_sim.Trace.entry) ->
-        match e.Ntcs_sim.Trace.cat with
-        | "gw.splice" | "gw.forward" -> Some e.Ntcs_sim.Trace.actor
+        match e.Span.ev_name with
+        | "gw.splice" | "gw.forward" -> Some e.Span.ev_actor
         | _ -> None)
       entries
   in
   List.filter_map
     (fun (e : Ntcs_sim.Trace.entry) ->
-      let v inv detail = Some { v_at_us = e.Ntcs_sim.Trace.at_us; v_invariant = inv; v_detail = detail } in
-      match e.Ntcs_sim.Trace.cat with
+      let v inv detail = Some { v_at_us = e.Span.ev_at_us; v_invariant = inv; v_detail = detail } in
+      match e.Span.ev_name with
       | "gw.splice" | "gw.forward" -> (
-        let toks = tokens e.Ntcs_sim.Trace.detail in
+        let toks = tokens e.Span.ev_detail in
         (* Only request-direction kinds prove who a chain serves. Response
            and teardown frames legitimately carry gateway addresses in dst:
            replies/accepts flow back to a gateway ComMod whenever one
@@ -81,11 +78,11 @@ let no_gateway_peering (entries : Ntcs_sim.Trace.entry list) =
         | _, Some dst when is_gw_addr dst ->
           v "gateway-peering"
             (Printf.sprintf "%s: chain terminates at gateway address %s (%s)"
-               e.Ntcs_sim.Trace.actor dst e.Ntcs_sim.Trace.cat)
+               e.Span.ev_actor dst e.Span.ev_name)
         | _ -> None)
       | "ip.ivc_open" -> (
         (* detail: "to <addr> via <n> hop(s)" *)
-        match (gw_name_of_actor e.Ntcs_sim.Trace.actor, tokens e.Ntcs_sim.Trace.detail) with
+        match (gw_name_of_actor e.Span.ev_actor, tokens e.Span.ev_detail) with
         | Some gw, "to" :: dst :: _ when is_gw_addr dst ->
           v "gateway-peering"
             (Printf.sprintf "gateway %s opened an IVC to gateway address %s" gw dst)
@@ -93,7 +90,7 @@ let no_gateway_peering (entries : Ntcs_sim.Trace.entry list) =
       | "nd.open" -> (
         (* detail: "<addr> at <phys>". A circuit from one gateway to a
            gateway address is a chain leg only if the opener spliced. *)
-        match (gw_name_of_actor e.Ntcs_sim.Trace.actor, tokens e.Ntcs_sim.Trace.detail) with
+        match (gw_name_of_actor e.Span.ev_actor, tokens e.Span.ev_detail) with
         | Some gw, addr :: _ when is_gw_addr addr && not (List.mem gw chained_gws) ->
           v "gateway-peering"
             (Printf.sprintf
@@ -105,17 +102,17 @@ let no_gateway_peering (entries : Ntcs_sim.Trace.entry list) =
 let recursion_bounded ~limit (entries : Ntcs_sim.Trace.entry list) =
   List.filter_map
     (fun (e : Ntcs_sim.Trace.entry) ->
-      if e.Ntcs_sim.Trace.cat <> "lcm.depth" then None
+      if e.Span.ev_name <> "lcm.depth" then None
       else
-        match int_of_string_opt (String.trim e.Ntcs_sim.Trace.detail) with
+        match int_of_string_opt (String.trim e.Span.ev_detail) with
         | Some d when d > limit ->
           Some
             {
-              v_at_us = e.Ntcs_sim.Trace.at_us;
+              v_at_us = e.Span.ev_at_us;
               v_invariant = "recursion-depth";
               v_detail =
                 Printf.sprintf "%s reached nesting depth %d > limit %d (\xc2\xa76.3)"
-                  e.Ntcs_sim.Trace.actor d limit;
+                  e.Span.ev_actor d limit;
             }
         | _ -> None)
     entries
@@ -123,9 +120,9 @@ let recursion_bounded ~limit (entries : Ntcs_sim.Trace.entry list) =
 let no_identity_conversion (entries : Ntcs_sim.Trace.entry list) =
   List.filter_map
     (fun (e : Ntcs_sim.Trace.entry) ->
-      if e.Ntcs_sim.Trace.cat <> "ip.convert" then None
+      if e.Span.ev_name <> "ip.convert" then None
       else begin
-        let toks = tokens e.Ntcs_sim.Trace.detail in
+        let toks = tokens e.Span.ev_detail in
         if List.mem "forced" toks then None (* deliberate ablation: exempt *)
         else
           match
@@ -134,20 +131,20 @@ let no_identity_conversion (entries : Ntcs_sim.Trace.entry list) =
           | Some "packed", Some l, Some r when String.equal l r ->
             Some
               {
-                v_at_us = e.Ntcs_sim.Trace.at_us;
+                v_at_us = e.Span.ev_at_us;
                 v_invariant = "identity-conversion";
                 v_detail =
                   Printf.sprintf "%s packs between identical byte orders (%s): %s"
-                    e.Ntcs_sim.Trace.actor l e.Ntcs_sim.Trace.detail;
+                    e.Span.ev_actor l e.Span.ev_detail;
               }
           | Some "image", Some l, Some r when not (String.equal l r) ->
             Some
               {
-                v_at_us = e.Ntcs_sim.Trace.at_us;
+                v_at_us = e.Span.ev_at_us;
                 v_invariant = "identity-conversion";
                 v_detail =
                   Printf.sprintf "%s ships raw images between differing byte orders (%s/%s): %s"
-                    e.Ntcs_sim.Trace.actor l r e.Ntcs_sim.Trace.detail;
+                    e.Span.ev_actor l r e.Span.ev_detail;
               }
           | _ -> None
       end)

@@ -64,6 +64,18 @@ let span_json (e : Span.event) =
       ("detail", str e.Span.ev_detail);
     ]
 
+(* Span events grouped by circuit, in id order, time order kept within
+   each. Events with the null context (trace entries, control-frame
+   forwards) belong to no circuit and are left out. *)
+let by_circuit r =
+  let circuit (e : Span.event) = e.Span.ev_ctx.Span.sp_circuit in
+  let events =
+    List.filter (fun (e : Span.event) -> not (Span.is_none e.Span.ev_ctx)) (Registry.spans r)
+  in
+  List.map
+    (fun c -> (c, List.filter (fun e -> circuit e = c) events))
+    (List.sort_uniq compare (List.map circuit events))
+
 (* One JSON object per line, oldest event first. *)
 let spans_jsonl r =
   String.concat "" (List.map (fun e -> span_json e ^ "\n") (Registry.spans r))
@@ -98,16 +110,14 @@ let chrome_event (e : Span.event) =
   obj (base @ scope @ args)
 
 let chrome_trace r =
+  let events = Registry.spans r in
   let thread_names =
     (* Metadata events naming each circuit row, emitted once per circuit in
        id order so the export stays byte-stable. *)
-    let seen = Hashtbl.create 16 in
-    List.iter
-      (fun (e : Span.event) ->
-        let c = e.Span.ev_ctx.Span.sp_circuit in
-        if not (Hashtbl.mem seen c) then Hashtbl.replace seen c ())
-      (Registry.spans r);
-    let ids = Hashtbl.fold (fun k () acc -> k :: acc) seen [] |> List.sort compare in
+    let ids =
+      List.sort_uniq compare
+        (List.map (fun (e : Span.event) -> e.Span.ev_ctx.Span.sp_circuit) events)
+    in
     List.map
       (fun c ->
         obj
@@ -125,6 +135,6 @@ let chrome_trace r =
   obj
     [
       ( "traceEvents",
-        arr (thread_names @ List.map chrome_event (Registry.spans r)) );
+        arr (thread_names @ List.map chrome_event events) );
       ("displayTimeUnit", str "ms");
     ]

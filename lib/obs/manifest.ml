@@ -1,8 +1,9 @@
-(* The registered category manifest: every category a [Trace.record] call or
-   a span event may carry, with one line of documentation each. Exporters
-   and the ntcs_stat timeline reader key off these names, so lint rule R4
-   fails the build when a source file invents a category that is not listed
-   here — add the category (and its meaning) to this table first. *)
+(* The registered category manifest: every name an event of the log may
+   carry, trace category or span name alike, with one line of
+   documentation each. Exporters and the ntcs_stat timeline reader key off
+   these names, so lint rule R4 fails the build when a source file invents
+   a category that is not listed here — add the category (and its meaning)
+   to this table first. *)
 
 let all =
   [
@@ -89,6 +90,9 @@ let all =
     ("par.recv", "cross-shard token delivered on the destination shard");
     ("par.token", "cross-shard coupling token (bench workloads)");
     ("par.tick", "parallel-harness local progress mark");
+    ("par.circuit", "barrier-soak ring circuit span opened/closed");
+    ("par.msg", "barrier-soak token span, posted to delivered");
+    ("par.hop", "barrier-soak token arrived on a shard (span instant)");
     (* Simulator. *)
     ("sim.crash", "machine crashed");
     ("sim.proc_crash", "process died with an exception");

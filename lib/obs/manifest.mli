@@ -1,6 +1,8 @@
-(** The registered trace/span category manifest. Lint rule R4 enforces that
-    every [Trace.record ~cat] literal in the library tree appears here, so
-    exporters never meet an unknown category. *)
+(** The registered event-name manifest: trace categories and span names
+    share one namespace, as they share one log. Lint rule R4 enforces that
+    every [~cat:] literal in the library tree appears here, so exporters
+    never meet an unknown category; span names built at run time are
+    checked by test_internet's manifest test. *)
 
 val known : string -> bool
 

@@ -1,6 +1,6 @@
 (* Per-world observability registry: named counters and gauges, plus
-   histograms and the causal span log, plus the seeded-deterministic
-   circuit-id allocator. One
+   histograms and the world's one event log (span events and trace
+   entries alike), plus the seeded-deterministic circuit-id allocator. One
    registry per simulated world, so parallel experiments never share state
    and equal seeds replay identical allocations. *)
 
@@ -10,24 +10,30 @@ type t = {
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, float ref) Hashtbl.t;
   histos : (string, Histo.t) Hashtbl.t;
-  mutable full_chunks : Span.event array list;  (** full span chunks, newest first *)
+  mutable full_chunks : Span.event array list;  (** full log chunks, newest first *)
   mutable chunk : Span.event array;  (** the chunk being filled *)
   mutable span_count : int;
+  mutable filter : string list;  (** event names kept; [[]] keeps every one *)
   mutable next_circuit : int;  (** count allocated, not the last id *)
   mutable circuit_base : int;  (** shard namespace offset (parallel worlds) *)
 }
 
 let create () =
   { counters = Hashtbl.create 32; gauges = Hashtbl.create 8; histos = Hashtbl.create 16;
-    full_chunks = []; chunk = [||]; span_count = 0; next_circuit = 0; circuit_base = 0 }
+    full_chunks = []; chunk = [||]; span_count = 0; filter = []; next_circuit = 0;
+    circuit_base = 0 }
+
+let clear_spans t =
+  t.full_chunks <- [];
+  t.chunk <- [||];
+  t.span_count <- 0
 
 let reset t =
   Hashtbl.reset t.counters;
   Hashtbl.reset t.gauges;
   Hashtbl.reset t.histos;
-  t.full_chunks <- [];
-  t.chunk <- [||];
-  t.span_count <- 0;
+  clear_spans t;
+  t.filter <- [];
   t.next_circuit <- 0;
   t.circuit_base <- 0
 
@@ -83,7 +89,7 @@ let observe t name v = Histo.add (histo t name) v
 let find_histo t name = Hashtbl.find_opt t.histos name
 let histos_alist t = sorted_bindings t.histos
 
-(* Circuit ids and the span log *)
+(* Circuit ids and the event log *)
 
 let fresh_circuit t =
   t.next_circuit <- t.next_circuit + 1;
@@ -100,26 +106,39 @@ let set_circuit_base t base =
 
 let circuits_allocated t = t.next_circuit
 
-(* The span log lives in fixed-size chunks rather than a list: an event
+(* The event log lives in fixed-size chunks rather than a list: an event
    costs one array slot instead of a three-word cons cell. Every event is
    kept for the life of the world, so each minor collection promotes the
    events logged since the last one; the slimmer log keeps that promotion,
    and with it the pause, short. *)
 let span_chunk = 1024
 
-let span t ev =
-  let i = t.span_count mod span_chunk in
-  if i = 0 then begin
-    if t.span_count > 0 then t.full_chunks <- t.chunk :: t.full_chunks;
-    t.chunk <- Array.make span_chunk ev
-  end
-  else t.chunk.(i) <- ev;
-  t.span_count <- t.span_count + 1
+let set_filter t names = t.filter <- names
 
+let kept t name =
+  match t.filter with [] -> true | names -> List.exists (String.equal name) names
+
+let span t (ev : Span.event) =
+  if kept t ev.Span.ev_name then begin
+    let i = t.span_count mod span_chunk in
+    if i = 0 then begin
+      if t.span_count > 0 then t.full_chunks <- t.chunk :: t.full_chunks;
+      t.chunk <- Array.make span_chunk ev
+    end
+    else t.chunk.(i) <- ev;
+    t.span_count <- t.span_count + 1
+  end
+
+(* One pass, newest to oldest, consing each slot once: the list comes out
+   oldest first with no intermediate copy. *)
 let spans t =
+  let rec from chunk i acc = if i < 0 then acc else from chunk (i - 1) (chunk.(i) :: acc) in
   let filled = t.span_count - (span_chunk * List.length t.full_chunks) in
-  List.concat_map Array.to_list (List.rev t.full_chunks)
-  @ Array.to_list (Array.sub t.chunk 0 filled)
+  List.fold_left
+    (fun acc chunk -> from chunk (span_chunk - 1) acc)
+    (from t.chunk (filled - 1) [])
+    t.full_chunks
+
 let span_count t = t.span_count
 
 (* Printing. [pp_stats] lists counters and gauges; [pp] adds histogram

@@ -1,5 +1,6 @@
 (** Per-world observability registry: counters, gauges, histograms, the
-    causal span log, and the deterministic circuit-id allocator. *)
+    world's one event log (causal span events and trace entries), and the
+    deterministic circuit-id allocator. *)
 
 type stat = [ `Counter of int | `Gauge of float ]
 
@@ -29,7 +30,7 @@ val observe : t -> string -> int -> unit
 val find_histo : t -> string -> Histo.t option
 val histos_alist : t -> (string * Histo.t) list
 
-(** {1 Circuit ids and spans} *)
+(** {1 Circuit ids} *)
 
 val fresh_circuit : t -> int
 (** Next world-unique circuit id (base + 1, base + 2, ...). Allocation
@@ -44,11 +45,24 @@ val set_circuit_base : t -> int -> unit
 val circuits_allocated : t -> int
 (** Count of circuits allocated (excludes the base). *)
 
+(** {1 The event log}
+
+    One append-only log per world, for span events and trace entries (an
+    instant with {!Span.none}, named by its category) alike. *)
+
 val span : t -> Span.event -> unit
+(** Append, unless {!set_filter} leaves the event's name out. *)
+
+val set_filter : t -> string list -> unit
+(** Keep only these names ([[]] = all): §6.2's "adequate selectivity". *)
+
 val spans : t -> Span.event list
 (** Oldest first. *)
 
 val span_count : t -> int
+
+val clear_spans : t -> unit
+(** Empty the log only. *)
 
 (** {1 Printing} *)
 
@@ -56,4 +70,4 @@ val pp_stats : Format.formatter -> t -> unit
 (** Counters then gauges, sorted. *)
 
 val pp : Format.formatter -> t -> unit
-(** [pp_stats] plus histogram summaries and the span-log size. *)
+(** [pp_stats] plus histogram summaries and the event-log size. *)

@@ -11,7 +11,7 @@ val is_none : ctx -> bool
 val make : circuit:int -> seq:int -> ctx
 
 val to_string : ctx -> string
-(** ["c<circuit>#<seq>"], the form embedded in trace details. *)
+(** ["c<circuit>#<seq>"], the form {!pp_event} and the exporters print. *)
 
 val of_string : string -> ctx option
 (** Inverse of {!to_string}; [None] on malformed input. *)

@@ -1,36 +1,33 @@
-(** Append-only event trace of a simulated world.
+(** The trace of a simulated world: a view over its one event log
+    ({!Ntcs_obs.Registry}).
 
     Tests and experiments assert protocol-level properties from it (e.g.
     "gateways never open circuits to each other"), and it answers the §6.2
     complaint — one must know {i why} a layer is called and {i who} called
-    it — by recording a category and an actor with every entry. *)
+    it — by recording a category and an actor with every entry. An entry
+    is an instant with {!Ntcs_obs.Span.none} named by its category; span
+    events share the log, so every read sees both, in logging order. *)
 
-type entry = {
-  at_us : int;
-  cat : string;  (** e.g. ["nd.open"], ["lcm.fault"], ["gw.splice"] *)
-  actor : string;  (** module (process) name *)
-  detail : string;
-}
-
-type t
+type entry = Ntcs_obs.Span.event
+type t = Ntcs_obs.Registry.t
 
 val create : unit -> t
 
 val set_filter : t -> string list -> unit
-(** Record only these categories ([[]] = everything) — the "adequate
-    selectivity" of §6.2. *)
+(** {!Ntcs_obs.Registry.set_filter}, the one selectivity switch. *)
 
 val record : t -> at_us:int -> cat:string -> actor:string -> string -> unit
-(** Categories are interned: the stored entry shares one copy of the
-    category string per trace, so the hot path does not allocate. *)
 
 val categories : t -> (string * int) list
-(** Every category recorded so far with its entry count, sorted by name. *)
+(** Every event name in the log with its count, sorted by name. *)
 
 val entries : t -> entry list
+(** Oldest first. *)
+
 val count : t -> int
 val clear : t -> unit
 val matching : t -> cat:string -> entry list
 val matching_prefix : t -> prefix:string -> entry list
-val pp_entry : Format.formatter -> entry -> unit
+
 val dump : Format.formatter -> t -> unit
+(** One {!Ntcs_obs.Span.pp_event} line per event. *)

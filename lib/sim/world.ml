@@ -55,8 +55,7 @@ end
 
 type t = {
   sched : Sched.t;
-  obs : Ntcs_obs.Registry.t;
-  trace : Trace.t;
+  obs : Ntcs_obs.Registry.t; (* counters, histograms and the one event log *)
   rng : Ntcs_util.Rng.t;
   machines : (Machine.id, Machine.t) Hashtbl.t;
   nets : (Net.id, Net.t) Hashtbl.t;
@@ -86,7 +85,6 @@ let make (config : Config.t) =
   {
     sched;
     obs;
-    trace = Trace.create ();
     rng = Ntcs_util.Rng.create seed;
     machines = Hashtbl.create 16;
     nets = Hashtbl.create 8;
@@ -123,11 +121,11 @@ let choice_log t = List.rev t.choices
 let set_label t l = Sched.set_label t.sched l
 let label t = Sched.label t.sched
 let obs t = t.obs
-let trace t = t.trace
+let trace t = t.obs
 let rng t = t.rng
 let now t = Sched.now t.sched
 
-let record t ~cat ~actor detail = Trace.record t.trace ~at_us:(now t) ~cat ~actor detail
+let record t ~cat ~actor detail = Trace.record t.obs ~at_us:(now t) ~cat ~actor detail
 
 let span t ~ctx ~phase ~name ~actor detail =
   Ntcs_obs.Registry.span t.obs
@@ -186,9 +184,7 @@ let spawn t ~machine:(m : Machine.t) ~name f =
      trace so experiments can assert the absence of crashes. *)
   Sched.on_exit t.sched pid (fun status ->
       match status with
-      | Sched.Crashed e ->
-        Trace.record t.trace ~at_us:(Sched.now t.sched) ~cat:"sim.proc_crash" ~actor:name
-          (Printexc.to_string e)
+      | Sched.Crashed e -> record t ~cat:"sim.proc_crash" ~actor:name (Printexc.to_string e)
       | Sched.Exited | Sched.Was_killed -> ());
   pid
 
@@ -421,7 +417,7 @@ let run ?until t = Sched.run ?until t.sched
 (* --- domain-parallel worlds ----------------------------------------- *)
 
 (* A parallel world is N completely isolated sequential worlds (one per
-   shard, each its own scheduler/trace/registry/rng — lint R8 flags any
+   shard, each its own scheduler/registry/rng — lint R8 flags any
    module-level mutable binding in lib/) coupled only
    through the Barrier coordinator's typed channels. Everything
    deterministic about one world stays deterministic here: the barrier's
@@ -474,23 +470,13 @@ module Par = struct
   let epochs p = Barrier.epochs p.p_barrier
   let messages_exchanged p = Barrier.messages_exchanged p.p_barrier
 
-  (* Merged logs. A stable sort on virtual time alone keeps, within one
-     instant, shard order and then each shard's own program order — the
-     same total order the barrier uses, so merged logs are as
-     deterministic as the run itself. *)
-  let merged_trace p =
+  (* A stable sort on virtual time alone keeps the barrier's total order:
+     within one instant, shard order, then each shard's program order. *)
+  let merged_events p =
     Array.to_list p.p_shards
-    |> List.mapi (fun i w -> List.map (fun e -> (i, e)) (Trace.entries w.trace))
+    |> List.mapi (fun i w -> List.map (fun e -> (i, e)) (Ntcs_obs.Registry.spans w.obs))
     |> List.concat
-    |> List.stable_sort (fun (_, a) (_, b) -> compare a.Trace.at_us b.Trace.at_us)
-
-  let merged_trace_lines p =
-    merged_trace p |> List.map (fun (i, e) -> Format.asprintf "s%d %a" i Trace.pp_entry e)
-
-  let merged_spans p =
-    Array.to_list p.p_shards
-    |> List.concat_map (fun w -> Ntcs_obs.Registry.spans w.obs)
-    |> List.stable_sort (fun (a : Ntcs_obs.Span.event) b ->
+    |> List.stable_sort (fun (_, (a : Ntcs_obs.Span.event)) (_, (b : Ntcs_obs.Span.event)) ->
            compare a.Ntcs_obs.Span.ev_at_us b.Ntcs_obs.Span.ev_at_us)
 
   let blocked_processes p =

@@ -77,16 +77,19 @@ val set_label : t -> string -> unit
     {!Sched.set_label}). *)
 
 val label : t -> string
+
 val trace : t -> Trace.t
+(** {!obs}, read through {!Trace}. *)
+
 val rng : t -> Ntcs_util.Rng.t
 val now : t -> int
 
 val obs : t -> Ntcs_obs.Registry.t
 (** The world's observability registry: counters, gauges, histograms,
-    causal spans and the circuit-id allocator. *)
+    the one event log and the circuit-id allocator. *)
 
 val record : t -> cat:string -> actor:string -> string -> unit
-(** Trace an event at the current virtual time. *)
+(** Trace an event at the current virtual time (see {!Trace}). *)
 
 val span :
   t ->
@@ -161,8 +164,9 @@ val run : ?until:int -> t -> unit
 (** {1 Domain-parallel worlds}
 
     A parallel world is [Config.domains] completely isolated sequential
-    worlds — one per shard, each with its own scheduler, trace, registry,
-    and rng (lint R8 flags any module-level mutable binding in [lib/])
+    worlds — one per shard, each with its own scheduler, registry (event
+    log included) and rng (lint R8 flags any module-level mutable binding
+    in [lib/])
     — coupled only through the {!Barrier} coordinator's
     typed channels. Shard [i] runs under [Config.shard config ~shard:i]
     and carries the label ["s<i>"]. Runs are bit-identical for any
@@ -202,16 +206,11 @@ module Par : sig
   val epochs : t -> int
   val messages_exchanged : t -> int
 
-  val merged_trace_lines : t -> string list
-  (** All shards' trace entries, stable-sorted on virtual time (within one
-      instant shard order, then per-shard program order — the total order
-      the barrier flush uses), one line per entry prefixed ["s<i> "], the
-      documented shard-tag field of parallel logs. *)
-
-  val merged_spans : t -> Ntcs_obs.Span.event list
-  (** All shards' span logs merged (stable on virtual time); circuit ids
-      are world-unique, so [Ntcs_check.Check_spans.check] consumes this
-      directly. *)
+  val merged_events : t -> (int * Ntcs_obs.Span.event) list
+  (** All shards' event logs, each event tagged with its shard index,
+      stable-sorted on virtual time (within one instant shard order, then
+      per-shard program order — the total order the barrier flush uses).
+      Circuit ids are world-unique across shards. *)
 
   val blocked_processes : t -> string list
   (** Every shard's {!Sched.blocked_processes} (already label-prefixed),

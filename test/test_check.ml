@@ -127,7 +127,9 @@ let test_hook_edges_exist () =
 
 (* --- the lifecycle trace checker (dynamic) --- *)
 
-let e at cat detail = { Ntcs_sim.Trace.at_us = at; cat; actor = "gw0"; detail }
+let e at cat detail =
+  Ntcs_obs.Span.event ~at_us:at ~ctx:Ntcs_obs.Span.none ~phase:Ntcs_obs.Span.I ~name:cat
+    ~actor:"gw0" detail
 
 let test_trace_legal_splice () =
   let good =
@@ -162,7 +164,10 @@ let test_trace_forward_before_splice () =
     (List.length (Check_lifecycle.check bad))
 
 let test_trace_endpoint_lifecycle () =
-  let m cat detail at = { Ntcs_sim.Trace.at_us = at; cat; actor = "m1"; detail } in
+  let m cat detail at =
+    Ntcs_obs.Span.event ~at_us:at ~ctx:Ntcs_obs.Span.none ~phase:Ntcs_obs.Span.I ~name:cat
+      ~actor:"m1" detail
+  in
   let good =
     [
       m "ip.ivc_open_sent" "label 5 to a!b" 1;
@@ -253,15 +258,15 @@ let test_default_schedules_pinned () =
       Alcotest.(check (list string)) (name ^ " violations") [] violations)
     got
     [
-      ("first-send", "97cac06e385ffb4b4630295dd106c8cf");
-      ("break-ns", "a0e529c55690617d56d094dd0d734220");
-      ("fault-partition-heal", "97f3e43b991e30d5d07b07ea9e4b07ce");
-      ("fault-crash-restart", "68e4dc405dc84b5b5ef2b3d9242b5e23");
-      ("fault-ns-partition-guard", "609a612e14a4e2ca1375af406a0e22ce");
-      ("fault-ns-partition-noguard", "c9a3f51fa3cc2c4384e44fa53df5fd53");
-      ("naming-stale-splice", "8f09c247f7aac82301e6c3edd6fffaa5");
-      ("naming-shard-loss", "669c5da86140b6957f3227f201a3666e");
-      ("naming-shard-route", "90e320b199d9c3ef4b1c3fe8d5645e98");
+      ("first-send", "a8fc962a9451d20c6f970c446188dc9c");
+      ("break-ns", "611a32ad132ce8037caa8d0485893f71");
+      ("fault-partition-heal", "72924dc6d6568bf97742f2b92443c997");
+      ("fault-crash-restart", "0d651c1ad08c6157bdbb0921b7be03c8");
+      ("fault-ns-partition-guard", "3f37dc9359eb029a7d6c359a2adcbb70");
+      ("fault-ns-partition-noguard", "c1564b9020433e0c192ad019285d4432");
+      ("naming-stale-splice", "9a3eb0f38a2305114aa49f011c610eb1");
+      ("naming-shard-loss", "da53f2014cd119b19c0934c9b18cf34e");
+      ("naming-shard-route", "645283e5df6b7dfa49de952bcdfbc21c");
     ]
 
 (* --- the ntcs_check pass: contracts and armed checkers --- *)
@@ -318,7 +323,7 @@ let expect_caught sc needle =
 let test_pass_arms_race_checker () =
   let violations w =
     List.map
-      (fun (e : Ntcs_sim.Trace.entry) -> "race.conflict: " ^ e.detail)
+      (fun (e : Ntcs_sim.Trace.entry) -> "race.conflict: " ^ e.ev_detail)
       (Ntcs_sim.Trace.matching (Ntcs_sim.World.trace w) ~cat:"race.conflict")
   in
   expect_caught (planted ~name:"planted-race" ~plant:Helpers.inject_race ~violations)

@@ -113,14 +113,14 @@ let test_faulty_trace_identical () =
   (* Pinned across code changes, not only across runs. *)
   Alcotest.(check (list string)) "faulty trace, metrics, spans_jsonl, chrome_trace digests"
     [
-      "80a01f3b80f2643aacfe42279a1bf63e";
+      "af29ff872ba1a1487b390005d9349dc7";
       "3114fbdc26364126463e09ce5ff4d801";
-      "f8445f7b04fbfa8038af65be3a5031a6";
-      "5e5cc9082058469e30b71ba300372f20";
+      "7078175e53a36f330ed0e9c6deb38312";
+      "887975d1c4aa548d31955cbe6919c099";
     ]
     (List.map md5
        [ t1; m1; Ntcs_obs.Export.spans_jsonl r1; Ntcs_obs.Export.chrome_trace r1 ]);
-  let injected cat = List.exists (fun e -> e.Ntcs_sim.Trace.cat = cat) entries in
+  let injected cat = List.exists (fun e -> e.Ntcs_obs.Span.ev_name = cat) entries in
   Alcotest.(check bool) "crash fired" true (injected "fault.crash");
   Alcotest.(check bool) "restart fired" true (injected "fault.restart");
   Alcotest.(check bool) "frame faults fired" true
@@ -136,11 +136,11 @@ let test_seed_matters () =
 let test_r3_invariants_hold () =
   let _, _, entries, recursion_limit = run_once 42 in
   Alcotest.(check bool) "trace saw the gateway work" true
-    (List.exists (fun e -> e.Ntcs_sim.Trace.cat = "gw.forward") entries);
+    (List.exists (fun e -> e.Ntcs_obs.Span.ev_name = "gw.forward") entries);
   Alcotest.(check bool) "trace saw conversion decisions" true
-    (List.exists (fun e -> e.Ntcs_sim.Trace.cat = "ip.convert") entries);
+    (List.exists (fun e -> e.Ntcs_obs.Span.ev_name = "ip.convert") entries);
   Alcotest.(check bool) "trace saw recursion depth marks" true
-    (List.exists (fun e -> e.Ntcs_sim.Trace.cat = "lcm.depth") entries);
+    (List.exists (fun e -> e.Ntcs_obs.Span.ev_name = "lcm.depth") entries);
   match Lint_trace.check_all ~recursion_limit entries with
   | [] -> ()
   | vs ->

@@ -164,7 +164,7 @@ let test_gateway_duplicate_open_idempotent () =
   (* No splice leg may be torn down twice: gw.close details are unique. *)
   let closes =
     Ntcs_sim.Trace.matching (Ntcs_sim.World.trace (Cluster.world c)) ~cat:"gw.close"
-    |> List.map (fun (e : Ntcs_sim.Trace.entry) -> e.detail)
+    |> List.map (fun (e : Ntcs_sim.Trace.entry) -> e.ev_detail)
   in
   Alcotest.(check int) "each splice closed at most once"
     (List.length (List.sort_uniq compare closes))
@@ -221,7 +221,7 @@ let test_redelivery_owns_its_buffer () =
   Alcotest.(check int) "no orphan frames" 0 (metric "gw.orphan_frames");
   let trace = Ntcs_sim.World.trace (Cluster.world c) in
   let details cat =
-    List.map (fun (e : Ntcs_sim.Trace.entry) -> e.detail) (Ntcs_sim.Trace.matching trace ~cat)
+    List.map (fun (e : Ntcs_sim.Trace.entry) -> e.ev_detail) (Ntcs_sim.Trace.matching trace ~cat)
   in
   let splices =
     List.concat_map

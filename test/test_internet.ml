@@ -109,13 +109,13 @@ let test_no_inter_gateway_protocol () =
      check the ND trace for opens between gw-owned modules. *)
   let entries = Ntcs_sim.Trace.matching (Ntcs_sim.World.trace (Cluster.world c)) ~cat:"nd.open" in
   let is_gw_actor e =
-    String.length e.Ntcs_sim.Trace.actor >= 3 && String.sub e.Ntcs_sim.Trace.actor 0 3 = "gw/"
+    String.length e.Ntcs_obs.Span.ev_actor >= 3 && String.sub e.Ntcs_obs.Span.ev_actor 0 3 = "gw/"
   in
   let gw_to_gw =
     List.filter
       (fun e ->
         is_gw_actor e
-        && (let detail = e.Ntcs_sim.Trace.detail in
+        && (let detail = e.Ntcs_obs.Span.ev_detail in
             (* gateway opening toward a well-known gateway address U9xx.* *)
             String.length detail > 1 && String.sub detail 0 2 = "U9"))
       entries
@@ -230,6 +230,112 @@ let test_hops_recorded () =
   Alcotest.(check bool) "gateway forwards counted" true
     (Ntcs_obs.Registry.get m "gw.forwards" >= 4)
 
+(* Client and server three gateways apart, as in the echo-3gw benchmark:
+   lan0 -(gw0)- lan1 -(gw1)- lan2 -(gw2)- lan3, a Sun3 client beside the
+   name server on lan0, a Vax echo on lan3. Returns the world after
+   [calls] synchronous echoes. *)
+let echo_3gw ~calls =
+  let lan i = Printf.sprintf "lan%d" i in
+  let c =
+    Cluster.build
+      ~nets:(List.init 4 (fun i -> (lan i, Ntcs_sim.Net.Tcp_lan)))
+      ~machines:
+        (("client-m", Ntcs_sim.Machine.Sun3, [ lan 0 ])
+        :: ("ns-m", Ntcs_sim.Machine.Vax, [ lan 0 ])
+        :: ("srv-m", Ntcs_sim.Machine.Vax, [ lan 3 ])
+        :: List.init 3 (fun i ->
+               (Printf.sprintf "gwm%d" i, Ntcs_sim.Machine.Sun3, [ lan i; lan (i + 1) ])))
+      ~gateways:
+        (List.init 3 (fun i ->
+             (Printf.sprintf "gw%d" i, Printf.sprintf "gwm%d" i, [ lan i; lan (i + 1) ])))
+      ~ns:"ns-m" ()
+  in
+  Cluster.settle c;
+  spawn_echo c ~machine:"srv-m" ~name:"echo";
+  Cluster.settle ~dt:5_000_000 c;
+  let result =
+    in_process c ~machine:"client-m" ~name:"client" (fun node ->
+        let commod = bind_exn node ~name:"client" in
+        let addr = check_ok "locate 3 gateways away" (Ali_layer.locate commod "echo") in
+        List.init calls (fun i ->
+            body
+              (check_ok "sync over 3 gateways"
+                 (Ali_layer.send_sync commod ~dst:addr ~timeout_us:15_000_000
+                    (raw (string_of_int i))))))
+  in
+  Cluster.settle ~dt:30_000_000 c;
+  Alcotest.(check (list string)) "every echo came back" (List.init calls (Printf.sprintf "echo:%d"))
+    (result ());
+  Cluster.world c
+
+(* Each forward is one event of the log: as many gw.forward events as the
+   gw.forwards counter says, and every Data forward carries the ctx of the
+   logical send its frame belongs to. *)
+let test_forward_logged_once () =
+  let w = echo_3gw ~calls:3 in
+  let module Span = Ntcs_obs.Span in
+  let events = Ntcs_sim.Trace.entries (Ntcs_sim.World.trace w) in
+  let forwards = List.filter (fun (e : Span.event) -> e.Span.ev_name = "gw.forward") events in
+  Alcotest.(check int) "one event per counted forward"
+    (Ntcs_obs.Registry.get (Ntcs_sim.World.obs w) "gw.forwards")
+    (List.length forwards);
+  let sends actor =
+    List.filter_map
+      (fun (e : Span.event) ->
+        if e.Span.ev_name = "lcm.send_sync" && e.Span.ev_phase = Span.B
+           && (actor = None || actor = Some e.Span.ev_actor)
+        then Some e.Span.ev_ctx
+        else None)
+      events
+  in
+  let data =
+    List.filter
+      (fun (e : Span.event) ->
+        List.mem "kind=data" (String.split_on_char ' ' e.Span.ev_detail))
+      forwards
+  in
+  let all_sends = sends None in
+  List.iter
+    (fun (e : Span.event) ->
+      Alcotest.(check bool) (e.Span.ev_detail ^ ": non-null ctx") false
+        (Span.is_none e.Span.ev_ctx);
+      Alcotest.(check bool)
+        (e.Span.ev_detail ^ ": ctx of a logical send") true
+        (List.mem e.Span.ev_ctx all_sends))
+    data;
+  (* Each of the client's three echoes crosses three gateways, its ctx
+     with it (registrations and lookups account for the other Data
+     forwards). *)
+  let client = sends (Some "client") in
+  let echoes = List.filter (fun (e : Span.event) -> List.mem e.Span.ev_ctx client) data in
+  Alcotest.(check int) "three forwards per echo" 9 (List.length echoes);
+  Alcotest.(check int) "one ctx per echo" 3
+    (List.length (List.sort_uniq compare (List.map (fun (e : Span.event) -> e.Span.ev_ctx) echoes)))
+
+(* Every event name a run logs is in the manifest — the span names too,
+   which lint R4's ~cat: scan does not see (Lcm_layer.primitive names
+   them at run time). Checked on the 3-gateway echo and on one fault
+   soak's default schedule. *)
+let test_event_names_in_manifest () =
+  let names w = List.map fst (Ntcs_sim.Trace.categories (Ntcs_sim.World.trace w)) in
+  let soak =
+    let sc =
+      List.find
+        (fun sc -> sc.Check_scenarios.sc_name = "fault-crash-restart")
+        Check_scenarios.soaks
+    in
+    let w, run = sc.Check_scenarios.sc_make Check_scenarios.Mode.default in
+    ignore (run ());
+    w
+  in
+  List.iter
+    (fun (what, w) ->
+      let ns = names w in
+      Alcotest.(check bool) (what ^ " logged span names") true (List.mem "lcm.send_sync" ns);
+      Alcotest.(check (list string)) (what ^ ": names missing from the manifest") []
+        (List.filter (fun n -> not (Ntcs_obs.Manifest.known n)) ns))
+    [ ("echo-3gw", echo_3gw ~calls:1); ("fault-crash-restart", soak) ]
+
 let () =
   Alcotest.run "internet"
     [
@@ -240,6 +346,8 @@ let () =
           Alcotest.test_case "direct traffic skips gateway" `Quick
             test_direct_traffic_skips_gateway;
           Alcotest.test_case "hops recorded" `Quick test_hops_recorded;
+          Alcotest.test_case "each forward logged once" `Quick test_forward_logged_once;
+          Alcotest.test_case "event names in the manifest" `Quick test_event_names_in_manifest;
         ] );
       ( "topology",
         [ Alcotest.test_case "no inter-gateway protocol" `Quick test_no_inter_gateway_protocol ]

@@ -353,7 +353,8 @@ let test_r5_ipcs_copies () =
 (* --- R3: trace invariants --- *)
 
 let e ?(at = 0) cat actor detail =
-  { Ntcs_sim.Trace.at_us = at; cat; actor; detail }
+  Ntcs_obs.Span.event ~at_us:at ~ctx:Ntcs_obs.Span.none ~phase:Ntcs_obs.Span.I ~name:cat ~actor
+    detail
 
 let gw_world =
   [

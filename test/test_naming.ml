@@ -875,8 +875,8 @@ let test_sharded_log_overflow_falls_back () =
   Alcotest.(check bool) "through a floor raise" true
     (List.exists
        (fun (e : Ntcs_sim.Trace.entry) ->
-         e.cat = "ns.cache.invalidate" && e.actor = "client"
-         && String.starts_with ~prefix:"shard 3 floor " e.detail)
+         e.ev_name = "ns.cache.invalidate" && e.ev_actor = "client"
+         && String.starts_with ~prefix:"shard 3 floor " e.ev_detail)
        (trace_of c))
 
 (* Deregistration goes to the address's owner first, like registration:
@@ -979,7 +979,7 @@ let test_zipf_mix_keeps_hits () =
     (List.length
        (List.filter
           (fun (e : Ntcs_sim.Trace.entry) ->
-            e.cat = "ns.cache.stale" && String.starts_with ~prefix:"name:svc-" e.detail)
+            e.ev_name = "ns.cache.stale" && String.starts_with ~prefix:"name:svc-" e.ev_detail)
           (trace_of c)))
 
 let () =

@@ -76,6 +76,36 @@ let test_span_log_order () =
   Registry.reset r;
   Alcotest.(check int) "reset empties the log" 0 (List.length (Registry.spans r))
 
+(* Trace entries share the log as null-context instants. They belong to no
+   circuit: the span checker must not take them for hops on an unopened
+   circuit 0, and the per-circuit grouping behind ntcs_stat's timelines
+   must not grow a c0 row from them. *)
+let test_trace_entries_join_no_circuit () =
+  let r = Registry.create () in
+  let tr ~at_us cat detail = Ntcs_sim.Trace.record r ~at_us ~cat ~actor:"m1/app" detail in
+  let sp ~at_us ~seq phase name detail =
+    Registry.span r
+      (Span.event ~at_us ~ctx:(Span.make ~circuit:1 ~seq) ~phase ~name ~actor:"m1/app" detail)
+  in
+  tr ~at_us:1 "nd.open" "U0.1 at ether:1";
+  sp ~at_us:2 ~seq:0 Span.B "lcm.circuit" "dst=U0.1";
+  tr ~at_us:3 "ip.convert" "mode=image local=be remote=be";
+  sp ~at_us:4 ~seq:1 Span.B "lcm.send" "dst=U0.1";
+  sp ~at_us:5 ~seq:1 Span.I "nd.tx" "kind=data dst=U0.1";
+  sp ~at_us:6 ~seq:1 Span.E "lcm.send" "ok";
+  tr ~at_us:7 "gw.forward" "net1 label 2 -> net2 label 3 kind=ivc-close dst=U0.1";
+  sp ~at_us:8 ~seq:0 Span.E "lcm.circuit" "shutdown";
+  (* Whatever its phase, a null-context event is no circuit's close. *)
+  Registry.span r
+    (Span.event ~at_us:9 ~ctx:Span.none ~phase:Span.E ~name:"lcm.circuit" ~actor:"m1/app"
+       "shutdown");
+  Alcotest.(check int) "one log" 9 (Registry.span_count r);
+  Alcotest.(check (list string)) "no span violation" []
+    (List.map (Format.asprintf "%a" Lint_trace.pp_violation)
+       (Check_spans.check (Registry.spans r)));
+  Alcotest.(check (list (pair int int))) "circuit 1 alone, all five of its events" [ (1, 5) ]
+    (List.map (fun (c, evs) -> (c, List.length evs)) (Export.by_circuit r))
+
 (* --- the measured workload: two equal-seed worlds --- *)
 
 let run_world seed =
@@ -195,9 +225,9 @@ let test_exports_pinned () =
   let md5 s = Digest.to_hex (Digest.string s) in
   Alcotest.(check (list string)) "stats_json, spans_jsonl, chrome_trace digests"
     [
-      "97cbeb26e8827328f485fcf535f58c71";
-      "e60be2c411cf1585c689b7b19efb5942";
-      "95473c218a2bb37192e01d9d902f6d97";
+      "6d2899b983852a8fcccaa2606ceca1ae";
+      "970ea56fa5da7647a62417ce30a16035";
+      "747b813a444753cc8dd6693f47ed49f7";
     ]
     (List.map md5 [ Export.stats_json r; Export.spans_jsonl r; Export.chrome_trace r ])
 
@@ -238,7 +268,11 @@ let () =
         Alcotest.test_case "header roundtrip" `Quick test_span_header_roundtrip;
       ]);
       ("histo", [ Alcotest.test_case "basics" `Quick test_histo_basics ]);
-      ("registry", [ Alcotest.test_case "span log order" `Quick test_span_log_order ]);
+      ("registry", [
+        Alcotest.test_case "span log order" `Quick test_span_log_order;
+        Alcotest.test_case "trace entries join no circuit" `Quick
+          test_trace_entries_join_no_circuit;
+      ]);
       ("world", [
         Alcotest.test_case "registry sees every layer" `Quick test_registry_sees_layers;
         Alcotest.test_case "healthy-run span invariants" `Quick

@@ -184,7 +184,7 @@ let test_different_instants_clean () =
 
 let trace_render w =
   List.map
-    (fun e -> Format.asprintf "%a" Ntcs_sim.Trace.pp_entry e)
+    (fun e -> Format.asprintf "%a" Ntcs_obs.Span.pp_event e)
     (Ntcs_sim.Trace.entries (World.trace w))
 
 let exchange_trace ~races =

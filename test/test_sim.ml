@@ -302,7 +302,20 @@ let test_trace_filter () =
   Trace.record t ~at_us:4 ~cat:"a.x" ~actor:"p" "kept";
   Alcotest.(check int) "count" 3 (Trace.count t);
   Alcotest.(check int) "matching" 2 (List.length (Trace.matching t ~cat:"a.x"));
-  Alcotest.(check int) "prefix" 2 (List.length (Trace.matching_prefix t ~prefix:"a."))
+  Alcotest.(check int) "prefix" 2 (List.length (Trace.matching_prefix t ~prefix:"a."));
+  (* Span events share the log, so the one filter selects them too. *)
+  let span ~at_us ~name detail =
+    Ntcs_obs.Registry.span t
+      (Ntcs_obs.Span.event ~at_us ~ctx:(Ntcs_obs.Span.make ~circuit:1 ~seq:1)
+         ~phase:Ntcs_obs.Span.I ~name ~actor:"p" detail)
+  in
+  span ~at_us:5 ~name:"a.hop" "dropped";
+  span ~at_us:6 ~name:"a.x" "kept";
+  Alcotest.(check int) "span outside the filter dropped" 4 (Trace.count t);
+  Alcotest.(check (list string)) "kept events, oldest first" [ "one"; "two"; "kept"; "kept" ]
+    (List.map (fun (e : Trace.entry) -> e.Ntcs_obs.Span.ev_detail) (Trace.entries t));
+  Alcotest.(check int) "prefix counts kept events only" 3
+    (List.length (Trace.matching_prefix t ~prefix:"a."))
 
 (* --- exploration steps --- *)
 
