@@ -7,7 +7,7 @@
      to which automaton input and which modules must dispatch on them
      (Check_proto verifies the table against proto.ml/ns_proto.ml and the
      modules against the table);
-   - dynamically, [transition] is the oracle Check_lifecycle replays every
+   - dynamically, [transition] is the oracle Check_trace replays every
      simulation trace through, schedule by schedule.
 
    So a drift between what the code handles and what the automaton admits is

@@ -1,7 +1,7 @@
 (** The circuit-lifecycle automaton: idle → opening → established →
     draining → closed, with reject and break edges. Declared once; the
     static exhaustiveness pass ({!Check_proto}) and the dynamic trace
-    checker ({!Check_lifecycle}) both read it, so protocol drift surfaces
+    checker ({!Check_trace}) both read it, so protocol drift surfaces
     as a diagnostic rather than a stale table. *)
 
 type state = Idle | Opening | Established | Draining | Closed

@@ -163,7 +163,7 @@ type par_report = {
   pr_choices : int; (* chooser consultations recorded in the replay pass *)
   pr_blocked : string list;
   pr_race_conflicts : int;
-  pr_span_violations : Lint_trace.violation list;
+  pr_span_violations : Check_trace.violation list;
   pr_divergences : string list;
 }
 
@@ -238,7 +238,7 @@ let par_soak ?(domains = 2) ?(workers = [ 1; 2; 4 ]) ?(seed = 42) () =
     pr_choices = choices;
     pr_blocked = ref_blocked;
     pr_race_conflicts = List.length race_conflicts;
-    pr_span_violations = Check_spans.check (List.map snd (Par.merged_events ref_p));
+    pr_span_violations = Check_trace.spans (List.map snd (Par.merged_events ref_p));
     pr_divergences = List.rev !divergences;
   }
 
@@ -255,7 +255,7 @@ let report_par ppf r =
     r.pr_epochs r.pr_messages r.pr_events r.pr_choices;
   List.iter (fun d -> Format.fprintf ppf "par soak: %s@." d) r.pr_divergences;
   List.iter
-    (fun v -> Format.fprintf ppf "par soak: span violation: %a@." Lint_trace.pp_violation v)
+    (fun v -> Format.fprintf ppf "par soak: span violation: %a@." Check_trace.pp_violation v)
     r.pr_span_violations;
   if r.pr_race_conflicts > 0 then
     Format.fprintf ppf "par soak: %d race conflict(s)@." r.pr_race_conflicts

@@ -40,7 +40,7 @@ type par_report = {
   pr_choices : int;  (** chooser consultations replayed in the replay pass *)
   pr_blocked : string list;  (** the shard-stable teardown report *)
   pr_race_conflicts : int;
-  pr_span_violations : Lint_trace.violation list;
+  pr_span_violations : Check_trace.violation list;
   pr_divergences : string list;
 }
 
@@ -50,7 +50,7 @@ val par_soak : ?domains:int -> ?workers:int list -> ?seed:int -> unit -> par_rep
     a seeded crash/restart fault plane — and require bit-identical output
     across [workers] (default [[1; 2; 4]]), with the race checker armed
     (zero conflicts, zero byte perturbation), the merged event log clean
-    under {!Check_spans.check}, and a recording chooser whose per-shard
+    under {!Check_trace.spans}, and a recording chooser whose per-shard
     choice logs replay to the same bytes via
     {!Ntcs_sim.World.Config.Replay}. *)
 

@@ -4,10 +4,10 @@
    per schedule), drives one protocol exchange to completion, and reports
    every invariant violation observable from that schedule:
 
-   - the R3 trace invariants (no gateway peering, bounded recursion, no
-     identity conversion) from the PR 1 linter;
-   - the circuit-lifecycle automaton over the same trace (Check_lifecycle);
-   - simulated process crashes;
+   - the runtime invariants over the world's event log (Check_trace): R3
+     (no gateway peering, bounded recursion, no identity conversion), the
+     circuit-lifecycle automaton, span bracketing, naming coherence, and
+     simulated process crashes and armed-race conflicts;
    - the scenario's own outcome (the exchange must end the way the protocol
      promises, on *every* schedule, not just the default one).
 
@@ -78,26 +78,14 @@ let plane ?(rules = []) seed schedule = { Faults.seed; rules; schedule }
 let metric c name = Ntcs_obs.Registry.get (Cluster.metrics c) name
 let metric_at_least c name n msg = if metric c name >= n then [] else [ msg ]
 
-let details cat fmt entries =
-  List.filter_map
-    (fun (e : Trace.entry) ->
-      if e.ev_name = cat then Some (Printf.sprintf fmt e.ev_detail) else None)
-    entries
-
-(* Everything checkable after a schedule ran, over one read of the
-   world's event log: the trace checks and the span checks share it. A
-   simulated process crash fails the schedule unless [crashes_expected]
+(* Everything checkable after a schedule ran, from the world's event log.
+   A simulated process crash fails the schedule unless [crashes_expected]
    (divergence is then the outcome under test). The race checker, when
    armed, already deduplicates (one finding per cell/owner/kind pattern)
-   and emits each as a race.conflict trace event, so the log is its
-   report. *)
-let violations ?recursion_limit ?(crashes_expected = false) (mode : Mode.t) entries =
-  let pp = List.map (fun v -> Format.asprintf "%a" Lint_trace.pp_violation v) in
-  pp (Lint_trace.check_all ?recursion_limit entries @ Check_lifecycle.check entries)
-  @ (if crashes_expected then [] else details "sim.proc_crash" "process crashed: %s" entries)
-  @ pp (Check_spans.check entries)
-  @ Check_naming.check entries
-  @ if mode.Mode.races then details "race.conflict" "race: %s" entries else []
+   and emits each as a race.conflict event, so the log is its report. *)
+let violations ?recursion_limit ?crashes_expected (mode : Mode.t) entries =
+  List.map (Format.asprintf "%a" Check_trace.pp_violation)
+    (Check_trace.check ?recursion_limit ?crashes_expected ~races:mode.Mode.races entries)
 
 (* ----- one scenario shape ----- *)
 
@@ -344,7 +332,7 @@ let fault_crash_restart =
 
 (* ----- sharded naming plane (DESIGN.md §15, PR 9) -----
 
-   [lan4_sharded] worlds. [violations] folds in [Check_naming], so every
+   [lan4_sharded] worlds. [violations] includes naming coherence, so every
    schedule of every scenario below is also checked for cache coherence:
    no stale hit ever resolves as fresh, store generations never go
    backwards, shard forwarding stays within one hop. *)
@@ -414,7 +402,7 @@ let naming_shard_route =
    resolving the name through its versioned cache across the whole
    relocation. On every interleaving the splice repair must win — stale
    hits resolve as misses, never as deliveries on the old circuit
-   (Check_naming). *)
+   (Check_trace's naming invariants). *)
 let naming_stale_splice =
   relocation "naming-stale-splice" ~seed:0xFA15 ~victim:"ap1"
     (fun faults -> lan4_sharded ~faults)

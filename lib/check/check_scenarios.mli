@@ -1,6 +1,6 @@
 (** Bounded scenarios for schedule exploration: each builds a small
-    cluster, drives one protocol exchange, and reports R3 trace invariants,
-    lifecycle-automaton conformance, process crashes and the exchange's own
+    cluster, drives one protocol exchange, and reports the runtime
+    invariants of {!Check_trace} over its event log and the exchange's own
     outcome as that schedule's violations. [ntcs_check] explores
     {!exhaustive} and {!soaks} once each, with the race checker of
     {!Mode} armed. *)
@@ -38,7 +38,7 @@ val exhaustive : scenario list
 
     The same contract per schedule — zero violations — but the world runs
     under an armed {!Ntcs_sim.Faults} plane (or the sharded naming plane
-    of DESIGN.md §15, checked for cache coherence by {!Check_naming}), so
+    of DESIGN.md §15, checked for cache coherence by {!Check_trace}), so
     what is being explored is the recovery machinery itself. They run
     with a budget and accept truncation, requiring a minimum number of
     failure-free schedules instead of exhaustiveness. Three of the trees

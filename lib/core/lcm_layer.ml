@@ -176,7 +176,7 @@ let fresh_seq t =
 
 (* §6 / lint R3: make the recursion ceiling observable from the trace. One
    event per new high-water mark, so the steady state stays quiet and
-   [Lint_trace.recursion_bounded] can assert the §6.3 bound from logs. *)
+   the trace checker (Check_trace) can assert the §6.3 bound from logs. *)
 let note_depth t =
   let d = Recursion.depth t.track in
   if d > t.deepest then begin

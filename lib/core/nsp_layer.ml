@@ -76,7 +76,7 @@ let metrics t = Node.metrics t.node
 
 let ttl t = t.node.Node.config.Node.ns_cache_ttl_us
 
-(* The cache-coherence trace (Check_naming): hit / stale / store / invalidate
+(* The cache-coherence trace (Check_trace): hit / stale / store / invalidate
    events, emitted only under a sharded naming plane so classic single-NS
    traces are unchanged. *)
 let cache_event t cat detail =
@@ -102,7 +102,7 @@ let observe t ~shard ~gen ~changed =
    first, then the store: the new entry must not be retired by its own
    generation. The recorded generation is the clamped one actually
    stored, so per-shard store generations are non-decreasing in the trace
-   (Check_naming). *)
+   (Check_trace). *)
 let store t cache key_str cache_key ~name ~value ~kind ~shard ~gen ~changed =
   if ttl t > 0 then begin
     observe t ~shard ~gen ~changed;

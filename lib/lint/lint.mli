@@ -2,8 +2,8 @@
     [.ml]/[.mli] once ({!Lint_lex}), run pragma well-formedness, layering
     (R1), the forbidden paths of R1, R2 and R5, categories (R4) and
     domain safety (R8) on each file, and aggregate sorted diagnostics.
-    Trace-based invariants (R3) live in {!Lint_trace} and run from
-    tests. *)
+    R3 is no source rule: it judges event logs, with the other runtime
+    invariants, in lib/check's [Check_trace]. *)
 
 val source_files : string list -> string list
 (** Every [.ml]/[.mli] under the given files/directories, walked in sorted

@@ -12,7 +12,7 @@
    raises the floor to the new generation. A retired entry is a *stale
    hit*: it must resolve to a miss plus a fresh lookup — never to a
    delivery on the old circuit. That rule is what the cache-coherence
-   trace invariants (Check_naming) enforce end to end.
+   trace invariants (Check_trace's naming-* ones) enforce end to end.
 
    Built on the recency-ordered [Ntcs_util.Lru]: eviction order, predicate
    invalidation and iteration are all deterministic, so equal-seed runs

@@ -13,17 +13,6 @@ let is_none c = c.sp_circuit = 0
 let make ~circuit ~seq = { sp_circuit = circuit; sp_seq = seq }
 let to_string c = Printf.sprintf "c%d#%d" c.sp_circuit c.sp_seq
 
-let of_string s =
-  match String.index_opt s '#' with
-  | Some i when String.length s > 1 && s.[0] = 'c' -> (
-    match
-      ( int_of_string_opt (String.sub s 1 (i - 1)),
-        int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) )
-    with
-    | Some circuit, Some seq when circuit >= 0 && seq >= 0 -> Some (make ~circuit ~seq)
-    | _ -> None)
-  | _ -> None
-
 (* Phases mirror the Chrome trace-event vocabulary: a [B]egin/[E]nd pair
    brackets a duration (a circuit's life, a synchronous call), an [I]nstant
    marks a point a frame passed through (ND tx/rx, a gateway forward). *)

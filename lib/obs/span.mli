@@ -13,9 +13,6 @@ val make : circuit:int -> seq:int -> ctx
 val to_string : ctx -> string
 (** ["c<circuit>#<seq>"], the form {!pp_event} and the exporters print. *)
 
-val of_string : string -> ctx option
-(** Inverse of {!to_string}; [None] on malformed input. *)
-
 type phase = B | E | I
 
 val phase_to_string : phase -> string

@@ -20,11 +20,6 @@ let mtype_to_string = function
   | Sun3 -> "sun3"
   | Apollo -> "apollo"
 
-(* Identical native data representation: image-mode (byte-copy) messages are
-   safe exactly between such machines. Byte order is the representative
-   difference we model; the paper also had structure-padding differences. *)
-let repr_compatible a b = byte_order a = byte_order b
-
 type id = int
 
 type t = {

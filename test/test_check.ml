@@ -125,11 +125,100 @@ let test_hook_edges_exist () =
        (fun e -> e.Check_graph.e_src = "Lcm_layer" && e.Check_graph.e_dst = "Commod")
        edges)
 
-(* --- the lifecycle trace checker (dynamic) --- *)
+(* --- the runtime trace checker --- *)
 
-let e at cat detail =
-  Ntcs_obs.Span.event ~at_us:at ~ctx:Ntcs_obs.Span.none ~phase:Ntcs_obs.Span.I ~name:cat
-    ~actor:"gw0" detail
+(* A null-context instant, as trace entries are logged. *)
+let ev ?(at = 0) cat actor detail =
+  Ntcs_obs.Span.event ~at_us:at ~ctx:Ntcs_obs.Span.none ~phase:Ntcs_obs.Span.I ~name:cat ~actor
+    detail
+
+(* [Check_trace.check]'s findings of one invariant. *)
+let findings ?recursion_limit inv log =
+  List.filter
+    (fun v -> v.Check_trace.v_invariant = inv)
+    (Check_trace.check ?recursion_limit ~races:false log)
+
+(* R3 *)
+
+let gw_world =
+  [
+    ev "gw.addr" "gwA" "U900.1";
+    ev "gw.addr" "gwB" "U901.1";
+    ev "gw.up" "gwA" "bridging nets [0,1]";
+  ]
+
+let test_r3_gateway_peering () =
+  let peering = findings "gateway-peering" in
+  (* Clean: a chain through gwA terminating at an application address. *)
+  let clean =
+    gw_world
+    @ [
+        ev "nd.open" "gw/gwA@1" "U901.1 at mbx:ring/7";
+        ev "gw.splice" "gwA" "net0 label 3 <-> net1 label 4 dst=U55.9";
+        ev "gw.forward" "gwA" "net0 label 3 -> net1 label 4 kind=msg dst=U55.9";
+      ]
+  in
+  Alcotest.(check int) "chain through a gateway is legal" 0 (List.length (peering clean));
+  (* Violation: a chain terminating at a gateway address. *)
+  let bad = gw_world @ [ ev "gw.splice" "gwA" "net0 label 3 <-> net1 label 4 dst=U901.1" ] in
+  (match peering bad with
+   | [ v ] -> Alcotest.(check string) "invariant name" "gateway-peering" v.Check_trace.v_invariant
+   | vs -> Alcotest.failf "expected 1 violation, got %d" (List.length vs));
+  (* Forwarded payload toward a gateway: violation. Replies flowing back to
+     a gateway-originated chain: legal. *)
+  let bad =
+    gw_world @ [ ev "gw.forward" "gwA" "net0 label 3 -> net1 label 4 kind=data dst=U901.1" ]
+  in
+  Alcotest.(check int) "payload toward a gateway" 1 (List.length (peering bad));
+  let ok =
+    gw_world @ [ ev "gw.forward" "gwA" "net0 label 3 -> net1 label 4 kind=reply dst=U901.1" ]
+  in
+  Alcotest.(check int) "replies back to a gateway-originated chain" 0 (List.length (peering ok));
+  (* Violation: a gateway ComMod opens an IVC to another gateway. *)
+  let bad = gw_world @ [ ev "ip.ivc_open" "gw/gwA@0" "to U901.1 via 1 hop(s)" ] in
+  Alcotest.(check int) "gateway IVC to gateway" 1 (List.length (peering bad));
+  (* Violation: a gateway-to-gateway circuit with no chain to justify it. *)
+  let bad = gw_world @ [ ev "nd.open" "gw/gwA@1" "U901.1 at mbx:ring/7" ] in
+  Alcotest.(check int) "chainless circuit between gateways" 1 (List.length (peering bad));
+  (* Ordinary modules may open circuits to gateways, of course. *)
+  let ok = gw_world @ [ ev "nd.open" "client" "U900.1 at tcp:ether/2" ] in
+  Alcotest.(check int) "apps reach gateways freely" 0 (List.length (peering ok))
+
+let test_r3_recursion_depth () =
+  let entries = [ ev "lcm.depth" "vax1/ns" "3"; ev ~at:7 "lcm.depth" "vax1/ns" "70" ] in
+  (match findings ~recursion_limit:64 "recursion-depth" entries with
+   | [ v ] ->
+     Alcotest.(check string) "invariant" "recursion-depth" v.Check_trace.v_invariant;
+     Alcotest.(check int) "timestamped" 7 v.Check_trace.v_at_us
+   | vs -> Alcotest.failf "expected 1 violation, got %d" (List.length vs));
+  Alcotest.(check int) "within bound clean" 0
+    (List.length (findings ~recursion_limit:70 "recursion-depth" entries))
+
+let test_r3_identity_conversion () =
+  let ok =
+    [
+      ev "ip.convert" "vax1/a" "mode=image local=be remote=be dst=U5.1";
+      ev "ip.convert" "vax1/a" "mode=packed local=be remote=le dst=U5.2";
+      ev "ip.convert" "vax1/a" "mode=packed local=be remote=be dst=U5.3 forced";
+    ]
+  in
+  Alcotest.(check int) "image/equal, packed/mixed, forced all legal" 0
+    (List.length (findings "identity-conversion" ok));
+  let bad =
+    [
+      ev "ip.convert" "vax1/a" "mode=packed local=be remote=be dst=U5.1";
+      ev "ip.convert" "vax1/a" "mode=image local=le remote=be dst=U5.2";
+    ]
+  in
+  Alcotest.(check int) "both degenerate modes flagged" 2
+    (List.length (findings "identity-conversion" bad));
+  Alcotest.(check int) "check aggregates" 2
+    (List.length (Check_trace.check ~recursion_limit:64 ~races:false bad))
+
+(* the lifecycle automaton *)
+
+let e at cat detail = ev ~at cat "gw0" detail
+let lifecycle = findings "lifecycle"
 
 let test_trace_legal_splice () =
   let good =
@@ -139,7 +228,7 @@ let test_trace_legal_splice () =
       e 3 "gw.close" "net0 label 7 <-> net1 label 8";
     ]
   in
-  Alcotest.(check int) "legal lifecycle" 0 (List.length (Check_lifecycle.check good))
+  Alcotest.(check int) "legal lifecycle" 0 (List.length (lifecycle good))
 
 let test_trace_forward_after_close () =
   let bad =
@@ -149,25 +238,40 @@ let test_trace_forward_after_close () =
       e 3 "gw.forward" "net0 label 7 -> net1 label 8 kind=data dst=x";
     ]
   in
-  let vs = Check_lifecycle.check bad in
+  let vs = lifecycle bad in
   (* both legs of the splice report the §4.3 ordering violation *)
   Alcotest.(check int) "both legs flagged" 2 (List.length vs);
   List.iter
     (fun v ->
-      Alcotest.(check string) "invariant" "lifecycle" v.Lint_trace.v_invariant;
-      Alcotest.(check int) "at the forward" 3 v.Lint_trace.v_at_us)
+      Alcotest.(check string) "invariant" "lifecycle" v.Check_trace.v_invariant;
+      Alcotest.(check int) "at the forward" 3 v.Check_trace.v_at_us)
     vs
 
 let test_trace_forward_before_splice () =
   let bad = [ e 1 "gw.forward" "net0 label 7 -> net1 label 8 kind=data dst=x" ] in
-  Alcotest.(check int) "traffic on unopened legs" 2
-    (List.length (Check_lifecycle.check bad))
+  Alcotest.(check int) "traffic on unopened legs" 2 (List.length (lifecycle bad))
+
+(* A leg is its own net's label: a three-net gateway may splice label 7 of
+   net0 and label 7 of net1 into different chains. *)
+let test_trace_legs_keyed_by_net () =
+  let good =
+    [
+      e 1 "gw.splice" "net0 label 7 <-> net2 label 8 dst=x";
+      e 2 "gw.splice" "net1 label 7 <-> net2 label 9 dst=y";
+      e 3 "gw.forward" "net2 label 9 -> net1 label 7 kind=reply dst=z";
+    ]
+  in
+  Alcotest.(check (list string)) "two chains, one label" []
+    (List.map (fun v -> v.Check_trace.v_detail) (lifecycle good));
+  let bad = good @ [ e 4 "gw.splice" "net2 label 8 <-> net1 label 5 dst=w" ] in
+  Alcotest.(check (list string)) "a leg spliced twice"
+    [ "gw0 net2 label 8" ]
+    (List.map
+       (fun v -> String.sub v.Check_trace.v_detail 0 (String.index v.Check_trace.v_detail ':'))
+       (lifecycle bad))
 
 let test_trace_endpoint_lifecycle () =
-  let m cat detail at =
-    Ntcs_obs.Span.event ~at_us:at ~ctx:Ntcs_obs.Span.none ~phase:Ntcs_obs.Span.I ~name:cat
-      ~actor:"m1" detail
-  in
+  let m cat detail at = ev ~at cat "m1" detail in
   let good =
     [
       m "ip.ivc_open_sent" "label 5 to a!b" 1;
@@ -175,10 +279,78 @@ let test_trace_endpoint_lifecycle () =
       m "ip.ivc_close" "label 5 peer a!b local reason=shutdown" 3;
     ]
   in
-  Alcotest.(check int) "legal endpoint lifecycle" 0 (List.length (Check_lifecycle.check good));
+  Alcotest.(check int) "legal endpoint lifecycle" 0 (List.length (lifecycle good));
   let bad = good @ [ m "ip.ivc_reject" "label 5" 4 ] in
-  let vs = Check_lifecycle.check bad in
+  let vs = lifecycle bad in
   Alcotest.(check int) "reject while draining" 1 (List.length vs)
+
+(* End of run: a message span still open on a closed circuit is
+   unterminated, unless the circuit closed because its owner crashed or
+   is still open. *)
+let test_spans_unterminated () =
+  let sp at circuit seq phase name detail =
+    Ntcs_obs.Span.event ~at_us:at ~ctx:(Ntcs_obs.Span.make ~circuit ~seq) ~phase ~name
+      ~actor:"m1/app" detail
+  in
+  let circuit c reason =
+    [
+      sp 1 c 0 Ntcs_obs.Span.B "lcm.circuit" "dst=U5.1";
+      sp 2 c 1 Ntcs_obs.Span.B "lcm.send" "dst=U5.1";
+      sp 3 c 0 Ntcs_obs.Span.E "lcm.circuit" reason;
+    ]
+  in
+  Alcotest.(check (list (pair string int)))
+    "only the shut-down circuit's send"
+    [ ("span-unterminated", 2) ]
+    (List.map
+       (fun v -> (v.Check_trace.v_invariant, v.Check_trace.v_at_us))
+       (Check_trace.spans
+          (circuit 1 "shutdown" @ circuit 2 "crashed"
+          @ List.filteri (fun i _ -> i < 2) (circuit 3 ""))))
+
+(* One log, one plant per family: each invariant planted reports exactly
+   once, at its plant, and nothing else is reported. *)
+let test_trace_one_finding_per_family () =
+  let sp at seq phase name detail =
+    Ntcs_obs.Span.event ~at_us:at ~ctx:(Ntcs_obs.Span.make ~circuit:4 ~seq) ~phase ~name
+      ~actor:"m1/app" detail
+  in
+  let log =
+    gw_world
+    @ [
+        ev ~at:1 "gw.splice" "gwA" "net0 label 3 <-> net1 label 4 dst=U901.1";
+        ev ~at:2 "lcm.depth" "vax1/ns" "65";
+        ev ~at:3 "ip.convert" "vax1/a" "mode=packed local=be remote=be dst=U5.1";
+        ev ~at:4 "ip.ivc_reject" "m1" "label 5";
+        sp 5 0 Ntcs_obs.Span.B "lcm.circuit" "dst=U5.1";
+        sp 6 1 Ntcs_obs.Span.E "lcm.send" "ok";
+        ev ~at:7 "ns.shard.forward" "name-server" "svc: shard 0 -> 1 hop 2";
+        ev ~at:8 "sim.proc_crash" "sun1/svc" "Stack_overflow";
+        ev ~at:9 "race.conflict" "race" "cell: write by a unordered with write by b";
+      ]
+  in
+  Alcotest.(check (list (pair string int)))
+    "each family once"
+    [
+      ("gateway-peering", 1);
+      ("recursion-depth", 2);
+      ("identity-conversion", 3);
+      ("lifecycle", 4);
+      ("span-orphan-end", 6);
+      ("naming-hop-bound", 7);
+      ("process-crash", 8);
+      ("race", 9);
+    ]
+    (List.map
+       (fun v -> (v.Check_trace.v_invariant, v.Check_trace.v_at_us))
+       (Check_trace.check ~recursion_limit:64 ~races:true log));
+  (* Unarmed, the crash and the race are no findings; [spans] alone sees
+     only the span plant. *)
+  Alcotest.(check int) "expected crash, races unarmed" 6
+    (List.length
+       (Check_trace.check ~recursion_limit:64 ~crashes_expected:true ~races:false log));
+  Alcotest.(check (list string)) "spans alone" [ "span-orphan-end" ]
+    (List.map (fun v -> v.Check_trace.v_invariant) (Check_trace.spans log))
 
 (* --- the explorer --- *)
 
@@ -376,13 +548,23 @@ let () =
           Alcotest.test_case "guarded cycle passes" `Quick test_guarded_cycle_passes;
           Alcotest.test_case "hook edges resolved" `Quick test_hook_edges_exist;
         ] );
+      ( "r3-trace",
+        [
+          Alcotest.test_case "gateway peering" `Quick test_r3_gateway_peering;
+          Alcotest.test_case "recursion depth" `Quick test_r3_recursion_depth;
+          Alcotest.test_case "identity conversion" `Quick test_r3_identity_conversion;
+        ] );
       ( "lifecycle-trace",
         [
           Alcotest.test_case "legal splice" `Quick test_trace_legal_splice;
           Alcotest.test_case "forward after close" `Quick test_trace_forward_after_close;
           Alcotest.test_case "forward before splice" `Quick test_trace_forward_before_splice;
+          Alcotest.test_case "legs keyed by their net" `Quick test_trace_legs_keyed_by_net;
           Alcotest.test_case "endpoint lifecycle" `Quick test_trace_endpoint_lifecycle;
+          Alcotest.test_case "one finding per family" `Quick test_trace_one_finding_per_family;
         ] );
+      ( "span-trace",
+        [ Alcotest.test_case "unterminated at end of run" `Quick test_spans_unterminated ] );
       ( "explorer",
         [
           Alcotest.test_case "enumerates all orders" `Quick test_explorer_enumerates_all_orders;

@@ -156,11 +156,15 @@ let test_gateway_duplicate_open_idempotent () =
   Alcotest.(check bool) "duplicate opens were seen and dropped" true
     (Ntcs_obs.Registry.get (Cluster.metrics c) "gw.duplicate_opens" > 0);
   let entries = Ntcs_sim.Trace.entries (Ntcs_sim.World.trace (Cluster.world c)) in
-  (match Check_lifecycle.check entries with
+  (match
+     List.filter
+       (fun v -> v.Check_trace.v_invariant = "lifecycle")
+       (Check_trace.check ~races:false entries)
+   with
    | [] -> ()
    | vs ->
      Alcotest.failf "lifecycle violations under duplication:@.%s"
-       (String.concat "\n" (List.map (Fmt.str "%a" Lint_trace.pp_violation) vs)));
+       (String.concat "\n" (List.map (Fmt.str "%a" Check_trace.pp_violation) vs)));
   (* No splice leg may be torn down twice: gw.close details are unique. *)
   let closes =
     Ntcs_sim.Trace.matching (Ntcs_sim.World.trace (Cluster.world c)) ~cat:"gw.close"

@@ -350,88 +350,6 @@ let test_r5_ipcs_copies () =
   Alcotest.(check int) "outside the frame path" 0
     (List.length (Lint_forbidden.check (src "lib/util/pool.ml" text)))
 
-(* --- R3: trace invariants --- *)
-
-let e ?(at = 0) cat actor detail =
-  Ntcs_obs.Span.event ~at_us:at ~ctx:Ntcs_obs.Span.none ~phase:Ntcs_obs.Span.I ~name:cat ~actor
-    detail
-
-let gw_world =
-  [
-    e "gw.addr" "gwA" "U900.1";
-    e "gw.addr" "gwB" "U901.1";
-    e "gw.up" "gwA" "bridging nets [0,1]";
-  ]
-
-let test_r3_gateway_peering () =
-  (* Clean: a chain through gwA terminating at an application address. *)
-  let clean =
-    gw_world
-    @ [
-        e "nd.open" "gw/gwA@1" "U901.1 at mbx:ring/7";
-        e "gw.splice" "gwA" "net0 label 3 <-> net1 label 4 dst=U55.9";
-        e "gw.forward" "gwA" "net0 label 3 -> net1 label 4 kind=msg dst=U55.9";
-      ]
-  in
-  Alcotest.(check int) "chain through a gateway is legal" 0
-    (List.length (Lint_trace.no_gateway_peering clean));
-  (* Violation: a chain terminating at a gateway address. *)
-  let bad = gw_world @ [ e "gw.splice" "gwA" "net0 label 3 <-> net1 label 4 dst=U901.1" ] in
-  (match Lint_trace.no_gateway_peering bad with
-   | [ v ] -> Alcotest.(check string) "invariant name" "gateway-peering" v.Lint_trace.v_invariant
-   | vs -> Alcotest.failf "expected 1 violation, got %d" (List.length vs));
-  (* Forwarded payload toward a gateway: violation. Replies flowing back to
-     a gateway-originated chain: legal. *)
-  let bad = gw_world @ [ e "gw.forward" "gwA" "net0 label 3 -> net1 label 4 kind=data dst=U901.1" ] in
-  Alcotest.(check int) "payload toward a gateway" 1
-    (List.length (Lint_trace.no_gateway_peering bad));
-  let ok = gw_world @ [ e "gw.forward" "gwA" "net0 label 3 -> net1 label 4 kind=reply dst=U901.1" ] in
-  Alcotest.(check int) "replies back to a gateway-originated chain" 0
-    (List.length (Lint_trace.no_gateway_peering ok));
-  (* Violation: a gateway ComMod opens an IVC to another gateway. *)
-  let bad = gw_world @ [ e "ip.ivc_open" "gw/gwA@0" "to U901.1 via 1 hop(s)" ] in
-  Alcotest.(check int) "gateway IVC to gateway" 1
-    (List.length (Lint_trace.no_gateway_peering bad));
-  (* Violation: a gateway-to-gateway circuit with no chain to justify it. *)
-  let bad = gw_world @ [ e "nd.open" "gw/gwA@1" "U901.1 at mbx:ring/7" ] in
-  Alcotest.(check int) "chainless circuit between gateways" 1
-    (List.length (Lint_trace.no_gateway_peering bad));
-  (* Ordinary modules may open circuits to gateways, of course. *)
-  let ok = gw_world @ [ e "nd.open" "client" "U900.1 at tcp:ether/2" ] in
-  Alcotest.(check int) "apps reach gateways freely" 0
-    (List.length (Lint_trace.no_gateway_peering ok))
-
-let test_r3_recursion_depth () =
-  let entries = [ e "lcm.depth" "vax1/ns" "3"; e ~at:7 "lcm.depth" "vax1/ns" "70" ] in
-  (match Lint_trace.recursion_bounded ~limit:64 entries with
-   | [ v ] ->
-     Alcotest.(check string) "invariant" "recursion-depth" v.Lint_trace.v_invariant;
-     Alcotest.(check int) "timestamped" 7 v.Lint_trace.v_at_us
-   | vs -> Alcotest.failf "expected 1 violation, got %d" (List.length vs));
-  Alcotest.(check int) "within bound clean" 0
-    (List.length (Lint_trace.recursion_bounded ~limit:70 entries))
-
-let test_r3_identity_conversion () =
-  let ok =
-    [
-      e "ip.convert" "vax1/a" "mode=image local=be remote=be dst=U5.1";
-      e "ip.convert" "vax1/a" "mode=packed local=be remote=le dst=U5.2";
-      e "ip.convert" "vax1/a" "mode=packed local=be remote=be dst=U5.3 forced";
-    ]
-  in
-  Alcotest.(check int) "image/equal, packed/mixed, forced all legal" 0
-    (List.length (Lint_trace.no_identity_conversion ok));
-  let bad =
-    [
-      e "ip.convert" "vax1/a" "mode=packed local=be remote=be dst=U5.1";
-      e "ip.convert" "vax1/a" "mode=image local=le remote=be dst=U5.2";
-    ]
-  in
-  Alcotest.(check int) "both degenerate modes flagged" 2
-    (List.length (Lint_trace.no_identity_conversion bad));
-  Alcotest.(check int) "check_all aggregates" 2
-    (List.length (Lint_trace.check_all ~recursion_limit:64 bad))
-
 (* --- R8: domain safety (no ambient mutable state) --- *)
 
 let domsafe file text = diag_strings (Lint_domsafe.check (src file text))
@@ -476,17 +394,17 @@ let test_r8_functions_skipped () =
        \  fun () -> incr cell\n")
 
 (* The checker modules run on concurrent domains too (Check_par.replicate
-   runs Check_naming.check at 1, 2 and 4 domains), so a table at the top
+   runs Check_trace.check at 1, 2 and 4 domains), so a table at the top
    of a lib/check module is a finding though no per-machine code names
    it. *)
 let test_r8_checker_table () =
   Alcotest.(check (list string)) "flagged by Lint.lint"
-    [ "lib/check/check_naming.ml:1" ]
+    [ "lib/check/check_trace.ml:1" ]
     (List.map
        (fun d -> Printf.sprintf "%s:%d" d.Lint_diag.file d.Lint_diag.line)
        (Lint.lint
           [
-            src "lib/check/check_naming.ml"
+            src "lib/check/check_trace.ml"
               "let seen : (string, int) Hashtbl.t = Hashtbl.create 8\n\n\
                let check evs = Hashtbl.reset seen; evs\n";
           ]))
@@ -626,12 +544,6 @@ let () =
         [
           Alcotest.test_case "forbidden calls" `Quick test_r2_forbidden_calls;
           Alcotest.test_case "scope + pragma" `Quick test_r2_scope_and_pragma;
-        ] );
-      ( "r3-trace",
-        [
-          Alcotest.test_case "gateway peering" `Quick test_r3_gateway_peering;
-          Alcotest.test_case "recursion depth" `Quick test_r3_recursion_depth;
-          Alcotest.test_case "identity conversion" `Quick test_r3_identity_conversion;
         ] );
       ("r5-copies", [ Alcotest.test_case "lib/ipcs copies" `Quick test_r5_ipcs_copies ]);
       ( "r8-domsafe",
