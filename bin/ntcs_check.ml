@@ -5,9 +5,10 @@
    One pass, three parts. Static: the lifecycle automaton's
    handler-exhaustiveness check against proto.ml/ns_proto.ml, and the
    cross-module recursion-cycle analysis (§6.3). Dynamic: every scenario
-   explored once with the race checker armed — the bounded scenarios
-   exhaustively (cap 4000, hitting it fails), the fault and naming soaks
-   under the soak contract (cap 150, at least 100 schedules) — asserting
+   explored once with the race checker armed — the bounded scenarios and
+   the three finite fault soaks exhaustively (cap 4000, hitting it fails),
+   the other fault and naming soaks under the soak contract (cap 150, at
+   least 100 schedules) — asserting
    the automaton, the R3 trace invariants and each scenario's own outcome
    on every interleaving. Parallel: every scenario
    replicated on 1, 2 and 4 domains (byte-identical to the solo run) plus
@@ -116,8 +117,11 @@ let cmd =
          cross-module recursion cycle re-enters the LCM without the \
          Recursion guard. Then explores every scenario once, with the \
          happens-before race checker armed on every world: the bounded \
-         scenarios exhaustively (at most 4000 schedules each), the fault and \
-         naming soaks for 150 schedules each (at least 100 required). Every \
+         scenarios and the three finite fault soaks (partition-heal and the \
+         name-server partition with the guard on and off) exhaustively (at \
+         most 4000 schedules each), the other fault and naming soaks for 150 \
+         schedules each (at least 100 required). Each scenario's line ends \
+         its counts with exhaustive or [truncated]. Every \
          schedule must satisfy the automaton, the R3 trace invariants and \
          the scenario's own outcome. Finally \
          every scenario is replicated on 1, 2 and 4 domains, and the coupled \

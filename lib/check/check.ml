@@ -22,11 +22,11 @@ let report ppf diags =
   List.iter (fun d -> Format.fprintf ppf "%a@." Lint_diag.pp d) (Lint_diag.sort diags)
 
 (* The two exploration contracts. Exhaustive: the whole tree must drain
-   within the cap. Soak: the fault and naming trees are effectively
-   unbounded (retry timers keep breeding same-time ties), so truncation at
-   the cap is expected and volume is demanded instead. Under both, a
-   scenario must branch at least once — one schedule proves nothing about
-   interleavings. *)
+   within the cap. Soak: the trees of the crash and naming soaks are far
+   larger than any budget (LCM retries and shard failovers multiply the
+   same-time ties), so truncation at the cap is expected and volume is
+   demanded instead. Under both, a scenario must branch at least once —
+   one schedule proves nothing about interleavings. *)
 type contract = {
   c_name : string;
   c_cap : int;
@@ -56,8 +56,14 @@ let explore contract scenarios =
         x_outcome = Check_scenarios.explore ~max_schedules:contract.c_cap ~mode:armed sc })
     scenarios
 
+(* Scenarios keep their list order; the soaks with a finite tree are held
+   to the exhaustive contract. *)
 let explore_all () =
-  explore exhaustive Check_scenarios.exhaustive @ explore soak Check_scenarios.soaks
+  explore exhaustive Check_scenarios.exhaustive
+  @ List.concat_map
+      (fun sc ->
+        explore (if List.memq sc Check_scenarios.finite_soaks then exhaustive else soak) [ sc ])
+      Check_scenarios.soaks
 
 (* How the outcome breaks its contract, apart from the schedules' own
    violations. *)

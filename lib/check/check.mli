@@ -33,8 +33,9 @@ val explore : contract -> Check_scenarios.scenario list -> exploration list
 
 val explore_all : unit -> exploration list
 (** {!Check_scenarios.exhaustive} under {!exhaustive}, then
-    {!Check_scenarios.soaks} under {!soak}: the dynamic half of
-    [ntcs_check]. *)
+    {!Check_scenarios.soaks} in their order, each under {!exhaustive} when
+    it is one of {!Check_scenarios.finite_soaks} and under {!soak}
+    otherwise: the dynamic half of [ntcs_check]. *)
 
 val exploration_failed : exploration -> bool
 (** Any schedule violated an invariant, or the outcome breaks its

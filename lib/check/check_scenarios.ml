@@ -247,12 +247,11 @@ let break_ns = ns_break "break-ns" ~guard:true ()
    Same contract as the scenarios above — every explored schedule must be
    violation-free — but the world now runs under an armed {!Faults} plane,
    so the exchanges being checked are the *recovery* paths: LCM
-   retry/backoff, the §3.5 oracle, and the §6.3 guard. Unlike
-   [exhaustive] these are run with truncation allowed: the soak contract is
-   "at least N schedules, zero failures", not exhaustiveness. Some trees
-   are small but larger than the budget (the two ns_break soaks have 288
-   schedules, partition-heal 2,304); the others are far beyond any
-   budget. *)
+   retry/backoff, the §3.5 oracle, and the §6.3 guard. Three trees are
+   small: with answered timeouts withdrawn (Sched), the two ns_break soaks
+   have 36 schedules and partition-heal 72, so [finite_soaks] are explored
+   to the end. The others are far beyond any budget and run with
+   truncation allowed: "at least N schedules, zero failures". *)
 
 let fault_ns_partition_guard = ns_break "fault-ns-partition-guard" ~seed:0xFA13 ~guard:true ()
 let fault_ns_partition_noguard = ns_break "fault-ns-partition-noguard" ~seed:0xFA14 ~guard:false ()
@@ -454,6 +453,8 @@ let naming_shard_loss =
         @ metric_at_least c "nsp.failovers" 1 "the client never failed over")
 
 let exhaustive = [ first_send; break_ns ]
+
+let finite_soaks = [ fault_partition_heal; fault_ns_partition_guard; fault_ns_partition_noguard ]
 
 let soaks =
   [

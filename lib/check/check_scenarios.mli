@@ -39,14 +39,14 @@ val exhaustive : scenario list
     The same contract per schedule — zero violations — but the world runs
     under an armed {!Ntcs_sim.Faults} plane (or the sharded naming plane
     of DESIGN.md §15, checked for cache coherence by {!Check_trace}), so
-    what is being explored is the recovery machinery itself. They run
-    with a budget and accept truncation, requiring a minimum number of
-    failure-free schedules instead of exhaustiveness. Three of the trees
-    are small and finite, only larger than the budget:
-    [fault-partition-heal] has 2,304 schedules,
-    [fault-ns-partition-guard] and [fault-ns-partition-noguard] 288
+    what is being explored is the recovery machinery itself. Three of the
+    trees are small and finite ({!finite_soaks}):
+    [fault-partition-heal] has 72 schedules,
+    [fault-ns-partition-guard] and [fault-ns-partition-noguard] 36
     each. The other four are far beyond any budget (random-probe
-    estimates of 1e6 to 1e12 leaves). *)
+    estimates of 1e6 to 1e12 leaves); they run with a budget and accept
+    truncation, requiring a minimum number of failure-free schedules
+    instead of exhaustiveness. *)
 
 val fault_crash_restart : scenario
 (** §3.5: crash and restart the machine hosting a located module; a new
@@ -68,6 +68,11 @@ val soaks : scenario list
     §6.3 NS partition with the guard on and off, then naming-stale-splice,
     naming-shard-loss and naming-shard-route (all owners alive, a lookup
     relayed by a non-owner shard). *)
+
+val finite_soaks : scenario list
+(** The soaks whose whole tree is small enough to drain: partition-heal
+    and the §6.3 NS partition with the guard on and off. [ntcs_check]
+    explores them under the exhaustive contract. *)
 
 val explore : ?max_schedules:int -> ?mode:Mode.t -> scenario -> Ntcs_sim.Explore.outcome
 (** Explore the scenario's schedule tree (see {!Ntcs_sim.Explore.run});

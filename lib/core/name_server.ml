@@ -393,7 +393,10 @@ let handle_request t ?commod (req : Ns_proto.request) =
       push_to_peers t [ record ];
       Ns_proto.R_registered addr
     in
-    if owns t r_name then do_register ()
+    (* Foreign clients skip the NSP's check: refuse a name the ns.* trace
+       details could not carry. *)
+    if not (Ns_proto.valid_name r_name) then Ns_proto.R_error "invalid-name"
+    else if owns t r_name then do_register ()
     else route t ?commod ~name:r_name ~hop_note:1 req do_register
   | Ns_proto.Lookup_v (name, hops) ->
     Ntcs_obs.Registry.incr (metrics t) "ns.lookups";

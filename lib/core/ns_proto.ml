@@ -21,6 +21,12 @@ let app_tag = 9005
    retiring the whole shard. *)
 let change_log_length = 8
 
+(* A name is one word: the ns.* trace details are space-separated, so a
+   name holding whitespace, or none at all, could not be read back. *)
+let valid_name name =
+  name <> ""
+  && not (String.exists (function ' ' | '\t' | '\n' | '\r' | '\011' | '\012' -> true | _ -> false) name)
+
 type entry = {
   e_name : string;
   e_addr : Addr.t;

@@ -20,6 +20,11 @@ val change_log_length : int
 (** K = 8: the most changed names a versioned answer carries, one per
     generation. A longer list decodes to [Error]. *)
 
+val valid_name : string -> bool
+(** A registrable logical name: non-empty, with no whitespace. The
+    [ns.*] trace details are space-separated words, so only such names
+    read back unambiguously. *)
+
 type entry = {
   e_name : string;
   e_addr : Addr.t;

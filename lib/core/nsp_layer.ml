@@ -111,10 +111,13 @@ let store t cache key_str cache_key ~name ~value ~kind ~shard ~gen ~changed =
       (kv_detail kind key_str ~shard ~gen:(max gen (Ns_cache.seen cache ~shard)))
   end
 
+let invalid_name = Errors.Bad_message "name is empty or holds whitespace"
+
 let error_of_string = function
   | "unknown-name" -> Errors.Unknown_name
   | "unknown-address" -> Errors.Unknown_address
   | "destination-dead" -> Errors.Destination_dead
+  | "invalid-name" -> invalid_name
   | s -> Errors.Internal ("name server: " ^ s)
 
 (* NSP request recovery: two full failover cycles over the replica list,
@@ -201,10 +204,12 @@ let register t ~name ~phys ~nets ~order ~attrs =
         r_attrs = attrs;
       }
   in
-  match request ?prefer:(owner_of_name t name) t req with
-  | Ok (Ns_proto.R_registered addr) -> Ok addr
-  | Ok _ -> Error protocol_error
-  | Error _ as e -> e
+  if not (Ns_proto.valid_name name) then Error invalid_name
+  else
+    match request ?prefer:(owner_of_name t name) t req with
+    | Ok (Ns_proto.R_registered addr) -> Ok addr
+    | Ok _ -> Error protocol_error
+    | Error _ as e -> e
 
 let lookup t name =
   match Ns_cache.find t.name_cache ~now:(Node.now t.node) name with

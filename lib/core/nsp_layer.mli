@@ -35,7 +35,9 @@ val register :
   order:Ntcs_wire.Endian.order ->
   attrs:(string * string) list ->
   (Addr.t, Errors.t) result
-(** §3.2 registration: returns the assigned UAdd. *)
+(** §3.2 registration: returns the assigned UAdd. A name that is empty or
+    holds whitespace (see {!Ns_proto.valid_name}) is refused with
+    [Bad_message] before any request is sent. *)
 
 val lookup : t -> string -> (Addr.t, Errors.t) result
 (** Logical name → UAdd, cached. *)

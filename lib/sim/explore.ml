@@ -28,7 +28,7 @@ type outcome = {
 let pp_outcome ppf o =
   Format.fprintf ppf "%d schedule(s), %d choice point(s), max branch %d%s, %d failure(s)"
     o.schedules o.choice_points o.max_branch
-    (if o.truncated then " [truncated]" else "")
+    (if o.truncated then " [truncated]" else ", exhaustive")
     (List.length o.failures)
 
 (* One run under a choice [prefix]: choices beyond the prefix default to 0.

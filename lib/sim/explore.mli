@@ -17,6 +17,8 @@ type outcome = {
 }
 
 val pp_outcome : Format.formatter -> outcome -> unit
+(** One line: the counts, then [exhaustive] when the tree drained or
+    [[truncated]] when the budget ran out, then the failures. *)
 
 val run :
   ?max_schedules:int ->

@@ -13,7 +13,13 @@
    - [Queued] means a resume event is already in the heap; killing such a
      proc just flips the pending resume to a discontinue;
    - resume events re-check the proc state when they fire, so a stale event
-     (e.g. after a kill already executed) cannot resume a dead proc. *)
+     (e.g. after a kill already executed) cannot resume a dead proc.
+
+   A timed wait that resumes with a value withdraws its timer: from then on
+   the timer could only have been a no-op (a stale suspension id, or a
+   mailbox waiter no longer live). A withdrawn event is never executed,
+   counted, offered to a chooser or seen as the next event time, and the
+   heap drops it lazily, so the heap holds O(live events). *)
 
 exception Killed
 (* Raised inside a process when it is killed; lets Fun.protect finalizers run. *)
@@ -71,7 +77,14 @@ type t = {
   mutable monitor : monitor option;
 }
 
-and event = { time : int; seq : int; owner : int; tag : int; thunk : unit -> unit }
+and event = {
+  time : int;
+  seq : int;
+  owner : int;
+  tag : int;
+  thunk : unit -> unit;
+  mutable gone : bool; (* executed or withdrawn: no longer pending *)
+}
 
 and proc = {
   pid : pid;
@@ -104,7 +117,7 @@ let create () =
     now = 0;
     label = "";
     next_seq = 0;
-    events = Ntcs_util.Heap.create ~leq;
+    events = Ntcs_util.Heap.create ~leq ~gone:(fun ev -> ev.gone);
     procs = Hashtbl.create 64;
     next_pid = 1;
     current = None;
@@ -121,11 +134,10 @@ let set_label t l = t.label <- l
 let label t = t.label
 
 (* Earliest pending event, if any — the barrier coordinator's horizon
-   input. Peeking never disturbs the heap. *)
+   input. Withdrawn timers are skipped; the live order is untouched. *)
 let next_event_time t =
-  match Ntcs_util.Heap.peek t.events with
-  | Some ev -> Some ev.time
-  | None -> None
+  if Ntcs_util.Heap.is_empty t.events then None
+  else Some (Ntcs_util.Heap.top t.events).time
 
 let set_chooser t f = t.chooser <- f
 
@@ -157,7 +169,7 @@ let access t cell ~write =
    order). Events scheduled outside any process inherit the owner of the
    event being executed, so e.g. a delivery thunk's wakes belong to the
    process it wakes, not to limbo. *)
-let at_owned t ~owner time thunk =
+let push_event t ~owner time thunk =
   let time = if time < t.now then t.now else time in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
@@ -166,9 +178,25 @@ let at_owned t ~owner time thunk =
     | None -> 0
     | Some m -> m.m_push ~pusher:(current_owner t) ~owner
   in
-  Ntcs_util.Heap.push t.events { time; seq; owner; tag; thunk }
+  let ev = { time; seq; owner; tag; thunk; gone = false } in
+  Ntcs_util.Heap.push t.events ev;
+  ev
+
+let at_owned t ~owner time thunk = ignore (push_event t ~owner time thunk)
 
 let at t time thunk = at_owned t ~owner:(current_owner t) time thunk
+
+(* Timers of timed waits. [no_timer] stands in until the timer is armed;
+   withdrawing it, or a timer that already ran, does nothing. *)
+let timer_after t d thunk = push_event t ~owner:(current_owner t) (t.now + d) thunk
+
+let no_timer = { time = 0; seq = -1; owner = 0; tag = 0; thunk = ignore; gone = true }
+
+let withdraw t ev =
+  if not ev.gone then begin
+    ev.gone <- true;
+    Ntcs_util.Heap.withdrawn t.events
+  end
 
 let after t delay thunk = at t (t.now + delay) thunk
 
@@ -325,6 +353,7 @@ let sleep t d =
 
 let exec_event t ev =
   assert (ev.time >= t.now);
+  ev.gone <- true;
   t.now <- ev.time;
   t.event_count <- t.event_count + 1;
   (match t.monitor with
@@ -343,11 +372,10 @@ let exec_event t ev =
 
 (* Pop every further event due at [time], in heap order. *)
 let rec gather t time =
-  match Ntcs_util.Heap.peek t.events with
-  | Some ev when ev.time = time ->
-    ignore (Ntcs_util.Heap.pop t.events);
+  if Ntcs_util.Heap.is_empty t.events || (Ntcs_util.Heap.top t.events).time <> time then []
+  else
+    let ev = Ntcs_util.Heap.pop_min t.events in
     ev :: gather t time
-  | _ -> []
 
 (* Distinct owners of a batch, in reverse order of first appearance. *)
 let rec owners acc = function
@@ -387,22 +415,21 @@ let choose_event t choose first =
     split batch
 
 let step t =
-  match Ntcs_util.Heap.pop t.events with
-  | None -> false
-  | Some first ->
+  if Ntcs_util.Heap.is_empty t.events then false
+  else begin
+    let first = Ntcs_util.Heap.pop_min t.events in
     exec_event t
       (match t.chooser with None -> first | Some choose -> choose_event t choose first);
     true
+  end
 
 let run ?until t =
-  let continue_ () =
+  let due () =
     match until with
     | None -> true
-    | Some u -> ( match Ntcs_util.Heap.peek t.events with
-      | Some ev -> ev.time <= u
-      | None -> false)
+    | Some u -> (Ntcs_util.Heap.top t.events).time <= u
   in
-  while (not (Ntcs_util.Heap.is_empty t.events)) && continue_ () do
+  while (not (Ntcs_util.Heap.is_empty t.events)) && due () do
     ignore (step t)
   done;
   match until with
@@ -411,6 +438,7 @@ let run ?until t =
 
 let live_processes t = t.live_count
 let events_executed t = t.event_count
+let pending t = Ntcs_util.Heap.length t.events
 
 (* Diagnostic for quiescent-but-not-finished worlds: which processes are
    still alive and suspended (blocked forever unless an external event wakes
@@ -455,22 +483,28 @@ module Ivar = struct
     | Full _ -> false
     | Empty _ -> fill ivar v; true
 
+  let park ivar cell w =
+    match ivar.iv with
+    | Full v ->
+      (* Filled between the check and the suspension: wake at once. *)
+      cell := Some v;
+      wake w
+    | Empty waiters -> ivar.iv <- Empty ((w, cell) :: waiters)
+
   (* Blocking read with optional timeout (in virtual microseconds). *)
   let read ?timeout ivar =
     match ivar.iv with
     | Full v -> Some v
     | Empty _ ->
       let cell = ref None in
-      suspend (fun w ->
-          (match ivar.iv with
-           | Full v ->
-             (* Filled between the check and the suspension: wake at once. *)
-             cell := Some v;
-             wake w
-           | Empty waiters -> ivar.iv <- Empty ((w, cell) :: waiters));
-          match timeout with
-          | None -> ()
-          | Some d -> after ivar.iv_sched d (fun () -> wake w));
+      (match timeout with
+       | None -> suspend (fun w -> park ivar cell w)
+       | Some d ->
+         let timer = ref no_timer in
+         suspend (fun w ->
+             park ivar cell w;
+             timer := timer_after ivar.iv_sched d (fun () -> wake w));
+         if Option.is_some !cell then withdraw ivar.iv_sched !timer);
       !cell
 end
 
@@ -489,37 +523,42 @@ module Mailbox = struct
 
   let length mb = Queue.length mb.q
 
-  let rec pop_waiter mb =
+  (* Hand [v] to the oldest live waiter, dropping dead ones on the way. *)
+  let rec send mb v =
     match mb.waiters with
-    | [] -> None
+    | [] -> Queue.push v mb.q
     | w :: rest ->
       mb.waiters <- rest;
-      if w.live then Some w else pop_waiter mb
+      if w.live then begin
+        w.live <- false;
+        w.mb_cell := Some v;
+        wake w.mb_waker
+      end
+      else send mb v
 
-  let send mb v =
-    match pop_waiter mb with
-    | Some w ->
-      w.live <- false;
-      w.mb_cell := Some v;
-      wake w.mb_waker
-    | None -> Queue.push v mb.q
+  let park mb cell w =
+    let waiter = { live = true; mb_waker = w; mb_cell = cell } in
+    mb.waiters <- mb.waiters @ [ waiter ];
+    waiter
 
   let recv ?timeout mb =
     match Queue.take_opt mb.q with
     | Some v -> Some v
     | None ->
       let cell = ref None in
-      suspend (fun w ->
-          let waiter = { live = true; mb_waker = w; mb_cell = cell } in
-          mb.waiters <- mb.waiters @ [ waiter ];
-          match timeout with
-          | None -> ()
-          | Some d ->
-            after mb.mb_sched d (fun () ->
-                if waiter.live then begin
-                  waiter.live <- false;
-                  wake w
-                end));
+      (match timeout with
+       | None -> suspend (fun w -> ignore (park mb cell w))
+       | Some d ->
+         let timer = ref no_timer in
+         suspend (fun w ->
+             let waiter = park mb cell w in
+             timer :=
+               timer_after mb.mb_sched d (fun () ->
+                   if waiter.live then begin
+                     waiter.live <- false;
+                     wake w
+                   end));
+         if Option.is_some !cell then withdraw mb.mb_sched !timer);
       !cell
 
   let recv_opt mb = Queue.take_opt mb.q

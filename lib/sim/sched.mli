@@ -157,7 +157,13 @@ val run : ?until:int -> t -> unit
     advances to exactly [until]). *)
 
 val live_processes : t -> int
+
 val events_executed : t -> int
+(** Events run so far. A withdrawn timer (see {!Ivar.read}) never runs and
+    is never counted. *)
+
+val pending : t -> int
+(** Events still due to run; withdrawn timers are not pending. *)
 
 val blocked_processes : t -> string list
 (** Names of live processes currently suspended. After a quiescent {!run},
@@ -181,7 +187,9 @@ module Ivar : sig
   val try_fill : 'a ivar -> 'a -> bool
 
   val read : ?timeout:int -> 'a ivar -> 'a option
-  (** Block until filled; [None] on timeout (virtual µs). *)
+  (** Block until filled; [None] on timeout (virtual µs). A read that
+      returns a value withdraws its timer, which is then never executed,
+      counted or offered to a chooser. *)
 end
 
 (** Unbounded FIFO mailbox with blocking receive. *)
@@ -195,7 +203,8 @@ module Mailbox : sig
   (** Delivers to the oldest waiting receiver, else enqueues. *)
 
   val recv : ?timeout:int -> 'a mb -> 'a option
-  (** Block for the next message; [None] on timeout. *)
+  (** Block for the next message; [None] on timeout. A receive that
+      returns a message withdraws its timer, as {!Ivar.read} does. *)
 
   val recv_opt : 'a mb -> 'a option
   (** Non-blocking. *)

@@ -1,18 +1,25 @@
 (* Array-backed binary min-heap, parameterized by an ordering function.
    Used by the simulator's event queue, where stability is obtained by
-   keying events with a (time, sequence) pair. *)
+   keying events with a (time, sequence) pair.
+
+   Withdrawal is lazy: the owner marks an element gone (the [gone]
+   predicate reads that mark) and reports it with [withdrawn]. A gone
+   element is dropped when it reaches the top, and the whole array is
+   compacted once gone elements are more than half of it, so at most
+   about half the stored elements are gone and every operation is
+   O(log live). *)
 
 type 'a t = {
   leq : 'a -> 'a -> bool;
+  gone : 'a -> bool;
   mutable data : 'a array;
-  mutable size : int;
+  mutable size : int; (* stored elements, gone ones included *)
+  mutable dead : int; (* stored elements that are gone *)
 }
 
-let create ~leq = { leq; data = [||]; size = 0 }
+let create ~leq ~gone = { leq; gone; data = [||]; size = 0; dead = 0 }
 
-let length t = t.size
-
-let is_empty t = t.size = 0
+let length t = t.size - t.dead
 
 let grow t x =
   let cap = Array.length t.data in
@@ -52,23 +59,60 @@ let push t x =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let peek t = if t.size = 0 then None else Some t.data.(0)
+let remove_top t =
+  let top = t.data.(0) in
+  t.size <- t.size - 1;
+  if t.size > 0 then begin
+    t.data.(0) <- t.data.(t.size);
+    sift_down t 0
+  end;
+  top
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      sift_down t 0
-    end;
-    Some top
+(* Drop gone elements off the top, so the top (if any) is live. *)
+let rec drop_gone t =
+  if t.size > 0 && t.gone t.data.(0) then begin
+    ignore (remove_top t);
+    t.dead <- t.dead - 1;
+    drop_gone t
   end
 
+(* Keep the live elements in place, then restore the heap bottom-up. The
+   vacated slots are overwritten with a live element, when one is left, so
+   the gone ones can be collected. *)
+let compact t =
+  let n = ref 0 in
+  for i = 0 to t.size - 1 do
+    let x = t.data.(i) in
+    if not (t.gone x) then begin
+      t.data.(!n) <- x;
+      incr n
+    end
+  done;
+  if !n > 0 then Array.fill t.data !n (t.size - !n) t.data.(0);
+  t.size <- !n;
+  t.dead <- 0;
+  for i = (t.size / 2) - 1 downto 0 do
+    sift_down t i
+  done
+
+let withdrawn t =
+  t.dead <- t.dead + 1;
+  if 2 * t.dead > t.size then compact t
+
+let is_empty t =
+  drop_gone t;
+  t.size = 0
+
+let top t =
+  drop_gone t;
+  if t.size = 0 then invalid_arg "Heap.top: empty";
+  t.data.(0)
+
+let pop_min t =
+  drop_gone t;
+  if t.size = 0 then invalid_arg "Heap.pop_min: empty";
+  remove_top t
+
 let to_list t =
-  let rec drain acc = match pop t with
-    | None -> List.rev acc
-    | Some x -> drain (x :: acc)
-  in
+  let rec drain acc = if is_empty t then List.rev acc else drain (remove_top t :: acc) in
   drain []

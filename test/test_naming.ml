@@ -916,6 +916,45 @@ let test_deregister_reaches_owner () =
   | Ns_proto.R_error "unknown-name" -> ()
   | _ -> Alcotest.fail "the owner still answers for a deregistered name"
 
+(* A name is one word. The NSP refuses an empty name, or one holding
+   whitespace, before it asks; a server refuses one from a foreign client
+   that skipped that check. The ns.* trace details are space-separated,
+   so Check_trace would read such a name as naming-unparseable. *)
+let test_register_refuses_non_words () =
+  let c = lan_cluster () in
+  Cluster.settle c;
+  let ns = Cluster.primary_ns c in
+  let bad = [ ""; "two words"; "tab\there"; "line\n" ] in
+  let refused = Errors.Bad_message "name is empty or holds whitespace" in
+  let results =
+    in_process c ~machine:"vax1" ~name:"client" (fun node ->
+        let commod = bind_exn node ~name:"client" in
+        let nsp = Commod.nsp_exn commod in
+        let register name =
+          Nsp_layer.register nsp ~name ~phys:(Nd_layer.my_listen_addrs (Commod.nd commod))
+            ~nets:(Node.my_nets node) ~order:(Node.my_order node) ~attrs:[]
+        in
+        ( List.map register bad,
+          register "one-word",
+          Result.map ignore (Commod.bind node ~name:"two words") ))
+  in
+  Cluster.settle c;
+  let refusals, good, bound = results () in
+  List.iter2 (fun name r -> check_err (Printf.sprintf "NSP refuses %S" name) refused r) bad refusals;
+  ignore (check_ok "a one-word name registers" good);
+  let stored = Name_server.db_size ns in
+  List.iter
+    (fun name ->
+      match
+        Name_server.handle_request ns
+          (Ns_proto.Register { r_name = name; r_phys = []; r_nets = []; r_order = 0; r_attrs = [] })
+      with
+      | Ns_proto.R_error "invalid-name" -> ()
+      | _ -> Alcotest.failf "the server registered %S" name)
+    bad;
+  Alcotest.(check int) "the server stored none of them" stored (Name_server.db_size ns);
+  check_err "bind refuses it too" refused bound
+
 (* A seeded 4-shard Zipf mix: 2,000 ops over 512 names, every 20th a
    register/deregister write of a name nobody looks up. Writes must not
    cost the looked-up names their cache entries: whole-shard invalidation
@@ -1095,6 +1134,7 @@ let () =
           Alcotest.test_case "newest wins" `Quick test_newest_wins_on_duplicate_name;
           Alcotest.test_case "unsharded answers gen 0" `Quick test_unsharded_answers_gen_zero;
           Alcotest.test_case "attribute lookup" `Quick test_attribute_lookup;
+          Alcotest.test_case "a name is one word" `Quick test_register_refuses_non_words;
           Alcotest.test_case "entry details" `Quick test_locate_entry_details;
         ] );
       ( "forwarding",

@@ -224,7 +224,7 @@ let prop_header_roundtrip =
 
 let prop_heap_sorts =
   qtest "heap drains sorted" QCheck.(list int) (fun l ->
-      let h = Ntcs_util.Heap.create ~leq:(fun a b -> a <= b) in
+      let h = Ntcs_util.Heap.create ~leq:(fun a b -> a <= b) ~gone:(fun _ -> false) in
       List.iter (Ntcs_util.Heap.push h) l;
       Ntcs_util.Heap.to_list h = List.sort compare l)
 
@@ -253,10 +253,48 @@ let prop_heap_equal_keys_fifo =
       (* The simulator's usage pattern: stability comes from the (time,
          sequence) key, so equal times must drain in push order. *)
       let h =
-        Ntcs_util.Heap.create ~leq:(fun (a, sa) (b, sb) -> a < b || (a = b && sa <= sb))
+        Ntcs_util.Heap.create
+          ~leq:(fun (a, sa) (b, sb) -> a < b || (a = b && sa <= sb))
+          ~gone:(fun _ -> false)
       in
       List.iteri (fun i k -> Ntcs_util.Heap.push h (k, i)) keys;
       Ntcs_util.Heap.to_list h = List.sort compare (List.mapi (fun i k -> (k, i)) keys))
+
+let prop_heap_withdrawals =
+  qtest "heap with withdrawals pops exactly the live elements, in order"
+    QCheck.(list (pair (int_bound 9) (int_bound 2)))
+    (fun ops ->
+      (* Op 0 pushes (key, seq); op 1 withdraws the live element at index
+         key of the model; op 2 pops. The model is the sorted live list. *)
+      let module H = Ntcs_util.Heap in
+      let h =
+        H.create
+          ~leq:(fun (a, sa, _) (b, sb, _) -> a < b || (a = b && sa <= sb))
+          ~gone:(fun (_, _, g) -> !g)
+      in
+      let live = ref [] and ok = ref true in
+      List.iteri
+        (fun i (k, op) ->
+          (match op with
+           | 0 ->
+             let e = (k, i, ref false) in
+             H.push h e;
+             live := List.sort compare (e :: !live)
+           | 1 when !live <> [] ->
+             let ((_, _, g) as e) = List.nth !live (k mod List.length !live) in
+             g := true;
+             H.withdrawn h;
+             live := List.filter (fun x -> x != e) !live
+           | 1 -> ()
+           | _ -> (
+             match !live with
+             | [] -> ok := !ok && H.is_empty h
+             | y :: rest ->
+               ok := !ok && (not (H.is_empty h)) && H.pop_min h == y;
+               live := rest));
+          ok := !ok && H.length h = List.length !live)
+        ops;
+      !ok && H.to_list h = !live)
 
 let prop_lru_iter_preserves_recency =
   qtest "lru iter is recency order and does not perturb it"
@@ -479,7 +517,7 @@ let () =
       ( "containers",
         [ prop_heap_sorts; prop_heap_equal_keys_fifo; prop_lru_capacity;
           prop_lru_last_write_wins; prop_lru_iter_preserves_recency; prop_bqueue_fifo;
-          prop_stats_bounds ] );
+          prop_stats_bounds; prop_heap_withdrawals ] );
       ( "obs",
         [ prop_histo_bucket_bounds; prop_histo_buckets_partition; prop_histo_merge_assoc;
           prop_histo_merge_is_union; prop_histo_percentiles_bounded ] );

@@ -57,28 +57,37 @@ let test_rng_split_independent () =
   let va = Rng.next_int64 a and vr = Rng.next_int64 r in
   Alcotest.(check bool) "split diverges from parent" true (va <> vr)
 
+let int_heap () = Heap.create ~leq:(fun a b -> a <= b) ~gone:(fun _ -> false)
+
 let test_heap_sorts () =
-  let h = Heap.create ~leq:(fun a b -> a <= b) in
+  let h = int_heap () in
   let input = [ 5; 3; 9; 1; 7; 3; 0; -2; 8 ] in
   List.iter (Heap.push h) input;
   Alcotest.(check (list int)) "sorted drain" (List.sort compare input) (Heap.to_list h)
 
 let test_heap_peek_pop () =
-  let h = Heap.create ~leq:(fun a b -> a <= b) in
-  Alcotest.(check (option int)) "empty peek" None (Heap.peek h);
-  Alcotest.(check (option int)) "empty pop" None (Heap.pop h);
+  let h = int_heap () in
+  Alcotest.(check bool) "starts empty" true (Heap.is_empty h);
+  Alcotest.check_raises "empty top" (Invalid_argument "Heap.top: empty") (fun () ->
+      ignore (Heap.top h));
+  Alcotest.check_raises "empty pop" (Invalid_argument "Heap.pop_min: empty") (fun () ->
+      ignore (Heap.pop_min h));
   Heap.push h 4;
   Heap.push h 2;
-  Alcotest.(check (option int)) "peek min" (Some 2) (Heap.peek h);
+  Alcotest.(check int) "top is the min" 2 (Heap.top h);
   Alcotest.(check int) "length" 2 (Heap.length h);
-  Alcotest.(check (option int)) "pop min" (Some 2) (Heap.pop h);
-  Alcotest.(check (option int)) "pop next" (Some 4) (Heap.pop h);
+  Alcotest.(check int) "pop min" 2 (Heap.pop_min h);
+  Alcotest.(check int) "pop next" 4 (Heap.pop_min h);
   Alcotest.(check bool) "now empty" true (Heap.is_empty h)
 
 let test_heap_stability_by_seq () =
   (* The scheduler orders by (time, seq); equal times must preserve seq
      order. *)
-  let h = Heap.create ~leq:(fun (t1, s1) (t2, s2) -> t1 < t2 || (t1 = t2 && s1 <= s2)) in
+  let h =
+    Heap.create
+      ~leq:(fun (t1, s1) (t2, s2) -> t1 < t2 || (t1 = t2 && s1 <= s2))
+      ~gone:(fun _ -> false)
+  in
   List.iter (Heap.push h) [ (5, 1); (5, 0); (3, 2); (5, 2); (3, 3) ];
   Alcotest.(check (list (pair int int)))
     "time then seq" [ (3, 2); (3, 3); (5, 0); (5, 1); (5, 2) ] (Heap.to_list h)
