@@ -165,8 +165,14 @@ let () =
             "Arm the deterministic fault plane: lossy links plus a timed \
              partition of the worker's network. Same --seed, same failures.")
   in
-  let term =
-    Term.(const (fun trace filter seed faults -> scenario ~trace ~filter ~seed ~faults)
-          $ trace $ filter $ seed $ faults)
+  (* A misspelt name would silently log nothing: refuse it. *)
+  let run trace filter seed faults =
+    match List.filter (fun n -> not (Ntcs_obs.Manifest.known n)) filter with
+    | [] -> scenario ~trace ~filter ~seed ~faults
+    | unknown ->
+      List.iter (Printf.eprintf "ntcs_demo: --filter %s: not a registered event name\n") unknown;
+      2
+  in
+  let term = Term.(const run $ trace $ filter $ seed $ faults)
   in
   exit (Cmd.eval' (Cmd.v (Cmd.info "ntcs_demo" ~doc:"Narrated NTCS scenario.") term))

@@ -194,7 +194,8 @@ let timeline_line evs seq =
     let outcome =
       match fin with
       | Some e ->
-        Printf.sprintf "%+dus %s" (e.Span.ev_at_us - b.Span.ev_at_us) e.Span.ev_detail
+        Printf.sprintf "%+dus %s" (e.Span.ev_at_us - b.Span.ev_at_us)
+          (Span.detail_to_string e.Span.ev_detail)
       | None -> "unfinished"
     in
     Some
@@ -211,7 +212,8 @@ let circuit_report r =
         let opened, closed = circuit_meta evs in
         let describe label = function
           | Some (e : Span.event) ->
-            Printf.sprintf "%s t=%d %s" label e.Span.ev_at_us e.Span.ev_detail
+            Printf.sprintf "%s t=%d %s" label e.Span.ev_at_us
+              (Span.detail_to_string e.Span.ev_detail)
           | None -> label ^ " ?"
         in
         Buffer.add_string b

@@ -121,27 +121,27 @@ let build_soak ?shard_config config =
         World.record dst ~cat:"par.recv" ~actor:"ring"
           (Printf.sprintf "round %d from s%d" tok.tk_round tok.tk_src);
         World.span dst ~ctx:tok.tk_ctx ~phase:Span.I ~name:"par.hop" ~actor:"ring"
-          (Printf.sprintf "s%d->s%d" tok.tk_src ((tok.tk_src + 1) mod n));
+          (Text (Printf.sprintf "s%d->s%d" tok.tk_src ((tok.tk_src + 1) mod n)));
         World.span dst ~ctx:tok.tk_ctx ~phase:Span.E ~name:"par.msg" ~actor:"ring"
-          "delivered");
+          (Text "delivered"));
     (* The pump is a plain scheduler process (not a machine tenant), so
        the m0 crash never kills it: its circuit closes cleanly. *)
     let circuit = Ntcs_obs.Registry.fresh_circuit (World.obs w) in
     ignore
       (Ntcs_sim.Sched.spawn ~name:"pump" sched (fun () ->
            World.span w ~ctx:(Span.make ~circuit ~seq:0) ~phase:Span.B
-             ~name:"par.circuit" ~actor:"pump" "open";
+             ~name:"par.circuit" ~actor:"pump" (Text "open");
            for k = 1 to soak_rounds do
              Ntcs_sim.Sched.sleep sched soak_period;
              let ctx = Span.make ~circuit ~seq:k in
              World.record w ~cat:"par.send" ~actor:"pump"
                (Printf.sprintf "round %d" k);
-             World.span w ~ctx ~phase:Span.B ~name:"par.msg" ~actor:"pump" "send";
+             World.span w ~ctx ~phase:Span.B ~name:"par.msg" ~actor:"pump" (Text "send");
              Ntcs_sim.Barrier.Chan.send out { tk_ctx = ctx; tk_round = k; tk_src = i }
            done;
            Ntcs_sim.Sched.sleep sched (soak_close - (soak_rounds * soak_period));
            World.span w ~ctx:(Span.make ~circuit ~seq:0) ~phase:Span.E
-             ~name:"par.circuit" ~actor:"pump" "shutdown"))
+             ~name:"par.circuit" ~actor:"pump" (Text "shutdown")))
   done;
   p
 

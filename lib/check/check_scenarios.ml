@@ -452,6 +452,35 @@ let naming_shard_loss =
             "surviving replicas never answered for the lost shard"
         @ metric_at_least c "nsp.failovers" 1 "the client never failed over")
 
+(* Per-name retirement after the same relocation. The looker, registered
+   as [cold] (a name [svc]'s shard owns, never in its own cache), caches
+   [svc], waits out the re-registration, then locates [cold]: the answer
+   names [svc] among the shard's changes, so the next locate of [svc] must
+   reach the new address, never hit at the retired generation
+   (naming-retirement). The other lookers only re-read their cache. *)
+let naming_cold_lookup =
+  let cold = name_on_shard (Ntcs_naming.Shard_map.hash_name "svc" mod 4) in
+  relocation "naming-cold-lookup" ~seed:0xFA17 ~victim:"ap1"
+    (fun faults -> lan4_sharded ~faults)
+    ~extra:(fun c ->
+      let looked = ref (Error "never finished") in
+      ignore
+        (Cluster.spawn c ~machine:"sun1" ~name:"looker" (fun node ->
+             let ( let* ) = Result.bind in
+             looked :=
+               Result.map_error Errors.to_string
+                 (let* commod = Commod.bind node ~name:cold in
+                  let* old = Ali_layer.locate commod "svc" in
+                  Sched.sleep (Node.sched node) 8_000_000;
+                  let* _ = Ali_layer.locate commod cold in
+                  let* fresh = Ali_layer.locate commod "svc" in
+                  Ok (Addr.equal old fresh))));
+      fun () ->
+        match !looked with
+        | Ok false -> []
+        | Ok true -> [ "the looker was served svc's old address after the relocation" ]
+        | Error e -> [ "looker: " ^ e ])
+
 let exhaustive = [ first_send; break_ns ]
 
 let finite_soaks = [ fault_partition_heal; fault_ns_partition_guard; fault_ns_partition_noguard ]
@@ -465,6 +494,7 @@ let soaks =
     naming_stale_splice;
     naming_shard_loss;
     naming_shard_route;
+    naming_cold_lookup;
   ]
 
 let explore ?max_schedules ?(mode = Mode.default) sc =

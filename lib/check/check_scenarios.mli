@@ -66,8 +66,9 @@ val naming_shard_loss : scenario
 val soaks : scenario list
 (** Every soak scenario, each once: partition-heal, crash-restart, the
     §6.3 NS partition with the guard on and off, then naming-stale-splice,
-    naming-shard-loss and naming-shard-route (all owners alive, a lookup
-    relayed by a non-owner shard). *)
+    naming-shard-loss, naming-shard-route (all owners alive, a lookup
+    relayed by a non-owner shard) and naming-cold-lookup (a lookup of a
+    cold name must retire the relocated one). *)
 
 val finite_soaks : scenario list
 (** The soaks whose whole tree is small enough to drain: partition-heal

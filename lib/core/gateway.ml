@@ -32,8 +32,10 @@ type leg = {
 let make_leg ~in_net ~in_label ~net ~commod ~circuit ~label =
   { lg_net = net; lg_commod = commod; lg_circuit = circuit; lg_label = label;
     lg_detail =
-      Nd_layer.empty_memo
-        ~prefix:(Printf.sprintf "net%d label %d -> net%d label %d " in_net in_label net label) () }
+      Nd_layer.memo (fun kind addr ->
+          Ntcs_obs.Span.Forward
+            { net_a = in_net; label_a = in_label; net_b = net; label_b = label;
+              kind = Proto.kind_to_string kind; dst = Addr.to_string addr }) }
 
 type t = {
   node : Node.t;
@@ -60,7 +62,8 @@ let create node ~name ~nets ?(prime_addrs = []) ?(prime_phys = []) () =
   }
 
 let metrics t = Node.metrics t.node
-let trace t ~cat detail = Node.record t.node ~cat ~actor:t.gw_name detail
+let trace t ~cat text = Node.record t.node ~cat ~actor:t.gw_name text
+let note t ~cat detail = Node.note t.node ~cat ~actor:t.gw_name detail
 
 let spans_csv t = String.concat "," (List.map string_of_int t.nets)
 
@@ -164,9 +167,10 @@ let handle_open t (in_net : Net.id) (in_commod : Commod.t) in_circuit (h : Proto
             { h with Proto.dst = target; ivc = out_label; hops = h.Proto.hops + 1 }
           in
           Ntcs_obs.Registry.incr (metrics t) "gw.opens";
-          trace t ~cat:"gw.splice"
-            (Printf.sprintf "net%d label %d <-> net%d label %d dst=%s" in_net h.Proto.ivc
-               out_net out_label (Addr.to_string req.Proto.final_dst));
+          note t ~cat:"gw.splice"
+            (Ntcs_obs.Span.Leg
+               { net_a = in_net; label_a = h.Proto.ivc; net_b = out_net; label_b = out_label;
+                 dst = Some (Addr.to_string req.Proto.final_dst) });
           match Nd_layer.send_frame out_circuit fwd body with
           | Ok () -> ()
           | Error e ->
@@ -187,9 +191,10 @@ let remove_splice_pair t in_key (out_leg : leg) =
      splice after its teardown (§4.3 ordering). *)
   if Hashtbl.mem t.splices in_key then begin
     let in_net, _, in_label = in_key in
-    trace t ~cat:"gw.close"
-      (Printf.sprintf "net%d label %d <-> net%d label %d" in_net in_label out_leg.lg_net
-         out_leg.lg_label);
+    note t ~cat:"gw.close"
+      (Ntcs_obs.Span.Leg
+         { net_a = in_net; label_a = in_label; net_b = out_leg.lg_net;
+           label_b = out_leg.lg_label; dst = None });
     Hashtbl.remove t.splices in_key;
     Hashtbl.remove t.splices (leg_key out_leg.lg_net out_leg.lg_circuit out_leg.lg_label)
   end
@@ -231,7 +236,7 @@ let handle_frame t (net : Net.id) (_commod : Commod.t) circuit (view : Proto.Fra
          span. *)
       World.span (Node.world t.node) ~ctx:h.Proto.span ~phase:Ntcs_obs.Span.I
         ~name:"gw.forward" ~actor:t.gw_name
-        (Nd_layer.memo_detail out.lg_detail ~role:"dst" h.Proto.kind h.Proto.dst);
+        (Nd_layer.memo_detail out.lg_detail h.Proto.kind h.Proto.dst);
       (match Nd_layer.forward_view out.lg_circuit view with
        | Ok () -> ()
        | Error _ ->

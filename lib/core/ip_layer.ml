@@ -87,7 +87,8 @@ let set_plan_oracle t f = t.plan_oracle <- Some f
 let set_gateway_handler t f = t.gw_handler <- Some f
 
 let metrics t = Node.metrics t.node
-let trace t ~cat detail = Node.record t.node ~cat ~actor:t.nd.Nd_layer.owner detail
+let trace t ~cat text = Node.record t.node ~cat ~actor:t.nd.Nd_layer.owner text
+let note t ~cat detail = Node.note t.node ~cat ~actor:t.nd.Nd_layer.owner detail
 
 let my_hello t =
   {
@@ -191,8 +192,8 @@ let open_chained t ~dst ~hops ~first_phys =
            ~src_order:(Node.my_order t.node) ~ivc:label ~payload_len:0 ()
        in
        Ntcs_obs.Registry.incr (metrics t) "ip.ivc_open_sent";
-       trace t ~cat:"ip.ivc_open_sent"
-         (Printf.sprintf "label %d to %s" label (Addr.to_string dst));
+       note t ~cat:"ip.ivc_open_sent"
+         (Ntcs_obs.Span.Label { label; rest = " to " ^ Addr.to_string dst });
        (match Nd_layer.send_frame circuit header body with
         | Error _ as e ->
           Hashtbl.remove t.pending label;
@@ -221,8 +222,9 @@ let open_chained t ~dst ~hops ~first_phys =
               }
             in
             register_ivc t ivc;
-            trace t ~cat:"ip.ivc_open" (Printf.sprintf "to %s via %d hop(s) label %d"
-                                          (Addr.to_string dst) (List.length hops) label);
+            note t ~cat:"ip.ivc_open"
+              (Ntcs_obs.Span.Ivc_open
+                 { dst = Addr.to_string dst; hops = List.length hops; label });
             Ok ivc)))
 
 (* Open an IVC to [dst]: ask the routing oracle whether it is local or
@@ -289,12 +291,11 @@ let send t ivc ~kind ?(seq = 0) ?(conv = 0) ?(app_tag = 0) ?(span = Ntcs_obs.Spa
        without a per-frame flood. *)
     if ivc.last_mode <> Some mode then begin
       ivc.last_mode <- Some mode;
-      trace t ~cat:"ip.convert"
-        (Printf.sprintf "mode=%s local=%s remote=%s dst=%s%s" (Convert.mode_to_string mode)
-           (Endian.order_to_string my_order)
-           (Endian.order_to_string ivc.remote_order)
-           (Addr.to_string ivc.peer)
-           (if t.node.Node.config.Node.force_packed then " forced" else ""))
+      note t ~cat:"ip.convert"
+        (Ntcs_obs.Span.Convert
+           { mode = Convert.mode_to_string mode; local = Endian.order_to_string my_order;
+             remote = Endian.order_to_string ivc.remote_order; dst = Addr.to_string ivc.peer;
+             forced = t.node.Node.config.Node.force_packed })
     end;
     (match mode with
      | Convert.Image ->
@@ -315,13 +316,18 @@ let send t ivc ~kind ?(seq = 0) ?(conv = 0) ?(app_tag = 0) ?(span = Ntcs_obs.Spa
     Nd_layer.send_frame ivc.circuit header data
   end
 
+(* The ip.ivc_close detail of a close this end did not start. *)
+let remote_close ivc =
+  Ntcs_obs.Span.Label { label = ivc.label; rest = " peer " ^ Addr.to_string ivc.peer ^ " remote" }
+
 let close_ivc t ivc ~reason =
   if ivc.i_open then begin
     ivc.i_open <- false;
     if ivc.label <> 0 then
-      trace t ~cat:"ip.ivc_close"
-        (Printf.sprintf "label %d peer %s local reason=%s" ivc.label
-           (Addr.to_string ivc.peer) reason);
+      note t ~cat:"ip.ivc_close"
+        (Ntcs_obs.Span.Label
+           { label = ivc.label;
+             rest = " peer " ^ Addr.to_string ivc.peer ^ " local reason=" ^ reason });
     if ivc.label <> 0 && ivc.circuit.Nd_layer.c_open then begin
       let header =
         Proto.make_header ~kind:Proto.Ivc_close ~src:(Nd_layer.my_addr t.nd) ~dst:ivc.peer
@@ -361,8 +367,8 @@ let accept_chained_fresh t circuit (h : Proto.header) (req : Proto.ivc_open) =
   in
   register_ivc t ivc;
   Ntcs_obs.Registry.incr (metrics t) "ip.ivc_accepted";
-  trace t ~cat:"ip.ivc_accept" (Printf.sprintf "from %s label %d" (Addr.to_string peer_key)
-                                  h.Proto.ivc);
+  note t ~cat:"ip.ivc_accept"
+    (Ntcs_obs.Span.Ivc_accept { src = Addr.to_string peer_key; label = h.Proto.ivc });
   let reply =
     Proto.make_header ~kind:Proto.Ivc_accept ~src:(Nd_layer.my_addr t.nd) ~dst:origin_real
       ~src_order:(Node.my_order t.node) ~ivc:h.Proto.ivc ~payload_len:0 ()
@@ -451,8 +457,7 @@ let handle_event t (ev : Nd_layer.event) =
         ivc.i_open <- false;
         unregister_ivc t ivc;
         Ntcs_obs.Registry.incr (metrics t) "ip.ivc_closed_remote";
-        trace t ~cat:"ip.ivc_close"
-          (Printf.sprintf "label %d peer %s remote" ivc.label (Addr.to_string ivc.peer));
+        note t ~cat:"ip.ivc_close" (remote_close ivc);
         Down [ ivc.peer ]
     end
     else if Nd_layer.is_me t.nd h.Proto.dst then begin
@@ -499,7 +504,7 @@ let handle_event t (ev : Nd_layer.event) =
         match Hashtbl.find_opt t.pending h.Proto.ivc with
         | None -> Consumed
         | Some ivar ->
-          trace t ~cat:"ip.ivc_reject" (Printf.sprintf "label %d" h.Proto.ivc);
+          note t ~cat:"ip.ivc_reject" (Ntcs_obs.Span.Label { label = h.Proto.ivc; rest = "" });
           ignore (Sched.Ivar.try_fill ivar (Error Errors.Unreachable));
           Consumed)
       | Proto.Ivc_close -> (
@@ -509,8 +514,7 @@ let handle_event t (ev : Nd_layer.event) =
           ivc.i_open <- false;
           unregister_ivc t ivc;
           Ntcs_obs.Registry.incr (metrics t) "ip.ivc_closed_remote";
-          trace t ~cat:"ip.ivc_close"
-            (Printf.sprintf "label %d peer %s remote" ivc.label (Addr.to_string ivc.peer));
+          note t ~cat:"ip.ivc_close" (remote_close ivc);
           Down [ ivc.peer ])
       | Proto.Hello | Proto.Hello_ack -> Consumed (* handshake residue; ignore *)
       | Proto.Data | Proto.Dgram | Proto.Reply | Proto.Ping | Proto.Pong ->

@@ -84,7 +84,7 @@ and reply_slot = { rs_dst : Addr.t; rs_ivar : (envelope, Errors.t) result Sched.
    reconnection after a close gets a fresh world-unique id. [circ_detail]
    ("dst=<addr>") is rendered once here and shared by every B event of the
    circuit's messages. *)
-and circ = { circ_id : int; mutable circ_seq : int; circ_detail : string }
+and circ = { circ_id : int; mutable circ_seq : int; circ_detail : Ntcs_obs.Span.detail }
 
 let metrics t = Node.metrics t.node
 let trace t ~cat detail = Node.record t.node ~cat ~actor:t.nd.Nd_layer.owner detail
@@ -106,7 +106,7 @@ let circuit_of t ~dst =
   | Some c -> c
   | None ->
     let id = Ntcs_obs.Registry.fresh_circuit (metrics t) in
-    let c = { circ_id = id; circ_seq = 0; circ_detail = "dst=" ^ Addr.to_string dst } in
+    let c = { circ_id = id; circ_seq = 0; circ_detail = Text ("dst=" ^ Addr.to_string dst) } in
     Hashtbl.replace t.circuits dst c;
     span_event t
       ~ctx:(Ntcs_obs.Span.make ~circuit:id ~seq:0)
@@ -119,7 +119,7 @@ let close_circuit t ~reason dst =
     Hashtbl.remove t.circuits dst;
     span_event t
       ~ctx:(Ntcs_obs.Span.make ~circuit:c.circ_id ~seq:0)
-      ~phase:Ntcs_obs.Span.E ~name:"lcm.circuit" reason
+      ~phase:Ntcs_obs.Span.E ~name:"lcm.circuit" (Text reason)
   | None -> ()
 
 let close_all_circuits t ~reason =
@@ -151,12 +151,12 @@ let spanned t ~dst { op_name = name; op_histo } f =
        B/E pairing survives, then let the crash propagate. *)
     try f ctx
     with exn ->
-      span_event t ~ctx ~phase:Ntcs_obs.Span.E ~name "crashed";
+      span_event t ~ctx ~phase:Ntcs_obs.Span.E ~name (Text "crashed");
       raise exn
   in
   Ntcs_obs.Registry.observe (metrics t) op_histo (Node.now t.node - t0);
   span_event t ~ctx ~phase:Ntcs_obs.Span.E ~name
-    (match r with Ok _ -> "ok" | Error e -> "err=" ^ Errors.to_string e);
+    (match r with Ok _ -> Text "ok" | Error e -> Text ("err=" ^ Errors.to_string e));
   r
 
 let set_fault_oracle t f = t.fault_oracle <- Some f
@@ -181,7 +181,7 @@ let note_depth t =
   let d = Recursion.depth t.track in
   if d > t.deepest then begin
     t.deepest <- d;
-    trace t ~cat:"lcm.depth" (string_of_int d)
+    Node.note t.node ~cat:"lcm.depth" ~actor:t.nd.Nd_layer.owner (Depth d)
   end
 
 let tracked t f =

@@ -166,12 +166,10 @@ let bump_gen t ~what ?addr name =
   t.changed <-
     name :: List.filteri (fun i _ -> i < Ns_proto.change_log_length - 1) t.changed;
   Ntcs_obs.Registry.incr (metrics t) "ns.invalidations";
-  Node.record t.node ~cat:"ns.shard.gen" ~actor:"name-server"
-    (match addr with
-     | None -> Printf.sprintf "shard %d gen %d: %s %s" (my_shard t) t.inval_gen what name
-     | Some a ->
-       Printf.sprintf "shard %d gen %d: %s %s (%s)" (my_shard t) t.inval_gen what name
-         (Addr.to_string a))
+  Node.note t.node ~cat:"ns.shard.gen" ~actor:"name-server"
+    (Ntcs_obs.Span.Shard_gen
+       { shard = my_shard t; gen = t.inval_gen; what; name;
+         addr = Option.map Addr.to_string addr })
 
 (* --- the name index --- *)
 
@@ -352,8 +350,8 @@ let route t ?commod ~name ~hop_note req local =
   | Some _, Some commod ->
     let shard = shard_of_name t name in
     Ntcs_obs.Registry.incr (metrics t) "ns.shard.forwards";
-    Node.record t.node ~cat:"ns.shard.forward" ~actor:"name-server"
-      (Printf.sprintf "%s: shard %d -> %d hop %d" name (my_shard t) shard hop_note);
+    Node.note t.node ~cat:"ns.shard.forward" ~actor:"name-server"
+      (Ntcs_obs.Span.Shard_hop { name; from_shard = my_shard t; to_shard = shard; hop = hop_note });
     (match forward_to_shard t commod ~shard req with
      | Some resp -> resp
      | None ->

@@ -23,34 +23,38 @@ open Ntcs_sim
 open Ntcs_ipcs
 open Ntcs_wire
 
-(* The last span detail one direction of a circuit rendered, and the kind
-   and address it was rendered from. A circuit carries the same kind to the
-   same peer frame after frame, so the string is built once and shared by
-   every nd.tx (or nd.rx) event that repeats it. [sm_detail = ""]: nothing
-   rendered yet. A gateway leg keeps one too, with its fixed text around
-   the kind and address (DESIGN §11). *)
+(* The last span detail one direction of a circuit built, and the kind
+   and address it was built from. A circuit carries the same kind to the
+   same peer frame after frame, so the detail is built once and shared by
+   every nd.tx (or nd.rx) event that repeats it. [sm_detail == unbuilt]:
+   nothing built yet. A gateway leg keeps one too, building its typed
+   gw.forward detail (DESIGN §11). *)
 type span_memo = {
-  sm_prefix : string;
+  sm_build : Proto.kind -> Addr.t -> Ntcs_obs.Span.detail;
   mutable sm_kind : Proto.kind;
   mutable sm_addr : Addr.t;
-  mutable sm_detail : string;
+  mutable sm_detail : Ntcs_obs.Span.detail;
 }
 
-let empty_memo ?(prefix = "") () =
-  { sm_prefix = prefix; sm_kind = Proto.Data;
-    sm_addr = Addr.temporary ~assigner:0 ~value:0; sm_detail = "" }
+let unbuilt = Ntcs_obs.Span.Text ""
 
-(* "<prefix>kind=<kind> <role>=<addr>", rebuilt only when kind or address
-   moved. *)
-let memo_detail m ~role kind addr =
-  if m.sm_detail = "" || m.sm_kind <> kind || not (Addr.equal m.sm_addr addr) then begin
+let memo build =
+  { sm_build = build; sm_kind = Proto.Data; sm_addr = Addr.temporary ~assigner:0 ~value:0;
+    sm_detail = unbuilt }
+
+let memo_detail m kind addr =
+  if m.sm_detail == unbuilt || m.sm_kind <> kind || not (Addr.equal m.sm_addr addr) then begin
     m.sm_kind <- kind;
     m.sm_addr <- addr;
-    m.sm_detail <-
-      Printf.sprintf "%skind=%s %s=%s" m.sm_prefix (Proto.kind_to_string kind) role
-        (Addr.to_string addr)
+    m.sm_detail <- m.sm_build kind addr
   end;
   m.sm_detail
+
+(* "kind=<kind> dst=<addr>" (or src=): the text of an nd.tx (nd.rx) detail. *)
+let kind_addr role kind addr =
+  Ntcs_obs.Span.Text ("kind=" ^ Proto.kind_to_string kind ^ role ^ Addr.to_string addr)
+
+let tx_text = kind_addr " dst=" and rx_text = kind_addr " src="
 
 type circuit = {
   cid : int;
@@ -90,7 +94,8 @@ and t = {
 
 let sched t = Node.sched t.node
 let metrics t = Node.metrics t.node
-let trace t ~cat detail = Node.record t.node ~cat ~actor:t.owner detail
+let trace t ~cat text = Node.record t.node ~cat ~actor:t.owner text
+let note t ~cat detail = Node.note t.node ~cat ~actor:t.owner detail
 
 let my_addr t = t.my_addr
 
@@ -170,7 +175,7 @@ let send_view (c : circuit) v =
   if not (Ntcs_obs.Span.is_none h.Proto.span) then
     World.span (Node.world c.nd.node) ~ctx:h.Proto.span ~phase:Ntcs_obs.Span.I ~name:"nd.tx"
       ~actor:c.nd.owner
-      (memo_detail c.tx_memo ~role:"dst" h.Proto.kind h.Proto.dst);
+      (memo_detail c.tx_memo h.Proto.kind h.Proto.dst);
   match lvc_send c.lvc v with
   | Ok () -> Ok ()
   | Error e ->
@@ -258,7 +263,7 @@ let handle_incoming (c : circuit) (s : Std_if.slice) =
     if not (Ntcs_obs.Span.is_none h.Proto.span) then
       World.span (Node.world t.node) ~ctx:h.Proto.span ~phase:Ntcs_obs.Span.I ~name:"nd.rx"
         ~actor:t.owner
-        (memo_detail c.rx_memo ~role:"src" h.Proto.kind h.Proto.src);
+        (memo_detail c.rx_memo h.Proto.kind h.Proto.src);
     (* Only non-chained frames identify the circuit peer: a chained frame's
        source is the remote origin, not the gateway this circuit goes to —
        re-keying on it would steal the gateway's table entry. *)
@@ -351,8 +356,8 @@ let handshake_circuit t (lvc : Std_if.lvc) ~expect ~outbound =
             peer_listen = List.filter_map Phys_addr.of_string hello.Proto.h_listen;
             c_open = true;
             outbound;
-            tx_memo = empty_memo ();
-            rx_memo = empty_memo ();
+            tx_memo = memo tx_text;
+            rx_memo = memo rx_text;
           }
         in
         register_circuit t key c;
@@ -419,8 +424,9 @@ let open_circuit t ~(phys : Phys_addr.t) =
         | Error (_, e) -> Error e
         | Ok c ->
           start_reader t c;
-          trace t ~cat:"nd.open"
-            (Printf.sprintf "%s at %s" (Addr.to_string c.peer_addr) (Phys_addr.to_string phys));
+          note t ~cat:"nd.open"
+            (Ntcs_obs.Span.Nd_open
+               { addr = Addr.to_string c.peer_addr; phys = Phys_addr.to_string phys });
           Ok c))
   end
 

@@ -22,13 +22,14 @@ open Ntcs_wire
 
 type span_memo
 (** The last [nd.tx], [nd.rx] or [gw.forward] detail a circuit or splice
-    leg rendered, reused while the kind and address stay the same. *)
+    leg built, reused while the kind and address stay the same. *)
 
-val empty_memo : ?prefix:string -> unit -> span_memo
+val memo : (Proto.kind -> Addr.t -> Ntcs_obs.Span.detail) -> span_memo
+(** A memo that builds each new detail with the given function. *)
 
-val memo_detail : span_memo -> role:string -> Proto.kind -> Addr.t -> string
-(** ["<prefix>kind=<kind> <role>=<addr>"], rendered again only when [kind]
-    or [addr] differ from the last call's. *)
+val memo_detail : span_memo -> Proto.kind -> Addr.t -> Ntcs_obs.Span.detail
+(** The last detail built, built again only when [kind] or [addr] differ
+    from the last call's. *)
 
 type circuit = {
   cid : int;

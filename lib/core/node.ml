@@ -86,7 +86,8 @@ let metrics t = World.obs t.world
 let machine t = t.machine
 let now t = World.now t.world
 
-let record t ~cat ~actor detail = World.record t.world ~cat ~actor detail
+let note t ~cat ~actor detail = World.note t.world ~cat ~actor detail
+let record t ~cat ~actor text = World.record t.world ~cat ~actor text
 
 let my_order t = match Machine.byte_order t.machine.Machine.mtype with
   | Machine.Little_endian -> Ntcs_wire.Endian.Le

@@ -64,6 +64,7 @@ val sched : t -> Sched.t
 val metrics : t -> Ntcs_obs.Registry.t
 val machine : t -> Machine.t
 val now : t -> int
+val note : t -> cat:string -> actor:string -> Ntcs_obs.Span.detail -> unit
 val record : t -> cat:string -> actor:string -> string -> unit
 
 val my_order : t -> Ntcs_wire.Endian.order

@@ -80,10 +80,12 @@ let ttl t = t.node.Node.config.Node.ns_cache_ttl_us
    events, emitted only under a sharded naming plane so classic single-NS
    traces are unchanged. *)
 let cache_event t cat detail =
-  if t.shard_map <> None then Node.record t.node ~cat ~actor:t.owner detail
+  if t.shard_map <> None then Node.note t.node ~cat ~actor:t.owner detail
 
-let kv_detail kind key ~shard ~gen =
-  Printf.sprintf "%s:%s shard %d gen %d" kind key shard gen
+(* A hit, stale hit or store of [key], a [kind] ("name" or "addr") key. *)
+let entry_event t cat kind key ~shard ~gen =
+  if t.shard_map <> None then
+    Node.note t.node ~cat ~actor:t.owner (Ntcs_obs.Span.Cache_entry { kind; key; shard; gen })
 
 (* Fold a versioned answer's stamp into both caches. Retired entries are
    invalidated lazily: they report Stale on their next touch, which
@@ -95,7 +97,7 @@ let observe t ~shard ~gen ~changed =
   let names_floor = Ns_cache.observe t.name_cache ~shard ~gen ~changed in
   if Ns_cache.observe t.entry_cache ~shard ~gen ~changed || names_floor then begin
     Ntcs_obs.Registry.incr (metrics t) "nsp.cache_invalidations";
-    cache_event t "ns.cache.invalidate" (Printf.sprintf "shard %d floor %d" shard gen)
+    cache_event t "ns.cache.invalidate" (Ntcs_obs.Span.Floor { shard; floor = gen })
   end
 
 (* Store an authoritative answer about [name] in [cache]. Observation
@@ -107,8 +109,7 @@ let store t cache key_str cache_key ~name ~value ~kind ~shard ~gen ~changed =
   if ttl t > 0 then begin
     observe t ~shard ~gen ~changed;
     Ns_cache.store cache ~name cache_key ~value ~shard ~gen ~expiry:(Node.now t.node + ttl t);
-    cache_event t "ns.cache.store"
-      (kv_detail kind key_str ~shard ~gen:(max gen (Ns_cache.seen cache ~shard)))
+    entry_event t "ns.cache.store" kind key_str ~shard ~gen:(max gen (Ns_cache.seen cache ~shard))
   end
 
 let invalid_name = Errors.Bad_message "name is empty or holds whitespace"
@@ -215,7 +216,7 @@ let lookup t name =
   match Ns_cache.find t.name_cache ~now:(Node.now t.node) name with
   | Ns_cache.Hit (addr, shard, gen) ->
     Ntcs_obs.Registry.incr (metrics t) "nsp.cache_hits";
-    cache_event t "ns.cache.hit" (kv_detail "name" name ~shard ~gen);
+    entry_event t "ns.cache.hit" "name" name ~shard ~gen;
     Ok addr
   | (Ns_cache.Stale _ | Ns_cache.Miss) as outcome -> (
     (match outcome with
@@ -223,7 +224,7 @@ let lookup t name =
        (* The shard invalidated this generation: a miss plus a fresh
           lookup, never a delivery on the old circuit. *)
        Ntcs_obs.Registry.incr (metrics t) "nsp.cache_stale";
-       cache_event t "ns.cache.stale" (kv_detail "name" name ~shard ~gen)
+       entry_event t "ns.cache.stale" "name" name ~shard ~gen
      | _ -> Ntcs_obs.Registry.incr (metrics t) "nsp.cache_misses");
     match request ?prefer:(owner_of_name t name) t (Ns_proto.Lookup_v (name, 0)) with
     | Ok (Ns_proto.R_addr_v (addr, shard, gen, changed)) ->
@@ -243,13 +244,13 @@ let resolve t addr =
   match Ns_cache.find t.entry_cache ~now:(Node.now t.node) addr with
   | Ns_cache.Hit (entry, shard, gen) ->
     Ntcs_obs.Registry.incr (metrics t) "nsp.cache_hits";
-    cache_event t "ns.cache.hit" (kv_detail "addr" key ~shard ~gen);
+    entry_event t "ns.cache.hit" "addr" key ~shard ~gen;
     Ok entry
   | (Ns_cache.Stale _ | Ns_cache.Miss) as outcome -> (
     (match outcome with
      | Ns_cache.Stale (_, shard, gen) ->
        Ntcs_obs.Registry.incr (metrics t) "nsp.cache_stale";
-       cache_event t "ns.cache.stale" (kv_detail "addr" key ~shard ~gen)
+       entry_event t "ns.cache.stale" "addr" key ~shard ~gen
      | _ -> Ntcs_obs.Registry.incr (metrics t) "nsp.cache_misses");
     match request t (Ns_proto.Resolve_v addr) with
     | Ok (Ns_proto.R_entry_v (e, shard, gen, changed)) ->
@@ -274,9 +275,9 @@ let splice t ~old_addr ~fresh =
    | [], 0 -> ()
    | _ ->
      cache_event t "ns.cache.invalidate"
-       (Printf.sprintf "splice addr:%s dropped %d"
+       (Text (Printf.sprintf "splice addr:%s dropped %d"
           (Addr.to_string old_addr)
-          (dropped + List.length !dead_names)));
+          (dropped + List.length !dead_names))));
   match fresh with
   | None ->
     List.iter (fun (name, _) -> Ns_cache.remove t.name_cache name) !dead_names

@@ -71,7 +71,8 @@ let kind_to_string k =
 (* The [lcm.deliver] span detail: one shared constant per kind, so a
    delivery formats nothing. [Pong] is the highest tag. *)
 let kind_details =
-  Array.init (kind_to_int Pong + 1) (fun i -> "kind=" ^ kind_to_string (kind_of_int i))
+  Array.init (kind_to_int Pong + 1) (fun i ->
+      Ntcs_obs.Span.Text ("kind=" ^ kind_to_string (kind_of_int i)))
 
 let kind_detail k = kind_details.(kind_to_int k)
 

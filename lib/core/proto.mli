@@ -29,8 +29,8 @@ type kind =
 
 val kind_to_string : kind -> string
 
-val kind_detail : kind -> string
-(** ["kind=" ^ kind_to_string k], as a constant shared by every call. *)
+val kind_detail : kind -> Ntcs_obs.Span.detail
+(** [Text ("kind=" ^ kind_to_string k)], as a constant shared by every call. *)
 
 val order_to_int : Endian.order -> int
 

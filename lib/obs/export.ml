@@ -61,7 +61,7 @@ let span_json (e : Span.event) =
       ("seq", string_of_int e.Span.ev_ctx.Span.sp_seq);
       ("name", str e.Span.ev_name);
       ("actor", str e.Span.ev_actor);
-      ("detail", str e.Span.ev_detail);
+      ("detail", str (Span.detail_to_string e.Span.ev_detail));
     ]
 
 (* Span events grouped by circuit, in id order, time order kept within
@@ -103,7 +103,7 @@ let chrome_event (e : Span.event) =
           [
             ("span", str (Span.to_string e.Span.ev_ctx));
             ("actor", str e.Span.ev_actor);
-            ("detail", str e.Span.ev_detail);
+            ("detail", str (Span.detail_to_string e.Span.ev_detail));
           ] );
     ]
   in

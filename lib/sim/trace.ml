@@ -11,19 +11,23 @@ type t = Registry.t
 let create = Registry.create
 let set_filter = Registry.set_filter
 
-let record t ~at_us ~cat ~actor detail =
+let note t ~at_us ~cat ~actor detail =
   Registry.span t (Span.event ~at_us ~ctx:Span.none ~phase:Span.I ~name:cat ~actor detail)
+
+let record t ~at_us ~cat ~actor text = note t ~at_us ~cat ~actor (Span.Text text)
 
 let entries = Registry.spans
 let count = Registry.span_count
 let clear = Registry.clear_spans
 
-(* Counted on read: only the ntcs_demo listing asks. *)
+(* Counted on read, in one pass over the sorted names: only the ntcs_demo
+   listing asks. *)
 let categories t =
-  let names = List.map (fun (e : entry) -> e.Span.ev_name) (entries t) in
-  List.map
-    (fun n -> (n, List.length (List.filter (String.equal n) names)))
-    (List.sort_uniq String.compare names)
+  let count acc n =
+    match acc with (m, k) :: rest when String.equal m n -> (m, k + 1) :: rest | _ -> (n, 1) :: acc
+  in
+  List.map (fun (e : entry) -> e.Span.ev_name) (entries t)
+  |> List.sort String.compare |> List.fold_left count [] |> List.rev
 
 let matching t ~cat = List.filter (fun (e : entry) -> e.Span.ev_name = cat) (entries t)
 

@@ -16,7 +16,11 @@ val create : unit -> t
 val set_filter : t -> string list -> unit
 (** {!Ntcs_obs.Registry.set_filter}, the one selectivity switch. *)
 
+val note : t -> at_us:int -> cat:string -> actor:string -> Ntcs_obs.Span.detail -> unit
+(** Log an entry. *)
+
 val record : t -> at_us:int -> cat:string -> actor:string -> string -> unit
+(** [note] with a [Text] detail. *)
 
 val categories : t -> (string * int) list
 (** Every event name in the log with its count, sorted by name. *)

@@ -125,7 +125,8 @@ let trace t = t.obs
 let rng t = t.rng
 let now t = Sched.now t.sched
 
-let record t ~cat ~actor detail = Trace.record t.obs ~at_us:(now t) ~cat ~actor detail
+let note t ~cat ~actor detail = Trace.note t.obs ~at_us:(now t) ~cat ~actor detail
+let record t ~cat ~actor text = Trace.record t.obs ~at_us:(now t) ~cat ~actor text
 
 let span t ~ctx ~phase ~name ~actor detail =
   Ntcs_obs.Registry.span t.obs

@@ -88,8 +88,11 @@ val obs : t -> Ntcs_obs.Registry.t
 (** The world's observability registry: counters, gauges, histograms,
     the one event log and the circuit-id allocator. *)
 
-val record : t -> cat:string -> actor:string -> string -> unit
+val note : t -> cat:string -> actor:string -> Ntcs_obs.Span.detail -> unit
 (** Trace an event at the current virtual time (see {!Trace}). *)
+
+val record : t -> cat:string -> actor:string -> string -> unit
+(** [note] with a [Text] detail. *)
 
 val span :
   t ->
@@ -97,7 +100,7 @@ val span :
   phase:Ntcs_obs.Span.phase ->
   name:string ->
   actor:string ->
-  string ->
+  Ntcs_obs.Span.detail ->
   unit
 (** Record a span event stamped with the current virtual time. *)
 

@@ -132,6 +132,22 @@ let ev ?(at = 0) cat actor detail =
   Ntcs_obs.Span.event ~at_us:at ~ctx:Ntcs_obs.Span.none ~phase:Ntcs_obs.Span.I ~name:cat ~actor
     detail
 
+(* The typed details the checker reads. *)
+let text s = Ntcs_obs.Span.Text s
+
+let leg ?dst net_a label_a net_b label_b =
+  Ntcs_obs.Span.Leg { net_a; label_a; net_b; label_b; dst }
+
+let fwd net_a label_a net_b label_b kind dst =
+  Ntcs_obs.Span.Forward { net_a; label_a; net_b; label_b; kind; dst }
+
+let nd_open addr phys = Ntcs_obs.Span.Nd_open { addr; phys }
+
+let convert ?(forced = false) mode local remote dst =
+  Ntcs_obs.Span.Convert { mode; local; remote; dst; forced }
+
+let label ?(rest = "") label = Ntcs_obs.Span.Label { label; rest }
+
 (* [Check_trace.check]'s findings of one invariant. *)
 let findings ?recursion_limit inv log =
   List.filter
@@ -142,9 +158,9 @@ let findings ?recursion_limit inv log =
 
 let gw_world =
   [
-    ev "gw.addr" "gwA" "U900.1";
-    ev "gw.addr" "gwB" "U901.1";
-    ev "gw.up" "gwA" "bridging nets [0,1]";
+    ev "gw.addr" "gwA" (text "U900.1");
+    ev "gw.addr" "gwB" (text "U901.1");
+    ev "gw.up" "gwA" (text "bridging nets [0,1]");
   ]
 
 let test_r3_gateway_peering () =
@@ -153,39 +169,40 @@ let test_r3_gateway_peering () =
   let clean =
     gw_world
     @ [
-        ev "nd.open" "gw/gwA@1" "U901.1 at mbx:ring/7";
-        ev "gw.splice" "gwA" "net0 label 3 <-> net1 label 4 dst=U55.9";
-        ev "gw.forward" "gwA" "net0 label 3 -> net1 label 4 kind=msg dst=U55.9";
+        ev "nd.open" "gw/gwA@1" (nd_open "U901.1" "mbx:ring/7");
+        ev "gw.splice" "gwA" (leg 0 3 1 4 ~dst:"U55.9");
+        ev "gw.forward" "gwA" (fwd 0 3 1 4 "msg" "U55.9");
       ]
   in
   Alcotest.(check int) "chain through a gateway is legal" 0 (List.length (peering clean));
   (* Violation: a chain terminating at a gateway address. *)
-  let bad = gw_world @ [ ev "gw.splice" "gwA" "net0 label 3 <-> net1 label 4 dst=U901.1" ] in
+  let bad = gw_world @ [ ev "gw.splice" "gwA" (leg 0 3 1 4 ~dst:"U901.1") ] in
   (match peering bad with
    | [ v ] -> Alcotest.(check string) "invariant name" "gateway-peering" v.Check_trace.v_invariant
    | vs -> Alcotest.failf "expected 1 violation, got %d" (List.length vs));
   (* Forwarded payload toward a gateway: violation. Replies flowing back to
      a gateway-originated chain: legal. *)
-  let bad =
-    gw_world @ [ ev "gw.forward" "gwA" "net0 label 3 -> net1 label 4 kind=data dst=U901.1" ]
-  in
+  let bad = gw_world @ [ ev "gw.forward" "gwA" (fwd 0 3 1 4 "data" "U901.1") ] in
   Alcotest.(check int) "payload toward a gateway" 1 (List.length (peering bad));
-  let ok =
-    gw_world @ [ ev "gw.forward" "gwA" "net0 label 3 -> net1 label 4 kind=reply dst=U901.1" ]
-  in
+  let ok = gw_world @ [ ev "gw.forward" "gwA" (fwd 0 3 1 4 "reply" "U901.1") ] in
   Alcotest.(check int) "replies back to a gateway-originated chain" 0 (List.length (peering ok));
   (* Violation: a gateway ComMod opens an IVC to another gateway. *)
-  let bad = gw_world @ [ ev "ip.ivc_open" "gw/gwA@0" "to U901.1 via 1 hop(s)" ] in
+  let bad =
+    gw_world
+    @ [ ev "ip.ivc_open" "gw/gwA@0" (Ntcs_obs.Span.Ivc_open { dst = "U901.1"; hops = 1; label = 6 }) ]
+  in
   Alcotest.(check int) "gateway IVC to gateway" 1 (List.length (peering bad));
   (* Violation: a gateway-to-gateway circuit with no chain to justify it. *)
-  let bad = gw_world @ [ ev "nd.open" "gw/gwA@1" "U901.1 at mbx:ring/7" ] in
+  let bad = gw_world @ [ ev "nd.open" "gw/gwA@1" (nd_open "U901.1" "mbx:ring/7") ] in
   Alcotest.(check int) "chainless circuit between gateways" 1 (List.length (peering bad));
   (* Ordinary modules may open circuits to gateways, of course. *)
-  let ok = gw_world @ [ ev "nd.open" "client" "U900.1 at tcp:ether/2" ] in
+  let ok = gw_world @ [ ev "nd.open" "client" (nd_open "U900.1" "tcp:ether/2") ] in
   Alcotest.(check int) "apps reach gateways freely" 0 (List.length (peering ok))
 
 let test_r3_recursion_depth () =
-  let entries = [ ev "lcm.depth" "vax1/ns" "3"; ev ~at:7 "lcm.depth" "vax1/ns" "70" ] in
+  let entries =
+    [ ev "lcm.depth" "vax1/ns" (Ntcs_obs.Span.Depth 3); ev ~at:7 "lcm.depth" "vax1/ns" (Depth 70) ]
+  in
   (match findings ~recursion_limit:64 "recursion-depth" entries with
    | [ v ] ->
      Alcotest.(check string) "invariant" "recursion-depth" v.Check_trace.v_invariant;
@@ -197,17 +214,17 @@ let test_r3_recursion_depth () =
 let test_r3_identity_conversion () =
   let ok =
     [
-      ev "ip.convert" "vax1/a" "mode=image local=be remote=be dst=U5.1";
-      ev "ip.convert" "vax1/a" "mode=packed local=be remote=le dst=U5.2";
-      ev "ip.convert" "vax1/a" "mode=packed local=be remote=be dst=U5.3 forced";
+      ev "ip.convert" "vax1/a" (convert "image" "be" "be" "U5.1");
+      ev "ip.convert" "vax1/a" (convert "packed" "be" "le" "U5.2");
+      ev "ip.convert" "vax1/a" (convert ~forced:true "packed" "be" "be" "U5.3");
     ]
   in
   Alcotest.(check int) "image/equal, packed/mixed, forced all legal" 0
     (List.length (findings "identity-conversion" ok));
   let bad =
     [
-      ev "ip.convert" "vax1/a" "mode=packed local=be remote=be dst=U5.1";
-      ev "ip.convert" "vax1/a" "mode=image local=le remote=be dst=U5.2";
+      ev "ip.convert" "vax1/a" (convert "packed" "be" "be" "U5.1");
+      ev "ip.convert" "vax1/a" (convert "image" "le" "be" "U5.2");
     ]
   in
   Alcotest.(check int) "both degenerate modes flagged" 2
@@ -223,9 +240,9 @@ let lifecycle = findings "lifecycle"
 let test_trace_legal_splice () =
   let good =
     [
-      e 1 "gw.splice" "net0 label 7 <-> net1 label 8 dst=x";
-      e 2 "gw.forward" "net0 label 7 -> net1 label 8 kind=data dst=x";
-      e 3 "gw.close" "net0 label 7 <-> net1 label 8";
+      e 1 "gw.splice" (leg 0 7 1 8 ~dst:"x");
+      e 2 "gw.forward" (fwd 0 7 1 8 "data" "x");
+      e 3 "gw.close" (leg 0 7 1 8);
     ]
   in
   Alcotest.(check int) "legal lifecycle" 0 (List.length (lifecycle good))
@@ -233,9 +250,9 @@ let test_trace_legal_splice () =
 let test_trace_forward_after_close () =
   let bad =
     [
-      e 1 "gw.splice" "net0 label 7 <-> net1 label 8 dst=x";
-      e 2 "gw.close" "net0 label 7 <-> net1 label 8";
-      e 3 "gw.forward" "net0 label 7 -> net1 label 8 kind=data dst=x";
+      e 1 "gw.splice" (leg 0 7 1 8 ~dst:"x");
+      e 2 "gw.close" (leg 0 7 1 8);
+      e 3 "gw.forward" (fwd 0 7 1 8 "data" "x");
     ]
   in
   let vs = lifecycle bad in
@@ -248,7 +265,7 @@ let test_trace_forward_after_close () =
     vs
 
 let test_trace_forward_before_splice () =
-  let bad = [ e 1 "gw.forward" "net0 label 7 -> net1 label 8 kind=data dst=x" ] in
+  let bad = [ e 1 "gw.forward" (fwd 0 7 1 8 "data" "x") ] in
   Alcotest.(check int) "traffic on unopened legs" 2 (List.length (lifecycle bad))
 
 (* A leg is its own net's label: a three-net gateway may splice label 7 of
@@ -256,14 +273,14 @@ let test_trace_forward_before_splice () =
 let test_trace_legs_keyed_by_net () =
   let good =
     [
-      e 1 "gw.splice" "net0 label 7 <-> net2 label 8 dst=x";
-      e 2 "gw.splice" "net1 label 7 <-> net2 label 9 dst=y";
-      e 3 "gw.forward" "net2 label 9 -> net1 label 7 kind=reply dst=z";
+      e 1 "gw.splice" (leg 0 7 2 8 ~dst:"x");
+      e 2 "gw.splice" (leg 1 7 2 9 ~dst:"y");
+      e 3 "gw.forward" (fwd 2 9 1 7 "reply" "z");
     ]
   in
   Alcotest.(check (list string)) "two chains, one label" []
     (List.map (fun v -> v.Check_trace.v_detail) (lifecycle good));
-  let bad = good @ [ e 4 "gw.splice" "net2 label 8 <-> net1 label 5 dst=w" ] in
+  let bad = good @ [ e 4 "gw.splice" (leg 2 8 1 5 ~dst:"w") ] in
   Alcotest.(check (list string)) "a leg spliced twice"
     [ "gw0 net2 label 8" ]
     (List.map
@@ -274,13 +291,13 @@ let test_trace_endpoint_lifecycle () =
   let m cat detail at = ev ~at cat "m1" detail in
   let good =
     [
-      m "ip.ivc_open_sent" "label 5 to a!b" 1;
-      m "ip.ivc_open" "to a!b via 1 hop(s) label 5" 2;
-      m "ip.ivc_close" "label 5 peer a!b local reason=shutdown" 3;
+      m "ip.ivc_open_sent" (label 5 ~rest:" to a!b") 1;
+      m "ip.ivc_open" (Ntcs_obs.Span.Ivc_open { dst = "a!b"; hops = 1; label = 5 }) 2;
+      m "ip.ivc_close" (label 5 ~rest:" peer a!b local reason=shutdown") 3;
     ]
   in
   Alcotest.(check int) "legal endpoint lifecycle" 0 (List.length (lifecycle good));
-  let bad = good @ [ m "ip.ivc_reject" "label 5" 4 ] in
+  let bad = good @ [ m "ip.ivc_reject" (label 5) 4 ] in
   let vs = lifecycle bad in
   Alcotest.(check int) "reject while draining" 1 (List.length vs)
 
@@ -294,9 +311,9 @@ let test_spans_unterminated () =
   in
   let circuit c reason =
     [
-      sp 1 c 0 Ntcs_obs.Span.B "lcm.circuit" "dst=U5.1";
-      sp 2 c 1 Ntcs_obs.Span.B "lcm.send" "dst=U5.1";
-      sp 3 c 0 Ntcs_obs.Span.E "lcm.circuit" reason;
+      sp 1 c 0 Ntcs_obs.Span.B "lcm.circuit" (text "dst=U5.1");
+      sp 2 c 1 Ntcs_obs.Span.B "lcm.send" (text "dst=U5.1");
+      sp 3 c 0 Ntcs_obs.Span.E "lcm.circuit" (text reason);
     ]
   in
   Alcotest.(check (list (pair string int)))
@@ -318,15 +335,16 @@ let test_trace_one_finding_per_family () =
   let log =
     gw_world
     @ [
-        ev ~at:1 "gw.splice" "gwA" "net0 label 3 <-> net1 label 4 dst=U901.1";
-        ev ~at:2 "lcm.depth" "vax1/ns" "65";
-        ev ~at:3 "ip.convert" "vax1/a" "mode=packed local=be remote=be dst=U5.1";
-        ev ~at:4 "ip.ivc_reject" "m1" "label 5";
-        sp 5 0 Ntcs_obs.Span.B "lcm.circuit" "dst=U5.1";
-        sp 6 1 Ntcs_obs.Span.E "lcm.send" "ok";
-        ev ~at:7 "ns.shard.forward" "name-server" "svc: shard 0 -> 1 hop 2";
-        ev ~at:8 "sim.proc_crash" "sun1/svc" "Stack_overflow";
-        ev ~at:9 "race.conflict" "race" "cell: write by a unordered with write by b";
+        ev ~at:1 "gw.splice" "gwA" (leg 0 3 1 4 ~dst:"U901.1");
+        ev ~at:2 "lcm.depth" "vax1/ns" (Ntcs_obs.Span.Depth 65);
+        ev ~at:3 "ip.convert" "vax1/a" (convert "packed" "be" "be" "U5.1");
+        ev ~at:4 "ip.ivc_reject" "m1" (label 5);
+        sp 5 0 Ntcs_obs.Span.B "lcm.circuit" (text "dst=U5.1");
+        sp 6 1 Ntcs_obs.Span.E "lcm.send" (text "ok");
+        ev ~at:7 "ns.shard.forward" "name-server"
+          (Ntcs_obs.Span.Shard_hop { name = "svc"; from_shard = 0; to_shard = 1; hop = 2 });
+        ev ~at:8 "sim.proc_crash" "sun1/svc" (text "Stack_overflow");
+        ev ~at:9 "race.conflict" "race" (text "cell: write by a unordered with write by b");
       ]
   in
   Alcotest.(check (list (pair string int)))
@@ -439,6 +457,7 @@ let test_default_schedules_pinned () =
       ("naming-stale-splice", "9a3eb0f38a2305114aa49f011c610eb1");
       ("naming-shard-loss", "da53f2014cd119b19c0934c9b18cf34e");
       ("naming-shard-route", "645283e5df6b7dfa49de952bcdfbc21c");
+      ("naming-cold-lookup", "5b83bd96f51a9c035285b58c86e05d8c");
     ]
 
 (* --- the ntcs_check pass: contracts and armed checkers --- *)
@@ -495,7 +514,8 @@ let expect_caught sc needle =
 let test_pass_arms_race_checker () =
   let violations w =
     List.map
-      (fun (e : Ntcs_sim.Trace.entry) -> "race.conflict: " ^ e.ev_detail)
+      (fun (e : Ntcs_sim.Trace.entry) ->
+        "race.conflict: " ^ Ntcs_obs.Span.detail_to_string e.ev_detail)
       (Ntcs_sim.Trace.matching (Ntcs_sim.World.trace w) ~cat:"race.conflict")
   in
   expect_caught (planted ~name:"planted-race" ~plant:Helpers.inject_race ~violations)

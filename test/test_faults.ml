@@ -227,21 +227,25 @@ let test_redelivery_owns_its_buffer () =
   let details cat =
     List.map (fun (e : Ntcs_sim.Trace.entry) -> e.ev_detail) (Ntcs_sim.Trace.matching trace ~cat)
   in
+  let unexpected what d =
+    Alcotest.failf "%s detail of another format: %s" what (Ntcs_obs.Span.detail_to_string d)
+  in
   let splices =
     List.concat_map
-      (fun d ->
-        Scanf.sscanf d "net%d label %d <-> net%d label %d" (fun a la b lb ->
-            [ ((a, la), (b, lb)); ((b, lb), (a, la)) ]))
+      (function
+        | Ntcs_obs.Span.Leg { net_a = a; label_a = la; net_b = b; label_b = lb; _ } ->
+          [ ((a, la), (b, lb)); ((b, lb), (a, la)) ]
+        | d -> unexpected "gw.splice" d)
       (details "gw.splice")
   in
   let forwards = details "gw.forward" in
   Alcotest.(check bool) "frames were forwarded" true (forwards <> []);
   List.iter
-    (fun d ->
-      let leg =
-        Scanf.sscanf d "net%d label %d -> net%d label %d" (fun a la b lb -> ((a, la), (b, lb)))
-      in
-      if not (List.mem leg splices) then Alcotest.failf "gw.forward names no splice: %s" d)
+    (function
+      | Ntcs_obs.Span.Forward { net_a = a; label_a = la; net_b = b; label_b = lb; _ } as d ->
+        if not (List.mem ((a, la), (b, lb)) splices) then
+          Alcotest.failf "gw.forward names no splice: %s" (Ntcs_obs.Span.detail_to_string d)
+      | d -> unexpected "gw.forward" d)
     forwards
 
 (* --- the Retry policy itself --- *)

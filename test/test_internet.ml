@@ -115,9 +115,11 @@ let test_no_inter_gateway_protocol () =
     List.filter
       (fun e ->
         is_gw_actor e
-        && (let detail = e.Ntcs_obs.Span.ev_detail in
-            (* gateway opening toward a well-known gateway address U9xx.* *)
-            String.length detail > 1 && String.sub detail 0 2 = "U9"))
+        &&
+        match e.Ntcs_obs.Span.ev_detail with
+        (* gateway opening toward a well-known gateway address U9xx.* *)
+        | Ntcs_obs.Span.Nd_open { addr; _ } -> String.starts_with ~prefix:"U9" addr
+        | _ -> Alcotest.fail "an nd.open detail of another format")
       entries
   in
   Alcotest.(check int) "no gateway-to-gateway circuits" 0 (List.length gw_to_gw)
@@ -291,16 +293,19 @@ let test_forward_logged_once () =
   let data =
     List.filter
       (fun (e : Span.event) ->
-        List.mem "kind=data" (String.split_on_char ' ' e.Span.ev_detail))
+        match e.Span.ev_detail with
+        | Span.Forward { kind; _ } -> kind = "data"
+        | _ -> Alcotest.fail "a gw.forward detail of another format")
       forwards
   in
   let all_sends = sends None in
   List.iter
     (fun (e : Span.event) ->
-      Alcotest.(check bool) (e.Span.ev_detail ^ ": non-null ctx") false
+      let detail = Span.detail_to_string e.Span.ev_detail in
+      Alcotest.(check bool) (detail ^ ": non-null ctx") false
         (Span.is_none e.Span.ev_ctx);
       Alcotest.(check bool)
-        (e.Span.ev_detail ^ ": ctx of a logical send") true
+        (detail ^ ": ctx of a logical send") true
         (List.mem e.Span.ev_ctx all_sends))
     data;
   (* Each of the client's three echoes crosses three gateways, its ctx

@@ -33,6 +33,54 @@ let test_span_header_roundtrip () =
   let plain', _ = Helpers.decode_frame (Proto.encode_frame plain Bytes.empty) in
   Alcotest.(check bool) "default is none" true (Span.is_none plain'.Proto.span)
 
+(* Each typed detail renders as the text its producer formatted while
+   details were strings: the format strings below are copied from those
+   producers, so a printer that drifts (a swapped field, a lost space)
+   fails here before any golden moves. Names, keys and addresses are
+   random single words. *)
+let test_detail_printer =
+  let word = QCheck.Gen.(string_size ~gen:(char_range '!' '~') (int_range 1 8)) in
+  let gen = QCheck.Gen.(triple (array_repeat 4 nat) (array_repeat 5 word) bool) in
+  let print = QCheck.Print.(triple (array int) (array string) bool) in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"detail printer" (QCheck.make ~print gen)
+       (fun (n, w, forced) ->
+         let a = n.(0) and b = n.(1) and c = n.(2) and d = n.(3) in
+         let s = w.(0) and t = w.(1) and u = w.(2) and v = w.(3) and x = w.(4) in
+         let sp = Printf.sprintf in
+         List.iter
+           (fun (detail, want) ->
+             let got = Span.detail_to_string detail in
+             if got <> want then QCheck.Test.fail_reportf "%S rendered as %S" want got)
+           [
+             ( Leg { net_a = a; label_a = b; net_b = c; label_b = d; dst = Some s },
+               sp "net%d label %d <-> net%d label %d dst=%s" a b c d s );
+             ( Leg { net_a = a; label_a = b; net_b = c; label_b = d; dst = None },
+               sp "net%d label %d <-> net%d label %d" a b c d );
+             ( Forward { net_a = a; label_a = b; net_b = c; label_b = d; kind = s; dst = t },
+               sp "net%d label %d -> net%d label %d " a b c d ^ sp "%skind=%s %s=%s" "" s "dst" t );
+             (Ivc_open { dst = s; hops = a; label = b }, sp "to %s via %d hop(s) label %d" s a b);
+             (Label { label = a; rest = " to " ^ s }, sp "label %d to %s" a s);
+             ( Label { label = a; rest = " peer " ^ s ^ " local reason=" ^ t },
+               sp "label %d peer %s local reason=%s" a s t );
+             (Label { label = a; rest = " peer " ^ s ^ " remote" }, sp "label %d peer %s remote" a s);
+             (Label { label = a; rest = "" }, sp "label %d" a);
+             (Ivc_accept { src = s; label = a }, sp "from %s label %d" s a);
+             ( Convert { mode = s; local = t; remote = u; dst = v; forced },
+               sp "mode=%s local=%s remote=%s dst=%s%s" s t u v (if forced then " forced" else "") );
+             (Nd_open { addr = s; phys = t }, sp "%s at %s" s t);
+             (Depth a, string_of_int a);
+             (Cache_entry { kind = s; key = t; shard = a; gen = b }, sp "%s:%s shard %d gen %d" s t a b);
+             (Floor { shard = a; floor = b }, sp "shard %d floor %d" a b);
+             ( Shard_hop { name = s; from_shard = a; to_shard = b; hop = c },
+               sp "%s: shard %d -> %d hop %d" s a b c );
+             ( Shard_gen { shard = a; gen = b; what = s; name = t; addr = None },
+               sp "shard %d gen %d: %s %s" a b s t );
+             ( Shard_gen { shard = a; gen = b; what = s; name = t; addr = Some x },
+               sp "shard %d gen %d: %s %s (%s)" a b s t x );
+           ];
+         true))
+
 (* --- histograms --- *)
 
 let test_histo_basics () =
@@ -60,7 +108,7 @@ let test_span_log_order () =
   for i = 1 to n do
     Registry.span r
       (Span.event ~at_us:i ~ctx:(Span.make ~circuit:1 ~seq:i) ~phase:Span.I ~name:"nd.tx"
-         ~actor:"a" "")
+         ~actor:"a" (Text ""))
   done;
   Alcotest.(check int) "count" n (Registry.span_count r);
   Alcotest.(check (list int)) "oldest first" (List.init n (fun i -> i + 1))
@@ -75,9 +123,10 @@ let test_span_log_order () =
 let test_trace_entries_join_no_circuit () =
   let r = Registry.create () in
   let tr ~at_us cat detail = Ntcs_sim.Trace.record r ~at_us ~cat ~actor:"m1/app" detail in
-  let sp ~at_us ~seq phase name detail =
+  let sp ~at_us ~seq phase name text =
     Registry.span r
-      (Span.event ~at_us ~ctx:(Span.make ~circuit:1 ~seq) ~phase ~name ~actor:"m1/app" detail)
+      (Span.event ~at_us ~ctx:(Span.make ~circuit:1 ~seq) ~phase ~name ~actor:"m1/app"
+         (Text text))
   in
   tr ~at_us:1 "nd.open" "U0.1 at ether:1";
   sp ~at_us:2 ~seq:0 Span.B "lcm.circuit" "dst=U0.1";
@@ -90,7 +139,7 @@ let test_trace_entries_join_no_circuit () =
   (* Whatever its phase, a null-context event is no circuit's close. *)
   Registry.span r
     (Span.event ~at_us:9 ~ctx:Span.none ~phase:Span.E ~name:"lcm.circuit" ~actor:"m1/app"
-       "shutdown");
+       (Text "shutdown"));
   Alcotest.(check int) "one log" 9 (Registry.span_count r);
   Alcotest.(check (list string)) "no span violation" []
     (List.map (Format.asprintf "%a" Check_trace.pp_violation)
@@ -191,7 +240,8 @@ let test_nd_detail_follows_frame () =
           (fun (e : Span.event) -> e.Span.ev_name = "nd.tx" && e.Span.ev_ctx = ctx)
           spans
       with
-      | Some e -> Alcotest.(check string) (Span.to_string ctx) want e.Span.ev_detail
+      | Some e ->
+        Alcotest.(check string) (Span.to_string ctx) want (Span.detail_to_string e.Span.ev_detail)
       | None -> Alcotest.failf "no nd.tx event for %s" (Span.to_string ctx))
     (List.rev !sent)
 
@@ -257,6 +307,7 @@ let () =
       ("span", [
         Alcotest.test_case "ctx string forms" `Quick test_span_strings;
         Alcotest.test_case "header roundtrip" `Quick test_span_header_roundtrip;
+        test_detail_printer;
       ]);
       ("histo", [ Alcotest.test_case "basics" `Quick test_histo_basics ]);
       ("registry", [

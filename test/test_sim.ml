@@ -391,11 +391,13 @@ let test_trace_filter () =
       (Ntcs_obs.Span.event ~at_us ~ctx:(Ntcs_obs.Span.make ~circuit:1 ~seq:1)
          ~phase:Ntcs_obs.Span.I ~name ~actor:"p" detail)
   in
-  span ~at_us:5 ~name:"a.hop" "dropped";
-  span ~at_us:6 ~name:"a.x" "kept";
+  span ~at_us:5 ~name:"a.hop" (Ntcs_obs.Span.Text "dropped");
+  span ~at_us:6 ~name:"a.x" (Ntcs_obs.Span.Text "kept");
   Alcotest.(check int) "span outside the filter dropped" 4 (Trace.count t);
   Alcotest.(check (list string)) "kept events, oldest first" [ "one"; "two"; "kept"; "kept" ]
-    (List.map (fun (e : Trace.entry) -> e.Ntcs_obs.Span.ev_detail) (Trace.entries t));
+    (List.map
+       (fun (e : Trace.entry) -> Ntcs_obs.Span.detail_to_string e.Ntcs_obs.Span.ev_detail)
+       (Trace.entries t));
   Alcotest.(check int) "prefix counts kept events only" 3
     (List.length (Trace.matching_prefix t ~prefix:"a."))
 
