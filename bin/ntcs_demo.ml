@@ -75,7 +75,6 @@ let scenario ~trace ~filter ~seed ~faults =
   in
   let managed = Ntcs_drts.Process_ctl.start pctl (spec "worker@ring") ~machine:"ap1" in
   Cluster.settle ~dt:5_000_000 cluster;
-  let driver_stats = ref None in
   ignore
     (Cluster.spawn cluster ~machine:"sun1" ~name:"driver" (fun node ->
          match Commod.bind node ~name:"driver" with
@@ -95,8 +94,7 @@ let scenario ~trace ~filter ~seed ~faults =
                   Printf.printf "[t=%7dus] call %d -> error %s\n" (Node.now node) i
                     (Errors.to_string e));
                Ntcs_sim.Sched.sleep (Node.sched node) 2_000_000
-             done;
-             driver_stats := Some (Ali_layer.stats commod))));
+             done)));
   Ntcs_sim.Sched.after (Cluster.sched cluster) 7_000_000 (fun () ->
       print_endline "[operator] relocating worker from the ring to the ethernet...";
       ignore
@@ -112,17 +110,14 @@ let scenario ~trace ~filter ~seed ~faults =
     (Ntcs_obs.Registry.get m "lcm.addr_faults")
     (Ntcs_obs.Registry.get m "lcm.relocations")
     (Ntcs_obs.Registry.get m "tadd.purged");
-  (* The driver's own recovery counters from [Ali_layer.stats]: how hard the
-     LCM retry policy had to work on its behalf. *)
-  (match !driver_stats with
-   | None -> ()
-   | Some s ->
-     Printf.printf "driver recovery: retries=%d backoff=%dus reestablished=[%s]\n"
-       s.Lcm_layer.st_retries s.Lcm_layer.st_backoff_us
-       (String.concat "; "
-          (List.map
-             (fun (a, n) -> Printf.sprintf "%s x%d" a n)
-             s.Lcm_layer.st_reestablished)));
+  (* How hard the LCM retry policy had to work: its retries and the virtual
+     time they slept. Each new destination is an [lcm.relocate] entry in
+     the trace. *)
+  Printf.printf "LCM recovery: retries=%d backoff=%dus\n"
+    (Ntcs_obs.Registry.get m "lcm.retries")
+    (match Ntcs_obs.Registry.find_histo m "lcm.retry_backoff_us" with
+     | Some h -> Ntcs_obs.Histo.sum h
+     | None -> 0);
   if trace then begin
     let tr = Ntcs_sim.World.trace (Cluster.world cluster) in
     (* Name listing first — per-layer totals via [matching_prefix], then

@@ -7,7 +7,7 @@
    - basic communication: [send], [send_sync], [send_dgram], [receive],
      [reply] (both asynchronous and synchronous forms);
    - resource location: [locate], [locate_attrs];
-   - utilities: [my_address], [stats], [locate_entry]. *)
+   - utilities: [my_address], [recursion_stats], [locate_entry]. *)
 
 open Ntcs_wire
 
@@ -102,5 +102,3 @@ let my_address commod =
 let recursion_stats commod =
   let tr = Lcm_layer.recursion_tracker (Commod.lcm commod) in
   (Recursion.entries tr, Recursion.recursive_entries tr, Recursion.max_depth tr)
-
-let stats commod = Lcm_layer.stats (Commod.lcm commod)

@@ -92,7 +92,3 @@ val my_address : Commod.t -> (Addr.t, Errors.t) result
 
 val recursion_stats : Commod.t -> int * int * int
 (** [(entries, recursive_entries, max_depth)] — the §6.1 measures. *)
-
-val stats : Commod.t -> Lcm_layer.stats
-(** Per-module communication counters (sends, receives, sync calls,
-    address faults, forwarding entries). *)

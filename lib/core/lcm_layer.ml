@@ -49,7 +49,6 @@ type t = {
   waiting : (int, reply_slot) Hashtbl.t; (* conversation id -> waiter *)
   circuits : (Addr.t, circ) Hashtbl.t; (* logical-circuit span per destination *)
   forwarding : (Addr.t, Addr.t) Hashtbl.t; (* old UAdd -> replacement UAdd *)
-  reestablish : (Addr.t, int) Hashtbl.t; (* per-destination circuit reestablishments *)
   last_seq : (Addr.t, int) Hashtbl.t; (* per-source high-water mark (§3.5 audit) *)
   mutable fault_oracle : (Addr.t -> (Addr.t option, Errors.t) result) option;
   mutable ns_addr : Addr.t option; (* who the name server is, for the guard *)
@@ -64,16 +63,6 @@ type t = {
      to invalidate/splice its lookup caches (DESIGN.md §15). *)
   mutable running : bool;
   mutable deepest : int; (* recursion high-water mark already traced *)
-  counters : counters;
-}
-
-and counters = {
-  mutable c_sent : int;
-  mutable c_received : int;
-  mutable c_sync_calls : int;
-  mutable c_faults : int;
-  mutable c_retries : int;
-  mutable c_backoff_us : int;
 }
 
 and reply_slot = { rs_dst : Addr.t; rs_ivar : (envelope, Errors.t) result Sched.Ivar.ivar }
@@ -225,7 +214,6 @@ let is_ns t addr = match t.ns_addr with Some a -> Addr.equal a addr | None -> fa
    (possibly the same, after clearing state for a clean reconnect), or an
    error if the destination is gone for good. *)
 let address_fault t ~dst =
-  t.counters.c_faults <- t.counters.c_faults + 1;
   Ntcs_obs.Registry.incr (metrics t) "lcm.addr_faults";
   trace t ~cat:"lcm.fault" (Addr.to_string dst);
   (* The channel just failed, so the local tables were already consulted to
@@ -286,10 +274,6 @@ let deadline_of t timeout_us =
   in
   Node.now t.node + budget
 
-let note_reestablish t dst =
-  let n = Option.value ~default:0 (Hashtbl.find_opt t.reestablish dst) in
-  Hashtbl.replace t.reestablish dst (n + 1)
-
 (* LCM send recovery (§3.5): three attempts through the address-fault
    handler, backoff from 50 ms doubling to an 800 ms ceiling, 20 ms of
    seeded jitter. *)
@@ -314,7 +298,6 @@ let send_frame ?deadline_us ?(span = Ntcs_obs.Span.none) t ~dst ~kind ~conv ~app
         | Error _ as e -> e
         | Ok dst' ->
           cur := dst';
-          note_reestablish t dst';
           Ok dst'
         end
     in
@@ -329,8 +312,6 @@ let send_frame ?deadline_us ?(span = Ntcs_obs.Span.none) t ~dst ~kind ~conv ~app
     Retry.run (Node.sched t.node) ~rng:t.rng ?deadline_us policy ~retryable:Errors.retryable
       ~on_retry:(fun ~attempt ~delay_us e ->
         incr retries;
-        t.counters.c_retries <- t.counters.c_retries + 1;
-        t.counters.c_backoff_us <- t.counters.c_backoff_us + delay_us;
         Ntcs_obs.Registry.incr (metrics t) "lcm.retries";
         Ntcs_obs.Registry.observe (metrics t) "lcm.retry_backoff_us" delay_us;
         trace t ~cat:"lcm.retry"
@@ -350,9 +331,7 @@ let send t ~dst ?(app_tag = 0) ?timeout_us payload =
             send_frame ~deadline_us ~span t ~dst ~kind:Proto.Data ~conv:0 ~app_tag payload
           in
           (match r with
-           | Ok () ->
-             t.counters.c_sent <- t.counters.c_sent + 1;
-             Ntcs_obs.Registry.incr (metrics t) "lcm.sends"
+           | Ok () -> Ntcs_obs.Registry.incr (metrics t) "lcm.sends"
            | Error _ -> Ntcs_obs.Registry.incr (metrics t) "lcm.send_errors");
           r))
 
@@ -396,8 +375,6 @@ let send_sync t ~dst ?(app_tag = 0) ?timeout_us payload =
           with
           | Error _ as e -> e
           | Ok () ->
-            t.counters.c_sent <- t.counters.c_sent + 1;
-            t.counters.c_sync_calls <- t.counters.c_sync_calls + 1;
             Ntcs_obs.Registry.incr (metrics t) "lcm.sync_sends";
             await_reply t ~dst ~conv ~timeout_us:(max 0 (deadline_us - Node.now t.node))))
 
@@ -466,11 +443,7 @@ let recv ?timeout_us ?app_tag t =
       let result =
         match take_stashed t want with Some env -> Ok env | None -> pull ()
       in
-      (match result with
-       | Ok env ->
-         t.counters.c_received <- t.counters.c_received + 1;
-         monitor_event t "recv" env.src
-       | Error _ -> ());
+      (match result with Ok env -> monitor_event t "recv" env.src | Error _ -> ());
       result)
 
 (* --- the dispatcher --- *)
@@ -594,7 +567,6 @@ let create node nd ip =
       waiting = Hashtbl.create 16;
       circuits = Hashtbl.create 8;
       forwarding = Hashtbl.create 8;
-      reestablish = Hashtbl.create 8;
       last_seq = Hashtbl.create 16;
       fault_oracle = None;
       ns_addr = None;
@@ -606,15 +578,6 @@ let create node nd ip =
       on_relocate = None;
       running = true;
       deepest = 0;
-      counters =
-        {
-          c_sent = 0;
-          c_received = 0;
-          c_sync_calls = 0;
-          c_faults = 0;
-          c_retries = 0;
-          c_backoff_us = 0;
-        };
     }
   in
   let pid =
@@ -652,29 +615,3 @@ let without_monitoring t f =
   Fun.protect ~finally:(fun () -> t.monitor_suppress <- saved) f
 
 let recursion_tracker t = t.track
-
-type stats = {
-  st_sent : int;  (* successful sends, sync included *)
-  st_received : int;  (* envelopes handed to the application *)
-  st_sync_calls : int;
-  st_faults : int;  (* address faults handled *)
-  st_forwarding : int;  (* live forwarding-table entries *)
-  st_retries : int;  (* send attempts beyond the first *)
-  st_backoff_us : int;  (* total virtual time spent in backoff sleeps *)
-  st_reestablished : (string * int) list;
-      (* per-destination circuit reestablishments, sorted by address *)
-}
-
-let stats t =
-  {
-    st_sent = t.counters.c_sent;
-    st_received = t.counters.c_received;
-    st_sync_calls = t.counters.c_sync_calls;
-    st_faults = t.counters.c_faults;
-    st_forwarding = Hashtbl.length t.forwarding;
-    st_retries = t.counters.c_retries;
-    st_backoff_us = t.counters.c_backoff_us;
-    st_reestablished =
-      List.map (fun (a, n) -> (Addr.to_string a, n))
-        (Ntcs_util.sorted_bindings t.reestablish);
-  }

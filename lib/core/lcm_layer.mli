@@ -114,17 +114,3 @@ val without_monitoring : t -> (unit -> 'a) -> 'a
     own traffic without "the obvious infinite recursion". *)
 
 val recursion_tracker : t -> Recursion.t
-
-type stats = {
-  st_sent : int;
-  st_received : int;
-  st_sync_calls : int;
-  st_faults : int;
-  st_forwarding : int;
-  st_retries : int;  (** send attempts beyond the first *)
-  st_backoff_us : int;  (** total virtual time spent in backoff sleeps *)
-  st_reestablished : (string * int) list;
-      (** per-destination circuit reestablishments, sorted by address *)
-}
-
-val stats : t -> stats

@@ -336,9 +336,4 @@ let invalidate t =
   Ns_cache.clear t.entry_cache;
   t.gw_cache <- None
 
-let cache_stats t =
-  let h1, s1, m1 = Ns_cache.stats t.name_cache in
-  let h2, s2, m2 = Ns_cache.stats t.entry_cache in
-  (h1 + h2, s1 + s2, m1 + m2)
-
 let name_server_addrs t = t.candidates

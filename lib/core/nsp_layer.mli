@@ -71,7 +71,4 @@ val deregister : t -> Addr.t -> (unit, Errors.t) result
 val invalidate : t -> unit
 (** Drop every cache (test/experiment hook). *)
 
-val cache_stats : t -> int * int * int
-(** [(hits, stale, misses)] over both lookup caches since creation. *)
-
 val name_server_addrs : t -> Addr.t list

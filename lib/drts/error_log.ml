@@ -63,9 +63,9 @@ let serve node () =
 
 (* --- client --- *)
 
-type client = { commod : Commod.t; mutable log_addr : Addr.t option; mutable sent : int }
+type client = { commod : Commod.t; mutable log_addr : Addr.t option }
 
-let create_client commod = { commod; log_addr = None; sent = 0 }
+let create_client commod = { commod; log_addr = None }
 
 let log c severity message =
   Lcm_layer.without_monitoring (Commod.lcm c.commod) (fun () ->
@@ -91,12 +91,9 @@ let log c severity message =
             lr_time = node.Node.hooks.Node.timestamp ();
           }
         in
-        (match
-           Ali_layer.send_dgram c.commod ~dst:addr ~app_tag:Drts_proto.error_log_tag
-             (Convert.payload_raw (Packed.run_pack Drts_proto.log_record_codec record))
-         with
-         | Ok () -> c.sent <- c.sent + 1
-         | Error _ -> ()))
+        ignore
+          (Ali_layer.send_dgram c.commod ~dst:addr ~app_tag:Drts_proto.error_log_tag
+             (Convert.payload_raw (Packed.run_pack Drts_proto.log_record_codec record))))
 
 let query_count commod ~log_addr ~min_severity =
   match

@@ -50,8 +50,6 @@ type corrector = {
   mutable offset_us : int; (* corrected = local + offset *)
   mutable last_sync_us : int; (* in virtual (global) time *)
   sync_interval_us : int;
-  mutable syncs : int;
-  mutable failures : int;
 }
 
 let create ?(sync_interval_us = 30_000_000) commod =
@@ -61,8 +59,6 @@ let create ?(sync_interval_us = 30_000_000) commod =
     offset_us = 0;
     last_sync_us = min_int / 2;
     sync_interval_us;
-    syncs = 0;
-    failures = 0;
   }
 
 let local_now c =
@@ -73,6 +69,10 @@ let local_now c =
    triggered from inside a send) with monitoring suppressed. *)
 let sync c =
   let node = Commod.node c.commod in
+  let failed e =
+    Ntcs_obs.Registry.incr (Node.metrics node) "time.sync_failures";
+    Error e
+  in
   Lcm_layer.without_monitoring (Commod.lcm c.commod) (fun () ->
       let server =
         match c.server with
@@ -87,9 +87,7 @@ let sync c =
           | Error _ as e -> e)
       in
       match server with
-      | Error e ->
-        c.failures <- c.failures + 1;
-        Error e
+      | Error e -> failed e
       | Ok addr -> (
         let t_send = local_now c in
         let req =
@@ -99,23 +97,18 @@ let sync c =
           Ali_layer.send_sync c.commod ~dst:addr ~app_tag:Drts_proto.time_tag
             (Convert.payload_raw req)
         with
-        | Error e ->
-          c.failures <- c.failures + 1;
-          Error e
+        | Error e -> failed e
         | Ok env -> (
           match
             Packed.run_unpack_result Drts_proto.time_reply_codec env.Ali_layer.data
           with
-          | Error m ->
-            c.failures <- c.failures + 1;
-            Error (Errors.Bad_message m)
+          | Error m -> failed (Errors.Bad_message m)
           | Ok reply ->
             let t_arrive = local_now c in
             let rtt = t_arrive - t_send in
             let estimate = reply.Drts_proto.tr_server_time + (rtt / 2) in
             c.offset_us <- estimate - t_arrive;
             c.last_sync_us <- Node.now node;
-            c.syncs <- c.syncs + 1;
             Ntcs_obs.Registry.incr (Node.metrics node) "time.syncs";
             Ok c.offset_us)))
 
@@ -131,9 +124,6 @@ let now c =
 let install c =
   let node = Commod.node c.commod in
   node.Node.hooks.Node.timestamp <- (fun () -> now c)
-
-let sync_count c = c.syncs
-let failure_count c = c.failures
 
 (* True clock error of this corrector's machine against the global clock,
    for experiment evaluation only (a real system could never observe it). *)

@@ -23,7 +23,8 @@ val create : ?sync_interval_us:int -> Commod.t -> corrector
 
 val sync : corrector -> (int, Errors.t) result
 (** One synchronisation exchange; returns the new offset. Locates the
-    server on first use (§6.1). *)
+    server on first use (§6.1). Counts [time.syncs] or
+    [time.sync_failures] in the world's registry. *)
 
 val now : corrector -> int
 (** Corrected timestamp; resynchronises first when stale — the recursive
@@ -32,9 +33,6 @@ val now : corrector -> int
 val install : corrector -> unit
 (** Become the node's timestamp hook: LCM monitor records now use corrected
     time. *)
-
-val sync_count : corrector -> int
-val failure_count : corrector -> int
 
 val true_error_us : corrector -> int
 (** True clock error against the global (simulation) clock — for

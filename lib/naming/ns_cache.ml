@@ -35,9 +35,6 @@ type ('k, 'v) t = {
   (* per shard: name -> newest generation in (floor, seen] that changed
      it, made on the first listed change. At most [capacity] names; one
      more raises the floor instead. *)
-  mutable hits : int;
-  mutable stale : int;
-  mutable misses : int;
 }
 
 let create ~capacity ~nshards =
@@ -48,9 +45,6 @@ let create ~capacity ~nshards =
     floors = Array.make nshards 0;
     seen = Array.make nshards 0;
     changed = Array.make nshards None;
-    hits = 0;
-    stale = 0;
-    misses = 0;
   }
 
 let nshards t = Array.length t.floors
@@ -85,22 +79,16 @@ let retired t e =
 
 let find t ~now key =
   match Ntcs_util.Lru.find t.lru key with
-  | None ->
-    t.misses <- t.misses + 1;
-    Miss
+  | None -> Miss
   | Some e when e.e_expiry < now ->
     (* TTL expiry is an ordinary miss: nothing was proved wrong, the entry
        just aged out. *)
     Ntcs_util.Lru.remove t.lru key;
-    t.misses <- t.misses + 1;
     Miss
   | Some e when retired t e ->
     Ntcs_util.Lru.remove t.lru key;
-    t.stale <- t.stale + 1;
     Stale (e.e_value, e.e_shard, e.e_gen)
-  | Some e ->
-    t.hits <- t.hits + 1;
-    Hit (e.e_value, e.e_shard, e.e_gen)
+  | Some e -> Hit (e.e_value, e.e_shard, e.e_gen)
 
 (* Store a fresh answer. The effective generation is clamped up to the
    shard's [seen]: the value just came from an authoritative answer, so it
@@ -166,5 +154,3 @@ let iter t f = Ntcs_util.Lru.iter t.lru (fun k e -> f k e.e_value ~shard:e.e_sha
 let clear t = Ntcs_util.Lru.clear t.lru
 
 let length t = Ntcs_util.Lru.length t.lru
-
-let stats t = (t.hits, t.stale, t.misses)

@@ -10,7 +10,8 @@
     the whole shard. A retired entry is reported as {!Stale} — the caller
     must treat it as a miss and re-look-up, never deliver on it. Recency
     order, eviction and iteration are deterministic (built on
-    [Ntcs_util.Lru]). *)
+    [Ntcs_util.Lru]). The cache keeps no counts: its caller counts each
+    outcome in the world's registry ([nsp.cache_{hits,stale,misses}]). *)
 
 type ('k, 'v) t
 
@@ -67,6 +68,3 @@ val iter : ('k, 'v) t -> ('k -> 'v -> shard:int -> gen:int -> unit) -> unit
 
 val clear : ('k, 'v) t -> unit
 val length : ('k, 'v) t -> int
-
-val stats : ('k, 'v) t -> int * int * int
-(** [(hits, stale, misses)] since creation. *)

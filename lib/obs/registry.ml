@@ -4,8 +4,6 @@
    registry per simulated world, so parallel experiments never share state
    and equal seeds replay identical allocations. *)
 
-type stat = [ `Counter of int | `Gauge of float ]
-
 type t = {
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, float ref) Hashtbl.t;
@@ -45,10 +43,12 @@ let sorted_bindings tbl =
 
 (* Counters and gauges *)
 
+(* [counter] and [histo] run on every [incr] and [observe]: matching on
+   [Not_found] spares the [Some] block [find_opt] would allocate. *)
 let counter t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r
-  | None ->
+  match Hashtbl.find t.counters name with
+  | r -> r
+  | exception Not_found ->
     let r = ref 0 in
     Hashtbl.replace t.counters name r;
     r
@@ -70,17 +70,12 @@ let gauge t name =
 let counters_alist t = List.map (fun (k, r) -> (k, !r)) (sorted_bindings t.counters)
 let gauges_alist t = List.map (fun (k, r) -> (k, !r)) (sorted_bindings t.gauges)
 
-let stats_alist t : (string * stat) list =
-  List.map (fun (k, v) -> (k, `Counter v)) (counters_alist t)
-  @ List.map (fun (k, v) -> (k, `Gauge v)) (gauges_alist t)
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
 (* Histograms *)
 
 let histo t name =
-  match Hashtbl.find_opt t.histos name with
-  | Some h -> h
-  | None ->
+  match Hashtbl.find t.histos name with
+  | h -> h
+  | exception Not_found ->
     let h = Histo.create () in
     Hashtbl.replace t.histos name h;
     h

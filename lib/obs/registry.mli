@@ -2,8 +2,6 @@
     world's one event log (causal span events and trace entries), and the
     deterministic circuit-id allocator. *)
 
-type stat = [ `Counter of int | `Gauge of float ]
-
 type t
 
 val create : unit -> t
@@ -18,9 +16,6 @@ val gauge : t -> string -> float
 
 val counters_alist : t -> (string * int) list
 val gauges_alist : t -> (string * float) list
-
-val stats_alist : t -> (string * stat) list
-(** Counters and gauges merged, sorted by name. *)
 
 (** {1 Histograms} *)
 

@@ -69,19 +69,10 @@ type spec = {
 
 type action = Deliver | Drop | Duplicate | Delay of int | Reorder of int
 
-type counters = {
-  mutable dropped : int;
-  mutable duplicated : int;
-  mutable reordered : int;
-  mutable delayed : int;
-  mutable blocked : int; (* frames refused by a partition *)
-}
-
 type t = {
   spec : spec;
   rng : Ntcs_util.Rng.t;
   blocked_pairs : (int * int, unit) Hashtbl.t; (* unordered machine-id pairs *)
-  counters : counters;
   mutable emit : (cat:string -> detail:string -> unit) option;
 }
 
@@ -97,13 +88,11 @@ let create ?(rules = []) ?(schedule = []) ~seed () =
       };
     rng = Ntcs_util.Rng.create seed;
     blocked_pairs = Hashtbl.create 8;
-    counters = { dropped = 0; duplicated = 0; reordered = 0; delayed = 0; blocked = 0 };
     emit = None;
   }
 
 let seed t = t.spec.seed
 let schedule t = t.spec.schedule
-let counters t = t.counters
 
 let set_emit t f = t.emit <- Some f
 
@@ -132,8 +121,6 @@ let block_groups t (groups : int list list) =
 
 let blocked t a b = Hashtbl.mem t.blocked_pairs (pair_key a b)
 
-let note_blocked t = t.counters.blocked <- t.counters.blocked + 1
-
 (* --- frame faults --- *)
 
 let rule_active r ~now ~net =
@@ -153,25 +140,21 @@ let frame_action t ~now ~net ~src ~dst =
     | r :: rest ->
       if not (rule_active r ~now ~net) then go rest
       else if draw t r.r_drop then begin
-        t.counters.dropped <- t.counters.dropped + 1;
         trace t ~cat:"fault.drop" (Printf.sprintf "%s -> %s net%d" src dst net);
         Drop
       end
       else if draw t r.r_dup then begin
-        t.counters.duplicated <- t.counters.duplicated + 1;
         trace t ~cat:"fault.dup" (Printf.sprintf "%s -> %s net%d" src dst net);
         Duplicate
       end
       else if draw t r.r_reorder then begin
         let extra = 1 + Ntcs_util.Rng.int t.rng (max 1 r.r_delay_us) in
-        t.counters.reordered <- t.counters.reordered + 1;
         trace t ~cat:"fault.reorder"
           (Printf.sprintf "%s -> %s net%d held %dus" src dst net extra);
         Reorder extra
       end
       else if draw t r.r_delay then begin
         let extra = 1 + Ntcs_util.Rng.int t.rng (max 1 r.r_delay_us) in
-        t.counters.delayed <- t.counters.delayed + 1;
         trace t ~cat:"fault.delay"
           (Printf.sprintf "%s -> %s net%d +%dus" src dst net extra);
         Delay extra

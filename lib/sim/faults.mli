@@ -10,7 +10,9 @@
     emitted as a [fault.*] trace event ([fault.drop], [fault.dup],
     [fault.reorder], [fault.delay], [fault.crash], [fault.restart],
     [fault.partition], [fault.heal], [fault.net_down], [fault.net_up]), so
-    trace-based invariant checkers keep working on faulty runs.
+    trace-based invariant checkers keep working on faulty runs. The plane
+    keeps no counts: the world's registry counts each frame's fate as
+    [fault.{blocked,dropped,duplicated,delayed,reordered}_frames].
 
     Frame faults apply only to transmissions the IPCS backends mark
     droppable — whole, self-contained ND frames. Control segments and
@@ -89,7 +91,6 @@ val block_groups : t -> int list list -> unit
 (** Install a partition over machine-id groups (resolved by the world). *)
 
 val clear_partition : t -> unit
-val note_blocked : t -> unit
 
 val set_emit : t -> (cat:string -> detail:string -> unit) -> unit
 (** Point fault traces at the world's trace; called by
@@ -98,13 +99,4 @@ val set_emit : t -> (cat:string -> detail:string -> unit) -> unit
 val seed : t -> int
 val schedule : t -> (int * event) list
 
-type counters = {
-  mutable dropped : int;
-  mutable duplicated : int;
-  mutable reordered : int;
-  mutable delayed : int;
-  mutable blocked : int;  (** frames refused by a partition *)
-}
-
-val counters : t -> counters
 val pp_event : Format.formatter -> event -> unit

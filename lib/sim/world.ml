@@ -345,7 +345,6 @@ let transmit ?fifo ?(droppable = false) t ~net:(n : Net.t) ~src:(src : Machine.t
     Sched.access t.sched t.c_faults ~write:false;
     match t.faults with
     | Some f when Faults.blocked f src.id dst.id ->
-      Faults.note_blocked f;
       Ntcs_obs.Registry.incr t.obs "fault.blocked_frames";
       true
     | Some _ | None -> false

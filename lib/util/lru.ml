@@ -1,6 +1,5 @@
 (* Small LRU cache over a Hashtbl plus a doubly-linked recency list.
-   Used for the ND-layer's UAdd -> physical-address cache and the IP-layer's
-   route cache. *)
+   Used by the naming plane's versioned lookup cache ([Ns_cache]). *)
 
 type ('k, 'v) node = {
   key : 'k;
@@ -14,13 +13,11 @@ type ('k, 'v) t = {
   table : ('k, ('k, 'v) node) Hashtbl.t;
   mutable head : ('k, 'v) node option; (* most recently used *)
   mutable tail : ('k, 'v) node option; (* least recently used *)
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let create capacity =
   if capacity <= 0 then invalid_arg "Lru.create: capacity must be positive";
-  { capacity; table = Hashtbl.create 16; head = None; tail = None; hits = 0; misses = 0 }
+  { capacity; table = Hashtbl.create 16; head = None; tail = None }
 
 let unlink t node =
   (match node.prev with
@@ -42,11 +39,8 @@ let push_front t node =
 
 let find t key =
   match Hashtbl.find_opt t.table key with
-  | None ->
-    t.misses <- t.misses + 1;
-    None
+  | None -> None
   | Some node ->
-    t.hits <- t.hits + 1;
     unlink t node;
     push_front t node;
     Some node.value
@@ -105,8 +99,6 @@ let clear t =
   Hashtbl.reset t.table;
   t.head <- None;
   t.tail <- None
-
-let stats t = (t.hits, t.misses)
 
 (* Walk the recency list, not the backing table: callers observe a
    deterministic, meaningful order (most recently used first) instead of

@@ -1,4 +1,4 @@
-(** Fixed-capacity LRU cache with hit/miss accounting. *)
+(** Fixed-capacity LRU cache. *)
 
 type ('k, 'v) t
 
@@ -6,10 +6,10 @@ val create : int -> ('k, 'v) t
 (** [create capacity] — raises [Invalid_argument] if [capacity <= 0]. *)
 
 val find : ('k, 'v) t -> 'k -> 'v option
-(** Lookup; refreshes recency and updates hit/miss counters. *)
+(** Lookup; refreshes recency. *)
 
 val mem : ('k, 'v) t -> 'k -> bool
-(** Membership test without touching recency or counters. *)
+(** Membership test without touching recency. *)
 
 val set : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert or update, evicting the least-recently-used entry when full. *)
@@ -18,15 +18,11 @@ val remove : ('k, 'v) t -> 'k -> unit
 
 val invalidate_if : ('k, 'v) t -> ('k -> 'v -> bool) -> int
 (** Evict every entry the predicate selects and return how many were
-    dropped. Survivors keep their relative recency order; hit/miss
-    counters are untouched. The predicate is consulted in recency order
+    dropped. Survivors keep their relative recency order. The predicate is consulted in recency order
     (most recently used first) and must not mutate the cache. *)
 
 val length : ('k, 'v) t -> int
 val clear : ('k, 'v) t -> unit
-
-val stats : ('k, 'v) t -> int * int
-(** [(hits, misses)] since creation. *)
 
 val iter : ('k, 'v) t -> ('k -> 'v -> unit) -> unit
 (** Visits entries in recency order, most recently used first — a

@@ -88,7 +88,8 @@ let test_seed_determinism_end_to_end () =
              ignore (Ali_layer.send_sync commod ~dst:addr (raw "x"))
            done));
     Cluster.settle ~dt:30_000_000 c;
-    ( Ntcs_obs.Registry.stats_alist (Cluster.metrics c),
+    let m = Cluster.metrics c in
+    ( (Ntcs_obs.Registry.counters_alist m, Ntcs_obs.Registry.gauges_alist m),
       Ntcs_sim.World.now (Cluster.world c) )
   in
   let a = run () and b = run () in

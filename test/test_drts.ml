@@ -43,8 +43,10 @@ let test_time_correction () =
           | Ok _ -> ()
           | Error e -> Alcotest.failf "sync failed: %s" (Errors.to_string e));
          err_after := abs (Ntcs_drts.Time_service.true_error_us corrector);
-         Alcotest.(check int) "one sync recorded" 1
-           (Ntcs_drts.Time_service.sync_count corrector)));
+         let m = Node.metrics node in
+         Alcotest.(check int) "one sync recorded" 1 (Ntcs_obs.Registry.get m "time.syncs");
+         Alcotest.(check int) "no failure recorded" 0
+           (Ntcs_obs.Registry.get m "time.sync_failures")));
   Cluster.settle ~dt:20_000_000 c;
   Alcotest.(check bool) "clock was off beforehand" true (!err_before > 100_000);
   (* Cristian-style correction should get within a few RTTs of truth. *)
@@ -89,7 +91,7 @@ let test_time_autosync_on_stale_timestamp () =
          ignore (Ntcs_drts.Time_service.now corrector);
          Ntcs_sim.Sched.sleep (Node.sched node) 2_000_000;
          ignore (Ntcs_drts.Time_service.now corrector);
-         syncs := Ntcs_drts.Time_service.sync_count corrector));
+         syncs := Ntcs_obs.Registry.get (Node.metrics node) "time.syncs"));
   Cluster.settle ~dt:20_000_000 c;
   Alcotest.(check int) "two automatic syncs" 2 !syncs
 
@@ -105,10 +107,11 @@ let test_time_sync_failure_counted () =
          (match Ntcs_drts.Time_service.sync corrector with
           | Ok _ -> Alcotest.fail "sync cannot succeed without a server"
           | Error _ -> ());
-         failures := Ntcs_drts.Time_service.failure_count corrector));
+         failures := Ntcs_obs.Registry.get (Node.metrics node) "time.sync_failures"));
   Cluster.settle ~dt:20_000_000 c;
   Alcotest.(check int) "failure counted" 1 !failures;
-  ()
+  Alcotest.(check int) "no sync counted" 0
+    (Ntcs_obs.Registry.get (Cluster.metrics c) "time.syncs")
 
 let test_error_log_roundtrip () =
   let c = lan_cluster () in

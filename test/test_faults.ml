@@ -3,10 +3,10 @@
    - Determinism: the same world seed + the same fault spec must reproduce
      the same injections and the same trace, byte for byte; a different
      fault seed must move something.
-   - Injection: rules and scheduled events actually fire, are counted, and
-     appear as fault.* trace events.
-   - Recovery: a partitioned service heals through the LCM retry policy and
-     the retry counters surface in [Lcm_layer.stats].
+   - Injection: rules and scheduled events actually fire and appear as
+     fault.* trace events, one per count in the world's registry.
+   - Recovery: a partitioned service heals through the LCM retry policy,
+     and [lcm.retries] counts each [lcm.retry] trace entry.
    - Gateway idempotence: duplicated open/control frames (dup probability
      1.0 on every droppable frame) must not double-splice or double-close an
      IVC — the §4.3 teardown-ordering regression.
@@ -46,7 +46,6 @@ let faulty_run ?(fault_seed = 7) () =
   spawn_echo c ~machine:"sun1" ~name:"svc";
   Cluster.settle c;
   let recovered = ref false in
-  let stats = ref None in
   ignore
     (Cluster.spawn c ~machine:"sun2" ~name:"app" (fun node ->
          let commod = bind_exn node ~name:"app" in
@@ -65,13 +64,12 @@ let faulty_run ?(fault_seed = 7) () =
                Ntcs_sim.Sched.sleep sched 1_000_000;
                chase ()
          in
-         chase ();
-         stats := Some (Ali_layer.stats commod)));
+         chase ()));
   Cluster.settle ~dt:40_000_000 c;
   Alcotest.(check bool) "app recovered after heal" true !recovered;
   let trace_txt = Fmt.str "%a" Ntcs_sim.Trace.dump (Ntcs_sim.World.trace (Cluster.world c)) in
   let metrics_txt = Fmt.str "%a" Ntcs_obs.Registry.pp_stats (Cluster.metrics c) in
-  (trace_txt, metrics_txt, c, !stats)
+  (trace_txt, metrics_txt, c)
 
 let check_same label a b =
   if not (String.equal a b) then begin
@@ -87,40 +85,112 @@ let check_same label a b =
   end
 
 let test_same_seed_same_faults () =
-  let t1, m1, _, _ = faulty_run () in
-  let t2, m2, _, _ = faulty_run () in
+  let t1, m1, _ = faulty_run () in
+  let t2, m2, _ = faulty_run () in
   check_same "faulty trace" t1 t2;
   check_same "faulty metrics" m1 m2
 
 let test_fault_seed_matters () =
-  let t1, _, _, _ = faulty_run ~fault_seed:7 () in
-  let t2, _, _, _ = faulty_run ~fault_seed:8 () in
+  let t1, _, _ = faulty_run ~fault_seed:7 () in
+  let t2, _, _ = faulty_run ~fault_seed:8 () in
   Alcotest.(check bool) "different fault seeds diverge" false (String.equal t1 t2)
 
+(* Each injected frame fault is one trace entry and one registry count. *)
+let frame_faults_match_trace c =
+  let m = Cluster.metrics c in
+  let tr = Ntcs_sim.World.trace (Cluster.world c) in
+  List.iter
+    (fun (cat, counter) ->
+      Alcotest.(check int) (cat ^ " entries = " ^ counter) (Ntcs_obs.Registry.get m counter)
+        (List.length (Ntcs_sim.Trace.matching tr ~cat)))
+    [
+      ("fault.drop", "fault.dropped_frames");
+      ("fault.dup", "fault.duplicated_frames");
+      ("fault.reorder", "fault.reordered_frames");
+      ("fault.delay", "fault.delayed_frames");
+    ]
+
 let test_faults_injected_and_traced () =
-  let _, _, c, stats = faulty_run () in
-  let f =
-    match Ntcs_sim.World.faults (Cluster.world c) with
-    | Some f -> f
-    | None -> Alcotest.fail "fault plane not installed"
+  let _, _, c = faulty_run () in
+  Alcotest.(check bool) "fault plane installed" true
+    (Ntcs_sim.World.faults (Cluster.world c) <> None);
+  let m = Cluster.metrics c in
+  let tr = Ntcs_sim.World.trace (Cluster.world c) in
+  let traced cat = List.length (Ntcs_sim.Trace.matching tr ~cat) in
+  Alcotest.(check bool) "frames dropped" true (Ntcs_obs.Registry.get m "fault.dropped_frames" > 0);
+  Alcotest.(check bool) "frames duplicated" true
+    (Ntcs_obs.Registry.get m "fault.duplicated_frames" > 0);
+  Alcotest.(check bool) "frames blocked by partition" true
+    (Ntcs_obs.Registry.get m "fault.blocked_frames" > 0);
+  frame_faults_match_trace c;
+  Alcotest.(check bool) "fault.partition traced" true (traced "fault.partition" > 0);
+  Alcotest.(check bool) "fault.heal traced" true (traced "fault.heal" > 0);
+  Alcotest.(check bool) "fault.drop traced" true (traced "fault.drop" > 0);
+  (* The outage engaged the LCM recovery: one count per [lcm.retry] entry,
+     and the backoff histogram sums the sleeps those entries name. *)
+  let retries = Ntcs_sim.Trace.matching tr ~cat:"lcm.retry" in
+  Alcotest.(check bool) "retries counted" true (retries <> []);
+  Alcotest.(check int) "lcm.retry entries = lcm.retries" (List.length retries)
+    (Ntcs_obs.Registry.get m "lcm.retries");
+  let backoff (e : Ntcs_sim.Trace.entry) =
+    match e.Ntcs_obs.Span.ev_detail with
+    | Ntcs_obs.Span.Text d -> Scanf.sscanf d "%_s attempt=%_d backoff=%dus" Fun.id
+    | _ -> Alcotest.failf "lcm.retry: not a text detail"
   in
-  let k = Ntcs_sim.Faults.counters f in
-  Alcotest.(check bool) "frames dropped" true (k.Ntcs_sim.Faults.dropped > 0);
-  Alcotest.(check bool) "frames duplicated" true (k.Ntcs_sim.Faults.duplicated > 0);
-  Alcotest.(check bool) "frames blocked by partition" true (k.Ntcs_sim.Faults.blocked > 0);
-  let has cat =
-    Ntcs_sim.Trace.matching (Ntcs_sim.World.trace (Cluster.world c)) ~cat <> []
+  let slept =
+    match Ntcs_obs.Registry.find_histo m "lcm.retry_backoff_us" with
+    | Some h -> Ntcs_obs.Histo.sum h
+    | None -> 0
   in
-  Alcotest.(check bool) "fault.partition traced" true (has "fault.partition");
-  Alcotest.(check bool) "fault.heal traced" true (has "fault.heal");
-  Alcotest.(check bool) "fault.drop traced" true (has "fault.drop");
-  (* The outage engaged the LCM recovery, and the counters surface in the
-     per-module stats the ALI exposes. *)
-  match stats with
-  | None -> Alcotest.fail "no app stats"
-  | Some s ->
-    Alcotest.(check bool) "retries counted" true (s.Lcm_layer.st_retries > 0);
-    Alcotest.(check bool) "backoff time counted" true (s.Lcm_layer.st_backoff_us > 0)
+  Alcotest.(check bool) "backoff time counted" true (slept > 0);
+  Alcotest.(check int) "backoff histogram = traced backoff"
+    (List.fold_left (fun acc e -> acc + backoff e) 0 retries)
+    slept
+
+(* All four frame faults on one steady echo loop (the faulty run above
+   injects no reorder and no delay): each must fire, and each must be
+   counted exactly as often as it is traced. *)
+let test_every_frame_fault_counted () =
+  let config =
+    {
+      Ntcs_sim.World.Config.default with
+      Ntcs_sim.World.Config.seed = 3;
+      faults =
+        Some
+          {
+            Ntcs_sim.Faults.seed = 5;
+            rules =
+              [
+                Ntcs_sim.Faults.rule ~from_us:4_000_000 ~drop:0.1 ~dup:0.1 ~reorder:0.2
+                  ~delay:0.2 ~delay_us:20_000 ();
+              ];
+            schedule = [];
+          };
+    }
+  in
+  let c = lan_cluster ~config () in
+  Cluster.settle c;
+  spawn_echo c ~machine:"sun1" ~name:"svc";
+  Cluster.settle c;
+  ignore
+    (Cluster.spawn c ~machine:"sun2" ~name:"app" (fun node ->
+         let commod = bind_exn node ~name:"app" in
+         let addr = check_ok "locate" (Ali_layer.locate commod "svc") in
+         for _ = 1 to 40 do
+           ignore (Ali_layer.send_sync commod ~dst:addr ~timeout_us:1_000_000 (raw "x"))
+         done));
+  Cluster.settle ~dt:60_000_000 c;
+  let m = Cluster.metrics c in
+  List.iter
+    (fun counter ->
+      Alcotest.(check bool) (counter ^ " > 0") true (Ntcs_obs.Registry.get m counter > 0))
+    [
+      "fault.dropped_frames";
+      "fault.duplicated_frames";
+      "fault.reordered_frames";
+      "fault.delayed_frames";
+    ];
+  frame_faults_match_trace c
 
 (* Every droppable frame duplicated: the gateway sees each chained open (and
    every control/data frame that fits one segment) twice. The splice must
@@ -325,6 +395,8 @@ let () =
         [
           Alcotest.test_case "faults injected, counted, traced" `Quick
             test_faults_injected_and_traced;
+          Alcotest.test_case "every frame fault counted once" `Quick
+            test_every_frame_fault_counted;
         ] );
       ( "gateway",
         [

@@ -316,27 +316,25 @@ let test_commod_stats () =
   Cluster.settle c;
   spawn_echo c ~machine:"sun1" ~name:"svc";
   Cluster.settle c;
-  let st = ref None in
+  let m = Cluster.metrics c in
+  let get = Ntcs_obs.Registry.get m in
+  let sends0 = get "lcm.sends" and syncs0 = get "lcm.sync_sends" in
+  let done_ = ref false in
   ignore
     (Cluster.spawn c ~machine:"sun2" ~name:"client" (fun node ->
          let commod = bind_exn node ~name:"client" in
          let addr = check_ok "locate" (Ali_layer.locate commod "svc") in
          check_ok "async" (Ali_layer.send commod ~dst:addr (raw "a"));
          ignore (check_ok "sync" (Ali_layer.send_sync commod ~dst:addr (raw "s")));
-         st := Some (Ali_layer.stats commod)));
+         done_ := true));
   Cluster.settle ~dt:10_000_000 c;
-  match !st with
-  | None -> Alcotest.fail "no stats"
-  | Some st ->
-    (* 1 async + 1 sync by the app, plus NSP traffic (registration, name
-       lookup, address resolution) riding the same ComMod — the recursion
-       made visible in the counters. *)
-    Alcotest.(check bool) "app + NSP sends counted" true (st.Lcm_layer.st_sent >= 4);
-    Alcotest.(check bool) "sync calls include NSP round trips" true
-      (st.Lcm_layer.st_sync_calls >= 3);
-    Alcotest.(check bool) "more sends than app made alone" true
-      (st.Lcm_layer.st_sent > 2);
-    Alcotest.(check int) "no faults" 0 st.Lcm_layer.st_faults
+  Alcotest.(check bool) "client finished" true !done_;
+  (* The client's 1 async + 1 sync, plus the NSP traffic (registration,
+     name lookup, address resolution) riding the same ComMod: the
+     recursion made visible in the world's counters. *)
+  Alcotest.(check int) "one async send" 1 (get "lcm.sends" - sends0);
+  Alcotest.(check int) "sync calls include NSP round trips" 4 (get "lcm.sync_sends" - syncs0);
+  Alcotest.(check int) "no faults" 0 (get "lcm.addr_faults")
 
 let () =
   Alcotest.run "nucleus"

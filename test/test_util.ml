@@ -116,10 +116,8 @@ let test_lru_update_refreshes () =
 let test_lru_stats_and_remove () =
   let c = Lru.create 4 in
   Lru.set c 1 "x";
-  ignore (Lru.find c 1);
-  ignore (Lru.find c 2);
-  let hits, misses = Lru.stats c in
-  Alcotest.(check (pair int int)) "stats" (1, 1) (hits, misses);
+  Alcotest.(check (option string)) "hit" (Some "x") (Lru.find c 1);
+  Alcotest.(check (option string)) "miss" None (Lru.find c 2);
   Lru.remove c 1;
   Alcotest.(check (option string)) "removed" None (Lru.find c 1);
   Alcotest.check_raises "bad capacity"
@@ -128,8 +126,7 @@ let test_lru_stats_and_remove () =
 
 (* Model-based properties for predicate eviction: against the snapshot of
    the recency order, [invalidate_if] must drop exactly the selected
-   entries, keep the survivors in their relative order, and leave hit/miss
-   accounting alone. *)
+   entries and keep the survivors in their relative order. *)
 let lru_props =
   [
     QCheck.Test.make ~name:"invalidate_if: count, survivors, recency order"
@@ -145,14 +142,12 @@ let lru_props =
         in
         let pred _ v = v mod 2 = 0 in
         let before = snapshot c in
-        let stats_before = Lru.stats c in
         let dropped = Lru.invalidate_if c pred in
         let after = snapshot c in
         let selected, survivors = List.partition (fun (k, v) -> pred k v) before in
         dropped = List.length selected
         && after = survivors
         && Lru.length c = List.length survivors
-        && Lru.stats c = stats_before
         && List.for_all (fun (k, _) -> not (Lru.mem c k)) selected);
     QCheck.Test.make ~name:"invalidate_if: false predicate is the identity"
       ~count:100
@@ -201,27 +196,21 @@ let test_metrics () =
   Alcotest.(check int) "x" 5 (Ntcs_obs.Registry.get m "x");
   Alcotest.(check int) "y" 1 (Ntcs_obs.Registry.get m "y");
   Alcotest.(check int) "absent" 0 (Ntcs_obs.Registry.get m "z");
-  let stat = Alcotest.testable (fun ppf -> function
-    | `Counter n -> Fmt.pf ppf "counter %d" n
-    | `Gauge g -> Fmt.pf ppf "gauge %g" g)
-    (fun a b -> match (a, b) with
-      | `Counter a, `Counter b -> a = b
-      | `Gauge a, `Gauge b -> abs_float (a -. b) < 1e-9
-      | _ -> false)
-  in
-  Alcotest.(check (list (pair string stat))) "alist sorted"
-    [ ("x", `Counter 5); ("y", `Counter 1) ]
-    (Ntcs_obs.Registry.stats_alist m);
+  Alcotest.(check (list (pair string int))) "alist sorted"
+    [ ("x", 5); ("y", 1) ]
+    (Ntcs_obs.Registry.counters_alist m);
   Ntcs_obs.Registry.set_gauge m "g" 2.5;
   Alcotest.(check (float 1e-9)) "gauge" 2.5 (Ntcs_obs.Registry.gauge m "g");
-  (* The long-standing to_alist/pp gap: gauges now show up alongside
-     counters, merged into one name-sorted listing. *)
-  Alcotest.(check (list (pair string stat))) "alist includes gauges"
-    [ ("g", `Gauge 2.5); ("x", `Counter 5); ("y", `Counter 1) ]
-    (Ntcs_obs.Registry.stats_alist m);
-  let printed = Fmt.str "%a" Ntcs_obs.Registry.pp_stats m in
-  Alcotest.(check bool) "pp includes gauges" true
-    (List.exists (fun l -> String.length l > 0 && l.[0] = 'g') (String.split_on_char '\n' printed));
+  Alcotest.(check (list (pair string (float 1e-9)))) "gauges alist"
+    [ ("g", 2.5) ]
+    (Ntcs_obs.Registry.gauges_alist m);
+  Alcotest.(check (list (pair string int))) "a gauge is no counter"
+    [ ("x", 5); ("y", 1) ]
+    (Ntcs_obs.Registry.counters_alist m);
+  (* [pp_stats] lists counters then gauges, each name-sorted. *)
+  Alcotest.(check string) "pp lists counters then gauges"
+    (Printf.sprintf "%-40s %d\n%-40s %d\n%-40s %s\n" "x" 5 "y" 1 "g" "2.500")
+    (Fmt.str "%a" Ntcs_obs.Registry.pp_stats m);
   Ntcs_obs.Registry.reset m;
   Alcotest.(check int) "reset" 0 (Ntcs_obs.Registry.get m "x")
 
