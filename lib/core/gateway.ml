@@ -44,9 +44,8 @@ type t = {
   prime_addrs : (Net.id * Addr.t) list; (* pre-assigned well-known addresses *)
   prime_phys : (Net.id * Phys_addr.t list) list; (* fixed listening resources *)
   mutable commods : (Net.id * Commod.t) list;
-  events : (Net.id * Commod.t * Ip_layer.gw_event) Sched.Mailbox.mb;
-  (* (net of receiving commod, circuit id, label) -> the other leg *)
-  splices : (Net.id * int * int, leg) Hashtbl.t;
+  (* leg_key (net of receiving commod) (circuit id) label -> the other leg *)
+  splices : (int, leg) Hashtbl.t;
 }
 
 let create node ~name ~nets ?(prime_addrs = []) ?(prime_phys = []) () =
@@ -57,7 +56,6 @@ let create node ~name ~nets ?(prime_addrs = []) ?(prime_phys = []) () =
     prime_addrs;
     prime_phys;
     commods = [];
-    events = Sched.Mailbox.create (Node.sched node);
     splices = Hashtbl.create 32;
   }
 
@@ -67,8 +65,13 @@ let note t ~cat detail = Node.note t.node ~cat ~actor:t.gw_name detail
 
 let spans_csv t = String.concat "," (List.map string_of_int t.nets)
 
-let leg_key (net : Net.id) (circuit : Nd_layer.circuit) label =
-  (net, circuit.Nd_layer.cid, label)
+(* A splice key packs net (8 bits), circuit id (22) and label (32) into
+   one immediate int, so int order is (net, circuit, label) order. A part
+   out of range gives -1: [handle_open] refuses such a leg, and a frame
+   carrying one is an orphan. *)
+let leg_key (net : Net.id) cid label =
+  if net lsr 8 <> 0 || cid lsr 22 <> 0 || label lsr 32 <> 0 then -1
+  else (net lsl 54) lor (cid lsl 32) lor label
 
 let send_reject commod circuit ~(h : Proto.header) reason =
   let reject =
@@ -79,21 +82,28 @@ let send_reject commod circuit ~(h : Proto.header) reason =
     (Nd_layer.send_frame circuit reject
        (Ntcs_wire.Packed.run_pack Proto.reason_codec reason))
 
+let open_failed t commod circuit ~h reason =
+  Ntcs_obs.Registry.incr (metrics t) "gw.open_failures";
+  send_reject commod circuit ~h reason
+
+let dup_open t in_net (h : Proto.header) (req : Proto.ivc_open) how =
+  Ntcs_obs.Registry.incr (metrics t) "gw.duplicate_opens";
+  trace t ~cat:"gw.dup_open"
+    (Printf.sprintf "net%d label %d dst=%s%s" in_net h.Proto.ivc
+       (Addr.to_string req.Proto.final_dst) how)
+
 (* Establish the next leg of a chained IVC and splice it to the inbound one.
    Runs in its own worker process: it performs naming-service lookups and a
    blocking channel open, and the gateway must keep forwarding meanwhile. *)
 let handle_open t (in_net : Net.id) (in_commod : Commod.t) in_circuit (h : Proto.header)
     (req : Proto.ivc_open) =
-  let in_key = leg_key in_net in_circuit h.Proto.ivc in
+  let in_key = leg_key in_net in_circuit.Nd_layer.cid h.Proto.ivc in
   if Hashtbl.mem t.splices in_key then begin
     (* Duplicated IVC_OPEN (the fault plane can replay control frames): the
        splice already exists and the original open already answered —
        splice repair must be idempotent, so drop the replay instead of
        opening a second outbound leg over the live one. *)
-    Ntcs_obs.Registry.incr (metrics t) "gw.duplicate_opens";
-    trace t ~cat:"gw.dup_open"
-      (Printf.sprintf "net%d label %d dst=%s" in_net h.Proto.ivc
-         (Addr.to_string req.Proto.final_dst))
+    dup_open t in_net h req ""
   end
   else begin
   if h.Proto.hops >= 255 then begin
@@ -108,9 +118,7 @@ let handle_open t (in_net : Net.id) (in_commod : Commod.t) in_circuit (h : Proto
   in
   let resolver = Commod.resolver in_commod in
   match Router.locate t.node resolver target with
-  | Error e ->
-    Ntcs_obs.Registry.incr (metrics t) "gw.open_failures";
-    send_reject in_commod in_circuit ~h (Errors.to_string e)
+  | Error e -> open_failed t in_commod in_circuit ~h (Errors.to_string e)
   | Ok (phys_candidates, target_nets) -> (
     (* Pick the outbound ComMod: one of ours attached to a network the
        target is on. *)
@@ -118,9 +126,7 @@ let handle_open t (in_net : Net.id) (in_commod : Commod.t) in_circuit (h : Proto
       List.find_opt (fun (net, _) -> List.mem net target_nets) t.commods
     in
     match out with
-    | None ->
-      Ntcs_obs.Registry.incr (metrics t) "gw.open_failures";
-      send_reject in_commod in_circuit ~h "no outbound network"
+    | None -> open_failed t in_commod in_circuit ~h "no outbound network"
     | Some (out_net, out_commod) -> (
       let out_nd = Commod.nd out_commod in
       let circuit_result =
@@ -138,25 +144,23 @@ let handle_open t (in_net : Net.id) (in_commod : Commod.t) in_circuit (h : Proto
           try_phys phys_candidates
       in
       match circuit_result with
-      | Error e ->
-        Ntcs_obs.Registry.incr (metrics t) "gw.open_failures";
-        send_reject in_commod in_circuit ~h (Errors.to_string e)
+      | Error e -> open_failed t in_commod in_circuit ~h (Errors.to_string e)
       | Ok out_circuit ->
         if Hashtbl.mem t.splices in_key then begin
           (* A worker for a replayed copy of this open won the race while we
              were blocked on naming / channel setup: same answer as above. *)
-          Ntcs_obs.Registry.incr (metrics t) "gw.duplicate_opens";
-          trace t ~cat:"gw.dup_open"
-            (Printf.sprintf "net%d label %d dst=%s (lost race)" in_net h.Proto.ivc
-               (Addr.to_string req.Proto.final_dst))
+          dup_open t in_net h req " (lost race)"
         end
         else begin
           let out_label = Registry.fresh_label t.node.Node.ipcs in
+          let out_key = leg_key out_net out_circuit.Nd_layer.cid out_label in
+          if in_key < 0 || out_key < 0 then
+            open_failed t in_commod in_circuit ~h "splice key out of range"
+          else begin
           Hashtbl.replace t.splices in_key
             (make_leg ~in_net ~in_label:h.Proto.ivc ~net:out_net ~commod:out_commod
                ~circuit:out_circuit ~label:out_label);
-          Hashtbl.replace t.splices
-            (leg_key out_net out_circuit out_label)
+          Hashtbl.replace t.splices out_key
             (make_leg ~in_net:out_net ~in_label:out_label ~net:in_net ~commod:in_commod
                ~circuit:in_circuit ~label:h.Proto.ivc);
           let body =
@@ -175,8 +179,9 @@ let handle_open t (in_net : Net.id) (in_commod : Commod.t) in_circuit (h : Proto
           | Ok () -> ()
           | Error e ->
             Hashtbl.remove t.splices in_key;
-            Hashtbl.remove t.splices (leg_key out_net out_circuit out_label);
+            Hashtbl.remove t.splices out_key;
             send_reject in_commod in_circuit ~h (Errors.to_string e)
+          end
         end))
   end
   end
@@ -190,13 +195,13 @@ let remove_splice_pair t in_key (out_leg : leg) =
      checker (ntcs_check) can prove no frame is ever forwarded across a
      splice after its teardown (§4.3 ordering). *)
   if Hashtbl.mem t.splices in_key then begin
-    let in_net, _, in_label = in_key in
     note t ~cat:"gw.close"
       (Ntcs_obs.Span.Leg
-         { net_a = in_net; label_a = in_label; net_b = out_leg.lg_net;
+         { net_a = in_key lsr 54; label_a = in_key land 0xFFFFFFFF; net_b = out_leg.lg_net;
            label_b = out_leg.lg_label; dst = None });
     Hashtbl.remove t.splices in_key;
-    Hashtbl.remove t.splices (leg_key out_leg.lg_net out_leg.lg_circuit out_leg.lg_label)
+    Hashtbl.remove t.splices
+      (leg_key out_leg.lg_net out_leg.lg_circuit.Nd_layer.cid out_leg.lg_label)
   end
 
 (* Forward one frame across a splice, label-swapped. Messages can sit in a
@@ -204,17 +209,17 @@ let remove_splice_pair t in_key (out_leg : leg) =
    purposes, this is indistinguishable from the issues already discussed due
    to dynamic reconfiguration" (§4.3).
 
-   The forward is zero-copy: only the two affected shift-mode header words
-   (label, hop count) are patched in place; the frame's bytes otherwise
-   leave exactly as they arrived. [h] is the pre-patch header snapshot —
-   patches build a fresh memoised record, so the error path below still
-   sees the inbound label and source. *)
-let handle_frame t (net : Net.id) (_commod : Commod.t) circuit (view : Proto.Frame.t) =
+   Runs in the receiving ComMod's dispatcher, so it neither blocks nor
+   raises. The forward is zero-copy and allocates nothing of its own: only
+   the label and hop-count words are patched in place. [h] stays the
+   pre-patch snapshot (a patch drops the view's memo), so the error path
+   below still sees the inbound label and source. *)
+let handle_frame t (net : Net.id) (circuit : Nd_layer.circuit) (view : Proto.Frame.t) =
   let h = Proto.Frame.header view in
-  let key = leg_key net circuit h.Proto.ivc in
-  match Hashtbl.find_opt t.splices key with
-  | None -> Ntcs_obs.Registry.incr (metrics t) "gw.orphan_frames"
-  | Some out ->
+  let key = leg_key net circuit.Nd_layer.cid h.Proto.ivc in
+  match Hashtbl.find t.splices key with
+  | exception Not_found -> Ntcs_obs.Registry.incr (metrics t) "gw.orphan_frames"
+  | out ->
     if h.Proto.hops >= 255 then begin
       (* Hop field full: this frame is looping (E7). Dropping it here is
          the loop protection the 8-bit counter exists for — wrapping to a
@@ -237,7 +242,7 @@ let handle_frame t (net : Net.id) (_commod : Commod.t) circuit (view : Proto.Fra
       World.span (Node.world t.node) ~ctx:h.Proto.span ~phase:Ntcs_obs.Span.I
         ~name:"gw.forward" ~actor:t.gw_name
         (Nd_layer.memo_detail out.lg_detail h.Proto.kind h.Proto.dst);
-      (match Nd_layer.forward_view out.lg_circuit view with
+      (match Nd_layer.forward_view out.lg_circuit h view with
        | Ok () -> ()
        | Error _ ->
          (* Outbound leg just died: tear the chain down toward the inbound
@@ -259,9 +264,9 @@ let handle_frame t (net : Net.id) (_commod : Commod.t) circuit (view : Proto.Fra
 let handle_down t (net : Net.id) circuit =
   (* Cascade in (net, circuit, label) order: peers see the closes in a
      reproducible sequence. *)
+  let prefix = leg_key net circuit.Nd_layer.cid 0 lsr 32 in
   let affected =
-    Ntcs_util.sorted_bindings t.splices
-    |> List.filter (fun ((k_net, k_cid, _), _) -> k_net = net && k_cid = circuit.Nd_layer.cid)
+    Ntcs_util.sorted_bindings t.splices |> List.filter (fun (key, _) -> key lsr 32 = prefix)
   in
   List.iter
     (fun (key, (out : leg)) ->
@@ -314,27 +319,22 @@ let serve t () =
          the set of gateway addresses from these events. *)
       trace t ~cat:"gw.addr" (Addr.to_string (Nd_layer.my_addr (Commod.nd commod))))
     t.commods;
-  (* Route every ComMod's gateway events into one mailbox. *)
+  (* Each ComMod's dispatcher forwards its own frames and cascades its own
+     dead circuits (a send only schedules a delivery); an open blocks, so it
+     gets a worker process. *)
   List.iter
     (fun (net, commod) ->
-      Ip_layer.set_gateway_handler (Commod.ip commod) (fun ev ->
-          Sched.Mailbox.send t.events (net, commod, ev)))
+      Ip_layer.set_gateway_handler (Commod.ip commod) (function
+        | Ip_layer.Gw_frame (circuit, view) -> handle_frame t net circuit view
+        | Ip_layer.Gw_down circuit -> handle_down t net circuit
+        | Ip_layer.Gw_open (circuit, h, req) ->
+          ignore
+            (World.spawn (Node.world t.node) ~machine:(Node.machine t.node)
+               ~name:(Printf.sprintf "%s/open-worker" t.gw_name) (fun () ->
+                 handle_open t net commod circuit h req))))
     t.commods;
   trace t ~cat:"gw.up" (Printf.sprintf "bridging nets [%s]" (spans_csv t));
-  while true do
-    match Sched.Mailbox.recv t.events with
-    | None -> ()
-    | Some (net, commod, ev) -> (
-      match ev with
-      | Ip_layer.Gw_open (circuit, h, req) ->
-        (* Worker process: the open blocks on naming and channel setup. *)
-        ignore
-          (World.spawn (Node.world t.node) ~machine:(Node.machine t.node)
-             ~name:(Printf.sprintf "%s/open-worker" t.gw_name) (fun () ->
-               handle_open t net commod circuit h req))
-      | Ip_layer.Gw_frame (circuit, view) ->
-        ignore (handle_frame t net commod circuit view)
-      | Ip_layer.Gw_down circuit -> handle_down t net circuit)
-  done
+  (* The ComMods live as long as this process does: park it for good. *)
+  ignore (Sched.Ivar.read (Sched.Ivar.create (Node.sched t.node) : unit Sched.Ivar.ivar))
 
 let splice_count t = Hashtbl.length t.splices

@@ -30,8 +30,9 @@ val create :
 
 val serve : t -> unit -> unit
 (** The gateway process body: bind one ComMod per network, adopt or
-    register addresses, then forward forever. Chain establishment runs in
-    worker processes so forwarding never blocks. Spawn with [World.spawn]. *)
+    register addresses, then park. Forwarding runs in the dispatcher of the
+    ComMod that received the frame; opens run in worker processes. Spawn
+    with [World.spawn]. *)
 
 val splice_count : t -> int
 (** Live spliced leg pairs (2 table entries per chain). *)

@@ -108,8 +108,10 @@ let set_my_addr t addr =
     t.my_addr <- addr
   end
 
-let is_me t addr =
-  Addr.equal addr t.my_addr || List.exists (Addr.equal addr) t.my_past
+(* Not [List.exists (Addr.equal addr)]: a closure per frame a gateway forwards. *)
+let rec mem_addr addr = function [] -> false | a :: rest -> Addr.equal addr a || mem_addr addr rest
+
+let is_me t addr = Addr.equal addr t.my_addr || mem_addr addr t.my_past
 
 (* Hand out a locally-unique temporary address; the IP-layer uses these to
    alias TAdd-sourced origins arriving over chained circuits, exactly as the
@@ -165,9 +167,8 @@ let lvc_send (lvc : Std_if.lvc) v =
   lvc.Std_if.send (Proto.Frame.buf v) ~off:(Proto.Frame.off v) ~len:(Proto.Frame.len v)
 
 (* Common tail of the two send paths: metrics, span, hand the frame to the
-   STD-IF, surface failure as a broken circuit. *)
-let send_view (c : circuit) v =
-  let h = Proto.Frame.header v in
+   STD-IF, surface failure as a broken circuit. [h] is the frame's header. *)
+let send_view (c : circuit) (h : Proto.header) v =
   Ntcs_obs.Registry.incr (metrics c.nd) "nd.frames_sent";
   Ntcs_obs.Registry.observe (metrics c.nd) "nd.tx_bytes" (Proto.Frame.len v);
   (* A span-carrying frame leaving this machine is one hop of its logical
@@ -191,17 +192,18 @@ let send_frame (c : circuit) (h : Proto.header) payload =
        send. *)
     let v = encode_for c.lvc h payload in
     Ntcs_obs.Registry.observe (metrics c.nd) "frame.bytes_copied" (Bytes.length payload);
-    send_view c v
+    send_view c h v
   end
 
 (* Forward a received frame as-is (headers already patched in place): no
    encode — the received buffer itself goes to the STD-IF, which copies it
-   only when the next leg's backend frames differently. *)
-let forward_view (c : circuit) (v : Proto.Frame.t) =
+   only when the next leg's backend frames differently. [h] is the
+   pre-patch header, whose kind, dst and span a relabel leaves as they are. *)
+let forward_view (c : circuit) (h : Proto.header) (v : Proto.Frame.t) =
   if not c.c_open then Error Errors.Circuit_failed
   else begin
     Ntcs_obs.Registry.observe (metrics c.nd) "frame.bytes_copied" 0;
-    send_view c v
+    send_view c h v
   end
 
 (* Close locally without notifying upper layers (they asked for it). *)

@@ -129,11 +129,11 @@ val send_frame : circuit -> Proto.header -> Bytes.t -> (unit, Errors.t) result
     buffer with the LVC's headroom in front, which the STD-IF hands to the
     wire as it is. A failure marks the circuit broken. *)
 
-val forward_view : circuit -> Proto.Frame.t -> (unit, Errors.t) result
-(** Transmit a received frame as-is (headers already patched in place):
-    no re-encode. The STD-IF takes the received buffer over, copying it
-    once only when the outbound backend's headroom differs from the
-    inbound one's. A failure marks the circuit broken. *)
+val forward_view : circuit -> Proto.header -> Proto.Frame.t -> (unit, Errors.t) result
+(** Transmit a received frame as-is (headers already patched in place, [h]
+    read before the patches): no re-encode. The STD-IF takes the received
+    buffer over, copying it once only when the outbound backend's headroom
+    differs from the inbound one's. A failure marks the circuit broken. *)
 
 val next_event : ?timeout_us:int -> t -> event option
 (** Pull the next demultiplexed event (the LCM dispatcher's loop). *)

@@ -199,7 +199,7 @@ module Frame = struct
     buf : Bytes.t;
     off : int;
     len : int;
-    mutable hdr : header option; (* memoised decode; kept in sync by patches *)
+    mutable hdr : header option; (* memoised decode; a patch drops it *)
   }
 
   let of_bytes ?(off = 0) ?len buf =
@@ -256,22 +256,18 @@ module Frame = struct
     let plen = Bytes.length payload in
     encode_into h ~payload (Bytes.create (header_bytes + plen)) ~off:0
 
-  (* --- in-place header patches (word offsets per the layout above) --- *)
+  (* --- in-place header patches (word offsets per the layout above); each
+     drops the memo rather than build a new header --- *)
 
   let patch_ivc v ivc =
     poke v.buf v.off 9 ivc;
-    match v.hdr with Some h -> v.hdr <- Some { h with ivc } | None -> ()
+    v.hdr <- None
 
   let patch_hops v hops =
     if hops < 0 || hops > 255 then
       raise (Bad_header (Printf.sprintf "hop count %d outside the 8-bit field" hops));
     poke v.buf v.off 5 ((peek v.buf v.off 5 land lnot 0xFF0000) lor (hops lsl 16));
-    match v.hdr with Some h -> v.hdr <- Some { h with hops } | None -> ()
-
-  let patch_dst v dst =
-    poke v.buf v.off 3 (Addr.space_word dst);
-    poke v.buf v.off 4 (Addr.value_word dst);
-    match v.hdr with Some h -> v.hdr <- Some { h with dst } | None -> ()
+    v.hdr <- None
 end
 
 (* --- control payload codecs (packed mode, per §5.2) --- *)

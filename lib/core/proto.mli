@@ -121,14 +121,12 @@ module Frame : sig
   (** [encode_into] with a fresh exactly-sized buffer. *)
 
   val patch_ivc : t -> int -> unit
-  (** Rewrite the leg label (word 9) in place. *)
+  (** Rewrite the leg label (word 9) in place and drop the memo, allocating
+      nothing: the next {!header} call re-decodes. *)
 
   val patch_hops : t -> int -> unit
-  (** Rewrite the hop count (word 5 bits) in place. Raises {!Bad_header}
-      outside 0–255. *)
-
-  val patch_dst : t -> Addr.t -> unit
-  (** Rewrite the destination address (words 3–4) in place. *)
+  (** Rewrite the hop count (word 5 bits) in place, dropping the memo as
+      {!patch_ivc} does. Raises {!Bad_header} outside 0–255. *)
 end
 
 (** {1 Control payload codecs (packed mode, §5.2)} *)

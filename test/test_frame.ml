@@ -88,20 +88,56 @@ let prop_view_at_offset =
 
 let patch_arb =
   QCheck.pair frame_arb
-    (QCheck.make
-       QCheck.Gen.(
-         triple (int_range 0 0xFFFFFFFF) (int_range 0 255) addr_gen))
+    (QCheck.make QCheck.Gen.(pair (int_range 0 0xFFFFFFFF) (int_range 0 255)))
 
 let prop_patch_equals_reencode =
-  qtest "patch_ivc/hops/dst produce the re-encoded bytes" patch_arb
-    (fun ((h, payload), (ivc', hops', dst')) ->
+  qtest "patch_ivc/hops give the re-encoded bytes" patch_arb
+    (fun ((h, payload), (ivc', hops')) ->
       let v = Proto.Frame.of_parts h payload in
       Proto.Frame.patch_ivc v ivc';
       Proto.Frame.patch_hops v hops';
-      Proto.Frame.patch_dst v dst';
-      let h' = { h with Proto.ivc = ivc'; hops = hops'; dst = dst' } in
+      let h' = { h with Proto.ivc = ivc'; hops = hops' } in
       Bytes.equal (Proto.Frame.to_bytes v) (Proto.encode_frame h' payload)
       && Proto.Frame.header v = h')
+
+(* A patch drops the memo: a view whose header was read before the patches
+   decodes the patched words the next time it is asked. *)
+let prop_patch_redecodes =
+  qtest "a memoised header re-decodes after patches" patch_arb
+    (fun ((h, payload), (ivc', hops')) ->
+      let v = Proto.Frame.of_bytes (Proto.encode_frame h payload) in
+      ignore (Proto.Frame.header v);
+      Proto.Frame.patch_ivc v ivc';
+      Proto.Frame.patch_hops v hops';
+      Proto.Frame.header v = { h with Proto.ivc = ivc'; hops = hops' })
+
+(* A gateway forward patches two words of a view whose header is
+   memoised: neither patch may allocate. *)
+let test_patches_allocate_nothing () =
+  let h =
+    Proto.make_header ~kind:Proto.Data
+      ~src:(Addr.unique ~server_id:1 ~value:1)
+      ~dst:(Addr.unique ~server_id:1 ~value:2)
+      ~ivc:7 ~hops:1 ~payload_len:0 ()
+  in
+  let v = Proto.Frame.of_parts h (Bytes.of_string "payload") in
+  let patch_words ivc hops =
+    ignore (Proto.Frame.header v);
+    let before = Gc.minor_words () in
+    Proto.Frame.patch_ivc v ivc;
+    Proto.Frame.patch_hops v hops;
+    Gc.minor_words () -. before
+  in
+  let idle () =
+    let before = Gc.minor_words () in
+    Gc.minor_words () -. before
+  in
+  List.iter
+    (fun (ivc, hops) ->
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "patch_ivc %d + patch_hops %d: 0 minor words" ivc hops)
+        (idle ()) (patch_words ivc hops))
+    [ (8, 2); (0xFFFFFFFF, 255); (0, 0) ]
 
 let prop_patch_keeps_snapshots =
   qtest "a header read before a patch is unaffected by it" frame_arb
@@ -394,6 +430,8 @@ let () =
           prop_patch_equals_reencode;
           prop_patch_keeps_snapshots;
           Alcotest.test_case "hops never wrap" `Quick test_hops_never_wrap;
+          prop_patch_redecodes;
+          Alcotest.test_case "patches allocate nothing" `Quick test_patches_allocate_nothing;
         ] );
       ( "fuzz",
         [ prop_random_safe; prop_truncation_safe; prop_corruption_safe; prop_bad_view_bounds ] );

@@ -234,9 +234,8 @@ let test_hops_recorded () =
 
 (* Client and server three gateways apart, as in the echo-3gw benchmark:
    lan0 -(gw0)- lan1 -(gw1)- lan2 -(gw2)- lan3, a Sun3 client beside the
-   name server on lan0, a Vax echo on lan3. Returns the world after
-   [calls] synchronous echoes. *)
-let echo_3gw ~calls =
+   name server on lan0, a Vax echo on lan3. *)
+let echo_3gw_cluster () =
   let lan i = Printf.sprintf "lan%d" i in
   let c =
     Cluster.build
@@ -255,6 +254,11 @@ let echo_3gw ~calls =
   Cluster.settle c;
   spawn_echo c ~machine:"srv-m" ~name:"echo";
   Cluster.settle ~dt:5_000_000 c;
+  c
+
+(* The world after [calls] synchronous echoes across the three gateways. *)
+let echo_3gw ~calls =
+  let c = echo_3gw_cluster () in
   let result =
     in_process c ~machine:"client-m" ~name:"client" (fun node ->
         let commod = bind_exn node ~name:"client" in
@@ -317,6 +321,48 @@ let test_forward_logged_once () =
   Alcotest.(check int) "one ctx per echo" 3
     (List.length (List.sort_uniq compare (List.map (fun (e : Span.event) -> e.Span.ev_ctx) echoes)))
 
+(* The steady forward path, gated. Once the chain is up, each echo
+   crosses the three gateways twice: exactly 6 forwards and 26 executed
+   scheduler events, and at most [words_per_call_max] minor words in the
+   whole world. Each forward runs in the dispatcher that received the
+   frame, so a per-forward mailbox hop (6 more events per call) or a
+   header rebuilt by each patch (15 words a patch, 180 a call) fails
+   here. The word bound is the measured 2,662 per call plus 5%. *)
+let words_per_call_max = 2_795
+
+let test_forward_path_cost () =
+  let c = echo_3gw_cluster () in
+  let sched = Cluster.sched c and m = Cluster.metrics c in
+  let warmup = 20 and calls = 200 in
+  let counts () =
+    Gc.minor ();
+    ( Ntcs_sim.Sched.events_executed sched,
+      Ntcs_obs.Registry.get m "gw.forwards",
+      (Gc.quick_stat ()).Gc.minor_words )
+  in
+  let result =
+    in_process c ~machine:"client-m" ~name:"client" (fun node ->
+        let commod = bind_exn node ~name:"client" in
+        let addr = check_ok "locate 3 gateways away" (Ali_layer.locate commod "echo") in
+        let payload = raw (String.make 64 'x') in
+        let call () =
+          ignore
+            (check_ok "sync over 3 gateways"
+               (Ali_layer.send_sync commod ~dst:addr ~timeout_us:15_000_000 payload))
+        in
+        for _ = 1 to warmup do call () done;
+        let e0, f0, w0 = counts () in
+        for _ = 1 to calls do call () done;
+        let e1, f1, w1 = counts () in
+        (e1 - e0, f1 - f0, (w1 -. w0) /. float_of_int calls))
+  in
+  Cluster.settle ~dt:30_000_000 c;
+  let events, forwards, words = result () in
+  Alcotest.(check int) "6 forwards per call" (6 * calls) forwards;
+  Alcotest.(check int) "26 scheduler events per call" (26 * calls) events;
+  if words > float_of_int words_per_call_max then
+    Alcotest.failf "%.1f minor words per call, bound %d" words words_per_call_max
+
 (* Every event name a run logs is in the manifest — the span names too,
    which lint R4's ~cat: scan does not see (Lcm_layer.primitive names
    them at run time). Checked on the 3-gateway echo and on one fault
@@ -353,6 +399,7 @@ let () =
           Alcotest.test_case "hops recorded" `Quick test_hops_recorded;
           Alcotest.test_case "each forward logged once" `Quick test_forward_logged_once;
           Alcotest.test_case "event names in the manifest" `Quick test_event_names_in_manifest;
+          Alcotest.test_case "steady forward path cost" `Quick test_forward_path_cost;
         ] );
       ( "topology",
         [ Alcotest.test_case "no inter-gateway protocol" `Quick test_no_inter_gateway_protocol ]

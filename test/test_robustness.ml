@@ -138,6 +138,67 @@ let test_orphan_ivc_label_at_gateway () =
     (Ntcs_obs.Registry.get (Cluster.metrics c) "gw.orphan_frames" >= 1);
   Alcotest.(check int) "no crashes" 0 (List.length (no_crashes c))
 
+(* A legitimate call, one hand-made Data frame injected on the chain's
+   first-leg circuit (the LVC to the gateway) with leg label [label] (the
+   live splice's when [None]) and hop count [hops], then a second
+   legitimate call. The gateway handles the frame in its ComMod's
+   dispatcher, where an exception would kill that ComMod: both calls must
+   succeed and no process may crash. Returns the cluster and how many
+   messages the service received. *)
+let inject_at_gateway ?label ~hops () =
+  let c = two_net_cluster () in
+  Cluster.settle c;
+  let hits = ref 0 in
+  spawn_echo ~hits c ~machine:"ap1" ~name:"ring-svc";
+  Cluster.settle ~dt:5_000_000 c;
+  let calls = ref 0 in
+  ignore
+    (Cluster.spawn c ~machine:"vax1" ~name:"mischief" (fun node ->
+         let commod = bind_exn node ~name:"mischief" in
+         let addr = check_ok "locate" (Ali_layer.locate commod "ring-svc") in
+         let call what =
+           ignore
+             (check_ok what
+                (Ali_layer.send_sync commod ~dst:addr ~timeout_us:10_000_000 (raw what)));
+           incr calls
+         in
+         call "legit call";
+         let ivc =
+           match Ip_layer.find_ivc (Commod.ip commod) addr with
+           | Some ivc -> ivc
+           | None -> Alcotest.fail "no chained ivc for the service"
+         in
+         let frame =
+           Proto.make_header ~kind:Proto.Data ~src:(Commod.my_addr commod) ~dst:addr
+             ~ivc:(Option.value label ~default:ivc.Ip_layer.label) ~hops ~payload_len:0 ()
+         in
+         (match Nd_layer.send_frame ivc.Ip_layer.circuit frame (Bytes.of_string "injected") with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "injected send failed: %s" (Errors.to_string e));
+         call "still works"));
+  Cluster.settle ~dt:40_000_000 c;
+  Alcotest.(check int) "both legitimate calls answered" 2 !calls;
+  Alcotest.(check int) "no crashes" 0 (List.length (no_crashes c));
+  (c, !hits)
+
+let test_hop_limit_on_live_splice () =
+  (* The label is live, but the hop field is full: the frame is looping
+     (E7), so the gateway drops it rather than wrap the count. *)
+  let c, hits = inject_at_gateway ~hops:255 () in
+  let m = Cluster.metrics c in
+  Alcotest.(check int) "hop overflow counted" 1 (Ntcs_obs.Registry.get m "gw.hop_overflow");
+  Alcotest.(check int) "no orphan" 0 (Ntcs_obs.Registry.get m "gw.orphan_frames");
+  Alcotest.(check int) "not forwarded: the service saw the two calls only" 2 hits
+
+let test_top_label_is_orphan () =
+  (* The largest 32-bit label fills the low bits of the packed splice key
+     and spills into nothing: no live leg answers to it. *)
+  let c, hits = inject_at_gateway ~label:0xFFFFFFFF ~hops:0 () in
+  let m = Cluster.metrics c in
+  Alcotest.(check int) "orphan counted" 1 (Ntcs_obs.Registry.get m "gw.orphan_frames");
+  Alcotest.(check int) "no hop overflow" 0 (Ntcs_obs.Registry.get m "gw.hop_overflow");
+  Alcotest.(check int) "not forwarded: the service saw the two calls only" 2 hits
+
 let test_gateway_circuit_key_stable_under_chained_traffic () =
   (* Regression: forwarded frames carry theremote origin's source address; the
      ND-layer must not re-key its circuit to the gateway on them. After a
@@ -218,6 +279,8 @@ let () =
       ( "protocol",
         [
           Alcotest.test_case "orphan IVC label" `Quick test_orphan_ivc_label_at_gateway;
+          Alcotest.test_case "hop limit on a live splice" `Quick test_hop_limit_on_live_splice;
+          Alcotest.test_case "label 0xFFFFFFFF is an orphan" `Quick test_top_label_is_orphan;
           Alcotest.test_case "gateway circuit key stable" `Quick
             test_gateway_circuit_key_stable_under_chained_traffic;
           Alcotest.test_case "reply after timeout" `Quick test_reply_to_dead_conversation;
