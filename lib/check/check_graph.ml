@@ -33,7 +33,7 @@ type edge = {
 let hook_installers =
   [
     ("Lcm_layer.set_fault_oracle", "Lcm_layer");
-    ("Lcm_layer.set_on_peer_down", "Lcm_layer");
+    ("Nd_layer.set_upcall", "Nd_layer");
     ("Ip_layer.set_plan_oracle", "Ip_layer");
     ("Ip_layer.set_gateway_handler", "Ip_layer");
     ("rv_resolve", "Router");

@@ -248,8 +248,9 @@ let break_ns = ns_break "break-ns" ~guard:true ()
    violation-free — but the world now runs under an armed {!Faults} plane,
    so the exchanges being checked are the *recovery* paths: LCM
    retry/backoff, the §3.5 oracle, and the §6.3 guard. Three trees are
-   small: with answered timeouts withdrawn (Sched), the two ns_break soaks
-   have 36 schedules and partition-heal 72, so [finite_soaks] are explored
+   small: with answered timeouts withdrawn (Sched) and no dispatcher
+   process per ComMod, the two ns_break soaks have 6 schedules and
+   partition-heal 18, so [finite_soaks] are explored
    to the end. The others are far beyond any budget and run with
    truncation allowed: "at least N schedules, zero failures". *)
 

@@ -41,9 +41,9 @@ val exhaustive : scenario list
     of DESIGN.md §15, checked for cache coherence by {!Check_trace}), so
     what is being explored is the recovery machinery itself. Three of the
     trees are small and finite ({!finite_soaks}):
-    [fault-partition-heal] has 72 schedules,
-    [fault-ns-partition-guard] and [fault-ns-partition-noguard] 36
-    each. The other four are far beyond any budget (random-probe
+    [fault-partition-heal] has 18 schedules,
+    [fault-ns-partition-guard] and [fault-ns-partition-noguard] 6
+    each. The other five are far beyond any budget (random-probe
     estimates of 1e6 to 1e12 leaves); they run with a budget and accept
     truncation, requiring a minimum number of failure-free schedules
     instead of exhaustiveness. *)

@@ -14,8 +14,6 @@
    resolver backed by its own database instead of the NSP-layer: the naming
    service is an application on the Nucleus, used by the Nucleus. *)
 
-open Ntcs_sim
-
 type t = {
   node : Node.t;
   nd : Nd_layer.t;
@@ -63,16 +61,7 @@ let assemble node ~name ?allowed_nets ?fixed ~resolver_of () =
   let nsp, resolver = resolver_of lcm in
   Ip_layer.set_plan_oracle ip (fun dst -> Router.plan node nd resolver ~dst);
   Lcm_layer.set_fault_oracle lcm resolver.Router.rv_forward;
-  let t =
-    { node; nd; ip; lcm; nsp; resolver; name; registered = None; closed = false }
-  in
-  (* Module death must close its channels so peers' ND-layers detect it. *)
-  Sched.on_exit (Node.sched node) (Sched.self (Node.sched node)) (fun _ ->
-      if not t.closed then begin
-        t.closed <- true;
-        Lcm_layer.shutdown lcm
-      end);
-  t
+  { node; nd; ip; lcm; nsp; resolver; name; registered = None; closed = false }
 
 (* The registration step of §3.2: send name + attributes + communication
    resources to the naming service, receive the UAdd, and replace the TAdd. *)

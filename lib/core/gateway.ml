@@ -128,22 +128,7 @@ let handle_open t (in_net : Net.id) (in_commod : Commod.t) in_circuit (h : Proto
     match out with
     | None -> open_failed t in_commod in_circuit ~h "no outbound network"
     | Some (out_net, out_commod) -> (
-      let out_nd = Commod.nd out_commod in
-      let circuit_result =
-        match Nd_layer.find_circuit out_nd target with
-        | Some c -> Ok c
-        | None ->
-          let rec try_phys = function
-            | [] -> Error Errors.Unreachable
-            | phys :: rest -> (
-              match Nd_layer.open_circuit out_nd ~phys with
-              | Ok c -> Ok c
-              | Error _ when rest <> [] -> try_phys rest
-              | Error _ as e -> e)
-          in
-          try_phys phys_candidates
-      in
-      match circuit_result with
+      match Nd_layer.find_or_open (Commod.nd out_commod) target phys_candidates with
       | Error e -> open_failed t in_commod in_circuit ~h (Errors.to_string e)
       | Ok out_circuit ->
         if Hashtbl.mem t.splices in_key then begin
@@ -209,11 +194,12 @@ let remove_splice_pair t in_key (out_leg : leg) =
    purposes, this is indistinguishable from the issues already discussed due
    to dynamic reconfiguration" (§4.3).
 
-   Runs in the receiving ComMod's dispatcher, so it neither blocks nor
-   raises. The forward is zero-copy and allocates nothing of its own: only
-   the label and hop-count words are patched in place. [h] stays the
-   pre-patch snapshot (a patch drops the view's memo), so the error path
-   below still sees the inbound label and source. *)
+   Runs in the event of the ND reader that received the frame, so it
+   neither blocks nor raises. The forward is zero-copy and allocates
+   nothing of its own: only the label and hop-count words are patched in
+   place. [h] stays the pre-patch snapshot (a patch drops the view's
+   memo), so the error path below still sees the inbound label and
+   source. *)
 let handle_frame t (net : Net.id) (circuit : Nd_layer.circuit) (view : Proto.Frame.t) =
   let h = Proto.Frame.header view in
   let key = leg_key net circuit.Nd_layer.cid h.Proto.ivc in
@@ -319,7 +305,7 @@ let serve t () =
          the set of gateway addresses from these events. *)
       trace t ~cat:"gw.addr" (Addr.to_string (Nd_layer.my_addr (Commod.nd commod))))
     t.commods;
-  (* Each ComMod's dispatcher forwards its own frames and cascades its own
+  (* Each ComMod's ND readers forward their own frames and cascade their own
      dead circuits (a send only schedules a delivery); an open blocks, so it
      gets a worker process. *)
   List.iter

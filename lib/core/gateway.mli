@@ -30,8 +30,8 @@ val create :
 
 val serve : t -> unit -> unit
 (** The gateway process body: bind one ComMod per network, adopt or
-    register addresses, then park. Forwarding runs in the dispatcher of the
-    ComMod that received the frame; opens run in worker processes. Spawn
+    register addresses, then park. Forwarding runs in the event of the ND
+    reader that received the frame; opens run in worker processes. Spawn
     with [World.spawn]. *)
 
 val splice_count : t -> int

@@ -134,27 +134,8 @@ let find_ivc t peer =
       Some ivc
     | None -> None)
 
-(* Establish — or reuse — the LVC to a neighbour (final dst or first
-   gateway). Gateways are shared: many IVCs multiplex over one LVC. *)
-let neighbour_circuit t ~(addr : Addr.t option) ~(phys_candidates : Phys_addr.t list) =
-  let existing =
-    match addr with Some a -> Nd_layer.find_circuit t.nd a | None -> None
-  in
-  match existing with
-  | Some c -> Ok c
-  | None ->
-    let rec try_phys = function
-      | [] -> Error Errors.Unreachable
-      | phys :: rest -> (
-        match Nd_layer.open_circuit t.nd ~phys with
-        | Ok c -> Ok c
-        | Error _ when rest <> [] -> try_phys rest
-        | Error _ as e -> e)
-    in
-    try_phys phys_candidates
-
 let open_direct t ~dst ~phys_candidates =
-  match neighbour_circuit t ~addr:(Some dst) ~phys_candidates with
+  match Nd_layer.find_or_open t.nd dst phys_candidates with
   | Error _ as e -> e
   | Ok circuit ->
     let ivc =
@@ -177,7 +158,7 @@ let open_chained t ~dst ~hops ~first_phys =
   match hops with
   | [] -> Error (Errors.Internal "empty gateway route")
   | first_gw :: rest ->
-    (match neighbour_circuit t ~addr:(Some first_gw) ~phys_candidates:first_phys with
+    (match Nd_layer.find_or_open t.nd first_gw first_phys with
      | Error _ as e -> e
      | Ok circuit ->
        let label = Registry.fresh_label t.node.Node.ipcs in
@@ -441,26 +422,25 @@ let materialise t view =
 
 let handle_event t (ev : Nd_layer.event) =
   match ev with
-  | Nd_layer.Circuit_up _ -> Consumed
   | Nd_layer.Circuit_down (circuit, _err) -> handle_circuit_down t circuit
-  | Nd_layer.Frame (circuit, view) ->
+  | Nd_layer.Frame (circuit, view) -> (
     let h = Proto.Frame.header view in
     (* Cascade teardown (§4.3) is matched by leg label before any address
        check: the gateway that lost a leg cannot know the end module's
        current address, only the label of the circuit being torn down. *)
-    if h.Proto.kind = Proto.Ivc_close
-       && Hashtbl.mem t.by_leg (circuit.Nd_layer.cid, h.Proto.ivc)
-    then begin
-      match Hashtbl.find_opt t.by_leg (circuit.Nd_layer.cid, h.Proto.ivc) with
-      | None -> Consumed
-      | Some ivc ->
-        ivc.i_open <- false;
-        unregister_ivc t ivc;
-        Ntcs_obs.Registry.incr (metrics t) "ip.ivc_closed_remote";
-        note t ~cat:"ip.ivc_close" (remote_close ivc);
-        Down [ ivc.peer ]
-    end
-    else if Nd_layer.is_me t.nd h.Proto.dst then begin
+    let closed_leg =
+      if h.Proto.kind = Proto.Ivc_close then
+        Hashtbl.find_opt t.by_leg (circuit.Nd_layer.cid, h.Proto.ivc)
+      else None
+    in
+    match closed_leg with
+    | Some ivc ->
+      ivc.i_open <- false;
+      unregister_ivc t ivc;
+      Ntcs_obs.Registry.incr (metrics t) "ip.ivc_closed_remote";
+      note t ~cat:"ip.ivc_close" (remote_close ivc);
+      Down [ ivc.peer ]
+    | None when Nd_layer.is_me t.nd h.Proto.dst -> begin
       match h.Proto.kind with
       | Proto.Ivc_open -> (
         match Packed.run_unpack_result Proto.ivc_open_codec (materialise t view) with
@@ -507,21 +487,13 @@ let handle_event t (ev : Nd_layer.event) =
           note t ~cat:"ip.ivc_reject" (Ntcs_obs.Span.Label { label = h.Proto.ivc; rest = "" });
           ignore (Sched.Ivar.try_fill ivar (Error Errors.Unreachable));
           Consumed)
-      | Proto.Ivc_close -> (
-        match Hashtbl.find_opt t.by_leg (circuit.Nd_layer.cid, h.Proto.ivc) with
-        | None -> Consumed
-        | Some ivc ->
-          ivc.i_open <- false;
-          unregister_ivc t ivc;
-          Ntcs_obs.Registry.incr (metrics t) "ip.ivc_closed_remote";
-          note t ~cat:"ip.ivc_close" (remote_close ivc);
-          Down [ ivc.peer ])
+      | Proto.Ivc_close -> Consumed (* no such leg: already closed *)
       | Proto.Hello | Proto.Hello_ack -> Consumed (* handshake residue; ignore *)
       | Proto.Data | Proto.Dgram | Proto.Reply | Proto.Ping | Proto.Pong ->
         let src = presented_src t circuit h in
         Deliver { del_src = src; del_hdr = h; del_payload = materialise t view }
     end
-    else begin
+    | None -> (
       (* Not addressed to this module: gateway forwarding, or noise. The
          view travels whole — the gateway patches its header words in place
          and forwards without touching the payload. *)
@@ -531,8 +503,7 @@ let handle_event t (ev : Nd_layer.event) =
         Consumed
       | None ->
         Ntcs_obs.Registry.incr (metrics t) "ip.misaddressed";
-        Consumed
-    end
+        Consumed))
 
 (* Drop connection state for a peer (used by the LCM after relocation: the
    new instance needs a fresh circuit, §3.5). *)

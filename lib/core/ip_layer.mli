@@ -91,7 +91,8 @@ val send :
     the causal identity stamped into the header. *)
 
 val handle_event : t -> Nd_layer.event -> action
-(** The dispatcher feeds every ND event through here. *)
+(** Every ND event, in the event of the reader that received it (the LCM's
+    upcall). Never suspends. *)
 
 val forget_peer : t -> Addr.t -> unit
 (** Drop connection state so the next send reopens (relocation, §3.5). *)

@@ -18,8 +18,10 @@
    know of the Name Server"); [Node.config.ns_fault_guard] switches between
    the two behaviours.
 
-   One dispatcher process per ComMod pumps ND events through the IP-layer
-   and routes application traffic into the inbox / reply ivars. *)
+   The LCM spawns no process of its own: each ND reader carries the frame it
+   received up through the IP-layer and into the inbox / reply ivars, in
+   the same event, through the upcall [create] installs (Clark's upcall
+   structure). Nothing on that path suspends. *)
 
 open Ntcs_sim
 open Ntcs_wire
@@ -55,13 +57,10 @@ type t = {
   mutable next_conv : int;
   mutable next_seq : int;
   mutable monitor_suppress : bool;
-  mutable dispatcher : Sched.pid option;
-  mutable on_peer_down : (Addr.t -> unit) option;
   mutable on_relocate : (old:Addr.t -> fresh:Addr.t -> unit) option;
   (* §3.5 reconfiguration hook: fires when the address-fault handler learns
      a relocation and patches the forwarding table — the NSP-layer listens
      to invalidate/splice its lookup caches (DESIGN.md §15). *)
-  mutable running : bool;
   mutable deepest : int; (* recursion high-water mark already traced *)
 }
 
@@ -150,7 +149,6 @@ let spanned t ~dst { op_name = name; op_histo } f =
 
 let set_fault_oracle t f = t.fault_oracle <- Some f
 let set_ns_addr t a = t.ns_addr <- Some a
-let set_on_peer_down t f = t.on_peer_down <- Some f
 let set_on_relocate t f = t.on_relocate <- Some f
 
 let fresh_conv t =
@@ -446,7 +444,7 @@ let recv ?timeout_us ?app_tag t =
       (match result with Ok env -> monitor_event t "recv" env.src | Error _ -> ());
       result)
 
-(* --- the dispatcher --- *)
+(* --- the upcall: a received frame, in its reader's event --- *)
 
 let envelope_of t (d : Ip_layer.delivery) kind =
   ignore t;
@@ -504,7 +502,7 @@ let handle_delivery t (d : Ip_layer.delivery) =
     | Some slot -> ignore (Sched.Ivar.try_fill slot.rs_ivar (Ok (envelope_of t d `Data)))
     | None -> Ntcs_obs.Registry.incr (metrics t) "lcm.orphan_replies")
   | Proto.Ping ->
-    (* Answer from the dispatcher itself: liveness must not depend on the
+    (* Answer in the reader's event: liveness must not depend on the
        application draining its inbox. *)
     let pong =
       (* The pong echoes the ping's span ctx, so the probe's round trip is
@@ -537,20 +535,18 @@ let peers_down t peers =
         (fun (_, slot) ->
           if Addr.equal slot.rs_dst peer then
             ignore (Sched.Ivar.try_fill slot.rs_ivar (Error Errors.Circuit_failed)))
-        (Ntcs_util.sorted_bindings t.waiting);
-      match t.on_peer_down with Some f -> f peer | None -> ())
+        (Ntcs_util.sorted_bindings t.waiting))
     peers
 
-let dispatcher_loop t =
-  while t.running do
-    match Nd_layer.next_event t.nd with
-    | None -> () (* no timeout given: unreachable *)
-    | Some ev -> (
-      match Ip_layer.handle_event t.ip ev with
-      | Ip_layer.Consumed -> ()
-      | Ip_layer.Down peers -> peers_down t peers
-      | Ip_layer.Deliver d -> handle_delivery t d)
-  done
+let upcall t ev =
+  match Ip_layer.handle_event t.ip ev with
+  | Ip_layer.Consumed -> ()
+  | Ip_layer.Down peers -> peers_down t peers
+  | Ip_layer.Deliver d -> handle_delivery t d
+
+let shutdown t =
+  close_all_circuits t ~reason:"shutdown";
+  Nd_layer.shutdown t.nd
 
 let create node nd ip =
   let t =
@@ -573,38 +569,18 @@ let create node nd ip =
       next_conv = 1;
       next_seq = 1;
       monitor_suppress = false;
-      dispatcher = None;
-      on_peer_down = None;
       on_relocate = None;
-      running = true;
       deepest = 0;
     }
   in
-  let pid =
-    World.spawn (Node.world node) ~machine:(Node.machine node)
-      ~name:(Printf.sprintf "%s/lcm-dispatch" nd.Nd_layer.owner) (fun () -> dispatcher_loop t)
-  in
-  t.dispatcher <- Some pid;
-  (* However this ComMod dies, its open circuit spans get their E event:
-     "shutdown" on a clean stop, "crashed" when the machine went down under
-     us (the fault plane killing the dispatcher while we were running) or
-     the dispatcher itself raised. The span invariant — every opened circuit
-     closed or marked crashed — rests on this hook. *)
-  Sched.on_exit (Node.sched node) pid (fun status ->
-      match status with
-      | Sched.Crashed _ -> close_all_circuits t ~reason:"crashed"
-      | Sched.Was_killed ->
-        close_all_circuits t ~reason:(if t.running then "crashed" else "shutdown")
-      | Sched.Exited -> close_all_circuits t ~reason:"shutdown");
+  Nd_layer.set_upcall nd (upcall t);
+  (* The ComMod's one exit hook. However the owning process ends —
+     returning, raising, or killed with its machine — module death closes
+     the channels, so peers' ND-layers detect it, and gives every open
+     circuit span its E event: the span invariant rests on this hook. *)
+  let sched = Node.sched node in
+  Sched.on_exit sched (Sched.self sched) (fun _ -> shutdown t);
   t
-
-let shutdown t =
-  t.running <- false;
-  (match t.dispatcher with
-   | Some pid -> Sched.kill (Node.sched t.node) pid
-   | None -> ());
-  close_all_circuits t ~reason:"shutdown";
-  Nd_layer.shutdown t.nd
 
 (* Run [f] with monitor reporting suppressed: how the DRTS services send
    their own traffic without recursing forever (§6.1: "time correction and

@@ -13,8 +13,9 @@
     pathology is reproduced verbatim together with the paper's patch;
     [Node.config.ns_fault_guard] selects the behaviour.
 
-    One dispatcher process per ComMod pumps ND events through the IP-layer
-    and routes traffic to the inbox / reply ivars. *)
+    The LCM spawns no process: each ND reader carries its frame up through
+    the IP-layer into the inbox / reply ivars in its own event, through
+    the upcall {!create} installs on the ND-layer. *)
 
 open Ntcs_wire
 
@@ -35,17 +36,17 @@ type envelope = Std_if.envelope = {
 type t
 
 val create : Node.t -> Nd_layer.t -> Ip_layer.t -> t
-(** Starts the dispatcher process. Call from the owning process. *)
+(** Installs the ND upcall and the ComMod's exit hook on the calling
+    process, which owns the ComMod: when it ends, {!shutdown} runs. *)
 
 val shutdown : t -> unit
+(** Close every circuit span ("shutdown") and the ND-layer. Idempotent. *)
 
 val set_fault_oracle : t -> (Addr.t -> (Addr.t option, Errors.t) result) -> unit
 (** The NSP forwarding query ([Some] = replacement, [None] = still alive). *)
 
 val set_ns_addr : t -> Addr.t -> unit
 (** Who the name server is — consumed by the §6.3 guard. *)
-
-val set_on_peer_down : t -> (Addr.t -> unit) -> unit
 
 val set_on_relocate : t -> (old:Addr.t -> fresh:Addr.t -> unit) -> unit
 (** §3.5 reconfiguration hook: fires when the address-fault handler learns

@@ -12,8 +12,9 @@
    - TAdd handling (§3.4): an incoming connection from a temporary-address
      source gets a locally-assigned alias TAdd, purged the moment a real
      UAdd is seen from that circuit;
-   - reader processes per circuit that demultiplex frames into the ComMod's
-     single event inbox and pass failure notifications upward.
+   - reader processes per circuit that carry each received frame, and the
+     circuit's failure, up the ComMod's layers through one upcall in the
+     reader's own event: the ComMod stays passive (§2.1).
 
    No relocation, no reconnection, no conversion decisions for chained
    circuits (those belong to the IVC layer, which knows the final
@@ -72,7 +73,6 @@ type circuit = {
 
 and event =
   | Frame of circuit * Proto.Frame.t (* zero-copy view; header pre-validated *)
-  | Circuit_up of circuit (* inbound circuit completed its handshake *)
   | Circuit_down of circuit * Errors.t
 
 and t = {
@@ -82,7 +82,7 @@ and t = {
   mutable my_addr : Addr.t; (* TAdd until registration completes *)
   mutable my_past : Addr.t list; (* previous self-addresses, still accepted *)
   tadds : Addr.Tadd_gen.gen;
-  inbox : event Sched.Mailbox.mb;
+  mutable upcall : event -> unit; (* installed by the LCM; must not suspend *)
   circuits : (Addr.t, circuit) Hashtbl.t;
   alias_fwd : (Addr.t, Addr.t) Hashtbl.t; (* purged alias -> real UAdd *)
   phys_cache : (Addr.t, Phys_addr.t list) Hashtbl.t;
@@ -143,6 +143,8 @@ let find_circuit t addr =
       match Hashtbl.find_opt t.circuits real with
       | Some c when c.c_open -> Some c
       | Some _ | None -> None))
+
+let set_upcall t f = t.upcall <- f
 
 let resolve_alias t addr =
   match Hashtbl.find_opt t.alias_fwd addr with Some real -> real | None -> addr
@@ -206,15 +208,19 @@ let forward_view (c : circuit) (h : Proto.header) (v : Proto.Frame.t) =
     send_view c h v
   end
 
+(* Drop the circuit's table entry, unless another circuit took the key. *)
+let unregister (c : circuit) =
+  match Hashtbl.find_opt c.nd.circuits c.peer_addr with
+  | Some c' when c' == c -> Hashtbl.remove c.nd.circuits c.peer_addr
+  | Some _ | None -> ()
+
 (* Close locally without notifying upper layers (they asked for it). *)
 let close_circuit (c : circuit) =
   if c.c_open then begin
     c.c_open <- false;
     c.lvc.Std_if.close ()
   end;
-  (match Hashtbl.find_opt c.nd.circuits c.peer_addr with
-   | Some c' when c' == c -> Hashtbl.remove c.nd.circuits c.peer_addr
-   | Some _ | None -> ())
+  unregister c
 
 let register_circuit t key c = Hashtbl.replace t.circuits key c
 
@@ -225,9 +231,7 @@ let upgrade_peer (c : circuit) (real : Addr.t) =
   let t = c.nd in
   if Addr.is_temporary c.peer_addr && Addr.is_unique real then begin
     let alias = c.peer_addr in
-    (match Hashtbl.find_opt t.circuits alias with
-     | Some c' when c' == c -> Hashtbl.remove t.circuits alias
-     | Some _ | None -> ());
+    unregister c;
     Hashtbl.replace t.alias_fwd alias real;
     c.peer_addr <- real;
     c.peer_announced <- real;
@@ -240,9 +244,7 @@ let upgrade_peer (c : circuit) (real : Addr.t) =
   then begin
     (* Peer re-registered under a fresh UAdd on a live circuit. Rare but
        possible; treat like an alias upgrade. *)
-    (match Hashtbl.find_opt t.circuits c.peer_addr with
-     | Some c' when c' == c -> Hashtbl.remove t.circuits c.peer_addr
-     | Some _ | None -> ());
+    unregister c;
     c.peer_addr <- real;
     c.peer_announced <- real;
     register_circuit t real c
@@ -270,11 +272,11 @@ let handle_incoming (c : circuit) (s : Std_if.slice) =
        source is the remote origin, not the gateway this circuit goes to —
        re-keying on it would steal the gateway's table entry. *)
     if h.Proto.ivc = 0 && Addr.is_unique h.Proto.src then upgrade_peer c h.Proto.src;
-    (* The view's backing store is this frame's own receive buffer — the
-       STD-IF hands each message to exactly one owner — so queueing it in
-       the inbox is the designed ownership hand-off: the consumer holds the
+    (* Up through IP and LCM in this reader's own event. The view's
+       backing store is this frame's own receive buffer — the STD-IF hands
+       each message to exactly one owner — so the layers above hold the
        only reference. *)
-    Sched.Mailbox.send t.inbox (Frame (c, v))
+    t.upcall (Frame (c, v))
 
 let reader_loop (c : circuit) =
   let t = c.nd in
@@ -288,10 +290,8 @@ let reader_loop (c : circuit) =
         c.c_open <- false;
         trace t ~cat:"nd.circuit_down"
           (Printf.sprintf "%s: %s" (Addr.to_string c.peer_addr) (Ipcs_error.to_string e));
-        (match Hashtbl.find_opt t.circuits c.peer_addr with
-         | Some c' when c' == c -> Hashtbl.remove t.circuits c.peer_addr
-         | Some _ | None -> ());
-        Sched.Mailbox.send t.inbox (Circuit_down (c, Errors.of_ipcs e))
+        unregister c;
+        t.upcall (Circuit_down (c, Errors.of_ipcs e))
       end
   in
   loop ()
@@ -379,7 +379,6 @@ let inbound_handshake t (lvc : Std_if.lvc) =
     match send_frame c ack_header (hello_payload t) with
     | Ok () ->
       trace t ~cat:"nd.accept" (Addr.to_string c.peer_addr);
-      Sched.Mailbox.send t.inbox (Circuit_up c);
       reader_loop c
     | Error _ -> close_circuit c)
 
@@ -432,12 +431,27 @@ let open_circuit t ~(phys : Phys_addr.t) =
           Ok c))
   end
 
+(* The open circuit to a neighbour, or a new one to the first of its
+   physical addresses that answers. Many IVCs share one neighbour's LVC. *)
+let find_or_open t addr phys_candidates =
+  match find_circuit t addr with
+  | Some c -> Ok c
+  | None ->
+    let rec try_phys = function
+      | [] -> Error Errors.Unreachable
+      | phys :: rest -> (
+        match open_circuit t ~phys with
+        | Ok c -> Ok c
+        | Error _ when rest <> [] -> try_phys rest
+        | Error _ as e -> e)
+    in
+    try_phys phys_candidates
+
 (* Create the ND-layer for a module: allocate one communication resource per
    address kind this machine (restricted to [allowed_nets]) can speak, and
    start the accept loops. Must be called from within the owning process. *)
 let create node ~owner ?allowed_nets ?(fixed = []) () =
-  let sched_ = Node.sched node in
-  let self = Sched.self sched_ in
+  let self = Sched.self (Node.sched node) in
   let t =
     {
       node;
@@ -446,7 +460,7 @@ let create node ~owner ?allowed_nets ?(fixed = []) () =
       my_addr = Addr.temporary ~assigner:self ~value:0;
       my_past = [];
       tadds = Addr.Tadd_gen.create ~assigner:self;
-      inbox = Sched.Mailbox.create sched_;
+      upcall = ignore;
       circuits = Hashtbl.create 16;
       alias_fwd = Hashtbl.create 8;
       phys_cache = Hashtbl.create 32;
@@ -519,5 +533,3 @@ let shutdown t =
     List.iter (fun pid -> Sched.kill (sched t) pid) t.helpers;
     t.helpers <- []
   end
-
-let next_event ?timeout_us t = Sched.Mailbox.recv ?timeout:timeout_us t.inbox

@@ -13,8 +13,10 @@
     - TAdd handling (§3.4): an incoming connection from a temporary-address
       source gets a locally-assigned alias, purged the moment a real UAdd is
       seen on that circuit;
-    - reader processes per circuit, demultiplexing frames into the ComMod's
-      single event inbox and passing failure notifications upward. *)
+    - reader processes per circuit, each carrying its received frames and
+      its circuit's failure up the ComMod's layers through one upcall
+      ({!set_upcall}) in its own event, so the ComMod stays passive
+      (§2.1). *)
 
 open Ntcs_sim
 open Ntcs_ipcs
@@ -51,7 +53,6 @@ and event =
   | Frame of circuit * Proto.Frame.t
       (** a received frame as a zero-copy view over the receive buffer;
           the header is already decoded and memoised *)
-  | Circuit_up of circuit  (** inbound circuit completed its handshake *)
   | Circuit_down of circuit * Errors.t
 
 and t = {
@@ -62,7 +63,7 @@ and t = {
   mutable my_addr : Addr.t;
   mutable my_past : Addr.t list;
   tadds : Addr.Tadd_gen.gen;
-  inbox : event Sched.Mailbox.mb;
+  mutable upcall : event -> unit;  (** see {!set_upcall} *)
   circuits : (Addr.t, circuit) Hashtbl.t;
   alias_fwd : (Addr.t, Addr.t) Hashtbl.t;
   phys_cache : (Addr.t, Phys_addr.t list) Hashtbl.t;
@@ -112,6 +113,12 @@ val cache_phys : t -> Addr.t -> Phys_addr.t list -> unit
 
 (** {1 Circuits} *)
 
+val set_upcall : t -> (event -> unit) -> unit
+(** Install the function each reader calls, in its own event, with every
+    frame it receives and with its circuit's failure. It must not suspend:
+    the reader serves only its circuit meanwhile. Until one is installed,
+    events are dropped. *)
+
 val find_circuit : t -> Addr.t -> circuit option
 (** Open circuit to this peer, following purged aliases. *)
 
@@ -120,6 +127,11 @@ val resolve_alias : t -> Addr.t -> Addr.t
 val open_circuit : t -> phys:Phys_addr.t -> (circuit, Errors.t) result
 (** Open an LVC (with retry on open, §2.2) and run the HELLO handshake.
     Returns the circuit keyed by the peer's announced address. Blocking. *)
+
+val find_or_open : t -> Addr.t -> Phys_addr.t list -> (circuit, Errors.t) result
+(** The open circuit to this neighbour, or {!open_circuit} to each physical
+    address in turn until one answers (the last error when none does,
+    [Unreachable] when the list is empty). Blocking. *)
 
 val close_circuit : circuit -> unit
 (** Local close, no upward notification (the caller asked for it). *)
@@ -134,6 +146,3 @@ val forward_view : circuit -> Proto.header -> Proto.Frame.t -> (unit, Errors.t) 
     read before the patches): no re-encode. The STD-IF takes the received
     buffer over, copying it once only when the outbound backend's headroom
     differs from the inbound one's. A failure marks the circuit broken. *)
-
-val next_event : ?timeout_us:int -> t -> event option
-(** Pull the next demultiplexed event (the LCM dispatcher's loop). *)

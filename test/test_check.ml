@@ -448,16 +448,16 @@ let test_default_schedules_pinned () =
       Alcotest.(check (list string)) (name ^ " violations") [] violations)
     got
     [
-      ("first-send", "a8fc962a9451d20c6f970c446188dc9c");
-      ("break-ns", "611a32ad132ce8037caa8d0485893f71");
-      ("fault-partition-heal", "72924dc6d6568bf97742f2b92443c997");
-      ("fault-crash-restart", "0d651c1ad08c6157bdbb0921b7be03c8");
-      ("fault-ns-partition-guard", "3f37dc9359eb029a7d6c359a2adcbb70");
-      ("fault-ns-partition-noguard", "c1564b9020433e0c192ad019285d4432");
-      ("naming-stale-splice", "9a3eb0f38a2305114aa49f011c610eb1");
-      ("naming-shard-loss", "da53f2014cd119b19c0934c9b18cf34e");
-      ("naming-shard-route", "645283e5df6b7dfa49de952bcdfbc21c");
-      ("naming-cold-lookup", "5b83bd96f51a9c035285b58c86e05d8c");
+      ("first-send", "81ce8be5ff7bad54934c29056472c069");
+      ("break-ns", "561b19de95d89f7703b3abc552ac2956");
+      ("fault-partition-heal", "f091ccc61c46aaee95f666b6b867734f");
+      ("fault-crash-restart", "38ac4d34e039fc5fed574fb07f7c9f0e");
+      ("fault-ns-partition-guard", "2e4a68c3724af66a3fcd5bcd14e58a57");
+      ("fault-ns-partition-noguard", "83eaa8857aa0592c195af3d119b93102");
+      ("naming-stale-splice", "32efbc4955ef80e88cc29102f85383ea");
+      ("naming-shard-loss", "895da763c964c34ab920452927bee8dc");
+      ("naming-shard-route", "054c2a5ae3bc070890370feb77c09b66");
+      ("naming-cold-lookup", "6285286e91db85a2a5ae885f58dc885f");
     ]
 
 (* --- the ntcs_check pass: contracts and armed checkers --- *)

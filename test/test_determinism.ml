@@ -113,10 +113,10 @@ let test_faulty_trace_identical () =
   (* Pinned across code changes, not only across runs. *)
   Alcotest.(check (list string)) "faulty trace, metrics, spans_jsonl, chrome_trace digests"
     [
-      "af29ff872ba1a1487b390005d9349dc7";
+      "b36a72213601122945dd3826e674f5e8";
       "3114fbdc26364126463e09ce5ff4d801";
-      "7078175e53a36f330ed0e9c6deb38312";
-      "887975d1c4aa548d31955cbe6919c099";
+      "50e69c66b0703d2d99a5595015dafd97";
+      "b621f0ff231915b7c04da708c796d7c5";
     ]
     (List.map md5
        [ t1; m1; Ntcs_obs.Export.spans_jsonl r1; Ntcs_obs.Export.chrome_trace r1 ]);
@@ -125,6 +125,43 @@ let test_faulty_trace_identical () =
   Alcotest.(check bool) "restart fired" true (injected "fault.restart");
   Alcotest.(check bool) "frame faults fired" true
     (injected "fault.dup" || injected "fault.delay")
+
+(* A received frame goes up through IP and LCM in its ND reader's own
+   event, so each lcm.deliver is logged directly after the nd.rx of the same
+   frame: same ctx, same actor. Only that actor's own null-ctx trace
+   entries (the nd.tadd_purge a frame's source can trigger) may sit in
+   between. A hand-off to another process lets a second frame's nd.rx slip
+   in between. *)
+let check_deliveries_follow_receives label entries =
+  let open Ntcs_obs.Span in
+  let rec walk delivered prev = function
+    | [] -> delivered
+    | e :: rest when e.ev_name = "lcm.deliver" ->
+      (match prev with
+       | Some rx when rx.ev_name = "nd.rx" && rx.ev_ctx = e.ev_ctx && rx.ev_actor = e.ev_actor ->
+         ()
+       | Some rx -> Alcotest.failf "%s: %a follows %a" label pp_event e pp_event rx
+       | None -> Alcotest.failf "%s: %a opens the log" label pp_event e);
+      walk (delivered + 1) (Some e) rest
+    | e :: rest -> (
+      match prev with
+      | Some p when is_none e.ev_ctx && e.ev_actor = p.ev_actor -> walk delivered prev rest
+      | Some _ | None -> walk delivered (Some e) rest)
+  in
+  Alcotest.(check bool) (label ^ ": frames were delivered") true (walk 0 None entries > 0)
+
+let test_deliveries_follow_receives () =
+  let sc =
+    List.find
+      (fun sc -> sc.Check_scenarios.sc_name = "naming-cold-lookup")
+      (Check_scenarios.exhaustive @ Check_scenarios.soaks)
+  in
+  let w, run = sc.Check_scenarios.sc_make Check_scenarios.Mode.default in
+  ignore (run ());
+  check_deliveries_follow_receives "naming-cold-lookup"
+    (Ntcs_sim.Trace.entries (Ntcs_sim.World.trace w));
+  let _, _, entries, _ = run_once_faulty 42 in
+  check_deliveries_follow_receives "faulty run" entries
 
 let test_seed_matters () =
   (* Sanity that the comparison has teeth: a different seed must move
@@ -159,6 +196,8 @@ let () =
         [
           Alcotest.test_case "same seed, same bytes" `Quick test_trace_identical;
           Alcotest.test_case "same seed, same faulty bytes" `Quick test_faulty_trace_identical;
+          Alcotest.test_case "deliveries follow their receive" `Quick
+            test_deliveries_follow_receives;
           Alcotest.test_case "different seed differs" `Quick test_seed_matters;
           Alcotest.test_case "R3 invariants hold" `Quick test_r3_invariants_hold;
         ] );

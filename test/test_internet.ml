@@ -322,13 +322,14 @@ let test_forward_logged_once () =
     (List.length (List.sort_uniq compare (List.map (fun (e : Span.event) -> e.Span.ev_ctx) echoes)))
 
 (* The steady forward path, gated. Once the chain is up, each echo
-   crosses the three gateways twice: exactly 6 forwards and 26 executed
+   crosses the three gateways twice: exactly 6 forwards and 18 executed
    scheduler events, and at most [words_per_call_max] minor words in the
-   whole world. Each forward runs in the dispatcher that received the
-   frame, so a per-forward mailbox hop (6 more events per call) or a
-   header rebuilt by each patch (15 words a patch, 180 a call) fails
-   here. The word bound is the measured 2,662 per call plus 5%. *)
-let words_per_call_max = 2_795
+   whole world. Each received frame goes up the stack, and across a
+   gateway splice, in the event of the ND reader that received it, so a
+   mailbox hop per received frame (8 more events per call) or a header
+   rebuilt by each patch (15 words a patch, 180 a call) fails here. The
+   word bound is the measured 2,230 per call plus 5%. *)
+let words_per_call_max = 2_341
 
 let test_forward_path_cost () =
   let c = echo_3gw_cluster () in
@@ -359,7 +360,7 @@ let test_forward_path_cost () =
   Cluster.settle ~dt:30_000_000 c;
   let events, forwards, words = result () in
   Alcotest.(check int) "6 forwards per call" (6 * calls) forwards;
-  Alcotest.(check int) "26 scheduler events per call" (26 * calls) events;
+  Alcotest.(check int) "18 scheduler events per call" (18 * calls) events;
   if words > float_of_int words_per_call_max then
     Alcotest.failf "%.1f minor words per call, bound %d" words words_per_call_max
 

@@ -267,8 +267,8 @@ let test_exports_pinned () =
   Alcotest.(check (list string)) "stats_json, spans_jsonl, chrome_trace digests"
     [
       "6d2899b983852a8fcccaa2606ceca1ae";
-      "970ea56fa5da7647a62417ce30a16035";
-      "747b813a444753cc8dd6693f47ed49f7";
+      "0ff94b7f6b9dd4a4298bf6e8c399211f";
+      "720a9c8d68df67f047a8b537d59f96b7";
     ]
     (List.map md5 [ Export.stats_json r; Export.spans_jsonl r; Export.chrome_trace r ])
 

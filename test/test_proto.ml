@@ -251,8 +251,8 @@ let test_ns_proto_change_list_bounds () =
 
 (* Hostile bytes: truncated, bit-flipped and length-inflated encodings of
    valid messages must decode to [Ok] or [Error], never raise. A name
-   server's receive loop, the IP layer's dispatcher and every service loop
-   have no exception arm to fall back on. *)
+   server's receive loop, the ND readers that carry frames up through IP
+   and every service loop have no exception arm to fall back on. *)
 let decimal_tokens wire =
   let n = String.length wire in
   let rec scan i acc =

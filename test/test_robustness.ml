@@ -141,9 +141,10 @@ let test_orphan_ivc_label_at_gateway () =
 (* A legitimate call, one hand-made Data frame injected on the chain's
    first-leg circuit (the LVC to the gateway) with leg label [label] (the
    live splice's when [None]) and hop count [hops], then a second
-   legitimate call. The gateway handles the frame in its ComMod's
-   dispatcher, where an exception would kill that ComMod: both calls must
-   succeed and no process may crash. Returns the cluster and how many
+   legitimate call. The gateway handles the frame in the event of the ND
+   reader that received it, where an exception would kill that reader and
+   with it the circuit: both calls must succeed and no process may
+   crash. Returns the cluster and how many
    messages the service received. *)
 let inject_at_gateway ?label ~hops () =
   let c = two_net_cluster () in
