@@ -6,33 +6,30 @@ type order = Le | Be
 
 let order_to_string = function Le -> "le" | Be -> "be"
 
-let put_u16 ~order buf v =
-  let v = v land 0xFFFF in
+let set_u16 ~order b off v =
   match order with
-  | Le ->
-    Buffer.add_char buf (Char.chr (v land 0xFF));
-    Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF))
-  | Be ->
-    Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-    Buffer.add_char buf (Char.chr (v land 0xFF))
+  | Le -> Bytes.set_uint16_le b off (v land 0xFFFF)
+  | Be -> Bytes.set_uint16_be b off (v land 0xFFFF)
 
-let put_u32 ~order buf v =
+let set_u32 ~order b off v =
   match order with
   | Le ->
-    put_u16 ~order buf (v land 0xFFFF);
-    put_u16 ~order buf ((v lsr 16) land 0xFFFF)
+    set_u16 ~order b off v;
+    set_u16 ~order b (off + 2) (v lsr 16)
   | Be ->
-    put_u16 ~order buf ((v lsr 16) land 0xFFFF);
-    put_u16 ~order buf (v land 0xFFFF)
+    set_u16 ~order b off (v lsr 16);
+    set_u16 ~order b (off + 2) v
 
-let put_u64 ~order buf v =
+(* [asr]: the top word carries the sign, so a negative int is written as the
+   two's-complement int64 of the same value. *)
+let set_u64 ~order b off v =
   match order with
   | Le ->
-    put_u32 ~order buf (v land 0xFFFFFFFF);
-    put_u32 ~order buf ((v lsr 32) land 0xFFFFFFFF)
+    set_u32 ~order b off v;
+    set_u32 ~order b (off + 4) (v asr 32)
   | Be ->
-    put_u32 ~order buf ((v lsr 32) land 0xFFFFFFFF);
-    put_u32 ~order buf (v land 0xFFFFFFFF)
+    set_u32 ~order b off (v asr 32);
+    set_u32 ~order b (off + 4) v
 
 let get_u8 b off = Char.code (Bytes.get b off)
 

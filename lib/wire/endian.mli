@@ -8,12 +8,13 @@ type order = Le | Be
 
 val order_to_string : order -> string
 
-(** {1 Writers} — append to a buffer in the given order. Values are masked
-    to the field width. *)
+(** {1 Writers} — write into [bytes] at an offset in the given order.
+    Values are masked to the field width; [set_u64] writes a negative int
+    sign-extended, as the int64 of the same value. *)
 
-val put_u16 : order:order -> Buffer.t -> int -> unit
-val put_u32 : order:order -> Buffer.t -> int -> unit
-val put_u64 : order:order -> Buffer.t -> int -> unit
+val set_u16 : order:order -> Bytes.t -> int -> int -> unit
+val set_u32 : order:order -> Bytes.t -> int -> int -> unit
+val set_u64 : order:order -> Bytes.t -> int -> int -> unit
 
 (** {1 Readers} — read from [bytes] at an offset. Unsigned results. *)
 

@@ -58,36 +58,29 @@ let check field value =
   | F_char_array _, V_int _ -> Some "expected string value"
 
 (* Render values into the native memory image for a machine with byte order
-   [order]. Raises [Layout_error] on shape mismatch or a value [check]
+   [order]: one zeroed block of [size layout] bytes, so char arrays come
+   NUL padded. Raises [Layout_error] on shape mismatch or a value [check]
    refuses. *)
 let encode ~order layout values =
-  let buf = Buffer.create (size layout) in
-  let put field value =
-    (match check field value with Some msg -> raise (Layout_error msg) | None -> ());
-    match (field, value) with
-    | F_i8, V_int v -> Buffer.add_char buf (Char.chr (v land 0xFF))
-    | F_i16, V_int v -> Endian.put_u16 ~order buf v
-    | F_i32, V_int v -> Endian.put_u32 ~order buf v
-    | F_i64, V_int v -> Endian.put_u64 ~order buf v
-    | F_char_array n, V_str s ->
-      Buffer.add_string buf s;
-      for _ = String.length s + 1 to n do
-        Buffer.add_char buf '\000'
-      done
-    | (F_i8 | F_i16 | F_i32 | F_i64), V_str _ | F_char_array _, V_int _ ->
-      assert false (* refused by [check] *)
-  in
-  let rec go fields values =
+  let image = Bytes.make (size layout) '\000' in
+  let rec go off fields values =
     match (fields, values) with
-    | [], [] -> ()
-    | f :: fs, v :: vs ->
-      put f v;
-      go fs vs
+    | [], [] -> image
+    | field :: fields, value :: values ->
+      (match check field value with Some msg -> raise (Layout_error msg) | None -> ());
+      (match (field, value) with
+       | F_i8, V_int v -> Bytes.set image off (Char.unsafe_chr (v land 0xFF))
+       | F_i16, V_int v -> Endian.set_u16 ~order image off v
+       | F_i32, V_int v -> Endian.set_u32 ~order image off v
+       | F_i64, V_int v -> Endian.set_u64 ~order image off v
+       | F_char_array _, V_str s -> Bytes.blit_string s 0 image off (String.length s)
+       | (F_i8 | F_i16 | F_i32 | F_i64), V_str _ | F_char_array _, V_int _ ->
+         assert false (* refused by [check] *));
+      go (off + field_size field) fields values
     | [], _ :: _ -> raise (Layout_error "too many values for layout")
     | _ :: _, [] -> raise (Layout_error "too few values for layout")
   in
-  go layout values;
-  Buffer.to_bytes buf
+  go 0 layout values
 
 (* Reinterpret a memory image according to [layout] with byte order [order].
    This is what the *destination* machine does with an image-mode message: it

@@ -40,7 +40,8 @@ val check : field -> value -> string option
     modes deliver the same list. *)
 
 val encode : order:Endian.order -> t -> value list -> Bytes.t
-(** Render values into the native memory image. Raises {!Layout_error} on a
+(** Render values into the native memory image; an [F_i64] holds the int64
+    of its value, negatives sign-extended. Raises {!Layout_error} on a
     shape mismatch or a value {!check} refuses. *)
 
 val decode : order:Endian.order -> t -> Bytes.t -> value list

@@ -13,29 +13,77 @@
 
 exception Unpack_error of string
 
-type cursor = { data : string; mutable pos : int }
-
-let cursor_of_bytes b = { data = Bytes.to_string b; pos = 0 }
+type cursor = { data : Bytes.t; mutable pos : int }
 
 let token cur =
-  if cur.pos >= String.length cur.data then raise (Unpack_error "unexpected end of packed data");
-  match String.index_from_opt cur.data cur.pos '\n' with
+  if cur.pos >= Bytes.length cur.data then raise (Unpack_error "unexpected end of packed data");
+  match Bytes.index_from_opt cur.data cur.pos '\n' with
   | None -> raise (Unpack_error "unterminated token")
   | Some i ->
-    let tok = String.sub cur.data cur.pos (i - cur.pos) in
+    let tok = Bytes.sub_string cur.data cur.pos (i - cur.pos) in
     cur.pos <- i + 1;
     tok
 
 let take_raw cur n =
   (* Written so a hostile length near [max_int] cannot overflow the sum. *)
-  if n > String.length cur.data - cur.pos then raise (Unpack_error "truncated raw block");
-  let s = String.sub cur.data cur.pos n in
+  if n > Bytes.length cur.data - cur.pos then raise (Unpack_error "truncated raw block");
+  let s = Bytes.sub_string cur.data cur.pos n in
   cur.pos <- cur.pos + n;
   (* raw blocks are '\n'-terminated for symmetry *)
-  if cur.pos >= String.length cur.data || cur.data.[cur.pos] <> '\n' then
+  if cur.pos >= Bytes.length cur.data || Bytes.get cur.data cur.pos <> '\n' then
     raise (Unpack_error "missing raw block terminator");
   cur.pos <- cur.pos + 1;
   s
+
+(* Decimal digits of [n <= 0], most significant first: the non-positive
+   side holds [min_int], and the constant divisor compiles to a multiply. *)
+let rec add_digits buf n =
+  if n <= -10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+(* The bytes of [string_of_int v ^ "\n"], written straight into [buf]. *)
+let add_int buf v =
+  if v < 0 then (
+    Buffer.add_char buf '-';
+    add_digits buf v)
+  else add_digits buf (-v);
+  Buffer.add_char buf '\n'
+
+let int_token cur =
+  let tok = token cur in
+  match int_of_string_opt tok with
+  | Some v -> v
+  | None -> raise (Unpack_error (Printf.sprintf "bad integer token %S" tok))
+
+(* A canonical [-?[0-9]+] token in range is parsed in place, accumulating the
+   non-positive value so [min_int] fits. Anything else, every error included,
+   goes through [int_token], so the accepted tokens are [int_of_string_opt]'s. *)
+let rec int_digits cur neg i acc =
+  if i >= Bytes.length cur.data then int_token cur
+  else
+    match Bytes.unsafe_get cur.data i with
+    | '0' .. '9' as c ->
+      let d = Char.code c - 48 in
+      if acc < (min_int + d) / 10 then int_token cur else int_digits cur neg (i + 1) ((acc * 10) - d)
+    | '\n' when i > cur.pos + Bool.to_int neg && (neg || acc <> min_int) ->
+      cur.pos <- i + 1;
+      if neg then acc else -acc
+    | _ -> int_token cur
+
+let read_int cur =
+  let neg = cur.pos < Bytes.length cur.data && Bytes.get cur.data cur.pos = '-' in
+  int_digits cur neg (cur.pos + Bool.to_int neg) 0
+
+(* Strings go length-prefixed + raw so they may contain any byte. *)
+let add_string buf v =
+  add_int buf (String.length v);
+  Buffer.add_string buf v;
+  Buffer.add_char buf '\n'
+
+let read_string cur =
+  let n = read_int cur in
+  if n < 0 then raise (Unpack_error "negative string length");
+  take_raw cur n
 
 type 'a t = {
   pack : Buffer.t -> 'a -> unit;
@@ -48,9 +96,9 @@ let run_pack codec v =
   Buffer.to_bytes buf
 
 let run_unpack codec data =
-  let cur = cursor_of_bytes data in
+  let cur = { data; pos = 0 } in
   let v = codec.unpack cur in
-  if cur.pos <> String.length cur.data then raise (Unpack_error "trailing bytes after message");
+  if cur.pos <> Bytes.length data then raise (Unpack_error "trailing bytes after message");
   v
 
 let run_unpack_result codec data =
@@ -60,16 +108,7 @@ let run_unpack_result codec data =
 
 (* --- primitive codecs --- *)
 
-let int =
-  {
-    pack = (fun buf v -> Buffer.add_string buf (string_of_int v); Buffer.add_char buf '\n');
-    unpack =
-      (fun cur ->
-        let tok = token cur in
-        match int_of_string_opt tok with
-        | Some v -> v
-        | None -> raise (Unpack_error (Printf.sprintf "bad integer token %S" tok)));
-  }
+let int = { pack = add_int; unpack = read_int }
 
 let bool =
   {
@@ -97,21 +136,7 @@ let float =
         | None -> raise (Unpack_error (Printf.sprintf "bad float token %S" tok)));
   }
 
-(* Strings go length-prefixed + raw so they may contain any byte. *)
-let string =
-  {
-    pack =
-      (fun buf v ->
-        Buffer.add_string buf (string_of_int (String.length v));
-        Buffer.add_char buf '\n';
-        Buffer.add_string buf v;
-        Buffer.add_char buf '\n');
-    unpack =
-      (fun cur ->
-        let n = int.unpack cur in
-        if n < 0 then raise (Unpack_error "negative string length");
-        take_raw cur n);
-  }
+let string = { pack = add_string; unpack = read_string }
 
 (* --- combinators --- *)
 
@@ -119,11 +144,11 @@ let list ?(max = max_int) item =
   {
     pack =
       (fun buf vs ->
-        int.pack buf (List.length vs);
+        add_int buf (List.length vs);
         List.iter (item.pack buf) vs);
     unpack =
       (fun cur ->
-        let n = int.unpack cur in
+        let n = read_int cur in
         if n < 0 then raise (Unpack_error "negative list length");
         if n > max then raise (Unpack_error (Printf.sprintf "list length %d above %d" n max));
         List.init n (fun _ -> item.unpack cur));
@@ -195,14 +220,14 @@ let tagged cases =
           | Case (tag, codec, _, prj) :: rest -> (
             match prj v with
             | Some x ->
-              string.pack buf tag;
+              add_string buf tag;
               codec.pack buf x
             | None -> go rest)
         in
         go cases);
     unpack =
       (fun cur ->
-        let tag = string.unpack cur in
+        let tag = read_string cur in
         let rec go = function
           | [] -> raise (Unpack_error (Printf.sprintf "unknown tag %S" tag))
           | Case (t, codec, inj, _) :: rest ->
@@ -221,39 +246,27 @@ let bytes =
    get both modes for free. *)
 
 (* Both directions accept only what [Layout.check] does, the values image
-   mode can carry, so the mode the NTCS picks never changes what arrives. *)
-let value_codec field =
-  let read =
+   mode can carry, so the mode the NTCS picks never changes what arrives.
+   One walk over the layout per message: no per-field codec is built. *)
+let rec pack_values buf fields values =
+  match (fields, values) with
+  | [], [] -> ()
+  | field :: fields, v :: values ->
+    (match Layout.check field v with Some msg -> invalid_arg ("packed: " ^ msg) | None -> ());
+    (match v with Layout.V_int n -> add_int buf n | Layout.V_str s -> add_string buf s);
+    pack_values buf fields values
+  | [], _ :: _ | _ :: _, [] -> invalid_arg "packed: value count does not match layout"
+
+let read_value cur field =
+  let v =
     match field with
-    | Layout.F_i8 | Layout.F_i16 | Layout.F_i32 | Layout.F_i64 ->
-      fun cur -> Layout.V_int (int.unpack cur)
-    | Layout.F_char_array _ -> fun cur -> Layout.V_str (string.unpack cur)
+    | Layout.F_i8 | Layout.F_i16 | Layout.F_i32 | Layout.F_i64 -> Layout.V_int (read_int cur)
+    | Layout.F_char_array _ -> Layout.V_str (read_string cur)
   in
-  {
-    pack =
-      (fun buf v ->
-        (match Layout.check field v with Some msg -> invalid_arg ("packed: " ^ msg) | None -> ());
-        match v with Layout.V_int n -> int.pack buf n | Layout.V_str s -> string.pack buf s);
-    unpack =
-      (fun cur ->
-        let v = read cur in
-        match Layout.check field v with None -> v | Some msg -> raise (Unpack_error msg));
-  }
+  match Layout.check field v with None -> v | Some msg -> raise (Unpack_error msg)
 
 let of_layout (layout : Layout.t) : Layout.value list t =
-  let codecs = List.map value_codec layout in
   {
-    pack =
-      (fun buf values ->
-        let rec go cs vs =
-          match (cs, vs) with
-          | [], [] -> ()
-          | c :: cs, v :: vs ->
-            c.pack buf v;
-            go cs vs
-          | [], _ :: _ | _ :: _, [] ->
-            invalid_arg "packed: value count does not match layout"
-        in
-        go codecs values);
-    unpack = (fun cur -> List.map (fun c -> c.unpack cur) codecs);
+    pack = (fun buf values -> pack_values buf layout values);
+    unpack = (fun cur -> List.map (read_value cur) layout);
   }

@@ -136,6 +136,75 @@ let prop_packed_garbage_never_crashes =
       match Packed.run_unpack_result codec (Bytes.of_string junk) with
       | Ok _ | Error _ -> true)
 
+(* Differential checks of the packed int codec against the stdlib: the
+   digits are written and parsed without [string_of_int]/[int_of_string_opt],
+   and must agree with them byte for byte and token for token. *)
+
+let prop_packed_int_bytes =
+  qtest ~count:1000 "packed int bytes equal string_of_int"
+    QCheck.(
+      make ~print:string_of_int
+        Gen.(oneof [ oneofl [ min_int; max_int; 0; -1; min_int + 1; max_int - 1 ]; int; small_signed_int ]))
+    (fun v -> Bytes.to_string (Packed.run_pack Packed.int v) = string_of_int v ^ "\n")
+
+let int_token_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl
+          [ "4611686018427387904"; "4611686018427387903"; "-4611686018427387904";
+            "-4611686018427387905"; "9999999999999999999"; "-9223372036854775808";
+            "00000000000000000000004611686018427387903"; "0x3fffffffffffffff"; "0u4611686018427387904";
+            "-"; ""; "+"; "-0"; "+7"; "1_000"; "_1"; "0b101"; "0o17"; "--1"; "1-" ];
+        string_size ~gen:(oneofl (List.init 17 (String.get "0123456789-+_xobu"))) (int_range 0 22);
+        string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 0 6);
+      ]
+    >|= String.map (function '\n' -> ' ' | c -> c))
+
+let prop_packed_int_tokens =
+  qtest ~count:2000 "packed int unpack agrees with int_of_string_opt"
+    (QCheck.make ~print:(Printf.sprintf "%S") int_token_gen)
+    (fun tok ->
+      match
+        (Packed.run_unpack_result Packed.int (Bytes.of_string (tok ^ "\n")), int_of_string_opt tok)
+      with
+      | Ok v, Some w -> v = w
+      | Error _, None -> true
+      | Ok _, None | Error _, Some _ -> false)
+
+(* A 33-field layout over every field kind, its bounds and awkward strings.
+   Packed bytes are a wire format, so they are pinned as a literal: a codec
+   rewrite may change how they are produced, never what they are. *)
+let test_packed_layout_pinned () =
+  let layout =
+    Layout.
+      [ F_i8; F_i8; F_i8; F_i8; F_i16; F_i16; F_i16; F_i16; F_i32; F_i32; F_i32; F_i32;
+        F_i64; F_i64; F_i64; F_i64; F_i64; F_i64; F_i64;
+        F_char_array 1; F_char_array 1; F_char_array 2; F_char_array 3; F_char_array 8;
+        F_char_array 8; F_char_array 4; F_char_array 2; F_char_array 20; F_char_array 5;
+        F_char_array 6; F_char_array 3; F_char_array 12; F_char_array 2 ]
+  in
+  let values =
+    Layout.
+      [ V_int (-128); V_int (-1); V_int 0; V_int 127; V_int (-32768); V_int (-1); V_int 0;
+        V_int 32767; V_int (-0x80000000); V_int (-1); V_int 0; V_int 0x7FFFFFFF;
+        V_int min_int; V_int (-1); V_int 0; V_int 1; V_int max_int; V_int 305419896;
+        V_int (-1000000007);
+        V_str ""; V_str "a"; V_str "\n"; V_str "-12"; V_str "T\nF"; V_str "tab\tend";
+        V_str "\xff\x01"; V_str "0"; V_str "4611686018427387904"; V_str "x y z";
+        V_str "\n\n\n"; V_str "+1"; V_str "ends with \n"; V_str "" ]
+  in
+  let codec = Packed.of_layout layout in
+  let bytes = Packed.run_pack codec values in
+  Alcotest.(check string) "packed bytes"
+    "-128\n-1\n0\n127\n-32768\n-1\n0\n32767\n-2147483648\n-1\n0\n2147483647\n\
+     -4611686018427387904\n-1\n0\n1\n4611686018427387903\n305419896\n-1000000007\n\
+     0\n\n1\na\n1\n\n\n3\n-12\n3\nT\nF\n7\ntab\tend\n2\n\255\001\n1\n0\n\
+     19\n4611686018427387904\n5\nx y z\n3\n\n\n\n\n2\n+1\n11\nends with \n\n0\n\n"
+    (Bytes.to_string bytes);
+  Alcotest.(check bool) "unpacks to the values" true
+    (List.for_all2 Layout.value_equal values (Packed.run_unpack codec bytes))
+
 (* --- shift mode --- *)
 
 let word_gen = QCheck.(map (fun n -> n land 0xFFFFFFFF) (int_bound max_int))
@@ -511,6 +580,9 @@ let () =
           prop_packed_float_exact;
           prop_packed_garbage_never_crashes;
           prop_image_packed_agree;
+          prop_packed_int_bytes;
+          prop_packed_int_tokens;
+          Alcotest.test_case "layout codec bytes pinned" `Quick test_packed_layout_pinned;
         ] );
       ("shift", [ prop_shift_roundtrip; prop_bitfields_roundtrip ]);
       ("protocol", [ prop_addr_roundtrip; prop_header_roundtrip ]);

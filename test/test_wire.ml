@@ -6,12 +6,11 @@ open Ntcs_wire
 
 let test_endian_u16_u32_u64 () =
   let check_roundtrip order v width =
-    let buf = Buffer.create 8 in
+    let b = Bytes.create 8 in
     (match width with
-     | 16 -> Endian.put_u16 ~order buf v
-     | 32 -> Endian.put_u32 ~order buf v
-     | _ -> Endian.put_u64 ~order buf v);
-    let b = Buffer.to_bytes buf in
+     | 16 -> Endian.set_u16 ~order b 0 v
+     | 32 -> Endian.set_u32 ~order b 0 v
+     | _ -> Endian.set_u64 ~order b 0 v);
     let back =
       match width with
       | 16 -> Endian.get_u16 ~order b 0
@@ -29,12 +28,13 @@ let test_endian_u16_u32_u64 () =
     [ Endian.Le; Endian.Be ]
 
 let test_endian_byte_layout () =
-  let buf = Buffer.create 4 in
-  Endian.put_u32 ~order:Endian.Be buf 0x01020304;
-  Alcotest.(check string) "big endian bytes" "\x01\x02\x03\x04" (Buffer.contents buf);
-  let buf = Buffer.create 4 in
-  Endian.put_u32 ~order:Endian.Le buf 0x01020304;
-  Alcotest.(check string) "little endian bytes" "\x04\x03\x02\x01" (Buffer.contents buf)
+  (* Written at offset 1: the bytes either side stay as they were. *)
+  let b = Bytes.make 6 '.' in
+  Endian.set_u32 ~order:Endian.Be b 1 0x01020304;
+  Alcotest.(check string) "big endian bytes" ".\x01\x02\x03\x04." (Bytes.to_string b);
+  let b = Bytes.make 6 '.' in
+  Endian.set_u32 ~order:Endian.Le b 1 0x01020304;
+  Alcotest.(check string) "little endian bytes" ".\x04\x03\x02\x01." (Bytes.to_string b)
 
 let test_endian_sign_extension () =
   Alcotest.(check int) "sign8" (-1) (Endian.sign8 0xFF);
@@ -96,6 +96,26 @@ let test_layout_errors () =
     (match Layout.decode ~order:Endian.Le [ Layout.F_i32 ] (Bytes.create 3) with
      | exception Layout.Layout_error _ -> true
      | _ -> false)
+
+(* An i64 field holds the int64 of its value: a negative int is written
+   sign-extended, as a 64-bit machine would store it. *)
+let test_layout_i64_negative () =
+  List.iter
+    (fun (v, be) ->
+      List.iter
+        (fun order ->
+          let expect =
+            match order with Endian.Be -> be | Endian.Le -> String.init 8 (fun i -> be.[7 - i])
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%d %s" v (Endian.order_to_string order))
+            expect
+            (Bytes.to_string (Layout.encode ~order [ Layout.F_i64 ] [ Layout.V_int v ])))
+        [ Endian.Le; Endian.Be ])
+    [ (-1, "\xff\xff\xff\xff\xff\xff\xff\xff"); (min_int, "\xc0\x00\x00\x00\x00\x00\x00\x00") ];
+  match Layout.decode ~order:Endian.Be [ Layout.F_i64 ] (Bytes.make 8 '\xff') with
+  | [ Layout.V_int v ] -> Alcotest.(check int) "int64 -1 image" (-1) v
+  | _ -> Alcotest.fail "decode shape"
 
 (* --- packed mode --- *)
 
@@ -168,6 +188,50 @@ let test_packed_tagged () =
   match Packed.run_unpack_result codec (Packed.run_pack Packed.string "zz") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown tag must fail"
+
+(* --- allocation ---
+
+   Minor words per call after warm-up, over 1,000 calls, on the echo-3gw
+   bench payload: 32 i32 fields and a 128-byte char array, a 256-byte image.
+   A codec that builds per-field closures again, or an image built through
+   a growing buffer, fails these bounds. *)
+
+let bench_layout = List.init 32 (fun _ -> Layout.F_i32) @ [ Layout.F_char_array 128 ]
+
+let bench_values =
+  List.map
+    (function
+      | Layout.F_char_array n -> Layout.V_str (String.make (n - 1) 'x')
+      | Layout.F_i8 | Layout.F_i16 | Layout.F_i32 | Layout.F_i64 -> Layout.V_int 305419896)
+    bench_layout
+
+let words_per_call f =
+  for _ = 1 to 100 do
+    f ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. 1000.
+
+let test_conversion_allocation () =
+  List.iter
+    (fun (name, bound, f) ->
+      let words = words_per_call f in
+      Alcotest.(check bool) (Printf.sprintf "%s: %.1f words <= %.0f" name words bound) true
+        (words <= bound))
+    [
+      ( "Packed.of_layout", 32.,
+        fun () -> ignore (Sys.opaque_identity (Packed.of_layout bench_layout)) );
+      ( "run_pack (of_layout l) v", 260.,
+        fun () ->
+          ignore (Sys.opaque_identity (Packed.run_pack (Packed.of_layout bench_layout) bench_values))
+      );
+      ( "Layout.encode", 60.,
+        fun () ->
+          ignore (Sys.opaque_identity (Layout.encode ~order:Endian.Be bench_layout bench_values)) );
+    ]
 
 (* --- shift mode --- *)
 
@@ -403,6 +467,7 @@ let () =
           Alcotest.test_case "cross order garbles" `Quick test_layout_cross_order_garbles;
           Alcotest.test_case "strings safe" `Quick test_layout_strings_safe_across_orders;
           Alcotest.test_case "errors" `Quick test_layout_errors;
+          Alcotest.test_case "negative i64" `Quick test_layout_i64_negative;
         ] );
       ( "packed",
         [
@@ -412,6 +477,7 @@ let () =
             test_packed_of_layout_matches_image_semantics;
           Alcotest.test_case "order independent" `Quick test_packed_is_order_independent;
           Alcotest.test_case "tagged unions" `Quick test_packed_tagged;
+          Alcotest.test_case "allocation" `Quick test_conversion_allocation;
         ] );
       ( "shift",
         [
