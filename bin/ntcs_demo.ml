@@ -1,7 +1,8 @@
 (* Scriptable scenario runner: builds the two-network reference installation
    and narrates what the NTCS does while modules talk, relocate and fail.
 
-   Usage: dune exec bin/ntcs_demo.exe -- [--trace] [--seed N] [--faults] *)
+   Usage: dune exec bin/ntcs_demo.exe -- [--trace [--filter NAME]...] [--seed N]
+     [--faults] *)
 
 open Cmdliner
 open Ntcs
@@ -46,11 +47,6 @@ let scenario ~trace ~filter ~seed ~faults =
       ~gateways:[ ("bridge-gw", "bridge", [ "ether"; "ring" ]) ]
       ~ns:"vax1" ()
   in
-  (* §6.2: "adequate selectivity in observing this information is equally
-     important" — restrict the world's event log (trace entries and span
-     events alike) to the requested names. *)
-  if filter <> [] then
-    Ntcs_sim.Trace.set_filter (Ntcs_sim.World.trace (Cluster.world cluster)) filter;
   Cluster.settle cluster;
   print_endline "== NTCS demo: ethernet + apollo ring, one gateway, NS on vax1 ==";
   if faults then
@@ -119,27 +115,35 @@ let scenario ~trace ~filter ~seed ~faults =
      | Some h -> Ntcs_obs.Histo.sum h
      | None -> 0);
   if trace then begin
-    let tr = Ntcs_sim.World.trace (Cluster.world cluster) in
-    (* Name listing first — per-layer totals via [matching_prefix], then
-       each event name with its own count — so a reader can pick a
-       --filter before wading into the full dump. *)
+    (* §6.2: "adequate selectivity in observing this information is equally
+       important". The world logs every event; --filter selects the
+       requested names, trace entries and span events alike, on read. *)
+    let entries =
+      let all = Ntcs_sim.Trace.entries (Ntcs_sim.World.trace (Cluster.world cluster)) in
+      if filter = [] then all
+      else
+        List.filter (fun (e : Ntcs_sim.Trace.entry) -> List.mem e.Ntcs_obs.Span.ev_name filter) all
+    in
+    (* Name listing first — per-layer totals, then each event name with its
+       own count — so a reader can pick a --filter before wading into the
+       full dump. *)
     print_endline "\n-- event names --";
-    let cats = Ntcs_sim.Trace.categories tr in
+    let cats = Ntcs_sim.Trace.categories entries in
     let layers =
       List.sort_uniq compare (List.map (fun (c, _) -> Ntcs_obs.Manifest.track_of c) cats)
     in
     List.iter
       (fun layer ->
-        let total = List.length (Ntcs_sim.Trace.matching_prefix tr ~prefix:layer) in
         let members =
           List.filter (fun (c, _) -> Ntcs_obs.Manifest.track_of c = layer) cats
         in
-        Printf.printf "%-8s %5d  %s\n" layer total
+        Printf.printf "%-8s %5d  %s\n" layer
+          (List.fold_left (fun acc (_, n) -> acc + n) 0 members)
           (String.concat " "
              (List.map (fun (c, n) -> Printf.sprintf "%s=%d" c n) members)))
       layers;
     print_endline "\n-- full protocol trace --";
-    Ntcs_sim.Trace.dump Format.std_formatter tr
+    List.iter (Format.printf "%a@." Ntcs_obs.Span.pp_event) entries
   end;
   0
 
@@ -148,7 +152,7 @@ let () =
   let filter =
     Arg.(value & opt_all string []
          & info [ "filter" ] ~docv:"CAT"
-             ~doc:"Only log events with these names (repeatable), trace categories and \
+             ~doc:"Only show events with these names (repeatable), trace categories and \
                    span names alike, e.g. lcm.fault, gw.forward, nd.tx.")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"World seed.") in
@@ -160,7 +164,7 @@ let () =
             "Arm the deterministic fault plane: lossy links plus a timed \
              partition of the worker's network. Same --seed, same failures.")
   in
-  (* A misspelt name would silently log nothing: refuse it. *)
+  (* A misspelt name would silently select nothing: refuse it. *)
   let run trace filter seed faults =
     match List.filter (fun n -> not (Ntcs_obs.Manifest.known n)) filter with
     | [] -> scenario ~trace ~filter ~seed ~faults

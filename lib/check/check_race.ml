@@ -48,9 +48,6 @@ module Vc = struct
     let ok = ref true in
     Array.iteri (fun i x -> if x > get b i then ok := false) a;
     !ok
-
-  let pp ppf (v : t) =
-    Fmt.pf ppf "[%a]" Fmt.(array ~sep:(any ",") int) v
 end
 
 type access = {

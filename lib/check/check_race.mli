@@ -34,7 +34,6 @@ module Vc : sig
   val leq : t -> t -> bool
   (** Component-wise ≤ — the happens-before partial order. *)
 
-  val pp : Format.formatter -> t -> unit
 end
 
 type access = {

@@ -28,11 +28,9 @@ type scenario = {
           that drives the exchange and reports that run's violations *)
 }
 
-val first_send : scenario
-(** §6.1 first send across a prime gateway (chained open + splice). *)
-
 val exhaustive : scenario list
-(** [first_send] and [break_ns]: exploration must drain the whole tree. *)
+(** [first-send] (§6.1 first send across a prime gateway: chained open
+    and splice) and [break-ns]: exploration must drain the whole tree. *)
 
 (** {1 Fault-plane and naming soak scenarios}
 

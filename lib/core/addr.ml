@@ -27,14 +27,11 @@ let is_unique t = not (is_temporary t)
 
 let equal a b = a = b
 let compare = Stdlib.compare
-let hash = Hashtbl.hash
 
 let to_string t =
   match t.space with
   | Unique sid -> Printf.sprintf "U%d.%d" sid t.value
   | Temporary a -> Printf.sprintf "T%d.%d" a t.value
-
-let pp ppf t = Fmt.string ppf (to_string t)
 
 (* Two shift-mode words: word0 = temp flag (1 bit) | space tag (31 bits),
    word1 = value. UAdds must therefore keep their counters within 32 bits,

@@ -23,12 +23,9 @@ val is_temporary : t -> bool
 val is_unique : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 
 val to_string : t -> string
 (** ["U<server>.<value>"] or ["T<assigner>.<value>"]. *)
-
-val pp : Format.formatter -> t -> unit
 
 val space_word : t -> int
 (** First shift-mode word: the temporary flag (top bit) and the space tag. *)

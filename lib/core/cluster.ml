@@ -15,9 +15,6 @@ type t = {
   nets_by_name : (string, Net.t) Hashtbl.t;
   machines_by_name : (string, Machine.t) Hashtbl.t;
   mutable name_servers : Name_server.t list;
-  mutable gateways : Gateway.t list;
-  mutable ns_pids : Sched.pid list;
-  mutable gw_pids : Sched.pid list;
 }
 
 let world t = t.world
@@ -89,9 +86,6 @@ let build ?world ?(config = World.Config.default) ?(tweak = fun c -> c) ~nets ~m
       nets_by_name = Hashtbl.create 8;
       machines_by_name = Hashtbl.create 16;
       name_servers = [];
-      gateways = [];
-      ns_pids = [];
-      gw_pids = [];
     }
   in
   List.iter
@@ -198,11 +192,9 @@ let build ?world ?(config = World.Config.default) ?(tweak = fun c -> c) ~nets ~m
           ?shard_map ()
       in
       t.name_servers <- t.name_servers @ [ server ];
-      let pid =
-        World.spawn world ~machine:m ~name:(Printf.sprintf "name-server/%d" i)
-          (Name_server.serve ~fixed:phys server)
-      in
-      t.ns_pids <- t.ns_pids @ [ pid ])
+      ignore
+        (World.spawn world ~machine:m ~name:(Printf.sprintf "name-server/%d" i)
+           (Name_server.serve ~fixed:phys server)))
     ns_entries;
   (* Spawn prime gateways. *)
   List.iter
@@ -216,11 +208,8 @@ let build ?world ?(config = World.Config.default) ?(tweak = fun c -> c) ~nets ~m
       let prime_phys = List.map (fun nid -> (nid, gateway_phys t m ~idx:j ~net:nid)) net_ids in
       let gw = Gateway.create node ~name:spec.gw_spec_name ~nets:net_ids ~prime_addrs
                  ~prime_phys () in
-      t.gateways <- t.gateways @ [ gw ];
-      let pid =
-        World.spawn world ~machine:m ~name:("gw/" ^ spec.gw_spec_name) (Gateway.serve gw)
-      in
-      t.gw_pids <- t.gw_pids @ [ pid ])
+      ignore
+        (World.spawn world ~machine:m ~name:("gw/" ^ spec.gw_spec_name) (Gateway.serve gw)))
     gw_specs;
   t
 
@@ -239,7 +228,6 @@ let settle ?(dt = 2_000_000) t = World.run ~until:(World.now t.world + dt) t.wor
 
 let name_servers t = t.name_servers
 let primary_ns t = List.nth t.name_servers 0
-let gateway_list t = t.gateways
 
 let crash t machine_name = World.crash_machine t.world (machine t machine_name)
 let partition t net_name = (net t net_name).Net.up <- false

@@ -44,10 +44,8 @@ val metrics : t -> Ntcs_obs.Registry.t
 val sched : t -> Sched.t
 val net : t -> string -> Net.t
 val machine : t -> string -> Machine.t
-val net_id : t -> string -> Net.id
 val name_servers : t -> Name_server.t list
 val primary_ns : t -> Name_server.t
-val gateway_list : t -> Gateway.t list
 
 (** {1 Application modules} *)
 
@@ -68,8 +66,3 @@ val partition : t -> string -> unit
 (** Take a network down. *)
 
 val heal : t -> string -> unit
-
-val gateway_phys :
-  t -> Machine.t -> idx:int -> net:Net.id -> Ntcs_ipcs.Phys_addr.t list
-(** The fixed listening resources of a (gateway, network) pair — exposed for
-    tests that construct gateways manually. *)

@@ -29,34 +29,18 @@ let to_string = function
   | Not_registered -> "not-registered"
   | Internal m -> "internal: " ^ m
 
-let pp ppf e = Fmt.string ppf (to_string e)
-
-let equal (a : t) b = a = b
-
-(* Severity classification, consumed by the LCM/NSP retry policy and exposed
-   through the ALI so applications can make the same call we do:
-
-   - [Transient]: the condition may clear on its own (a circuit broke, a
-     timeout elapsed, the name service was briefly unreachable). Retrying —
-     with backoff — is reasonable.
-   - [Permanent]: the destination itself is the problem (no such name, no
-     such address, module gone with no replacement, message cannot fit).
-     Retrying the same operation cannot succeed.
-   - [Fatal]: the caller (or this implementation) is wrong; retrying would
-     repeat the mistake. *)
-type severity = Transient | Permanent | Fatal
-
-let severity = function
-  | Timeout | Circuit_failed | Unreachable | Name_service_unavailable -> Transient
-  | Unknown_name | Unknown_address | Destination_dead | Message_too_large -> Permanent
-  | Bad_message _ | Not_registered | Internal _ -> Fatal
-
-let severity_to_string = function
-  | Transient -> "transient"
-  | Permanent -> "permanent"
-  | Fatal -> "fatal"
-
-let retryable e = severity e = Transient
+(* The retry classification, consumed by the LCM/NSP retry policy and
+   exposed through the ALI so applications can make the same call we do.
+   Retryable conditions may clear on their own (a circuit broke, a timeout
+   elapsed, the name service was briefly unreachable), so retrying with
+   backoff is reasonable. The rest cannot succeed on a retry: either the
+   destination itself is the problem (no such name, no such address, module
+   gone with no replacement, message cannot fit) or the caller is wrong. *)
+let retryable = function
+  | Timeout | Circuit_failed | Unreachable | Name_service_unavailable -> true
+  | Unknown_name | Unknown_address | Destination_dead | Message_too_large | Bad_message _
+  | Not_registered | Internal _ ->
+    false
 
 (* Map a native IPCS error into the NTCS vocabulary. *)
 let of_ipcs (e : Ntcs_ipcs.Ipcs_error.t) =
@@ -69,5 +53,3 @@ let of_ipcs (e : Ntcs_ipcs.Ipcs_error.t) =
   | Ntcs_ipcs.Ipcs_error.No_such_host -> Unknown_address
   | Ntcs_ipcs.Ipcs_error.Already_bound -> Internal "address already bound"
   | Ntcs_ipcs.Ipcs_error.Too_big -> Message_too_large
-
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e

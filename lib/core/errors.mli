@@ -18,26 +18,13 @@ type t =
   | Internal of string
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool
-
-(** How an application (or the LCM/NSP retry policy) should react:
-    [Transient] conditions may clear on their own and are worth retrying
-    with backoff; [Permanent] ones indict the destination itself; [Fatal]
-    ones indict the caller. *)
-type severity = Transient | Permanent | Fatal
-
-val severity : t -> severity
-val severity_to_string : severity -> string
 
 val retryable : t -> bool
-(** [retryable e] iff [severity e = Transient]. This is the single
-    classification the LCM and NSP retry machinery consults — applications
-    distinguishing [Timeout]/[Circuit_failed] (retry) from
-    [Unknown_name]/[Message_too_large] (don't) should use it too. *)
+(** Whether the condition may clear on its own ([Timeout],
+    [Circuit_failed], [Unreachable], [Name_service_unavailable]) and is
+    worth retrying with backoff. This is the single classification the LCM
+    and NSP retry machinery consults; applications should use it too. *)
 
 val of_ipcs : Ntcs_ipcs.Ipcs_error.t -> t
 (** Map a native IPCS error into the NTCS vocabulary. The mapping is total:
     every [Ipcs_error] variant has an NTCS rendering. *)
-
-val ( let* ) : ('a, t) result -> ('a -> ('b, t) result) -> ('b, t) result

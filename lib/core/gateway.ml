@@ -322,5 +322,3 @@ let serve t () =
   trace t ~cat:"gw.up" (Printf.sprintf "bridging nets [%s]" (spans_csv t));
   (* The ComMods live as long as this process does: park it for good. *)
   ignore (Sched.Ivar.read (Sched.Ivar.create (Node.sched t.node) : unit Sched.Ivar.ivar))
-
-let splice_count t = Hashtbl.length t.splices

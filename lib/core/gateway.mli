@@ -33,6 +33,3 @@ val serve : t -> unit -> unit
     register addresses, then park. Forwarding runs in the event of the ND
     reader that received the frame; opens run in worker processes. Spawn
     with [World.spawn]. *)
-
-val splice_count : t -> int
-(** Live spliced leg pairs (2 table entries per chain). *)

@@ -27,9 +27,7 @@ type ivc = {
   circuit : Nd_layer.circuit; (* first leg *)
   mutable peer : Addr.t; (* table key: final dst (or origin), may be an alias *)
   mutable wire_dst : Addr.t; (* what the remote end calls itself: the frame dst *)
-  mutable remote_order : Endian.order;
-  mutable remote_listen : Phys_addr.t list;
-  inbound : bool;
+  remote_order : Endian.order;
   mutable i_open : bool;
   mutable last_mode : Convert.mode option; (* last conversion mode traced (ip.convert) *)
 }
@@ -107,6 +105,32 @@ let unregister_ivc t ivc =
    | Some _ | None -> ());
   if ivc.label <> 0 then Hashtbl.remove t.by_leg (ivc.circuit.Nd_layer.cid, ivc.label)
 
+(* A direct IVC is its LVC: the peer's identity and byte order are the ND
+   HELLO's. *)
+let direct_ivc circuit =
+  {
+    label = 0;
+    circuit;
+    peer = circuit.Nd_layer.peer_addr;
+    wire_dst = circuit.Nd_layer.peer_announced;
+    remote_order = circuit.Nd_layer.peer_order;
+    i_open = true;
+    last_mode = None;
+  }
+
+(* A chained IVC learns the far end from the HELLO carried in IVC_OPEN (at
+   the destination) or IVC_ACCEPT (at the origin). *)
+let chained_ivc circuit ~label ~peer (hello : Proto.hello) =
+  {
+    label;
+    circuit;
+    peer;
+    wire_dst = hello.Proto.h_addr;
+    remote_order = hello.Proto.h_order;
+    i_open = true;
+    last_mode = None;
+  }
+
 let find_ivc t peer =
   let peer = Nd_layer.resolve_alias t.nd peer in
   match Hashtbl.find_opt t.by_peer peer with
@@ -117,19 +141,7 @@ let find_ivc t peer =
        sources — e.g. TAdd clients of the name server — find their way). *)
     match Nd_layer.find_circuit t.nd peer with
     | Some circuit ->
-      let ivc =
-        {
-          label = 0;
-          circuit;
-          peer = circuit.Nd_layer.peer_addr;
-          wire_dst = circuit.Nd_layer.peer_announced;
-          remote_order = circuit.Nd_layer.peer_order;
-          remote_listen = circuit.Nd_layer.peer_listen;
-          inbound = true;
-          i_open = true;
-          last_mode = None;
-        }
-      in
+      let ivc = direct_ivc circuit in
       register_ivc t ivc;
       Some ivc
     | None -> None)
@@ -138,19 +150,7 @@ let open_direct t ~dst ~phys_candidates =
   match Nd_layer.find_or_open t.nd dst phys_candidates with
   | Error _ as e -> e
   | Ok circuit ->
-    let ivc =
-      {
-        label = 0;
-        circuit;
-        peer = circuit.Nd_layer.peer_addr;
-        wire_dst = circuit.Nd_layer.peer_announced;
-        remote_order = circuit.Nd_layer.peer_order;
-        remote_listen = circuit.Nd_layer.peer_listen;
-        inbound = false;
-        i_open = true;
-        last_mode = None;
-      }
-    in
+    let ivc = direct_ivc circuit in
     register_ivc t ivc;
     Ok ivc
 
@@ -189,19 +189,7 @@ let open_chained t ~dst ~hops ~first_phys =
             e
           | Some (Ok hello) ->
             Hashtbl.remove t.pending label;
-            let ivc =
-              {
-                label;
-                circuit;
-                peer = dst;
-                wire_dst = hello.Proto.h_addr;
-                remote_order = hello.Proto.h_order;
-                remote_listen = List.filter_map Phys_addr.of_string hello.Proto.h_listen;
-                inbound = false;
-                i_open = true;
-                last_mode = None;
-              }
-            in
+            let ivc = chained_ivc circuit ~label ~peer:dst hello in
             register_ivc t ivc;
             note t ~cat:"ip.ivc_open"
               (Ntcs_obs.Span.Ivc_open
@@ -253,8 +241,7 @@ let send t ivc ~kind ?(seq = 0) ?(conv = 0) ?(app_tag = 0) ?(span = Ntcs_obs.Spa
     let my_order = Node.my_order t.node in
     let mode =
       if t.node.Node.config.Node.force_packed then Convert.Packed
-      else if my_order = ivc.remote_order then Convert.Image
-      else Convert.Packed
+      else Convert.choose ~src:my_order ~dst:ivc.remote_order
     in
     (* Per-ComMod counters track application payload conversions only;
        naming-service and DRTS control traffic is excluded so experiments can
@@ -332,20 +319,7 @@ let accept_chained_fresh t circuit (h : Proto.header) (req : Proto.ivc_open) =
   (match Hashtbl.find_opt t.by_peer peer_key with
    | Some old when old.label <> 0 -> unregister_ivc t old
    | Some _ | None -> ());
-  let ivc =
-    {
-      label = h.Proto.ivc;
-      circuit;
-      peer = peer_key;
-      wire_dst = origin_real;
-      remote_order = req.Proto.origin_hello.Proto.h_order;
-      remote_listen =
-        List.filter_map Phys_addr.of_string req.Proto.origin_hello.Proto.h_listen;
-      inbound = true;
-      i_open = true;
-      last_mode = None;
-    }
-  in
+  let ivc = chained_ivc circuit ~label:h.Proto.ivc ~peer:peer_key req.Proto.origin_hello in
   register_ivc t ivc;
   Ntcs_obs.Registry.incr (metrics t) "ip.ivc_accepted";
   note t ~cat:"ip.ivc_accept"

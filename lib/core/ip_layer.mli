@@ -21,9 +21,7 @@ type ivc = {
   circuit : Nd_layer.circuit;  (** first leg *)
   mutable peer : Addr.t;  (** table key: final destination (or origin) *)
   mutable wire_dst : Addr.t;  (** what the remote end calls itself *)
-  mutable remote_order : Endian.order;
-  mutable remote_listen : Phys_addr.t list;
-  inbound : bool;
+  remote_order : Endian.order;
   mutable i_open : bool;
   mutable last_mode : Convert.mode option;
       (** last conversion mode traced on this IVC (mode-transition events) *)

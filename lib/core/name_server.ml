@@ -536,8 +536,6 @@ let preload t names =
         })
     names
 
-let db_size t = Hashtbl.length t.db
-
 let dump t =
   (* Keys are the record addresses, so sorted bindings are already in
      address order. *)

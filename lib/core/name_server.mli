@@ -71,5 +71,4 @@ val owns : t -> string -> bool
 (** Whether this server is the authority for [name] under its shard map
     (always true without one). *)
 
-val db_size : t -> int
 val dump : t -> Ns_proto.entry list

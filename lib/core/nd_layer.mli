@@ -124,14 +124,11 @@ val find_circuit : t -> Addr.t -> circuit option
 
 val resolve_alias : t -> Addr.t -> Addr.t
 
-val open_circuit : t -> phys:Phys_addr.t -> (circuit, Errors.t) result
-(** Open an LVC (with retry on open, §2.2) and run the HELLO handshake.
-    Returns the circuit keyed by the peer's announced address. Blocking. *)
-
 val find_or_open : t -> Addr.t -> Phys_addr.t list -> (circuit, Errors.t) result
-(** The open circuit to this neighbour, or {!open_circuit} to each physical
-    address in turn until one answers (the last error when none does,
-    [Unreachable] when the list is empty). Blocking. *)
+(** The open circuit to this neighbour, or a new LVC (with retry on open,
+    §2.2, and the HELLO handshake) to each physical address in turn until
+    one answers (the last error when none does, [Unreachable] when the list
+    is empty). Blocking. *)
 
 val close_circuit : circuit -> unit
 (** Local close, no upward notification (the caller asked for it). *)

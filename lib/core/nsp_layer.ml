@@ -335,5 +335,3 @@ let invalidate t =
   Ns_cache.clear t.name_cache;
   Ns_cache.clear t.entry_cache;
   t.gw_cache <- None
-
-let name_server_addrs t = t.candidates

@@ -70,5 +70,3 @@ val deregister : t -> Addr.t -> (unit, Errors.t) result
 
 val invalidate : t -> unit
 (** Drop every cache (test/experiment hook). *)
-
-val name_server_addrs : t -> Addr.t list

@@ -177,8 +177,6 @@ let decode_header_at data off =
     span = Ntcs_obs.Span.make ~circuit:(peek data off 11) ~seq:(peek data off 12);
   }
 
-let decode_header data = decode_header_at data 0
-
 (* A full frame: shift-mode header followed by the (already converted)
    payload bytes. *)
 let encode_frame h payload =
@@ -234,9 +232,6 @@ module Frame = struct
      in the frame.bytes_copied histogram. *)
   let payload_bytes v = Bytes.sub v.buf (payload_off v) (payload_len v)
 
-  let to_bytes v =
-    if v.off = 0 && v.len = Bytes.length v.buf then v.buf else Bytes.sub v.buf v.off v.len
-
   (* Build a frame into a caller-supplied buffer at [off]: one
      header blit plus one payload blit — the only copy on the send path. *)
   let encode_into h ~payload buf ~off =
@@ -251,10 +246,6 @@ module Frame = struct
     blit_header h buf off;
     Bytes.blit payload 0 buf (off + header_bytes) plen;
     { buf; off; len; hdr = Some h }
-
-  let of_parts h payload =
-    let plen = Bytes.length payload in
-    encode_into h ~payload (Bytes.create (header_bytes + plen)) ~off:0
 
   (* --- in-place header patches (word offsets per the layout above); each
      drops the memo rather than build a new header --- *)

@@ -11,7 +11,6 @@ open Ntcs_wire
 
 exception Bad_header of string
 
-val header_words : int
 val header_bytes : int
 
 type kind =
@@ -73,9 +72,6 @@ val encode_header : header -> Bytes.t
 (** Raises {!Bad_header} when [hops] is outside 0–255: the 8-bit hop field
     backs loop detection (E7), so a silently wrapped count would defeat it. *)
 
-val decode_header : Bytes.t -> header
-(** Raises {!Bad_header} on bad magic/version/shape. *)
-
 val encode_frame : header -> Bytes.t -> Bytes.t
 (** Header (with [payload_len] fixed up) followed by the payload bytes. *)
 
@@ -108,17 +104,10 @@ module Frame : sig
   (** Materialise the payload (one copy). Call sites account for it in the
       [frame.bytes_copied] histogram. *)
 
-  val to_bytes : t -> Bytes.t
-  (** The full frame. Returns the underlying buffer without copying when
-      the view spans it exactly. *)
-
   val encode_into : header -> payload:Bytes.t -> Bytes.t -> off:int -> t
   (** Encode a frame into a caller-supplied buffer at [off]: one
       header blit plus one payload blit. [payload_len] is fixed up. Raises
       {!Bad_header} when the frame does not fit. *)
-
-  val of_parts : header -> Bytes.t -> t
-  (** [encode_into] with a fresh exactly-sized buffer. *)
 
   val patch_ivc : t -> int -> unit
   (** Rewrite the leg label (word 9) in place and drop the memo, allocating

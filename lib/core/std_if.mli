@@ -32,8 +32,7 @@ type lvc = {
   kind : Phys_addr.kind;
   headroom : int;
       (** Bytes the backend's framing takes in front of a message: 4 over
-          TCP (the length word), {!mbx_frag_header} over MBX (the fragment
-          header). *)
+          TCP (the length word), 12 over MBX (the fragment header). *)
   send : Bytes.t -> off:int -> len:int -> (unit, Ipcs_error.t) result;
       (** Send [buf[off, off+len)] as one message. [send] takes ownership
           of [buf]: the caller must not touch it again. When the message
@@ -52,9 +51,6 @@ type lvc = {
 
 val max_frame : int
 (** The largest message either backend carries (16 MiB). *)
-
-val mbx_frag_header : int
-val mbx_frag_payload : int
 
 type acceptor = {
   acc_addr : Phys_addr.t;  (** the listening address to register/announce *)

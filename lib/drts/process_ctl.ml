@@ -2,8 +2,8 @@
    or replace system modules, while in operation".
 
    A managed module is a (name, attributes, body) specification that process
-   control can start on any machine, kill, and — the testbed's signature
-   move — *relocate*: kill the instance, start a replacement elsewhere under
+   control can start on any machine and — the testbed's signature move —
+   *relocate*: kill the instance, start a replacement elsewhere under
    the same name. The replacement registers afresh, the naming service sees
    a newer module with a similar name, and the LCM address-fault machinery
    of every correspondent transparently re-routes in-progress conversations
@@ -51,14 +51,10 @@ let start t spec ~machine =
   Hashtbl.replace t.modules spec.sp_name m;
   m
 
-let find t name = Hashtbl.find_opt t.modules name
-
 let kill t (m : managed) =
   Sched.kill (Cluster.sched t.cluster) m.m_pid;
   World.record (Cluster.world t.cluster) ~cat:"pctl.kill" ~actor:m.m_spec.sp_name
     (Printf.sprintf "generation %d on %s" m.m_generation m.m_machine)
-
-let alive t (m : managed) = Sched.alive (Cluster.sched t.cluster) m.m_pid
 
 (* Replace a running module with a fresh instance on [to_machine] (which may
    be the same machine: an in-place upgrade). The old instance is killed
@@ -72,6 +68,3 @@ let relocate t (m : managed) ~to_machine =
   World.record (Cluster.world t.cluster) ~cat:"pctl.relocate" ~actor:m.m_spec.sp_name
     (Printf.sprintf "generation %d now on %s" m.m_generation to_machine);
   m.m_pid
-
-let generation (m : managed) = m.m_generation
-let machine_of (m : managed) = m.m_machine

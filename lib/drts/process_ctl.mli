@@ -2,7 +2,7 @@
     modify, or replace system modules, while in operation".
 
     A managed module is a (name, attributes, body) specification process
-    control can start anywhere, kill, and — the testbed's signature move —
+    control can start anywhere and — the testbed's signature move —
     {e relocate}: kill the instance, start a replacement elsewhere under the
     same name. The replacement registers afresh, the naming service sees a
     newer module with a similar name, and every correspondent's LCM
@@ -31,13 +31,6 @@ val create : Cluster.t -> t
 val start : t -> spec -> machine:string -> managed
 (** Raises [Invalid_argument] when the name is already managed. *)
 
-val find : t -> string -> managed option
-val kill : t -> managed -> unit
-val alive : t -> managed -> bool
-
 val relocate : t -> managed -> to_machine:string -> Sched.pid
 (** Kill, bump the generation, respawn under the same name. Correspondents
     need no participation. *)
-
-val generation : managed -> int
-val machine_of : managed -> string

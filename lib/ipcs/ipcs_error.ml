@@ -21,7 +21,3 @@ let to_string = function
   | No_such_host -> "no-such-host"
   | Already_bound -> "already-bound"
   | Too_big -> "too-big"
-
-let pp ppf e = Fmt.string ppf (to_string e)
-
-let equal (a : t) b = a = b

@@ -12,5 +12,3 @@ type t =
   | Too_big  (** exceeds the backend's message size limit *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool

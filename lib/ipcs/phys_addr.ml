@@ -16,14 +16,6 @@ let kind = function Tcp _ -> K_tcp | Mbx _ -> K_mbx
 
 let kind_to_string = function K_tcp -> "tcp" | K_mbx -> "mbx"
 
-let equal a b =
-  match (a, b) with
-  | Tcp a, Tcp b -> String.equal a.host b.host && a.port = b.port
-  | Mbx a, Mbx b -> String.equal a.path b.path
-  | Tcp _, Mbx _ | Mbx _, Tcp _ -> false
-
-let compare = Stdlib.compare
-
 let to_string = function
   | Tcp { host; port } -> Printf.sprintf "tcp://%s:%d" host port
   | Mbx { path } -> Printf.sprintf "mbx:%s" path
@@ -51,7 +43,3 @@ let of_string s =
     if path = "" then None else Some (Mbx { path })
   end
   else None
-
-let pp ppf a = Fmt.string ppf (to_string a)
-
-let hash = Hashtbl.hash

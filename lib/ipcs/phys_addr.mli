@@ -16,8 +16,6 @@ type kind = K_tcp | K_mbx
 
 val kind : t -> kind
 val kind_to_string : kind -> string
-val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val to_string : t -> string
 (** ["tcp://host:port"] or ["mbx:path"] — the uninterpreted form the naming
@@ -25,6 +23,3 @@ val to_string : t -> string
 
 val of_string : string -> t option
 (** Inverse of {!to_string}; [None] on malformed input. *)
-
-val pp : Format.formatter -> t -> unit
-val hash : t -> int

@@ -20,8 +20,6 @@ let sort ds = List.sort_uniq compare ds
 
 let pp ppf d = Format.fprintf ppf "%s:%d: [%s] %s" d.file d.line d.rule d.msg
 
-let to_string d = Format.asprintf "%a" pp d
-
 (* Minimal JSON string escaping: enough for paths, rule names and messages
    (which may quote source text). *)
 let json_escape s =

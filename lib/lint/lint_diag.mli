@@ -9,16 +9,11 @@ type t = {
 
 val make : file:string -> line:int -> rule:string -> string -> t
 
-val compare : t -> t -> int
-(** Order by file, then line, then rule, then message. *)
-
 val sort : t list -> t list
 (** Sort and drop exact duplicates. *)
 
 val pp : Format.formatter -> t -> unit
 (** Renders as [file:line: [rule] message]. *)
-
-val to_string : t -> string
 
 val json_escape : string -> string
 (** Escape a string for embedding in a JSON string literal. *)

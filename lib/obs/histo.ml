@@ -2,8 +2,7 @@
    microseconds and byte counts. Values 0..3 get exact buckets; every
    power-of-two octave above that is split into 4 linear sub-buckets, so the
    relative quantile error is bounded by 25% while the whole structure is a
-   fixed 256-slot int array. Merging is bucket-wise addition, which is
-   associative and commutative — the property tests lean on that. *)
+   fixed 256-slot int array. *)
 
 let sub_bits = 2 (* 4 sub-buckets per octave *)
 let sub_count = 1 lsl sub_bits
@@ -19,8 +18,6 @@ type t = {
 
 let create () =
   { buckets = Array.make bucket_count 0; count = 0; sum = 0; min = 0; max = 0 }
-
-let is_empty t = t.count = 0
 
 (* Index of the highest set bit of [v > 0]. *)
 let msb v =
@@ -63,26 +60,6 @@ let add t v =
     if v > t.max then t.max <- v
   end;
   t.count <- t.count + 1
-
-let merge a b =
-  let r = create () in
-  Array.blit a.buckets 0 r.buckets 0 bucket_count;
-  Array.iteri (fun i n -> r.buckets.(i) <- r.buckets.(i) + n) b.buckets;
-  r.count <- a.count + b.count;
-  r.sum <- a.sum + b.sum;
-  (if a.count = 0 then begin
-     r.min <- b.min;
-     r.max <- b.max
-   end
-   else if b.count = 0 then begin
-     r.min <- a.min;
-     r.max <- a.max
-   end
-   else begin
-     r.min <- min a.min b.min;
-     r.max <- max a.max b.max
-   end);
-  r
 
 let count t = t.count
 let sum t = t.sum
@@ -127,13 +104,3 @@ type summary = {
 let summary t =
   { s_count = t.count; s_sum = t.sum; s_min = min_value t; s_max = max_value t;
     s_p50 = p50 t; s_p95 = p95 t; s_p99 = p99 t }
-
-let equal a b =
-  a.count = b.count && a.sum = b.sum && a.min = b.min && a.max = b.max
-  && a.buckets = b.buckets
-
-let pp ppf t =
-  if t.count = 0 then Fmt.pf ppf "empty"
-  else
-    Fmt.pf ppf "n=%d sum=%d min=%d p50=%d p95=%d p99=%d max=%d" t.count t.sum
-      (min_value t) (p50 t) (p95 t) (p99 t) (max_value t)

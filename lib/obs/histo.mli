@@ -1,4 +1,4 @@
-(** Mergeable log-bucketed histograms for non-negative integer samples
+(** Log-bucketed histograms for non-negative integer samples
     (sim-time microseconds, frame bytes, retry counts, queue depths).
 
     Fixed 256-bucket layout: exact buckets for 0..3, then 4 linear
@@ -8,35 +8,20 @@
 type t
 
 val create : unit -> t
-val is_empty : t -> bool
 
 val add : t -> int -> unit
 (** Record one sample; negative samples are clamped to 0. *)
 
-val merge : t -> t -> t
-(** Bucket-wise sum; associative and commutative, inputs untouched. *)
-
-val bucket_of : int -> int
-(** Index of the bucket a value lands in — exposed for the boundary tests. *)
-
-val lower_bound : int -> int
-(** Smallest value landing in bucket [idx]. *)
-
-val upper_bound : int -> int
-(** Largest value landing in bucket [idx] ([max_int] for the last bucket). *)
-
 val count : t -> int
 val sum : t -> int
-val min_value : t -> int
 val max_value : t -> int
 val mean : t -> float
 
-val percentile : t -> float -> int
-(** [percentile t p] for [0 < p <= 100]: upper bound of the bucket holding
-    the rank-[ceil (p/100 * count)] sample, clamped to the observed max.
-    0 when empty. *)
-
 val p50 : t -> int
+(** The upper bound of the bucket holding the rank-[ceil (count / 2)]
+    sample, clamped to the observed max; 0 when empty. [p95] and [p99]
+    likewise. *)
+
 val p95 : t -> int
 val p99 : t -> int
 
@@ -51,5 +36,3 @@ type summary = {
 }
 
 val summary : t -> summary
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

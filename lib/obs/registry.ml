@@ -11,29 +11,19 @@ type t = {
   mutable full_chunks : Span.event array list;  (** full log chunks, newest first *)
   mutable chunk : Span.event array;  (** the chunk being filled *)
   mutable span_count : int;
-  mutable filter : string list;  (** event names kept; [[]] keeps every one *)
   mutable next_circuit : int;  (** count allocated, not the last id *)
   mutable circuit_base : int;  (** shard namespace offset (parallel worlds) *)
 }
 
 let create () =
   { counters = Hashtbl.create 32; gauges = Hashtbl.create 8; histos = Hashtbl.create 16;
-    full_chunks = []; chunk = [||]; span_count = 0; filter = []; next_circuit = 0;
+    full_chunks = []; chunk = [||]; span_count = 0; next_circuit = 0;
     circuit_base = 0 }
 
 let clear_spans t =
   t.full_chunks <- [];
   t.chunk <- [||];
   t.span_count <- 0
-
-let reset t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.gauges;
-  Hashtbl.reset t.histos;
-  clear_spans t;
-  t.filter <- [];
-  t.next_circuit <- 0;
-  t.circuit_base <- 0
 
 (* Cannot use Ntcs_util.sorted_bindings here — ntcs_util sits above us — so
    the registry carries its own deterministic iteration helper. *)
@@ -108,21 +98,14 @@ let circuits_allocated t = t.next_circuit
    and with it the pause, short. *)
 let span_chunk = 1024
 
-let set_filter t names = t.filter <- names
-
-let kept t name =
-  match t.filter with [] -> true | names -> List.exists (String.equal name) names
-
 let span t (ev : Span.event) =
-  if kept t ev.Span.ev_name then begin
-    let i = t.span_count mod span_chunk in
-    if i = 0 then begin
-      if t.span_count > 0 then t.full_chunks <- t.chunk :: t.full_chunks;
-      t.chunk <- Array.make span_chunk ev
-    end
-    else t.chunk.(i) <- ev;
-    t.span_count <- t.span_count + 1
+  let i = t.span_count mod span_chunk in
+  if i = 0 then begin
+    if t.span_count > 0 then t.full_chunks <- t.chunk :: t.full_chunks;
+    t.chunk <- Array.make span_chunk ev
   end
+  else t.chunk.(i) <- ev;
+  t.span_count <- t.span_count + 1
 
 (* One pass, newest to oldest, consing each slot once: the list comes out
    oldest first with no intermediate copy. *)
@@ -136,19 +119,11 @@ let spans t =
 
 let span_count t = t.span_count
 
-(* Printing. [pp_stats] lists counters and gauges; [pp] adds histogram
-   summaries and the span-log size for a full snapshot. Both orderings are
-   sorted, so two same-seed runs print byte-identical text. *)
+(* Printing. [pp_stats] lists counters and gauges, each sorted, so two
+   same-seed runs print byte-identical text. *)
 
 let pp_gauge_value ppf v = Fmt.pf ppf "%.3f" v
 
 let pp_stats ppf t =
   List.iter (fun (k, v) -> Fmt.pf ppf "%-40s %d@." k v) (counters_alist t);
   List.iter (fun (k, v) -> Fmt.pf ppf "%-40s %a@." k pp_gauge_value v) (gauges_alist t)
-
-let pp ppf t =
-  pp_stats ppf t;
-  List.iter
-    (fun (k, h) -> Fmt.pf ppf "%-40s %a@." k Histo.pp h)
-    (histos_alist t);
-  if t.span_count > 0 then Fmt.pf ppf "%-40s %d@." "spans.events" t.span_count

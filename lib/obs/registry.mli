@@ -5,7 +5,6 @@
 type t
 
 val create : unit -> t
-val reset : t -> unit
 
 (** {1 Counters and gauges} *)
 
@@ -46,10 +45,7 @@ val circuits_allocated : t -> int
     instant with {!Span.none}, named by its category) alike. *)
 
 val span : t -> Span.event -> unit
-(** Append, unless {!set_filter} leaves the event's name out. *)
-
-val set_filter : t -> string list -> unit
-(** Keep only these names ([[]] = all): §6.2's "adequate selectivity". *)
+(** Append. Every event is kept: a reader selects the names it wants. *)
 
 val spans : t -> Span.event list
 (** Oldest first. *)
@@ -57,12 +53,9 @@ val spans : t -> Span.event list
 val span_count : t -> int
 
 val clear_spans : t -> unit
-(** Empty the log only. *)
+(** Empty the log; counters and histograms stay. *)
 
 (** {1 Printing} *)
 
 val pp_stats : Format.formatter -> t -> unit
 (** Counters then gauges, sorted. *)
-
-val pp : Format.formatter -> t -> unit
-(** [pp_stats] plus histogram summaries and the event-log size. *)

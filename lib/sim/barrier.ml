@@ -67,7 +67,6 @@ let create ~quantum scheds =
     exchanged = 0;
   }
 
-let quantum t = t.quantum
 let epochs t = t.epochs
 let messages_exchanged t = t.exchanged
 

@@ -31,8 +31,6 @@ val create : quantum:int -> Sched.t array -> t
     must have latency ≥ quantum. Raises [Invalid_argument] on a
     non-positive quantum or an empty shard array. *)
 
-val quantum : t -> int
-
 val post : t -> src:int -> dst:int -> arrival:int -> (unit -> unit) -> unit
 (** Low-level cross-shard send, called from inside shard [src]'s running
     epoch: [deliver] runs on shard [dst] at absolute virtual time

@@ -91,7 +91,6 @@ let create ?(rules = []) ?(schedule = []) ~seed () =
     emit = None;
   }
 
-let seed t = t.spec.seed
 let schedule t = t.spec.schedule
 
 let set_emit t f = t.emit <- Some f
@@ -162,13 +161,3 @@ let frame_action t ~now ~net ~src ~dst =
       else go rest
   in
   go t.spec.rules
-
-let pp_event ppf = function
-  | Crash m -> Fmt.pf ppf "crash %s" m
-  | Restart m -> Fmt.pf ppf "restart %s" m
-  | Partition groups ->
-    Fmt.pf ppf "partition %s"
-      (String.concat " | " (List.map (String.concat ",") groups))
-  | Heal -> Fmt.string ppf "heal"
-  | Net_down n -> Fmt.pf ppf "net-down %s" n
-  | Net_up n -> Fmt.pf ppf "net-up %s" n

@@ -96,7 +96,4 @@ val set_emit : t -> (cat:string -> detail:string -> unit) -> unit
 (** Point fault traces at the world's trace; called by
     [World.install_faults]. *)
 
-val seed : t -> int
 val schedule : t -> (int * event) list
-
-val pp_event : Format.formatter -> event -> unit

@@ -15,11 +15,6 @@ let byte_order = function
   | Vax -> Little_endian
   | Sun3 | Apollo -> Big_endian
 
-let mtype_to_string = function
-  | Vax -> "vax"
-  | Sun3 -> "sun3"
-  | Apollo -> "apollo"
-
 type id = int
 
 type t = {
@@ -37,6 +32,3 @@ let make ~id ~name ~mtype ?(drift_ppm = 0.) ?(offset_us = 0) () =
 (* The machine's own wall clock as a function of global virtual time. *)
 let local_time m ~now_us =
   now_us + m.offset_us + int_of_float (float_of_int now_us *. m.drift_ppm /. 1_000_000.)
-
-let pp ppf m =
-  Fmt.pf ppf "%s#%d(%s%s)" m.name m.id (mtype_to_string m.mtype) (if m.up then "" else ",down")

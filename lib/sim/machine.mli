@@ -13,7 +13,6 @@ type mtype =
 type byte_order = Little_endian | Big_endian
 
 val byte_order : mtype -> byte_order
-val mtype_to_string : mtype -> string
 
 type id = int
 
@@ -31,5 +30,3 @@ val make :
 
 val local_time : t -> now_us:int -> int
 (** The machine's own wall clock as a function of global virtual time. *)
-
-val pp : Format.formatter -> t -> unit

@@ -8,11 +8,6 @@ type kind =
   | Mbx_ring (* Apollo ring carrying MBX *)
   | Tcp_longhaul (* slow wide-area TCP link *)
 
-let kind_to_string = function
-  | Tcp_lan -> "tcp-lan"
-  | Mbx_ring -> "mbx-ring"
-  | Tcp_longhaul -> "tcp-longhaul"
-
 type id = int
 
 type t = {
@@ -53,6 +48,3 @@ let latency t ~size =
     let jitter = if t.jitter_us = 0 then 0 else Ntcs_util.Rng.int t.rng (t.jitter_us + 1) in
     Some (t.latency_base_us + (size * t.latency_per_kb_us / 1024) + jitter)
   end
-
-let pp ppf t =
-  Fmt.pf ppf "%s#%d(%s%s)" t.name t.id (kind_to_string t.kind) (if t.up then "" else ",down")

@@ -10,8 +10,6 @@ type kind =
   | Mbx_ring  (** Apollo ring carrying MBX *)
   | Tcp_longhaul  (** slow wide-area TCP link *)
 
-val kind_to_string : kind -> string
-
 type id = int
 
 type t = {
@@ -31,5 +29,3 @@ val make :
 val latency : t -> size:int -> int option
 (** Transit time for [size] bytes, or [None] when partitioned. Draws
     deterministic jitter from the network's own stream. *)
-
-val pp : Format.formatter -> t -> unit

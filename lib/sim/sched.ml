@@ -303,11 +303,6 @@ let alive t pid =
   | Some { state = Dead; _ } | None -> false
   | Some _ -> true
 
-let status t pid =
-  match find_proc t pid with
-  | None -> None
-  | Some p -> p.exit_status
-
 let proc_name t pid =
   match find_proc t pid with
   | None -> None

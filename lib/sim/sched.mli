@@ -130,7 +130,6 @@ val kill : t -> pid -> unit
     {!Killed} directly. *)
 
 val alive : t -> pid -> bool
-val status : t -> pid -> exit_status option
 
 val proc_name : t -> pid -> string option
 (** Name a pid was spawned under, for diagnostics (races, deadlocks). *)

@@ -13,17 +13,14 @@ type t = Ntcs_obs.Registry.t
 
 val create : unit -> t
 
-val set_filter : t -> string list -> unit
-(** {!Ntcs_obs.Registry.set_filter}, the one selectivity switch. *)
-
 val note : t -> at_us:int -> cat:string -> actor:string -> Ntcs_obs.Span.detail -> unit
 (** Log an entry. *)
 
 val record : t -> at_us:int -> cat:string -> actor:string -> string -> unit
 (** [note] with a [Text] detail. *)
 
-val categories : t -> (string * int) list
-(** Every event name in the log with its count, sorted by name. *)
+val categories : entry list -> (string * int) list
+(** Every event name among [entries] with its count, sorted by name. *)
 
 val entries : t -> entry list
 (** Oldest first. *)
@@ -31,7 +28,6 @@ val entries : t -> entry list
 val count : t -> int
 val clear : t -> unit
 val matching : t -> cat:string -> entry list
-val matching_prefix : t -> prefix:string -> entry list
 
 val dump : Format.formatter -> t -> unit
 (** One {!Ntcs_obs.Span.pp_event} line per event. *)

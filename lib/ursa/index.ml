@@ -6,23 +6,19 @@ type posting = { p_doc : int; p_tf : int }
 type t = {
   postings : (string, posting list ref) Hashtbl.t;
   mutable doc_count : int;
-  mutable doc_lengths : (int * int) list; (* doc id, token count *)
 }
 
-let create () = { postings = Hashtbl.create 256; doc_count = 0; doc_lengths = [] }
+let create () = { postings = Hashtbl.create 256; doc_count = 0 }
 
 let add_document t ~doc_id ~text =
-  let counts = Tokenizer.term_counts text in
-  let length = List.fold_left (fun acc (_, c) -> acc + c) 0 counts in
   t.doc_count <- t.doc_count + 1;
-  t.doc_lengths <- (doc_id, length) :: t.doc_lengths;
   List.iter
     (fun (term, tf) ->
       let posting = { p_doc = doc_id; p_tf = tf } in
       match Hashtbl.find_opt t.postings term with
       | Some l -> l := posting :: !l
       | None -> Hashtbl.replace t.postings term (ref [ posting ]))
-    counts
+    (Tokenizer.term_counts text)
 
 let of_docs docs =
   let t = create () in
@@ -34,8 +30,6 @@ let postings t term =
   match Hashtbl.find_opt t.postings term with
   | Some l -> List.rev !l
   | None -> []
-
-let document_frequency t term = List.length (postings t term)
 
 let doc_count t = t.doc_count
 

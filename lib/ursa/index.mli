@@ -5,14 +5,11 @@ type posting = { p_doc : int; p_tf : int }
 
 type t
 
-val create : unit -> t
-val add_document : t -> doc_id:int -> text:string -> unit
 val of_docs : Corpus.doc list -> t
 
 val postings : t -> string -> posting list
 (** In insertion order; empty for unknown terms. *)
 
-val document_frequency : t -> string -> int
 val doc_count : t -> int
 
 val tf_idf : tf:int -> df:int -> n_docs:int -> float

@@ -5,27 +5,21 @@
 type 'a t = {
   capacity : int;
   items : 'a Queue.t;
-  mutable dropped : int;
 }
 
 let create capacity =
   if capacity <= 0 then invalid_arg "Bqueue.create: capacity must be positive";
-  { capacity; items = Queue.create (); dropped = 0 }
+  { capacity; items = Queue.create () }
 
-let length t = Queue.length t.items
 let is_full t = Queue.length t.items >= t.capacity
 
 let push t x =
-  if is_full t then begin
-    t.dropped <- t.dropped + 1;
-    false
-  end else begin
+  if is_full t then false
+  else begin
     Queue.push x t.items;
     true
   end
 
 let pop t = Queue.take_opt t.items
-let peek t = Queue.peek_opt t.items
-let dropped t = t.dropped
 
 let iter t f = Queue.iter f t.items

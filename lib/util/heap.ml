@@ -112,7 +112,3 @@ let pop_min t =
   drop_gone t;
   if t.size = 0 then invalid_arg "Heap.pop_min: empty";
   remove_top t
-
-let to_list t =
-  let rec drain acc = if is_empty t then List.rev acc else drain (remove_top t :: acc) in
-  drain []

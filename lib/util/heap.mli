@@ -30,6 +30,3 @@ val top : 'a t -> 'a
 val pop_min : 'a t -> 'a
 (** Remove and return the smallest live element. Raises
     [Invalid_argument] when empty; does not allocate. *)
-
-val to_list : 'a t -> 'a list
-(** Drain the live elements into a sorted list (destructive). *)

@@ -45,8 +45,6 @@ let find t key =
     push_front t node;
     Some node.value
 
-let mem t key = Hashtbl.mem t.table key
-
 let evict_lru t =
   match t.tail with
   | None -> ()

@@ -8,9 +8,6 @@ val create : int -> ('k, 'v) t
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Lookup; refreshes recency. *)
 
-val mem : ('k, 'v) t -> 'k -> bool
-(** Membership test without touching recency. *)
-
 val set : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert or update, evicting the least-recently-used entry when full. *)
 

@@ -8,9 +8,6 @@ type t
 val create : int -> t
 (** [create seed] is a fresh generator. Equal seeds yield equal streams. *)
 
-val next_int64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Raises [Invalid_argument] if
     [bound <= 0]. *)

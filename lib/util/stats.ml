@@ -1,5 +1,5 @@
 (* Sample accumulator used by the experiment harness to summarize latency
-   series: count, mean, stddev, min/max and percentiles. *)
+   series: count, mean and percentiles. *)
 
 type t = { mutable samples : float list; mutable n : int }
 
@@ -16,22 +16,6 @@ let sorted t = List.sort compare t.samples
 let mean t =
   if t.n = 0 then 0.
   else List.fold_left ( +. ) 0. t.samples /. float_of_int t.n
-
-let stddev t =
-  if t.n < 2 then 0.
-  else begin
-    let m = mean t in
-    let ss = List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.)) 0. t.samples in
-    sqrt (ss /. float_of_int (t.n - 1))
-  end
-
-let min_ t =
-  if t.n = 0 then 0.
-  else List.fold_left (fun acc x -> if x < acc then x else acc) infinity t.samples
-
-let max_ t =
-  if t.n = 0 then 0.
-  else List.fold_left (fun acc x -> if x > acc then x else acc) neg_infinity t.samples
 
 let percentile t p =
   match sorted t with

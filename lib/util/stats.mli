@@ -1,4 +1,4 @@
-(** Sample accumulator: mean, stddev, min/max, percentiles. *)
+(** Sample accumulator: mean and percentiles. *)
 
 type t
 
@@ -6,10 +6,6 @@ val create : unit -> t
 val add : t -> float -> unit
 val count : t -> int
 val mean : t -> float
-val stddev : t -> float
-
-val min_ : t -> float
-val max_ : t -> float
 
 val percentile : t -> float -> float
 (** [percentile t p] with [p] in [\[0, 100\]], linear interpolation. *)

@@ -4,9 +4,10 @@
    determines the correct mode based on the source and destination machine
    types, thus avoiding needless conversions."
 
-   The decision lives at the lowest layer (the ND-layer calls [choose] with
-   the machine type learned during the channel-open protocol); the
-   application provides the pack/unpack functions. *)
+   The decision lives in the IP layer, the lowest with the final
+   destination in view: [Ip_layer.send] calls [choose] with the byte order
+   the circuit's HELLO exchange learned. The application provides the
+   pack/unpack functions. *)
 
 type mode =
   | Image (* raw byte copy of the native memory image *)
@@ -18,13 +19,9 @@ let mode_of_int = function 0 -> Some Image | 1 -> Some Packed | _ -> None
 
 let mode_to_int = function Image -> 0 | Packed -> 1
 
-(* Machine types, mirrored from the simulator but kept independent so the
-   wire library stays free of simulator types. *)
-type machine_repr = { repr_name : string; order : Endian.order }
-
-let repr_compatible a b = a.order = b.order
-
-let choose ~src ~dst = if repr_compatible src dst then Image else Packed
+(* Byte order is the representation difference the model keeps: image
+   copies are safe exactly between machines of one order. *)
+let choose ~(src : Endian.order) ~dst = if src = dst then Image else Packed
 
 (* A payload as handed to the NTCS: both representations available lazily,
    the lowest layer forces exactly one. [image] must be the contiguous

@@ -16,12 +16,9 @@ val mode_to_string : mode -> string
 val mode_of_int : int -> mode option
 val mode_to_int : mode -> int
 
-type machine_repr = { repr_name : string; order : Endian.order }
-(** A machine's native data representation (byte order is the modelled
-    difference). *)
-
-val choose : src:machine_repr -> dst:machine_repr -> mode
-(** Image when representations agree, packed otherwise. *)
+val choose : src:Endian.order -> dst:Endian.order -> mode
+(** Image when the two machines share a byte order (the representation
+    difference the model keeps), packed otherwise. *)
 
 type payload
 (** A message with both representations available lazily. *)

@@ -82,6 +82,26 @@ let encode ~order layout values =
   in
   go 0 layout values
 
+(* The first NUL in [data] from [i] on, or [stop]: where a char array's
+   string ends. *)
+let rec nul_at data i stop =
+  if i = stop || Bytes.get data i = '\000' then i else nul_at data (i + 1) stop
+
+(* The fields of [layout] read from [data] at [off] on, with no closure
+   per call. *)
+let[@tail_mod_cons] rec decode_from ~order data off = function
+  | [] -> []
+  | field :: fields ->
+    let v =
+      match field with
+      | F_i8 -> V_int (Endian.sign8 (Endian.get_u8 data off))
+      | F_i16 -> V_int (Endian.sign16 (Endian.get_u16 ~order data off))
+      | F_i32 -> V_int (Endian.sign32 (Endian.get_u32 ~order data off))
+      | F_i64 -> V_int (Endian.get_u64 ~order data off)
+      | F_char_array n -> V_str (Bytes.sub_string data off (nul_at data off (off + n) - off))
+    in
+    v :: decode_from ~order data (off + field_size field) fields
+
 (* Reinterpret a memory image according to [layout] with byte order [order].
    This is what the *destination* machine does with an image-mode message: it
    trusts the bytes. Decoding with the wrong order gives wrong values, not an
@@ -92,26 +112,4 @@ let decode ~order layout data =
       (Layout_error
          (Printf.sprintf "image size %d does not match layout size %d" (Bytes.length data)
             (size layout)));
-  let off = ref 0 in
-  let take field =
-    let v =
-      match field with
-      | F_i8 -> V_int (Endian.sign8 (Endian.get_u8 data !off))
-      | F_i16 -> V_int (Endian.sign16 (Endian.get_u16 ~order data !off))
-      | F_i32 -> V_int (Endian.sign32 (Endian.get_u32 ~order data !off))
-      | F_i64 -> V_int (Endian.get_u64 ~order data !off)
-      | F_char_array n ->
-        let raw = Bytes.sub_string data !off n in
-        let len = match String.index_opt raw '\000' with Some i -> i | None -> n in
-        V_str (String.sub raw 0 len)
-    in
-    off := !off + field_size field;
-    v
-  in
-  List.map take layout
-
-let value_equal a b =
-  match (a, b) with
-  | V_int x, V_int y -> x = y
-  | V_str x, V_str y -> String.equal x y
-  | V_int _, V_str _ | V_str _, V_int _ -> false
+  decode_from ~order data 0 layout

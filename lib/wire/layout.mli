@@ -27,11 +27,6 @@ type value =
   | V_int of int
   | V_str of string
 
-val size : t -> int
-(** Total image size in bytes. *)
-
-val field_to_string : field -> string
-
 val check : field -> value -> string option
 (** [None] when [decode] can return [value] for [field]: an integer in the
     field's signed range (any int for [F_i64]), or for [F_char_array n] a
@@ -47,5 +42,3 @@ val encode : order:Endian.order -> t -> value list -> Bytes.t
 val decode : order:Endian.order -> t -> Bytes.t -> value list
 (** Reinterpret a memory image. Raises {!Layout_error} only when the byte
     count does not match the layout. *)
-
-val value_equal : value -> value -> bool

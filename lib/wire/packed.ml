@@ -236,9 +236,6 @@ let tagged cases =
         go cases);
   }
 
-let bytes =
-  iso ~fwd:Bytes.of_string ~bwd:Bytes.to_string string
-
 (* --- the structure-definition generator (Schlegel [22]) ---
 
    Given the same {!Layout.t} that drives image mode, generate the packed

@@ -38,8 +38,6 @@ val float : float t
 val string : string t
 (** Length-prefixed; may contain any byte. *)
 
-val bytes : Bytes.t t
-
 (** {1 Combinators} *)
 
 val list : ?max:int -> 'a t -> 'a list t

@@ -11,6 +11,10 @@ let check_err label expected = function
   | Error e ->
     Alcotest.(check string) label (Errors.to_string expected) (Errors.to_string e)
 
+(* The header of a buffer holding one whole frame (a bare header when its
+   [payload_len] is 0), read through a view. *)
+let decode_header b = Proto.Frame.header (Proto.Frame.of_bytes b)
+
 (* A whole frame's header and payload, read through a view. *)
 let decode_frame b =
   let v = Proto.Frame.of_bytes b in

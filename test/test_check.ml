@@ -8,7 +8,7 @@
    ntcs_check.) *)
 
 let src file text = Lint_lex.of_string ~file text
-let diag_strings ds = List.map Lint_diag.to_string ds
+let diag_strings ds = List.map (Fmt.str "%a" Lint_diag.pp) ds
 
 let contains s affix =
   let n = String.length s and m = String.length affix in
@@ -466,7 +466,9 @@ let test_default_schedules_pinned () =
    untruncated, and proves nothing about interleavings. Both contracts
    must reject it. *)
 let test_never_branching_fails () =
-  let sc = Check_scenarios.first_send in
+  let sc =
+    List.find (fun sc -> sc.Check_scenarios.sc_name = "first-send") Check_scenarios.exhaustive
+  in
   let sc = { sc with Check_scenarios.sc_from = sc.Check_scenarios.sc_until } in
   List.iter
     (fun (name, contract) ->

@@ -26,10 +26,15 @@ let test_well_known_table_shape () =
 
 let test_gateway_phys_distinct_per_net () =
   let c = three_net_cluster () in
-  let m = Cluster.machine c "mid1" in
-  let p1 = Cluster.gateway_phys c m ~idx:0 ~net:(Cluster.net_id c "lan1") in
-  let p2 = Cluster.gateway_phys c m ~idx:0 ~net:(Cluster.net_id c "lan2") in
-  Alcotest.(check bool) "per-net resources differ" true (p1 <> p2)
+  (* gwA on mid1 bridges lan1 and lan2: one well-known entry per net. *)
+  match
+    List.filter
+      (fun w -> String.starts_with ~prefix:"prime-gw/gwA@" w.Node.wk_name)
+      (Cluster.config c).Node.well_known
+  with
+  | [ a; b ] ->
+    Alcotest.(check bool) "per-net resources differ" true (a.Node.wk_phys <> b.Node.wk_phys)
+  | ws -> Alcotest.failf "gwA has %d well-known entries, want 2" (List.length ws)
 
 let test_tweak_reaches_modules () =
   let c = lan_cluster ~tweak:(fun cfg -> { cfg with Node.recursion_limit = 7 }) () in

@@ -232,18 +232,21 @@ let test_process_ctl_lifecycle () =
   in
   let m = Ntcs_drts.Process_ctl.start pctl spec ~machine:"sun1" in
   Cluster.settle c;
-  Alcotest.(check bool) "alive after start" true (Ntcs_drts.Process_ctl.alive pctl m);
-  Alcotest.(check int) "generation 0" 0 (Ntcs_drts.Process_ctl.generation m);
-  Alcotest.(check string) "machine" "sun1" (Ntcs_drts.Process_ctl.machine_of m);
-  ignore (Ntcs_drts.Process_ctl.relocate pctl m ~to_machine:"sun2");
+  let alive pid = Ntcs_sim.Sched.alive (Cluster.sched c) pid in
+  let first = m.Ntcs_drts.Process_ctl.m_pid in
+  Alcotest.(check bool) "alive after start" true (alive first);
+  Alcotest.(check int) "generation 0" 0 m.m_generation;
+  Alcotest.(check string) "machine" "sun1" m.m_machine;
+  let next = Ntcs_drts.Process_ctl.relocate pctl m ~to_machine:"sun2" in
   Cluster.settle c;
-  Alcotest.(check bool) "alive after relocate" true (Ntcs_drts.Process_ctl.alive pctl m);
-  Alcotest.(check int) "generation 1" 1 (Ntcs_drts.Process_ctl.generation m);
-  Alcotest.(check string) "moved" "sun2" (Ntcs_drts.Process_ctl.machine_of m);
-  Ntcs_drts.Process_ctl.kill pctl m;
-  Cluster.settle c;
-  Alcotest.(check bool) "dead after kill" false (Ntcs_drts.Process_ctl.alive pctl m);
-  Alcotest.(check bool) "registry find" true (Ntcs_drts.Process_ctl.find pctl "worker" <> None)
+  Alcotest.(check bool) "relocate kills the old instance" false (alive first);
+  Alcotest.(check bool) "alive after relocate" true (alive next && next = m.m_pid);
+  Alcotest.(check int) "generation 1" 1 m.m_generation;
+  Alcotest.(check string) "moved" "sun2" m.m_machine;
+  Alcotest.(check bool) "registry refuses a second worker" true
+    (match Ntcs_drts.Process_ctl.start pctl spec ~machine:"sun1" with
+     | exception Invalid_argument _ -> true
+     | _ -> false)
 
 let () =
   Alcotest.run "drts"

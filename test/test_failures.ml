@@ -215,13 +215,10 @@ let test_double_crash_and_replacement () =
            { managed with Ntcs_drts.Process_ctl.m_spec = spec "gen1" }
            ~to_machine:"sun2"));
   Ntcs_sim.Sched.after (Cluster.sched c) 8_000_000 (fun () ->
-      match Ntcs_drts.Process_ctl.find pctl "phoenix" with
-      | Some m ->
-        ignore
-          (Ntcs_drts.Process_ctl.relocate pctl
-             { m with Ntcs_drts.Process_ctl.m_spec = spec "gen2" }
-             ~to_machine:"sun1")
-      | None -> ());
+      ignore
+        (Ntcs_drts.Process_ctl.relocate pctl
+           { managed with Ntcs_drts.Process_ctl.m_spec = spec "gen2" }
+           ~to_machine:"sun1"));
   Cluster.settle ~dt:60_000_000 c;
   let answers = List.rev !answers in
   Alcotest.(check int) "three answers" 3 (List.length answers);

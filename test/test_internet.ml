@@ -45,8 +45,12 @@ let test_two_hop_chain () =
   Cluster.settle ~dt:30_000_000 c;
   Alcotest.(check string) "echo over two hops" "echo:deep" (result ());
   (* Both gateways must have spliced a leg. *)
-  Alcotest.(check bool) "both gateways spliced" true
-    (List.for_all (fun gw -> Gateway.splice_count gw > 0) (Cluster.gateway_list c))
+  let splicers =
+    Ntcs_sim.Trace.matching (Ntcs_sim.World.trace (Cluster.world c)) ~cat:"gw.splice"
+    |> List.map (fun (e : Ntcs_sim.Trace.entry) -> e.ev_actor)
+    |> List.sort_uniq String.compare
+  in
+  Alcotest.(check int) "both gateways spliced" 2 (List.length splicers)
 
 let test_direct_traffic_skips_gateway () =
   let c = two_net_cluster () in
@@ -369,7 +373,9 @@ let test_forward_path_cost () =
    them at run time). Checked on the 3-gateway echo and on one fault
    soak's default schedule. *)
 let test_event_names_in_manifest () =
-  let names w = List.map fst (Ntcs_sim.Trace.categories (Ntcs_sim.World.trace w)) in
+  let names w =
+    List.map fst (Ntcs_sim.Trace.categories (Ntcs_sim.Trace.entries (Ntcs_sim.World.trace w)))
+  in
   let soak =
     let sc =
       List.find

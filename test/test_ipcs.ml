@@ -4,7 +4,7 @@
 open Ntcs_sim
 open Ntcs_ipcs
 
-let addr = Alcotest.testable Phys_addr.pp Phys_addr.equal
+let addr = Alcotest.testable (Fmt.of_to_string Phys_addr.to_string) ( = )
 
 let test_phys_addr_roundtrip () =
   let cases =

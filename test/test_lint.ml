@@ -5,7 +5,7 @@
 
 let src file text = Lint_lex.of_string ~file text
 
-let diag_strings ds = List.map Lint_diag.to_string ds
+let diag_strings ds = List.map (Fmt.str "%a" Lint_diag.pp) ds
 
 (* --- front end --- *)
 

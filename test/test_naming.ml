@@ -125,7 +125,7 @@ let test_forward_query_semantics () =
    | Error e -> Alcotest.failf "forward: %s" (Errors.to_string e));
   Alcotest.(check bool) "unknown address errors" true
     (match f_unknown with Error Errors.Unknown_address -> true | _ -> false);
-  Alcotest.(check bool) "ns db consistent" true (Name_server.db_size ns >= 4)
+  Alcotest.(check bool) "ns db consistent" true (List.length (Name_server.dump ns) >= 4)
 
 let test_forward_no_replacement_is_dead () =
   let c = lan_cluster () in
@@ -241,7 +241,7 @@ let test_replication_propagates () =
   spawn_echo c ~machine:"sun1" ~name:"svc";
   Cluster.settle c;
   (* Both servers should know the registration (pushed asynchronously). *)
-  let dbs = List.map Name_server.db_size (Cluster.name_servers c) in
+  let dbs = List.map (fun ns -> List.length (Name_server.dump ns)) (Cluster.name_servers c) in
   Alcotest.(check int) "two servers" 2 (List.length dbs);
   List.iter (fun n -> Alcotest.(check bool) "entry propagated" true (n >= 2)) dbs
 
@@ -705,7 +705,7 @@ let test_sharded_boot_wastes_no_request () =
   let m = Cluster.metrics c in
   Alcotest.(check int) "no orphaned replies" 0 (Ntcs_obs.Registry.get m "lcm.orphan_replies");
   (match Ntcs_obs.Registry.find_histo m "lcm.send_sync_us" with
-   | Some h when not (Ntcs_obs.Histo.is_empty h) ->
+   | Some h when Ntcs_obs.Histo.count h > 0 ->
      Alcotest.(check bool) "no send_sync reaches the forward timeout" true
        (Ntcs_obs.Histo.max_value h < 600_000)
    | Some _ | None -> ());
@@ -834,6 +834,56 @@ let test_sharded_relocation_retires_one_name () =
   Alcotest.(check int) "one whole-shard floor: the client's first contact" 1
     (Ntcs_obs.Registry.get (Cluster.metrics c) "nsp.cache_invalidations")
 
+(* §3.5 re-registration: [svc] registers again at a new address while a
+   client holds the old one cached. Once the client has seen the owner's
+   bump it must never be handed the old address again. The shard logged a
+   change (a deregistration) before the client's first contact, so a
+   server that left the re-registration out of its change list would send
+   a list whose head names that earlier change: the client would retire
+   the wrong name and keep serving the old address. *)
+let test_sharded_reregister_retires_cached_address () =
+  let c = sharded_cluster () in
+  Cluster.settle ~dt:12_000_000 c;
+  let churn, cold =
+    match names_on_shard (Shard_map.hash_name "svc" mod 4) 2 with
+    | [ a; b ] -> (a, b)
+    | _ -> assert false
+  in
+  List.iter (fun name -> spawn_echo c ~machine:"ap1" ~name) [ "svc"; cold ];
+  ignore
+    (Cluster.spawn c ~machine:"sun1" ~name:"churn" (fun node ->
+         let commod = bind_exn node ~name:"churn" in
+         let nsp = Commod.nsp_exn commod in
+         let a =
+           check_ok "register"
+             (Nsp_layer.register nsp ~name:churn
+                ~phys:(Nd_layer.my_listen_addrs (Commod.nd commod))
+                ~nets:(Node.my_nets node) ~order:(Node.my_order node) ~attrs:[])
+         in
+         check_ok "deregister" (Nsp_layer.deregister nsp a)));
+  Cluster.settle ~dt:6_000_000 c;
+  let result =
+    in_process c ~machine:"sun2" ~name:"client" (fun node ->
+        let commod = bind_exn node ~name:"client" in
+        let old = check_ok "locate svc" (Ali_layer.locate commod "svc") in
+        Ntcs_sim.Sched.sleep (Node.sched node) 10_000_000;
+        (* A cold lookup in the shard brings the bump. *)
+        ignore (check_ok "locate cold" (Ali_layer.locate commod cold));
+        let again =
+          List.init 3 (fun _ -> check_ok "re-locate svc" (Ali_layer.locate commod "svc"))
+        in
+        (old, again))
+  in
+  Cluster.settle ~dt:3_000_000 c;
+  spawn_echo c ~machine:"sun1" ~name:"svc";
+  Cluster.settle ~dt:15_000_000 c;
+  let old, again = result () in
+  List.iter
+    (fun a ->
+      Alcotest.(check bool) "the old address is never served again" false (Addr.equal old a))
+    again;
+  coherent c
+
 (* More than K bumps in a shard between two of a client's contacts: the
    answer's list cannot cover them, so the whole shard is retired. *)
 let test_sharded_log_overflow_falls_back () =
@@ -942,7 +992,7 @@ let test_register_refuses_non_words () =
   let refusals, good, bound = results () in
   List.iter2 (fun name r -> check_err (Printf.sprintf "NSP refuses %S" name) refused r) bad refusals;
   ignore (check_ok "a one-word name registers" good);
-  let stored = Name_server.db_size ns in
+  let stored = List.length (Name_server.dump ns) in
   List.iter
     (fun name ->
       match
@@ -952,7 +1002,7 @@ let test_register_refuses_non_words () =
       | Ns_proto.R_error "invalid-name" -> ()
       | _ -> Alcotest.failf "the server registered %S" name)
     bad;
-  Alcotest.(check int) "the server stored none of them" stored (Name_server.db_size ns);
+  Alcotest.(check int) "the server stored none of them" stored (List.length (Name_server.dump ns));
   check_err "bind refuses it too" refused bound
 
 (* A seeded 4-shard Zipf mix: 2,000 ops over 512 names, every 20th a
@@ -1194,6 +1244,8 @@ let () =
             test_sharded_trace_determinism;
           Alcotest.test_case "a relocation retires one name" `Quick
             test_sharded_relocation_retires_one_name;
+          Alcotest.test_case "a re-registration retires the cached address" `Quick
+            test_sharded_reregister_retires_cached_address;
           Alcotest.test_case "log overflow retires the shard" `Quick
             test_sharded_log_overflow_falls_back;
           Alcotest.test_case "deregister reaches the owner" `Quick

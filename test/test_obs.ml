@@ -85,11 +85,11 @@ let test_detail_printer =
 
 let test_histo_basics () =
   let h = Histo.create () in
-  Alcotest.(check bool) "fresh is empty" true (Histo.is_empty h);
+  Alcotest.(check int) "fresh is empty" 0 (Histo.count h);
   List.iter (Histo.add h) [ 0; 1; 2; 3; 10; 100; 1000; 1000 ];
   Alcotest.(check int) "count" 8 (Histo.count h);
   Alcotest.(check int) "sum" 2116 (Histo.sum h);
-  Alcotest.(check int) "min" 0 (Histo.min_value h);
+  Alcotest.(check int) "min" 0 (Histo.summary h).Histo.s_min;
   Alcotest.(check int) "max" 1000 (Histo.max_value h);
   Alcotest.(check bool) "p50 <= p95" true (Histo.p50 h <= Histo.p95 h);
   Alcotest.(check bool) "p95 <= p99" true (Histo.p95 h <= Histo.p99 h);
@@ -113,8 +113,8 @@ let test_span_log_order () =
   Alcotest.(check int) "count" n (Registry.span_count r);
   Alcotest.(check (list int)) "oldest first" (List.init n (fun i -> i + 1))
     (List.map (fun (e : Span.event) -> e.Span.ev_at_us) (Registry.spans r));
-  Registry.reset r;
-  Alcotest.(check int) "reset empties the log" 0 (List.length (Registry.spans r))
+  Registry.clear_spans r;
+  Alcotest.(check int) "clearing empties the log" 0 (List.length (Registry.spans r))
 
 (* Trace entries share the log as null-context instants. They belong to no
    circuit: the span checker must not take them for hops on an unopened
@@ -172,7 +172,7 @@ let test_registry_sees_layers () =
   let has name =
     Alcotest.(check bool) (name ^ " histogram populated") true
       (match Registry.find_histo r name with
-       | Some h -> not (Histo.is_empty h)
+       | Some h -> Histo.count h > 0
        | None -> false)
   in
   has "lcm.send_sync_us";

@@ -3,7 +3,7 @@
 open Ntcs
 open Ntcs_wire
 
-let addr = Alcotest.testable Addr.pp Addr.equal
+let addr = Alcotest.testable (Fmt.of_to_string Addr.to_string) Addr.equal
 
 let test_addr_words_roundtrip () =
   let cases =
@@ -80,7 +80,7 @@ let test_all_kinds_roundtrip () =
 
 let test_header_rejects_garbage () =
   Alcotest.(check bool) "short" true
-    (match Proto.decode_header (Bytes.create 4) with
+    (match Helpers.decode_header (Bytes.create 4) with
      | exception Proto.Bad_header _ -> true
      | _ -> false);
   let h =
@@ -102,7 +102,7 @@ let test_header_rejects_garbage () =
   in
   List.iter
     (fun (msg, b) ->
-      Alcotest.check_raises msg (Proto.Bad_header msg) (fun () -> ignore (Proto.decode_header b)))
+      Alcotest.check_raises msg (Proto.Bad_header msg) (fun () -> ignore (Helpers.decode_header b)))
     [
       ("bad magic", corrupt 1 '\x00');
       ("unsupported version 2", corrupt 2 '\x02');

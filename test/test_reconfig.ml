@@ -219,7 +219,7 @@ let test_kill_without_replacement_errors () =
          Ntcs_sim.Sched.sleep (Node.sched node) 4_000_000;
          outcome := Some (Ali_layer.send_sync commod ~dst:addr ~timeout_us:2_000_000 (raw "t"))));
   Ntcs_sim.Sched.after (Cluster.sched c) 2_000_000
-    (fun () -> Ntcs_drts.Process_ctl.kill pctl managed);
+    (fun () -> Ntcs_sim.Sched.kill (Cluster.sched c) managed.Ntcs_drts.Process_ctl.m_pid);
   Cluster.settle ~dt:30_000_000 c;
   match !outcome with
   | None -> Alcotest.fail "client did not finish"

@@ -74,7 +74,10 @@ let ns_ignores payload =
     (Cluster.spawn c ~machine:"sun1" ~name:"fuzzer" (fun node ->
          let commod = bind_exn node ~name:"fuzzer" in
          let lcm = Commod.lcm commod in
-         let ns = List.nth (Nsp_layer.name_server_addrs (Commod.nsp_exn commod)) 0 in
+         let ns =
+           (List.find (fun w -> w.Node.wk_is_name_server) (Cluster.config c).Node.well_known)
+             .Node.wk_addr
+         in
          outcome :=
            Some
              (Lcm_layer.send_sync lcm ~dst:ns ~app_tag:Ns_proto.app_tag

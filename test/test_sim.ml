@@ -45,6 +45,13 @@ let test_run_until () =
   Sched.run s;
   Alcotest.(check bool) "eventually" true !fired
 
+(* How [pid] ended, if it has: [on_exit] fires at once for a finished
+   process. *)
+let exit_status s pid =
+  let st = ref None in
+  Sched.on_exit s pid (fun e -> st := Some e);
+  !st
+
 let test_kill_runs_finalizers () =
   let s = Sched.create () in
   let cleaned = ref false in
@@ -61,7 +68,7 @@ let test_kill_runs_finalizers () =
   in
   Sched.run s;
   Alcotest.(check bool) "finalizer ran" true !cleaned;
-  Alcotest.(check bool) "status killed" true (Sched.status s victim = Some Sched.Was_killed);
+  Alcotest.(check bool) "status killed" true (exit_status s victim = Some Sched.Was_killed);
   Alcotest.(check bool) "not alive" false (Sched.alive s victim)
 
 let test_kill_embryo () =
@@ -71,7 +78,7 @@ let test_kill_embryo () =
   Sched.at s 10 (fun () -> Sched.kill s victim);
   Sched.run s;
   Alcotest.(check bool) "body never ran" false !ran;
-  Alcotest.(check bool) "killed" true (Sched.status s victim = Some Sched.Was_killed)
+  Alcotest.(check bool) "killed" true (exit_status s victim = Some Sched.Was_killed)
 
 let test_exit_status_and_hooks () =
   let s = Sched.create () in
@@ -333,7 +340,7 @@ let test_partition_and_crash () =
     (World.transmit w ~net ~src:m1 ~dst:m2 ~size:10 (fun () -> ()));
   World.run w;
   Alcotest.(check bool) "procs killed" true
-    (Sched.status (World.sched w) pid = Some Sched.Was_killed)
+    (exit_status (World.sched w) pid = Some Sched.Was_killed)
 
 let test_crash_swallows_in_flight () =
   let w = World.create () in
@@ -375,31 +382,38 @@ let test_net_latency_scales () =
   n.Net.up <- false;
   Alcotest.(check bool) "down" true (Net.latency n ~size:1 = None)
 
+(* The log keeps every event; a reader selects names on read, trace
+   entries and span events alike (ntcs_demo --filter). *)
 let test_trace_filter () =
   let t = Trace.create () in
+  let select names =
+    List.filter (fun (e : Trace.entry) -> List.mem e.Ntcs_obs.Span.ev_name names)
+  in
   Trace.record t ~at_us:1 ~cat:"a.x" ~actor:"p" "one";
   Trace.record t ~at_us:2 ~cat:"b.y" ~actor:"p" "two";
-  Trace.set_filter t [ "a.x" ];
-  Trace.record t ~at_us:3 ~cat:"b.y" ~actor:"p" "dropped";
-  Trace.record t ~at_us:4 ~cat:"a.x" ~actor:"p" "kept";
-  Alcotest.(check int) "count" 3 (Trace.count t);
-  Alcotest.(check int) "matching" 2 (List.length (Trace.matching t ~cat:"a.x"));
-  Alcotest.(check int) "prefix" 2 (List.length (Trace.matching_prefix t ~prefix:"a."));
-  (* Span events share the log, so the one filter selects them too. *)
+  Trace.record t ~at_us:3 ~cat:"b.y" ~actor:"p" "three";
+  Trace.record t ~at_us:4 ~cat:"a.x" ~actor:"p" "four";
   let span ~at_us ~name detail =
     Ntcs_obs.Registry.span t
       (Ntcs_obs.Span.event ~at_us ~ctx:(Ntcs_obs.Span.make ~circuit:1 ~seq:1)
          ~phase:Ntcs_obs.Span.I ~name ~actor:"p" detail)
   in
-  span ~at_us:5 ~name:"a.hop" (Ntcs_obs.Span.Text "dropped");
-  span ~at_us:6 ~name:"a.x" (Ntcs_obs.Span.Text "kept");
-  Alcotest.(check int) "span outside the filter dropped" 4 (Trace.count t);
-  Alcotest.(check (list string)) "kept events, oldest first" [ "one"; "two"; "kept"; "kept" ]
+  span ~at_us:5 ~name:"a.hop" (Ntcs_obs.Span.Text "five");
+  span ~at_us:6 ~name:"a.x" (Ntcs_obs.Span.Text "six");
+  Alcotest.(check int) "every event logged" 6 (Trace.count t);
+  Alcotest.(check (list (pair string int))) "categories count every name"
+    [ ("a.hop", 1); ("a.x", 3); ("b.y", 2) ]
+    (Trace.categories (Trace.entries t));
+  let kept = select [ "a.x" ] (Trace.entries t) in
+  Alcotest.(check int) "matching agrees with the selection" (List.length kept)
+    (List.length (Trace.matching t ~cat:"a.x"));
+  Alcotest.(check (list string)) "selected events, oldest first" [ "one"; "four"; "six" ]
     (List.map
        (fun (e : Trace.entry) -> Ntcs_obs.Span.detail_to_string e.Ntcs_obs.Span.ev_detail)
-       (Trace.entries t));
-  Alcotest.(check int) "prefix counts kept events only" 3
-    (List.length (Trace.matching_prefix t ~prefix:"a."))
+       kept);
+  Alcotest.(check (list (pair string int))) "categories of a selection count it only"
+    [ ("a.x", 3); ("b.y", 2) ]
+    (Trace.categories (select [ "b.y"; "a.x" ] (Trace.entries t)))
 
 (* --- exploration steps --- *)
 

@@ -32,9 +32,10 @@ let test_soak () =
   Cluster.settle c;
   let pctl = Ntcs_drts.Process_ctl.create c in
   let machines = [| "vax1"; "ap1"; "ap2" |] in
+  let started = Hashtbl.create 3 in
   List.iteri
     (fun i name ->
-      ignore
+      Hashtbl.replace started name
         (Ntcs_drts.Process_ctl.start pctl (service_spec name 0)
            ~machine:machines.(i mod Array.length machines)))
     services;
@@ -78,10 +79,10 @@ let test_soak () =
            | 0 ->
              (* Relocate a random service to a random machine. *)
              let name = List.nth services (Ntcs_util.Rng.int chaos_rng 3) in
-             (match Ntcs_drts.Process_ctl.find pctl name with
+             (match Hashtbl.find_opt started name with
               | Some m ->
                 let dst = Ntcs_util.Rng.pick chaos_rng machines in
-                let gen = Ntcs_drts.Process_ctl.generation m + 1 in
+                let gen = m.Ntcs_drts.Process_ctl.m_generation + 1 in
                 ignore
                   (Ntcs_drts.Process_ctl.relocate pctl
                      { m with Ntcs_drts.Process_ctl.m_spec = service_spec name gen }
@@ -94,10 +95,10 @@ let test_soak () =
            | _ ->
              (* Kill and respawn a service in place (fast restart). *)
              let name = List.nth services (Ntcs_util.Rng.int chaos_rng 3) in
-             (match Ntcs_drts.Process_ctl.find pctl name with
+             (match Hashtbl.find_opt started name with
               | Some m ->
-                let here = Ntcs_drts.Process_ctl.machine_of m in
-                let gen = Ntcs_drts.Process_ctl.generation m + 1 in
+                let here = m.Ntcs_drts.Process_ctl.m_machine in
+                let gen = m.Ntcs_drts.Process_ctl.m_generation + 1 in
                 ignore
                   (Ntcs_drts.Process_ctl.relocate pctl
                      { m with Ntcs_drts.Process_ctl.m_spec = service_spec name gen }

@@ -146,6 +146,12 @@ let slices_case make_pair ~spaced messages () =
 let distinct_messages sizes =
   List.mapi (fun i n -> String.init n (fun j -> Char.chr ((i * 31 + j * 7 + 1) land 0xFF))) sizes
 
+(* The fragment header an MBX LVC reserves as its headroom, and the payload
+   one fragment carries after it; "fragment arithmetic" checks both against
+   a live LVC. *)
+let mbx_frag_header = 12
+let mbx_frag_payload = Ipcs_mbx.max_message_size - mbx_frag_header
+
 let test_tcp_slices_one_segment =
   slices_case tcp_pair ~spaced:true (distinct_messages [ 40; 40; Ipcs_tcp.mss - 4; 1; 40 ])
 
@@ -162,12 +168,12 @@ let test_tcp_slices_coalesced =
 
 let test_mbx_slices_one_fragment =
   slices_case mbx_pair ~spaced:true
-    (distinct_messages [ 40; Std_if.mbx_frag_payload; 1; 40 ])
+    (distinct_messages [ 40; mbx_frag_payload; 1; 40 ])
 
 let test_mbx_slices_fragmented =
   slices_case mbx_pair ~spaced:false
     (distinct_messages
-       [ Std_if.mbx_frag_payload + 1; 40; 3 * Std_if.mbx_frag_payload; Std_if.mbx_frag_payload + 7 ])
+       [ mbx_frag_payload + 1; 40; 3 * mbx_frag_payload; mbx_frag_payload + 7 ])
 
 (* Where a message sits in the buffer handed to [lvc.send]: exactly the
    LVC's headroom in (the shape ND encodes into), [k] bytes more than
@@ -206,7 +212,7 @@ let send_shaped (lvc : Std_if.lvc) shape m =
    message must arrive as a slice of the IPCS's own buffer, just past the
    length word (fragment header). *)
 let prop_messages_arrive_in_order =
-  let mss = Ipcs_tcp.mss and payload = Std_if.mbx_frag_payload in
+  let mss = Ipcs_tcp.mss and payload = mbx_frag_payload in
   let edges = [ 0; 1; mss - 4; mss - 3; payload - 1; payload; payload + 1 ] in
   let size = QCheck.Gen.(oneof [ oneofl edges; int_bound (3 * mss) ]) in
   let shape =
@@ -236,7 +242,7 @@ let prop_messages_arrive_in_order =
              msgs
          in
          let received = ref [] in
-         let header = if mbx then Std_if.mbx_frag_header else 4 in
+         let header = if mbx then mbx_frag_header else 4 in
          let single n = if mbx then n <= payload else n + 4 <= mss in
          let dispatch role lvc =
            match role with
@@ -323,10 +329,42 @@ let test_tcp_length_word_beyond_max_frame () =
   | Some (Ok _) -> Alcotest.fail "delivered a message from a hostile length word"
   | None -> Alcotest.fail "reader never returned"
 
+(* A live MBX LVC reserves the fragment header as its headroom, and a
+   message that fills one IPCS message after it travels as one fragment;
+   one byte more is reassembled from two. *)
 let test_mbx_fragment_arithmetic () =
-  Alcotest.(check int) "header accounted" Ipcs_mbx.max_message_size
-    (Std_if.mbx_frag_payload + Std_if.mbx_frag_header);
-  Alcotest.(check bool) "payload positive" true (Std_if.mbx_frag_payload > 0)
+  let rig = make_rig () in
+  let headroom = ref 0 and got = ref [] in
+  let sizes = [ mbx_frag_payload; mbx_frag_payload + 1 ] in
+  let dispatch role lvc =
+    match role with
+    | `Client ->
+      headroom := lvc.Std_if.headroom;
+      List.iter
+        (fun n ->
+          match Helpers.lvc_send lvc (Bytes.make n 'f') with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "send: %s" (Ipcs_error.to_string e))
+        sizes
+    | `Server ->
+      List.iter
+        (fun _ ->
+          match lvc.Std_if.recv_msg ~timeout_us:20_000_000 () with
+          | Ok s -> got := s :: !got
+          | Error e -> Alcotest.failf "recv: %s" (Ipcs_error.to_string e))
+        sizes
+  in
+  mbx_pair rig dispatch;
+  World.run rig.world;
+  Alcotest.(check int) "header accounted" mbx_frag_header !headroom;
+  match List.rev !got with
+  | [ one; two ] ->
+    Alcotest.(check (pair int int)) "a full fragment is a slice of its IPCS message"
+      (mbx_frag_header, Ipcs_mbx.max_message_size)
+      (one.Std_if.off, Bytes.length one.Std_if.buf);
+    Alcotest.(check (pair int int)) "one byte more is reassembled"
+      (0, mbx_frag_payload + 1) (two.Std_if.off, two.Std_if.len)
+  | l -> Alcotest.failf "%d messages received, want 2" (List.length l)
 
 (* Raw fragments [(frame id, index, count, body)] sent straight onto the
    MBX channel a listening LVC reads: what reassembly makes of a peer whose

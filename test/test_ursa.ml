@@ -15,12 +15,14 @@ let test_tokenizer () =
   Alcotest.(check (list (pair string int))) "term counts" [ ("cat", 1); ("dog", 2) ] counts
 
 let test_index_postings () =
-  let idx = Ursa.Index.create () in
-  Ursa.Index.add_document idx ~doc_id:1 ~text:"gateway gateway circuit";
-  Ursa.Index.add_document idx ~doc_id:2 ~text:"circuit naming";
+  let doc d_id d_body = { Ursa.Corpus.d_id; d_title = ""; d_body } in
+  let idx =
+    Ursa.Index.of_docs [ doc 1 "gateway gateway circuit"; doc 2 "circuit naming" ]
+  in
+  let df term = List.length (Ursa.Index.postings idx term) in
   Alcotest.(check int) "docs" 2 (Ursa.Index.doc_count idx);
-  Alcotest.(check int) "df circuit" 2 (Ursa.Index.document_frequency idx "circuit");
-  Alcotest.(check int) "df gateway" 1 (Ursa.Index.document_frequency idx "gateway");
+  Alcotest.(check int) "df circuit" 2 (df "circuit");
+  Alcotest.(check int) "df gateway" 1 (df "gateway");
   (match Ursa.Index.postings idx "gateway" with
    | [ p ] ->
      Alcotest.(check int) "doc" 1 p.Ursa.Index.p_doc;
