@@ -76,7 +76,6 @@ let e1_ns_removal () =
                  | Ok _ -> "resolved (unexpected)"
                  | Error e -> Errors.to_string e))));
   Ntcs_sim.Sched.after (Cluster.sched c) 6_000_000 (fun () ->
-      Name_server.stop (Cluster.primary_ns c);
       Cluster.crash c "vax1");
   Cluster.settle ~dt:60_000_000 c;
   Bench_util.table

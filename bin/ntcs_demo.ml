@@ -95,7 +95,7 @@ let scenario ~trace ~filter ~seed ~faults =
       print_endline "[operator] relocating worker from the ring to the ethernet...";
       ignore
         (Ntcs_drts.Process_ctl.relocate pctl
-           { managed with Ntcs_drts.Process_ctl.m_spec = spec "worker@ether" }
+           ~spec:(spec "worker@ether") managed
            ~to_machine:"sun1"));
   Cluster.settle ~dt:60_000_000 cluster;
   let m = Cluster.metrics cluster in

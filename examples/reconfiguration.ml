@@ -76,7 +76,7 @@ let () =
       print_endline "[operator] relocating stock-quoter to sun2 (v2)...";
       ignore
         (Ntcs_drts.Process_ctl.relocate pctl
-           { managed with Ntcs_drts.Process_ctl.m_spec = version_spec "v2/sun2" }
+           ~spec:(version_spec "v2/sun2") managed
            ~to_machine:"sun2"));
 
   Cluster.settle ~dt:30_000_000 cluster;

@@ -369,18 +369,14 @@ let naming_shard_route =
               (* Plant the versioned lookup on a non-owner: the shard
                  router must relay the owner's answer. *)
               match
-                Lcm_layer.send_sync (Commod.lcm commod) ~dst:non_owner ~app_tag:Ns_proto.app_tag
-                  (Ntcs_wire.Convert.payload_raw
-                     (Ns_proto.pack_request (Ns_proto.Lookup_v ("svc", 0))))
+                Lcm_layer.call (Commod.lcm commod) ~dst:non_owner ~app_tag:Ns_proto.app_tag
+                  Ns_proto.request_codec Ns_proto.response_codec (Ns_proto.Lookup_v ("svc", 0))
               with
               | Error e -> outcome := `Err ("routed lookup: " ^ Errors.to_string e)
-              | Ok renv -> (
-                match Ns_proto.unpack_response renv.Lcm_layer.data with
-                | Ok (Ns_proto.R_addr_v (raddr, rshard, rgen, _)) ->
-                  outcome := `Routed (Bytes.to_string env.Ali_layer.data, raddr, addr, rshard, rgen)
-                | Ok (Ns_proto.R_error m) -> outcome := `Err ("routed lookup refused: " ^ m)
-                | Ok _ -> outcome := `Err "routed lookup: unexpected response"
-                | Error m -> outcome := `Err ("routed lookup: " ^ m)))));
+              | Ok (Ns_proto.R_addr_v (raddr, rshard, rgen, _)) ->
+                outcome := `Routed (Bytes.to_string env.Ali_layer.data, raddr, addr, rshard, rgen)
+              | Ok (Ns_proto.R_error m) -> outcome := `Err ("routed lookup refused: " ^ m)
+              | Ok _ -> outcome := `Err "routed lookup: unexpected response")));
       fun _ ->
         (match !outcome with
          | `Routed ("echo:route", raddr, addr, rshard, rgen) ->

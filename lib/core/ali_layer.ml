@@ -5,7 +5,8 @@
 
    The three primitive classes of §1.3:
    - basic communication: [send], [send_sync], [send_dgram], [receive],
-     [reply] (both asynchronous and synchronous forms);
+     [reply] (both asynchronous and synchronous forms), and [call], the
+     synchronous form with packed request and reply;
    - resource location: [locate], [locate_attrs];
    - utilities: [my_address], [recursion_stats], [locate_entry]. *)
 
@@ -36,12 +37,15 @@ let check_tag app_tag =
   if app_tag < 0 || app_tag > max_app_tag then Error (Errors.Internal "reserved app_tag")
   else Ok ()
 
-let check_addr (addr : Addr.t) =
-  (* Applications hold addresses obtained from the resource location
-     primitives; those are always unique. A temporary address may only
-     appear as a reply target (which goes through [reply]). *)
-  if Addr.is_unique addr then Ok ()
-  else Error (Errors.Internal "temporary address passed to a send primitive")
+(* The parameter check every send primitive makes, allocation-free.
+   Applications hold addresses obtained from the resource location
+   primitives; those are always unique. A temporary address may only appear
+   as a reply target (which goes through [reply]). *)
+let check ~dst app_tag =
+  match check_tag app_tag with
+  | Ok () when not (Addr.is_unique dst) ->
+    Error (Errors.Internal "temporary address passed to a send primitive")
+  | r -> r
 
 (* --- resource location primitives --- *)
 
@@ -62,26 +66,28 @@ let locate_entry commod addr = Nsp_layer.resolve (Commod.nsp_exn commod) addr
    [?timeout_us] — with the defaults documented on [Node.config]. *)
 
 let send commod ~dst ?(app_tag = 0) ?timeout_us payload =
-  match (check_tag app_tag, check_addr dst) with
-  | Error e, _ | _, Error e -> Error e
-  | Ok (), Ok () -> Lcm_layer.send (Commod.lcm commod) ~dst ~app_tag ?timeout_us payload
+  match check ~dst app_tag with
+  | Error _ as e -> e
+  | Ok () -> Lcm_layer.send (Commod.lcm commod) ~dst ~app_tag ?timeout_us payload
 
 let send_sync commod ~dst ?(app_tag = 0) ?timeout_us payload =
-  match (check_tag app_tag, check_addr dst) with
-  | Error e, _ | _, Error e -> Error e
-  | Ok (), Ok () -> Lcm_layer.send_sync (Commod.lcm commod) ~dst ~app_tag ?timeout_us payload
+  match check ~dst app_tag with
+  | Error e -> Error e
+  | Ok () -> Lcm_layer.send_sync (Commod.lcm commod) ~dst ~app_tag ?timeout_us payload
+
+let call commod ~dst ?(app_tag = 0) ?timeout_us req rep q =
+  match check ~dst app_tag with
+  | Error e -> Error e
+  | Ok () -> Lcm_layer.call (Commod.lcm commod) ~dst ~app_tag ?timeout_us req rep q
 
 let send_dgram commod ~dst ?(app_tag = 0) ?timeout_us payload =
-  match (check_tag app_tag, check_addr dst) with
-  | Error e, _ | _, Error e -> Error e
-  | Ok (), Ok () -> Lcm_layer.send_dgram (Commod.lcm commod) ~dst ~app_tag ?timeout_us payload
+  match check ~dst app_tag with
+  | Error _ as e -> e
+  | Ok () -> Lcm_layer.send_dgram (Commod.lcm commod) ~dst ~app_tag ?timeout_us payload
 
 let receive ?timeout_us ?app_tag commod =
-  (match app_tag with
-   | Some tag when tag < 0 || tag > max_app_tag -> Error (Errors.Internal "reserved app_tag")
-   | _ -> Ok ())
-  |> function
-  | Error _ as e -> e
+  match Option.fold ~none:(Ok ()) ~some:check_tag app_tag with
+  | Error e -> Error e
   | Ok () -> Lcm_layer.recv ?timeout_us ?app_tag (Commod.lcm commod)
 
 let reply commod (env : envelope) ?(app_tag = 0) ?timeout_us payload =

@@ -63,6 +63,19 @@ val send_sync :
   (envelope, Errors.t) result
 (** Synchronous send/receive/reply. *)
 
+val call :
+  Commod.t ->
+  dst:Addr.t ->
+  ?app_tag:int ->
+  ?timeout_us:int ->
+  'q Packed.t ->
+  'r Packed.t ->
+  'q ->
+  ('r, Errors.t) result
+(** {!send_sync} with the request and reply in packed mode: the same
+    parameter check, then {!Lcm_layer.call}. A reply the codec refuses is
+    [Bad_message]. *)
+
 val send_dgram :
   Commod.t ->
   dst:Addr.t ->

@@ -386,9 +386,20 @@ let reply t (env : envelope) ?(app_tag = 0) ?timeout_us payload =
             send_frame ~deadline_us ~span t ~dst:env.src ~kind:Proto.Reply ~conv:env.conv
               ~app_tag payload))
 
+(* A packed round trip: [send_sync] with the request packed by [req] and
+   the reply unpacked by [rep]. A reply that does not decode is
+   [Bad_message], the same error a transport fault may carry. *)
+let call t ~dst ?app_tag ?timeout_us req rep q =
+  match send_sync t ~dst ?app_tag ?timeout_us (Convert.payload_raw (Packed.run_pack req q)) with
+  | Error e -> Error e
+  | Ok env -> (
+    match Packed.run_unpack_result rep env.data with
+    | Ok r -> Ok r
+    | Error m -> Error (Errors.Bad_message m))
+
 (* Liveness probe: PING / PONG with a conversation id. Used by the naming
    service to decide whether an old UAdd is "really inactive" (§3.5). *)
-let ping t ~dst ~timeout_us =
+let probe t ~dst ~timeout_us =
   tracked t (fun () ->
       spanned t ~dst ping_op (fun span ->
           let conv = fresh_conv t in
@@ -402,6 +413,17 @@ let ping t ~dst ~timeout_us =
             match await_reply t ~dst ~conv ~timeout_us with
             | Ok _ -> Ok ()
             | Error _ as e -> e)))
+
+(* A probe that fails with [Circuit_failed] on a circuit opened before it
+   (one gone stale across a partition that has since healed) is repeated
+   once over a fresh circuit: one broken link is no proof of death. *)
+let ping t ~dst ~timeout_us =
+  let stale = Option.is_some (Ip_layer.find_ivc t.ip dst) in
+  match probe t ~dst ~timeout_us with
+  | Error Errors.Circuit_failed when stale ->
+    Ip_layer.forget_peer t.ip dst;
+    probe t ~dst ~timeout_us
+  | r -> r
 
 (* Take the first stashed envelope accepted by [want], if any. *)
 let take_stashed t want =
@@ -443,6 +465,19 @@ let recv ?timeout_us ?app_tag t =
       in
       (match result with Ok env -> monitor_event t "recv" env.src | Error _ -> ());
       result)
+
+(* A service's receive loop: every envelope tagged [app_tag] goes to
+   [handler], anything else is dropped, and a [Some] answer is the reply.
+   A datagram is never answered: [reply] on it would still enter the
+   recursion tracker. *)
+let rec serve t ~app_tag handler =
+  (match recv t with
+   | Ok env when env.app_tag = app_tag -> (
+     match handler env with
+     | Some data when env.conv <> 0 -> ignore (reply t env ~app_tag (Convert.payload_raw data))
+     | Some _ | None -> ())
+   | Ok _ | Error _ -> ());
+  serve t ~app_tag handler
 
 (* --- the upcall: a received frame, in its reader's event --- *)
 

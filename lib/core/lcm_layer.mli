@@ -91,6 +91,19 @@ val send_sync :
   (envelope, Errors.t) result
 (** Synchronous send / receive / reply conversation. *)
 
+val call :
+  t ->
+  dst:Addr.t ->
+  ?app_tag:int ->
+  ?timeout_us:int ->
+  'q Packed.t ->
+  'r Packed.t ->
+  'q ->
+  ('r, Errors.t) result
+(** {!send_sync} of [q] packed by [req], the reply unpacked by [rep]. A
+    reply [rep] refuses is [Bad_message], as an ND handshake fault may be:
+    a client that must tell the two apart uses {!send_sync}. *)
+
 val reply :
   t ->
   envelope ->
@@ -101,12 +114,20 @@ val reply :
 
 val ping : t -> dst:Addr.t -> timeout_us:int -> (unit, Errors.t) result
 (** Liveness probe; never transparently relocated (a relocated probe would
-    make every dead module look alive). *)
+    make every dead module look alive). A probe that fails with
+    [Circuit_failed] on a circuit opened before it is repeated once over a
+    fresh circuit, so a link gone stale across a healed partition does not
+    pass for a dead module. *)
 
 val recv : ?timeout_us:int -> ?app_tag:int -> t -> (envelope, Errors.t) result
 (** Next envelope, optionally only those with a given application tag —
     mismatches are set aside for later receives, so multiplexed services on
     one ComMod never steal each other's traffic. *)
+
+val serve : t -> app_tag:int -> (envelope -> Bytes.t option) -> 'a
+(** A service's receive loop, forever: each envelope tagged [app_tag] goes
+    to the handler and its [Some] answer is the {!reply}; other tags are
+    dropped, and a datagram ([conv = 0]) is never answered. *)
 
 (** {1 DRTS coupling (§6.1)} *)
 

@@ -67,7 +67,6 @@ type t = {
      newest first: element [i] is generation [inval_gen - i] *)
   mutable next_value : int;
   mutable commod : Commod.t option;
-  mutable running : bool;
   ping_timeout_us : int;
   forward_timeout_us : int; (* shard-forward deadline: short, so a dead
                                owner degrades to a fallback answer fast *)
@@ -87,7 +86,6 @@ let create node ~server_id ~wk_addr ?(peers = []) ?shard_map () =
     changed = [];
     next_value = 1;
     commod = None;
-    running = false;
     ping_timeout_us = 400_000;
     forward_timeout_us = 600_000;
     shard_lookups =
@@ -271,7 +269,7 @@ let push_to_peers t records =
   | Some commod ->
     let payload =
       Ntcs_wire.Convert.payload_raw
-        (Ns_proto.pack_request
+        (Ntcs_wire.Packed.run_pack Ns_proto.request_codec
            (Ns_proto.Sync_push (List.map (fun r -> (r.r_stamp, entry_of_record r)) records)))
     in
     List.iter
@@ -320,26 +318,15 @@ let is_alive t ?commod (r : record) =
         | Ok () -> true
         | Error _ -> false)
 
-(* One shard-to-shard hop over the NTCS itself: forward [req] to the owner
-   of [shard] and relay its answer verbatim (generations included).
+(* One shard-to-shard hop over the NTCS itself: forward [req] to the
+   shard's [owner] and relay its answer verbatim (generations included).
    Monitoring is suppressed like the liveness pings; the deadline is short
    so a dead owner degrades into a fallback answer quickly. *)
-let forward_to_shard t commod ~shard req =
-  match t.shard_map with
-  | None -> None
-  | Some m -> (
-    let owner = Ntcs_naming.Shard_map.owner m shard in
-    Lcm_layer.without_monitoring (Commod.lcm commod) (fun () ->
-        match
-          Lcm_layer.send_sync (Commod.lcm commod) ~dst:owner ~app_tag:Ns_proto.app_tag
-            ~timeout_us:t.forward_timeout_us
-            (Ntcs_wire.Convert.payload_raw (Ns_proto.pack_request req))
-        with
-        | Error _ -> None
-        | Ok env -> (
-          match Ns_proto.unpack_response env.Lcm_layer.data with
-          | Ok resp -> Some resp
-          | Error _ -> None)))
+let forward_to_shard t commod ~owner req =
+  let lcm = Commod.lcm commod in
+  Lcm_layer.without_monitoring lcm (fun () ->
+      Lcm_layer.call lcm ~dst:owner ~app_tag:Ns_proto.app_tag ~timeout_us:t.forward_timeout_us
+        Ns_proto.request_codec Ns_proto.response_codec req)
 
 (* Shard-router wrapper around a request for [name] that this server does
    not own: one forward to the owner; on failure, answer from the local
@@ -347,18 +334,18 @@ let forward_to_shard t commod ~shard req =
 let route t ?commod ~name ~hop_note req local =
   match (t.shard_map, commod) with
   | None, _ | _, None -> local ()
-  | Some _, Some commod ->
+  | Some m, Some commod -> (
     let shard = shard_of_name t name in
     Ntcs_obs.Registry.incr (metrics t) "ns.shard.forwards";
     Node.note t.node ~cat:"ns.shard.forward" ~actor:"name-server"
       (Ntcs_obs.Span.Shard_hop { name; from_shard = my_shard t; to_shard = shard; hop = hop_note });
-    (match forward_to_shard t commod ~shard req with
-     | Some resp -> resp
-     | None ->
-       Ntcs_obs.Registry.incr (metrics t) "ns.shard.fallbacks";
-       Node.record t.node ~cat:"ns.shard.fallback" ~actor:"name-server"
-         (Printf.sprintf "%s: shard %d answering for %d" name (my_shard t) shard);
-       local ())
+    match forward_to_shard t commod ~owner:(Ntcs_naming.Shard_map.owner m shard) req with
+    | Ok resp -> resp
+    | Error _ ->
+      Ntcs_obs.Registry.incr (metrics t) "ns.shard.fallbacks";
+      Node.record t.node ~cat:"ns.shard.fallback" ~actor:"name-server"
+        (Printf.sprintf "%s: shard %d answering for %d" name (my_shard t) shard);
+      local ())
 
 let handle_request t ?commod (req : Ns_proto.request) =
   match req with
@@ -494,26 +481,17 @@ let serve ?fixed t () =
       r_alive = true;
       r_stamp = Node.now t.node;
     };
-  t.running <- true;
-  let lcm = Commod.lcm commod in
-  while t.running do
-    match Lcm_layer.recv lcm with
-    | Error _ -> ()
-    | Ok env -> (
-      if env.Lcm_layer.app_tag = Ns_proto.app_tag then begin
-        match Ns_proto.unpack_request env.Lcm_layer.data with
-        | Error m ->
-          Node.record t.node ~cat:"ns.bad_request" ~actor:"name-server" m
-        | Ok req ->
-          let resp = handle_request t ~commod req in
-          if env.Lcm_layer.conv <> 0 then
-            ignore
-              (Lcm_layer.reply lcm env ~app_tag:Ns_proto.app_tag
-                 (Ntcs_wire.Convert.payload_raw (Ns_proto.pack_response resp)))
-      end)
-  done
-
-let stop t = t.running <- false
+  let open Ntcs_wire in
+  Lcm_layer.serve (Commod.lcm commod) ~app_tag:Ns_proto.app_tag (fun env ->
+      match Packed.run_unpack_result Ns_proto.request_codec env.Lcm_layer.data with
+      | Error m ->
+        Node.record t.node ~cat:"ns.bad_request" ~actor:"name-server" m;
+        None
+      | Ok req ->
+        let resp = handle_request t ~commod req in
+        (* Replication pushes are datagrams: nothing to pack. *)
+        if env.Lcm_layer.conv = 0 then None
+        else Some (Packed.run_pack Ns_proto.response_codec resp))
 
 (* Bulk-load bindings straight into the database, bypassing the protocol:
    benches populate 10^6-name databases this way (registering each over the

@@ -47,8 +47,6 @@ val serve : ?fixed:Ntcs_ipcs.Phys_addr.t list -> t -> unit -> unit
     well-known address, then answer requests forever. Spawn with
     [World.spawn]. *)
 
-val stop : t -> unit
-
 val handle_request : t -> ?commod:Commod.t -> Ns_proto.request -> Ns_proto.response
 (** Exposed for tests and benches; normal traffic arrives through {!serve}.
     Without [?commod] the server cannot ping, shard-forward, or replicate —

@@ -165,8 +165,3 @@ let response_codec : response Packed.t =
       case "ok_" unit (fun () -> R_ok) (function R_ok -> Some () | _ -> None);
       case "err" string (fun m -> R_error m) (function R_error m -> Some m | _ -> None);
     ]
-
-let pack_request r = Packed.run_pack request_codec r
-let unpack_request b = Packed.run_unpack_result request_codec b
-let pack_response r = Packed.run_pack response_codec r
-let unpack_response b = Packed.run_unpack_result response_codec b

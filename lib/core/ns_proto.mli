@@ -77,7 +77,5 @@ val shard_of_addr : Addr.t Ntcs_naming.Shard_map.t -> Addr.t -> int option
 (** The shard that owns a UAdd: the id of the server that minted it.
     [None] for a well-known address outside the map or a TAdd. *)
 
-val pack_request : request -> Bytes.t
-val unpack_request : Bytes.t -> (request, string) result
-val pack_response : response -> Bytes.t
-val unpack_response : Bytes.t -> (response, string) result
+val request_codec : request Ntcs_wire.Packed.t
+val response_codec : response Ntcs_wire.Packed.t

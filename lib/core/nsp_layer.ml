@@ -134,7 +134,7 @@ let ns_retry =
    transport failures. [?prefer] puts one replica (the owning shard of the
    name being asked about) at the head of the pass, ahead of [last_good]. *)
 let request ?prefer t (req : Ns_proto.request) =
-  let payload = Convert.payload_raw (Ns_proto.pack_request req) in
+  let payload = Convert.payload_raw (Packed.run_pack Ns_proto.request_codec req) in
   let started = Node.now t.node in
   let one_pass ~attempt =
     if attempt > 1 then Ntcs_obs.Registry.incr (metrics t) "nsp.retry_cycles";
@@ -164,7 +164,7 @@ let request ?prefer t (req : Ns_proto.request) =
           failover rest
         | Error _ -> Error Errors.Name_service_unavailable
         | Ok env -> (
-          match Ns_proto.unpack_response env.Lcm_layer.data with
+          match Packed.run_unpack_result Ns_proto.response_codec env.Lcm_layer.data with
           | Error m -> Error (Errors.Bad_message m)
           | Ok (Ns_proto.R_error m) -> Error (error_of_string m)
           | Ok resp ->

@@ -71,14 +71,14 @@ let edge_of_entry (e : Ns_proto.entry) =
         })
   | _ -> None
 
-(* Breadth-first search over networks. Returns the gateway hops (ingress
-   ComMod UAdds) to get from any of [from_nets] to any of [to_nets]. *)
-let bfs ?(seed_visited = []) ?(seed_paths = []) ~edges ~from_nets ~to_nets () =
+(* Breadth-first search over networks from [seed_paths] (each a net and the
+   gateway hops, newest first, that reached it), never entering a net in
+   [seed_visited]. Returns the gateway hops to any of [to_nets]. *)
+let bfs ~seed_visited ~seed_paths ~edges ~to_nets =
   let module S = Set.Make (Int) in
   let targets = S.of_list to_nets in
-  let visited = ref (S.of_list (from_nets @ seed_visited)) in
+  let visited = ref (S.of_list seed_visited) in
   let q = Queue.create () in
-  List.iter (fun n -> Queue.push (n, []) q) from_nets;
   List.iter (fun (n, path) -> Queue.push (n, path) q) seed_paths;
   let result = ref None in
   (try
@@ -111,17 +111,12 @@ let routes ~edges ~from_nets ~to_nets =
   let firsts = List.filter (fun e -> List.mem e.ge_in from_nets) edges in
   let candidate (first : gw_edge) =
     if List.exists (fun n -> List.mem n to_nets) first.ge_spans then Some [ first ]
-    else begin
+    else
       let entry_nets = List.filter (fun n -> n <> first.ge_in) first.ge_spans in
-      match
-        bfs
-          ~seed_visited:(first.ge_in :: from_nets)
-          ~seed_paths:(List.map (fun n -> (n, [ first ])) entry_nets)
-          ~edges ~from_nets:[] ~to_nets ()
-      with
-      | Some path -> Some path
-      | None -> None
-    end
+      bfs
+        ~seed_visited:(first.ge_in :: from_nets)
+        ~seed_paths:(List.map (fun n -> (n, [ first ])) entry_nets)
+        ~edges ~to_nets
   in
   List.filter_map candidate firsts
   |> List.sort_uniq (fun a b ->

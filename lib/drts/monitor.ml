@@ -51,55 +51,30 @@ let serve node () =
         recent = Ntcs_util.Bqueue.create ring_capacity;
       }
     in
-    let lcm = Commod.lcm commod in
-    let rec loop () =
-      (match Lcm_layer.recv lcm with
-       | Error _ -> ()
-       | Ok env ->
-         if env.Lcm_layer.app_tag = Drts_proto.monitor_tag then begin
-           if env.Lcm_layer.conv = 0 then begin
-             (* A report datagram. *)
-             match
-               Packed.run_unpack_result Drts_proto.monitor_record_codec
-                 env.Lcm_layer.data
-             with
-             | Error _ -> ()
-             | Ok record ->
-               server.total <- server.total + 1;
-               bump server.by_kind record.Drts_proto.mr_kind;
-               bump server.by_module record.Drts_proto.mr_module;
-               if Ntcs_util.Bqueue.is_full server.recent then
-                 ignore (Ntcs_util.Bqueue.pop server.recent);
-               ignore (Ntcs_util.Bqueue.push server.recent record)
-           end
-           else begin
-             (* A query. *)
-             match
-               Packed.run_unpack_result Drts_proto.monitor_query_codec env.Lcm_layer.data
-             with
-             | Error _ -> ()
-             | Ok Drts_proto.Q_stats ->
-               let reply =
-                 Packed.run_pack Drts_proto.monitor_stats_codec (stats_of server)
-               in
-               ignore
-                 (Lcm_layer.reply lcm env ~app_tag:Drts_proto.monitor_tag
-                    (Convert.payload_raw reply))
-             | Ok (Drts_proto.Q_recent n) ->
-               let records = ref [] in
-               Ntcs_util.Bqueue.iter server.recent (fun r -> records := r :: !records);
-               let records =
-                 !records |> List.filteri (fun i _ -> i < n) |> List.rev
-               in
-               let reply = Packed.run_pack Drts_proto.monitor_recent_codec records in
-               ignore
-                 (Lcm_layer.reply lcm env ~app_tag:Drts_proto.monitor_tag
-                    (Convert.payload_raw reply))
-           end
-         end);
-      loop ()
-    in
-    loop ()
+    Lcm_layer.serve (Commod.lcm commod) ~app_tag:Drts_proto.monitor_tag (fun env ->
+        if env.Lcm_layer.conv = 0 then begin
+          (* A report datagram. *)
+          (match
+             Packed.run_unpack_result Drts_proto.monitor_record_codec env.Lcm_layer.data
+           with
+           | Error _ -> ()
+           | Ok record ->
+             server.total <- server.total + 1;
+             bump server.by_kind record.Drts_proto.mr_kind;
+             bump server.by_module record.Drts_proto.mr_module;
+             Ntcs_util.Bqueue.push_evict server.recent record);
+          None
+        end
+        else
+          (* A query. *)
+          match Packed.run_unpack_result Drts_proto.monitor_query_codec env.Lcm_layer.data with
+          | Error _ -> None
+          | Ok Drts_proto.Q_stats ->
+            Some (Packed.run_pack Drts_proto.monitor_stats_codec (stats_of server))
+          | Ok (Drts_proto.Q_recent n) ->
+            Some
+              (Packed.run_pack Drts_proto.monitor_recent_codec
+                 (Ntcs_util.Bqueue.newest server.recent n)))
 
 (* --- client --- *)
 
@@ -146,12 +121,5 @@ let install c =
   node.Node.hooks.Node.on_event <- Some (fun kind detail -> report c kind detail)
 
 let query_stats commod ~monitor =
-  match
-    Ali_layer.send_sync commod ~dst:monitor ~app_tag:Drts_proto.monitor_tag
-      (Convert.payload_raw (Packed.run_pack Drts_proto.monitor_query_codec Drts_proto.Q_stats))
-  with
-  | Error _ as e -> e
-  | Ok env -> (
-    match Packed.run_unpack_result Drts_proto.monitor_stats_codec env.Ali_layer.data with
-    | Ok stats -> Ok stats
-    | Error m -> Error (Errors.Bad_message m))
+  Ali_layer.call commod ~dst:monitor ~app_tag:Drts_proto.monitor_tag
+    Drts_proto.monitor_query_codec Drts_proto.monitor_stats_codec Drts_proto.Q_stats

@@ -19,7 +19,7 @@ type spec = {
 }
 
 type managed = {
-  m_spec : spec;
+  mutable m_spec : spec;
   mutable m_machine : string;
   mutable m_pid : Sched.pid;
   mutable m_generation : int;
@@ -57,11 +57,13 @@ let kill t (m : managed) =
     (Printf.sprintf "generation %d on %s" m.m_generation m.m_machine)
 
 (* Replace a running module with a fresh instance on [to_machine] (which may
-   be the same machine: an in-place upgrade). The old instance is killed
-   first; its circuits abort, correspondents fault, and the naming service
-   forwards them to the replacement once it has registered. *)
-let relocate t (m : managed) ~to_machine =
+   be the same machine: an in-place upgrade), running [spec] from now on
+   when given. The old instance is killed first; its circuits abort,
+   correspondents fault, and the naming service forwards them to the
+   replacement once it has registered. *)
+let relocate t ?spec (m : managed) ~to_machine =
   kill t m;
+  Option.iter (fun spec -> m.m_spec <- spec) spec;
   m.m_generation <- m.m_generation + 1;
   m.m_machine <- to_machine;
   m.m_pid <- launch t m.m_spec ~machine:to_machine ~generation:m.m_generation;

@@ -18,7 +18,7 @@ type spec = {
 }
 
 type managed = {
-  m_spec : spec;
+  mutable m_spec : spec;
   mutable m_machine : string;
   mutable m_pid : Sched.pid;
   mutable m_generation : int;
@@ -31,6 +31,8 @@ val create : Cluster.t -> t
 val start : t -> spec -> machine:string -> managed
 (** Raises [Invalid_argument] when the name is already managed. *)
 
-val relocate : t -> managed -> to_machine:string -> Sched.pid
-(** Kill, bump the generation, respawn under the same name. Correspondents
+val relocate : t -> ?spec:spec -> managed -> to_machine:string -> Sched.pid
+(** Kill, bump the generation, respawn under the same name — running [spec]
+    from now on when given (an upgrade). Updates the record {!start}
+    returned, so the next relocation kills this instance. Correspondents
     need no participation. *)

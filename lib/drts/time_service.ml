@@ -23,24 +23,9 @@ let serve node () =
   match Commod.bind node ~name:server_name ~attrs:[ ("service", "time") ] with
   | Error e -> failwith ("time-server bind failed: " ^ Errors.to_string e)
   | Ok commod ->
-    let lcm = Commod.lcm commod in
-    let rec loop () =
-      match Lcm_layer.recv lcm with
-      | Error _ -> loop ()
-      | Ok env ->
-        if env.Lcm_layer.app_tag = Drts_proto.time_tag && env.Lcm_layer.conv <> 0
-        then begin
-          let reply =
-            Packed.run_pack Drts_proto.time_reply_codec
-              { Drts_proto.tr_server_time = Node.now node |> fun now ->
-                Machine.local_time (Node.machine node) ~now_us:now }
-          in
-          ignore
-            (Lcm_layer.reply lcm env ~app_tag:Drts_proto.time_tag (Convert.payload_raw reply))
-        end;
-        loop ()
-    in
-    loop ()
+    Lcm_layer.serve (Commod.lcm commod) ~app_tag:Drts_proto.time_tag (fun _ ->
+        let now = Machine.local_time (Node.machine node) ~now_us:(Node.now node) in
+        Some (Packed.run_pack Drts_proto.time_reply_codec { Drts_proto.tr_server_time = now }))
 
 (* --- corrector --- *)
 
@@ -90,27 +75,20 @@ let sync c =
       | Error e -> failed e
       | Ok addr -> (
         let t_send = local_now c in
-        let req =
-          Packed.run_pack Drts_proto.time_request_codec { Drts_proto.tq_client_time = t_send }
-        in
         match
-          Ali_layer.send_sync c.commod ~dst:addr ~app_tag:Drts_proto.time_tag
-            (Convert.payload_raw req)
+          Ali_layer.call c.commod ~dst:addr ~app_tag:Drts_proto.time_tag
+            Drts_proto.time_request_codec Drts_proto.time_reply_codec
+            { Drts_proto.tq_client_time = t_send }
         with
         | Error e -> failed e
-        | Ok env -> (
-          match
-            Packed.run_unpack_result Drts_proto.time_reply_codec env.Ali_layer.data
-          with
-          | Error m -> failed (Errors.Bad_message m)
-          | Ok reply ->
-            let t_arrive = local_now c in
-            let rtt = t_arrive - t_send in
-            let estimate = reply.Drts_proto.tr_server_time + (rtt / 2) in
-            c.offset_us <- estimate - t_arrive;
-            c.last_sync_us <- Node.now node;
-            Ntcs_obs.Registry.incr (Node.metrics node) "time.syncs";
-            Ok c.offset_us)))
+        | Ok reply ->
+          let t_arrive = local_now c in
+          let rtt = t_arrive - t_send in
+          let estimate = reply.Drts_proto.tr_server_time + (rtt / 2) in
+          c.offset_us <- estimate - t_arrive;
+          c.last_sync_us <- Node.now node;
+          Ntcs_obs.Registry.incr (Node.metrics node) "time.syncs";
+          Ok c.offset_us))
 
 (* Corrected timestamp; resynchronises first when the estimate is stale —
    this is the recursive path of §6.1. *)

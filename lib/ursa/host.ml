@@ -26,19 +26,10 @@ let locate_search t =
 let search ?(k = 10) ?timeout_us t query =
   match locate_search t with
   | Error _ as e -> e
-  | Ok addr -> (
-    let req =
-      Packed.run_pack Ursa_msg.search_request_codec { Ursa_msg.sq_query = query; sq_k = k }
-    in
-    match
-      Ali_layer.send_sync t.commod ~dst:addr ~app_tag:Ursa_msg.search_tag ?timeout_us
-        (Convert.payload_raw req)
-    with
-    | Error _ as e -> e
-    | Ok env -> (
-      match Packed.run_unpack_result Ursa_msg.search_reply_codec env.Ali_layer.data with
-      | Ok r -> Ok r
-      | Error m -> Error (Errors.Bad_message m)))
+  | Ok addr ->
+    Ali_layer.call t.commod ~dst:addr ~app_tag:Ursa_msg.search_tag ?timeout_us
+      Ursa_msg.search_request_codec Ursa_msg.search_reply_codec
+      { Ursa_msg.sq_query = query; sq_k = k }
 
 (* Fetch a document body from whichever doc store holds it (round-robin
    partitioning means doc i lives in partition i mod k; we just ask all). *)

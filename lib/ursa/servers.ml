@@ -23,40 +23,24 @@ let index_server_name partition = Printf.sprintf "ursa-index/%d" partition
    [Process_ctl]-style management: receives its ComMod already bound. *)
 let index_server_body docs commod =
   let index = Index.of_docs docs in
-  let lcm = Commod.lcm commod in
-  let rec loop () =
-    (match Lcm_layer.recv lcm with
-     | Error _ -> ()
-     | Ok env ->
-       if env.Lcm_layer.app_tag = Ursa_msg.index_tag && env.Lcm_layer.conv <> 0
-       then begin
-         match
-           Packed.run_unpack_result Ursa_msg.term_query_codec env.Lcm_layer.data
-         with
-         | Error _ -> ()
-         | Ok q ->
-           let results =
-             List.map
-               (fun term ->
-                 let postings = Index.postings index term in
-                 {
-                   Ursa_msg.tp_term = term;
-                   tp_df = List.length postings;
-                   tp_postings =
-                     List.map (fun p -> (p.Index.p_doc, p.Index.p_tf)) postings;
-                 })
-               q.Ursa_msg.tq_terms
-           in
-           let reply =
-             Packed.run_pack Ursa_msg.index_reply_codec
-               { Ursa_msg.ir_doc_count = Index.doc_count index; ir_results = results }
-           in
-           ignore
-             (Lcm_layer.reply lcm env ~app_tag:Ursa_msg.index_tag (Convert.payload_raw reply))
-       end);
-    loop ()
-  in
-  loop ()
+  Lcm_layer.serve (Commod.lcm commod) ~app_tag:Ursa_msg.index_tag (fun env ->
+      match Packed.run_unpack_result Ursa_msg.term_query_codec env.Lcm_layer.data with
+      | Error _ -> None
+      | Ok q ->
+        let results =
+          List.map
+            (fun term ->
+              let postings = Index.postings index term in
+              {
+                Ursa_msg.tp_term = term;
+                tp_df = List.length postings;
+                tp_postings = List.map (fun p -> (p.Index.p_doc, p.Index.p_tf)) postings;
+              })
+            q.Ursa_msg.tq_terms
+        in
+        Some
+          (Packed.run_pack Ursa_msg.index_reply_codec
+             { Ursa_msg.ir_doc_count = Index.doc_count index; ir_results = results }))
 
 let index_server_attrs ~partition =
   [ ("service", index_service); ("partition", string_of_int partition) ]
@@ -68,29 +52,16 @@ let doc_server_name partition = Printf.sprintf "ursa-docs/%d" partition
 let doc_server_body docs commod =
   let store = Hashtbl.create 64 in
   List.iter (fun (d : Corpus.doc) -> Hashtbl.replace store d.Corpus.d_id d) docs;
-  let lcm = Commod.lcm commod in
-  let rec loop () =
-    (match Lcm_layer.recv lcm with
-     | Error _ -> ()
-     | Ok env ->
-       if env.Lcm_layer.app_tag = Ursa_msg.doc_tag && env.Lcm_layer.conv <> 0
-       then begin
-         match Packed.run_unpack_result Ursa_msg.doc_request_codec env.Lcm_layer.data with
-         | Error _ -> ()
-         | Ok q ->
-           let reply =
-             match Hashtbl.find_opt store q.Ursa_msg.dr_doc with
-             | Some d ->
-               Ursa_msg.Doc_found { df_title = d.Corpus.d_title; df_body = d.Corpus.d_body }
-             | None -> Ursa_msg.Doc_missing
-           in
-           ignore
-             (Lcm_layer.reply lcm env ~app_tag:Ursa_msg.doc_tag
-                (Convert.payload_raw (Packed.run_pack Ursa_msg.doc_reply_codec reply)))
-       end);
-    loop ()
-  in
-  loop ()
+  Lcm_layer.serve (Commod.lcm commod) ~app_tag:Ursa_msg.doc_tag (fun env ->
+      match Packed.run_unpack_result Ursa_msg.doc_request_codec env.Lcm_layer.data with
+      | Error _ -> None
+      | Ok q ->
+        let reply =
+          match Hashtbl.find_opt store q.Ursa_msg.dr_doc with
+          | Some d -> Ursa_msg.Doc_found { df_title = d.Corpus.d_title; df_body = d.Corpus.d_body }
+          | None -> Ursa_msg.Doc_missing
+        in
+        Some (Packed.run_pack Ursa_msg.doc_reply_codec reply))
 
 let doc_server_attrs ~partition =
   [ ("service", doc_service); ("partition", string_of_int partition) ]
@@ -137,7 +108,6 @@ let merge_scores replies =
          match compare s2 s1 with 0 -> compare d1 d2 | c -> c)
 
 let search_server_body commod =
-  let lcm = Commod.lcm commod in
   (* Locate every index partition through attribute-based naming; re-query
      the naming service if the set went stale (a partition relocated). *)
   let partitions = ref [] in
@@ -150,70 +120,46 @@ let search_server_body commod =
     | Error _ as e -> e
   in
   let query_partition addr terms =
-    let req =
-      Packed.run_pack Ursa_msg.term_query_codec { Ursa_msg.tq_terms = terms }
-    in
-    match
-      Ali_layer.send_sync commod ~dst:addr ~app_tag:Ursa_msg.index_tag
-        (Convert.payload_raw req)
-    with
-    | Error _ as e -> e
-    | Ok env -> (
-      match Packed.run_unpack_result Ursa_msg.index_reply_codec env.Ali_layer.data with
-      | Ok r -> Ok r
-      | Error m -> Error (Errors.Bad_message m))
+    Ali_layer.call commod ~dst:addr ~app_tag:Ursa_msg.index_tag Ursa_msg.term_query_codec
+      Ursa_msg.index_reply_codec { Ursa_msg.tq_terms = terms }
   in
-  let rec loop () =
-    (match Lcm_layer.recv lcm with
-     | Error _ -> ()
-     | Ok env ->
-       if env.Lcm_layer.app_tag = Ursa_msg.search_tag && env.Lcm_layer.conv <> 0
-       then begin
-         match
-           Packed.run_unpack_result Ursa_msg.search_request_codec env.Lcm_layer.data
-         with
-         | Error _ -> ()
-         | Ok q ->
-           let terms = Tokenizer.tokens q.Ursa_msg.sq_query in
-           let addrs =
-             match !partitions with
-             | [] -> ( match refresh_partitions () with Ok a -> a | Error _ -> [])
-             | a -> a
-           in
-           let replies =
-             List.filter_map
-               (fun addr ->
-                 match query_partition addr terms with
-                 | Ok r -> Some r
-                 | Error _ -> (
-                   (* Partition may have relocated: refresh once and retry. *)
-                   match refresh_partitions () with
-                   | Ok _ -> (
-                     match query_partition addr terms with Ok r -> Some r | Error _ -> None)
-                   | Error _ -> None))
-               addrs
-           in
-           let ranked = merge_scores replies in
-           let hits =
-             ranked
-             |> List.filteri (fun i _ -> i < q.Ursa_msg.sq_k)
-             |> List.map (fun (doc, score) ->
-                    {
-                      Ursa_msg.h_doc = doc;
-                      h_score_milli = int_of_float (score *. 1000.);
-                      h_title = "";
-                    })
-           in
-           let reply =
-             Packed.run_pack Ursa_msg.search_reply_codec
-               { Ursa_msg.sr_hits = hits; sr_partitions = List.length replies }
-           in
-           ignore
-             (Lcm_layer.reply lcm env ~app_tag:Ursa_msg.search_tag
-                (Convert.payload_raw reply))
-       end);
-    loop ()
-  in
-  loop ()
+  (* A datagram gets no answer, so it must not cost a fan-out either. *)
+  Lcm_layer.serve (Commod.lcm commod) ~app_tag:Ursa_msg.search_tag (fun env ->
+      if env.Lcm_layer.conv = 0 then None
+      else
+        match Packed.run_unpack_result Ursa_msg.search_request_codec env.Lcm_layer.data with
+        | Error _ -> None
+        | Ok q ->
+          let terms = Tokenizer.tokens q.Ursa_msg.sq_query in
+          let addrs =
+            match !partitions with
+            | [] -> ( match refresh_partitions () with Ok a -> a | Error _ -> [])
+            | a -> a
+          in
+          let replies =
+            List.filter_map
+              (fun addr ->
+                match query_partition addr terms with
+                | Ok r -> Some r
+                | Error _ -> (
+                  (* Partition may have relocated: refresh once and retry. *)
+                  match refresh_partitions () with
+                  | Ok _ -> Result.to_option (query_partition addr terms)
+                  | Error _ -> None))
+              addrs
+          in
+          let hits =
+            merge_scores replies
+            |> List.filteri (fun i _ -> i < q.Ursa_msg.sq_k)
+            |> List.map (fun (doc, score) ->
+                   {
+                     Ursa_msg.h_doc = doc;
+                     h_score_milli = int_of_float (score *. 1000.);
+                     h_title = "";
+                   })
+          in
+          Some
+            (Packed.run_pack Ursa_msg.search_reply_codec
+               { Ursa_msg.sr_hits = hits; sr_partitions = List.length replies }))
 
 let search_server_attrs = [ ("service", search_service) ]

@@ -23,3 +23,14 @@ let push t x =
 let pop t = Queue.take_opt t.items
 
 let iter t f = Queue.iter f t.items
+
+(* The ring idiom: once full, the oldest item makes room. *)
+let push_evict t x =
+  if is_full t then ignore (Queue.take t.items);
+  Queue.push x t.items
+
+let newest t n =
+  let skip = Queue.length t.items - n in
+  snd
+    (Queue.fold (fun (i, acc) x -> (i + 1, if i >= skip then x :: acc else acc)) (0, []) t.items)
+  |> List.rev

@@ -14,3 +14,10 @@ val push : 'a t -> 'a -> bool
 val pop : 'a t -> 'a option
 
 val iter : 'a t -> ('a -> unit) -> unit
+
+val push_evict : 'a t -> 'a -> unit
+(** [push_evict t x] enqueues [x], first dropping the oldest item when the
+    queue is full: a ring of the latest [capacity] items. *)
+
+val newest : 'a t -> int -> 'a list
+(** The newest [n] items (all of them when fewer), oldest first. *)

@@ -248,6 +248,39 @@ let test_process_ctl_lifecycle () =
      | exception Invalid_argument _ -> true
      | _ -> false)
 
+(* Two upgrades through the handle [start] returned: each kills the
+   instance the previous one started, so one instance runs, the latest. *)
+let test_process_ctl_relocate_twice () =
+  let c = lan_cluster () in
+  Cluster.settle c;
+  let pctl = Ntcs_drts.Process_ctl.create c in
+  let spec version =
+    {
+      Ntcs_drts.Process_ctl.sp_name = "worker";
+      sp_attrs = [ ("version", version) ];
+      sp_body = (fun commod ->
+        let rec loop () =
+          ignore (Ali_layer.receive commod);
+          loop ()
+        in
+        loop ());
+    }
+  in
+  let m = Ntcs_drts.Process_ctl.start pctl (spec "v0") ~machine:"sun1" in
+  Cluster.settle c;
+  let first = m.Ntcs_drts.Process_ctl.m_pid in
+  let second = Ntcs_drts.Process_ctl.relocate pctl ~spec:(spec "v1") m ~to_machine:"sun2" in
+  Cluster.settle c;
+  let third = Ntcs_drts.Process_ctl.relocate pctl ~spec:(spec "v2") m ~to_machine:"sun1" in
+  Cluster.settle c;
+  let alive pid = Ntcs_sim.Sched.alive (Cluster.sched c) pid in
+  Alcotest.(check (list bool)) "only the last instance is alive" [ false; false; true ]
+    (List.map alive [ first; second; third ]);
+  Alcotest.(check bool) "the handle holds it" true (m.m_pid = third);
+  Alcotest.(check int) "generation 2" 2 m.m_generation;
+  Alcotest.(check (list (pair string string))) "running the last spec" [ ("version", "v2") ]
+    m.m_spec.sp_attrs
+
 let () =
   Alcotest.run "drts"
     [
@@ -266,5 +299,10 @@ let () =
           Alcotest.test_case "monitor attribution" `Quick test_monitor_per_module_attribution;
           Alcotest.test_case "monitor event details" `Quick test_monitor_event_details;
         ] );
-      ("process", [ Alcotest.test_case "lifecycle" `Quick test_process_ctl_lifecycle ]);
+      ( "process",
+        [
+          Alcotest.test_case "lifecycle" `Quick test_process_ctl_lifecycle;
+          Alcotest.test_case "two relocations through one handle" `Quick
+            test_process_ctl_relocate_twice;
+        ] );
     ]

@@ -212,12 +212,12 @@ let test_double_crash_and_replacement () =
   Ntcs_sim.Sched.after (Cluster.sched c) 3_000_000 (fun () ->
       ignore
         (Ntcs_drts.Process_ctl.relocate pctl
-           { managed with Ntcs_drts.Process_ctl.m_spec = spec "gen1" }
+           ~spec:(spec "gen1") managed
            ~to_machine:"sun2"));
   Ntcs_sim.Sched.after (Cluster.sched c) 8_000_000 (fun () ->
       ignore
         (Ntcs_drts.Process_ctl.relocate pctl
-           { managed with Ntcs_drts.Process_ctl.m_spec = spec "gen2" }
+           ~spec:(spec "gen2") managed
            ~to_machine:"sun1"));
   Cluster.settle ~dt:60_000_000 c;
   let answers = List.rev !answers in

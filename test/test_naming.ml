@@ -211,7 +211,6 @@ let test_ns_removal_with_warm_caches () =
          phase2 := Some (after_kill, new_locate)));
   Cluster.settle c;
   (* Remove the name server. *)
-  Name_server.stop (Cluster.primary_ns c);
   Cluster.crash c "vax1";
   Cluster.settle ~dt:20_000_000 c;
   match !phase2 with

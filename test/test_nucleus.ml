@@ -102,6 +102,80 @@ let test_sync_timeout_when_no_reply () =
   Cluster.settle c;
   check_err "sync timeout" Errors.Timeout (result ())
 
+(* A counter service on [Lcm_layer.serve]: tag 7, an int in, its
+   successor out. A negative request is answered with bytes the int codec
+   refuses. [seen] counts the envelopes the handler was given; the
+   service's ComMod is left in [server]. *)
+let spawn_counter c ~seen ~server =
+  ignore
+    (Cluster.spawn c ~machine:"sun1" ~name:"counter" (fun node ->
+         let commod = bind_exn node ~name:"counter" in
+         server := Some commod;
+         Lcm_layer.serve (Commod.lcm commod) ~app_tag:7 (fun env ->
+             incr seen;
+             let open Ntcs_wire in
+             match Packed.run_unpack_result Packed.int env.Lcm_layer.data with
+             | Ok n when n >= 0 -> Some (Packed.run_pack Packed.int (n + 1))
+             | Ok _ | Error _ -> Some (Packed.run_pack Packed.bool true))))
+
+let call_counter commod addr n =
+  Ali_layer.call commod ~dst:addr ~app_tag:7 Ntcs_wire.Packed.int Ntcs_wire.Packed.int n
+
+let test_call_refuses_bad_reply () =
+  let c = lan_cluster () in
+  Cluster.settle c;
+  spawn_counter c ~seen:(ref 0) ~server:(ref None);
+  Cluster.settle c;
+  let result =
+    in_process c ~machine:"sun2" ~name:"client" (fun node ->
+        let commod = bind_exn node ~name:"client" in
+        let addr = check_ok "locate" (Ali_layer.locate commod "counter") in
+        (call_counter commod addr 41, call_counter commod addr (-1)))
+  in
+  Cluster.settle c;
+  let good, bad = result () in
+  Alcotest.(check int) "a decodable reply is unpacked" 42 (check_ok "call" good);
+  Alcotest.(check bool) "an undecodable reply is Bad_message" true
+    (match bad with Error (Errors.Bad_message _) -> true | Ok _ | Error _ -> false)
+
+let test_serve_dgram_and_other_tags () =
+  let c = lan_cluster () in
+  Cluster.settle c;
+  let seen = ref 0 and server = ref None in
+  spawn_counter c ~seen ~server;
+  Cluster.settle c;
+  let entries () =
+    match !server with
+    | Some commod ->
+      let n, _, _ = Ali_layer.recursion_stats commod in
+      n
+    | None -> Alcotest.fail "counter never bound"
+  in
+  let result =
+    in_process c ~machine:"sun2" ~name:"client" (fun node ->
+        let commod = bind_exn node ~name:"client" in
+        let addr = check_ok "locate" (Ali_layer.locate commod "counter") in
+        let before = entries () in
+        check_ok "dgram"
+          (Ali_layer.send_dgram commod ~dst:addr ~app_tag:7
+             (raw_bytes (Ntcs_wire.Packed.run_pack Ntcs_wire.Packed.int 1)));
+        let answer = Ali_layer.receive ~timeout_us:500_000 commod in
+        (* The datagram cost the server the receive that returned it, and
+           no reply attempt: the next receive is the only new entry. *)
+        let dgram_entries = entries () - before in
+        let other_tag =
+          Ali_layer.send_sync commod ~dst:addr ~app_tag:8 ~timeout_us:500_000 (raw "hello")
+        in
+        (answer, dgram_entries, other_tag, call_counter commod addr 1))
+  in
+  Cluster.settle c;
+  let answer, dgram_entries, other_tag, after = result () in
+  check_err "no reply to the datagram" Errors.Timeout answer;
+  Alcotest.(check int) "the datagram entered only the next receive" 1 dgram_entries;
+  check_err "another tag is dropped" Errors.Timeout other_tag;
+  Alcotest.(check int) "the loop keeps serving" 2 (check_ok "call after" after);
+  Alcotest.(check int) "the handler saw the datagram and the call" 2 !seen
+
 let test_reply_validation () =
   let c = lan_cluster () in
   Cluster.settle c;
@@ -354,6 +428,10 @@ let () =
           Alcotest.test_case "reply validation" `Quick test_reply_validation;
           Alcotest.test_case "tadd send rejected" `Quick test_send_to_temporary_address_rejected;
           Alcotest.test_case "large message framing" `Quick test_large_message_over_tcp_framing;
+          Alcotest.test_case "call refuses an undecodable reply" `Quick
+            test_call_refuses_bad_reply;
+          Alcotest.test_case "serve: no datagram reply, other tags dropped" `Quick
+            test_serve_dgram_and_other_tags;
         ] );
       ( "conversion",
         [

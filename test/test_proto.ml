@@ -211,22 +211,28 @@ let check_pinned what pack unpack cases =
     cases
 
 let test_ns_proto_roundtrips () =
-  check_pinned "request" Ns_proto.pack_request Ns_proto.unpack_request ns_requests;
-  check_pinned "response" Ns_proto.pack_response Ns_proto.unpack_response ns_responses
+  let pinned what codec =
+    check_pinned what (Packed.run_pack codec) (Packed.run_unpack_result codec)
+  in
+  pinned "request" Ns_proto.request_codec ns_requests;
+  pinned "response" Ns_proto.response_codec ns_responses
 
 (* The retired replication pull decodes like any unknown tag. *)
 let test_ns_proto_retired_sync () =
   Alcotest.(check bool) "syn is unknown" true
-    (Result.is_error (Ns_proto.unpack_request (Bytes.of_string "3\nsyn\n17\n")));
+    (Result.is_error
+       (Packed.run_unpack_result Ns_proto.request_codec (Bytes.of_string "3\nsyn\n17\n")));
   Alcotest.(check bool) "snc is unknown" true
-    (Result.is_error (Ns_proto.unpack_response (Bytes.of_string "3\nsnc\n0\n")))
+    (Result.is_error
+       (Packed.run_unpack_result Ns_proto.response_codec (Bytes.of_string "3\nsnc\n0\n")))
 
 (* A versioned answer's change list: a count that is negative, not a
    number, larger than what follows, or above K decodes to Error. *)
 let test_ns_proto_change_list_bounds () =
   let adv tail = Bytes.of_string ("3\nadv\n1\n9\n2\n7\n" ^ tail) in
   let refused what tail =
-    Alcotest.(check bool) what true (Result.is_error (Ns_proto.unpack_response (adv tail)))
+    Alcotest.(check bool) what true
+      (Result.is_error (Packed.run_unpack_result Ns_proto.response_codec (adv tail)))
   in
   refused "negative count" "-1\n";
   refused "non-numeric count" "x\n";
@@ -236,18 +242,19 @@ let test_ns_proto_change_list_bounds () =
   let k = Ns_proto.change_log_length in
   let names n = string_of_int n ^ "\n" ^ String.concat "" (List.init n (fun _ -> "1\nm\n")) in
   Alcotest.(check bool) "K names decode" true
-    (Result.is_ok (Ns_proto.unpack_response (adv (names k))));
+    (Result.is_ok (Packed.run_unpack_result Ns_proto.response_codec (adv (names k))));
   refused "K + 1 names" (names (k + 1));
   let a = Addr.unique ~server_id:1 ~value:9 in
   Alcotest.(check bool) "an over-long entry answer is refused too" true
     (Result.is_error
-       (Ns_proto.unpack_response
-          (Ns_proto.pack_response
+       (Packed.run_unpack_result Ns_proto.response_codec
+          (Packed.run_pack Ns_proto.response_codec
              (Ns_proto.R_entry_v (ns_entry, 2, 9, List.init (k + 1) (fun _ -> "m"))))));
   Alcotest.(check bool) "as is an over-long address answer" true
     (Result.is_error
-       (Ns_proto.unpack_response
-          (Ns_proto.pack_response (Ns_proto.R_addr_v (a, 2, 9, List.init (k + 1) (fun _ -> "m"))))))
+       (Packed.run_unpack_result Ns_proto.response_codec
+          (Packed.run_pack Ns_proto.response_codec
+             (Ns_proto.R_addr_v (a, 2, 9, List.init (k + 1) (fun _ -> "m"))))))
 
 (* Hostile bytes: truncated, bit-flipped and length-inflated encodings of
    valid messages must decode to [Ok] or [Error], never raise. A name
@@ -296,10 +303,10 @@ let hostile_families =
   let layout = Layout.[ F_i8; F_i32; F_char_array 8; F_i64 ] in
   [
     ( (fun w ->
-        (match Ns_proto.unpack_request w with Ok _ | Error _ -> ());
-        match Ns_proto.unpack_response w with Ok _ | Error _ -> ()),
-      List.map (fun (r, _) -> Ns_proto.pack_request r) ns_requests
-      @ List.map (fun (r, _) -> Ns_proto.pack_response r) ns_responses );
+        (match Packed.run_unpack_result Ns_proto.request_codec w with Ok _ | Error _ -> ());
+        match Packed.run_unpack_result Ns_proto.response_codec w with Ok _ | Error _ -> ()),
+      List.map (fun (r, _) -> Packed.run_pack Ns_proto.request_codec r) ns_requests
+      @ List.map (fun (r, _) -> Packed.run_pack Ns_proto.response_codec r) ns_responses );
     packed Proto.hello_codec [ hello ];
     packed Proto.ivc_open_codec [ ivc_open ];
     packed Proto.reason_codec [ ""; "no route" ];

@@ -49,8 +49,9 @@ let test_transparent_relocation () =
     (fun () ->
       managed.Ntcs_drts.Process_ctl.m_spec.Ntcs_drts.Process_ctl.sp_body
       |> ignore;
-      let moved = { managed with Ntcs_drts.Process_ctl.m_spec = counter_spec "gen1" } in
-      ignore (Ntcs_drts.Process_ctl.relocate pctl moved ~to_machine:"sun2"));
+      ignore
+        (Ntcs_drts.Process_ctl.relocate pctl ~spec:(counter_spec "gen1") managed
+           ~to_machine:"sun2"));
   Cluster.settle ~dt:30_000_000 c;
   let replies = List.rev !replies in
   Alcotest.(check int) "no failed calls" 0 !errors;
@@ -87,7 +88,7 @@ let test_forwarding_table_reused () =
     (fun () ->
       ignore
         (Ntcs_drts.Process_ctl.relocate pctl
-           { managed with Ntcs_drts.Process_ctl.m_spec = counter_spec "g1" }
+           ~spec:(counter_spec "g1") managed
            ~to_machine:"sun2"));
   Cluster.settle ~dt:30_000_000 c;
   Alcotest.(check int) "a single NSP fault query" 1 !fault_queries
@@ -196,7 +197,7 @@ let test_relocation_across_networks () =
     (fun () ->
       ignore
         (Ntcs_drts.Process_ctl.relocate pctl
-           { managed with Ntcs_drts.Process_ctl.m_spec = counter_spec "ring-gen" }
+           ~spec:(counter_spec "ring-gen") managed
            ~to_machine:"ap1"));
   Cluster.settle ~dt:80_000_000 c;
   Alcotest.(check (option string)) "before relocation" (Some "lan-gen:1")

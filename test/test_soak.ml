@@ -85,7 +85,7 @@ let test_soak () =
                 let gen = m.Ntcs_drts.Process_ctl.m_generation + 1 in
                 ignore
                   (Ntcs_drts.Process_ctl.relocate pctl
-                     { m with Ntcs_drts.Process_ctl.m_spec = service_spec name gen }
+                     ~spec:(service_spec name gen) m
                      ~to_machine:dst)
               | None -> ())
            | 1 ->
@@ -101,7 +101,7 @@ let test_soak () =
                 let gen = m.Ntcs_drts.Process_ctl.m_generation + 1 in
                 ignore
                   (Ntcs_drts.Process_ctl.relocate pctl
-                     { m with Ntcs_drts.Process_ctl.m_spec = service_spec name gen }
+                     ~spec:(service_spec name gen) m
                      ~to_machine:here)
               | None -> ()));
           chaos ()

@@ -181,6 +181,18 @@ let test_bqueue () =
      List.rev !l);
   Alcotest.(check (option int)) "next pop" (Some 2) (Bqueue.pop q)
 
+let test_bqueue_ring () =
+  let q = Bqueue.create 3 in
+  List.iter (Bqueue.push_evict q) [ 1; 2; 3; 4; 5 ];
+  Alcotest.(check bool) "still full" true (Bqueue.is_full q);
+  Alcotest.(check (list int)) "the latest three, oldest first" [ 3; 4; 5 ] (Bqueue.newest q 10);
+  Alcotest.(check (list int)) "the newest two" [ 4; 5 ] (Bqueue.newest q 2);
+  Alcotest.(check (list int)) "none asked" [] (Bqueue.newest q 0);
+  Alcotest.(check (list int)) "a negative count" [] (Bqueue.newest q (-1));
+  Alcotest.(check (option int)) "the oldest left first" (Some 3) (Bqueue.pop q);
+  Bqueue.push_evict q 6;
+  Alcotest.(check (list int)) "room was used, nothing evicted" [ 4; 5; 6 ] (Bqueue.newest q 3)
+
 let test_stats () =
   let s = Stats.create () in
   List.iter (Stats.add s) [ 1.; 2.; 3.; 4.; 5. ];
@@ -244,7 +256,11 @@ let () =
         :: Alcotest.test_case "update refreshes" `Quick test_lru_update_refreshes
         :: Alcotest.test_case "stats and remove" `Quick test_lru_stats_and_remove
         :: List.map QCheck_alcotest.to_alcotest lru_props );
-      ("bqueue", [ Alcotest.test_case "bounded fifo" `Quick test_bqueue ]);
+      ( "bqueue",
+        [
+          Alcotest.test_case "bounded fifo" `Quick test_bqueue;
+          Alcotest.test_case "ring: evicting push, newest n" `Quick test_bqueue_ring;
+        ] );
       ( "stats",
         [
           Alcotest.test_case "moments and percentiles" `Quick test_stats;
